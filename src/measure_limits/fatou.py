@@ -185,6 +185,17 @@ def f_dominates_g(sc: Scenario):
                    lambda: _dominance_all(sc.f_seq, sc.g_seq))
 
 
+def epi_side(sc: Scenario, family: str, which: str) -> tuple[float, str]:
+    """Epi-liminf/limsup integral of the f (``family="f"``) or g family
+    against the limit measure, with its certainty tag."""
+    seq = sc.f_seq if family == "f" else sc.g_seq
+    return _cached(sc, f"epi_{family}_{which}",
+                   lambda: epi_integral(seq, sc.limit_measure, which,
+                                        sc.resolved_schedule(),
+                                        sc.resolved_grid(),
+                                        sc.tolerances.stab_tol))
+
+
 def neg_tail_curve(sc: Scenario):
     return _cached(sc, "neg_tail_curve",
                    lambda: tail_curve(neg_part_seq(sc), sc.measures, sc.k_grid,
@@ -226,13 +237,10 @@ def fatou_report(sc: Scenario) -> GapReport:
     """Epi-liminf integral vs windowed liminf of integrals, plus the
     hypothesis diagnostics that explain the verdict."""
     t = sc.tolerances
-    sched = sc.resolved_schedule()
-    grid = sc.resolved_grid()
     diagnostics: dict = {"weak_convergence": convergence_evidence(sc)}
 
     zero_mass = sc.limit_measure.total_mass() == 0.0
-    lhs, lhs_cert = epi_integral(sc.f_seq, sc.limit_measure, "liminf",
-                                 sched, grid, t.stab_tol)
+    lhs, lhs_cert = epi_side(sc, "f", "liminf")
     if zero_mass:
         diagnostics["zero_limit_measure"] = True
         lhs, lhs_cert = 0.0, EXACT
@@ -278,9 +286,7 @@ def _minorant(sc: Scenario, variant: str) -> MinorantReport:
         raise UnsupportedScenarioError("minorant checks need a minorant family")
     t = sc.tolerances
     ok, n_bad, witness = f_dominates_g(sc)
-    val, cert = epi_integral(sc.g_seq, sc.limit_measure, variant,
-                             sc.resolved_schedule(), sc.resolved_grid(),
-                             t.stab_tol)
+    val, cert = epi_side(sc, "g", variant)
     series = g_integral_series(sc)
     rhs, stab = seq_liminf(series, sc.window_start, t.stab_tol)
     return MinorantReport(sc.name, variant, ok, (n_bad, witness) if not ok else None,
@@ -328,9 +334,7 @@ def majorant_check(sc: Scenario) -> MajorantReport:
         lambda: _dominance_all(sc.g_seq, abs_seq(sc)))
     series = g_integral_series(sc)
     lhs, stab = seq_limsup(series, sc.window_start, t.stab_tol)
-    val, cert = epi_integral(sc.g_seq, sc.limit_measure, "liminf",
-                             sc.resolved_schedule(), sc.resolved_grid(),
-                             t.stab_tol)
+    val, cert = epi_side(sc, "g", "liminf")
     return MajorantReport(sc.name, ok, (n_bad, witness) if not ok else None,
                           lhs, stab, val, cert, val < math.inf,
                           _le(lhs, val, t.tol))
@@ -380,8 +384,7 @@ def dct_report(sc: Scenario, equality_tol: Optional[float] = None) -> DctReport:
     series = f_integral_series(sc)
     lim_lo, stab_lo = seq_liminf(series, sc.window_start, t.stab_tol)
     lim_hi, stab_hi = seq_limsup(series, sc.window_start, t.stab_tol)
-    limit_integral, cert = epi_integral(sc.f_seq, sc.limit_measure, "liminf",
-                                        sched, grid, t.stab_tol)
+    limit_integral, cert = epi_side(sc, "f", "liminf")
     equal = (_le(lim_hi, limit_integral, tol) and _le(limit_integral, lim_lo, tol)
              and _le(lim_lo, lim_hi, tol))
 

@@ -272,8 +272,10 @@ class EpiCertificate:
 
     ``fn`` gives the limit function as a step function; ``overrides`` pin
     exact values at individual points that a step function cannot carry
-    (isolated spikes at atoms).  Certificates are trusted inputs that the
-    epi-limits module cross-checks against windowed estimates.
+    (isolated spikes at atoms).  Certificates are trusted inputs: the
+    epi-limits module uses them without scanning.  The tier-1 tests compare
+    them with windowed estimates (``test_comb_teeth_*`` in
+    ``tests/test_epilimits.py``).
     """
 
     fn: PiecewiseFn
@@ -290,7 +292,8 @@ class EpiCertificate:
 
 @dataclass
 class FnSequence:
-    """Lazily generated indexed family f_1..f_{n_max} of step functions."""
+    """Lazily generated indexed family f_1..f_{n_max} of step functions;
+    each is built once and kept for the life of the sequence."""
 
     n_max: int
     builder: Callable[[int], PiecewiseFn]
@@ -308,8 +311,6 @@ class FnSequence:
         f = self._cache.get(n)
         if f is None:
             f = self.builder(n)
-            if len(self._cache) > 64:
-                self._cache.clear()
             self._cache[n] = f
         return f
 

@@ -5,7 +5,7 @@ over refinements that can reach millions of cells) exist twice: a
 Cython extension (``_fast``) and a pure-Python implementation
 (``_pure``).  The compiled one is used when importable; set
 ``MEASURE_LIMITS_BACKEND=pure`` (or ``fast``) to force a choice.
-``benchmarks/bench_kernels.py`` compares the two.
+``perfbench/`` times the kernels inside end-to-end runs.
 """
 
 from __future__ import annotations

@@ -221,7 +221,8 @@ class SignedCellMeasure:
 
 @dataclass
 class MeasureSequence:
-    """Lazily generated indexed family mu_1..mu_{n_max}."""
+    """Lazily generated indexed family mu_1..mu_{n_max}; each is built once
+    and kept for the life of the sequence."""
 
     n_max: int
     builder: Callable[[int], FiniteMeasure]
@@ -233,8 +234,6 @@ class MeasureSequence:
         m = self._cache.get(n)
         if m is None:
             m = self.builder(n)
-            if len(self._cache) > 64:
-                self._cache.clear()
             self._cache[n] = m
         return m
 

@@ -3,15 +3,12 @@
 Each requested check runs against the built scenario and yields a verdict
 record; module errors become per-check ``error`` verdicts instead of
 aborting the run.  Reports serialize canonically so identical inputs hash
-identically.  MEASURE_LIMITS_THREADS caps check-level parallelism; the
-shared per-scenario computations are primed first so concurrent checks
-only read them.
+identically.  Checks run one after another and share the scenario's
+memoized computations.
 """
 
 from __future__ import annotations
 
-import os
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 from typing import Optional
 
@@ -19,7 +16,6 @@ from . import __version__
 from .fatou import (
     Scenario,
     dct_report,
-    f_integral_series,
     fatou_report,
     majorant_check,
     minorant_check,
@@ -186,7 +182,10 @@ def _check_uniform(sc: Scenario, which: str) -> CheckResult:
     else:
         consistent, observed, predicted = (
             rep.dct_consistent, rep.sup_gap_vanishing, rep.dct_predicted)
-    v = "error" if not consistent else ("holds" if observed else "violated")
+    # both sides are trends judged over the trailing window; when they
+    # disagree, the window cannot tell which one misjudged the limit
+    v = ("inconclusive" if not consistent
+         else "holds" if observed else "violated")
     payload = {
         "gap_trend_vanishing": observed,
         "conditions_predict_vanishing": predicted,
@@ -198,8 +197,8 @@ def _check_uniform(sc: Scenario, which: str) -> CheckResult:
         "in_measure_vanishing": rep.in_measure_vanishing,
     }
     if not consistent:
-        payload["fixture_bug"] = ("observed gap trend contradicts the "
-                                  "two-condition characterization")
+        payload["disagreement"] = ("observed gap trend contradicts the "
+                                   "two-condition characterization")
     return CheckResult(which, v, payload, {f"{which}_series": rep.series.to_csv()})
 
 
@@ -259,17 +258,6 @@ _CHECKS = {
 }
 
 
-def _thread_budget() -> int:
-    raw = os.environ.get("MEASURE_LIMITS_THREADS", "")
-    try:
-        cap = int(raw)
-    except ValueError:
-        cap = 0
-    if cap <= 0:
-        cap = min(8, os.cpu_count() or 1)
-    return cap
-
-
 def run_checks(doc: ScenarioDoc, checks: Optional[tuple[str, ...]] = None
                ) -> ReportDoc:
     """Execute the requested checks; failed modules yield 'error' verdicts."""
@@ -279,13 +267,6 @@ def run_checks(doc: ScenarioDoc, checks: Optional[tuple[str, ...]] = None
         raise ScenarioFormatError(f"unknown checks {unknown}; "
                                   f"known: {sorted(_CHECKS)}")
     sc = doc.build_scenario()
-    if len(names) > 1:
-        # prime the shared memoized pieces so worker threads only read
-        try:
-            f_integral_series(sc)
-            neg_tail_curve(sc)
-        except MeasureLimitsError:
-            pass
 
     def one(name: str) -> CheckResult:
         try:
@@ -294,9 +275,4 @@ def run_checks(doc: ScenarioDoc, checks: Optional[tuple[str, ...]] = None
             return CheckResult(name, "error",
                                {"error": f"{type(exc).__name__}: {exc}"}, {})
 
-    if len(names) > 1 and _thread_budget() > 1:
-        with ThreadPoolExecutor(max_workers=_thread_budget()) as pool:
-            results = tuple(pool.map(one, names))
-    else:
-        results = tuple(one(n) for n in names)
-    return ReportDoc(doc.name, doc.hash(), results)
+    return ReportDoc(doc.name, doc.hash(), tuple(one(n) for n in names))

@@ -197,7 +197,9 @@ def uniform_report(sc: Scenario) -> UniformReport:
     masses vanish and the negative parts are a.u.i.; the uniform
     convergence of integrals over all sets exactly when the family
     converges in measure and is a.u.i.  Disagreement between an observed
-    trend and its prediction is reported as a fixture inconsistency.
+    trend and its prediction clears ``fatou_consistent``/``dct_consistent``:
+    on a closed-form fixture that is a fixture bug, on a document a window
+    too short to judge.
     """
     if sc.limit_fn is None:
         raise UnsupportedScenarioError("uniform checks need a limit function")

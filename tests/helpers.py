@@ -160,6 +160,57 @@ def fatou_random_scenario(rng: np.random.Generator, n_max: int = 16,
     )
 
 
+def fatou_random_document(rng: np.random.Generator, n_max: int = 12,
+                          name: str = "random-doc") -> dict:
+    """Scenario document of the randomized Fatou construction above, with a
+    minorant family g_n = f_n - c (c >= 0) and the zero limit function, so
+    that every check applies."""
+    sc = fatou_random_scenario(rng, n_max, name)
+    shift = float(rng.uniform(0.0, 1.0))
+
+    def fn_spec(f: PiecewiseFn, c: float = 0.0) -> dict:
+        return {"breakpoints": f.breakpoints.tolist(),
+                "values": (f.values - c).tolist(), "default": f.default - c}
+
+    def measure_spec(m: FiniteMeasure) -> dict:
+        return {"atoms": [[float(a), float(w)]
+                          for a, w in zip(m.atom_locs, m.atom_weights)],
+                "cells": [[float(a), float(b), float(d)] for a, b, d in
+                          zip(m.cell_los, m.cell_his, m.cell_densities)]}
+
+    fns = [sc.f_seq.fn(n) for n in range(1, n_max + 1)]
+    return {
+        "name": name,
+        "space": {"lo": 0.0, "hi": 1.0},
+        "n_max": n_max,
+        "measures": {"explicit": [measure_spec(sc.measures.measure(n))
+                                  for n in range(1, n_max + 1)]},
+        "limit_measure": measure_spec(sc.limit_measure),
+        "functions": {"explicit": [fn_spec(f) for f in fns]},
+        "g_functions": {"explicit": [fn_spec(f, shift) for f in fns]},
+        "limit_function": {"breakpoints": [], "values": [], "default": 0.0},
+        "checks": ["ui", "aui", "shift", "fatou", "minorant",
+                   "weakened_minorant", "majorant", "dct", "uniform_fatou",
+                   "uniform_dct", "weak_gap"],
+        "convergence_certificate": {"kind": "tv"},
+    }
+
+
+def scan_epi_oracle(seq: FnSequence, s: float, sched, lower: bool
+                    ) -> list[float]:
+    """Windowed epi-liminf (lower) or limsup at s per schedule step, one
+    scalar ``range_on`` call per step and index: the reference that the
+    batched scan in ``measure_limits.epilimits`` must match bit for bit."""
+    per_j = []
+    for n0, delta in sched.steps:
+        best = math.inf if lower else -math.inf
+        for n in range(n0, seq.n_max + 1):
+            lo, hi = seq.fn(n).range_on(s - delta, s + delta, False, False)
+            best = min(best, lo) if lower else max(best, hi)
+        per_j.append(best)
+    return per_j
+
+
 def constant_seq(f: PiecewiseFn, n_max: int) -> FnSequence:
     return FnSequence(n_max, lambda n: f)
 

@@ -1,0 +1,186 @@
+"""The batched epi-limit scan against the scalar ``range_on`` oracle.
+
+The engine in ``measure_limits.epilimits`` scans every point of a family
+at once; ``helpers.scan_epi_oracle`` scans one point with one scalar
+``range_on`` call per step and index.  They must agree bit for bit, the
+sign of zero included, and reject the same empty balls.
+"""
+
+import math
+
+import numpy as np
+import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+
+from measure_limits import (
+    EpiCertificate,
+    EpiSchedule,
+    FnSequence,
+    Interval,
+    PiecewiseFn,
+    epi_limit_exists,
+    epi_liminf,
+    epi_limsup,
+    fatou,
+    lebesgue,
+    zero_fn,
+)
+from measure_limits.epilimits import _scan
+from measure_limits.fatou import dct_report, fatou_report, majorant_check
+from measure_limits.fatou import minorant_check, weakened_minorant_probe
+from measure_limits.xreal import MalformedObjectError
+
+from helpers import fatou_random_scenario, scan_epi_oracle
+
+# dyadic breakpoints and radii: a point of the grid plus or minus a radius
+# lands exactly on another grid point, i.e. on a breakpoint
+GRID = [k / 16 for k in range(17)]
+VALUES = [0.0, -0.0, 1.0, -1.0, 2.5, -3.0, math.inf, -math.inf]
+DOMAINS = [Interval(0.0, 1.0), Interval(-math.inf, math.inf),
+           Interval(0.0, math.inf), Interval(-math.inf, 1.0)]
+
+
+@st.composite
+def step_fns(draw, domain: Interval):
+    n_cells = draw(st.integers(0, 8))
+    default = draw(st.sampled_from(VALUES))
+    if n_cells == 0:
+        return PiecewiseFn((), (), default, domain)
+    bps = draw(st.lists(st.sampled_from(GRID), min_size=n_cells + 1,
+                        max_size=n_cells + 1, unique=True))
+    vals = draw(st.lists(st.sampled_from(VALUES), min_size=n_cells,
+                         max_size=n_cells))
+    return PiecewiseFn(sorted(bps), vals, default, domain)
+
+
+@st.composite
+def families(draw):
+    domain = draw(st.sampled_from(DOMAINS))
+    n_max = draw(st.integers(1, 6))
+    fns = [draw(step_fns(domain)) for _ in range(n_max)]
+    n_steps = draw(st.integers(1, min(4, n_max)))
+    thresholds = sorted(draw(st.lists(st.integers(1, n_max), min_size=n_steps,
+                                      max_size=n_steps, unique=True)))
+    if draw(st.booleans()):
+        thresholds[-1] = n_max           # the last step scans f_{n_max} only
+    first = draw(st.integers(1, 3))
+    sched = EpiSchedule(tuple((n, 2.0 ** -(first + j))
+                              for j, n in enumerate(thresholds)), n_max)
+    pts = draw(st.lists(
+        st.one_of(st.sampled_from(GRID),
+                  st.floats(0.0, 1.0, allow_nan=False)),
+        min_size=1, max_size=6))
+    seq = FnSequence(n_max, lambda n: fns[n - 1])
+    return seq, sched, pts
+
+
+def bits(values) -> list[str]:
+    return [float(v).hex() for v in values]
+
+
+@settings(max_examples=400, deadline=None)
+@given(families(), st.booleans())
+def test_batched_scan_matches_scalar_oracle(family, lower):
+    seq, sched, pts = family
+    rows = _scan(seq, np.asarray(pts, dtype=np.float64), sched, lower)
+    for s, row in zip(pts, rows):
+        assert bits(row) == bits(scan_epi_oracle(seq, s, sched, lower))
+
+
+@settings(max_examples=150, deadline=None)
+@given(families(), st.booleans(),
+       st.floats(-3.0, 4.0, allow_nan=False))
+def test_batched_scan_rejects_the_balls_the_oracle_rejects(family, lower, s):
+    seq, sched, pts = family
+    try:
+        want = bits(scan_epi_oracle(seq, s, sched, lower))
+    except MalformedObjectError:
+        with pytest.raises(MalformedObjectError):
+            _scan(seq, np.asarray(pts + [s]), sched, lower)
+        return
+    got = _scan(seq, np.asarray(pts + [s]), sched, lower)
+    assert bits(got[-1]) == want
+
+
+def test_scan_on_breakpoints_domain_ends_and_unbounded_domain():
+    for dom in (Interval(0.0, 1.0), Interval(-math.inf, math.inf)):
+        fns = [PiecewiseFn([0.0, 0.25, 0.5, 1.0], [-0.0, 2.0, -math.inf], 0.0,
+                           dom),
+               PiecewiseFn([0.25, 0.75], [math.inf], -0.0, dom),
+               PiecewiseFn((), (), 1.0, dom)]
+        seq = FnSequence(3, lambda n: fns[n - 1])
+        sched = EpiSchedule(((1, 0.25), (2, 0.125), (3, 0.0625)), 3)
+        pts = [0.0, 0.125, 0.25, 0.5, 0.75, 1.0]
+        for lower in (True, False):
+            rows = _scan(seq, np.asarray(pts), sched, lower)
+            for s, row in zip(pts, rows):
+                assert bits(row) == bits(scan_epi_oracle(seq, s, sched, lower))
+
+
+def test_public_estimates_match_oracle():
+    rng = np.random.default_rng(5)
+    sc = fatou_random_scenario(rng, n_max=8)
+    sched = sc.resolved_schedule()
+    for s in sc.resolved_grid()[::7]:
+        for est, lower in ((epi_liminf(sc.f_seq, s, sched), True),
+                           (epi_limsup(sc.f_seq, s, sched), False)):
+            want = scan_epi_oracle(sc.f_seq, s, sched, lower)
+            assert est.source == "window"
+            assert bits(est.per_j) == bits(want)
+            assert bits([est.value]) == bits(want[-1:])
+
+
+def counting_seq(n_max: int, calls: list) -> FnSequence:
+    dom = Interval(-1.0, 1.0)
+
+    def build(n: int) -> PiecewiseFn:
+        calls.append(n)
+        return PiecewiseFn([-1.0 / n, 0.0, 1.0 / n], [-float(n), float(n)],
+                           0.0, dom)
+
+    return FnSequence(
+        n_max, build,
+        epi_liminf_cert=EpiCertificate(zero_fn(dom), ((0.0, -math.inf),)),
+        epi_limsup_cert=EpiCertificate(zero_fn(dom), ((0.0, math.inf),)))
+
+
+def test_certified_estimate_builds_nothing_until_per_j_is_read():
+    calls: list = []
+    seq = counting_seq(16, calls)
+    sched = EpiSchedule.default(16)
+    est = epi_liminf(seq, 0.0, sched)
+    assert est.value == -math.inf and est.source == "certificate"
+    assert calls == []
+    rep = epi_limit_exists(seq, [-0.5, 0.0, 0.5], sched, 1e-9,
+                           lebesgue(-1.0, 1.0))
+    assert rep.mass_exact and calls == []
+    assert bits(est.per_j) == bits(scan_epi_oracle(seq, 0.0, sched, True))
+    assert calls                        # reading per_j scanned the family
+
+
+def test_certified_estimate_rejects_balls_outside_the_domain():
+    seq = counting_seq(8, [])
+    with pytest.raises(MalformedObjectError):
+        epi_liminf(seq, 5.0, EpiSchedule.default(8))
+
+
+def test_epi_integrals_are_computed_once_per_scenario(monkeypatch):
+    rng = np.random.default_rng(11)
+    sc = fatou_random_scenario(rng, n_max=8)
+    sc.g_seq = sc.f_seq.map(lambda f: f.map_values(lambda v: v - 0.5,
+                                                   lambda d: d - 0.5))
+    seen = []
+    inner = fatou.epi_integral
+
+    def counted(seq, m, which, *args):
+        seen.append((id(seq), which))
+        return inner(seq, m, which, *args)
+
+    monkeypatch.setattr(fatou, "epi_integral", counted)
+    for report in (fatou_report, minorant_check, weakened_minorant_probe,
+                   majorant_check, dct_report):
+        report(sc)
+    assert sorted(seen) == sorted({(id(sc.f_seq), "liminf"),
+                                   (id(sc.g_seq), "liminf"),
+                                   (id(sc.g_seq), "limsup")})

@@ -201,6 +201,36 @@ def test_missing_pieces_become_error_verdicts():
     assert report.exit_code == 1
 
 
+def test_uniform_trend_disagreement_is_inconclusive():
+    # the gap integrals -1/n shrink monotonically while the undershoot
+    # masses alternate 0.5, 0.4, ...: the window heuristics disagree, which
+    # a finite window cannot resolve, so the verdict is no error
+    n_max = 12
+    fns = []
+    for n in range(1, n_max + 1):
+        b = 0.5 if n % 2 else 0.4
+        fns.append({"breakpoints": [0.0, b], "values": [-1.0 / (n * b)],
+                    "default": 0.0})
+    doc = parse_scenario(json.dumps({
+        "name": "trend-disagreement",
+        "space": {"lo": 0.0, "hi": 1.0},
+        "n_max": n_max,
+        "measures": {"explicit": [{"cells": [[0.0, 1.0, 1.0]]}] * n_max},
+        "limit_measure": {"cells": [[0.0, 1.0, 1.0]]},
+        "functions": {"explicit": fns},
+        "limit_function": {"breakpoints": [], "values": [], "default": 0.0},
+        "checks": ["uniform_fatou"],
+        "convergence_certificate": {"kind": "tv"},
+    }))
+    report = run_checks(doc)
+    (result,) = report.results
+    assert result.verdict == "inconclusive"
+    assert result.payload["consistent"] is False
+    assert result.payload["gap_trend_vanishing"]
+    assert not result.payload["conditions_predict_vanishing"]
+    assert report.exit_code == 0
+
+
 def test_staircase_builder_doc_all_pass_exit_zero():
     text = json.dumps({
         "name": "staircase-via-builder",
