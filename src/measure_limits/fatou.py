@@ -26,7 +26,7 @@ from .tails import (
     DEFAULT_K_GRID,
     UiVerdict,
     default_window_start,
-    shift_search,
+    first_shift,
     tail_curve,
     verdict,
 )
@@ -208,13 +208,29 @@ def abs_tail_curve(sc: Scenario):
                                       sc.window_start, sc.tolerances.stab_tol))
 
 
+def neg_part_shift(sc: Scenario) -> Optional[int]:
+    """Smallest shift N < n_max after which the negative parts' tails at
+    the top grid level stay within ``ui_tol``; read off the last column of
+    the negative-part tail curve (the grid is sorted, so that column is
+    K = max(k_grid))."""
+    return first_shift(neg_tail_curve(sc).table[:, -1], sc.tolerances.ui_tol,
+                       sc.n_max - 1)
+
+
+def tv_series(sc: Scenario) -> tuple[float, ...]:
+    """Total-variation distances ||mu_n - mu|| for n = 1..n_max."""
+    return _cached(sc, "tv_series",
+                   lambda: tuple(tv_norm_diff(sc.measures.measure(n),
+                                              sc.limit_measure)
+                                 for n in range(1, sc.n_max + 1)))
+
+
 def convergence_evidence(sc: Scenario) -> dict:
     """Hypothesis record for weak convergence of the measure family."""
     ev: dict = {"kind": sc.certificate,
                 "certified": sc.certificate in ("tv", "builder")}
     if sc.certificate == "tv":
-        series = [tv_norm_diff(sc.measures.measure(n), sc.limit_measure)
-                  for n in range(sc.window_start, sc.n_max + 1)]
+        series = tv_series(sc)[sc.window_start - 1:]
         ev["tv_window_max"] = max(series)
         ev["tv_last"] = series[-1]
     return ev
@@ -440,8 +456,7 @@ def bounded_minorant_shift_probe(sc: Scenario) -> ShiftProbeReport:
     minor = minorant_check(sc)
     if not minor.holds:
         return ShiftProbeReport(sc.name, minor, False, None, True)
-    shift = shift_search(neg_part_seq(sc), sc.measures, sc.tolerances.ui_tol,
-                         max(sc.k_grid), sc.n_max - 1)
+    shift = neg_part_shift(sc)
     return ShiftProbeReport(sc.name, minor, True, shift, shift is not None)
 
 

@@ -89,7 +89,7 @@ class FiniteMeasure:
     """Finite nonnegative measure: atoms + density cells + analytic segments."""
 
     __slots__ = ("atom_locs", "atom_weights", "cell_los", "cell_his",
-                 "cell_densities", "segments", "domain")
+                 "cell_densities", "segments", "domain", "_piece_edges")
 
     def __init__(self, atoms=(), cells=(), segments=(),
                  domain: Interval = Interval(-math.inf, math.inf)):
@@ -103,6 +103,14 @@ class FiniteMeasure:
         self.segments = tuple(sorted(segments, key=lambda s: s.lo))
         self.domain = domain
         self._validate()
+        # measures are immutable, so every refinement shares one edge array
+        self._piece_edges = np.unique(np.concatenate([
+            self.cell_los, self.cell_his,
+            np.asarray([s.lo for s in self.segments]),
+            np.asarray([s.hi for s in self.segments if math.isfinite(s.hi)]),
+            self.atom_locs,
+        ]))
+        self._piece_edges.flags.writeable = False
 
     def _validate(self) -> None:
         if self.atom_locs.size:
@@ -178,13 +186,9 @@ class FiniteMeasure:
         return comp_sum(np.asarray(terms)) if terms else 0.0
 
     def piece_edges(self) -> np.ndarray:
-        """All finite structural endpoints (cells, segments, atoms)."""
-        return np.unique(np.concatenate([
-            self.cell_los, self.cell_his,
-            np.asarray([s.lo for s in self.segments]),
-            np.asarray([s.hi for s in self.segments if math.isfinite(s.hi)]),
-            self.atom_locs,
-        ]))
+        """All finite structural endpoints (cells, segments, atoms), sorted;
+        a read-only array computed once at construction."""
+        return self._piece_edges
 
     def __repr__(self) -> str:
         return (f"FiniteMeasure({self.atom_locs.size} atoms, "

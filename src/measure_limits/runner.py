@@ -19,14 +19,14 @@ from .fatou import (
     fatou_report,
     majorant_check,
     minorant_check,
-    neg_part_seq,
+    neg_part_shift,
     neg_tail_curve,
     weakened_minorant_probe,
 )
 from .functions import PiecewiseFn, Ramp, constant_fn
 from .integration import weak_gap_bank
 from .scenario import ScenarioDoc, canonical_json
-from .tails import shift_search, verdict
+from .tails import verdict
 from .uniform import trend_vanishing, uniform_report
 from .xreal import MeasureLimitsError, ScenarioFormatError
 
@@ -106,8 +106,7 @@ def _check_aui(sc: Scenario) -> CheckResult:
 
 
 def _check_shift(sc: Scenario) -> CheckResult:
-    n = shift_search(neg_part_seq(sc), sc.measures, sc.tolerances.ui_tol,
-                     max(sc.k_grid), sc.n_max - 1)
+    n = neg_part_shift(sc)
     return CheckResult("shift", _vd(n is not None),
                        {"shift": n, "k_max": max(sc.k_grid)}, {})
 

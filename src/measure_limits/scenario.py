@@ -13,7 +13,7 @@ from __future__ import annotations
 import hashlib
 import json
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Any, Optional
 
 from .epilimits import EpiSchedule
@@ -98,7 +98,7 @@ def _as_float(v, path: str) -> float:
         if v == "-inf":
             return -math.inf
         raise _fail(path, f"not a number: {v!r}")
-    if isinstance(v, bool) or not isinstance(v, (int, float)):
+    if isinstance(v, bool) or not isinstance(v, (int, float)) or math.isnan(v):
         raise _fail(path, f"not a number: {v!r}")
     return float(v)
 
@@ -113,10 +113,6 @@ def _as_int(v, path: str) -> int:
     if isinstance(v, bool) or not isinstance(v, int):
         raise _fail(path, f"expected an integer, got {v!r}")
     return v
-
-
-def _encode_float(x: float):
-    return x
 
 
 # -- function / measure specs ----------------------------------------------
@@ -139,12 +135,6 @@ def parse_fn_spec(spec, path: str, domain: Interval) -> PiecewiseFn:
         return PiecewiseFn(bp, vals, default, domain)
     except MalformedObjectError as exc:
         raise _fail(path, str(exc)) from None
-
-
-def fn_to_spec(f: PiecewiseFn) -> dict:
-    return {"breakpoints": [float(x) for x in f.breakpoints],
-            "values": [float(x) for x in f.values],
-            "default": f.default}
 
 
 def parse_measure_spec(spec, path: str, domain: Interval) -> FiniteMeasure:
@@ -183,17 +173,6 @@ def parse_measure_spec(spec, path: str, domain: Interval) -> FiniteMeasure:
         return FiniteMeasure(atoms, cells, segments, domain)
     except MalformedObjectError as exc:
         raise _fail(path, str(exc)) from None
-
-
-def measure_to_spec(m: FiniteMeasure) -> dict:
-    return {
-        "atoms": [[float(a), float(w)] for a, w in
-                  zip(m.atom_locs, m.atom_weights)],
-        "cells": [[float(lo), float(hi), float(rho)] for lo, hi, rho in
-                  zip(m.cell_los, m.cell_his, m.cell_densities)],
-        "segments": [{"name": s.name, "lo": s.lo, "hi": s.hi}
-                     for s in m.segments],
-    }
 
 
 # -- scenario documents ------------------------------------------------------
@@ -451,7 +430,3 @@ def _build_scenario(doc: ScenarioDoc) -> Scenario:
         certificate=doc.certificate,
         **kwargs,
     )
-
-
-def emit_scenario(doc: ScenarioDoc) -> str:
-    return doc.canonical()

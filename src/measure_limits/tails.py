@@ -125,11 +125,19 @@ def shift_search(seq: FnSequence, measures: MeasureSequence, tol: float,
     The search is capped at n_max - 1 so the sup never ranges over an
     empty index set.
     """
-    n_max = seq.n_max
-    tails = np.empty(n_max)
-    for n in range(1, n_max + 1):
-        tails[n - 1] = tail_integral(seq, measures, n, k_max)
-    for shift in range(0, min(n_shift_max, n_max - 1) + 1):
+    tails = [tail_integral(seq, measures, n, k_max)
+             for n in range(1, seq.n_max + 1)]
+    return first_shift(tails, tol, n_shift_max)
+
+
+def first_shift(tails, tol: float, n_shift_max: int) -> Optional[int]:
+    """Smallest N <= n_shift_max with max(tails[N:]) <= tol, or None.
+
+    ``tails[n - 1]`` is the tail of index n at one level K.  N stays below
+    len(tails) so the max never ranges over an empty index set.
+    """
+    tails = np.asarray(tails, dtype=np.float64)
+    for shift in range(0, min(n_shift_max, tails.size - 1) + 1):
         if float(np.max(tails[shift:])) <= tol:
             return shift
     return None

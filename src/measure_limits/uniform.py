@@ -21,13 +21,15 @@ import numpy as np
 
 from .fatou import (
     Scenario,
+    _cached,
     abs_tail_curve,
     convergence_evidence,
     f_integral_series,
     neg_tail_curve,
+    tv_series,
 )
 from .functions import FnSequence, PiecewiseFn
-from .integration import integrate, tv_norm_diff
+from .integration import integrate
 from .measures import FiniteMeasure, SignedCellMeasure
 from .refinement import (
     atom_weights_at,
@@ -63,6 +65,12 @@ def signed_gap(f_n: PiecewiseFn, m_n: FiniteMeasure,
     """Per-region signed masses of C -> int_C f_n dmu_n - int_C f dmu."""
     _require_l1(f_n, m_n, "f_n")
     _require_l1(f, m, "limit function")
+    return _gap_masses(f_n, m_n, f, m)
+
+
+def _gap_masses(f_n: PiecewiseFn, m_n: FiniteMeasure,
+                f: PiecewiseFn, m: FiniteMeasure) -> SignedCellMeasure:
+    """``signed_gap`` once both integrands are known to be in L1."""
     _check_shared_segments(m_n, m)
     p = common_refinement([f_n, m_n, f, m])
 
@@ -90,51 +98,57 @@ def uniform_fatou_gap(g: SignedCellMeasure) -> float:
     return math.fsum(masses[masses < 0.0]) + 0.0
 
 
-def uniform_sup_gap(g: SignedCellMeasure) -> float:
-    """sup over measurable sets of |signed gap|: attained at the positive
-    or the negative Hahn set, whichever carries more mass."""
+def hahn_masses(g: SignedCellMeasure) -> tuple[float, float]:
+    """(positive, negative) Hahn masses; their sum is the total variation."""
     masses = g.all_masses()
     pos = math.fsum(masses[masses > 0.0]) + 0.0
     neg = -math.fsum(masses[masses < 0.0]) + 0.0
-    return max(pos, neg)
+    return pos, neg
+
+
+def uniform_sup_gap(g: SignedCellMeasure) -> float:
+    """sup over measurable sets of |signed gap|: attained at the positive
+    or the negative Hahn set, whichever carries more mass."""
+    return max(hahn_masses(g))
 
 
 def _condition_series(f_seq: FnSequence, f: PiecewiseFn, m: FiniteMeasure,
-                      eps: float, symmetric: bool) -> list[float]:
+                      eps: float) -> tuple[list[float], list[float]]:
+    """Per-index masses of {f_n <= f - eps} and of {|f_n - f| >= eps},
+    both read from one refinement of (f_n, f, m) per index."""
     if not eps > 0:
         raise ValueError("epsilon must be positive")
-    out = []
+    under, inmeas = [], []
     for n in range(1, f_seq.n_max + 1):
         f_n = f_seq.fn(n)
         p = common_refinement([f_n, f, m])
         vn = fn_cell_values(f_n, p)
         v = fn_cell_values(f, p)
-        if symmetric:
-            bad = np.abs(vn - v) >= eps
-        else:
-            bad = vn <= v - eps
         masses = measure_cell_masses(m, p)
-        terms = [math.fsum(masses[bad])]
+        under_terms = [math.fsum(masses[vn <= v - eps])]
+        inmeas_terms = [math.fsum(masses[np.abs(vn - v) >= eps])]
         for loc, w in zip(m.atom_locs, m.atom_weights):
             a, b = f_n(float(loc)), f(float(loc))
-            hit = abs(a - b) >= eps if symmetric else a <= b - eps
-            if hit:
-                terms.append(w)
-        out.append(math.fsum(terms))
-    return out
+            if a <= b - eps:
+                under_terms.append(w)
+            if abs(a - b) >= eps:
+                inmeas_terms.append(w)
+        under.append(math.fsum(under_terms))
+        inmeas.append(math.fsum(inmeas_terms))
+    return under, inmeas
 
 
 def condition_undershoot(f_seq: FnSequence, f: PiecewiseFn, m: FiniteMeasure,
                          eps: float) -> list[float]:
     """Per-index mass of the undershoot set {f_n <= f - eps}."""
-    return _condition_series(f_seq, f, m, eps, symmetric=False)
+    return _condition_series(f_seq, f, m, eps)[0]
 
 
 def conv_in_measure(f_seq: FnSequence, f: PiecewiseFn, m: FiniteMeasure,
                     eps: float) -> list[float]:
     """Per-index mass of {|f_n - f| >= eps}; vanishing means convergence
     in measure at this epsilon."""
-    return _condition_series(f_seq, f, m, eps, symmetric=True)
+    return _condition_series(f_seq, f, m, eps)[1]
 
 
 def trend_vanishing(values, window_start: int, tol: float) -> bool:
@@ -191,7 +205,8 @@ class UniformReport:
 
 
 def uniform_report(sc: Scenario) -> UniformReport:
-    """Observed gap trends against the two-condition characterizations.
+    """Observed gap trends against the two-condition characterizations,
+    computed once per scenario and shared by every check that reads it.
 
     The uniform Fatou property should hold exactly when the undershoot
     masses vanish and the negative parts are a.u.i.; the uniform
@@ -201,23 +216,30 @@ def uniform_report(sc: Scenario) -> UniformReport:
     on a closed-form fixture that is a fixture bug, on a document a window
     too short to judge.
     """
+    return _cached(sc, "uniform_report", lambda: _uniform_report_body(sc))
+
+
+def _uniform_report_body(sc: Scenario) -> UniformReport:
     if sc.limit_fn is None:
         raise UnsupportedScenarioError("uniform checks need a limit function")
     t = sc.tolerances
-    f = sc.limit_fn
+    f, m = sc.limit_fn, sc.limit_measure
     inf_gaps, sup_gaps = [], []
     for n in range(1, sc.n_max + 1):
-        g = signed_gap(sc.f_seq.fn(n), sc.measures.measure(n), f,
-                       sc.limit_measure)
+        f_n, m_n = sc.f_seq.fn(n), sc.measures.measure(n)
+        _require_l1(f_n, m_n, "f_n")
+        if n == 1:
+            # the limit is the same at every index, so it is checked once,
+            # after f_1 as in signed_gap, which fixes the first error raised
+            _require_l1(f, m, "limit function")
+        g = _gap_masses(f_n, m_n, f, m)
         inf_gaps.append(uniform_fatou_gap(g))
         sup_gaps.append(uniform_sup_gap(g))
-    under = condition_undershoot(sc.f_seq, f, sc.limit_measure, t.eps_cond)
-    inmeas = conv_in_measure(sc.f_seq, f, sc.limit_measure, t.eps_cond)
+    under, inmeas = _condition_series(sc.f_seq, f, m, t.eps_cond)
     series = UniformGapSeries(sc.name, tuple(inf_gaps), tuple(sup_gaps),
                               tuple(under), tuple(inmeas), t.eps_cond)
 
-    tv = [tv_norm_diff(sc.measures.measure(n), sc.limit_measure)
-          for n in range(1, sc.n_max + 1)]
+    tv = tv_series(sc)
     w = sc.window_start
     aui_neg = verdict(neg_tail_curve(sc), "aui", t.ui_tol).passes
     aui_full = verdict(abs_tail_curve(sc), "aui", t.ui_tol).passes
@@ -238,11 +260,3 @@ def uniform_report(sc: Scenario) -> UniformReport:
                      "window_start": w,
                      "integral_series": f_integral_series(sc)},
     )
-
-
-def hahn_masses(g: SignedCellMeasure) -> tuple[float, float]:
-    """(positive, negative) Hahn masses; their sum is the total variation."""
-    masses = g.all_masses()
-    pos = math.fsum(masses[masses > 0.0]) + 0.0
-    neg = -math.fsum(masses[masses < 0.0]) + 0.0
-    return pos, neg

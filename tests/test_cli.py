@@ -121,3 +121,29 @@ def test_gallery_run_violating_fixture_exits_two(tmp_path):
 
 def test_gallery_unknown_fixture():
     assert main(["gallery", "run", "nope"]) == 1
+
+
+NAN = float("nan")
+
+
+@pytest.mark.parametrize("field, value, path", [
+    ("K_grid", [NAN], "$.K_grid[0]"),
+    ("sample_grid", [NAN, 0.5], "$.sample_grid[0]"),
+    ("tolerances", {"ui_tol": NAN}, "$.tolerances.ui_tol"),
+    ("limit_measure", {"cells": [[0.0, 1.0, NAN]]}, "$.limit_measure.cells[0][2]"),
+    ("schedule", {"N": [1], "delta": [NAN]}, "$.schedule.delta[0]"),
+    ("functions", {"explicit": [{"breakpoints": [0.0, 0.5, 1.0],
+                                 "values": [NAN, 1.0]}] * 4},
+     "$.functions.explicit[0].values[0]"),
+])
+def test_check_rejects_nan_with_the_field_path(tmp_path, capsys, field, value,
+                                               path):
+    doc = dict(HOLDS_DOC, checks=["ui", "shift", "fatou"], **{field: value})
+    src = write(tmp_path, doc)
+    out = tmp_path / "report.json"
+    assert main(["check", str(src), "--out", str(out)]) == 1
+    err = capsys.readouterr().err
+    assert f"{path}: not a number: nan" in err
+    assert "Traceback" not in err
+    assert not out.exists()
+
