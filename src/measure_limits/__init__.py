@@ -2,7 +2,6 @@
 
 __version__ = "0.1.0"
 
-from .kernels import BACKEND
 from .xreal import (
     Interval,
     MeasureLimitsError,

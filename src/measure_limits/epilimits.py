@@ -34,7 +34,7 @@ from .xreal import (
     Interval,
     MalformedObjectError,
     ScheduleError,
-    UndefinedIntegralError,
+    integral_of_parts,
 )
 
 EXACT = "exact"
@@ -354,14 +354,8 @@ def _integrate_certificate(cert: EpiCertificate, m: FiniteMeasure,
                             for loc in m.atom_locs])
         vals = np.concatenate([vals, avals])
         masses = np.concatenate([masses, m.atom_weights])
-    pos, neg, pos_inf, neg_inf = pos_neg_dot(vals, masses)
-    if pos_inf and neg_inf:
-        raise UndefinedIntegralError("certificate integral undefined")
-    if pos_inf:
-        return math.inf
-    if neg_inf:
-        return -math.inf
-    return pos - neg
+    return integral_of_parts(*pos_neg_dot(vals, masses),
+                             "certificate integral undefined")
 
 
 def epi_integral(seq: FnSequence, m: FiniteMeasure, which: str,
@@ -403,11 +397,5 @@ def epi_integral(seq: FnSequence, m: FiniteMeasure, which: str,
                                                    stab_tol)])
     if m.atom_locs.size:
         masses = np.concatenate([masses, m.atom_weights])
-    pos, neg, pos_inf, neg_inf = pos_neg_dot(vals, masses)
-    if pos_inf and neg_inf:
-        raise UndefinedIntegralError("epi integral undefined")
-    if pos_inf:
-        return math.inf, WINDOW
-    if neg_inf:
-        return -math.inf, WINDOW
-    return pos - neg, WINDOW
+    return (integral_of_parts(*pos_neg_dot(vals, masses),
+                              "epi integral undefined"), WINDOW)

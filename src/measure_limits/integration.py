@@ -3,7 +3,8 @@
 The integral of an extended-real-valued function is the difference of its
 positive- and negative-part integrals, computed separately; when both
 diverge the integral is undefined and raising is the contract.  All cell
-reductions run through the kernel backend in a fixed left-to-right order.
+reductions run through ``kernels``, whose sums are exactly rounded
+(``math.fsum``), so they do not depend on the order of the cells.
 """
 
 from __future__ import annotations
@@ -22,7 +23,7 @@ from .refinement import (
     measure_cell_masses,
     refined_values_masses,
 )
-from .xreal import DomainMismatchError, UndefinedIntegralError, UnsupportedScenarioError
+from .xreal import DomainMismatchError, UnsupportedScenarioError, integral_of_parts
 
 __all__ = [
     "integrate", "integrate_parts", "tail_integral_raw", "tv_norm_diff",
@@ -32,9 +33,7 @@ __all__ = [
 
 def integrate_parts(f: PiecewiseFn, m: FiniteMeasure) -> tuple[float, float]:
     """(positive-part, negative-part) integrals; either may be +inf."""
-    vals, masses = refined_values_masses(f, m)
-    pos, neg, pos_inf, neg_inf = pos_neg_dot(vals, masses)
-    return (math.inf if pos_inf else pos), (math.inf if neg_inf else neg)
+    return pos_neg_dot(*refined_values_masses(f, m))
 
 
 def integrate(f: PiecewiseFn, m: FiniteMeasure) -> float:
@@ -42,14 +41,8 @@ def integrate(f: PiecewiseFn, m: FiniteMeasure) -> float:
 
     Raises UndefinedIntegralError when both parts are infinite.
     """
-    pos, neg = integrate_parts(f, m)
-    if math.isinf(pos) and math.isinf(neg):
-        raise UndefinedIntegralError("both positive and negative parts diverge")
-    if math.isinf(pos):
-        return math.inf
-    if math.isinf(neg):
-        return -math.inf
-    return pos - neg
+    return integral_of_parts(*integrate_parts(f, m),
+                             "both positive and negative parts diverge")
 
 
 def tail_integral_raw(f: PiecewiseFn, m: FiniteMeasure, k: float) -> float:
@@ -57,8 +50,7 @@ def tail_integral_raw(f: PiecewiseFn, m: FiniteMeasure, k: float) -> float:
     if not k > 0:
         raise ValueError(f"threshold must be positive, got {k}")
     vals, masses = refined_values_masses(f, m)
-    s, has_inf = tail_dot(vals, masses, k)
-    return math.inf if has_inf else s
+    return float(tail_dot(vals, masses, (k,))[0])
 
 
 def tv_norm_diff(a: FiniteMeasure, b: FiniteMeasure) -> float:

@@ -25,7 +25,7 @@ from .fatou import (
 )
 from .functions import PiecewiseFn, Ramp, constant_fn
 from .integration import weak_gap_bank
-from .scenario import ScenarioDoc, canonical_json
+from .scenario import KNOWN_CHECKS, ScenarioDoc, canonical_json
 from .tails import verdict
 from .uniform import trend_vanishing, uniform_report
 from .xreal import MeasureLimitsError, ScenarioFormatError
@@ -201,6 +201,14 @@ def _check_uniform(sc: Scenario, which: str) -> CheckResult:
     return CheckResult(which, v, payload, {f"{which}_series": rep.series.to_csv()})
 
 
+def _check_uniform_fatou(sc: Scenario) -> CheckResult:
+    return _check_uniform(sc, "uniform_fatou")
+
+
+def _check_uniform_dct(sc: Scenario) -> CheckResult:
+    return _check_uniform(sc, "uniform_dct")
+
+
 def default_bank(sc: Scenario):
     """Constant witness plus unit-bounded bumps at the limit measure's
     structural points: 1-Lipschitz hats on atom/cell measures, indicator
@@ -242,19 +250,8 @@ def _check_weak_gap(sc: Scenario) -> CheckResult:
     }, {})
 
 
-_CHECKS = {
-    "ui": _check_ui,
-    "aui": _check_aui,
-    "shift": _check_shift,
-    "fatou": _check_fatou,
-    "minorant": _check_minorant,
-    "weakened_minorant": _check_weakened_minorant,
-    "majorant": _check_majorant,
-    "dct": _check_dct,
-    "uniform_fatou": lambda sc: _check_uniform(sc, "uniform_fatou"),
-    "uniform_dct": lambda sc: _check_uniform(sc, "uniform_dct"),
-    "weak_gap": _check_weak_gap,
-}
+# each scenario.KNOWN_CHECKS name is served by the function `_check_<name>`
+_CHECKS = {name: globals()[f"_check_{name}"] for name in KNOWN_CHECKS}
 
 
 def run_checks(doc: ScenarioDoc, checks: Optional[tuple[str, ...]] = None

@@ -11,7 +11,6 @@ from __future__ import annotations
 
 import csv
 import io
-import math
 from dataclasses import dataclass
 from typing import Optional
 
@@ -72,8 +71,7 @@ def tail_integral(seq: FnSequence, measures: MeasureSequence, n: int, k: float
     if not k > 0:
         raise ValueError(f"threshold must be positive, got {k}")
     vals, masses = refined_values_masses(seq.fn(n), measures.measure(n))
-    s, has_inf = tail_dot(vals, masses, k)
-    return math.inf if has_inf else s
+    return float(tail_dot(vals, masses, (k,))[0])
 
 
 def tail_curve(seq: FnSequence, measures: MeasureSequence,
@@ -90,9 +88,7 @@ def tail_curve(seq: FnSequence, measures: MeasureSequence,
     table = np.empty((n_max, len(k_grid)))
     for n in range(1, n_max + 1):
         vals, masses = refined_values_masses(seq.fn(n), measures.measure(n))
-        for j, k in enumerate(k_grid):
-            s, has_inf = tail_dot(vals, masses, k)
-            table[n - 1, j] = math.inf if has_inf else s
+        table[n - 1] = tail_dot(vals, masses, k_grid)
     sup_curve = np.max(table, axis=0)
     window = table[window_start - 1:, :]
     limsup_curve = np.max(window, axis=0)

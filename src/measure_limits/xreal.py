@@ -5,19 +5,16 @@ values); this module supplies the conventions the rest of the package
 relies on:
 
 * ``0 * inf == 0`` inside integration (mass zero kills any value),
-* ``(+inf) + (-inf)`` is a trapped error, never a silent ``nan``.
+* an integral whose positive and negative parts both diverge raises
+  ``UndefinedIntegralError`` (``integral_of_parts``).  Other
+  ``inf - inf`` differences are not trapped: a Fatou gap between two
+  equal infinities is NaN.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-
-INF = math.inf
-NEG_INF = -math.inf
-
-XReal = float
-
 
 class MeasureLimitsError(Exception):
     """Base class for all package errors."""
@@ -39,10 +36,6 @@ class NotIntegrableError(MeasureLimitsError):
     """An operation requires an absolutely integrable input and got none."""
 
 
-class UndefinedArithmeticError(MeasureLimitsError):
-    """An (+inf) + (-inf)-style operation was attempted."""
-
-
 class UnsupportedScenarioError(MeasureLimitsError):
     """The requested computation is rejected rather than approximated."""
 
@@ -55,25 +48,20 @@ class ScenarioFormatError(MeasureLimitsError):
     """A scenario document failed validation; message carries the field path."""
 
 
-def xadd(a: float, b: float) -> float:
-    """Add extended reals, trapping the undefined inf + (-inf) case."""
-    if math.isinf(a) and math.isinf(b) and (a > 0) != (b > 0):
-        raise UndefinedArithmeticError("(+inf) + (-inf) is undefined")
-    return a + b
+def integral_of_parts(pos: float, neg: float, undefined: str) -> float:
+    """pos - neg for a positive- and a negative-part integral.
 
-
-def xsub(a: float, b: float) -> float:
-    return xadd(a, -b)
-
-
-def xmul_mass(value: float, mass: float) -> float:
-    """value * mass with the measure-theoretic convention 0 * inf = 0.
-
-    ``mass`` must be nonnegative and finite.
+    Either part may be +inf, which makes the integral +inf or -inf.
+    Raises UndefinedIntegralError with the message ``undefined`` when
+    both parts diverge.
     """
-    if mass == 0.0:
-        return 0.0
-    return value * mass
+    if math.isinf(pos) and math.isinf(neg):
+        raise UndefinedIntegralError(undefined)
+    if math.isinf(pos):
+        return math.inf
+    if math.isinf(neg):
+        return -math.inf
+    return pos - neg
 
 
 def require_not_nan(x: float, what: str) -> float:

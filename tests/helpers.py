@@ -211,6 +211,53 @@ def scan_epi_oracle(seq: FnSequence, s: float, sched, lower: bool
     return per_j
 
 
+def loop_comp_sum(xs) -> float:
+    """Reference for ``kernels.comp_sum``."""
+    return math.fsum(xs) + 0.0
+
+
+def loop_pos_neg_dot(values, masses) -> tuple[float, float, bool, bool]:
+    """Reference for ``kernels.pos_neg_dot``, one cell at a time.
+
+    Returns (pos_sum, neg_sum, pos_inf, neg_inf): the finite sums and a
+    flag per part for an infinite value on positive mass.
+    """
+    pos_terms = []
+    neg_terms = []
+    pos_inf = neg_inf = False
+    for v, m in zip(values, masses):
+        if m == 0.0 or v == 0.0:
+            continue
+        if v > 0.0:
+            if math.isinf(v):
+                pos_inf = True
+            else:
+                pos_terms.append(v * m)
+        else:
+            if math.isinf(v):
+                neg_inf = True
+            else:
+                neg_terms.append(-v * m)
+    return math.fsum(pos_terms) + 0.0, math.fsum(neg_terms) + 0.0, pos_inf, neg_inf
+
+
+def loop_tail_dot(values, masses, k: float) -> tuple[float, bool]:
+    """Reference for one entry of ``kernels.tail_dot``, one cell at a
+    time: the finite sum of |v| * m over |v| >= k, and an inf flag."""
+    terms = []
+    has_inf = False
+    for v, m in zip(values, masses):
+        if m == 0.0:
+            continue
+        a = abs(v)
+        if a >= k:
+            if math.isinf(a):
+                has_inf = True
+            else:
+                terms.append(a * m)
+    return math.fsum(terms) + 0.0, has_inf
+
+
 def constant_seq(f: PiecewiseFn, n_max: int) -> FnSequence:
     return FnSequence(n_max, lambda n: f)
 

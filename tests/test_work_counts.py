@@ -12,7 +12,9 @@ import sys
 
 import numpy as np
 
-from measure_limits import integration, refinement, scenario, tails, uniform
+from measure_limits import (
+    integration, kernels, refinement, scenario, tails, uniform,
+)
 from measure_limits.cli import main
 from measure_limits.runner import _CHECKS
 
@@ -46,6 +48,7 @@ def test_one_check_computes_each_shared_quantity_once(tmp_path, monkeypatch,
     bodies = count_calls(monkeypatch, uniform, "_uniform_report_body")
     tv = count_calls(monkeypatch, integration, "tv_norm_diff")
     tail = count_calls(monkeypatch, tails, "tail_integral")
+    tail_rows = count_calls(monkeypatch, kernels, "tail_dot")
     refinements = count_calls(monkeypatch, refinement, "common_refinement")
 
     out = tmp_path / "report.json"
@@ -58,6 +61,9 @@ def test_one_check_computes_each_shared_quantity_once(tmp_path, monkeypatch,
     assert len(bodies) == 1
     assert len(tv) == N_MAX
     assert len(tail) == 0
+    # one kernel call per tail-curve row: the negative-part and the
+    # full-family curve, one row per index
+    assert len(tail_rows) == 2 * N_MAX
     # per index: the f and g integrals, the L1 check of f_n, the signed
     # gap, one for both condition series, the TV distance and the
     # negative-part and full-family tail curves (8 x 12); then the L1

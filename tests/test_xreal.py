@@ -2,36 +2,7 @@ import math
 
 import pytest
 
-from measure_limits.xreal import (
-    Interval,
-    MalformedObjectError,
-    UndefinedArithmeticError,
-    xadd,
-    xmul_mass,
-    xsub,
-)
-
-
-def test_xadd_finite():
-    assert xadd(1.5, 2.5) == 4.0
-
-
-def test_xadd_inf_same_sign():
-    assert xadd(math.inf, 5.0) == math.inf
-    assert xadd(-math.inf, -math.inf) == -math.inf
-
-
-def test_xadd_opposite_infinities_trapped():
-    with pytest.raises(UndefinedArithmeticError):
-        xadd(math.inf, -math.inf)
-    with pytest.raises(UndefinedArithmeticError):
-        xsub(-math.inf, -math.inf)
-
-
-def test_zero_mass_kills_infinite_value():
-    assert xmul_mass(math.inf, 0.0) == 0.0
-    assert xmul_mass(-math.inf, 0.0) == 0.0
-    assert xmul_mass(math.inf, 2.0) == math.inf
+from measure_limits.xreal import Interval, MalformedObjectError
 
 
 def test_interval_validation():
