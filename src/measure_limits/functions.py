@@ -70,7 +70,13 @@ class PiecewiseFn:
         return float(self.values[i])
 
     def values_at(self, points) -> np.ndarray:
-        """Vectorized evaluation; caller guarantees points lie in the domain."""
+        """Vectorized evaluation; caller guarantees points lie in the domain.
+
+        Each point is located by binary search in the breakpoints; a
+        breakpoint on a finite ``domain.hi`` gives that point the last cell's
+        value.  :meth:`cell_values` skips the search when the points are the
+        left edges of f's own cells.
+        """
         pts = np.asarray(points, dtype=np.float64)
         out = np.full(pts.shape, self.default)
         bp = self.breakpoints
@@ -82,6 +88,31 @@ class PiecewiseFn:
         if self.values.size and bp[-1] == self.domain.hi:
             out[pts == self.domain.hi] = self.values[-1]
         return out
+
+    def cell_values(self, edges: np.ndarray) -> np.ndarray:
+        """f's value on each cell ``[edges[i], edges[i+1])`` of a partition
+        that refines f: bit for bit ``values_at(edges[:-1])``.
+
+        When the edges are f's breakpoints plus at most one edge before and
+        one after them, as the domain ends of a refinement of f alone are,
+        the cells are f's own: ``values`` is copied out, with ``default`` in
+        the end cells, and nothing is searched.  Any other edge set goes to
+        ``values_at``, and so does a cell that starts at a breakpoint on
+        ``domain.hi`` (that closed end takes the last cell's value).  The
+        size test comes first, so a partition with more edges pays one
+        integer comparison.
+        """
+        bp = self.breakpoints
+        extra = edges.size - bp.size
+        if bp.size and 0 <= extra <= 2:
+            lead = int(edges[0] < bp[0])
+            trail = extra - lead
+            if (trail <= 1 and not (trail and bp[-1] == self.domain.hi)
+                    and np.array_equal(edges[lead:lead + bp.size], bp)):
+                out = np.full(edges.size - 1, self.default)
+                out[lead:lead + self.values.size] = self.values
+                return out
+        return self.values_at(edges[:-1])
 
     def left_limit(self, x: float) -> float:
         """Value of the cell ending at x (the one-sided limit from below)."""
@@ -246,23 +277,25 @@ def dominates(upper: PiecewiseFn, lower: PiecewiseFn
         np.asarray([b for b in (dom.lo, dom.hi) if math.isfinite(b)]),
     ]))
     # representative points: one per region, half-open semantics make the
-    # left edge carry the cell value
-    reps = list(edges)
+    # left edge carry the cell value; the last edge stands for itself
     if edges.size == 0:
-        reps = [0.0]
+        reps = np.zeros(1)
     elif edges[0] > dom.lo:
-        reps.insert(0, dom.lo if math.isfinite(dom.lo) else edges[0] - 1.0)
-    reps = np.asarray(reps, dtype=np.float64)
-    reps = reps[(reps >= dom.lo) & (reps <= dom.hi)]
-    uv = upper.values_at(reps)
-    lv = lower.values_at(reps)
+        lead = dom.lo if math.isfinite(dom.lo) else edges[0] - 1.0
+        reps = np.concatenate([[lead], edges])
+    else:
+        reps = edges
+    # the closing edge dom.hi lets cell_values read the last point as well
+    cells = np.append(reps, dom.hi)
+    uv = upper.cell_values(cells)
+    lv = lower.cell_values(cells)
     bad = np.nonzero(uv < lv)[0]
     if bad.size == 0:
         return True, None
     i = int(bad[0])
     x = float(reps[i])
-    nxt = edges[edges > x]
-    hi = float(nxt[0]) if nxt.size else dom.hi
+    j = int(np.searchsorted(edges, x, side="right"))
+    hi = float(edges[j]) if j < edges.size else dom.hi
     return False, DominanceWitness(x, hi, float(uv[i]), float(lv[i]))
 
 

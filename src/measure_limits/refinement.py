@@ -52,10 +52,13 @@ def common_refinement(objs) -> Partition:
 
 
 def fn_cell_values(f: PiecewiseFn, p: Partition) -> np.ndarray:
-    """Per-cell values of f; valid when p refines f's breakpoints."""
-    if p.n_cells == 0:
-        return np.empty(0)
-    return f.values_at(p.edges[:-1])
+    """Per-cell values of f; valid when p refines f's breakpoints.
+
+    A partition made of f's own breakpoints and the domain ends copies
+    ``f.values`` directly; any other partition evaluates f at each cell's
+    left edge (see :meth:`PiecewiseFn.cell_values`).
+    """
+    return f.cell_values(p.edges)
 
 
 def measure_cell_masses(m: FiniteMeasure, p: Partition) -> np.ndarray:

@@ -267,7 +267,9 @@ def run_checks(doc: ScenarioDoc, checks: Optional[tuple[str, ...]] = None
     def one(name: str) -> CheckResult:
         try:
             return _CHECKS[name](sc)
-        except MeasureLimitsError as exc:
+        # finite products whose sum passes the double range make the
+        # kernels' math.fsum raise OverflowError
+        except (MeasureLimitsError, OverflowError) as exc:
             return CheckResult(name, "error",
                                {"error": f"{type(exc).__name__}: {exc}"}, {})
 

@@ -204,6 +204,13 @@ def _builder_ref(spec, path: str) -> Optional[tuple[str, dict]]:
         params = _get(spec, "params", path, default={}) or {}
         if not isinstance(params, dict):
             raise _fail(f"{path}.params", "expected an object")
+        # every gallery builder takes the family size and nothing else
+        unknown = set(params) - {"n_max"}
+        if unknown:
+            raise _fail(f"{path}.params", f"unknown fields {sorted(unknown)}")
+        if ("n_max" in params
+                and _as_int(params["n_max"], f"{path}.params.n_max") < 1):
+            raise _fail(f"{path}.params.n_max", "must be >= 1")
         return str(spec["builder"]), dict(params)
     return None
 

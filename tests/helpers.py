@@ -14,6 +14,8 @@ import numpy as np
 
 from measure_limits import FiniteMeasure, FnSequence, Interval, MeasureSequence
 from measure_limits import PiecewiseFn, Scenario, zero_fn
+from measure_limits.functions import DominanceWitness
+from measure_limits.gallery import _comb_depths, _comb_domain
 
 
 def brute_edges(f: PiecewiseFn, m: FiniteMeasure) -> list[float]:
@@ -256,6 +258,61 @@ def loop_tail_dot(values, masses, k: float) -> tuple[float, bool]:
             else:
                 terms.append(a * m)
     return math.fsum(terms) + 0.0, has_inf
+
+
+def list_dominates(upper: PiecewiseFn, lower: PiecewiseFn):
+    """Reference for ``functions.dominates``: the representative points
+    gathered in a Python list, evaluated through ``values_at``."""
+    dom = upper.domain
+    assert lower.domain == dom
+    edges = np.unique(np.concatenate([
+        upper.breakpoints, lower.breakpoints,
+        np.asarray([b for b in (dom.lo, dom.hi) if math.isfinite(b)]),
+    ]))
+    reps = list(edges)
+    if edges.size == 0:
+        reps = [0.0]
+    elif edges[0] > dom.lo:
+        reps.insert(0, dom.lo if math.isfinite(dom.lo) else edges[0] - 1.0)
+    reps = np.asarray(reps, dtype=np.float64)
+    reps = reps[(reps >= dom.lo) & (reps <= dom.hi)]
+    uv = upper.values_at(reps)
+    lv = lower.values_at(reps)
+    bad = np.nonzero(uv < lv)[0]
+    if bad.size == 0:
+        return True, None
+    i = int(bad[0])
+    x = float(reps[i])
+    nxt = edges[edges > x]
+    hi = float(nxt[0]) if nxt.size else dom.hi
+    return False, DominanceWitness(x, hi, float(uv[i]), float(lv[i]))
+
+
+def list_comb_g(n: int) -> PiecewiseFn:
+    """Reference for the ``dyadic_comb`` fixture's g_n: the dyadic cells
+    and the cliff gathered cell by cell in Python lists."""
+    dom, mu = _comb_domain()
+    seg = mu.segments[0]
+    h = 2.0 ** -n
+    n_cells = 2 ** (n + 1)
+    bp = np.arange(n_cells + 1) * h
+    base = np.zeros(n_cells)
+    lo = bp[:-1]
+    if n < 2:
+        base[lo >= n] = -(2.0 ** n)
+    a = bp[0:-1:2]
+    depths = _comb_depths(seg, a, a + h)
+    vals = base.copy()
+    vals[0::2] -= depths
+    bps = list(bp)
+    cells = list(vals)
+    if n >= 2:
+        if n > 2:
+            bps.append(float(n))
+            cells.append(0.0)
+        bps.append(float(n + 1))
+        cells.append(-(2.0 ** n))
+    return PiecewiseFn(bps, cells, 0.0, dom)
 
 
 def constant_seq(f: PiecewiseFn, n_max: int) -> FnSequence:

@@ -1,3 +1,4 @@
+import importlib.util
 import json
 from pathlib import Path
 
@@ -147,3 +148,51 @@ def test_check_rejects_nan_with_the_field_path(tmp_path, capsys, field, value,
     assert "Traceback" not in err
     assert not out.exists()
 
+
+@pytest.mark.parametrize("params, message", [
+    ({"bogus": 1}, "$.measures.params: unknown fields ['bogus']"),
+    ({"n_max": NAN}, "$.measures.params.n_max: expected an integer, got nan"),
+    ({"n_max": 8.0}, "$.measures.params.n_max: expected an integer, got 8.0"),
+    ({"n_max": True}, "$.measures.params.n_max: expected an integer, got True"),
+    ({"n_max": 0}, "$.measures.params.n_max: must be >= 1"),
+])
+def test_check_rejects_bad_builder_params_with_the_field_path(
+        tmp_path, capsys, params, message):
+    doc = dict(COMB_DOC, measures={"builder": "dyadic_comb", "params": params})
+    src = write(tmp_path, doc)
+    out = tmp_path / "report.json"
+    assert main(["check", str(src), "--out", str(out)]) == 1
+    err = capsys.readouterr().err
+    assert message in err
+    assert "Traceback" not in err
+    assert not out.exists()
+
+
+def load_perfbench_docs():
+    path = Path(__file__).resolve().parent.parent / "perfbench" / "docs.py"
+    spec = importlib.util.spec_from_file_location("perfbench_docs", path)
+    module = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(module)
+    return module
+
+
+def test_check_reports_a_sum_past_the_double_range_as_an_error(tmp_path,
+                                                               capsys):
+    # each product is finite, but their sum overflows inside math.fsum
+    doc = load_perfbench_docs().generate(1, 0)
+    big = {"breakpoints": [0.0, 0.5, 1.0], "values": [1.5e308, 1.5e308],
+           "default": 0.0}
+    doc["functions"] = {"explicit": [big] * doc["n_max"]}
+    doc["checks"] = ["fatou"]
+    src = write(tmp_path, doc)
+    out = tmp_path / "report.json"
+    assert main(["check", str(src), "--out", str(out)]) == 1
+    assert "Traceback" not in capsys.readouterr().err
+
+    def reject(token):
+        raise ValueError(f"not strict JSON: {token}")
+
+    report = json.loads(out.read_text(), parse_constant=reject)
+    fatou = report["checks"]["fatou"]
+    assert fatou == {"verdict": "error",
+                     "error": "OverflowError: intermediate overflow in fsum"}

@@ -4,7 +4,9 @@ Every per-document quantity that several checks read is computed once per
 scenario: the set-uniform report, the total-variation series and the
 negative-part tail curve that the shift check reads.  The counts pin that
 sharing, so a change that computes one of them twice fails here even when
-the report bytes stay the same.
+the report bytes stay the same.  The ``dyadic_comb`` fixture's count of
+``values_at`` searches pins that the values of g_n's up to 2M cells are
+copied, not searched.
 """
 
 import json
@@ -13,7 +15,8 @@ import sys
 import numpy as np
 
 from measure_limits import (
-    integration, kernels, refinement, scenario, tails, uniform,
+    PiecewiseFn, gallery, integration, kernels, refinement, scenario, tails,
+    uniform,
 )
 from measure_limits.cli import main
 from measure_limits.runner import _CHECKS
@@ -74,3 +77,19 @@ def test_one_check_computes_each_shared_quantity_once(tmp_path, monkeypatch,
 
 def test_known_checks_and_the_runner_registry_agree():
     assert tuple(_CHECKS) == scenario.KNOWN_CHECKS
+
+
+def test_comb_fixture_reads_own_cells_without_a_search(monkeypatch):
+    # g_n's refinements and dominance checks copy g_n's own cell values;
+    # the searches left are f_n's cliff against g_n's cells in the 20
+    # dominance checks, and three constant epi certificates
+    original = PiecewiseFn.values_at
+    calls = []
+
+    def counted(self, points):
+        calls.append(1)
+        return original(self, points)
+
+    monkeypatch.setattr(PiecewiseFn, "values_at", counted)
+    assert gallery.run("dyadic_comb").failures == 0
+    assert len(calls) == 23
