@@ -23,7 +23,7 @@ from .measures import (
 )
 from .refinement import Partition, common_refinement
 from .integration import (
-    integrate, tail_integral_raw, tv_norm_diff, integrate_ramp, weak_gap_bank,
+    integrate, tv_norm_diff, integrate_ramp, weak_gap_bank,
 )
 from .tails import (
     TailCurve, UiVerdict, tail_integral, tail_curve, verdict, shift_search,

@@ -37,6 +37,16 @@ def _atomic_write(path: Path, text: str) -> None:
         raise
 
 
+def _write(path: Path, text: str) -> bool:
+    """Write ``text`` atomically; on failure say so on stderr, return False."""
+    try:
+        _atomic_write(path, text)
+    except OSError as exc:
+        print(f"error: cannot write {path}: {exc}", file=sys.stderr)
+        return False
+    return True
+
+
 def _cmd_check(args) -> int:
     try:
         text = Path(args.scenario).read_text(encoding="utf-8")
@@ -65,11 +75,13 @@ def _cmd_check(args) -> int:
         for result in report.results:
             for cname, csv_text in result.curves.items():
                 fname = f"{doc.name}_{cname}.csv"
-                _atomic_write(cdir / fname, csv_text)
+                if not _write(cdir / fname, csv_text):
+                    return 1
                 curve_files[cname] = fname
     out_json = report.to_json(curve_files) + "\n"
     if args.out:
-        _atomic_write(Path(args.out), out_json)
+        if not _write(Path(args.out), out_json):
+            return 1
     else:
         print(out_json, end="")
     for result in report.results:
@@ -107,7 +119,8 @@ def _cmd_gallery(args) -> int:
                "fixtures": [_conformance_dict(r) for r in reports]}
     text = canonical_json(payload) + "\n"
     if args.out:
-        _atomic_write(Path(args.out), text)
+        if not _write(Path(args.out), text):
+            return 1
     else:
         print(text, end="")
     failures = sum(r.failures for r in reports)

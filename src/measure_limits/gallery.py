@@ -33,12 +33,11 @@ from .functions import (
     EpiCertificate,
     FnSequence,
     PiecewiseFn,
-    Ramp,
     constant_fn,
     part,
     zero_fn,
 )
-from .integration import integrate, tv_norm_diff, weak_gap_bank
+from .integration import default_bank, tv_norm_diff, weak_gap_bank
 from .measures import (
     FiniteMeasure,
     MeasureSequence,
@@ -47,7 +46,7 @@ from .measures import (
     make_segment,
     point_mass,
 )
-from .tails import shift_search, tail_curve, tail_integral, verdict
+from .tails import shift_search, tail_integral, verdict
 from .uniform import uniform_report
 from .xreal import Interval, MalformedObjectError, UnsupportedScenarioError
 
@@ -412,19 +411,7 @@ def _flag(qid: str, value, expected, note: str) -> Quantity:
     return Quantity(qid, value, expected, None, bool(value == expected), note)
 
 
-def _default_bank(sc: Scenario):
-    """Bounded 1-Lipschitz witnesses: a constant plus hats at the limit
-    measure's structural points."""
-    anchors = sc.limit_measure.piece_edges()
-    bank = [constant_fn(1.0, sc.limit_measure.domain)]
-    for c in anchors[:6]:
-        c = float(c)
-        bank.append(Ramp((c - 1.0, c, c + 1.0), (0.0, 1.0, 0.0)))
-    return bank
-
-
-def _run_staircase(params: dict) -> ConformanceReport:
-    t0 = time.perf_counter()
+def _run_staircase(params: dict) -> list[Quantity]:
     sc = _staircase_scenario(params.get("n_max", 64))
     residual = (_STAIR_STEPS + 2.0) * 2.0 ** -_STAIR_STEPS
     qs = []
@@ -474,20 +461,19 @@ def _run_staircase(params: dict) -> ConformanceReport:
     qs.append(_num("tv_to_limit_is_two", dev, 0.0, 1e-12,
                    "mutually singular unit masses"))
 
-    gaps = weak_gap_bank(sc.measures, sc.limit_measure, _default_bank(sc),
-                         sc.certificate)
+    gaps = weak_gap_bank(sc.measures, sc.limit_measure,
+                         default_bank(sc.limit_measure), sc.certificate)
     ok = all(g <= 1.0 / (2.0 * n) + 1e-12 for n, g in enumerate(gaps.gaps, start=1))
     qs.append(_flag("weak_gap_within_lipschitz_bound", ok, True,
                     "mean of |s| over [0,1/n] is 1/(2n)"))
-    return ConformanceReport("staircase", tuple(qs), time.perf_counter() - t0)
+    return qs
 
 
-def _run_staircase_late_start(params: dict) -> ConformanceReport:
-    t0 = time.perf_counter()
+def _run_staircase_late_start(params: dict) -> list[Quantity]:
     sc = _staircase_late_start_scenario(params.get("n_max", 65))
     neg = fatou_mod.neg_part_seq(sc)
     curve = fatou_mod.neg_tail_curve(sc)
-    qs = [
+    return [
         _flag("aui_passes", verdict(curve, "aui").passes, True,
               "trailing window never sees the bad index"),
         _flag("ui_fails", verdict(curve, "ui").passes, False,
@@ -496,12 +482,9 @@ def _run_staircase_late_start(params: dict) -> ConformanceReport:
               shift_search(neg, sc.measures, 1e-6, max(sc.k_grid), 50), 1,
               "dropping one index restores the staircase family"),
     ]
-    return ConformanceReport("staircase_late_start", tuple(qs),
-                             time.perf_counter() - t0)
 
 
-def _run_twin_spikes(params: dict) -> ConformanceReport:
-    t0 = time.perf_counter()
+def _run_twin_spikes(params: dict) -> list[Quantity]:
     sc = _twin_spikes_scenario(params.get("n_max", 100))
     qs = []
     f50 = sc.f_seq.fn(50)
@@ -564,11 +547,10 @@ def _run_twin_spikes(params: dict) -> ConformanceReport:
         rejected = True
     qs.append(_flag("shift_probe_rejects_unbounded_minorants", rejected, True,
                     "self-minorants are unbounded above"))
-    return ConformanceReport("twin_spikes", tuple(qs), time.perf_counter() - t0)
+    return qs
 
 
-def _run_dyadic_comb(params: dict) -> ConformanceReport:
-    t0 = time.perf_counter()
+def _run_dyadic_comb(params: dict) -> list[Quantity]:
     sc = _dyadic_comb_scenario(params.get("n_max", 20))
     mu = sc.limit_measure
     qs = []
@@ -625,15 +607,14 @@ def _run_dyadic_comb(params: dict) -> ConformanceReport:
                    0.75 / LN2, 1e-6, "CDF difference over [0, 2)"))
     qs.append(_flag("g_exception_mass_exact", exists.mass_exact, True,
                     "both certificates present"))
-    return ConformanceReport("dyadic_comb", tuple(qs), time.perf_counter() - t0)
+    return qs
 
 
-def _run_shrinking_plateau(params: dict) -> ConformanceReport:
-    t0 = time.perf_counter()
+def _run_shrinking_plateau(params: dict) -> list[Quantity]:
     sc = _shrinking_plateau_scenario(params.get("n_max", 32))
     rep = fatou_report(sc)
     probe = bounded_minorant_shift_probe(sc)
-    qs = [
+    return [
         _flag("fatou_conclusion", rep.conclusion, HOLDS, "0 <= 1"),
         _num("fatou_lhs", rep.lhs, 0.0, 1e-12, "plateaus slide off every ball"),
         _num("fatou_rhs", rep.rhs, 1.0, 1e-12, "n * (1/n) = 1 exactly"),
@@ -642,17 +623,14 @@ def _run_shrinking_plateau(params: dict) -> ConformanceReport:
         _flag("shift_probe_zero", probe.shift, 0,
               "negative parts vanish identically"),
     ]
-    return ConformanceReport("shrinking_plateau", tuple(qs),
-                             time.perf_counter() - t0)
 
 
-def _run_fading_plateau(params: dict) -> ConformanceReport:
-    t0 = time.perf_counter()
+def _run_fading_plateau(params: dict) -> list[Quantity]:
     sc = _fading_plateau_scenario(params.get("n_max", 32))
     # the integral series 1 - 1/n crawls to its limit; equality can only be
     # asserted at the window's own resolution
     dct = dct_report(sc, equality_tol=2.0 / sc.window_start)
-    qs = [
+    return [
         _flag("majorant_holds", dct.majorant.holds, True,
               "constant majorant, chain 1 <= 1 < inf"),
         _num("limit_integral", dct.limit_integral, 1.0, 1e-12,
@@ -662,37 +640,29 @@ def _run_fading_plateau(params: dict) -> ConformanceReport:
         _flag("hypotheses_ok", dct.hypotheses_ok, True,
               "limit exists everywhere; majorant certified"),
     ]
-    return ConformanceReport("fading_plateau", tuple(qs),
-                             time.perf_counter() - t0)
 
 
-def _run_flat_negative(params: dict) -> ConformanceReport:
-    t0 = time.perf_counter()
+def _run_flat_negative(params: dict) -> list[Quantity]:
     sc = _flat_negative_scenario(params.get("n_max", 16))
     probe = bounded_minorant_shift_probe(sc)
     rep = fatou_report(sc)
-    qs = [
+    return [
         _flag("shift_probe_zero", probe.shift, 0, "bounded constant family"),
         _flag("fatou_conclusion", rep.conclusion, HOLDS, "-1 <= -1"),
         _num("fatou_gap", rep.gap, 0.0, 1e-12, "identical constant sides"),
     ]
-    return ConformanceReport("flat_negative", tuple(qs),
-                             time.perf_counter() - t0)
 
 
-def _run_vanishing_mass(params: dict) -> ConformanceReport:
-    t0 = time.perf_counter()
+def _run_vanishing_mass(params: dict) -> list[Quantity]:
     sc = _vanishing_mass_scenario(params.get("n_max", 32))
     rep = fatou_report(sc)
-    qs = [
+    return [
         _flag("fatou_conclusion", rep.conclusion, HOLDS,
               "zero limit measure edge"),
         _num("fatou_lhs", rep.lhs, 0.0, 0.0, "integral against zero measure"),
         _flag("edge_recorded", rep.diagnostics.get("zero_limit_measure"), True,
               "degenerate scenario is flagged, not silent"),
     ]
-    return ConformanceReport("vanishing_mass", tuple(qs),
-                             time.perf_counter() - t0)
 
 
 @dataclass(frozen=True)
@@ -700,7 +670,7 @@ class Fixture:
     fixture_id: str
     summary: str
     build: Callable[..., Scenario]
-    run: Callable[[dict], ConformanceReport]
+    run: Callable[[dict], list[Quantity]]
 
 
 FIXTURES: dict[str, Fixture] = {
@@ -742,21 +712,22 @@ FIXTURES: dict[str, Fixture] = {
 }
 
 
-def build(fixture_id: str, **params) -> Scenario:
-    """Instantiate a fixture's scenario (unknown ids raise)."""
+def _fixture(fixture_id: str) -> Fixture:
     try:
-        fx = FIXTURES[fixture_id]
+        return FIXTURES[fixture_id]
     except KeyError:
         raise MalformedObjectError(
             f"unknown fixture {fixture_id!r}; known: {sorted(FIXTURES)}") from None
-    return fx.build(**params)
+
+
+def build(fixture_id: str, **params) -> Scenario:
+    """Instantiate a fixture's scenario (unknown ids raise)."""
+    return _fixture(fixture_id).build(**params)
 
 
 def run(fixture_id: str, **params) -> ConformanceReport:
     """Recompute every expected quantity of a fixture and compare."""
-    try:
-        fx = FIXTURES[fixture_id]
-    except KeyError:
-        raise MalformedObjectError(
-            f"unknown fixture {fixture_id!r}; known: {sorted(FIXTURES)}") from None
-    return fx.run(dict(params))
+    fx = _fixture(fixture_id)
+    t0 = time.perf_counter()
+    qs = fx.run(dict(params))
+    return ConformanceReport(fixture_id, tuple(qs), time.perf_counter() - t0)

@@ -14,8 +14,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .functions import PiecewiseFn, Ramp
-from .kernels import comp_sum, pos_neg_dot, tail_dot
+from .functions import PiecewiseFn, Ramp, constant_fn
+from .kernels import comp_sum, pos_neg_dot
 from .measures import FiniteMeasure, MeasureSequence
 from .refinement import (
     atom_weights_at,
@@ -26,8 +26,8 @@ from .refinement import (
 from .xreal import DomainMismatchError, UnsupportedScenarioError, integral_of_parts
 
 __all__ = [
-    "integrate", "integrate_parts", "tail_integral_raw", "tv_norm_diff",
-    "integrate_ramp", "weak_gap_bank", "WeakGapSeries",
+    "integrate", "integrate_parts", "tv_norm_diff", "integrate_ramp",
+    "default_bank", "weak_gap_bank", "WeakGapSeries",
 ]
 
 
@@ -43,14 +43,6 @@ def integrate(f: PiecewiseFn, m: FiniteMeasure) -> float:
     """
     return integral_of_parts(*integrate_parts(f, m),
                              "both positive and negative parts diverge")
-
-
-def tail_integral_raw(f: PiecewiseFn, m: FiniteMeasure, k: float) -> float:
-    """Integral of |f| over the superlevel set {|f| >= k}; nonnegative."""
-    if not k > 0:
-        raise ValueError(f"threshold must be positive, got {k}")
-    vals, masses = refined_values_masses(f, m)
-    return float(tail_dot(vals, masses, (k,))[0])
 
 
 def tv_norm_diff(a: FiniteMeasure, b: FiniteMeasure) -> float:
@@ -116,6 +108,24 @@ class WeakGapSeries:
     gaps: tuple[float, ...]
     bank_size: int
     certificate: str
+
+
+def default_bank(limit: FiniteMeasure) -> list:
+    """Constant witness plus unit-bounded bumps at the limit measure's
+    structural points: 1-Lipschitz hats on atom/cell measures, indicator
+    steps when analytic segments are present (ramps have no closed-form
+    first moment against a CDF)."""
+    dom = limit.domain
+    bank = [constant_fn(1.0, dom)]
+    for c in limit.piece_edges()[:6]:
+        c = float(c)
+        if limit.segments:
+            hi = min(c + 1.0, dom.hi)
+            if hi > c:
+                bank.append(PiecewiseFn([c, hi], [1.0], 0.0, dom))
+        else:
+            bank.append(Ramp((c - 1.0, c, c + 1.0), (0.0, 1.0, 0.0)))
+    return bank
 
 
 def weak_gap_bank(measures: MeasureSequence, limit: FiniteMeasure, bank,

@@ -23,8 +23,7 @@ from .fatou import (
     neg_tail_curve,
     weakened_minorant_probe,
 )
-from .functions import PiecewiseFn, Ramp, constant_fn
-from .integration import weak_gap_bank
+from .integration import default_bank, weak_gap_bank
 from .scenario import KNOWN_CHECKS, ScenarioDoc, canonical_json
 from .tails import verdict
 from .uniform import trend_vanishing, uniform_report
@@ -56,11 +55,9 @@ class ReportDoc:
         for r in self.results:
             entry = {"verdict": r.verdict}
             entry.update(r.payload)
-            if curve_files:
-                refs = {k: v for k, v in curve_files.items()
-                        if k.startswith(r.name)}
-                if refs:
-                    entry["curves"] = refs
+            refs = {k: v for k, v in (curve_files or {}).items() if k in r.curves}
+            if refs:
+                entry["curves"] = refs
             checks[r.name] = entry
         return {
             "tool": "measure-limits",
@@ -209,27 +206,9 @@ def _check_uniform_dct(sc: Scenario) -> CheckResult:
     return _check_uniform(sc, "uniform_dct")
 
 
-def default_bank(sc: Scenario):
-    """Constant witness plus unit-bounded bumps at the limit measure's
-    structural points: 1-Lipschitz hats on atom/cell measures, indicator
-    steps when analytic segments are present (ramps have no closed-form
-    first moment against a CDF)."""
-    dom = sc.limit_measure.domain
-    bank = [constant_fn(1.0, dom)]
-    stepped = bool(sc.limit_measure.segments)
-    for c in sc.limit_measure.piece_edges()[:6]:
-        c = float(c)
-        if stepped:
-            hi = min(c + 1.0, dom.hi)
-            if hi > c:
-                bank.append(PiecewiseFn([c, hi], [1.0], 0.0, dom))
-        else:
-            bank.append(Ramp((c - 1.0, c, c + 1.0), (0.0, 1.0, 0.0)))
-    return bank
-
-
 def _check_weak_gap(sc: Scenario) -> CheckResult:
-    series = weak_gap_bank(sc.measures, sc.limit_measure, default_bank(sc),
+    series = weak_gap_bank(sc.measures, sc.limit_measure,
+                           default_bank(sc.limit_measure),
                            sc.certificate)
     w = sc.window_start
     vanishing = trend_vanishing(series.gaps, w, sc.tolerances.ui_tol)

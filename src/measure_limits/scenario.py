@@ -16,6 +16,7 @@ import math
 from dataclasses import dataclass
 from typing import Any, Optional
 
+from . import gallery
 from .epilimits import EpiSchedule
 from .fatou import Scenario, Tolerances
 from .functions import FnSequence, PiecewiseFn
@@ -178,13 +179,36 @@ def parse_measure_spec(spec, path: str, domain: Interval) -> FiniteMeasure:
 # -- scenario documents ------------------------------------------------------
 
 @dataclass(frozen=True)
+class BuilderRef:
+    """A gallery builder and its sorted keyword pairs (``n_max`` included)."""
+
+    name: str
+    params: tuple[tuple[str, Any], ...]
+
+
+@dataclass(frozen=True)
 class ScenarioDoc:
-    """Validated scenario file contents; ``raw`` is the canonical dict."""
+    """A scenario document, parsed once: ``raw`` is the canonical dict and
+    the other fields hold what validation built from it.  Each family is a
+    tuple of parsed entries (one per index; the limit measure is a single
+    one) or a ``BuilderRef``.  Parsed objects are immutable, so every
+    ``build_scenario()`` shares them and assembles a fresh ``Scenario``."""
 
     name: str
     raw: dict
     checks: tuple[str, ...]
     certificate: str
+    domain: Interval
+    n_max: int
+    measures: tuple[FiniteMeasure, ...] | BuilderRef
+    functions: tuple[PiecewiseFn, ...] | BuilderRef
+    g_functions: Optional[tuple[PiecewiseFn, ...] | BuilderRef]
+    limit_measure: FiniteMeasure | BuilderRef
+    limit_fn: Optional[PiecewiseFn]
+    k_grid: Optional[tuple[float, ...]]
+    sample_grid: Optional[tuple[float, ...]]
+    schedule: Optional[EpiSchedule]
+    tolerances: Tolerances
 
     def canonical(self) -> str:
         return canonical_json(self.raw)
@@ -196,23 +220,27 @@ class ScenarioDoc:
         return _build_scenario(self)
 
 
-def _builder_ref(spec, path: str) -> Optional[tuple[str, dict]]:
-    if isinstance(spec, dict) and "builder" in spec:
-        unknown = set(spec) - {"builder", "params"}
-        if unknown:
-            raise _fail(path, f"unknown fields {sorted(unknown)}")
-        params = _get(spec, "params", path, default={}) or {}
-        if not isinstance(params, dict):
-            raise _fail(f"{path}.params", "expected an object")
-        # every gallery builder takes the family size and nothing else
-        unknown = set(params) - {"n_max"}
-        if unknown:
-            raise _fail(f"{path}.params", f"unknown fields {sorted(unknown)}")
-        if ("n_max" in params
-                and _as_int(params["n_max"], f"{path}.params.n_max") < 1):
-            raise _fail(f"{path}.params.n_max", "must be >= 1")
-        return str(spec["builder"]), dict(params)
-    return None
+def _builder_ref(spec, path: str, n_max: int) -> Optional[BuilderRef]:
+    if not (isinstance(spec, dict) and "builder" in spec):
+        return None
+    unknown = set(spec) - {"builder", "params"}
+    if unknown:
+        raise _fail(path, f"unknown fields {sorted(unknown)}")
+    params = _get(spec, "params", path, default={}) or {}
+    if not isinstance(params, dict):
+        raise _fail(f"{path}.params", "expected an object")
+    # every gallery builder takes the family size and nothing else
+    unknown = set(params) - {"n_max"}
+    if unknown:
+        raise _fail(f"{path}.params", f"unknown fields {sorted(unknown)}")
+    if ("n_max" in params
+            and _as_int(params["n_max"], f"{path}.params.n_max") < 1):
+        raise _fail(f"{path}.params.n_max", "must be >= 1")
+    name = str(spec["builder"])
+    if name not in gallery.FIXTURES:
+        raise _fail(f"{path}.builder",
+                    f"unknown builder {name!r}; known: {sorted(gallery.FIXTURES)}")
+    return BuilderRef(name, tuple(sorted({"n_max": n_max, **params}.items())))
 
 
 def parse_scenario(text: str) -> ScenarioDoc:
@@ -240,6 +268,9 @@ def parse_scenario(text: str) -> ScenarioDoc:
     name = _get(data, "name", "$", required=True)
     if not isinstance(name, str) or not name:
         raise _fail("$.name", "expected a nonempty string")
+    # the name prefixes curve file names, which must stay in their directory
+    if "/" in name:
+        raise _fail("$.name", "must not contain '/'")
 
     space = _get(data, "space", "$", required=True)
     if not isinstance(space, dict):
@@ -257,12 +288,10 @@ def parse_scenario(text: str) -> ScenarioDoc:
     checks_raw = _get(data, "checks", "$", default=[])
     if not isinstance(checks_raw, list):
         raise _fail("$.checks", "expected an array of check names")
-    checks = []
     for i, c in enumerate(checks_raw):
         if c not in KNOWN_CHECKS:
             raise _fail(f"$.checks[{i}]",
                         f"unknown check {c!r}; known: {list(KNOWN_CHECKS)}")
-        checks.append(c)
 
     cert_spec = _get(data, "convergence_certificate", "$",
                      default={"kind": "none"})
@@ -273,49 +302,58 @@ def parse_scenario(text: str) -> ScenarioDoc:
         raise _fail("$.convergence_certificate.kind",
                     f"must be one of {list(CERTIFICATE_KINDS)}")
 
-    # validate the structured fields eagerly so errors carry paths
-    _validate_family(data, "measures", domain, n_max, parse_measure_spec)
-    _validate_family(data, "functions", domain, n_max, parse_fn_spec)
+    measures = _parse_family(data, "measures", domain, n_max, parse_measure_spec)
+    functions = _parse_family(data, "functions", domain, n_max, parse_fn_spec)
+    g_functions = None
     if data.get("g_functions") is not None:
-        _validate_family(data, "g_functions", domain, n_max, parse_fn_spec)
-    lm = _get(data, "limit_measure", "$", required=True)
-    if _builder_ref(lm, "$.limit_measure") is None:
-        parse_measure_spec(lm, "$.limit_measure", domain)
+        g_functions = _parse_family(data, "g_functions", domain, n_max,
+                                    parse_fn_spec)
+    limit_measure = _parse_family(data, "limit_measure", domain, n_max,
+                                  parse_measure_spec)
+    limit_fn = None
     if data.get("limit_function") is not None:
-        parse_fn_spec(data["limit_function"], "$.limit_function", domain)
+        limit_fn = parse_fn_spec(data["limit_function"], "$.limit_function",
+                                 domain)
+    k_grid = None
     if data.get("K_grid") is not None:
         grid = _as_float_list(data["K_grid"], "$.K_grid")
         if not grid or any(k <= 0 for k in grid) or grid != sorted(grid):
             raise _fail("$.K_grid", "must be positive and sorted ascending")
+        k_grid = tuple(grid)
+    sample_grid = None
     if data.get("sample_grid") is not None:
-        _as_float_list(data["sample_grid"], "$.sample_grid")
+        sample_grid = tuple(_as_float_list(data["sample_grid"], "$.sample_grid"))
+    schedule = None
     if data.get("schedule") is not None:
-        _parse_schedule(data["schedule"], "$.schedule", n_max)
+        schedule = _parse_schedule(data["schedule"], "$.schedule", n_max)
+    tolerances = Tolerances()
     if data.get("tolerances") is not None:
-        _parse_tolerances(data["tolerances"], "$.tolerances")
+        tolerances = _parse_tolerances(data["tolerances"], "$.tolerances")
 
-    return ScenarioDoc(name, data, tuple(checks), certificate)
+    return ScenarioDoc(name, data, tuple(checks_raw), certificate, domain, n_max,
+                       measures, functions, g_functions, limit_measure,
+                       limit_fn, k_grid, sample_grid, schedule, tolerances)
 
 
-def _validate_family(data: dict, key: str, domain: Interval, n_max: int,
-                     item_parser) -> None:
-    spec = _get(data, key, "$", required=(key != "g_functions"))
+def _parse_family(data: dict, key: str, domain: Interval, n_max: int,
+                  parse_item):
+    """A builder reference, or else the parsed explicit entries: one per
+    index, or the single limit measure."""
+    spec = _get(data, key, "$", required=True)
     path = f"$.{key}"
-    if _builder_ref(spec, path) is not None:
-        ref, _ = _builder_ref(spec, path)
-        from . import gallery
-        if ref not in gallery.FIXTURES:
-            raise _fail(f"{path}.builder",
-                        f"unknown builder {ref!r}; known: {sorted(gallery.FIXTURES)}")
-        return
+    ref = _builder_ref(spec, path, n_max)
+    if ref is not None:
+        return ref
+    if key == "limit_measure":
+        return parse_item(spec, path, domain)
     if not isinstance(spec, dict) or "explicit" not in spec:
         raise _fail(path, "expected {explicit: [...]} or {builder: ...}")
     items = spec["explicit"]
     if not isinstance(items, list) or len(items) != n_max:
         raise _fail(f"{path}.explicit",
                     f"expected exactly n_max={n_max} entries")
-    for i, item in enumerate(items):
-        item_parser(item, f"{path}.explicit[{i}]", domain)
+    return tuple(parse_item(item, f"{path}.explicit[{i}]", domain)
+                 for i, item in enumerate(items))
 
 
 def _parse_schedule(spec, path: str, n_max: int) -> EpiSchedule:
@@ -350,90 +388,51 @@ def _parse_tolerances(spec, path: str) -> Tolerances:
     return Tolerances(**kwargs)
 
 
-def _resolve_family(sc_doc_raw: dict, key: str, domain: Interval, n_max: int,
-                    gallery_cache: dict, kind: str):
-    spec = sc_doc_raw.get(key)
-    ref = _builder_ref(spec, f"$.{key}") if spec is not None else None
-    if ref is not None:
-        builder_name, params = ref
-        from . import gallery
-        params.setdefault("n_max", n_max)
-        cache_key = (builder_name, tuple(sorted(params.items())))
-        if cache_key not in gallery_cache:
-            gallery_cache[cache_key] = gallery.build(builder_name, **params)
-        base = gallery_cache[cache_key]
-        gallery_cache.setdefault("__base__", base)
-        source = {"measures": base.measures, "functions": base.f_seq,
-                  "g_functions": base.g_seq,
-                  "limit_measure": base.limit_measure}[key]
-        if source is None:
-            raise _fail(f"$.{key}", f"builder {builder_name!r} has no {key}")
-        return source
-    if key == "limit_measure":
-        return parse_measure_spec(spec, "$.limit_measure", domain)
-    items = spec["explicit"]
-    if kind == "measure":
-        parsed = [parse_measure_spec(x, f"$.{key}.explicit[{i}]", domain)
-                  for i, x in enumerate(items)]
-        return MeasureSequence(n_max, lambda n: parsed[n - 1])
-    parsed = [parse_fn_spec(x, f"$.{key}.explicit[{i}]", domain)
-              for i, x in enumerate(items)]
-    return FnSequence(n_max, lambda n: parsed[n - 1])
+# the Scenario field that serves each family key of a builder-backed document
+_SCENARIO_FIELD = {"measures": "measures", "functions": "f_seq",
+                   "g_functions": "g_seq", "limit_measure": "limit_measure"}
 
 
 def _build_scenario(doc: ScenarioDoc) -> Scenario:
-    data = doc.raw
-    space = data["space"]
-    domain = Interval(_as_float(space["lo"], "$.space.lo"),
-                      _as_float(space["hi"], "$.space.hi"))
-    n_max = data["n_max"]
-    cache: dict = {}
-    measures = _resolve_family(data, "measures", domain, n_max, cache, "measure")
-    f_seq = _resolve_family(data, "functions", domain, n_max, cache, "fn")
-    g_seq = None
-    if data.get("g_functions") is not None:
-        g_seq = _resolve_family(data, "g_functions", domain, n_max, cache, "fn")
-    limit_measure = _resolve_family(data, "limit_measure", domain, n_max,
-                                    cache, "measure")
-    limit_fn = None
-    if data.get("limit_function") is not None:
-        limit_fn = parse_fn_spec(data["limit_function"], "$.limit_function",
-                                 domain)
+    n_max = doc.n_max
+    built: dict[BuilderRef, Scenario] = {}
+
+    def family(key: str, entry, seq_type=None):
+        if isinstance(entry, BuilderRef):
+            if entry not in built:
+                built[entry] = gallery.build(entry.name, **dict(entry.params))
+            source = getattr(built[entry], _SCENARIO_FIELD[key])
+            if source is None:
+                raise _fail(f"$.{key}", f"builder {entry.name!r} has no {key}")
+            return source
+        if entry is None or seq_type is None:
+            return entry
+        return seq_type(n_max, lambda n: entry[n - 1])
+
+    measures = family("measures", doc.measures, MeasureSequence)
+    f_seq = family("functions", doc.functions, FnSequence)
+    g_seq = family("g_functions", doc.g_functions, FnSequence)
+    limit_measure = family("limit_measure", doc.limit_measure)
     # sequences may come from different builders than n_max implies; clamp
-    for fam in (measures, f_seq, g_seq):
-        if fam is not None and fam.n_max < n_max:
+    for fam in (f for f in (measures, f_seq, g_seq) if f is not None):
+        if fam.n_max < n_max:
             raise _fail("$.n_max",
                         f"n_max={n_max} exceeds the built family range {fam.n_max}")
-        if fam is not None:
-            fam.n_max = n_max
+        fam.n_max = n_max
     # a builder-backed document inherits the fixture's tuned analysis
-    # parameters unless the document pins its own
-    base = cache.get("__base__")
+    # parameters unless the document pins its own; the first family built
+    # is the base
     kwargs: dict = {}
-    if data.get("K_grid") is not None:
-        kwargs["k_grid"] = tuple(_as_float_list(data["K_grid"], "$.K_grid"))
-    elif base is not None:
-        kwargs["k_grid"] = base.k_grid
-    if data.get("schedule") is not None:
-        kwargs["schedule"] = _parse_schedule(data["schedule"], "$.schedule",
-                                             n_max)
-    if data.get("sample_grid") is not None:
-        kwargs["sample_grid"] = tuple(
-            _as_float_list(data["sample_grid"], "$.sample_grid"))
-    elif base is not None and base.sample_grid is not None:
-        kwargs["sample_grid"] = base.sample_grid
-    if data.get("tolerances") is not None:
-        kwargs["tolerances"] = _parse_tolerances(data["tolerances"],
-                                                 "$.tolerances")
-    if base is not None and base.minorant_sup_bound is not None:
-        kwargs["minorant_sup_bound"] = base.minorant_sup_bound
-    return Scenario(
-        name=doc.name,
-        measures=measures,
-        limit_measure=limit_measure,
-        f_seq=f_seq,
-        g_seq=g_seq,
-        limit_fn=limit_fn,
-        certificate=doc.certificate,
-        **kwargs,
-    )
+    base = next(iter(built.values()), None)
+    if base is not None:
+        kwargs.update(k_grid=base.k_grid, sample_grid=base.sample_grid,
+                      minorant_sup_bound=base.minorant_sup_bound)
+    if doc.k_grid is not None:
+        kwargs["k_grid"] = doc.k_grid
+    if doc.sample_grid is not None:
+        kwargs["sample_grid"] = doc.sample_grid
+    return Scenario(name=doc.name, measures=measures,
+                    limit_measure=limit_measure, f_seq=f_seq, g_seq=g_seq,
+                    limit_fn=doc.limit_fn, schedule=doc.schedule,
+                    tolerances=doc.tolerances, certificate=doc.certificate,
+                    **kwargs)

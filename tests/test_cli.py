@@ -196,3 +196,42 @@ def test_check_reports_a_sum_past_the_double_range_as_an_error(tmp_path,
     fatou = report["checks"]["fatou"]
     assert fatou == {"verdict": "error",
                      "error": "OverflowError: intermediate overflow in fsum"}
+
+
+def test_check_names_the_field_of_an_unknown_limit_measure_builder(tmp_path,
+                                                                   capsys):
+    doc = dict(COMB_DOC, limit_measure={"builder": "nope"})
+    src = write(tmp_path, doc)
+    assert main(["check", str(src)]) == 1
+    err = capsys.readouterr().err
+    assert "error: $.limit_measure.builder: unknown builder 'nope'; known: [" in err
+    assert "Traceback" not in err
+
+
+def test_check_rejects_a_name_that_would_leave_the_curves_dir(tmp_path,
+                                                              capsys):
+    doc = dict(HOLDS_DOC, name="../escaped/x")
+    src = tmp_path / "doc.json"
+    src.write_text(json.dumps(doc), encoding="utf-8")
+    curves = tmp_path / "curves" / "inner"
+    assert main(["check", str(src), "--curves-dir", str(curves)]) == 1
+    assert "error: $.name: " in capsys.readouterr().err
+    assert not (tmp_path / "curves").exists()
+
+
+@pytest.mark.parametrize("argv", [
+    ["check", "DOC", "--out", "BLOCKER/report.json"],
+    ["check", "DOC", "--curves-dir", "BLOCKER/curves"],
+    ["gallery", "run", "flat_negative", "--out", "BLOCKER/conf.json"],
+])
+def test_an_unwritable_output_path_exits_one(tmp_path, capsys, argv):
+    # a regular file where a parent directory should be
+    blocker = tmp_path / "blocker"
+    blocker.write_text("", encoding="utf-8")
+    src = write(tmp_path, HOLDS_DOC)
+    argv = [a.replace("DOC", str(src)).replace("BLOCKER", str(blocker))
+            for a in argv]
+    assert main(argv) == 1
+    err = capsys.readouterr().err
+    assert f"error: cannot write {blocker}/" in err
+    assert "Traceback" not in err

@@ -75,6 +75,19 @@ def test_one_check_computes_each_shared_quantity_once(tmp_path, monkeypatch,
     assert len(refinements) == 110
 
 
+def test_one_check_parses_each_spec_once(tmp_path, monkeypatch):
+    # validation keeps what it parses, and building the scenario reuses it:
+    # 12 f_n, 12 g_n and the limit function; 12 mu_n and the limit measure
+    doc = fatou_random_document(np.random.default_rng(0), n_max=N_MAX)
+    src = tmp_path / "doc.json"
+    src.write_text(json.dumps(doc), encoding="utf-8")
+    fns = count_calls(monkeypatch, scenario, "parse_fn_spec")
+    measures = count_calls(monkeypatch, scenario, "parse_measure_spec")
+    assert main(["check", str(src), "--out", str(tmp_path / "r.json")]) == 2
+    assert len(fns) == 2 * N_MAX + 1
+    assert len(measures) == N_MAX + 1
+
+
 def test_known_checks_and_the_runner_registry_agree():
     assert tuple(_CHECKS) == scenario.KNOWN_CHECKS
 
