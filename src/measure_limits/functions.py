@@ -15,6 +15,7 @@ from typing import Callable, Optional
 
 import numpy as np
 
+from .kernels import union_edges
 from .xreal import (
     DomainMismatchError,
     Interval,
@@ -272,10 +273,10 @@ def dominates(upper: PiecewiseFn, lower: PiecewiseFn
     if upper.domain != lower.domain:
         raise DomainMismatchError("dominance check requires a shared domain")
     dom = upper.domain
-    edges = np.unique(np.concatenate([
+    edges = union_edges([
         upper.breakpoints, lower.breakpoints,
         np.asarray([b for b in (dom.lo, dom.hi) if math.isfinite(b)]),
-    ]))
+    ])
     # representative points: one per region, half-open semantics make the
     # left edge carry the cell value; the last edge stands for itself
     if edges.size == 0:

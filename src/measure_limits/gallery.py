@@ -202,7 +202,7 @@ def _comb_domain() -> tuple[Interval, FiniteMeasure]:
 def _comb_depths(seg, a: np.ndarray, b: np.ndarray) -> np.ndarray:
     """Depression depth per dyadic cell: the measure-average of the
     exponential envelope 2^(s-1)/ln 2, i.e. (len/(2 ln 2)) / mass."""
-    return ((b - a) / (2.0 * LN2)) / seg.mass(a, b)
+    return ((b - a) / (2.0 * LN2)) / seg.mass_inside(a, b)
 
 
 def _dyadic_comb_scenario(n_max: int = 20) -> Scenario:

@@ -4,7 +4,9 @@ The integral of an extended-real-valued function is the difference of its
 positive- and negative-part integrals, computed separately; when both
 diverge the integral is undefined and raising is the contract.  All cell
 reductions run through ``kernels``, whose sums are exactly rounded
-(``math.fsum``), so they do not depend on the order of the cells.
+(equal to ``math.fsum`` of the same terms; large arrays are summed in
+numpy with a certified error bound), so they do not depend on the order
+of the cells.
 """
 
 from __future__ import annotations

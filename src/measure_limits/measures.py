@@ -30,7 +30,19 @@ def _exp2_mass(a, b):
     # 2^-a * (1 - 2^-(b-a)) / ln 2, written to avoid cancellation for b - a << 1
     a = np.asarray(a, dtype=np.float64)
     b = np.asarray(b, dtype=np.float64)
-    return np.exp2(-a) * (-np.expm1(-(b - a) * _LN2)) / _LN2
+    if a.ndim == 0 or a.shape != b.shape:
+        return np.exp2(-a) * (-np.expm1(-(b - a) * _LN2)) / _LN2
+    # the same IEEE operations in the same order, on two arrays in place:
+    # (b - a) * -ln2 is -(b - a) * ln2 exactly
+    d = b - a
+    d *= -_LN2
+    np.expm1(d, out=d)
+    np.negative(d, out=d)
+    out = np.negative(a)
+    np.exp2(out, out=out)
+    out *= d
+    out /= _LN2
+    return out
 
 
 @dataclass(frozen=True)
@@ -60,14 +72,26 @@ class AnalyticSegment:
         return float(np.asarray(self.cdf(self.hi)))
 
     def mass(self, a, b) -> np.ndarray:
-        """Exact mass of [a, b) subintervals (arrays allowed)."""
+        """Exact mass of [a, b) subintervals (arrays allowed).
+
+        Both ends are clipped to [lo, hi] first, so any interval may be
+        asked for; the part outside the segment has no mass.
+        """
         a = np.clip(np.asarray(a, dtype=np.float64), self.lo, self.hi)
         b = np.clip(np.asarray(b, dtype=np.float64), self.lo, self.hi)
+        return np.maximum(self._raw_mass(a, b), 0.0)
+
+    def mass_inside(self, a: np.ndarray, b: np.ndarray) -> np.ndarray:
+        """:meth:`mass` for 1-d end arrays that already lie in [lo, hi]:
+        the ends are neither clipped nor copied, and the result is
+        bit for bit the clipped one."""
+        out = self._raw_mass(a, b)
+        return np.maximum(out, 0.0, out=out)
+
+    def _raw_mass(self, a: np.ndarray, b: np.ndarray) -> np.ndarray:
         if self.mass_fn is not None:
-            out = self.mass_fn(a, b)
-        else:
-            out = np.asarray(self.cdf(b)) - np.asarray(self.cdf(a))
-        return np.maximum(out, 0.0)
+            return self.mass_fn(a, b)
+        return np.asarray(self.cdf(b)) - np.asarray(self.cdf(a))
 
 
 #: Named CDFs resolvable from scenario files.
@@ -163,7 +187,7 @@ class FiniteMeasure:
         for seg in self.segments:
             i0 = int(np.searchsorted(edges, seg.lo, side="left"))
             i1 = int(np.searchsorted(edges, seg.hi, side="left"))
-            out[i0:i1] += seg.mass(edges[i0:i1], edges[i0 + 1:i1 + 1])
+            out[i0:i1] += seg.mass_inside(edges[i0:i1], edges[i0 + 1:i1 + 1])
         return out
 
     def mass_of_interval(self, lo: float, hi: float,

@@ -13,6 +13,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .functions import PiecewiseFn
+from .kernels import union_edges
 from .measures import FiniteMeasure
 from .xreal import DomainMismatchError, Interval
 
@@ -46,7 +47,7 @@ def common_refinement(objs) -> Partition:
             atom_sets.append(obj.atom_locs)
         else:
             raise TypeError(f"cannot refine {type(obj).__name__}")
-    edges = np.unique(np.concatenate(pieces))
+    edges = union_edges(pieces)
     atoms = np.unique(np.concatenate(atom_sets)) if atom_sets else np.empty(0)
     return Partition(edges, atoms, domain)
 

@@ -30,6 +30,7 @@ from .fatou import (
 )
 from .functions import FnSequence, PiecewiseFn
 from .integration import integrate
+from .kernels import comp_sum
 from .measures import FiniteMeasure, SignedCellMeasure
 from .refinement import (
     atom_weights_at,
@@ -95,14 +96,14 @@ def uniform_fatou_gap(g: SignedCellMeasure) -> float:
     """inf over measurable sets of the signed gap: the total negative
     Hahn mass; always <= 0 (the empty set is a candidate)."""
     masses = g.all_masses()
-    return math.fsum(masses[masses < 0.0]) + 0.0
+    return comp_sum(masses[masses < 0.0])
 
 
 def hahn_masses(g: SignedCellMeasure) -> tuple[float, float]:
     """(positive, negative) Hahn masses; their sum is the total variation."""
     masses = g.all_masses()
-    pos = math.fsum(masses[masses > 0.0]) + 0.0
-    neg = -math.fsum(masses[masses < 0.0]) + 0.0
+    pos = comp_sum(masses[masses > 0.0])
+    neg = -comp_sum(masses[masses < 0.0]) + 0.0
     return pos, neg
 
 
@@ -125,16 +126,16 @@ def _condition_series(f_seq: FnSequence, f: PiecewiseFn, m: FiniteMeasure,
         vn = fn_cell_values(f_n, p)
         v = fn_cell_values(f, p)
         masses = measure_cell_masses(m, p)
-        under_terms = [math.fsum(masses[vn <= v - eps])]
-        inmeas_terms = [math.fsum(masses[np.abs(vn - v) >= eps])]
+        under_terms = [comp_sum(masses[vn <= v - eps])]
+        inmeas_terms = [comp_sum(masses[np.abs(vn - v) >= eps])]
         for loc, w in zip(m.atom_locs, m.atom_weights):
             a, b = f_n(float(loc)), f(float(loc))
             if a <= b - eps:
                 under_terms.append(w)
             if abs(a - b) >= eps:
                 inmeas_terms.append(w)
-        under.append(math.fsum(under_terms))
-        inmeas.append(math.fsum(inmeas_terms))
+        under.append(comp_sum(under_terms))
+        inmeas.append(comp_sum(inmeas_terms))
     return under, inmeas
 
 

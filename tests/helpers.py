@@ -213,6 +213,21 @@ def scan_epi_oracle(seq: FnSequence, s: float, sched, lower: bool
     return per_j
 
 
+def unique_edges(pieces) -> np.ndarray:
+    """Reference for ``kernels.union_edges``: the concatenated pieces
+    sorted and deduplicated again."""
+    return np.unique(np.concatenate(pieces))
+
+
+def clipped_exp2_mass(lo: float, hi: float, a, b) -> np.ndarray:
+    """Reference for the exp2 segment's cell masses: both ends clipped to
+    [lo, hi], then the closed form as one expression with temporaries."""
+    ln2 = math.log(2.0)
+    a = np.clip(np.asarray(a, dtype=np.float64), lo, hi)
+    b = np.clip(np.asarray(b, dtype=np.float64), lo, hi)
+    return np.maximum(np.exp2(-a) * (-np.expm1(-(b - a) * ln2)) / ln2, 0.0)
+
+
 def loop_comp_sum(xs) -> float:
     """Reference for ``kernels.comp_sum``."""
     return math.fsum(xs) + 0.0
@@ -265,10 +280,10 @@ def list_dominates(upper: PiecewiseFn, lower: PiecewiseFn):
     gathered in a Python list, evaluated through ``values_at``."""
     dom = upper.domain
     assert lower.domain == dom
-    edges = np.unique(np.concatenate([
+    edges = unique_edges([
         upper.breakpoints, lower.breakpoints,
         np.asarray([b for b in (dom.lo, dom.hi) if math.isfinite(b)]),
-    ]))
+    ])
     reps = list(edges)
     if edges.size == 0:
         reps = [0.0]

@@ -1,0 +1,307 @@
+"""The linear-time large-array paths against the code they stand in for.
+
+Sums of 4,096 terms or more go through a certified numpy tree, a large
+function's breakpoints are merged with the other edges instead of sorted
+again, and the exp2 segment's cell masses are computed in place without
+clipping.  ``helpers`` keeps the old code: ``loop_*`` sums with
+``math.fsum`` one cell at a time, ``unique_edges`` sorts with
+``np.unique`` and ``clipped_exp2_mass`` is the clipped expression.  Every
+result must agree bit for bit, the sign of zero included, and so must
+the ``OverflowError`` or ``ValueError`` that ``math.fsum`` raises.
+"""
+
+import math
+from unittest import mock
+
+import numpy as np
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
+
+from measure_limits import (
+    FiniteMeasure, Interval, PiecewiseFn, common_refinement, dominates,
+    functions, make_segment,
+)
+from measure_limits.kernels import (
+    _TREE_MIN, _tree_sum, comp_sum, pos_neg_dot, tail_dot, union_edges,
+)
+
+from helpers import (
+    clipped_exp2_mass, list_dominates, loop_comp_sum, loop_pos_neg_dot,
+    loop_tail_dot, unique_edges,
+)
+
+TINY = 5e-324
+HUGE = 2.0 ** 1023
+
+
+def same(a, b) -> bool:
+    """Equal floats with equal signs, or the same exception type."""
+    if isinstance(a, type) or isinstance(b, type):
+        return a is b
+    return a == b and math.copysign(1.0, a) == math.copysign(1.0, b)
+
+
+def same_array(a: np.ndarray, b: np.ndarray) -> bool:
+    return (a.dtype == b.dtype and a.shape == b.shape
+            and all(same(x, y) for x, y in zip(a.tolist(), b.tolist())))
+
+
+def outcome(fn, *args):
+    """fn(*args), or the type of the error math.fsum raised."""
+    try:
+        return fn(*args)
+    except (OverflowError, ValueError) as exc:
+        return type(exc)
+
+
+# -- sums ----------------------------------------------------------------
+
+#: Term sources: ordinary magnitudes, subnormals, near-overflow values,
+#: signed zeros and infinities, and half-ulp steps around 1.
+SOURCES = ("plain", "spread", "subnormal", "huge", "special", "tie")
+
+
+def draw_terms(rng: np.random.Generator, n: int, weights) -> np.ndarray:
+    kind = rng.choice(len(SOURCES), size=n, p=weights)
+    out = np.empty(n)
+    for i, name in enumerate(SOURCES):
+        k = int(np.count_nonzero(kind == i))
+        if name == "plain":
+            part = rng.normal(size=k) * 10.0 ** rng.integers(-8, 9, size=k)
+        elif name == "spread":
+            part = rng.normal(size=k) * 10.0 ** rng.integers(-290, 290, size=k)
+        elif name == "subnormal":
+            part = rng.integers(-2 ** 20, 2 ** 20, size=k) * TINY
+        elif name == "huge":
+            part = rng.choice([-1.0, 1.0], size=k) * rng.uniform(0.5, 1.0, size=k) * HUGE
+        elif name == "special":
+            part = rng.choice([0.0, -0.0, math.inf, -math.inf], size=k,
+                              p=[0.4, 0.4, 0.1, 0.1])
+        else:
+            part = rng.choice([1.0, 2.0 ** -53, -(2.0 ** -53), 2.0 ** -54,
+                               3 * 2.0 ** -53], size=k)
+        out[kind == i] = part
+    return out
+
+
+def draw_values(draw, n: int) -> np.ndarray:
+    """n terms that mix the sources with drawn weights, some of them
+    replaced by negated copies of others for cancellation.  Half the
+    arrays leave out the near-overflow and non-finite sources and the
+    cancellation, so that the tree can certify their sums."""
+    rng = np.random.default_rng(draw(st.integers(0, 2 ** 32 - 1)))
+    clean = draw(st.booleans())
+    raw = [0 if clean and name in ("huge", "special")
+           else draw(st.sampled_from([0, 0, 1, 4])) for name in SOURCES]
+    if not any(raw):
+        raw[0] = 1
+    values = draw_terms(rng, n, np.asarray(raw, dtype=float) / sum(raw))
+    if not clean and draw(st.booleans()):
+        k = int(rng.integers(0, n // 2 + 1))
+        at = rng.choice(n, size=k, replace=False)
+        values[rng.choice(n, size=k, replace=False)] = -values[at]
+    return values
+
+
+@st.composite
+def term_arrays(draw):
+    return draw_values(draw, draw(st.integers(64, 4096)))
+
+
+@st.composite
+def big_arrays(draw):
+    """(values, masses, ks): arrays below the tree's size cut, or large
+    enough that each part's terms pass it, masses that are often zero or
+    subnormal, and thresholds at some |v|."""
+    n = draw(st.one_of(st.integers(64, _TREE_MIN - 1),
+                       st.integers(2 * _TREE_MIN, 2 * _TREE_MIN + 2048)))
+    values = draw_values(draw, n)
+    rng = np.random.default_rng(draw(st.integers(0, 2 ** 32 - 1)))
+    masses = rng.uniform(0.0, 2.0, size=n) * 10.0 ** rng.integers(-3, 4, size=n)
+    masses[rng.random(n) < draw(st.sampled_from([0.0, 0.1, 0.5]))] = 0.0
+    if draw(st.booleans()):
+        masses[rng.random(n) < 0.05] = TINY
+    finite = np.abs(values[np.isfinite(values)])
+    ks = [0.0, 1.0, math.inf, math.nan]
+    if finite.size:
+        ks += rng.choice(finite, size=min(4, finite.size)).tolist()
+    return values, masses, ks
+
+
+def padded(head, n: int = _TREE_MIN) -> np.ndarray:
+    """``head`` followed by zeros up to n terms."""
+    return np.concatenate([np.asarray(head, dtype=np.float64),
+                           np.zeros(n - len(head))])
+
+
+@settings(max_examples=300, deadline=None)
+@given(term_arrays())
+# finite terms whose sum passes the double range; inf + -inf
+@example(padded([1e308] * 32 + [1.0] * 32, 64))
+@example(padded([math.inf, -math.inf, 1.0], 64))
+# exact half-ulp ties at 1.0, both ways of rounding, and just above one
+@example(padded([1.0, 2.0 ** -54, 2.0 ** -54], 64))
+@example(padded([1.0, 2.0 ** -53, 2.0 ** -54, 2.0 ** -54], 64))
+@example(padded([1.0, 2.0 ** -53, 2.0 ** -200], 64))
+# zeros of both signs, and total cancellation
+@example(np.array([-0.0, 0.0] * 40))
+@example(np.array([1e300, -1e300, 3.0, -3.0] * 20))
+def test_tree_sum_is_fsum_or_defers(terms):
+    # the tree runs on any size; where math.fsum raises, it must defer
+    want = outcome(loop_comp_sum, terms.tolist())
+    got = _tree_sum(terms)
+    assert got is None or same(got, want)
+
+
+@settings(max_examples=60, deadline=None)
+@given(big_arrays())
+@example((padded([1e308] * 32 + [1.0] * 32), np.ones(_TREE_MIN), [1.0]))
+@example((padded([math.inf, -math.inf, 1.0]), np.ones(_TREE_MIN), [1.0]))
+@example((padded([1.0, 2.0 ** -53, 2.0 ** -200]), np.ones(_TREE_MIN), [0.0]))
+@example((np.array([1e300, -1e300, 3.0, -3.0] * (_TREE_MIN // 4)),
+          np.ones(_TREE_MIN), [0.0]))
+def test_large_kernels_match_the_cell_loops_bit_for_bit(case):
+    values, masses, ks = case
+    terms = values.tolist()
+    assert same(outcome(comp_sum, values), outcome(loop_comp_sum, terms))
+
+    got = outcome(pos_neg_dot, values, masses)
+    want = outcome(loop_pos_neg_dot, terms, masses.tolist())
+    if isinstance(want, type):
+        assert got is want
+    else:
+        assert same(got[0], math.inf if want[2] else want[0])
+        assert same(got[1], math.inf if want[3] else want[1])
+
+    got = outcome(lambda: tail_dot(values, masses, ks).tolist())
+    want = []
+    for k in ks:
+        row = outcome(loop_tail_dot, terms, masses.tolist(), k)
+        if isinstance(row, type):
+            want = row
+            break
+        want.append(math.inf if row[1] else row[0])
+    if isinstance(want, type):
+        assert got is want
+    else:
+        assert all(same(g, w) for g, w in zip(got, want))
+
+
+def test_tree_sum_certifies_plain_sums_and_defers_the_rest():
+    rng = np.random.default_rng(7)
+    plain = rng.uniform(0.0, 1.0, size=5_000) * 10.0 ** rng.integers(-6, 7, size=5_000)
+    assert _tree_sum(plain) == math.fsum(plain.tolist())
+    assert _tree_sum(-plain) == math.fsum((-plain).tolist())
+    # error-free sums need no bound: a power of two on many exact terms
+    assert _tree_sum(np.full(4096, 0.5)) == 2048.0
+    # a non-finite term, partial sums near the double range and an exact
+    # half-ulp tie are left to math.fsum
+    assert _tree_sum(np.append(plain, math.inf)) is None
+    assert _tree_sum(np.append(plain, 1e300)) is None
+    assert _tree_sum(np.array([1.0, 2.0 ** -53] + [0.0] * 62)) is None
+    assert comp_sum(np.array([1.0, 2.0 ** -53] + [0.0] * 62)) == 1.0
+    # past the tie by 2**-200, which the rounded error sum drops: the
+    # bound keeps s + e from rounding to 1.0
+    above = np.array([1.0, 2.0 ** -53, 2.0 ** -200] + [0.0] * 61)
+    assert _tree_sum(above) is None
+    assert comp_sum(above) == 1.0 + 2.0 ** -52
+
+
+# -- edge unions -----------------------------------------------------------
+
+DOMAINS = [Interval(-math.inf, math.inf), Interval(0.0, math.inf),
+           Interval(-0.0, 1.0), Interval(-1.0, 1.0)]
+
+
+@st.composite
+def edge_sets(draw):
+    """(domain, big, small): a strictly increasing breakpoint array of
+    1,025-3,000 points inside the domain, and a few small points; zeros of
+    either sign may sit in either, and the small points may all be in the
+    big array already."""
+    dom = draw(st.sampled_from(DOMAINS))
+    rng = np.random.default_rng(draw(st.integers(0, 2 ** 32 - 1)))
+    lo = max(dom.lo, -1.0)
+    n = draw(st.integers(1025, 3000))
+    big = np.unique(rng.uniform(lo, 1.0, size=n))
+    zero = draw(st.sampled_from([None, 0.0, -0.0]))
+    if zero is not None and lo <= 0.0:
+        big = np.unique(np.append(big[big != 0.0], zero))
+    if draw(st.booleans()):
+        small = rng.choice(big, size=int(rng.integers(1, 6)))
+    else:
+        small = rng.uniform(lo, 1.0, size=int(rng.integers(1, 6)))
+        small = np.append(small, draw(st.sampled_from([[], [0.0], [-0.0], [1.0]])))
+    return dom, big, np.unique(small)
+
+
+@settings(max_examples=120, deadline=None)
+@given(edge_sets())
+def test_union_edges_matches_unique(case):
+    dom, big, small = case
+    ends = np.asarray([dom.lo, dom.hi])
+    # a large piece that is not strictly increasing goes to np.unique
+    for pieces in ([ends, big, small], [big, small, ends], [small, ends, big],
+                   [big], [big, big[::7]], [big[::-1], small],
+                   [np.sort(np.append(big, big[:3])), ends]):
+        assert same_array(union_edges(pieces), unique_edges(pieces))
+
+
+@settings(max_examples=60, deadline=None)
+@given(edge_sets(), st.sampled_from(["function", "measure"]))
+def test_refinement_and_dominance_edges_match_unique(case, other):
+    dom, big, small = case
+    f = PiecewiseFn(big, np.linspace(-1.0, 1.0, big.size - 1), 0.0, dom)
+    if other == "function":
+        g = PiecewiseFn(small, np.arange(1.0, small.size), 0.0, dom) \
+            if small.size > 1 else PiecewiseFn((), (), 0.25, dom)
+        small_edges = g.breakpoints
+    else:
+        g = FiniteMeasure(atoms=[(float(x), 1.0) for x in small], domain=dom)
+        small_edges = g.piece_edges()
+    ends = np.asarray([dom.lo, dom.hi])
+    p = common_refinement([f, g])
+    assert same_array(p.edges, unique_edges([ends, f.breakpoints, small_edges]))
+    if other == "function":
+        seen = []
+
+        def spy(pieces):
+            seen.append((pieces, union_edges(pieces)))
+            return seen[-1][1]
+
+        with mock.patch.object(functions, "union_edges", side_effect=spy):
+            got = dominates(f, g)
+        finite = np.asarray([b for b in (dom.lo, dom.hi) if math.isfinite(b)])
+        want_edges = unique_edges([f.breakpoints, g.breakpoints, finite])
+        assert same_array(seen[0][1], want_edges)
+        assert got == list_dominates(f, g)
+
+
+# -- exp2 masses -----------------------------------------------------------
+
+@settings(max_examples=150, deadline=None)
+@given(st.sampled_from([(0.0, math.inf), (-3.0, 40.0), (1000.0, math.inf)]),
+       st.integers(2, 3000), st.integers(0, 2 ** 32 - 1),
+       st.sampled_from(["uniform", "dyadic", "clustered"]))
+def test_exp2_masses_in_place_match_the_clipped_expression(bounds, n, seed, layout):
+    lo, hi = bounds
+    rng = np.random.default_rng(seed)
+    top = lo + 60.0 if math.isinf(hi) else hi
+    if layout == "uniform":
+        inner = rng.uniform(lo, top, size=n)
+    elif layout == "dyadic":
+        inner = lo + np.arange(1, n) * 2.0 ** -int(rng.integers(0, 40))
+    else:
+        # neighbouring doubles: widths of one ulp
+        inner = np.nextafter(lo + 1.0, math.inf) + np.arange(n) * 2.0 ** -52
+    edges = np.unique(np.concatenate([[lo, hi], inner[(inner > lo) & (inner < hi)]]))
+    seg = make_segment("exp2", lo, hi)
+    a, b = edges[:-1], edges[1:]
+    want = clipped_exp2_mass(lo, hi, a, b)
+    assert same_array(seg.mass_inside(a, b), want)
+    assert same_array(seg.mass(a, b), want)
+    m = FiniteMeasure(segments=[seg], domain=Interval(lo, hi))
+    assert same_array(m.continuous_cell_masses(edges), want + 0.0)
+    # scalars keep the one-expression form
+    x, y = float(a[0]), float(b[0])
+    assert same(float(seg.mass(x, y)), float(clipped_exp2_mass(lo, hi, x, y)))

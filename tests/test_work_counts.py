@@ -6,7 +6,9 @@ negative-part tail curve that the shift check reads.  The counts pin that
 sharing, so a change that computes one of them twice fails here even when
 the report bytes stay the same.  The ``dyadic_comb`` fixture's count of
 ``values_at`` searches pins that the values of g_n's up to 2M cells are
-copied, not searched.
+copied, not searched, and its counts of large ``np.unique`` calls and of
+``math.fsum`` fallbacks pin that its 2M-edge refinements are merged, not
+sorted again, and that its kernel sums are certified in numpy.
 """
 
 import json
@@ -106,3 +108,29 @@ def test_comb_fixture_reads_own_cells_without_a_search(monkeypatch):
     monkeypatch.setattr(PiecewiseFn, "values_at", counted)
     assert gallery.run("dyadic_comb").failures == 0
     assert len(calls) == 23
+
+
+def test_comb_fixture_merges_and_sums_without_fallback(monkeypatch):
+    # g_n's up to 2,097,154 breakpoints are merged with the measure's and
+    # the domain's few edges, never sorted again; every large kernel sum
+    # is certified by the numpy tree and none goes to math.fsum
+    original_unique = np.unique
+    large_uniques = []
+
+    def counted_unique(ar, *args, **kwargs):
+        if np.asarray(ar).size > 1024:
+            large_uniques.append(np.asarray(ar).size)
+        return original_unique(ar, *args, **kwargs)
+
+    original_tree = kernels._tree_sum
+    trees = []
+
+    def counted_tree(x):
+        trees.append(original_tree(x))
+        return trees[-1]
+
+    monkeypatch.setattr(np, "unique", counted_unique)
+    monkeypatch.setattr(kernels, "_tree_sum", counted_tree)
+    assert gallery.run("dyadic_comb").failures == 0
+    assert large_uniques == []
+    assert trees and None not in trees
