@@ -26,8 +26,8 @@ from .integration import (
     integrate, tv_norm_diff, integrate_ramp, weak_gap_bank,
 )
 from .tails import (
-    TailCurve, UiVerdict, tail_integral, tail_curve, verdict, shift_search,
-    check_tail_table, DEFAULT_K_GRID, default_window_start,
+    TailCurve, UiVerdict, tail_curve, verdict, first_shift, check_tail_table,
+    DEFAULT_K_GRID, default_window_start,
 )
 from .epilimits import (
     EpiSchedule, EpiEstimate, epi_liminf, epi_limsup, epi_limit_exists,

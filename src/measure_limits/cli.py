@@ -54,16 +54,7 @@ def _cmd_check(args) -> int:
         print(f"error: cannot read {args.scenario}: {exc}", file=sys.stderr)
         return 1
     try:
-        doc = parse_scenario(text)
-        if args.tol is not None or args.nmax is not None:
-            raw = dict(doc.raw)
-            if args.tol is not None:
-                tol = dict(raw.get("tolerances") or {})
-                tol["tol"] = args.tol
-                raw["tolerances"] = tol
-            if args.nmax is not None:
-                raw["n_max"] = args.nmax
-            doc = parse_scenario(canonical_json(raw))
+        doc = parse_scenario(text, tol=args.tol, n_max=args.nmax)
         checks = tuple(args.checks.split(",")) if args.checks else None
         report = run_checks(doc, checks)
     except MeasureLimitsError as exc:

@@ -14,6 +14,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field, replace
+from functools import cached_property
 from typing import Optional
 
 import numpy as np
@@ -24,6 +25,7 @@ from .integration import integrate, tv_norm_diff
 from .measures import FiniteMeasure, MeasureSequence
 from .tails import (
     DEFAULT_K_GRID,
+    TailCurve,
     UiVerdict,
     default_window_start,
     first_shift,
@@ -69,7 +71,6 @@ class Scenario:
     #: declared uniform upper bound for the minorant family, when known
     #: analytically; finite index windows cannot certify boundedness alone
     minorant_sup_bound: Optional[float] = None
-    _memo: dict = field(default_factory=dict, repr=False)
 
     @property
     def n_max(self) -> int:
@@ -86,6 +87,78 @@ class Scenario:
         if self.sample_grid is not None:
             return self.sample_grid
         return default_sample_grid(self.limit_measure, self.f_seq)
+
+    # Results that several checks read, each computed once per scenario:
+    # scalars, small series and sequences, never per-index cell arrays.
+    # ``dataclasses.replace`` makes a scenario with none of them computed.
+
+    @cached_property
+    def neg_part_seq(self) -> FnSequence:
+        return self.f_seq.map(lambda f: part(f, "negative"))
+
+    @cached_property
+    def abs_seq(self) -> FnSequence:
+        return self.f_seq.map(abs)
+
+    @cached_property
+    def f_integral_series(self) -> list[float]:
+        return _integral_series(self.f_seq, self.measures)
+
+    @cached_property
+    def g_integral_series(self) -> list[float]:
+        return _integral_series(self.g_seq, self.measures)
+
+    @cached_property
+    def f_dominates_g(self):
+        """(ok, first bad index, witness) for f_n >= g_n."""
+        return _dominance_all(self.f_seq, self.g_seq)
+
+    @cached_property
+    def g_dominates_abs_f(self):
+        """(ok, first bad index, witness) for g_n >= |f_n|."""
+        return _dominance_all(self.g_seq, self.abs_seq)
+
+    @cached_property
+    def f_epi_liminf(self) -> tuple[float, str]:
+        """Epi-liminf integral of the f family against the limit measure,
+        with its certainty tag; likewise the two g-family sides below."""
+        return self._epi_integral(self.f_seq, "liminf")
+
+    @cached_property
+    def g_epi_liminf(self) -> tuple[float, str]:
+        return self._epi_integral(self.g_seq, "liminf")
+
+    @cached_property
+    def g_epi_limsup(self) -> tuple[float, str]:
+        return self._epi_integral(self.g_seq, "limsup")
+
+    def _epi_integral(self, seq: FnSequence, which: str) -> tuple[float, str]:
+        return epi_integral(seq, self.limit_measure, which,
+                            self.resolved_schedule(), self.resolved_grid(),
+                            self.tolerances.stab_tol)
+
+    @cached_property
+    def neg_tail_curve(self) -> TailCurve:
+        return tail_curve(self.neg_part_seq, self.measures, self.k_grid,
+                          self.window_start, self.tolerances.stab_tol)
+
+    @cached_property
+    def abs_tail_curve(self) -> TailCurve:
+        return tail_curve(self.abs_seq, self.measures, self.k_grid,
+                          self.window_start, self.tolerances.stab_tol)
+
+    @cached_property
+    def tv_series(self) -> tuple[float, ...]:
+        """Total-variation distances ||mu_n - mu|| for n = 1..n_max."""
+        return tuple(tv_norm_diff(self.measures.measure(n), self.limit_measure)
+                     for n in range(1, self.n_max + 1))
+
+    @cached_property
+    def uniform_report(self):
+        """The set-uniform report that ``uniform.uniform_report`` returns."""
+        # uniform imports this module, so it is imported here, on first use
+        from .uniform import _uniform_report_body
+        return _uniform_report_body(self)
 
 
 def default_sample_grid(m: FiniteMeasure, seq: FnSequence,
@@ -155,74 +228,13 @@ def _dominance_all(upper: FnSequence, lower: FnSequence):
     return True, None, None
 
 
-def _cached(sc: Scenario, key: str, compute):
-    if key not in sc._memo:
-        sc._memo[key] = compute()
-    return sc._memo[key]
-
-
-def neg_part_seq(sc: Scenario) -> FnSequence:
-    return _cached(sc, "neg_parts",
-                   lambda: sc.f_seq.map(lambda f: part(f, "negative")))
-
-
-def abs_seq(sc: Scenario) -> FnSequence:
-    return _cached(sc, "abs_parts", lambda: sc.f_seq.map(abs))
-
-
-def f_integral_series(sc: Scenario) -> list[float]:
-    return _cached(sc, "f_integrals",
-                   lambda: _integral_series(sc.f_seq, sc.measures))
-
-
-def g_integral_series(sc: Scenario) -> list[float]:
-    return _cached(sc, "g_integrals",
-                   lambda: _integral_series(sc.g_seq, sc.measures))
-
-
-def f_dominates_g(sc: Scenario):
-    return _cached(sc, "dominance",
-                   lambda: _dominance_all(sc.f_seq, sc.g_seq))
-
-
-def epi_side(sc: Scenario, family: str, which: str) -> tuple[float, str]:
-    """Epi-liminf/limsup integral of the f (``family="f"``) or g family
-    against the limit measure, with its certainty tag."""
-    seq = sc.f_seq if family == "f" else sc.g_seq
-    return _cached(sc, f"epi_{family}_{which}",
-                   lambda: epi_integral(seq, sc.limit_measure, which,
-                                        sc.resolved_schedule(),
-                                        sc.resolved_grid(),
-                                        sc.tolerances.stab_tol))
-
-
-def neg_tail_curve(sc: Scenario):
-    return _cached(sc, "neg_tail_curve",
-                   lambda: tail_curve(neg_part_seq(sc), sc.measures, sc.k_grid,
-                                      sc.window_start, sc.tolerances.stab_tol))
-
-
-def abs_tail_curve(sc: Scenario):
-    return _cached(sc, "abs_tail_curve",
-                   lambda: tail_curve(abs_seq(sc), sc.measures, sc.k_grid,
-                                      sc.window_start, sc.tolerances.stab_tol))
-
-
 def neg_part_shift(sc: Scenario) -> Optional[int]:
     """Smallest shift N < n_max after which the negative parts' tails at
     the top grid level stay within ``ui_tol``; read off the last column of
     the negative-part tail curve (the grid is sorted, so that column is
     K = max(k_grid))."""
-    return first_shift(neg_tail_curve(sc).table[:, -1], sc.tolerances.ui_tol,
+    return first_shift(sc.neg_tail_curve.table[:, -1], sc.tolerances.ui_tol,
                        sc.n_max - 1)
-
-
-def tv_series(sc: Scenario) -> tuple[float, ...]:
-    """Total-variation distances ||mu_n - mu|| for n = 1..n_max."""
-    return _cached(sc, "tv_series",
-                   lambda: tuple(tv_norm_diff(sc.measures.measure(n),
-                                              sc.limit_measure)
-                                 for n in range(1, sc.n_max + 1)))
 
 
 def convergence_evidence(sc: Scenario) -> dict:
@@ -230,7 +242,7 @@ def convergence_evidence(sc: Scenario) -> dict:
     ev: dict = {"kind": sc.certificate,
                 "certified": sc.certificate in ("tv", "builder")}
     if sc.certificate == "tv":
-        series = tv_series(sc)[sc.window_start - 1:]
+        series = sc.tv_series[sc.window_start - 1:]
         ev["tv_window_max"] = max(series)
         ev["tv_last"] = series[-1]
     return ev
@@ -256,17 +268,17 @@ def fatou_report(sc: Scenario) -> GapReport:
     diagnostics: dict = {"weak_convergence": convergence_evidence(sc)}
 
     zero_mass = sc.limit_measure.total_mass() == 0.0
-    lhs, lhs_cert = epi_side(sc, "f", "liminf")
+    lhs, lhs_cert = sc.f_epi_liminf
     if zero_mass:
         diagnostics["zero_limit_measure"] = True
         lhs, lhs_cert = 0.0, EXACT
 
-    series = f_integral_series(sc)
+    series = sc.f_integral_series
     rhs, rhs_stab = seq_liminf(series, sc.window_start, t.stab_tol)
 
-    diagnostics["aui_negative_parts"] = verdict(neg_tail_curve(sc), "aui", t.ui_tol)
+    diagnostics["aui_negative_parts"] = verdict(sc.neg_tail_curve, "aui", t.ui_tol)
     if sc.g_seq is not None:
-        ok, n_bad, witness = f_dominates_g(sc)
+        ok, n_bad, witness = sc.f_dominates_g
         diagnostics["dominance"] = {"ok": ok, "index": n_bad, "witness": witness}
 
     if zero_mass or _le(lhs, rhs, t.tol):
@@ -301,9 +313,9 @@ def _minorant(sc: Scenario, variant: str) -> MinorantReport:
     if sc.g_seq is None:
         raise UnsupportedScenarioError("minorant checks need a minorant family")
     t = sc.tolerances
-    ok, n_bad, witness = f_dominates_g(sc)
-    val, cert = epi_side(sc, "g", variant)
-    series = g_integral_series(sc)
+    ok, n_bad, witness = sc.f_dominates_g
+    val, cert = sc.g_epi_limsup if variant == "limsup" else sc.g_epi_liminf
+    series = sc.g_integral_series
     rhs, stab = seq_liminf(series, sc.window_start, t.stab_tol)
     return MinorantReport(sc.name, variant, ok, (n_bad, witness) if not ok else None,
                           val, cert, val > -math.inf, rhs, stab,
@@ -345,12 +357,10 @@ def majorant_check(sc: Scenario) -> MajorantReport:
     if sc.g_seq is None:
         raise UnsupportedScenarioError("majorant check needs a dominating family")
     t = sc.tolerances
-    ok, n_bad, witness = _cached(
-        sc, "dominance_majorant",
-        lambda: _dominance_all(sc.g_seq, abs_seq(sc)))
-    series = g_integral_series(sc)
+    ok, n_bad, witness = sc.g_dominates_abs_f
+    series = sc.g_integral_series
     lhs, stab = seq_limsup(series, sc.window_start, t.stab_tol)
-    val, cert = epi_side(sc, "g", "liminf")
+    val, cert = sc.g_epi_liminf
     return MajorantReport(sc.name, ok, (n_bad, witness) if not ok else None,
                           lhs, stab, val, cert, val < math.inf,
                           _le(lhs, val, t.tol))
@@ -390,17 +400,17 @@ def dct_report(sc: Scenario, equality_tol: Optional[float] = None) -> DctReport:
     exists = epi_limit_exists(sc.f_seq, grid, sched, tol, sc.limit_measure,
                               t.stab_tol)
     exists_ok = exists.exception_mass <= t.tol
-    aui_full = verdict(abs_tail_curve(sc), "aui", t.ui_tol)
+    aui_full = verdict(sc.abs_tail_curve, "aui", t.ui_tol)
     major = None
     if sc.g_seq is not None:
         major = majorant_check(sc)
     condition_ok = aui_full.passes or (major is not None and major.holds)
     hyp_ok = exists_ok and condition_ok
 
-    series = f_integral_series(sc)
+    series = sc.f_integral_series
     lim_lo, stab_lo = seq_liminf(series, sc.window_start, t.stab_tol)
     lim_hi, stab_hi = seq_limsup(series, sc.window_start, t.stab_tol)
-    limit_integral, cert = epi_side(sc, "f", "liminf")
+    limit_integral, cert = sc.f_epi_liminf
     equal = (_le(lim_hi, limit_integral, tol) and _le(limit_integral, lim_lo, tol)
              and _le(lim_lo, lim_hi, tol))
 
@@ -490,4 +500,4 @@ def with_constant_offset(sc: Scenario, c: float) -> Scenario:
     offset = FnSequence(base.n_max, lambda n: shift_fn(base.fn(n)),
                         shift_cert(base.epi_liminf_cert),
                         shift_cert(base.epi_limsup_cert), shifted_ev)
-    return replace(sc, f_seq=offset, name=f"{sc.name}+{c}", _memo={})
+    return replace(sc, f_seq=offset, name=f"{sc.name}+{c}")

@@ -18,7 +18,6 @@ from typing import Callable, Optional
 import numpy as np
 
 from .epilimits import epi_limit_exists, epi_liminf
-from . import fatou as fatou_mod
 from .fatou import (
     HOLDS,
     VIOLATED,
@@ -46,7 +45,7 @@ from .measures import (
     make_segment,
     point_mass,
 )
-from .tails import shift_search, tail_integral, verdict
+from .tails import first_shift, tail_curve, verdict
 from .uniform import uniform_report
 from .xreal import Interval, MalformedObjectError, UnsupportedScenarioError
 
@@ -417,24 +416,23 @@ def _run_staircase(params: dict) -> list[Quantity]:
     qs = []
 
     ks = [0.5] + [float(k) for k in range(1, 11)]
-    neg = fatou_mod.neg_part_seq(sc)
-    dev = max(abs(tail_integral(neg, sc.measures, n, k) - staircase_tail_formula(k))
-              for n in range(1, sc.n_max + 1) for k in ks)
+    table = tail_curve(sc.neg_part_seq, sc.measures, ks).table
+    dev = max(abs(table[n - 1, j] - staircase_tail_formula(k))
+              for n in range(1, sc.n_max + 1) for j, k in enumerate(ks))
     qs.append(_num("tail_matches_closed_form", dev, 0.0, 1e-9 + residual,
                    "geometric series sum_{i>=ceil(K)} i/2^i"))
 
-    dev = max(abs(v + 2.0) for v in fatou_mod.f_integral_series(sc))
+    dev = max(abs(v + 2.0) for v in sc.f_integral_series)
     qs.append(_num("integral_is_minus_two", dev, 0.0, 1e-9,
                    "series sum i/2^i = 2, residual folded into last cell"))
 
-    curve = fatou_mod.neg_tail_curve(sc)
+    curve = sc.neg_tail_curve
     qs.append(_flag("ui_passes", verdict(curve, "ui").passes, True,
                     "sup curve vanishes on the dyadic grid"))
     qs.append(_flag("aui_passes", verdict(curve, "aui").passes, True,
                     "windowed curve vanishes on the dyadic grid"))
     qs.append(_flag("shift_is_zero",
-                    shift_search(neg, sc.measures, 1e-6, max(sc.k_grid),
-                                 sc.n_max - 1), 0,
+                    first_shift(curve.table[:, -1], 1e-6, sc.n_max - 1), 0,
                     "tails are index-independent"))
 
     rep = fatou_report(sc)
@@ -471,15 +469,14 @@ def _run_staircase(params: dict) -> list[Quantity]:
 
 def _run_staircase_late_start(params: dict) -> list[Quantity]:
     sc = _staircase_late_start_scenario(params.get("n_max", 65))
-    neg = fatou_mod.neg_part_seq(sc)
-    curve = fatou_mod.neg_tail_curve(sc)
+    curve = sc.neg_tail_curve
     return [
         _flag("aui_passes", verdict(curve, "aui").passes, True,
               "trailing window never sees the bad index"),
         _flag("ui_fails", verdict(curve, "ui").passes, False,
               "index 1 has an infinite tail at every level"),
         _flag("shift_is_one",
-              shift_search(neg, sc.measures, 1e-6, max(sc.k_grid), 50), 1,
+              first_shift(curve.table[:, -1], 1e-6, 50), 1,
               "dropping one index restores the staircase family"),
     ]
 
@@ -491,8 +488,7 @@ def _run_twin_spikes(params: dict) -> list[Quantity]:
     qs.append(_num("f50_at_+0.01", f50(0.01), 50.0, 0.0, "direct construction"))
     qs.append(_num("f50_at_-0.01", f50(-0.01), -50.0, 0.0, "direct construction"))
 
-    neg = fatou_mod.neg_part_seq(sc)
-    curve = fatou_mod.neg_tail_curve(sc)
+    curve = sc.neg_tail_curve
     dev = max(float(np.max(np.abs(curve.sup_curve - 1.0))),
               float(np.max(np.abs(curve.limsup_curve - 1.0))))
     qs.append(_num("tail_curves_all_one", dev, 0.0, 1e-12,
@@ -500,10 +496,10 @@ def _run_twin_spikes(params: dict) -> list[Quantity]:
     qs.append(_flag("aui_fails", verdict(curve, "aui").passes, False,
                     "curve is constantly 1 on the grid"))
     qs.append(_flag("shift_absent",
-                    shift_search(neg, sc.measures, 1e-6, max(sc.k_grid), 50),
-                    None, "every trailing family repeats the same tails"))
+                    first_shift(curve.table[:, -1], 1e-6, 50), None,
+                    "every trailing family repeats the same tails"))
 
-    dev = max(abs(v) for v in fatou_mod.f_integral_series(sc))
+    dev = max(abs(v) for v in sc.f_integral_series)
     qs.append(_num("integrals_zero", dev, 0.0, 1e-12,
                    "antisymmetric spikes cancel exactly"))
 
@@ -556,11 +552,11 @@ def _run_dyadic_comb(params: dict) -> list[Quantity]:
     qs = []
 
     half = 1.0 / (2.0 * LN2)
-    dev = max(abs(v + half) for v in fatou_mod.f_integral_series(sc))
+    dev = max(abs(v + half) for v in sc.f_integral_series)
     qs.append(_num("f_integral", dev, 0.0, 1e-9,
                    "CDF difference: 2^n * (2^-n - 2^-(n+1)) / ln 2"))
 
-    dev = max(abs(v + 1.0 / LN2) for v in fatou_mod.g_integral_series(sc))
+    dev = max(abs(v + 1.0 / LN2) for v in sc.g_integral_series)
     qs.append(_num("g_integral", dev, 0.0, 1e-6,
                    "comb depression adds another 1/(2 ln 2)"))
 

@@ -20,7 +20,6 @@ from .fatou import (
     majorant_check,
     minorant_check,
     neg_part_shift,
-    neg_tail_curve,
     weakened_minorant_probe,
 )
 from .integration import default_bank, weak_gap_bank
@@ -32,7 +31,6 @@ from .xreal import MeasureLimitsError, ScenarioFormatError
 PASS = "pass"
 FAIL = "fail"
 
-_EXIT_OK = {"pass", "holds", "inconclusive", "not_applicable"}
 _EXIT_VIOLATED = {"fail", "violated"}
 
 
@@ -84,8 +82,8 @@ def _vd(v) -> str:
 
 
 def _check_ui(sc: Scenario) -> CheckResult:
-    v = verdict(neg_tail_curve(sc), "ui", sc.tolerances.ui_tol)
-    curve = neg_tail_curve(sc)
+    curve = sc.neg_tail_curve
+    v = verdict(curve, "ui", sc.tolerances.ui_tol)
     return CheckResult("ui", _vd(v.passes),
                        {"k_star": v.k_star, "tol": v.tol,
                         "family": "negative_parts"},
@@ -93,7 +91,7 @@ def _check_ui(sc: Scenario) -> CheckResult:
 
 
 def _check_aui(sc: Scenario) -> CheckResult:
-    curve = neg_tail_curve(sc)
+    curve = sc.neg_tail_curve
     v = verdict(curve, "aui", sc.tolerances.ui_tol)
     return CheckResult("aui", _vd(v.passes),
                        {"k_star": v.k_star, "tol": v.tol,

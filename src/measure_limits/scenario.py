@@ -243,11 +243,14 @@ def _builder_ref(spec, path: str, n_max: int) -> Optional[BuilderRef]:
     return BuilderRef(name, tuple(sorted({"n_max": n_max, **params}.items())))
 
 
-def parse_scenario(text: str) -> ScenarioDoc:
+def parse_scenario(text: str, tol: Optional[float] = None,
+                   n_max: Optional[int] = None) -> ScenarioDoc:
     """Parse and fully validate a scenario document.
 
-    Raises ScenarioFormatError with a field path (or JSON line/column) on
-    the first problem found.
+    ``tol`` and ``n_max``, when given, replace the document's
+    ``tolerances.tol`` and ``n_max`` before validation, so the document is
+    decoded and validated once.  Raises ScenarioFormatError with a field
+    path (or JSON line/column) on the first problem found.
     """
     try:
         data = json.loads(text)
@@ -257,6 +260,12 @@ def parse_scenario(text: str) -> ScenarioDoc:
         ) from None
     if not isinstance(data, dict):
         raise _fail("$", "scenario document must be a JSON object")
+    tols = data.get("tolerances")
+    # a tolerances value that is not an object fails validation below
+    if tol is not None and (tols is None or isinstance(tols, dict)):
+        data["tolerances"] = {**(tols or {}), "tol": tol}
+    if n_max is not None:
+        data["n_max"] = n_max
     allowed = {"name", "space", "n_max", "measures", "limit_measure",
                "functions", "g_functions", "limit_function", "K_grid",
                "schedule", "sample_grid", "tolerances", "checks",

@@ -62,21 +62,14 @@ class UiVerdict:
     passes: bool
     k_star: Optional[float]    # smallest grid K with aggregate <= tol
     tol: float
-    shift_n: Optional[int] = None
-
-
-def tail_integral(seq: FnSequence, measures: MeasureSequence, n: int, k: float
-                  ) -> float:
-    """Integral of |f_n| over {|f_n| >= k} against mu_n; exact, +inf allowed."""
-    if not k > 0:
-        raise ValueError(f"threshold must be positive, got {k}")
-    vals, masses = refined_values_masses(seq.fn(n), measures.measure(n))
-    return float(tail_dot(vals, masses, (k,))[0])
 
 
 def tail_curve(seq: FnSequence, measures: MeasureSequence,
                k_grid=DEFAULT_K_GRID, window_start: Optional[int] = None,
                stab_tol: float = 1e-9) -> TailCurve:
+    """Table of the integrals of |f_n| over {|f_n| >= K} against mu_n, for
+    every index n and grid level K (inclusive threshold; exact, +inf
+    allowed), from one refinement per index, with its aggregates."""
     k_grid = tuple(float(k) for k in k_grid)
     if not k_grid or any(k <= 0 for k in k_grid) or list(k_grid) != sorted(k_grid):
         raise ValueError("K grid must be nonempty, positive, and sorted")
@@ -113,24 +106,13 @@ def verdict(curve: TailCurve, kind: str, tol: float = 1e-6) -> UiVerdict:
     return UiVerdict(kind, False, None, tol)
 
 
-def shift_search(seq: FnSequence, measures: MeasureSequence, tol: float,
-                 k_max: float, n_shift_max: int) -> Optional[int]:
-    """Smallest N with sup over n in (N, n_max] of the tail at k_max <= tol.
-
-    Returns None when no such N <= n_shift_max exists; absence is a value.
-    The search is capped at n_max - 1 so the sup never ranges over an
-    empty index set.
-    """
-    tails = [tail_integral(seq, measures, n, k_max)
-             for n in range(1, seq.n_max + 1)]
-    return first_shift(tails, tol, n_shift_max)
-
-
 def first_shift(tails, tol: float, n_shift_max: int) -> Optional[int]:
     """Smallest N <= n_shift_max with max(tails[N:]) <= tol, or None.
 
-    ``tails[n - 1]`` is the tail of index n at one level K.  N stays below
-    len(tails) so the max never ranges over an empty index set.
+    ``tails[n - 1]`` is the tail of index n at one level K, e.g. a column
+    of a ``tail_curve`` table.  None (no such N) is a value, not an error.
+    N stays below len(tails) so the max never ranges over an empty index
+    set.
     """
     tails = np.asarray(tails, dtype=np.float64)
     for shift in range(0, min(n_shift_max, tails.size - 1) + 1):

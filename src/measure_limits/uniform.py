@@ -19,15 +19,7 @@ import math
 from dataclasses import dataclass
 import numpy as np
 
-from .fatou import (
-    Scenario,
-    _cached,
-    abs_tail_curve,
-    convergence_evidence,
-    f_integral_series,
-    neg_tail_curve,
-    tv_series,
-)
+from .fatou import Scenario, convergence_evidence
 from .functions import FnSequence, PiecewiseFn
 from .integration import integrate
 from .kernels import comp_sum
@@ -207,7 +199,8 @@ class UniformReport:
 
 def uniform_report(sc: Scenario) -> UniformReport:
     """Observed gap trends against the two-condition characterizations,
-    computed once per scenario and shared by every check that reads it.
+    computed once per scenario (``Scenario.uniform_report``) and shared by
+    every check that reads it.
 
     The uniform Fatou property should hold exactly when the undershoot
     masses vanish and the negative parts are a.u.i.; the uniform
@@ -217,7 +210,7 @@ def uniform_report(sc: Scenario) -> UniformReport:
     on a closed-form fixture that is a fixture bug, on a document a window
     too short to judge.
     """
-    return _cached(sc, "uniform_report", lambda: _uniform_report_body(sc))
+    return sc.uniform_report
 
 
 def _uniform_report_body(sc: Scenario) -> UniformReport:
@@ -240,10 +233,10 @@ def _uniform_report_body(sc: Scenario) -> UniformReport:
     series = UniformGapSeries(sc.name, tuple(inf_gaps), tuple(sup_gaps),
                               tuple(under), tuple(inmeas), t.eps_cond)
 
-    tv = tv_series(sc)
+    tv = sc.tv_series
     w = sc.window_start
-    aui_neg = verdict(neg_tail_curve(sc), "aui", t.ui_tol).passes
-    aui_full = verdict(abs_tail_curve(sc), "aui", t.ui_tol).passes
+    aui_neg = verdict(sc.neg_tail_curve, "aui", t.ui_tol).passes
+    aui_full = verdict(sc.abs_tail_curve, "aui", t.ui_tol).passes
 
     gap_v = trend_vanishing(inf_gaps, w, t.ui_tol)
     sup_v = trend_vanishing(sup_gaps, w, t.ui_tol)
@@ -259,5 +252,5 @@ def _uniform_report_body(sc: Scenario) -> UniformReport:
         dct_predicted=dct_pred, dct_consistent=(sup_v == dct_pred),
         diagnostics={"weak_convergence": convergence_evidence(sc),
                      "window_start": w,
-                     "integral_series": f_integral_series(sc)},
+                     "integral_series": sc.f_integral_series},
     )

@@ -18,12 +18,11 @@ from measure_limits import (
     epi_integral,
     epi_liminf,
     epi_limsup,
+    first_shift,
     integrate,
     lebesgue,
     part,
-    shift_search,
     tail_curve,
-    tail_integral,
     tv_norm_diff,
     uniform_fatou_gap,
     uniform_report,
@@ -36,8 +35,6 @@ from measure_limits.fatou import (
     dct_report,
     fatou_report,
     minorant_check,
-    neg_part_seq,
-    neg_tail_curve,
     weakened_minorant_probe,
 )
 from measure_limits.gallery import staircase_tail_formula
@@ -64,14 +61,14 @@ def _report(criterion: str, ok: bool) -> None:
 def test_criterion_1_staircase_conformance():
     t0 = time.perf_counter()
     sc = gallery.build("staircase", n_max=64)
-    neg = neg_part_seq(sc)
     residual = 52.0 * 2.0 ** -50
     tol = 1e-9 + residual
     ks = [0.5] + [float(k) for k in range(1, 11)]
+    table = tail_curve(sc.neg_part_seq, sc.measures, ks).table
     ok = True
     for n in range(1, 65):
-        for k in ks:
-            got = tail_integral(neg, sc.measures, n, k)
+        for j, k in enumerate(ks):
+            got = table[n - 1, j]
             ok &= abs(got - staircase_tail_formula(k)) <= tol
         ok &= abs(integrate(sc.f_seq.fn(n), sc.measures.measure(n)) + 2.0) <= 1e-9
     elapsed = time.perf_counter() - t0
@@ -108,13 +105,13 @@ def test_criterion_2_dyadic_comb_conformance():
 
 def test_criterion_3_twin_spikes_conformance():
     sc = gallery.build("twin_spikes", n_max=100)
-    curve = neg_tail_curve(sc)
+    curve = sc.neg_tail_curve
     ok = bool(np.all(np.abs(curve.sup_curve - 1.0) <= 1e-12))
     ok &= bool(np.all(np.abs(curve.limsup_curve - 1.0) <= 1e-12))
     ok &= max(sc.k_grid) == 50.0
     ok &= not verdict(curve, "aui").passes
-    ok &= shift_search(neg_part_seq(sc), sc.measures, 1e-6,
-                       max(sc.k_grid), 50) is None
+    # the grid is sorted, so the last column is K = max(k_grid)
+    ok &= first_shift(curve.table[:, -1], 1e-6, 50) is None
     dct = dct_report(sc, equality_tol=1e-12)
     ok &= dct.conclusion == "holds"
     ok &= abs(dct.lim_lo) <= 1e-12 and abs(dct.lim_hi) <= 1e-12
@@ -162,21 +159,18 @@ def test_criterion_6_shift_equivalence_on_fixtures():
     ok = True
     # uniformly integrable family: asymptotic verdict true, shift exists (0)
     sc = gallery.build("staircase", n_max=64)
-    aui = verdict(neg_tail_curve(sc), "aui").passes
-    shift = shift_search(neg_part_seq(sc), sc.measures, 1e-6,
-                         max(sc.k_grid), 50)
+    aui = verdict(sc.neg_tail_curve, "aui").passes
+    shift = first_shift(sc.neg_tail_curve.table[:, -1], 1e-6, 50)
     ok &= aui is True and shift == 0
     # spikes: verdict false, shift absent
     sc = gallery.build("twin_spikes", n_max=100)
-    aui = verdict(neg_tail_curve(sc), "aui").passes
-    shift = shift_search(neg_part_seq(sc), sc.measures, 1e-6,
-                         max(sc.k_grid), 50)
+    aui = verdict(sc.neg_tail_curve, "aui").passes
+    shift = first_shift(sc.neg_tail_curve.table[:, -1], 1e-6, 50)
     ok &= aui is False and shift is None
     # one bad leading index: verdict true, shift exactly 1
     sc = gallery.build("staircase_late_start", n_max=65)
-    aui = verdict(neg_tail_curve(sc), "aui").passes
-    shift = shift_search(neg_part_seq(sc), sc.measures, 1e-6,
-                         max(sc.k_grid), 50)
+    aui = verdict(sc.neg_tail_curve, "aui").passes
+    shift = first_shift(sc.neg_tail_curve.table[:, -1], 1e-6, 50)
     ok &= aui is True and shift == 1
     _report("6 verdict/shift equivalence on fixtures", ok)
 

@@ -98,6 +98,27 @@ def test_check_nmax_override(tmp_path):
     assert main(["check", str(path), "--nmax", "0"]) == 1
 
 
+def test_check_overrides_apply_before_the_one_validation(tmp_path, capsys):
+    from measure_limits import doc_hash
+    # an override replaces its field, even an invalid value of it, and the
+    # rest of the document is read as written (-0.0 stays a float)
+    doc = dict(HOLDS_DOC, n_max="four", tolerances={"tol": -1.0},
+               space={"lo": -0.0, "hi": 1.0})
+    src = write(tmp_path, doc)
+    assert main(["check", str(src)]) == 1
+    out = tmp_path / "report.json"
+    assert main(["check", str(src), "--tol", "1e-6", "--nmax", "4",
+                 "--out", str(out)]) == 0
+    report = json.loads(out.read_text())
+    assert report["scenario_hash"] == doc_hash(
+        dict(doc, n_max=4, tolerances={"tol": 1e-6}))
+    capsys.readouterr()
+    assert main(["check", str(src), "--tol", "nan", "--nmax", "4"]) == 1
+    err = capsys.readouterr().err
+    assert "$.tolerances.tol: not a number: nan" in err
+    assert "Traceback" not in err
+
+
 def test_gallery_list(capsys):
     assert main(["gallery", "list"]) == 0
     out = capsys.readouterr().out

@@ -11,16 +11,14 @@ from measure_limits import (
     PiecewiseFn,
     check_tail_table,
     constant_measures,
+    first_shift,
     lebesgue,
     part,
     tail_curve,
-    tail_integral,
     verdict,
-    shift_search,
     zero_fn,
 )
 from measure_limits import gallery
-from measure_limits.fatou import neg_part_seq
 
 from helpers import constant_seq, scan_tail, zero_seq
 
@@ -29,33 +27,40 @@ DOM = Interval(0.0, 1.0)
 
 def staircase_pair(n_max=16):
     sc = gallery.build("staircase", n_max=n_max)
-    return neg_part_seq(sc), sc.measures, sc
+    return sc.neg_part_seq, sc.measures, sc
 
 
 def spikes_pair(n_max=50):
     sc = gallery.build("twin_spikes", n_max=n_max)
-    return neg_part_seq(sc), sc.measures, sc
+    return sc.neg_part_seq, sc.measures, sc
+
+
+def tail_at(seq, measures, n, k):
+    """Tail of index n at level k, read off a one-level tail curve."""
+    return float(tail_curve(seq, measures, (k,)).table[n - 1, 0])
 
 
 def test_staircase_tail_closed_form():
     neg, measures, _ = staircase_pair()
+    table = tail_curve(neg, measures, (2.5, 3.0)).table
     # ceil(3) = 3: (3+1)/2^2 = 1
     for n in (1, 5, 16):
-        assert tail_integral(neg, measures, n, 3.0) == pytest.approx(1.0, abs=1e-12)
-        assert tail_integral(neg, measures, n, 2.5) == pytest.approx(1.0, abs=1e-12)
+        assert table[n - 1, 1] == pytest.approx(1.0, abs=1e-12)
+        assert table[n - 1, 0] == pytest.approx(1.0, abs=1e-12)
 
 
 def test_spike_tail_is_one_below_index():
     neg, measures, _ = spikes_pair()
-    for n, k in [(10, 5.0), (10, 10.0), (40, 40.0)]:
-        assert tail_integral(neg, measures, n, k) == pytest.approx(1.0, abs=1e-15)
-    assert tail_integral(neg, measures, 10, 10.5) == 0.0
+    curve = tail_curve(neg, measures, (5.0, 10.0, 10.5, 40.0))
+    for n, j in [(10, 0), (10, 1), (40, 3)]:
+        assert curve.table[n - 1, j] == pytest.approx(1.0, abs=1e-15)
+    assert curve.table[10 - 1, 2] == 0.0
 
 
 def test_tail_zero_above_uniform_bound():
     seq = constant_seq(PiecewiseFn([0.0, 1.0], [-3.0], 0.0, DOM), 4)
     measures = constant_measures(lebesgue(0.0, 1.0), 4)
-    assert tail_integral(seq, measures, 2, 3.5) == 0.0
+    assert tail_at(seq, measures, 2, 3.5) == 0.0
 
 
 def test_tail_against_scan_oracle():
@@ -64,7 +69,7 @@ def test_tail_against_scan_oracle():
     for _ in range(25):
         n = int(rng.integers(1, 17))
         k = float(rng.uniform(0.5, 12.0))
-        assert tail_integral(neg, measures, n, k) == pytest.approx(
+        assert tail_at(neg, measures, n, k) == pytest.approx(
             scan_tail(neg.fn(n), measures.measure(n), k), abs=1e-12)
 
 
@@ -107,29 +112,35 @@ def test_spikes_fail_aui_on_capped_grid():
     assert not verdict(curve, "ui").passes
 
 
-def test_shift_search_first_index_offender():
+def top_level_shift(seq, measures, tol, k_max, n_shift_max):
+    """First shift of the tails at level k_max, read off a tail curve."""
+    curve = tail_curve(seq, measures, (k_max,))
+    return first_shift(curve.table[:, -1], tol, n_shift_max)
+
+
+def test_first_shift_first_index_offender():
     bad = PiecewiseFn([0.0, 1.0], [math.inf], 0.0, DOM)
     fns = [bad] + [zero_fn(DOM)] * 5
     seq = FnSequence(6, lambda n: fns[n - 1])
     measures = constant_measures(lebesgue(0.0, 1.0), 6)
-    assert shift_search(seq, measures, 1e-6, 4.0, 5) == 1
+    assert top_level_shift(seq, measures, 1e-6, 4.0, 5) == 1
 
 
-def test_shift_search_zero_for_uniform_family():
-    neg, measures, sc = staircase_pair()
-    assert shift_search(neg, measures, 1e-6, max(sc.k_grid), 10) == 0
+def test_first_shift_zero_for_uniform_family():
+    _, _, sc = staircase_pair()
+    assert first_shift(sc.neg_tail_curve.table[:, -1], 1e-6, 10) == 0
 
 
-def test_shift_search_absent_for_spikes():
-    neg, measures, sc = spikes_pair()
-    assert shift_search(neg, measures, 1e-6, max(sc.k_grid), 50) is None
+def test_first_shift_absent_for_spikes():
+    _, _, sc = spikes_pair()
+    assert first_shift(sc.neg_tail_curve.table[:, -1], 1e-6, 50) is None
 
 
-def test_shift_search_never_empties_the_range():
+def test_first_shift_never_empties_the_range():
     seq = constant_seq(PiecewiseFn([0.0, 1.0], [-5.0], 0.0, DOM), 3)
     measures = constant_measures(lebesgue(0.0, 1.0), 3)
     # tails never vanish at k=2 < 5, and N must stay < n_max
-    assert shift_search(seq, measures, 1e-6, 2.0, 99) is None
+    assert top_level_shift(seq, measures, 1e-6, 2.0, 99) is None
 
 
 def test_table_check_staircase_holds_without_shift():
@@ -181,10 +192,9 @@ def test_single_function_family_as_constant_sequence():
 
 def test_comb_negative_part_curves_flat_below_window_power():
     from measure_limits import gallery
-    from measure_limits.fatou import neg_tail_curve
     import math as _m
     sc = gallery.build("dyadic_comb", n_max=20)
-    curve = neg_tail_curve(sc)
+    curve = sc.neg_tail_curve
     # window starts at 13 and the grid tops out at 4096 = 2^12 < 2^13, so
     # both aggregates sit at the constant cliff mass 1/(2 ln 2)
     level = 1.0 / (2.0 * _m.log(2.0))

@@ -8,13 +8,16 @@ the report bytes stay the same.  The ``dyadic_comb`` fixture's count of
 ``values_at`` searches pins that the values of g_n's up to 2M cells are
 copied, not searched, and its counts of large ``np.unique`` calls and of
 ``math.fsum`` fallbacks pin that its 2M-edge refinements are merged, not
-sorted again, and that its kernel sums are certified in numpy.
+sorted again, and that its kernel sums are certified in numpy.  The
+gallery's refinement counts pin that its tail and shift checks read one
+tail curve per family instead of refining each (n, K) entry afresh.
 """
 
 import json
 import sys
 
 import numpy as np
+import pytest
 
 from measure_limits import (
     PiecewiseFn, gallery, integration, kernels, refinement, scenario, tails,
@@ -52,7 +55,7 @@ def test_one_check_computes_each_shared_quantity_once(tmp_path, monkeypatch,
     src.write_text(json.dumps(doc), encoding="utf-8")
     bodies = count_calls(monkeypatch, uniform, "_uniform_report_body")
     tv = count_calls(monkeypatch, integration, "tv_norm_diff")
-    tail = count_calls(monkeypatch, tails, "tail_integral")
+    curves = count_calls(monkeypatch, tails, "tail_curve")
     tail_rows = count_calls(monkeypatch, kernels, "tail_dot")
     refinements = count_calls(monkeypatch, refinement, "common_refinement")
 
@@ -65,7 +68,8 @@ def test_one_check_computes_each_shared_quantity_once(tmp_path, monkeypatch,
 
     assert len(bodies) == 1
     assert len(tv) == N_MAX
-    assert len(tail) == 0
+    # the negative-part and the full-family tail curve, once each
+    assert len(curves) == 2
     # one kernel call per tail-curve row: the negative-part and the
     # full-family curve, one row per index
     assert len(tail_rows) == 2 * N_MAX
@@ -77,17 +81,34 @@ def test_one_check_computes_each_shared_quantity_once(tmp_path, monkeypatch,
     assert len(refinements) == 110
 
 
-def test_one_check_parses_each_spec_once(tmp_path, monkeypatch):
+@pytest.mark.parametrize("flags", [[], ["--tol", "1e-4"]])
+def test_one_check_parses_each_spec_once(tmp_path, monkeypatch, flags):
     # validation keeps what it parses, and building the scenario reuses it:
-    # 12 f_n, 12 g_n and the limit function; 12 mu_n and the limit measure
+    # 12 f_n, 12 g_n and the limit function; 12 mu_n and the limit measure;
+    # a --tol or --nmax override is applied before that one validation
     doc = fatou_random_document(np.random.default_rng(0), n_max=N_MAX)
     src = tmp_path / "doc.json"
     src.write_text(json.dumps(doc), encoding="utf-8")
     fns = count_calls(monkeypatch, scenario, "parse_fn_spec")
     measures = count_calls(monkeypatch, scenario, "parse_measure_spec")
-    assert main(["check", str(src), "--out", str(tmp_path / "r.json")]) == 2
+    assert main(["check", str(src), "--out", str(tmp_path / "r.json")]
+                + flags) == 2
     assert len(fns) == 2 * N_MAX + 1
     assert len(measures) == N_MAX + 1
+
+
+@pytest.mark.parametrize("fixture, expected", [
+    # the closed-form tail check is one 64-row curve, and the shift is
+    # read off the negative-part curve the verdicts already computed
+    ("staircase", 327),
+    ("staircase_late_start", 65),
+    ("twin_spikes", 805),
+])
+def test_gallery_run_refines_each_pairing_once_per_curve(monkeypatch, fixture,
+                                                         expected):
+    refinements = count_calls(monkeypatch, refinement, "common_refinement")
+    assert gallery.run(fixture).failures == 0
+    assert len(refinements) == expected
 
 
 def test_known_checks_and_the_runner_registry_agree():
