@@ -29,7 +29,7 @@ import numpy as np
 from .functions import EpiCertificate, FnSequence, PiecewiseFn
 from .kernels import comp_sum, pos_neg_dot
 from .measures import FiniteMeasure
-from .refinement import common_refinement, fn_cell_values, measure_cell_masses
+from .refinement import family_pairing
 from .xreal import (
     Interval,
     MalformedObjectError,
@@ -323,10 +323,10 @@ def epi_limit_exists(seq: FnSequence, grid, sched: EpiSchedule, tol: float,
 
 def _cert_disagreement_mass(lo_cert: EpiCertificate, hi_cert: EpiCertificate,
                             m: FiniteMeasure, tol: float) -> float:
-    p = common_refinement([lo_cert.fn, hi_cert.fn, m])
-    lv = fn_cell_values(lo_cert.fn, p)
-    hv = fn_cell_values(hi_cert.fn, p)
-    masses = measure_cell_masses(m, p)
+    p = next(family_pairing([((lo_cert.fn, hi_cert.fn), (m,))]))
+    cells = slice(0, int(p.n_cells[0]))
+    lv, hv = p.values[0][cells], p.values[1][cells]
+    masses = p.masses[0][cells]
     with np.errstate(invalid="ignore"):
         both_inf = np.isinf(lv) & np.isinf(hv) & (np.sign(lv) == np.sign(hv))
         diff = np.where(both_inf, 0.0, np.abs(hv - lv))
@@ -346,9 +346,9 @@ def _integrate_certificate(cert: EpiCertificate, m: FiniteMeasure,
                            direction: str) -> float:
     """Exact integral of a certificate: cells pointwise, atoms by
     envelope/override in the certificate's semicontinuity direction."""
-    p = common_refinement([cert.fn, m])
-    vals = fn_cell_values(cert.fn, p)
-    masses = measure_cell_masses(m, p)
+    p = next(family_pairing([((cert.fn,), (m,))]))
+    cells = slice(0, int(p.n_cells[0]))
+    vals, masses = p.values[0][cells], p.masses[0][cells]
     if m.atom_locs.size:
         avals = np.asarray([cert.value_at(float(loc), direction)
                             for loc in m.atom_locs])

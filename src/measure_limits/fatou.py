@@ -21,7 +21,7 @@ import numpy as np
 
 from .epilimits import EXACT, EpiSchedule, epi_integral, epi_limit_exists
 from .functions import FnSequence, PiecewiseFn, dominates, part
-from .integration import integrate, tv_norm_diff
+from .integration import integral_series, tv_series
 from .measures import FiniteMeasure, MeasureSequence
 from .tails import (
     DEFAULT_K_GRID,
@@ -150,8 +150,9 @@ class Scenario:
     @cached_property
     def tv_series(self) -> tuple[float, ...]:
         """Total-variation distances ||mu_n - mu|| for n = 1..n_max."""
-        return tuple(tv_norm_diff(self.measures.measure(n), self.limit_measure)
-                     for n in range(1, self.n_max + 1))
+        return tuple(tv_series((self.measures.measure(n)
+                                for n in range(1, self.n_max + 1)),
+                               self.limit_measure))
 
     @cached_property
     def uniform_report(self):
@@ -216,8 +217,9 @@ def _gap(rhs: float, lhs: float) -> float:
 
 
 def _integral_series(seq: FnSequence, measures: MeasureSequence) -> list[float]:
-    return [integrate(seq.fn(n), measures.measure(n))
-            for n in range(1, seq.n_max + 1)]
+    indices = range(1, seq.n_max + 1)
+    return list(integral_series((seq.fn(n) for n in indices),
+                                (measures.measure(n) for n in indices)))
 
 
 def _dominance_all(upper: FnSequence, lower: FnSequence):

@@ -227,7 +227,19 @@ def _canonicalize(bp: np.ndarray, vals: np.ndarray, default: float
         return np.empty(0), np.empty(0)
     keep = np.ones(bp.size, dtype=bool)
     keep[1:-1] = vals[1:] != vals[:-1]
+    if keep.all():
+        # nothing to merge: the arrays are copied whole (read-only inputs,
+        # such as another function's, are shared as they are)
+        return _own(bp), _own(vals)
     return np.ascontiguousarray(bp[keep]), np.ascontiguousarray(vals[keep[:-1]])
+
+
+def _own(a: np.ndarray) -> np.ndarray:
+    """a itself when it is read-only and contiguous, else a contiguous copy,
+    so that freezing the result never freezes a caller's array."""
+    if a.flags.writeable or not a.flags.c_contiguous:
+        return np.array(a)
+    return a
 
 
 def zero_fn(domain: Interval) -> PiecewiseFn:

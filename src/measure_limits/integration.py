@@ -6,36 +6,48 @@ diverge the integral is undefined and raising is the contract.  All cell
 reductions run through ``kernels``, whose sums are exactly rounded
 (equal to ``math.fsum`` of the same terms; large arrays are summed in
 numpy with a certified error bound), so they do not depend on the order
-of the cells.
+of the cells.  A series over the indices of a family is computed by
+ragged family passes (``refinement.family_pairing``) and read lazily, so
+it raises at the first index that fails; ``integrate``, ``tv_norm_diff``
+and ``integrate_ramp`` are the same passes over one index.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from typing import Iterable, Iterator
 
 import numpy as np
 
 from .functions import PiecewiseFn, Ramp, constant_fn
-from .kernels import comp_sum, pos_neg_dot
+from .kernels import pos_neg_dots, ragged_sums
 from .measures import FiniteMeasure, MeasureSequence
-from .refinement import (
-    atom_weights_at,
-    common_refinement,
-    measure_cell_masses,
-    refined_values_masses,
-)
+from .refinement import fn_measure_rows, reduce_family
 from .xreal import DomainMismatchError, UnsupportedScenarioError, integral_of_parts
 
 __all__ = [
-    "integrate", "integrate_parts", "tv_norm_diff", "integrate_ramp",
-    "default_bank", "weak_gap_bank", "WeakGapSeries",
+    "integrate", "integral_series", "tv_norm_diff",
+    "tv_series", "integrate_ramp", "default_bank", "weak_gap_bank",
+    "WeakGapSeries",
 ]
 
 
-def integrate_parts(f: PiecewiseFn, m: FiniteMeasure) -> tuple[float, float]:
-    """(positive-part, negative-part) integrals; either may be +inf."""
-    return pos_neg_dot(*refined_values_masses(f, m))
+def _integrals(rows) -> Iterator[float]:
+    """The integral of each (f, m) row: the difference of its positive-
+    and negative-part integrals."""
+    parts = reduce_family(rows, lambda p: pos_neg_dots(
+        p.values[0], p.masses[0], p.offsets))
+    for pos, neg in parts:
+        yield integral_of_parts(pos, neg,
+                                "both positive and negative parts diverge")
+
+
+def integral_series(fns: Iterable[PiecewiseFn],
+                    measures: Iterable[FiniteMeasure]) -> Iterator[float]:
+    """The integral of each f_n against its mu_n, from ragged family
+    passes; read lazily, it raises at the first index that fails."""
+    return _integrals(fn_measure_rows(fns, measures))
 
 
 def integrate(f: PiecewiseFn, m: FiniteMeasure) -> float:
@@ -43,20 +55,95 @@ def integrate(f: PiecewiseFn, m: FiniteMeasure) -> float:
 
     Raises UndefinedIntegralError when both parts are infinite.
     """
-    return integral_of_parts(*integrate_parts(f, m),
-                             "both positive and negative parts diverge")
+    return next(integral_series([f], [m]))
+
+
+def tv_series(measures: Iterable[FiniteMeasure],
+              limit: FiniteMeasure) -> Iterator[float]:
+    """Total-variation norm of mu_n - mu for each mu_n, from ragged
+    family passes: the sum of |mass difference| over each index's cells
+    and atoms."""
+    def rows():
+        for m in measures:
+            if m.domain != limit.domain:
+                raise DomainMismatchError(
+                    "total-variation distance requires one domain")
+            yield (), (m, limit)
+
+    return reduce_family(rows(), lambda p: ragged_sums(
+        np.abs(p.masses[0] - p.masses[1]), p.offsets))
 
 
 def tv_norm_diff(a: FiniteMeasure, b: FiniteMeasure) -> float:
     """Total-variation norm of a - b: positive plus negative Hahn mass."""
-    if a.domain != b.domain:
-        raise DomainMismatchError("total-variation distance requires one domain")
-    p = common_refinement([a, b])
-    diffs = measure_cell_masses(a, p) - measure_cell_masses(b, p)
-    if p.atoms.size:
-        diffs = np.concatenate([
-            diffs, atom_weights_at(a, p.atoms) - atom_weights_at(b, p.atoms)])
-    return comp_sum(np.abs(diffs))
+    return next(tv_series([a], b))
+
+
+def _ramp_integrals(ramps: list, measures: list) -> Iterator[float]:
+    """Exact integral of each ramp against each measure, measure by
+    measure: one vectorized pass per ramp over all the measures' atoms and
+    density cells, read lazily.
+
+    A density cell is cut at the ramp's nodes inside it and each piece
+    adds its trapezoid rho * (b - a) * (y(a) + y(b)) / 2.  Analytic
+    segments are accepted only where the ramp is constant; the CDF alone
+    does not determine first moments, and guessing is worse than refusing.
+    """
+    if not ramps:
+        return
+    n_ramps = len(ramps)
+    keys, terms = [], []
+    locs = np.concatenate([m.atom_locs for m in measures] + [np.empty(0)])
+    weights = np.concatenate([m.atom_weights for m in measures] + [np.empty(0)])
+    atom_of = np.repeat(np.arange(len(measures)),
+                        [m.atom_locs.size for m in measures])
+    lo = np.concatenate([m.cell_los for m in measures] + [np.empty(0)])
+    hi = np.concatenate([m.cell_his for m in measures] + [np.empty(0)])
+    rho = np.concatenate([m.cell_densities for m in measures] + [np.empty(0)])
+    cell_of = np.repeat(np.arange(len(measures)),
+                        [m.cell_los.size for m in measures])
+    live = rho != 0.0
+    lo, hi, rho, cell_of = lo[live], hi[live], rho[live], cell_of[live]
+    for j, r in enumerate(ramps):
+        xs = np.asarray(r.xs)
+        keys.append(atom_of * n_ramps + j)
+        terms.append(weights * np.interp(locs, xs, r.ys))
+        # each cell's ends with the ramp's nodes clipped into it: the
+        # pieces of positive length are the cell cut at its inner nodes
+        pts = np.concatenate([lo[:, None],
+                              np.clip(xs[None, :], lo[:, None], hi[:, None]),
+                              hi[:, None]], axis=1)
+        y = np.interp(pts, xs, r.ys)
+        a, b = pts[:, :-1], pts[:, 1:]
+        piece = b > a
+        keys.append(np.broadcast_to((cell_of * n_ramps + j)[:, None],
+                                    piece.shape)[piece])
+        terms.append((rho[:, None] * (b - a) * (y[:, :-1] + y[:, 1:])
+                      / 2.0)[piece])
+    rejected = set()
+    for i, m in enumerate(measures):
+        for seg in m.segments:
+            for j, r in enumerate(ramps):
+                y0 = r(seg.lo)
+                varying = [x for x in r.xs
+                           if seg.lo < x < seg.hi and r(x) != y0]
+                hi_probe = (seg.hi if math.isfinite(seg.hi)
+                            else max(r.xs[-1] + 1.0, seg.lo + 1.0))
+                if varying or r(hi_probe) != y0:
+                    rejected.add(i * n_ramps + j)
+                keys.append(np.asarray([i * n_ramps + j]))
+                terms.append(np.asarray([y0 * seg.total]))
+    keys = np.concatenate(keys + [np.empty(0, dtype=np.intp)])
+    terms = np.concatenate(terms + [np.empty(0)])
+    order = np.argsort(keys, kind="stable")
+    offsets = np.searchsorted(keys[order], np.arange(len(measures) * n_ramps + 1))
+    totals = ragged_sums(terms[order], offsets)
+    for pair in range(len(measures) * n_ramps):
+        # the segment check comes before the pair's sum, as in one call
+        if pair in rejected:
+            raise UnsupportedScenarioError(
+                "ramp varies over an analytic segment; use a step-function bank")
+        yield next(totals)
 
 
 def integrate_ramp(r: Ramp, m: FiniteMeasure) -> float:
@@ -66,35 +153,35 @@ def integrate_ramp(r: Ramp, m: FiniteMeasure) -> float:
     segments are accepted only where the ramp is constant; the CDF alone
     does not determine first moments, and guessing is worse than refusing.
     """
-    terms = [w * r(loc) for loc, w in zip(m.atom_locs, m.atom_weights)]
-    nodes = np.asarray(r.xs)
-    for lo, hi, rho in zip(m.cell_los, m.cell_his, m.cell_densities):
-        if rho == 0.0:
-            continue
-        inner = nodes[(nodes > lo) & (nodes < hi)]
-        edges = np.concatenate([[lo], inner, [hi]])
-        for a, b in zip(edges, edges[1:]):
-            ya, yb = r(a), r(b)
-            terms.append(rho * (b - a) * (ya + yb) / 2.0)
-    for seg in m.segments:
-        y0 = r(seg.lo)
-        varying = [x for x in r.xs if seg.lo < x < seg.hi and r(x) != y0]
-        hi_probe = seg.hi if math.isfinite(seg.hi) else max(r.xs[-1] + 1.0, seg.lo + 1.0)
-        if varying or r(hi_probe) != y0:
-            raise UnsupportedScenarioError(
-                "ramp varies over an analytic segment; use a step-function bank")
-        terms.append(y0 * seg.total)
-    return comp_sum(np.asarray(terms)) if terms else 0.0
+    return next(_ramp_integrals([r], [m]))
 
 
-def _bank_eval(h, m: FiniteMeasure) -> float:
-    if isinstance(h, Ramp):
-        return integrate_ramp(h, m)
-    if isinstance(h, PiecewiseFn):
-        if not h.is_bounded():
-            raise UnsupportedScenarioError("bank functions must be bounded")
-        return integrate(h, m)
-    raise TypeError(f"bank entries must be PiecewiseFn or Ramp, got {type(h).__name__}")
+def _bank_integrals(bank: list, measures: list) -> Iterator[float]:
+    """The integral of every bank entry against every measure, measure by
+    measure and entry by entry in bank order, read lazily: step entries
+    through ragged family passes, ramps through one vectorized pass."""
+    steps = [h for h in bank if isinstance(h, PiecewiseFn)]
+
+    def step_rows():
+        for m in measures:
+            for h in steps:
+                if not h.is_bounded():
+                    raise UnsupportedScenarioError(
+                        "bank functions must be bounded")
+                yield from fn_measure_rows([h], [m])
+
+    step_values = _integrals(step_rows())
+    ramp_values = _ramp_integrals([h for h in bank if isinstance(h, Ramp)],
+                                  measures)
+    for _ in measures:
+        for h in bank:
+            if isinstance(h, Ramp):
+                yield next(ramp_values)
+            elif isinstance(h, PiecewiseFn):
+                yield next(step_values)
+            else:
+                raise TypeError("bank entries must be PiecewiseFn or Ramp, "
+                                f"got {type(h).__name__}")
 
 
 @dataclass(frozen=True)
@@ -133,10 +220,18 @@ def default_bank(limit: FiniteMeasure) -> list:
 def weak_gap_bank(measures: MeasureSequence, limit: FiniteMeasure, bank,
                   certificate: str = "none") -> WeakGapSeries:
     bank = list(bank)
-    base = [_bank_eval(h, limit) for h in bank]
+    ms, error = [limit], None
+    try:
+        for n in range(1, measures.n_max + 1):
+            ms.append(measures.measure(n))
+    except Exception as exc:  # raised after the indices before it
+        error = exc
+    values = _bank_integrals(bank, ms)
+    base = [next(values) for _ in bank]
     gaps = []
-    for n in range(1, measures.n_max + 1):
-        mn = measures.measure(n)
-        gaps.append(max((abs(_bank_eval(h, mn) - b) for h, b in zip(bank, base)),
-                        default=0.0))
+    for _ in ms[1:]:
+        row = [next(values) for _ in bank]
+        gaps.append(max((abs(v - b) for v, b in zip(row, base)), default=0.0))
+    if error is not None:
+        raise error
     return WeakGapSeries(tuple(gaps), len(bank), certificate)

@@ -11,14 +11,22 @@ proven bound; when that bound cannot certify the rounded result, or a
 term is not finite, or partial sums could come near the double range,
 the terms go to ``math.fsum`` in cell order instead.  So
 ``OverflowError`` for a finite sum past the double range, ``ValueError``
-for inf + -inf and inf results are ``math.fsum``'s own.  Refinements can
-reach millions of cells; ``perfbench/`` times the kernels inside
-end-to-end runs.
+for inf + -inf and inf results are ``math.fsum``'s own.
+
+Every kernel takes ragged arrays: the ``offsets`` of a family pairing
+split them into one run of cells per index (see
+``refinement.family_pairing``), the masks and products are formed once
+for all the runs, and the per-index sums are computed as the caller asks
+for them, so a caller that reduces index by index raises at the first
+index that fails.  ``pos_neg_dot`` and ``tail_dot`` are the one-run calls.
+Refinements can reach millions of cells; ``perfbench/`` times the kernels
+inside end-to-end runs.
 """
 
 from __future__ import annotations
 
 import math
+from typing import Iterator
 
 import numpy as np
 
@@ -128,13 +136,55 @@ def union_edges(pieces) -> np.ndarray:
     return np.insert(big, at[new], rest[new])
 
 
-def pos_neg_dot(values, masses) -> tuple[float, float]:
-    """(pos, neg): the positive- and negative-part integrals of a pairing.
+def _bounds(mask: np.ndarray, offsets) -> np.ndarray:
+    """Where each run of ``offsets`` starts among the entries of ``mask``,
+    counted in order: the run bounds of ``x[mask]``."""
+    if len(offsets) == 2 and offsets[0] == 0 and offsets[1] == mask.size:
+        return np.asarray([0, np.count_nonzero(mask)])
+    return np.searchsorted(np.flatnonzero(mask), offsets)
+
+
+def _run_sum(terms: np.ndarray, t_list, lo: int, hi: int) -> float:
+    """Exactly rounded sum of ``terms[lo:hi]``; ``t_list`` is
+    ``terms.tolist()`` when terms is too short for the numpy tree."""
+    if t_list is not None:
+        return math.fsum(t_list[lo:hi]) + 0.0
+    return _fsum(terms[lo:hi])
+
+
+def _sums(terms: np.ndarray, bounds) -> Iterator[float]:
+    """Exactly rounded sum of each run ``terms[bounds[i]:bounds[i + 1]]``,
+    computed when it is asked for."""
+    b = list(bounds)
+    t_list = terms.tolist() if terms.size < _TREE_MIN else None
+    for lo, hi in zip(b, b[1:]):
+        yield _run_sum(terms, t_list, lo, hi)
+
+
+def ragged_sums(xs, offsets, mask=None) -> Iterator[float]:
+    """Per run, the exactly rounded sum of xs over the entries of ``mask``
+    (all entries when it is None)."""
+    x = np.asarray(xs, dtype=np.float64)
+    if mask is None:
+        return _sums(x, np.asarray(offsets).tolist())
+    return _sums(x[mask], _bounds(mask, offsets).tolist())
+
+
+def sign_sums(xs, offsets) -> Iterator[tuple[float, float]]:
+    """Per run, (sum of the positive entries, sum of the negative entries),
+    each exactly rounded: the Hahn masses of a signed cell measure, the
+    negative one with its sign."""
+    x = np.asarray(xs, dtype=np.float64)
+    return zip(ragged_sums(x, offsets, x > 0.0), ragged_sums(x, offsets, x < 0.0))
+
+
+def pos_neg_dots(values, masses, offsets) -> Iterator[tuple[float, float]]:
+    """Per run, (pos, neg): the positive- and negative-part integrals.
 
     pos sums v * m over the cells with v > 0, neg sums -v * m over the
     cells with v < 0.  Cells with zero mass contribute nothing whatever
     their value (0 * inf = 0); an infinite value on positive mass makes
-    its part +inf.
+    its part +inf.  Each run sums pos before neg.
     """
     v, m = _pair(values, masses)
     # the products are formed once: -(v * m) is (-v) * m exactly
@@ -144,26 +194,38 @@ def pos_neg_dot(values, masses) -> tuple[float, float]:
     pos_cells = live & (v > 0.0)
     neg_cells = live & ~(v >= 0.0)  # v < 0, or NaN
     inf = np.isinf(v)
-    pos_inf = neg_inf = False
+    runs = len(offsets) - 1
+    pos_inf = neg_inf = [False] * runs
     if inf.any():
-        pos_inf = bool(np.count_nonzero(pos_cells & inf))
-        neg_inf = bool(np.count_nonzero(neg_cells & inf))
+        pos_inf = (np.diff(_bounds(pos_cells & inf, offsets)) > 0).tolist()
+        neg_inf = (np.diff(_bounds(neg_cells & inf, offsets)) > 0).tolist()
         pos_cells &= ~inf
         neg_cells &= ~inf
-    pos = _fsum(prod[pos_cells])
+    pos = _sums(prod[pos_cells], _bounds(pos_cells, offsets).tolist())
     neg_terms = prod[neg_cells]
-    neg = _fsum(np.negative(neg_terms, out=neg_terms))
-    return math.inf if pos_inf else pos, math.inf if neg_inf else neg
+    neg = _sums(np.negative(neg_terms, out=neg_terms),
+                _bounds(neg_cells, offsets).tolist())
+    del prod, live, pos_cells, neg_cells, inf, neg_terms
+    for p_inf, n_inf, p, n in zip(pos_inf, neg_inf, pos, neg):
+        yield math.inf if p_inf else p, math.inf if n_inf else n
 
 
-def tail_dot(values, masses, ks) -> np.ndarray:
-    """Tail row over a K grid: entry j sums |v| * m over the cells with
-    |v| >= ks[j].
+def pos_neg_dot(values, masses) -> tuple[float, float]:
+    """``pos_neg_dots`` of one run."""
+    v, m = _pair(values, masses)
+    return next(pos_neg_dots(v, m, (0, v.size)))
+
+
+def tail_dots(values, masses, offsets, ks) -> Iterator[np.ndarray]:
+    """Per run, the tail row over a K grid: entry j sums |v| * m over the
+    cells with |v| >= ks[j].
 
     The threshold is inclusive and ``ks`` may be in any order and repeat.
     Zero-mass cells contribute nothing, and an infinite |v| on positive
     mass at or above ks[j] makes entry j +inf.  The products are formed
-    once for the whole grid, and each entry is an exactly rounded sum.
+    once, each threshold selects its cells in all runs at once, and each
+    entry is an exactly rounded sum of its terms in cell order; a run
+    whose sums fail raises the error of its first failing entry.
     """
     v, m = _pair(values, masses)
     ks = np.asarray(ks, dtype=np.float64)
@@ -171,15 +233,38 @@ def tail_dot(values, masses, ks) -> np.ndarray:
         raise ValueError("ks must be a 1-d grid of thresholds")
     a = np.abs(v)
     live = m != 0.0
-    a, m = a[live], m[live]
     inf = np.isinf(a)
-    has_inf = bool(np.count_nonzero(inf))
-    a, m = a[~inf], m[~inf]
+    has_inf = (np.diff(_bounds(live & inf, offsets)) > 0).tolist()
+    keep = live & ~inf
+    a, m = a[keep], m[keep]
     with np.errstate(over="ignore"):
         terms = a * m
-    row = np.empty(ks.size)
-    for j, k in enumerate(ks.tolist()):
-        s = _fsum(terms[a >= k])
-        # an infinite |v| is >= every threshold but NaN
-        row[j] = math.inf if has_inf and math.inf >= k else s
-    return row
+    runs = _bounds(keep, offsets)
+    grid = ks.tolist()
+    table = np.empty((runs.size - 1, len(grid)))
+    failed: dict = {}
+    for j, k in enumerate(grid):
+        sel = a >= k
+        t = terms[sel]
+        t_list = t.tolist() if t.size < _TREE_MIN else None
+        b = _bounds(sel, runs).tolist()
+        for i in range(len(b) - 1):
+            if i in failed:
+                continue
+            try:
+                s = _run_sum(t, t_list, b[i], b[i + 1])
+            except (OverflowError, ValueError) as exc:
+                failed[i] = exc
+                continue
+            # an infinite |v| is >= every threshold but NaN
+            table[i, j] = math.inf if has_inf[i] and math.inf >= k else s
+    for i, row in enumerate(table):
+        if i in failed:
+            raise failed[i]
+        yield row
+
+
+def tail_dot(values, masses, ks) -> np.ndarray:
+    """``tail_dots`` of one run."""
+    v, m = _pair(values, masses)
+    return next(tail_dots(v, m, (0, v.size), ks))

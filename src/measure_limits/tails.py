@@ -17,9 +17,9 @@ from typing import Optional
 import numpy as np
 
 from .functions import FnSequence
-from .kernels import tail_dot
+from .kernels import tail_dots
 from .measures import MeasureSequence
-from .refinement import refined_values_masses
+from .refinement import fn_measure_rows, reduce_family
 from .xreal import MalformedObjectError
 
 DEFAULT_K_GRID: tuple[float, ...] = tuple(2.0 ** j for j in range(-1, 13))
@@ -69,7 +69,9 @@ def tail_curve(seq: FnSequence, measures: MeasureSequence,
                stab_tol: float = 1e-9) -> TailCurve:
     """Table of the integrals of |f_n| over {|f_n| >= K} against mu_n, for
     every index n and grid level K (inclusive threshold; exact, +inf
-    allowed), from one refinement per index, with its aggregates."""
+    allowed), with its aggregates.  Each index is refined on its own, in
+    ragged passes over the family, and each pass's rows come from one
+    ``tail_dots`` call over the whole grid."""
     k_grid = tuple(float(k) for k in k_grid)
     if not k_grid or any(k <= 0 for k in k_grid) or list(k_grid) != sorted(k_grid):
         raise ValueError("K grid must be nonempty, positive, and sorted")
@@ -79,9 +81,12 @@ def tail_curve(seq: FnSequence, measures: MeasureSequence,
     if not 1 <= window_start <= n_max:
         raise ValueError(f"window start {window_start} outside 1..{n_max}")
     table = np.empty((n_max, len(k_grid)))
-    for n in range(1, n_max + 1):
-        vals, masses = refined_values_masses(seq.fn(n), measures.measure(n))
-        table[n - 1] = tail_dot(vals, masses, k_grid)
+    indices = range(1, n_max + 1)
+    rows = fn_measure_rows((seq.fn(n) for n in indices),
+                           (measures.measure(n) for n in indices))
+    for n, row in enumerate(reduce_family(rows, lambda p: tail_dots(
+            p.values[0], p.masses[0], p.offsets, k_grid))):
+        table[n] = row
     sup_curve = np.max(table, axis=0)
     window = table[window_start - 1:, :]
     limsup_curve = np.max(window, axis=0)

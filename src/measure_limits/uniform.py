@@ -17,18 +17,17 @@ import csv
 import io
 import math
 from dataclasses import dataclass
+from typing import Iterator
+
 import numpy as np
 
 from .fatou import Scenario, convergence_evidence
 from .functions import FnSequence, PiecewiseFn
-from .integration import integrate
-from .kernels import comp_sum
+from .integration import integral_series, integrate
+from .kernels import comp_sum, ragged_sums, sign_sums
 from .measures import FiniteMeasure, SignedCellMeasure
 from .refinement import (
-    atom_weights_at,
-    common_refinement,
-    fn_cell_values,
-    measure_cell_masses,
+    FamilyPairing, common_refinement, family_pairing, reduce_family,
 )
 from .tails import verdict
 from .xreal import NotIntegrableError, UnsupportedScenarioError
@@ -53,20 +52,16 @@ def _check_shared_segments(m_n: FiniteMeasure, m: FiniteMeasure) -> None:
             "segments (or none)")
 
 
-def signed_gap(f_n: PiecewiseFn, m_n: FiniteMeasure,
-               f: PiecewiseFn, m: FiniteMeasure) -> SignedCellMeasure:
-    """Per-region signed masses of C -> int_C f_n dmu_n - int_C f dmu."""
-    _require_l1(f_n, m_n, "f_n")
-    _require_l1(f, m, "limit function")
-    return _gap_masses(f_n, m_n, f, m)
+def _gap_rows(fns, measures, f: PiecewiseFn, m: FiniteMeasure):
+    """``family_pairing`` rows ((f_n, f), (mu_n, m)), read lazily; an index
+    whose measures carry different segments raises."""
+    for f_n, m_n in zip(fns, measures):
+        _check_shared_segments(m_n, m)
+        yield (f_n, f), (m_n, m)
 
 
-def _gap_masses(f_n: PiecewiseFn, m_n: FiniteMeasure,
-                f: PiecewiseFn, m: FiniteMeasure) -> SignedCellMeasure:
-    """``signed_gap`` once both integrands are known to be in L1."""
-    _check_shared_segments(m_n, m)
-    p = common_refinement([f_n, m_n, f, m])
-
+def _signed_masses(p: FamilyPairing) -> np.ndarray:
+    """Per cell and atom, int f_n dmu_n - int f dmu over it."""
     def prod(values, masses):
         # 0 * inf = 0: null regions contribute nothing even at inf values
         out = np.zeros_like(masses)
@@ -74,14 +69,38 @@ def _gap_masses(f_n: PiecewiseFn, m_n: FiniteMeasure,
         out[nz] = values[nz] * masses[nz]
         return out
 
-    cell = (prod(fn_cell_values(f_n, p), measure_cell_masses(m_n, p))
-            - prod(fn_cell_values(f, p), measure_cell_masses(m, p)))
-    atom = (prod(f_n.values_at(p.atoms), atom_weights_at(m_n, p.atoms))
-            - prod(f.values_at(p.atoms), atom_weights_at(m, p.atoms)))
-    return SignedCellMeasure(tuple(float(x) for x in p.atoms),
-                             tuple(float(x) for x in atom),
-                             tuple(float(x) for x in p.edges),
-                             tuple(float(x) for x in cell))
+    return (prod(p.values[0], p.masses[0]) - prod(p.values[1], p.masses[1]))
+
+
+def _hahn_sums(p: FamilyPairing) -> Iterator[tuple[float, float]]:
+    """Per index of a chunk, (positive, negative) sums of the signed gap
+    masses, each index adding its atoms' masses before its cells'."""
+    gaps = _signed_masses(p)
+    if p.atom.any():
+        runs = np.repeat(np.arange(len(p)), np.diff(p.offsets))
+        gaps = gaps[np.lexsort((~p.atom, runs))]
+    return sign_sums(gaps, p.offsets)
+
+
+def _gap_series(rows) -> Iterator[tuple[float, float]]:
+    """Per index, (inf, sup) over measurable sets of the signed gap: the
+    negative Hahn mass with its sign, and the larger Hahn mass."""
+    for pos, neg in reduce_family(rows, _hahn_sums):
+        yield neg, max(pos, -neg + 0.0)
+
+
+def signed_gap(f_n: PiecewiseFn, m_n: FiniteMeasure,
+               f: PiecewiseFn, m: FiniteMeasure) -> SignedCellMeasure:
+    """Per-region signed masses of C -> int_C f_n dmu_n - int_C f dmu."""
+    _require_l1(f_n, m_n, "f_n")
+    _require_l1(f, m, "limit function")
+    _check_shared_segments(m_n, m)
+    regions = common_refinement([f_n, m_n, f, m])
+    p = next(family_pairing([((f_n, f), (m_n, m))]))
+    gaps = _signed_masses(p).tolist()
+    cells = int(p.n_cells[0])
+    return SignedCellMeasure(tuple(regions.atoms.tolist()), tuple(gaps[cells:]),
+                             tuple(regions.edges.tolist()), tuple(gaps[:cells]))
 
 
 def uniform_fatou_gap(g: SignedCellMeasure) -> float:
@@ -108,26 +127,34 @@ def uniform_sup_gap(g: SignedCellMeasure) -> float:
 def _condition_series(f_seq: FnSequence, f: PiecewiseFn, m: FiniteMeasure,
                       eps: float) -> tuple[list[float], list[float]]:
     """Per-index masses of {f_n <= f - eps} and of {|f_n - f| >= eps},
-    both read from one refinement of (f_n, f, m) per index."""
+    both read from ragged passes over the refinements of (f_n, f, m): the
+    cells' masses are summed first, then added to the atoms' weights."""
     if not eps > 0:
         raise ValueError("epsilon must be positive")
     under, inmeas = [], []
-    for n in range(1, f_seq.n_max + 1):
-        f_n = f_seq.fn(n)
-        p = common_refinement([f_n, f, m])
-        vn = fn_cell_values(f_n, p)
-        v = fn_cell_values(f, p)
-        masses = measure_cell_masses(m, p)
-        under_terms = [comp_sum(masses[vn <= v - eps])]
-        inmeas_terms = [comp_sum(masses[np.abs(vn - v) >= eps])]
-        for loc, w in zip(m.atom_locs, m.atom_weights):
-            a, b = f_n(float(loc)), f(float(loc))
-            if a <= b - eps:
-                under_terms.append(w)
-            if abs(a - b) >= eps:
-                inmeas_terms.append(w)
-        under.append(comp_sum(under_terms))
-        inmeas.append(comp_sum(inmeas_terms))
+    rows = (((f_seq.fn(n), f), (m,)) for n in range(1, f_seq.n_max + 1))
+    for p in family_pairing(rows):
+        (vn, v), (w,) = p.values, p.masses
+        # where f_n and f are the same infinity, |f_n - f| is NaN, which
+        # is not >= eps: the point is not far
+        with np.errstate(invalid="ignore"):
+            below = vn <= v - eps
+            far = np.abs(vn - v) >= eps
+        cells = ~p.atom
+        cell_under = ragged_sums(w, p.offsets, cells & below)
+        cell_far = ragged_sums(w, p.offsets, cells & far)
+        weights, below, far = w.tolist(), below.tolist(), far.tolist()
+        bounds = p.offsets.tolist()
+        for i, n_cells in enumerate(p.n_cells.tolist()):
+            under_terms = [next(cell_under)]
+            inmeas_terms = [next(cell_far)]
+            for j in range(bounds[i] + n_cells, bounds[i + 1]):
+                if below[j]:
+                    under_terms.append(weights[j])
+                if far[j]:
+                    inmeas_terms.append(weights[j])
+            under.append(comp_sum(under_terms))
+            inmeas.append(comp_sum(inmeas_terms))
     return under, inmeas
 
 
@@ -218,17 +245,24 @@ def _uniform_report_body(sc: Scenario) -> UniformReport:
         raise UnsupportedScenarioError("uniform checks need a limit function")
     t = sc.tolerances
     f, m = sc.limit_fn, sc.limit_measure
+    indices = range(1, sc.n_max + 1)
+    l1 = integral_series((sc.abs_seq.fn(n) for n in indices),
+                         (sc.measures.measure(n) for n in indices))
+    gaps = _gap_series(_gap_rows((sc.f_seq.fn(n) for n in indices),
+                                 (sc.measures.measure(n) for n in indices),
+                                 f, m))
     inf_gaps, sup_gaps = [], []
-    for n in range(1, sc.n_max + 1):
-        f_n, m_n = sc.f_seq.fn(n), sc.measures.measure(n)
-        _require_l1(f_n, m_n, "f_n")
+    for n in indices:
+        if next(l1) == math.inf:
+            raise NotIntegrableError(
+                "f_n is not integrable against its measure")
         if n == 1:
             # the limit is the same at every index, so it is checked once,
             # after f_1 as in signed_gap, which fixes the first error raised
             _require_l1(f, m, "limit function")
-        g = _gap_masses(f_n, m_n, f, m)
-        inf_gaps.append(uniform_fatou_gap(g))
-        sup_gaps.append(uniform_sup_gap(g))
+        inf_gap, sup_gap = next(gaps)
+        inf_gaps.append(inf_gap)
+        sup_gaps.append(sup_gap)
     under, inmeas = _condition_series(sc.f_seq, f, m, t.eps_cond)
     series = UniformGapSeries(sc.name, tuple(inf_gaps), tuple(sup_gaps),
                               tuple(under), tuple(inmeas), t.eps_cond)

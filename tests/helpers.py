@@ -1,9 +1,11 @@
 """Shared test utilities: independent oracles and random object builders.
 
-Oracles deliberately avoid the library's refinement/kernel path: they
+Most oracles deliberately avoid the library's refinement/kernel path: they
 evaluate functions pointwise through binary search, accumulate with
 math.fsum, and derive analytic masses straight from the CDF, so agreement
-with the main path is meaningful.
+with the main path is meaningful.  The per-index oracles at the end are
+the loops that the ragged family passes replaced: one ``common_refinement``
+per index, reduced by the cell-loop kernels.
 """
 
 from __future__ import annotations
@@ -13,8 +15,14 @@ import math
 import numpy as np
 
 from measure_limits import FiniteMeasure, FnSequence, Interval, MeasureSequence
-from measure_limits import PiecewiseFn, Scenario, zero_fn
+from measure_limits import PiecewiseFn, Ramp, Scenario, common_refinement, zero_fn
 from measure_limits.functions import DominanceWitness
+from measure_limits.xreal import (
+    DomainMismatchError,
+    NotIntegrableError,
+    UnsupportedScenarioError,
+    integral_of_parts,
+)
 from measure_limits.gallery import _comb_depths, _comb_domain
 
 
@@ -336,3 +344,185 @@ def constant_seq(f: PiecewiseFn, n_max: int) -> FnSequence:
 
 def zero_seq(domain: Interval, n_max: int) -> FnSequence:
     return constant_seq(zero_fn(domain), n_max)
+
+
+# -- per-index oracles for the ragged family passes -------------------------
+#
+# Each index is refined on its own by ``common_refinement`` and reduced by
+# the cell-loop kernels above, one index after another: the loops that the
+# family passes of ``measure_limits`` replaced, kept as bit-for-bit oracles.
+
+def atom_weights_at(m: FiniteMeasure, locs: np.ndarray) -> np.ndarray:
+    """Weights of m's atoms at the given sorted locations (0 where absent)."""
+    out = np.zeros(locs.size)
+    if m.atom_locs.size and locs.size:
+        idx = np.searchsorted(locs, m.atom_locs)
+        ok = ((idx < locs.size)
+              & (locs[np.minimum(idx, locs.size - 1)] == m.atom_locs))
+        np.add.at(out, idx[ok], m.atom_weights[ok])
+    return out
+
+
+def loop_pairing(fns, measures):
+    """One index's common refinement of the functions and measures, as
+    (values per function, masses per measure, number of cells)."""
+    p = common_refinement(list(fns) + list(measures))
+    values = [np.concatenate([f.cell_values(p.edges), f.values_at(p.atoms)])
+              for f in fns]
+    masses = [np.concatenate([m.continuous_cell_masses(p.edges),
+                              atom_weights_at(m, p.atoms)])
+              for m in measures]
+    return values, masses, p.n_cells
+
+
+def loop_refined_values_masses(f: PiecewiseFn, m: FiniteMeasure):
+    if f.domain != m.domain:
+        raise DomainMismatchError("function and measure domains differ")
+    (values,), (masses,), _ = loop_pairing([f], [m])
+    return values, masses
+
+
+def loop_integrate(f: PiecewiseFn, m: FiniteMeasure) -> float:
+    pos, neg, pos_inf, neg_inf = loop_pos_neg_dot(*loop_refined_values_masses(f, m))
+    return integral_of_parts(math.inf if pos_inf else pos,
+                             math.inf if neg_inf else neg,
+                             "both positive and negative parts diverge")
+
+
+def loop_integral_series(seq: FnSequence, measures: MeasureSequence) -> list:
+    return [loop_integrate(seq.fn(n), measures.measure(n))
+            for n in range(1, seq.n_max + 1)]
+
+
+def loop_tail_table(seq: FnSequence, measures: MeasureSequence, ks) -> list:
+    rows = []
+    for n in range(1, seq.n_max + 1):
+        values, masses = loop_refined_values_masses(seq.fn(n),
+                                                    measures.measure(n))
+        row = []
+        for k in ks:
+            s, has_inf = loop_tail_dot(values, masses, k)
+            row.append(math.inf if has_inf else s)
+        rows.append(row)
+    return rows
+
+
+def loop_tv_norm_diff(a: FiniteMeasure, b: FiniteMeasure) -> float:
+    if a.domain != b.domain:
+        raise DomainMismatchError("total-variation distance requires one domain")
+    _, (ma, mb), _ = loop_pairing([], [a, b])
+    return math.fsum(np.abs(ma - mb).tolist()) + 0.0
+
+
+def loop_tv_series(measures: MeasureSequence, limit: FiniteMeasure) -> list:
+    return [loop_tv_norm_diff(measures.measure(n), limit)
+            for n in range(1, measures.n_max + 1)]
+
+
+def loop_gap_masses(f_n, m_n, f, m) -> list:
+    """Signed gap masses of one index, atoms first as in
+    ``SignedCellMeasure.all_masses``."""
+    a = tuple((s.name, s.lo, s.hi) for s in m_n.segments)
+    b = tuple((s.name, s.lo, s.hi) for s in m.segments)
+    if a != b:
+        raise UnsupportedScenarioError(
+            "set-uniform gaps need both measures to carry identical analytic "
+            "segments (or none)")
+    (vn, v), (wn, w), cells = loop_pairing([f_n, f], [m_n, m])
+
+    def prod(values, masses):
+        out = np.zeros_like(masses)
+        nz = masses != 0.0
+        out[nz] = values[nz] * masses[nz]
+        return out
+
+    gaps = (prod(vn, wn) - prod(v, w)).tolist()
+    return gaps[cells:] + gaps[:cells]
+
+
+def loop_gap_series(sc: Scenario) -> tuple[list, list]:
+    """(inf gaps, sup gaps) of the set-uniform report, index by index:
+    the L1 checks, the segment check and the gap masses in their order."""
+    f, m = sc.limit_fn, sc.limit_measure
+    inf_gaps, sup_gaps = [], []
+    for n in range(1, sc.n_max + 1):
+        f_n, m_n = sc.f_seq.fn(n), sc.measures.measure(n)
+        if loop_integrate(abs(f_n), m_n) == math.inf:
+            raise NotIntegrableError("f_n is not integrable against its measure")
+        if n == 1 and loop_integrate(abs(f), m) == math.inf:
+            raise NotIntegrableError(
+                "limit function is not integrable against its measure")
+        gaps = loop_gap_masses(f_n, m_n, f, m)
+        neg = math.fsum([g for g in gaps if g < 0.0]) + 0.0
+        pos = math.fsum([g for g in gaps if g > 0.0]) + 0.0
+        inf_gaps.append(neg)
+        sup_gaps.append(max(pos, -neg + 0.0))
+    return inf_gaps, sup_gaps
+
+
+def loop_condition_series(f_seq: FnSequence, f: PiecewiseFn, m: FiniteMeasure,
+                          eps: float) -> tuple[list, list]:
+    under, inmeas = [], []
+    for n in range(1, f_seq.n_max + 1):
+        f_n = f_seq.fn(n)
+        p = common_refinement([f_n, f, m])
+        vn = f_n.cell_values(p.edges)
+        v = f.cell_values(p.edges)
+        masses = m.continuous_cell_masses(p.edges)
+        with np.errstate(invalid="ignore"):
+            under_terms = [math.fsum(masses[vn <= v - eps].tolist()) + 0.0]
+            inmeas_terms = [math.fsum(masses[np.abs(vn - v) >= eps].tolist())
+                            + 0.0]
+        for loc, w in zip(m.atom_locs, m.atom_weights):
+            a, b = f_n(float(loc)), f(float(loc))
+            if a <= b - eps:
+                under_terms.append(float(w))
+            if abs(a - b) >= eps:
+                inmeas_terms.append(float(w))
+        under.append(math.fsum(under_terms) + 0.0)
+        inmeas.append(math.fsum(inmeas_terms) + 0.0)
+    return under, inmeas
+
+
+def loop_integrate_ramp(r: Ramp, m: FiniteMeasure) -> float:
+    """Reference for ``integration.integrate_ramp``, one cell at a time."""
+    terms = [w * r(loc) for loc, w in zip(m.atom_locs, m.atom_weights)]
+    nodes = np.asarray(r.xs)
+    for lo, hi, rho in zip(m.cell_los, m.cell_his, m.cell_densities):
+        if rho == 0.0:
+            continue
+        inner = nodes[(nodes > lo) & (nodes < hi)]
+        edges = np.concatenate([[lo], inner, [hi]])
+        for a, b in zip(edges, edges[1:]):
+            ya, yb = r(a), r(b)
+            terms.append(rho * (b - a) * (ya + yb) / 2.0)
+    for seg in m.segments:
+        y0 = r(seg.lo)
+        varying = [x for x in r.xs if seg.lo < x < seg.hi and r(x) != y0]
+        hi_probe = (seg.hi if math.isfinite(seg.hi)
+                    else max(r.xs[-1] + 1.0, seg.lo + 1.0))
+        if varying or r(hi_probe) != y0:
+            raise UnsupportedScenarioError(
+                "ramp varies over an analytic segment; use a step-function bank")
+        terms.append(y0 * seg.total)
+    return math.fsum([float(t) for t in terms]) + 0.0
+
+
+def loop_bank_eval(h, m: FiniteMeasure) -> float:
+    if isinstance(h, Ramp):
+        return loop_integrate_ramp(h, m)
+    if not h.is_bounded():
+        raise UnsupportedScenarioError("bank functions must be bounded")
+    return loop_integrate(h, m)
+
+
+def loop_weak_gaps(measures: MeasureSequence, limit: FiniteMeasure,
+                   bank) -> list:
+    """Reference for ``integration.weak_gap_bank``'s gaps."""
+    base = [loop_bank_eval(h, limit) for h in bank]
+    gaps = []
+    for n in range(1, measures.n_max + 1):
+        mn = measures.measure(n)
+        gaps.append(max((abs(loop_bank_eval(h, mn) - b)
+                         for h, b in zip(bank, base)), default=0.0))
+    return gaps

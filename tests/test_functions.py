@@ -133,6 +133,25 @@ def test_canonicalization_merges_and_strips():
     assert g.breakpoints.size == 0
 
 
+def test_canonicalization_without_merges_keeps_the_arrays():
+    bp = np.array([0.0, 0.25, 0.5, 1.0])
+    vals = np.array([1.0, -0.0, 2.0])
+    f = PiecewiseFn(bp, vals, 0.0, DOM)
+    assert f.breakpoints.tobytes() == bp.tobytes()
+    assert f.values.tobytes() == vals.tobytes()
+    # the caller's arrays are copied, not frozen; a function's own
+    # read-only arrays are shared
+    assert bp.flags.writeable and vals.flags.writeable
+    assert not np.shares_memory(f.breakpoints, bp)
+    g = PiecewiseFn(f.breakpoints, f.values, 0.0, DOM)
+    assert np.shares_memory(g.breakpoints, f.breakpoints)
+    assert np.shares_memory(g.values, f.values)
+    # equal neighbours still merge
+    h = PiecewiseFn(bp, [1.0, 1.0, 2.0], 0.0, DOM)
+    assert h.breakpoints.tolist() == [0.0, 0.5, 1.0]
+    assert h.values.tolist() == [1.0, 2.0]
+
+
 def test_dominates_examples():
     f = PiecewiseFn([0.0, 0.5, 1.0], [1.0, 2.0], 0.0, DOM)
     ok, witness = dominates(f, f)

@@ -9,8 +9,9 @@ the report bytes stay the same.  The ``dyadic_comb`` fixture's count of
 copied, not searched, and its counts of large ``np.unique`` calls and of
 ``math.fsum`` fallbacks pin that its 2M-edge refinements are merged, not
 sorted again, and that its kernel sums are certified in numpy.  The
-gallery's refinement counts pin that its tail and shift checks read one
-tail curve per family instead of refining each (n, K) entry afresh.
+pass counts pin that every per-index series of a check is one ragged
+family pass (``refinement.family_pairing``) with one kernel call, not one
+refinement per index.
 """
 
 import json
@@ -54,10 +55,12 @@ def test_one_check_computes_each_shared_quantity_once(tmp_path, monkeypatch,
     src = tmp_path / "doc.json"
     src.write_text(json.dumps(doc), encoding="utf-8")
     bodies = count_calls(monkeypatch, uniform, "_uniform_report_body")
-    tv = count_calls(monkeypatch, integration, "tv_norm_diff")
+    tv = count_calls(monkeypatch, integration, "tv_series")
     curves = count_calls(monkeypatch, tails, "tail_curve")
-    tail_rows = count_calls(monkeypatch, kernels, "tail_dot")
+    tail_rows = count_calls(monkeypatch, kernels, "tail_dots")
+    hahn = count_calls(monkeypatch, kernels, "sign_sums")
     refinements = count_calls(monkeypatch, refinement, "common_refinement")
+    passes = count_calls(monkeypatch, refinement, "_pair_chunk")
 
     out = tmp_path / "report.json"
     assert main(["check", str(src), "--out", str(out)]) == 2
@@ -67,18 +70,20 @@ def test_one_check_computes_each_shared_quantity_once(tmp_path, monkeypatch,
     assert "error" not in verdicts.values()
 
     assert len(bodies) == 1
-    assert len(tv) == N_MAX
+    assert len(tv) == 1
     # the negative-part and the full-family tail curve, once each
     assert len(curves) == 2
-    # one kernel call per tail-curve row: the negative-part and the
-    # full-family curve, one row per index
-    assert len(tail_rows) == 2 * N_MAX
-    # per index: the f and g integrals, the L1 check of f_n, the signed
-    # gap, one for both condition series, the TV distance and the
-    # negative-part and full-family tail curves (8 x 12); then the L1
-    # check of the limit function and the weak-gap bank's constant
-    # witness against the limit measure and each mu_n (1 + 13)
-    assert len(refinements) == 110
+    # one kernel call per tail curve, for all its rows, and one for the
+    # Hahn masses of all the signed gaps
+    assert len(tail_rows) == 2
+    assert len(hahn) == 1
+    # no index is refined on its own; one ragged pass each for the f and
+    # g integrals, the negative-part and full-family tail curves, the L1
+    # checks of the f_n, the signed gaps, both condition series, the TV
+    # series and the weak-gap bank's constant witness against the limit
+    # measure and each mu_n, plus the limit function's one-index L1 check
+    assert len(refinements) == 0
+    assert len(passes) == 10
 
 
 @pytest.mark.parametrize("flags", [[], ["--tol", "1e-4"]])
@@ -97,18 +102,22 @@ def test_one_check_parses_each_spec_once(tmp_path, monkeypatch, flags):
     assert len(measures) == N_MAX + 1
 
 
-@pytest.mark.parametrize("fixture, expected", [
+@pytest.mark.parametrize("fixture, passes", [
     # the closed-form tail check is one 64-row curve, and the shift is
-    # read off the negative-part curve the verdicts already computed
-    ("staircase", 327),
-    ("staircase_late_start", 65),
-    ("twin_spikes", 805),
+    # read off the negative-part curve the verdicts already computed; the
+    # epi certificates' integrals and the TV spot checks are one-index
+    # passes
+    ("staircase", 11),
+    ("staircase_late_start", 1),
+    ("twin_spikes", 13),
 ])
-def test_gallery_run_refines_each_pairing_once_per_curve(monkeypatch, fixture,
-                                                         expected):
+def test_gallery_run_pairs_each_family_in_one_pass(monkeypatch, fixture,
+                                                   passes):
     refinements = count_calls(monkeypatch, refinement, "common_refinement")
+    chunks = count_calls(monkeypatch, refinement, "_pair_chunk")
     assert gallery.run(fixture).failures == 0
-    assert len(refinements) == expected
+    assert len(refinements) == 0
+    assert len(chunks) == passes
 
 
 def test_known_checks_and_the_runner_registry_agree():
@@ -118,7 +127,7 @@ def test_known_checks_and_the_runner_registry_agree():
 def test_comb_fixture_reads_own_cells_without_a_search(monkeypatch):
     # g_n's refinements and dominance checks copy g_n's own cell values;
     # the searches left are f_n's cliff against g_n's cells in the 20
-    # dominance checks, and three constant epi certificates
+    # dominance checks (the epi certificates are read by family passes)
     original = PiecewiseFn.values_at
     calls = []
 
@@ -128,7 +137,7 @@ def test_comb_fixture_reads_own_cells_without_a_search(monkeypatch):
 
     monkeypatch.setattr(PiecewiseFn, "values_at", counted)
     assert gallery.run("dyadic_comb").failures == 0
-    assert len(calls) == 23
+    assert len(calls) == 20
 
 
 def test_comb_fixture_merges_and_sums_without_fallback(monkeypatch):
