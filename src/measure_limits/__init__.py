@@ -15,18 +15,17 @@ from .xreal import (
 )
 from .functions import (
     PiecewiseFn, FnSequence, EpiCertificate, Ramp,
-    part, tail_restrict, dominates, zero_fn, constant_fn,
+    part, dominates, zero_fn, constant_fn,
 )
 from .measures import (
-    FiniteMeasure, MeasureSequence, SignedCellMeasure, AnalyticSegment,
-    total_mass, lebesgue, point_mass, make_segment, constant_measures,
+    FiniteMeasure, MeasureSequence, AnalyticSegment,
+    lebesgue, point_mass, make_segment, constant_measures,
 )
-from .refinement import Partition, common_refinement
 from .integration import (
     integrate, tv_norm_diff, integrate_ramp, weak_gap_bank,
 )
 from .tails import (
-    TailCurve, UiVerdict, tail_curve, verdict, first_shift, check_tail_table,
+    TailCurve, UiVerdict, tail_curve, verdict, first_shift,
     DEFAULT_K_GRID, default_window_start,
 )
 from .epilimits import (
@@ -36,12 +35,9 @@ from .epilimits import (
 from .fatou import (
     Scenario, Tolerances, GapReport, seq_liminf, seq_limsup, fatou_report,
     minorant_check, weakened_minorant_probe, majorant_check, dct_report,
-    bounded_minorant_shift_probe, with_constant_offset,
+    bounded_minorant_shift_probe,
 )
-from .uniform import (
-    signed_gap, uniform_fatou_gap, uniform_sup_gap, condition_undershoot,
-    conv_in_measure, uniform_report, UniformGapSeries, hahn_masses,
-)
+from .uniform import uniform_report, UniformGapSeries
 from .scenario import ScenarioDoc, parse_scenario, canonical_json, doc_hash
 from .runner import run_checks, ReportDoc
 

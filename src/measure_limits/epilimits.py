@@ -5,24 +5,23 @@ thresholds N and ball radii delta of the infimum of f_n(s') over n >= N
 and s' in the delta-ball around s.  A finite schedule of (N_j, delta_j)
 pairs realizes the inner inf/sup exactly (cell scans are exact for step
 functions) but truncates the outer limit, so every estimate carries a
-certainty tag: ``exact`` requires an analytic certificate or an eventual
-form, otherwise the value is ``window``-truncated and downstream checks
-must not treat it as a proof.
+certainty tag: ``exact`` requires an analytic certificate, otherwise the
+value is ``window``-truncated and downstream checks must not treat it as
+a proof.
 
-Points that a certificate or the eventual form decides are not scanned.
-The rest of one family and direction go through one batched scan that
-builds each f_n once and reads it for all points at once; it returns
-exactly what one scalar ``PiecewiseFn.range_on`` call per point, step
-and index would.
+A certificate decides every point exactly, and nothing is scanned.
+Without one, the points of one family and direction go through one
+batched scan that builds each f_n once and reads it for all points at
+once.  ``tests/helpers.py`` keeps the scalar one-ball-at-a-time scan
+(``range_on``) that it must match bit for bit.
 """
 
 from __future__ import annotations
 
 import math
 from bisect import bisect_right
-from dataclasses import dataclass, field
-from functools import cached_property, partial
-from typing import Callable, Optional
+from dataclasses import dataclass
+from typing import Optional
 
 import numpy as np
 
@@ -61,10 +60,6 @@ class EpiSchedule:
             raise ScheduleError(
                 f"schedule exhausts the index range: N={ns[-1]} > n_max={self.n_max}")
 
-    @property
-    def final_delta(self) -> float:
-        return self.steps[-1][1]
-
     @classmethod
     def default(cls, n_max: int, window_start: Optional[int] = None
                 ) -> "EpiSchedule":
@@ -87,22 +82,14 @@ class EpiEstimate:
     value: float
     certainty: str          # EXACT | WINDOW
     stabilized: bool
-    source: str             # "certificate" | "eventual" | "window"
-    _per_j: Callable[[], tuple[float, ...]] = field(repr=False, compare=False)
-
-    @cached_property
-    def per_j(self) -> tuple[float, ...]:
-        """Windowed inf/sup per schedule step.  A certificate or an eventual
-        form decides the value without it, so there it is scanned on first
-        read only."""
-        return self._per_j()
+    #: windowed inf/sup per schedule step; () where a certificate decides
+    per_j: tuple[float, ...]
 
 
 def _balls(domain: Interval, pts: np.ndarray, deltas: np.ndarray):
     """Open balls of radius delta_j around every point, clipped to the
-    domain as ``PiecewiseFn.range_on`` clips them: a clipped end becomes the
-    closed domain end.  Returns (lo, hi, lo_closed, hi_closed, empty), each
-    of shape (points, steps)."""
+    domain: a clipped end becomes the closed domain end.  Returns (lo, hi,
+    lo_closed, hi_closed, empty), each of shape (points, steps)."""
     lo = pts[:, None] - deltas[None, :]
     hi = pts[:, None] + deltas[None, :]
     lo_closed = lo < domain.lo
@@ -115,14 +102,15 @@ def _balls(domain: Interval, pts: np.ndarray, deltas: np.ndarray):
 
 def _require_nonempty(empty: np.ndarray) -> None:
     if empty.any():
-        raise MalformedObjectError("empty interval in range_on")
+        raise MalformedObjectError(
+            "an epi-limit ball around a sample point misses the domain")
 
 
 def _reduce_ranges(ufunc: np.ufunc, vals: np.ndarray, starts: np.ndarray,
                    ends: np.ndarray) -> np.ndarray:
     """``ufunc.reduce(vals[s:e])`` for every pair, each distinct range read
-    once as the very slice ``range_on`` reads (so ties between 0.0 and -0.0
-    resolve the same way)."""
+    once as that very slice (so ties between 0.0 and -0.0 resolve as a
+    scalar reduction of the slice resolves them)."""
     width = vals.size + 1
     keys, inverse = np.unique(starts * width + ends, return_inverse=True)
     lo, hi = np.divmod(keys, width)
@@ -146,9 +134,10 @@ def _reduce_ranges(ufunc: np.ufunc, vals: np.ndarray, starts: np.ndarray,
 
 def _ball_extrema(f: PiecewiseFn, lo, hi, lo_closed, hi_closed, lower: bool
                   ) -> np.ndarray:
-    """inf (lower) or sup of f over every clipped ball, element for element
-    what ``f.range_on(lo, hi, lo_closed, hi_closed)`` returns: candidates
-    in the same order, the first extreme one kept."""
+    """inf (lower) or sup of f over every clipped ball: the value at each
+    closed end, the cells meeting the open interior and the default
+    outside the breakpoints are offered in that order, and the first
+    extreme one is kept."""
     better = np.less if lower else np.greater
     out = np.full(lo.shape, math.inf if lower else -math.inf)
 
@@ -206,50 +195,31 @@ def _scan(seq: FnSequence, pts: np.ndarray, sched: EpiSchedule, lower: bool
     return acc
 
 
-def _scan_one(seq: FnSequence, s: float, sched: EpiSchedule, lower: bool
-              ) -> tuple[float, ...]:
-    return tuple(_scan(seq, np.asarray([s]), sched, lower)[0].tolist())
-
-
 def _estimates(seq: FnSequence, pts: list[float], sched: EpiSchedule,
                lower: bool, stab_tol: float) -> list[EpiEstimate]:
-    """Estimates at every point: a certificate or the eventual form decides
-    a point exactly; one batched scan covers the points neither decides."""
+    """Estimates at every point: a certificate decides every point
+    exactly; without one, one batched scan covers them all."""
+    if not pts:
+        return []
     cert = seq.epi_liminf_cert if lower else seq.epi_limsup_cert
-    deltas = np.asarray([d for n, d in sched.steps if n <= seq.n_max])
-    out: list[Optional[EpiEstimate]] = [None] * len(pts)
-    open_pts: list[int] = []
-    for i, s in enumerate(pts):
-        lazy = partial(_scan_one, seq, s, sched, lower)
-        if cert is not None:
-            # a scan would reject a ball outside the domain; so does this
-            *_, empty = _balls(cert.fn.domain, np.asarray([s]), deltas)
-            _require_nonempty(empty)
-            out[i] = EpiEstimate(cert.value_at(s, "lower" if lower else "upper"),
-                                 EXACT, True, "certificate", lazy)
-            continue
-        ev = (seq.eventual_form(s, sched.final_delta)
-              if seq.eventual_form is not None else None)
-        if ev is not None:
-            _, h = ev
-            *_, empty = _balls(h.domain, np.asarray([s]), deltas)
-            _require_nonempty(empty)
-            value = h.lower_envelope(s) if lower else h.upper_envelope(s)
-            out[i] = EpiEstimate(value, EXACT, True, "eventual", lazy)
-            continue
-        open_pts.append(i)
-    if open_pts:
-        rows = _scan(seq, np.asarray([pts[i] for i in open_pts]), sched, lower)
-        for i, row in zip(open_pts, rows.tolist()):
-            per_j = tuple(row)
-            if len(per_j) >= 2:
-                a, b = per_j[-2], per_j[-1]
-                stab = ((a == b) if (math.isinf(a) or math.isinf(b))
-                        else abs(a - b) <= stab_tol)
-            else:
-                stab = False
-            out[i] = EpiEstimate(per_j[-1], WINDOW, stab, "window",
-                                 partial(tuple, per_j))
+    if cert is not None:
+        # a scan would reject a ball outside the domain; so does this
+        deltas = np.asarray([d for n, d in sched.steps if n <= seq.n_max])
+        *_, empty = _balls(cert.fn.domain, np.asarray(pts), deltas)
+        _require_nonempty(empty)
+        direction = "lower" if lower else "upper"
+        return [EpiEstimate(cert.value_at(s, direction), EXACT, True, ())
+                for s in pts]
+    out = []
+    for row in _scan(seq, np.asarray(pts), sched, lower).tolist():
+        per_j = tuple(row)
+        if len(per_j) >= 2:
+            a, b = per_j[-2], per_j[-1]
+            stab = ((a == b) if (math.isinf(a) or math.isinf(b))
+                    else abs(a - b) <= stab_tol)
+        else:
+            stab = False
+        out.append(EpiEstimate(per_j[-1], WINDOW, stab, per_j))
     return out
 
 
@@ -276,10 +246,6 @@ class ExistsReport:
     point_ok: tuple[bool, ...]
     exception_mass: float
     mass_exact: bool
-
-    @property
-    def all_ok(self) -> bool:
-        return all(self.point_ok)
 
 
 def epi_limit_exists(seq: FnSequence, grid, sched: EpiSchedule, tol: float,

@@ -13,7 +13,7 @@ counterexample.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, field
 from functools import cached_property
 from typing import Optional
 
@@ -470,36 +470,3 @@ def bounded_minorant_shift_probe(sc: Scenario) -> ShiftProbeReport:
         return ShiftProbeReport(sc.name, minor, False, None, True)
     shift = neg_part_shift(sc)
     return ShiftProbeReport(sc.name, minor, True, shift, shift is not None)
-
-
-def with_constant_offset(sc: Scenario, c: float) -> Scenario:
-    """Scenario with f_n + c for every n; used by shift-invariance checks.
-
-    Epi certificates and eventual forms shift along, so exactness of the
-    left side survives the offset.
-    """
-    def shift_fn(f: PiecewiseFn) -> PiecewiseFn:
-        return f.map_values(lambda v: v + c, lambda d: d + c)
-
-    def shift_cert(cert):
-        if cert is None:
-            return None
-        from .functions import EpiCertificate
-        return EpiCertificate(shift_fn(cert.fn),
-                              tuple((loc, v + c) for loc, v in cert.overrides))
-
-    ev = sc.f_seq.eventual_form
-    shifted_ev = None
-    if ev is not None:
-        def shifted_ev(s, r, _ev=ev):  # noqa: F811
-            hit = _ev(s, r)
-            if hit is None:
-                return None
-            n0, h = hit
-            return n0, shift_fn(h)
-
-    base = sc.f_seq
-    offset = FnSequence(base.n_max, lambda n: shift_fn(base.fn(n)),
-                        shift_cert(base.epi_liminf_cert),
-                        shift_cert(base.epi_limsup_cert), shifted_ev)
-    return replace(sc, f_seq=offset, name=f"{sc.name}+{c}")

@@ -125,47 +125,6 @@ class PiecewiseFn:
             return self.default
         return float(self.values[i])
 
-    def range_on(self, lo: float, hi: float, lo_closed: bool, hi_closed: bool
-                 ) -> tuple[float, float]:
-        """(inf, sup) of the function over the given subinterval of the domain.
-
-        The subinterval is clipped to the domain; domain endpoints count as
-        closed (balls are one-sided there).  Exact for step functions.
-        """
-        if lo < self.domain.lo:
-            lo, lo_closed = self.domain.lo, True
-        if hi > self.domain.hi:
-            hi, hi_closed = self.domain.hi, True
-        if lo > hi or (lo == hi and not (lo_closed and hi_closed)):
-            raise MalformedObjectError("empty interval in range_on")
-        cands_lo: list[float] = []
-        cands_hi: list[float] = []
-        if lo_closed:
-            v = self(lo)
-            cands_lo.append(v)
-            cands_hi.append(v)
-        if hi_closed and hi > lo:
-            v = self(hi)
-            cands_lo.append(v)
-            cands_hi.append(v)
-        if hi > lo:
-            bp = self.breakpoints
-            if bp.size == 0:
-                cands_lo.append(self.default)
-                cands_hi.append(self.default)
-            else:
-                # cells [bp[i], bp[i+1]) meeting the open interior (lo, hi)
-                i0 = max(0, int(np.searchsorted(bp, lo, side="right")) - 1)
-                i1 = int(np.searchsorted(bp, hi, side="left"))
-                sl = self.values[i0:i1]
-                if sl.size:
-                    cands_lo.append(float(np.min(sl)))
-                    cands_hi.append(float(np.max(sl)))
-                if lo < bp[0] or hi > bp[-1]:
-                    cands_lo.append(self.default)
-                    cands_hi.append(self.default)
-        return min(cands_lo), max(cands_hi)
-
     def lower_envelope(self, x: float) -> float:
         """Lower-semicontinuous envelope at x: min of value and one-sided limits."""
         v = self(x)
@@ -196,12 +155,6 @@ class PiecewiseFn:
         if self.values.size and not np.all(np.isfinite(self.values)):
             return False
         return math.isfinite(self.default)
-
-    def sup_abs(self) -> float:
-        m = abs(self.default)
-        if self.values.size:
-            m = max(m, float(np.max(np.abs(self.values))))
-        return m
 
     def __repr__(self) -> str:
         return (f"PiecewiseFn({self.breakpoints.size} breakpoints, "
@@ -259,18 +212,6 @@ def part(f: PiecewiseFn, which: str) -> PiecewiseFn:
     raise ValueError(f"which must be 'positive' or 'negative', got {which!r}")
 
 
-def tail_restrict(f: PiecewiseFn, k: float) -> PiecewiseFn:
-    """|f| restricted to the superlevel set {|f| >= k}; zero elsewhere."""
-    if not k > 0:
-        raise ValueError(f"threshold must be positive, got {k}")
-
-    def clamp(v):
-        a = np.abs(v)
-        return np.where(a >= k, a, 0.0)
-
-    return f.map_values(clamp, lambda d: abs(d) if abs(d) >= k else 0.0)
-
-
 @dataclass(frozen=True)
 class DominanceWitness:
     lo: float
@@ -320,7 +261,8 @@ class EpiCertificate:
     exact values at individual points that a step function cannot carry
     (isolated spikes at atoms).  Certificates are trusted inputs: the
     epi-limits module uses them without scanning.  The tier-1 tests compare
-    them with windowed estimates (``test_comb_teeth_*`` in
+    them with windowed scans of the same builder with the certificates
+    stripped (``FnSequence(n_max, seq.builder)``; see
     ``tests/test_epilimits.py``).
     """
 
@@ -345,10 +287,6 @@ class FnSequence:
     builder: Callable[[int], PiecewiseFn]
     epi_liminf_cert: Optional[EpiCertificate] = None
     epi_limsup_cert: Optional[EpiCertificate] = None
-    #: (point, radius) -> (n0, fn) with f_n == fn on the ball for all n >= n0,
-    #: or None when the family does not stabilize there.
-    eventual_form: Optional[Callable[[float, float],
-                                     Optional[tuple[int, PiecewiseFn]]]] = None
     _cache: dict = field(default_factory=dict, repr=False)
 
     def fn(self, n: int) -> PiecewiseFn:

@@ -79,21 +79,13 @@ def _staircase_scenario(n_max: int = 64) -> Scenario:
     def m_builder(n: int) -> FiniteMeasure:
         return FiniteMeasure(cells=[(0.0, 1.0 / n, float(n))], domain=dom)
 
-    def eventual(s: float, r: float):
-        if s - r <= 0.0:
-            return None
-        n0 = int(1.0 / (s - r)) + 1
-        return n0, zero_fn(dom)
-
     f_seq = FnSequence(
         n_max, f_builder,
         epi_liminf_cert=EpiCertificate(zero_fn(dom), ((0.0, -math.inf),)),
-        epi_limsup_cert=EpiCertificate(zero_fn(dom)),
-        eventual_form=eventual)
+        epi_limsup_cert=EpiCertificate(zero_fn(dom)))
     g_seq = FnSequence(n_max, f_builder,
                        epi_liminf_cert=f_seq.epi_liminf_cert,
-                       epi_limsup_cert=f_seq.epi_limsup_cert,
-                       eventual_form=eventual)
+                       epi_limsup_cert=f_seq.epi_limsup_cert)
     return Scenario(
         name="staircase",
         measures=MeasureSequence(n_max, m_builder),
@@ -150,22 +142,14 @@ def _twin_spikes_scenario(n_max: int = 100) -> Scenario:
         return PiecewiseFn([-1.0 / n, 0.0, 1.0 / n], [-float(n), float(n)],
                            0.0, dom)
 
-    def eventual(s: float, r: float):
-        if abs(s) - r <= 0.0:
-            return None
-        n0 = int(1.0 / (abs(s) - r)) + 1
-        return n0, zero_fn(dom)
-
     f_seq = FnSequence(
         n_max, f_builder,
         epi_liminf_cert=EpiCertificate(zero_fn(dom), ((0.0, -math.inf),)),
-        epi_limsup_cert=EpiCertificate(zero_fn(dom), ((0.0, math.inf),)),
-        eventual_form=eventual)
+        epi_limsup_cert=EpiCertificate(zero_fn(dom), ((0.0, math.inf),)))
     g_seq = FnSequence(
         n_max, f_builder,
         epi_liminf_cert=f_seq.epi_liminf_cert,
-        epi_limsup_cert=f_seq.epi_limsup_cert,
-        eventual_form=eventual)
+        epi_limsup_cert=f_seq.epi_limsup_cert)
     # verdicts are grid-relative: capping the grid at n_max/2 keeps every
     # trailing-window tail away from the finite-range cutoff
     cap = float(n_max // 2)
@@ -248,9 +232,6 @@ def _dyadic_comb_scenario(n_max: int = 20) -> Scenario:
             vals = np.concatenate([vals, [-(2.0 ** n)]])
         return PiecewiseFn(bp, vals, 0.0, dom)
 
-    def f_eventual(s: float, r: float):
-        return int(s + r) + 2, zero_fn(dom)
-
     fine_bp = np.arange(_COMB_CERT_CELLS + 1) * (2.0 / _COMB_CERT_CELLS)
     fine_vals = -_comb_depths(seg, fine_bp[:-1], fine_bp[1:])
     g_liminf_cert = EpiCertificate(PiecewiseFn(fine_bp, fine_vals, 0.0, dom))
@@ -258,8 +239,7 @@ def _dyadic_comb_scenario(n_max: int = 20) -> Scenario:
     f_seq = FnSequence(
         n_max, f_builder,
         epi_liminf_cert=EpiCertificate(zero_fn(dom)),
-        epi_limsup_cert=EpiCertificate(zero_fn(dom)),
-        eventual_form=f_eventual)
+        epi_limsup_cert=EpiCertificate(zero_fn(dom)))
     g_seq = FnSequence(
         n_max, g_builder,
         epi_liminf_cert=g_liminf_cert,
@@ -287,16 +267,10 @@ def _shrinking_plateau_scenario(n_max: int = 32) -> Scenario:
     def f_builder(n: int) -> PiecewiseFn:
         return PiecewiseFn([0.0, 1.0 / n], [float(n)], 0.0, dom)
 
-    def eventual(s: float, r: float):
-        if s - r <= 0.0:
-            return None
-        return int(1.0 / (s - r)) + 1, zero_fn(dom)
-
     f_seq = FnSequence(
         n_max, f_builder,
         epi_liminf_cert=EpiCertificate(zero_fn(dom)),
-        epi_limsup_cert=EpiCertificate(zero_fn(dom), ((0.0, math.inf),)),
-        eventual_form=eventual)
+        epi_limsup_cert=EpiCertificate(zero_fn(dom), ((0.0, math.inf),)))
     zero_seq = FnSequence(n_max, lambda n: zero_fn(dom),
                           epi_liminf_cert=EpiCertificate(zero_fn(dom)),
                           epi_limsup_cert=EpiCertificate(zero_fn(dom)))

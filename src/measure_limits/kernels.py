@@ -18,7 +18,7 @@ split them into one run of cells per index (see
 ``refinement.family_pairing``), the masks and products are formed once
 for all the runs, and the per-index sums are computed as the caller asks
 for them, so a caller that reduces index by index raises at the first
-index that fails.  ``pos_neg_dot`` and ``tail_dot`` are the one-run calls.
+index that fails.  ``pos_neg_dot`` is the one-run call of ``pos_neg_dots``.
 Refinements can reach millions of cells; ``perfbench/`` times the kernels
 inside end-to-end runs.
 """
@@ -262,9 +262,3 @@ def tail_dots(values, masses, offsets, ks) -> Iterator[np.ndarray]:
         if i in failed:
             raise failed[i]
         yield row
-
-
-def tail_dot(values, masses, ks) -> np.ndarray:
-    """``tail_dots`` of one run."""
-    v, m = _pair(values, masses)
-    return next(tail_dots(v, m, (0, v.size), ks))

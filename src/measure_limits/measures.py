@@ -220,31 +220,12 @@ class FiniteMeasure:
                 f"mass={self.total_mass():.6g})")
 
 
-def total_mass(m: FiniteMeasure) -> float:
-    """Total mass of the measure; finite by construction."""
-    return m.total_mass()
-
-
 def lebesgue(lo: float, hi: float) -> FiniteMeasure:
     return FiniteMeasure(cells=[(lo, hi, 1.0)], domain=Interval(lo, hi))
 
 
 def point_mass(loc: float, weight: float, domain: Interval) -> FiniteMeasure:
     return FiniteMeasure(atoms=[(loc, weight)], domain=domain)
-
-
-@dataclass(frozen=True)
-class SignedCellMeasure:
-    """Signed masses on disjoint regions: point atoms and half-open cells."""
-
-    atom_locs: tuple[float, ...]
-    atom_masses: tuple[float, ...]
-    cell_edges: tuple[float, ...]
-    cell_masses: tuple[float, ...]
-
-    def all_masses(self) -> np.ndarray:
-        return np.concatenate([np.asarray(self.atom_masses),
-                               np.asarray(self.cell_masses)])
 
 
 @dataclass

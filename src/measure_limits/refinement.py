@@ -12,8 +12,7 @@ index and its source, the edges are sorted by (index, value) and
 deduplicated within each index, and each input's cell values, density
 masses and atom weights are read off running counts of the tags.  Each
 index keeps its own refinement, and its values and masses are bit for bit
-those of refining that index alone (``refined_values_masses`` is the
-one-index call).
+those of refining that index alone (a pass over a one-row family).
 """
 
 from __future__ import annotations
@@ -23,10 +22,8 @@ from typing import Iterable, Iterator
 
 import numpy as np
 
-from .functions import PiecewiseFn
 from .kernels import union_edges
-from .measures import FiniteMeasure
-from .xreal import DomainMismatchError, Interval
+from .xreal import DomainMismatchError
 
 #: A pass refines consecutive indices together while their inputs hold at
 #: most this many edges; an index with more is a pass of its own, so the
@@ -36,40 +33,6 @@ CHUNK_EDGES = 1 << 16
 _EMPTY = np.empty(0)
 #: Tags of the edges a measure contributes, offset per measure.
 _CELL_LO, _CELL_HI, _SEG_LO, _SEG_HI, _ATOM = range(5)
-
-
-@dataclass(frozen=True)
-class Partition:
-    edges: np.ndarray
-    atoms: np.ndarray
-    domain: Interval
-
-    @property
-    def n_cells(self) -> int:
-        return max(self.edges.size - 1, 0)
-
-
-def common_refinement(objs) -> Partition:
-    """Minimal ordered partition on which every input object is constant."""
-    if not objs:
-        raise ValueError("need at least one object")
-    domain = objs[0].domain
-    pieces = [np.asarray([domain.lo, domain.hi])]
-    atom_sets = []
-    for obj in objs:
-        if obj.domain != domain:
-            raise DomainMismatchError(
-                f"domain {obj.domain} differs from {domain}")
-        if isinstance(obj, PiecewiseFn):
-            pieces.append(obj.breakpoints)
-        elif isinstance(obj, FiniteMeasure):
-            pieces.append(obj.piece_edges())
-            atom_sets.append(obj.atom_locs)
-        else:
-            raise TypeError(f"cannot refine {type(obj).__name__}")
-    edges = union_edges(pieces)
-    atoms = np.unique(np.concatenate(atom_sets)) if atom_sets else np.empty(0)
-    return Partition(edges, atoms, domain)
 
 
 @dataclass(frozen=True)
@@ -157,7 +120,7 @@ def _pair_chunk(rows) -> FamilyPairing:
     sizes = [sum(c) for c in counts]
     first = 1 + n_fns
     if n == 1:
-        # one index: its edges are merged as common_refinement merges them
+        # one index: its edges are merged by one union_edges call
         # and every element is found among them by binary search
         edges = union_edges([g[0] for g in groups])
         edge_row = np.broadcast_to(np.intp(0), edges.shape)
@@ -306,11 +269,3 @@ def fn_measure_rows(fns, measures) -> Iterator[tuple[tuple, tuple]]:
         if f.domain != m.domain:
             raise DomainMismatchError("function and measure domains differ")
         yield (f,), (m,)
-
-
-def refined_values_masses(f: PiecewiseFn, m: FiniteMeasure
-                          ) -> tuple[np.ndarray, np.ndarray]:
-    """Aligned (values, masses) arrays covering cells then atoms: the
-    one-index ``family_pairing`` of f and m."""
-    p = next(family_pairing(fn_measure_rows([f], [m])))
-    return p.values[0], p.masses[0]

@@ -332,6 +332,10 @@ def parse_scenario(text: str, tol: Optional[float] = None,
     sample_grid = None
     if data.get("sample_grid") is not None:
         sample_grid = tuple(_as_float_list(data["sample_grid"], "$.sample_grid"))
+        for i, x in enumerate(sample_grid):
+            if not (math.isfinite(x) and domain.contains(x)):
+                raise _fail(f"$.sample_grid[{i}]",
+                            f"{x} is not a finite point of the space")
     schedule = None
     if data.get("schedule") is not None:
         schedule = _parse_schedule(data["schedule"], "$.schedule", n_max)

@@ -20,7 +20,6 @@ from .functions import FnSequence
 from .kernels import tail_dots
 from .measures import MeasureSequence
 from .refinement import fn_measure_rows, reduce_family
-from .xreal import MalformedObjectError
 
 DEFAULT_K_GRID: tuple[float, ...] = tuple(2.0 ** j for j in range(-1, 13))
 
@@ -124,41 +123,3 @@ def first_shift(tails, tol: float, n_shift_max: int) -> Optional[int]:
         if float(np.max(tails[shift:])) <= tol:
             return shift
     return None
-
-
-@dataclass(frozen=True)
-class TailTableCheck:
-    status: str                       # "holds" | "not_triggered" | "witness"
-    shift: Optional[int]
-    witness: Optional[tuple[int, int]]  # (n index, K index) when the
-                                        # implication fails numerically
-
-
-def check_tail_table(table, k_grid, window_start: int, tol: float,
-                     slack: float = 1e-12) -> TailTableCheck:
-    """Windowed-vanishing implies shifted-sup-vanishing, on a finite table.
-
-    Rows must be nonincreasing in K (checked; error otherwise).  If the
-    trailing-window aggregate drops to <= tol somewhere on the grid,
-    verifies that after discarding finitely many leading rows the full sup
-    does too, and reports the shift.  A returned witness means the table
-    violates the monotonicity/vanishing tolerances, never the underlying
-    equivalence.
-    """
-    table = np.asarray(table, dtype=np.float64)
-    n_rows = table.shape[0]
-    for i in range(n_rows):
-        row = table[i]
-        with np.errstate(invalid="ignore"):
-            rising = row[1:] > row[:-1] + slack
-        if np.any(rising):
-            raise MalformedObjectError(f"row {i + 1} is not nonincreasing in K")
-    window_agg = np.max(table[window_start - 1:, :], axis=0)
-    if not np.any(window_agg <= tol):
-        return TailTableCheck("not_triggered", None, None)
-    for shift in range(0, n_rows):
-        sup = np.max(table[shift:, :], axis=0)
-        if np.any(sup <= tol + slack):
-            return TailTableCheck("holds", shift, None)
-    j = len(k_grid) - 1
-    return TailTableCheck("witness", None, (int(np.argmax(table[:, j])) + 1, j))

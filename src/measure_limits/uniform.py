@@ -25,10 +25,8 @@ from .fatou import Scenario, convergence_evidence
 from .functions import FnSequence, PiecewiseFn
 from .integration import integral_series, integrate
 from .kernels import comp_sum, ragged_sums, sign_sums
-from .measures import FiniteMeasure, SignedCellMeasure
-from .refinement import (
-    FamilyPairing, common_refinement, family_pairing, reduce_family,
-)
+from .measures import FiniteMeasure
+from .refinement import FamilyPairing, family_pairing, reduce_family
 from .tails import verdict
 from .xreal import NotIntegrableError, UnsupportedScenarioError
 
@@ -74,12 +72,9 @@ def _signed_masses(p: FamilyPairing) -> np.ndarray:
 
 def _hahn_sums(p: FamilyPairing) -> Iterator[tuple[float, float]]:
     """Per index of a chunk, (positive, negative) sums of the signed gap
-    masses, each index adding its atoms' masses before its cells'."""
-    gaps = _signed_masses(p)
-    if p.atom.any():
-        runs = np.repeat(np.arange(len(p)), np.diff(p.offsets))
-        gaps = gaps[np.lexsort((~p.atom, runs))]
-    return sign_sums(gaps, p.offsets)
+    masses.  Each sum is exactly rounded over terms of one sign, so the
+    order of the cells and atoms does not change it."""
+    return sign_sums(_signed_masses(p), p.offsets)
 
 
 def _gap_series(rows) -> Iterator[tuple[float, float]]:
@@ -87,41 +82,6 @@ def _gap_series(rows) -> Iterator[tuple[float, float]]:
     negative Hahn mass with its sign, and the larger Hahn mass."""
     for pos, neg in reduce_family(rows, _hahn_sums):
         yield neg, max(pos, -neg + 0.0)
-
-
-def signed_gap(f_n: PiecewiseFn, m_n: FiniteMeasure,
-               f: PiecewiseFn, m: FiniteMeasure) -> SignedCellMeasure:
-    """Per-region signed masses of C -> int_C f_n dmu_n - int_C f dmu."""
-    _require_l1(f_n, m_n, "f_n")
-    _require_l1(f, m, "limit function")
-    _check_shared_segments(m_n, m)
-    regions = common_refinement([f_n, m_n, f, m])
-    p = next(family_pairing([((f_n, f), (m_n, m))]))
-    gaps = _signed_masses(p).tolist()
-    cells = int(p.n_cells[0])
-    return SignedCellMeasure(tuple(regions.atoms.tolist()), tuple(gaps[cells:]),
-                             tuple(regions.edges.tolist()), tuple(gaps[:cells]))
-
-
-def uniform_fatou_gap(g: SignedCellMeasure) -> float:
-    """inf over measurable sets of the signed gap: the total negative
-    Hahn mass; always <= 0 (the empty set is a candidate)."""
-    masses = g.all_masses()
-    return comp_sum(masses[masses < 0.0])
-
-
-def hahn_masses(g: SignedCellMeasure) -> tuple[float, float]:
-    """(positive, negative) Hahn masses; their sum is the total variation."""
-    masses = g.all_masses()
-    pos = comp_sum(masses[masses > 0.0])
-    neg = -comp_sum(masses[masses < 0.0]) + 0.0
-    return pos, neg
-
-
-def uniform_sup_gap(g: SignedCellMeasure) -> float:
-    """sup over measurable sets of |signed gap|: attained at the positive
-    or the negative Hahn set, whichever carries more mass."""
-    return max(hahn_masses(g))
 
 
 def _condition_series(f_seq: FnSequence, f: PiecewiseFn, m: FiniteMeasure,
@@ -156,19 +116,6 @@ def _condition_series(f_seq: FnSequence, f: PiecewiseFn, m: FiniteMeasure,
             under.append(comp_sum(under_terms))
             inmeas.append(comp_sum(inmeas_terms))
     return under, inmeas
-
-
-def condition_undershoot(f_seq: FnSequence, f: PiecewiseFn, m: FiniteMeasure,
-                         eps: float) -> list[float]:
-    """Per-index mass of the undershoot set {f_n <= f - eps}."""
-    return _condition_series(f_seq, f, m, eps)[0]
-
-
-def conv_in_measure(f_seq: FnSequence, f: PiecewiseFn, m: FiniteMeasure,
-                    eps: float) -> list[float]:
-    """Per-index mass of {|f_n - f| >= eps}; vanishing means convergence
-    in measure at this epsilon."""
-    return _condition_series(f_seq, f, m, eps)[1]
 
 
 def trend_vanishing(values, window_start: int, tol: float) -> bool:
@@ -258,7 +205,7 @@ def _uniform_report_body(sc: Scenario) -> UniformReport:
                 "f_n is not integrable against its measure")
         if n == 1:
             # the limit is the same at every index, so it is checked once,
-            # after f_1 as in signed_gap, which fixes the first error raised
+            # after f_1: a non-integrable f_1 is the first error raised
             _require_l1(f, m, "limit function")
         inf_gap, sup_gap = next(gaps)
         inf_gaps.append(inf_gap)

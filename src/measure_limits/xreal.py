@@ -83,10 +83,3 @@ class Interval:
 
     def contains(self, x: float) -> bool:
         return self.lo <= x <= self.hi
-
-    def contains_interval(self, lo: float, hi: float) -> bool:
-        return self.lo <= lo and hi <= self.hi
-
-    @property
-    def bounded(self) -> bool:
-        return math.isfinite(self.lo) and math.isfinite(self.hi)

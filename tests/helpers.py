@@ -11,14 +11,20 @@ per index, reduced by the cell-loop kernels.
 from __future__ import annotations
 
 import math
+from dataclasses import dataclass, replace
+from typing import Optional
 
 import numpy as np
 
-from measure_limits import FiniteMeasure, FnSequence, Interval, MeasureSequence
-from measure_limits import PiecewiseFn, Ramp, Scenario, common_refinement, zero_fn
+from measure_limits import EpiCertificate, FiniteMeasure, FnSequence, Interval
+from measure_limits import MeasureSequence, PiecewiseFn, Ramp, Scenario, lebesgue
+from measure_limits import zero_fn
 from measure_limits.functions import DominanceWitness
+from measure_limits.kernels import tail_dots, union_edges
+from measure_limits.uniform import _gap_rows, _gap_series
 from measure_limits.xreal import (
     DomainMismatchError,
+    MalformedObjectError,
     NotIntegrableError,
     UnsupportedScenarioError,
     integral_of_parts,
@@ -206,6 +212,48 @@ def fatou_random_document(rng: np.random.Generator, n_max: int = 12,
     }
 
 
+def range_on(f: PiecewiseFn, lo: float, hi: float, lo_closed: bool,
+             hi_closed: bool) -> tuple[float, float]:
+    """(inf, sup) of the function over the given subinterval of the domain.
+
+    The subinterval is clipped to the domain; domain endpoints count as
+    closed (balls are one-sided there).  Exact for step functions.
+    """
+    if lo < f.domain.lo:
+        lo, lo_closed = f.domain.lo, True
+    if hi > f.domain.hi:
+        hi, hi_closed = f.domain.hi, True
+    if lo > hi or (lo == hi and not (lo_closed and hi_closed)):
+        raise MalformedObjectError("empty interval in range_on")
+    cands_lo: list[float] = []
+    cands_hi: list[float] = []
+    if lo_closed:
+        v = f(lo)
+        cands_lo.append(v)
+        cands_hi.append(v)
+    if hi_closed and hi > lo:
+        v = f(hi)
+        cands_lo.append(v)
+        cands_hi.append(v)
+    if hi > lo:
+        bp = f.breakpoints
+        if bp.size == 0:
+            cands_lo.append(f.default)
+            cands_hi.append(f.default)
+        else:
+            # cells [bp[i], bp[i+1]) meeting the open interior (lo, hi)
+            i0 = max(0, int(np.searchsorted(bp, lo, side="right")) - 1)
+            i1 = int(np.searchsorted(bp, hi, side="left"))
+            sl = f.values[i0:i1]
+            if sl.size:
+                cands_lo.append(float(np.min(sl)))
+                cands_hi.append(float(np.max(sl)))
+            if lo < bp[0] or hi > bp[-1]:
+                cands_lo.append(f.default)
+                cands_hi.append(f.default)
+    return min(cands_lo), max(cands_hi)
+
+
 def scan_epi_oracle(seq: FnSequence, s: float, sched, lower: bool
                     ) -> list[float]:
     """Windowed epi-liminf (lower) or limsup at s per schedule step, one
@@ -215,7 +263,7 @@ def scan_epi_oracle(seq: FnSequence, s: float, sched, lower: bool
     for n0, delta in sched.steps:
         best = math.inf if lower else -math.inf
         for n in range(n0, seq.n_max + 1):
-            lo, hi = seq.fn(n).range_on(s - delta, s + delta, False, False)
+            lo, hi = range_on(seq.fn(n), s - delta, s + delta, False, False)
             best = min(best, lo) if lower else max(best, hi)
         per_j.append(best)
     return per_j
@@ -266,8 +314,13 @@ def loop_pos_neg_dot(values, masses) -> tuple[float, float, bool, bool]:
     return math.fsum(pos_terms) + 0.0, math.fsum(neg_terms) + 0.0, pos_inf, neg_inf
 
 
+def tail_row(values, masses, ks) -> np.ndarray:
+    """``kernels.tail_dots`` of one run: the tail row of all the cells."""
+    return next(tail_dots(values, masses, (0, len(values)), ks))
+
+
 def loop_tail_dot(values, masses, k: float) -> tuple[float, bool]:
-    """Reference for one entry of ``kernels.tail_dot``, one cell at a
+    """Reference for one entry of ``kernels.tail_dots``, one cell at a
     time: the finite sum of |v| * m over |v| >= k, and an inf flag."""
     terms = []
     has_inf = False
@@ -346,11 +399,123 @@ def zero_seq(domain: Interval, n_max: int) -> FnSequence:
     return constant_seq(zero_fn(domain), n_max)
 
 
+def with_constant_offset(sc: Scenario, c: float) -> Scenario:
+    """Scenario with f_n + c for every n; used by shift-invariance checks.
+
+    Epi certificates shift along, so exactness of the left side survives
+    the offset.
+    """
+    def shift_fn(f: PiecewiseFn) -> PiecewiseFn:
+        return f.map_values(lambda v: v + c, lambda d: d + c)
+
+    def shift_cert(cert):
+        if cert is None:
+            return None
+        return EpiCertificate(shift_fn(cert.fn),
+                              tuple((loc, v + c) for loc, v in cert.overrides))
+
+    base = sc.f_seq
+    offset = FnSequence(base.n_max, lambda n: shift_fn(base.fn(n)),
+                        shift_cert(base.epi_liminf_cert),
+                        shift_cert(base.epi_limsup_cert))
+    return replace(sc, f_seq=offset, name=f"{sc.name}+{c}")
+
+
+@dataclass(frozen=True)
+class TailTableCheck:
+    status: str                       # "holds" | "not_triggered" | "witness"
+    shift: Optional[int]
+    witness: Optional[tuple[int, int]]  # (n index, K index) when the
+                                        # implication fails numerically
+
+
+def check_tail_table(table, k_grid, window_start: int, tol: float,
+                     slack: float = 1e-12) -> TailTableCheck:
+    """Windowed-vanishing implies shifted-sup-vanishing, on a finite table.
+
+    Rows must be nonincreasing in K (checked; error otherwise).  If the
+    trailing-window aggregate drops to <= tol somewhere on the grid,
+    verifies that after discarding finitely many leading rows the full sup
+    does too, and reports the shift.  A returned witness means the table
+    violates the monotonicity/vanishing tolerances, never the underlying
+    equivalence.
+    """
+    table = np.asarray(table, dtype=np.float64)
+    n_rows = table.shape[0]
+    for i in range(n_rows):
+        row = table[i]
+        with np.errstate(invalid="ignore"):
+            rising = row[1:] > row[:-1] + slack
+        if np.any(rising):
+            raise MalformedObjectError(f"row {i + 1} is not nonincreasing in K")
+    window_agg = np.max(table[window_start - 1:, :], axis=0)
+    if not np.any(window_agg <= tol):
+        return TailTableCheck("not_triggered", None, None)
+    for shift in range(0, n_rows):
+        sup = np.max(table[shift:, :], axis=0)
+        if np.any(sup <= tol + slack):
+            return TailTableCheck("holds", shift, None)
+    j = len(k_grid) - 1
+    return TailTableCheck("witness", None, (int(np.argmax(table[:, j])) + 1, j))
+
+
+def gap_extrema(f_n: PiecewiseFn, m_n: FiniteMeasure, f: PiecewiseFn,
+                m: FiniteMeasure) -> tuple[float, float]:
+    """(inf, sup) over measurable sets C of int_C f_n dmu_n - int_C f dmu:
+    one index of the set-uniform report's Hahn series."""
+    return next(_gap_series(_gap_rows([f_n], [m_n], f, m)))
+
+
+def masses_extrema(masses) -> tuple[float, float]:
+    """``gap_extrema`` of a gap with the given cell masses: the masses as
+    values on unit Lebesgue cells against the zero limit, so each gap mass
+    is its value times 1.0, exactly.  k equal neighbours merge into one
+    cell of mass k; k * v is still exact for the 2**-30-scaled integers
+    that the bit-for-bit tests draw."""
+    m = lebesgue(0.0, float(len(masses)))
+    f_n = PiecewiseFn(np.arange(len(masses) + 1.0), masses, 0.0, m.domain)
+    return gap_extrema(f_n, m, zero_fn(m.domain), m)
+
+
 # -- per-index oracles for the ragged family passes -------------------------
 #
 # Each index is refined on its own by ``common_refinement`` and reduced by
 # the cell-loop kernels above, one index after another: the loops that the
 # family passes of ``measure_limits`` replaced, kept as bit-for-bit oracles.
+
+@dataclass(frozen=True)
+class Partition:
+    edges: np.ndarray
+    atoms: np.ndarray
+    domain: Interval
+
+    @property
+    def n_cells(self) -> int:
+        return max(self.edges.size - 1, 0)
+
+
+def common_refinement(objs) -> Partition:
+    """Minimal ordered partition on which every input object is constant."""
+    if not objs:
+        raise ValueError("need at least one object")
+    domain = objs[0].domain
+    pieces = [np.asarray([domain.lo, domain.hi])]
+    atom_sets = []
+    for obj in objs:
+        if obj.domain != domain:
+            raise DomainMismatchError(
+                f"domain {obj.domain} differs from {domain}")
+        if isinstance(obj, PiecewiseFn):
+            pieces.append(obj.breakpoints)
+        elif isinstance(obj, FiniteMeasure):
+            pieces.append(obj.piece_edges())
+            atom_sets.append(obj.atom_locs)
+        else:
+            raise TypeError(f"cannot refine {type(obj).__name__}")
+    edges = union_edges(pieces)
+    atoms = np.unique(np.concatenate(atom_sets)) if atom_sets else np.empty(0)
+    return Partition(edges, atoms, domain)
+
 
 def atom_weights_at(m: FiniteMeasure, locs: np.ndarray) -> np.ndarray:
     """Weights of m's atoms at the given sorted locations (0 where absent)."""
@@ -420,8 +585,7 @@ def loop_tv_series(measures: MeasureSequence, limit: FiniteMeasure) -> list:
 
 
 def loop_gap_masses(f_n, m_n, f, m) -> list:
-    """Signed gap masses of one index, atoms first as in
-    ``SignedCellMeasure.all_masses``."""
+    """Signed gap masses of one index, atoms first."""
     a = tuple((s.name, s.lo, s.hi) for s in m_n.segments)
     b = tuple((s.name, s.lo, s.hi) for s in m.segments)
     if a != b:

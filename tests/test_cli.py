@@ -148,6 +148,10 @@ def test_gallery_unknown_fixture():
 NAN = float("nan")
 
 
+#: why a row's value is rejected, where it is not a NaN
+REASONS = {"$.sample_grid[1]": "5.0 is not a finite point of the space"}
+
+
 @pytest.mark.parametrize("field, value, path", [
     ("K_grid", [NAN], "$.K_grid[0]"),
     ("sample_grid", [NAN, 0.5], "$.sample_grid[0]"),
@@ -157,6 +161,8 @@ NAN = float("nan")
     ("functions", {"explicit": [{"breakpoints": [0.0, 0.5, 1.0],
                                  "values": [NAN, 1.0]}] * 4},
      "$.functions.explicit[0].values[0]"),
+    # a sample point off the space would reach the epi-limit scans
+    ("sample_grid", [0.5, 5.0], "$.sample_grid[1]"),
 ])
 def test_check_rejects_nan_with_the_field_path(tmp_path, capsys, field, value,
                                                path):
@@ -165,7 +171,7 @@ def test_check_rejects_nan_with_the_field_path(tmp_path, capsys, field, value,
     out = tmp_path / "report.json"
     assert main(["check", str(src), "--out", str(out)]) == 1
     err = capsys.readouterr().err
-    assert f"{path}: not a number: nan" in err
+    assert f"{path}: {REASONS.get(path, 'not a number: nan')}" in err
     assert "Traceback" not in err
     assert not out.exists()
 

@@ -2,8 +2,8 @@
 
 The engine in ``measure_limits.epilimits`` scans every point of a family
 at once; ``helpers.scan_epi_oracle`` scans one point with one scalar
-``range_on`` call per step and index.  They must agree bit for bit, the
-sign of zero included, and reject the same empty balls.
+``helpers.range_on`` call per step and index.  They must agree bit for
+bit, the sign of zero included, and reject the same empty balls.
 """
 
 import math
@@ -126,7 +126,7 @@ def test_public_estimates_match_oracle():
         for est, lower in ((epi_liminf(sc.f_seq, s, sched), True),
                            (epi_limsup(sc.f_seq, s, sched), False)):
             want = scan_epi_oracle(sc.f_seq, s, sched, lower)
-            assert est.source == "window"
+            assert est.certainty == "window"
             assert bits(est.per_j) == bits(want)
             assert bits([est.value]) == bits(want[-1:])
 
@@ -145,18 +145,20 @@ def counting_seq(n_max: int, calls: list) -> FnSequence:
         epi_limsup_cert=EpiCertificate(zero_fn(dom), ((0.0, math.inf),)))
 
 
-def test_certified_estimate_builds_nothing_until_per_j_is_read():
+def test_certified_estimate_builds_nothing():
     calls: list = []
     seq = counting_seq(16, calls)
     sched = EpiSchedule.default(16)
     est = epi_liminf(seq, 0.0, sched)
-    assert est.value == -math.inf and est.source == "certificate"
-    assert calls == []
+    assert est.value == -math.inf and est.certainty == "exact"
+    assert est.per_j == () and calls == []
     rep = epi_limit_exists(seq, [-0.5, 0.0, 0.5], sched, 1e-9,
                            lebesgue(-1.0, 1.0))
     assert rep.mass_exact and calls == []
-    assert bits(est.per_j) == bits(scan_epi_oracle(seq, 0.0, sched, True))
-    assert calls                        # reading per_j scanned the family
+    # the same builder with the certificates stripped is scanned
+    bare = epi_liminf(FnSequence(16, seq.builder), 0.0, sched)
+    assert bits(bare.per_j) == bits(scan_epi_oracle(seq, 0.0, sched, True))
+    assert calls
 
 
 def test_certified_estimate_rejects_balls_outside_the_domain():

@@ -61,14 +61,14 @@ def test_constant_sequence_recovers_constant():
     assert epi_limsup(seq, 0.3, sched_for(8)).value == 2.5
 
 
-def test_comb_cliff_eventual_form_gives_exact_zero():
+def test_comb_cliff_certificate_matches_the_stripped_scan():
     sc = gallery.build("dyadic_comb", n_max=8)
-    # strip certificates: the eventual form alone should certify the value
-    seq = FnSequence(8, sc.f_seq.builder, eventual_form=sc.f_seq.eventual_form)
+    bare = FnSequence(8, sc.f_seq.builder)
     for s in (0.0, 0.7, 3.2):
-        est = epi_liminf(seq, s, sched_for(8))
-        assert est.value == 0.0
-        assert est.certainty == "exact" and est.source == "eventual"
+        # the cliffs march off every ball: the scan reads the certified 0
+        est = epi_liminf(bare, s, sched_for(8))
+        assert est.value == epi_liminf(sc.f_seq, s, sched_for(8)).value == 0.0
+        assert est.certainty == "window" and est.stabilized
 
 
 def test_staircase_liminf_at_origin_is_minus_infinity():
@@ -76,7 +76,8 @@ def test_staircase_liminf_at_origin_is_minus_infinity():
     est = epi_liminf(sc.f_seq, 0.0, sched_for(16))
     assert est.value == -math.inf and est.certainty == "exact"
     # windowed scan bottoms out at the truncated staircase floor
-    assert min(est.per_j) <= -(50.0)
+    bare = epi_liminf(FnSequence(16, sc.f_seq.builder), 0.0, sched_for(16))
+    assert min(bare.per_j) <= -(50.0)
 
 
 def test_spike_window_scan_blows_up_at_origin():
@@ -92,22 +93,25 @@ def test_spike_window_scan_blows_up_at_origin():
 def test_comb_teeth_liminf_tracks_exponential_envelope():
     sc = gallery.build("dyadic_comb", n_max=12)
     sched = sc.resolved_schedule()
+    bare = FnSequence(12, sc.g_seq.builder)
     for s in (0.0, 0.5, 1.25, 1.9):
         est = epi_liminf(sc.g_seq, s, sched)
         assert est.value == pytest.approx(-(2.0 ** (s - 1.0)) / LN2, abs=2e-3)
         # windowed scan agrees within the final ball's envelope oscillation
-        delta = sched.final_delta
-        assert est.per_j[-1] == pytest.approx(est.value,
-                                              rel=2.0 ** delta - 1.0 + 1e-6)
+        delta = sched.steps[-1][1]
+        assert epi_liminf(bare, s, sched).per_j[-1] == pytest.approx(
+            est.value, rel=2.0 ** delta - 1.0 + 1e-6)
 
 
 def test_comb_teeth_limsup_is_zero():
     sc = gallery.build("dyadic_comb", n_max=12)
     sched = sc.resolved_schedule()
+    bare = FnSequence(12, sc.g_seq.builder)
     for s in (0.0, 0.5, 1.25, 1.9):
         est = epi_limsup(sc.g_seq, s, sched)
         assert est.value == 0.0
-        assert est.per_j[-1] == 0.0  # plain teeth reach 0 in every ball
+        # plain teeth reach 0 in every ball
+        assert epi_limsup(bare, s, sched).per_j[-1] == 0.0
 
 
 def test_liminf_of_negation_mirrors_limsup():
@@ -156,7 +160,7 @@ def test_exists_constant_everywhere():
     seq = constant_seq(constant_fn(3.0, DOM), 8)
     rep = epi_limit_exists(seq, [0.0, 0.5, 1.0], sched_for(8), 1e-9,
                            lebesgue(0.0, 1.0))
-    assert rep.all_ok and rep.exception_mass == 0.0
+    assert all(rep.point_ok) and rep.exception_mass == 0.0
 
 
 def test_exists_comb_failure_mass_is_exact():

@@ -21,13 +21,12 @@ from measure_limits import (
     seq_liminf,
     seq_limsup,
     weakened_minorant_probe,
-    with_constant_offset,
     zero_fn,
 )
 from measure_limits import gallery
 from measure_limits.fatou import HOLDS, VIOLATED
 
-from helpers import constant_seq, fatou_random_scenario
+from helpers import constant_seq, fatou_random_scenario, with_constant_offset
 
 LN2 = math.log(2.0)
 DOM = Interval(0.0, 1.0)
@@ -91,8 +90,7 @@ def test_violation_requires_exact_certainty():
     # same comb functions, certificates stripped: the truncated epi estimate
     # cannot prove a violation, so the verdict degrades to inconclusive
     sc = gallery.build("dyadic_comb", n_max=12)
-    bare_f = FnSequence(12, sc.f_seq.builder,
-                        eventual_form=None)
+    bare_f = FnSequence(12, sc.f_seq.builder)
     sc2 = Scenario(name="comb_bare", measures=sc.measures,
                    limit_measure=sc.limit_measure, f_seq=bare_f,
                    sample_grid=sc.sample_grid, certificate="tv")

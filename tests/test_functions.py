@@ -13,9 +13,10 @@ from measure_limits import (
     Ramp,
     dominates,
     part,
-    tail_restrict,
     zero_fn,
 )
+
+from helpers import range_on
 
 DOM = Interval(0.0, 1.0)
 
@@ -95,28 +96,6 @@ def test_part_identity_pointwise(f, x):
     assert pos(x) >= 0.0 and neg(x) >= 0.0
 
 
-def test_tail_restrict_examples():
-    f = PiecewiseFn([0.0, 0.5, 1.0], [-1.0, -3.0], 0.0, DOM)
-    t = tail_restrict(f, 2.5)
-    assert t(0.25) == 0.0
-    assert t(0.75) == 3.0
-    # boundary level included
-    g = PiecewiseFn((), (), -2.0, DOM)
-    assert tail_restrict(g, 2.0)(0.5) == 2.0
-    # above the sup: identically zero
-    assert tail_restrict(f, 99.0)(0.75) == 0.0
-    with pytest.raises(ValueError):
-        tail_restrict(f, 0.0)
-
-
-@settings(max_examples=100)
-@given(step_fns(), st.floats(0.1, 40.0), st.floats(0.0, 10.0),
-       st.floats(0.0, 1.0))
-def test_tail_restrict_monotone_in_level(f, k, bump, x):
-    lo, hi = tail_restrict(f, k), tail_restrict(f, k + bump)
-    assert hi(x) <= lo(x)
-
-
 @settings(max_examples=100)
 @given(step_fns(), st.floats(0.0, 1.0))
 def test_canonicalization_preserves_evaluation(f, x):
@@ -182,7 +161,7 @@ def test_range_on_matches_dense_sampling():
         a, b = sorted(rng.uniform(0, 1, 2))
         if b - a < 1e-3:
             continue
-        lo, hi = f.range_on(a, b, False, False)
+        lo, hi = range_on(f, a, b, False, False)
         xs = np.linspace(a + 1e-9, b - 1e-9, 2000)
         sampled = f.values_at(xs)
         assert lo <= float(np.min(sampled)) + 1e-12

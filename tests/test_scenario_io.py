@@ -253,3 +253,29 @@ def test_empty_checks_list_reports_nothing_exit_zero():
     report = run_checks(doc, ())
     assert report.results == ()
     assert report.exit_code == 0
+
+
+def test_document_schedule_reaches_the_scenario(tmp_path, capsys):
+    from measure_limits.cli import main
+    doc = {
+        "name": "staircase-schedule",
+        "space": {"lo": 0.0, "hi": 1.0},
+        "n_max": 16,
+        "measures": {"builder": "staircase"},
+        "limit_measure": {"atoms": [[0.0, 1.0]]},
+        "functions": {"builder": "staircase"},
+        "schedule": {"N": [2, 8, 16], "delta": [0.5, 0.25, 0.125]},
+        "checks": ["fatou"],
+        "convergence_certificate": {"kind": "builder"},
+    }
+    sched = parse_scenario(json.dumps(doc)).build_scenario().resolved_schedule()
+    assert sched.steps == ((2, 0.5), (8, 0.25), (16, 0.125))
+    assert sched.n_max == 16
+    src = tmp_path / "doc.json"
+    src.write_text(json.dumps(doc), encoding="utf-8")
+    assert main(["check", str(src), "--out", str(tmp_path / "r.json")]) == 0
+    # an index range that ends before the schedule's last threshold
+    capsys.readouterr()
+    assert main(["check", str(src), "--nmax", "12"]) == 1
+    err = capsys.readouterr().err
+    assert "error: $.schedule: schedule exhausts the index range" in err

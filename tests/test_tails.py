@@ -9,7 +9,6 @@ from measure_limits import (
     Interval,
     MalformedObjectError,
     PiecewiseFn,
-    check_tail_table,
     constant_measures,
     first_shift,
     lebesgue,
@@ -20,7 +19,7 @@ from measure_limits import (
 )
 from measure_limits import gallery
 
-from helpers import constant_seq, scan_tail, zero_seq
+from helpers import check_tail_table, constant_seq, scan_tail, zero_seq
 
 DOM = Interval(0.0, 1.0)
 

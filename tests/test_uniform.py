@@ -11,24 +11,24 @@ from measure_limits import (
     PiecewiseFn,
     Scenario,
     UnsupportedScenarioError,
-    condition_undershoot,
     constant_fn,
     constant_measures,
-    conv_in_measure,
     lebesgue,
     make_segment,
     point_mass,
-    signed_gap,
-    uniform_fatou_gap,
     uniform_report,
-    uniform_sup_gap,
     zero_fn,
 )
 from measure_limits import gallery
-from measure_limits.measures import SignedCellMeasure
-from measure_limits.uniform import hahn_masses, trend_vanishing
+from measure_limits.refinement import family_pairing
+from measure_limits.uniform import (
+    _condition_series,
+    _gap_rows,
+    _signed_masses,
+    trend_vanishing,
+)
 
-from helpers import constant_seq
+from helpers import constant_seq, gap_extrema, masses_extrema
 
 DOM = Interval(-1.0, 1.0)
 
@@ -44,28 +44,35 @@ def enumerate_subset_extrema(masses):
     return best_lo, best_hi
 
 
+def gap_masses(f_n, m_n, f, m) -> tuple[list, list]:
+    """(cell masses, atom masses) of one index's signed gap, as the
+    set-uniform report's Hahn sums read them."""
+    p = next(family_pairing(_gap_rows([f_n], [m_n], f, m)))
+    gaps = _signed_masses(p)
+    return gaps[~p.atom].tolist(), gaps[p.atom].tolist()
+
+
 def spike_gap(n):
     dom = DOM
     m = lebesgue(-1.0, 1.0)
     f_n = PiecewiseFn([-1.0 / n, 0.0, 1.0 / n], [-float(n), float(n)], 0.0, dom)
-    return signed_gap(f_n, m, zero_fn(dom), m)
+    return f_n, m, zero_fn(dom), m
 
 
 def test_identical_inputs_give_zero_measure():
     m = lebesgue(-1.0, 1.0)
     f = PiecewiseFn([-0.5, 0.5], [2.0], 0.0, DOM)
-    g = signed_gap(f, m, f, m)
-    assert all(v == 0.0 for v in g.cell_masses)
-    assert uniform_fatou_gap(g) == 0.0
-    assert uniform_sup_gap(g) == 0.0
+    cells, _ = gap_masses(f, m, f, m)
+    assert all(v == 0.0 for v in cells)
+    assert gap_extrema(f, m, f, m) == (0.0, 0.0)
 
 
 def test_spike_gap_masses():
-    g = spike_gap(4)
-    nonzero = sorted(v for v in g.cell_masses if v != 0.0)
+    gap = spike_gap(4)
+    cells, _ = gap_masses(*gap)
+    nonzero = sorted(v for v in cells if v != 0.0)
     assert nonzero == [-1.0, 1.0]
-    assert uniform_fatou_gap(g) == -1.0
-    assert uniform_sup_gap(g) == 1.0
+    assert gap_extrema(*gap) == (-1.0, 1.0)
 
 
 def test_single_atom_gap():
@@ -73,9 +80,9 @@ def test_single_atom_gap():
     m = point_mass(0.0, 0.5, dom)
     f_n = PiecewiseFn([0.0, 0.5], [2.0], 0.0, dom)
     f = PiecewiseFn([0.0, 0.5], [1.0], 0.0, dom)
-    g = signed_gap(f_n, m, f, m)
-    assert g.atom_masses == (0.5,)
-    assert uniform_sup_gap(g) == 0.5
+    _, atoms = gap_masses(f_n, m, f, m)
+    assert atoms == [0.5]
+    assert gap_extrema(f_n, m, f, m)[1] == 0.5
 
 
 def test_uniform_shift_gap():
@@ -85,16 +92,17 @@ def test_uniform_shift_gap():
     f = zero_fn(dom)
     for n in (1, 5, 25):
         f_n = constant_fn(-1.0 / n, dom)
-        g = signed_gap(f_n, m, f, m)
-        assert uniform_fatou_gap(g) == pytest.approx(-2.0 / n, abs=1e-15)
-        assert uniform_sup_gap(g) == pytest.approx(2.0 / n, abs=1e-15)
+        lo, hi = gap_extrema(f_n, m, f, m)
+        assert lo == pytest.approx(-2.0 / n, abs=1e-15)
+        assert hi == pytest.approx(2.0 / n, abs=1e-15)
 
 
 def test_pos_neg_asymmetric_cells():
-    g = SignedCellMeasure((), (), (0.0, 0.5, 1.0), (0.3, -0.7))
-    assert uniform_fatou_gap(g) == -0.7
-    assert uniform_sup_gap(g) == 0.7
-    pos, neg = hahn_masses(g)
+    lo, hi = masses_extrema([0.3, -0.7])
+    assert lo == -0.7
+    assert hi == 0.7
+    # the positive Hahn mass is the negative one of the mirrored gap
+    pos, neg = -masses_extrema([-0.3, 0.7])[0], -lo
     assert (pos, neg) == (0.3, 0.7)
     assert max(pos, neg) <= pos + neg  # tv dominates the one-sided sup
 
@@ -106,28 +114,27 @@ def test_hahn_matches_enumeration_bitwise():
         k = int(rng.integers(1, 13))
         ints = rng.integers(-(2 ** 30), 2 ** 30, size=k)
         masses = tuple(float(i) * scale for i in ints)
-        edges = tuple(np.linspace(0.0, 1.0, k + 1))
-        g = SignedCellMeasure((), (), edges, masses)
         lo, hi = enumerate_subset_extrema(list(masses))
-        assert uniform_fatou_gap(g) == lo
-        assert uniform_sup_gap(g) == max(hi, -lo)
+        assert masses_extrema(masses) == (lo, max(hi, -lo))
 
 
 def test_inf_gap_never_positive():
     rng = np.random.default_rng(5)
     for _ in range(200):
         masses = tuple(rng.uniform(-1, 1, size=rng.integers(1, 10)))
-        g = SignedCellMeasure((), (), tuple(range(len(masses) + 1)), masses)
-        assert uniform_fatou_gap(g) <= 0.0
-        assert uniform_sup_gap(g) >= abs(uniform_fatou_gap(g))
+        lo, hi = masses_extrema(masses)
+        assert lo <= 0.0
+        assert hi >= abs(lo)
 
 
 def test_non_integrable_input_rejected():
     dom = Interval(0.0, 1.0)
     m = lebesgue(0.0, 1.0)
     bad = PiecewiseFn([0.0, 0.5], [math.inf], 0.0, dom)
+    sc = Scenario("bad", constant_measures(m, 4), m, constant_seq(bad, 4),
+                  limit_fn=zero_fn(dom), certificate="tv")
     with pytest.raises(NotIntegrableError):
-        signed_gap(bad, m, zero_fn(dom), m)
+        uniform_report(sc)
 
 
 def test_mismatched_segments_rejected():
@@ -138,10 +145,10 @@ def test_mismatched_segments_rejected():
                          cells=[(5.0, 6.0, 1.0)], domain=dom)
     f = zero_fn(dom)
     with pytest.raises(UnsupportedScenarioError):
-        signed_gap(f, mu, f, half)
+        gap_extrema(f, mu, f, half)
     # identical segments factor out a common density: accepted
-    g = signed_gap(constant_fn(-1.0, dom), mu, f, mu)
-    assert uniform_fatou_gap(g) == pytest.approx(-1.0 / math.log(2.0), rel=1e-12)
+    lo, _ = gap_extrema(constant_fn(-1.0, dom), mu, f, mu)
+    assert lo == pytest.approx(-1.0 / math.log(2.0), rel=1e-12)
 
 
 # -- set-wise conditions --------------------------------------------------------
@@ -149,8 +156,8 @@ def test_mismatched_segments_rejected():
 def test_condition_series_identity():
     seq = constant_seq(zero_fn(DOM), 6)
     m = lebesgue(-1.0, 1.0)
-    assert condition_undershoot(seq, zero_fn(DOM), m, 1e-3) == [0.0] * 6
-    assert conv_in_measure(seq, zero_fn(DOM), m, 1e-3) == [0.0] * 6
+    assert _condition_series(seq, zero_fn(DOM), m, 1e-3) == ([0.0] * 6,
+                                                             [0.0] * 6)
 
 
 def test_condition_fixed_offset_cell():
@@ -160,9 +167,9 @@ def test_condition_fixed_offset_cell():
     f_n = PiecewiseFn([0.0, 0.25], [-2 * eps], 0.0, dom)
     seq = constant_seq(f_n, 4)
     m = lebesgue(0.0, 1.0)
-    assert condition_undershoot(seq, f, m, eps) == [0.25] * 4
+    assert _condition_series(seq, f, m, eps)[0] == [0.25] * 4
     sym = PiecewiseFn([0.0, 0.25], [2 * eps], 0.0, dom)
-    assert conv_in_measure(constant_seq(sym, 4), f, m, eps) == [0.25] * 4
+    assert _condition_series(constant_seq(sym, 4), f, m, eps)[1] == [0.25] * 4
 
 
 def test_condition_shrinking_support():
@@ -171,7 +178,7 @@ def test_condition_shrinking_support():
     m = lebesgue(0.0, 1.0)
     seq = FnSequence(8, lambda n: PiecewiseFn([0.0, 1.0 / n], [-2 * eps],
                                               0.0, dom))
-    out = condition_undershoot(seq, zero_fn(dom), m, eps)
+    out = _condition_series(seq, zero_fn(dom), m, eps)[0]
     assert out == pytest.approx([1.0 / n for n in range(1, 9)], abs=1e-15)
 
 
@@ -234,9 +241,10 @@ def test_infinite_value_on_null_cell_is_killed():
     # signed gap must treat the null region as 0, not NaN
     m = FiniteMeasure(cells=[(0.5, 1.0, 1.0)], domain=dom)
     f_n = PiecewiseFn([0.0, 0.5, 1.0], [math.inf, 2.0], 0.0, dom)
-    g = signed_gap(f_n, m, zero_fn(dom), m)
-    assert all(v == v for v in g.cell_masses)  # no NaN
-    assert uniform_sup_gap(g) == pytest.approx(1.0, abs=1e-15)
+    cells, _ = gap_masses(f_n, m, zero_fn(dom), m)
+    assert all(v == v for v in cells)  # no NaN
+    _, hi = gap_extrema(f_n, m, zero_fn(dom), m)
+    assert hi == pytest.approx(1.0, abs=1e-15)
 
 
 def test_uniform_series_csv_layout():

@@ -59,7 +59,6 @@ def test_one_check_computes_each_shared_quantity_once(tmp_path, monkeypatch,
     curves = count_calls(monkeypatch, tails, "tail_curve")
     tail_rows = count_calls(monkeypatch, kernels, "tail_dots")
     hahn = count_calls(monkeypatch, kernels, "sign_sums")
-    refinements = count_calls(monkeypatch, refinement, "common_refinement")
     passes = count_calls(monkeypatch, refinement, "_pair_chunk")
 
     out = tmp_path / "report.json"
@@ -77,12 +76,11 @@ def test_one_check_computes_each_shared_quantity_once(tmp_path, monkeypatch,
     # Hahn masses of all the signed gaps
     assert len(tail_rows) == 2
     assert len(hahn) == 1
-    # no index is refined on its own; one ragged pass each for the f and
-    # g integrals, the negative-part and full-family tail curves, the L1
-    # checks of the f_n, the signed gaps, both condition series, the TV
-    # series and the weak-gap bank's constant witness against the limit
-    # measure and each mu_n, plus the limit function's one-index L1 check
-    assert len(refinements) == 0
+    # one ragged pass each for the f and g integrals, the negative-part
+    # and full-family tail curves, the L1 checks of the f_n, the signed
+    # gaps, both condition series, the TV series and the weak-gap bank's
+    # constant witness against the limit measure and each mu_n, plus the
+    # limit function's one-index L1 check
     assert len(passes) == 10
 
 
@@ -113,10 +111,8 @@ def test_one_check_parses_each_spec_once(tmp_path, monkeypatch, flags):
 ])
 def test_gallery_run_pairs_each_family_in_one_pass(monkeypatch, fixture,
                                                    passes):
-    refinements = count_calls(monkeypatch, refinement, "common_refinement")
     chunks = count_calls(monkeypatch, refinement, "_pair_chunk")
     assert gallery.run(fixture).failures == 0
-    assert len(refinements) == 0
     assert len(chunks) == passes
 
 

@@ -11,5 +11,3 @@ def test_interval_validation():
     iv = Interval(0.0, math.inf)
     assert iv.contains(1e300)
     assert not iv.contains(-0.1)
-    assert not iv.bounded
-    assert Interval(0.0, 1.0).bounded
