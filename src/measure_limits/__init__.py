@@ -18,8 +18,7 @@ from .functions import (
     part, dominates, zero_fn, constant_fn,
 )
 from .measures import (
-    FiniteMeasure, MeasureSequence, AnalyticSegment,
-    lebesgue, point_mass, make_segment, constant_measures,
+    FiniteMeasure, AnalyticSegment, lebesgue, point_mass, make_segment,
 )
 from .integration import (
     integrate, tv_norm_diff, integrate_ramp, weak_gap_bank,

@@ -11,8 +11,7 @@ a proof.
 
 A certificate decides every point exactly, and nothing is scanned.
 Without one, the points of one family and direction go through one
-batched scan that builds each f_n once and reads it for all points at
-once.  ``tests/helpers.py`` keeps the scalar one-ball-at-a-time scan
+batched scan that reads each f_n once for all points.  ``tests/helpers.py`` keeps the scalar one-ball-at-a-time scan
 (``range_on``) that it must match bit for bit.
 """
 
@@ -172,16 +171,15 @@ def _scan(seq: FnSequence, pts: np.ndarray, sched: EpiSchedule, lower: bool
     schedule step, shape (points, steps): entry (p, j) is the inf/sup of
     f_n over the open delta_j-ball around point p and every n >= N_j.
 
-    Each f_n is built and searched once for all points; steps whose
-    threshold n has reached take it into their running extreme.
+    Each f_n is searched once for all points; steps whose threshold n has
+    reached take it into their running extreme.
     """
     thresholds = [n for n, _ in sched.steps]
     deltas = np.asarray([d for _, d in sched.steps])
     acc = np.full((pts.size, deltas.size), math.inf if lower else -math.inf)
     better = np.less if lower else np.greater
     balls: dict = {}
-    for n in range(thresholds[0], seq.n_max + 1):
-        f = seq.fn(n)
+    for n, f in enumerate(seq.fns[thresholds[0] - 1:], start=thresholds[0]):
         key = (f.domain.lo, f.domain.hi)
         if key not in balls:
             balls[key] = _balls(f.domain, pts, deltas)
@@ -343,8 +341,7 @@ def epi_integral(seq: FnSequence, m: FiniteMeasure, which: str,
     # refine by the trailing-tail functions so each is cell-constant; the
     # midpoint estimate then bounds every tail function's cell value from
     # the certified side, which keeps windowed Fatou gaps one-sided
-    tail_bps = [seq.fn(n).breakpoints
-                for n in range(sched.steps[-1][0], seq.n_max + 1)]
+    tail_bps = [f.breakpoints for f in seq.fns[sched.steps[-1][0] - 1:]]
     edges = np.unique(np.concatenate([
         np.asarray(sorted(float(x) for x in grid)),
         m.piece_edges(),

@@ -22,7 +22,7 @@ import numpy as np
 from .epilimits import EXACT, EpiSchedule, epi_integral, epi_limit_exists
 from .functions import FnSequence, PiecewiseFn, dominates, part
 from .integration import integral_series, tv_series
-from .measures import FiniteMeasure, MeasureSequence
+from .measures import FiniteMeasure
 from .tails import (
     DEFAULT_K_GRID,
     TailCurve,
@@ -54,11 +54,11 @@ class Scenario:
     ``certificate`` states how weak convergence of the measures is
     justified: ``"tv"`` (total-variation distances vanish), ``"builder"``
     (closed-form construction), or ``"none"`` (bank evidence only, so
-    hypothesis status stays inconclusive).
+    hypothesis status stays inconclusive).  ``measures[n - 1]`` is mu_n.
     """
 
     name: str
-    measures: MeasureSequence
+    measures: tuple[FiniteMeasure, ...]
     limit_measure: FiniteMeasure
     f_seq: FnSequence
     g_seq: Optional[FnSequence] = None
@@ -94,11 +94,11 @@ class Scenario:
 
     @cached_property
     def neg_part_seq(self) -> FnSequence:
-        return self.f_seq.map(lambda f: part(f, "negative"))
+        return FnSequence(tuple(part(f, "negative") for f in self.f_seq.fns))
 
     @cached_property
     def abs_seq(self) -> FnSequence:
-        return self.f_seq.map(abs)
+        return FnSequence(tuple(abs(f) for f in self.f_seq.fns))
 
     @cached_property
     def f_integral_series(self) -> list[float]:
@@ -150,9 +150,7 @@ class Scenario:
     @cached_property
     def tv_series(self) -> tuple[float, ...]:
         """Total-variation distances ||mu_n - mu|| for n = 1..n_max."""
-        return tuple(tv_series((self.measures.measure(n)
-                                for n in range(1, self.n_max + 1)),
-                               self.limit_measure))
+        return tuple(tv_series(self.measures, self.limit_measure))
 
     @cached_property
     def uniform_report(self):
@@ -166,7 +164,7 @@ def default_sample_grid(m: FiniteMeasure, seq: FnSequence,
                         points: int = 65) -> tuple[float, ...]:
     """Deterministic sample grid: structural points of the limit measure
     and the first function, plus a uniform fill of their finite hull."""
-    anchors = [m.piece_edges(), seq.fn(1).breakpoints,
+    anchors = [m.piece_edges(), seq.fns[0].breakpoints,
                np.asarray([b for b in (m.domain.lo, m.domain.hi)
                            if math.isfinite(b)])]
     pool = np.unique(np.concatenate(anchors))
@@ -216,15 +214,14 @@ def _gap(rhs: float, lhs: float) -> float:
     return rhs - lhs
 
 
-def _integral_series(seq: FnSequence, measures: MeasureSequence) -> list[float]:
-    indices = range(1, seq.n_max + 1)
-    return list(integral_series((seq.fn(n) for n in indices),
-                                (measures.measure(n) for n in indices)))
+def _integral_series(seq: FnSequence, measures: tuple[FiniteMeasure, ...]
+                     ) -> list[float]:
+    return list(integral_series(seq.fns, measures))
 
 
 def _dominance_all(upper: FnSequence, lower: FnSequence):
-    for n in range(1, upper.n_max + 1):
-        ok, witness = dominates(upper.fn(n), lower.fn(n))
+    for n, pair in enumerate(zip(upper.fns, lower.fns), start=1):
+        ok, witness = dominates(*pair)
         if not ok:
             return False, n, witness
     return True, None, None
@@ -447,11 +444,9 @@ def bounded_minorant_shift_probe(sc: Scenario) -> ShiftProbeReport:
     """
     if sc.g_seq is None:
         raise UnsupportedScenarioError("shift probe needs a minorant family")
-    tops = []
-    for n in range(1, sc.g_seq.n_max + 1):
-        g = sc.g_seq.fn(n)
-        tops.append(max(float(np.max(g.values)) if g.values.size else -math.inf,
-                        g.default))
+    tops = [max(float(np.max(g.values)) if g.values.size else -math.inf,
+                g.default)
+            for g in sc.g_seq.fns]
     if max(tops) == math.inf:
         raise UnsupportedScenarioError(
             "minorants are not uniformly bounded from above")

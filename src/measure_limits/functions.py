@@ -10,7 +10,7 @@ Values may be ``+inf``/``-inf``; only integration decides definedness.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Callable, Optional
 
 import numpy as np
@@ -261,9 +261,8 @@ class EpiCertificate:
     exact values at individual points that a step function cannot carry
     (isolated spikes at atoms).  Certificates are trusted inputs: the
     epi-limits module uses them without scanning.  The tier-1 tests compare
-    them with windowed scans of the same builder with the certificates
-    stripped (``FnSequence(n_max, seq.builder)``; see
-    ``tests/test_epilimits.py``).
+    them with windowed scans of the same functions with the certificates
+    stripped (``FnSequence(seq.fns)``; see ``tests/test_epilimits.py``).
     """
 
     fn: PiecewiseFn
@@ -278,28 +277,18 @@ class EpiCertificate:
         return self.fn.upper_envelope(x)
 
 
-@dataclass
+@dataclass(frozen=True)
 class FnSequence:
-    """Lazily generated indexed family f_1..f_{n_max} of step functions;
-    each is built once and kept for the life of the sequence."""
+    """The indexed family f_1..f_{n_max} of step functions, built once:
+    ``fns[n - 1]`` is f_n."""
 
-    n_max: int
-    builder: Callable[[int], PiecewiseFn]
+    fns: tuple[PiecewiseFn, ...]
     epi_liminf_cert: Optional[EpiCertificate] = None
     epi_limsup_cert: Optional[EpiCertificate] = None
-    _cache: dict = field(default_factory=dict, repr=False)
 
-    def fn(self, n: int) -> PiecewiseFn:
-        if not 1 <= n <= self.n_max:
-            raise IndexError(f"index {n} outside 1..{self.n_max}")
-        f = self._cache.get(n)
-        if f is None:
-            f = self.builder(n)
-            self._cache[n] = f
-        return f
-
-    def map(self, transform: Callable[[PiecewiseFn], PiecewiseFn]) -> "FnSequence":
-        return FnSequence(self.n_max, lambda n: transform(self.fn(n)))
+    @property
+    def n_max(self) -> int:
+        return len(self.fns)
 
 
 @dataclass(frozen=True)

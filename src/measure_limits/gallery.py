@@ -37,20 +37,18 @@ from .functions import (
     zero_fn,
 )
 from .integration import default_bank, tv_norm_diff, weak_gap_bank
-from .measures import (
-    FiniteMeasure,
-    MeasureSequence,
-    constant_measures,
-    lebesgue,
-    make_segment,
-    point_mass,
-)
+from .measures import FiniteMeasure, lebesgue, make_segment, point_mass
 from .tails import first_shift, tail_curve, verdict
 from .uniform import uniform_report
 from .xreal import Interval, MalformedObjectError, UnsupportedScenarioError
 
 LN2 = math.log(2.0)
 _STAIR_STEPS = 50
+
+
+def _family(builder: Callable[[int], object], n_max: int) -> tuple:
+    """(builder(1), ..., builder(n_max))."""
+    return tuple(builder(n) for n in range(1, n_max + 1))
 
 
 # --------------------------------------------------------------------------
@@ -80,18 +78,15 @@ def _staircase_scenario(n_max: int = 64) -> Scenario:
         return FiniteMeasure(cells=[(0.0, 1.0 / n, float(n))], domain=dom)
 
     f_seq = FnSequence(
-        n_max, f_builder,
+        _family(f_builder, n_max),
         epi_liminf_cert=EpiCertificate(zero_fn(dom), ((0.0, -math.inf),)),
         epi_limsup_cert=EpiCertificate(zero_fn(dom)))
-    g_seq = FnSequence(n_max, f_builder,
-                       epi_liminf_cert=f_seq.epi_liminf_cert,
-                       epi_limsup_cert=f_seq.epi_limsup_cert)
     return Scenario(
         name="staircase",
-        measures=MeasureSequence(n_max, m_builder),
+        measures=_family(m_builder, n_max),
         limit_measure=point_mass(0.0, 1.0, dom),
         f_seq=f_seq,
-        g_seq=g_seq,
+        g_seq=f_seq,
         limit_fn=zero_fn(dom),
         certificate="builder",
     )
@@ -109,18 +104,11 @@ def _staircase_late_start_scenario(n_max: int = 65) -> Scenario:
     base = _staircase_scenario(n_max - 1)
     dom = Interval(0.0, 1.0)
     bad = PiecewiseFn([0.0, 1.0], [-math.inf], 0.0, dom)
-
-    def f_builder(n: int) -> PiecewiseFn:
-        return bad if n == 1 else base.f_seq.builder(n - 1)
-
-    def m_builder(n: int) -> FiniteMeasure:
-        return lebesgue(0.0, 1.0) if n == 1 else base.measures.builder(n - 1)
-
     return Scenario(
         name="staircase_late_start",
-        measures=MeasureSequence(n_max, m_builder),
+        measures=(lebesgue(0.0, 1.0), *base.measures),
         limit_measure=base.limit_measure,
-        f_seq=FnSequence(n_max, f_builder),
+        f_seq=FnSequence((bad, *base.f_seq.fns)),
         certificate="builder",
     )
 
@@ -143,13 +131,9 @@ def _twin_spikes_scenario(n_max: int = 100) -> Scenario:
                            0.0, dom)
 
     f_seq = FnSequence(
-        n_max, f_builder,
+        _family(f_builder, n_max),
         epi_liminf_cert=EpiCertificate(zero_fn(dom), ((0.0, -math.inf),)),
         epi_limsup_cert=EpiCertificate(zero_fn(dom), ((0.0, math.inf),)))
-    g_seq = FnSequence(
-        n_max, f_builder,
-        epi_liminf_cert=f_seq.epi_liminf_cert,
-        epi_limsup_cert=f_seq.epi_limsup_cert)
     # verdicts are grid-relative: capping the grid at n_max/2 keeps every
     # trailing-window tail away from the finite-range cutoff
     cap = float(n_max // 2)
@@ -157,10 +141,10 @@ def _twin_spikes_scenario(n_max: int = 100) -> Scenario:
                          if k < cap} | {cap}))
     return Scenario(
         name="twin_spikes",
-        measures=constant_measures(lebesgue(-1.0, 1.0), n_max),
+        measures=(lebesgue(-1.0, 1.0),) * n_max,
         limit_measure=lebesgue(-1.0, 1.0),
         f_seq=f_seq,
-        g_seq=g_seq,
+        g_seq=f_seq,
         limit_fn=zero_fn(dom),
         k_grid=grid,
         certificate="tv",
@@ -200,8 +184,8 @@ def _dyadic_comb_scenario(n_max: int = 20) -> Scenario:
 
     g_n is built as numpy arrays, never as Python lists: two float64 arrays
     (breakpoints and cell values) of 2^(n+1) cells plus at most two cliff
-    cells, 16 MiB each at n = 20.  The sequence keeps every g_n it has
-    built, about 64 MiB for n_max = 20.
+    cells, 16 MiB each at n = 20.  The family holds every g_n, about
+    64 MiB for n_max = 20.
     """
     if n_max > _COMB_MAX_N:
         raise MalformedObjectError(
@@ -213,9 +197,6 @@ def _dyadic_comb_scenario(n_max: int = 20) -> Scenario:
         return PiecewiseFn([float(n), float(n + 1)], [-(2.0 ** n)], 0.0, dom)
 
     def g_builder(n: int) -> PiecewiseFn:
-        if n > _COMB_MAX_N:
-            raise MalformedObjectError(
-                f"comb functions above n={_COMB_MAX_N} exceed the memory budget")
         h = 2.0 ** -n
         n_cells = 2 ** (n + 1)
         bp = np.arange(n_cells + 1) * h
@@ -237,16 +218,16 @@ def _dyadic_comb_scenario(n_max: int = 20) -> Scenario:
     g_liminf_cert = EpiCertificate(PiecewiseFn(fine_bp, fine_vals, 0.0, dom))
 
     f_seq = FnSequence(
-        n_max, f_builder,
+        _family(f_builder, n_max),
         epi_liminf_cert=EpiCertificate(zero_fn(dom)),
         epi_limsup_cert=EpiCertificate(zero_fn(dom)))
     g_seq = FnSequence(
-        n_max, g_builder,
+        _family(g_builder, n_max),
         epi_liminf_cert=g_liminf_cert,
         epi_limsup_cert=EpiCertificate(zero_fn(dom)))
     return Scenario(
         name="dyadic_comb",
-        measures=constant_measures(mu, n_max),
+        measures=(mu,) * n_max,
         limit_measure=mu,
         f_seq=f_seq,
         g_seq=g_seq,
@@ -268,15 +249,15 @@ def _shrinking_plateau_scenario(n_max: int = 32) -> Scenario:
         return PiecewiseFn([0.0, 1.0 / n], [float(n)], 0.0, dom)
 
     f_seq = FnSequence(
-        n_max, f_builder,
+        _family(f_builder, n_max),
         epi_liminf_cert=EpiCertificate(zero_fn(dom)),
         epi_limsup_cert=EpiCertificate(zero_fn(dom), ((0.0, math.inf),)))
-    zero_seq = FnSequence(n_max, lambda n: zero_fn(dom),
+    zero_seq = FnSequence((zero_fn(dom),) * n_max,
                           epi_liminf_cert=EpiCertificate(zero_fn(dom)),
                           epi_limsup_cert=EpiCertificate(zero_fn(dom)))
     return Scenario(
         name="shrinking_plateau",
-        measures=constant_measures(lebesgue(0.0, 1.0), n_max),
+        measures=(lebesgue(0.0, 1.0),) * n_max,
         limit_measure=lebesgue(0.0, 1.0),
         f_seq=f_seq,
         g_seq=zero_seq,
@@ -290,15 +271,16 @@ def _fading_plateau_scenario(n_max: int = 32) -> Scenario:
     dom = Interval(0.0, 1.0)
     one = constant_fn(1.0, dom)
     f_seq = FnSequence(
-        n_max, lambda n: PiecewiseFn([0.0, 1.0], [1.0 - 1.0 / n], 0.0, dom),
+        _family(lambda n: PiecewiseFn([0.0, 1.0], [1.0 - 1.0 / n], 0.0, dom),
+                n_max),
         epi_liminf_cert=EpiCertificate(one),
         epi_limsup_cert=EpiCertificate(one))
-    g_seq = FnSequence(n_max, lambda n: one,
+    g_seq = FnSequence((one,) * n_max,
                        epi_liminf_cert=EpiCertificate(one),
                        epi_limsup_cert=EpiCertificate(one))
     return Scenario(
         name="fading_plateau",
-        measures=constant_measures(lebesgue(0.0, 1.0), n_max),
+        measures=(lebesgue(0.0, 1.0),) * n_max,
         limit_measure=lebesgue(0.0, 1.0),
         f_seq=f_seq,
         g_seq=g_seq,
@@ -311,12 +293,12 @@ def _flat_negative_scenario(n_max: int = 16) -> Scenario:
     """Constant family f_n = g_n = -1; every diagnostic is trivial."""
     dom = Interval(0.0, 1.0)
     neg_one = constant_fn(-1.0, dom)
-    seq = FnSequence(n_max, lambda n: neg_one,
+    seq = FnSequence((neg_one,) * n_max,
                      epi_liminf_cert=EpiCertificate(neg_one),
                      epi_limsup_cert=EpiCertificate(neg_one))
     return Scenario(
         name="flat_negative",
-        measures=constant_measures(lebesgue(0.0, 1.0), n_max),
+        measures=(lebesgue(0.0, 1.0),) * n_max,
         limit_measure=lebesgue(0.0, 1.0),
         f_seq=seq,
         g_seq=seq,
@@ -331,10 +313,11 @@ def _vanishing_mass_scenario(n_max: int = 32) -> Scenario:
     neg_one = constant_fn(-1.0, dom)
     return Scenario(
         name="vanishing_mass",
-        measures=MeasureSequence(
-            n_max, lambda n: FiniteMeasure(cells=[(0.0, 1.0, 1.0 / n)], domain=dom)),
+        measures=_family(
+            lambda n: FiniteMeasure(cells=[(0.0, 1.0, 1.0 / n)], domain=dom),
+            n_max),
         limit_measure=FiniteMeasure(domain=dom),
-        f_seq=FnSequence(n_max, lambda n: neg_one,
+        f_seq=FnSequence((neg_one,) * n_max,
                          epi_liminf_cert=EpiCertificate(neg_one),
                          epi_limsup_cert=EpiCertificate(neg_one)),
         certificate="builder",
@@ -428,7 +411,7 @@ def _run_staircase(params: dict) -> list[Quantity]:
     qs.append(_flag("weakened_self_infinite", weak.finite_ok, False,
                     "lower epi-limit integral is -inf at the atom"))
 
-    dev = max(abs(tv_norm_diff(sc.measures.measure(n), sc.limit_measure) - 2.0)
+    dev = max(abs(tv_norm_diff(sc.measures[n - 1], sc.limit_measure) - 2.0)
               for n in (1, 7, sc.n_max))
     qs.append(_num("tv_to_limit_is_two", dev, 0.0, 1e-12,
                    "mutually singular unit masses"))
@@ -458,7 +441,7 @@ def _run_staircase_late_start(params: dict) -> list[Quantity]:
 def _run_twin_spikes(params: dict) -> list[Quantity]:
     sc = _twin_spikes_scenario(params.get("n_max", 100))
     qs = []
-    f50 = sc.f_seq.fn(50)
+    f50 = sc.f_seq.fns[49]
     qs.append(_num("f50_at_+0.01", f50(0.01), 50.0, 0.0, "direct construction"))
     qs.append(_num("f50_at_-0.01", f50(-0.01), -50.0, 0.0, "direct construction"))
 
@@ -534,7 +517,7 @@ def _run_dyadic_comb(params: dict) -> list[Quantity]:
     qs.append(_num("g_integral", dev, 0.0, 1e-6,
                    "comb depression adds another 1/(2 ln 2)"))
 
-    g3 = sc.g_seq.fn(3)
+    g3 = sc.g_seq.fns[2]
     depressed = int(np.sum((g3.values < 0) & (g3.values > -4)))
     qs.append(_flag("g3_depressed_cell_count", depressed, 8,
                     "2^3 alternating dyadic cells"))

@@ -22,7 +22,7 @@ import numpy as np
 
 from .functions import PiecewiseFn, Ramp, constant_fn
 from .kernels import pos_neg_dots, ragged_sums
-from .measures import FiniteMeasure, MeasureSequence
+from .measures import FiniteMeasure
 from .refinement import fn_measure_rows, reduce_family
 from .xreal import DomainMismatchError, UnsupportedScenarioError, integral_of_parts
 
@@ -217,21 +217,16 @@ def default_bank(limit: FiniteMeasure) -> list:
     return bank
 
 
-def weak_gap_bank(measures: MeasureSequence, limit: FiniteMeasure, bank,
-                  certificate: str = "none") -> WeakGapSeries:
+def weak_gap_bank(measures: tuple[FiniteMeasure, ...], limit: FiniteMeasure,
+                  bank, certificate: str = "none") -> WeakGapSeries:
+    """The worst bank gap of each mu_n against the limit: the integrals
+    of every bank entry against the limit and against each measure, in
+    one pass over all (measure, entry) pairs."""
     bank = list(bank)
-    ms, error = [limit], None
-    try:
-        for n in range(1, measures.n_max + 1):
-            ms.append(measures.measure(n))
-    except Exception as exc:  # raised after the indices before it
-        error = exc
-    values = _bank_integrals(bank, ms)
+    values = _bank_integrals(bank, [limit, *measures])
     base = [next(values) for _ in bank]
     gaps = []
-    for _ in ms[1:]:
+    for _ in measures:
         row = [next(values) for _ in bank]
         gaps.append(max((abs(v - b) for v, b in zip(row, base)), default=0.0))
-    if error is not None:
-        raise error
     return WeakGapSeries(tuple(gaps), len(bank), certificate)

@@ -11,7 +11,7 @@ constants exact.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Callable, Optional
 
 import numpy as np
@@ -226,26 +226,3 @@ def lebesgue(lo: float, hi: float) -> FiniteMeasure:
 
 def point_mass(loc: float, weight: float, domain: Interval) -> FiniteMeasure:
     return FiniteMeasure(atoms=[(loc, weight)], domain=domain)
-
-
-@dataclass
-class MeasureSequence:
-    """Lazily generated indexed family mu_1..mu_{n_max}; each is built once
-    and kept for the life of the sequence."""
-
-    n_max: int
-    builder: Callable[[int], FiniteMeasure]
-    _cache: dict = field(default_factory=dict, repr=False)
-
-    def measure(self, n: int) -> FiniteMeasure:
-        if not 1 <= n <= self.n_max:
-            raise IndexError(f"index {n} outside 1..{self.n_max}")
-        m = self._cache.get(n)
-        if m is None:
-            m = self.builder(n)
-            self._cache[n] = m
-        return m
-
-
-def constant_measures(m: FiniteMeasure, n_max: int) -> MeasureSequence:
-    return MeasureSequence(n_max, lambda n: m)

@@ -239,7 +239,7 @@ def run_checks(doc: ScenarioDoc, checks: Optional[tuple[str, ...]] = None
     if unknown:
         raise ScenarioFormatError(f"unknown checks {unknown}; "
                                   f"known: {sorted(_CHECKS)}")
-    sc = doc.build_scenario()
+    sc = doc.scenario
 
     def one(name: str) -> CheckResult:
         try:

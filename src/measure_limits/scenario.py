@@ -13,14 +13,14 @@ from __future__ import annotations
 import hashlib
 import json
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from typing import Any, Optional
 
 from . import gallery
 from .epilimits import EpiSchedule
 from .fatou import Scenario, Tolerances
 from .functions import FnSequence, PiecewiseFn
-from .measures import CDF_REGISTRY, FiniteMeasure, MeasureSequence, make_segment
+from .measures import CDF_REGISTRY, FiniteMeasure, make_segment
 from .xreal import Interval, MalformedObjectError, ScenarioFormatError
 
 KNOWN_CHECKS = ("ui", "aui", "shift", "fatou", "minorant", "weakened_minorant",
@@ -188,36 +188,21 @@ class BuilderRef:
 
 @dataclass(frozen=True)
 class ScenarioDoc:
-    """A scenario document, parsed once: ``raw`` is the canonical dict and
-    the other fields hold what validation built from it.  Each family is a
-    tuple of parsed entries (one per index; the limit measure is a single
-    one) or a ``BuilderRef``.  Parsed objects are immutable, so every
-    ``build_scenario()`` shares them and assembles a fresh ``Scenario``."""
+    """A scenario document, parsed once: ``raw`` is the canonical dict,
+    ``checks`` the check names it requests and ``scenario`` the scenario
+    that validation built from it, builder families included.  Every
+    ``run_checks`` on the document shares that scenario and its memo."""
 
     name: str
     raw: dict
     checks: tuple[str, ...]
-    certificate: str
-    domain: Interval
-    n_max: int
-    measures: tuple[FiniteMeasure, ...] | BuilderRef
-    functions: tuple[PiecewiseFn, ...] | BuilderRef
-    g_functions: Optional[tuple[PiecewiseFn, ...] | BuilderRef]
-    limit_measure: FiniteMeasure | BuilderRef
-    limit_fn: Optional[PiecewiseFn]
-    k_grid: Optional[tuple[float, ...]]
-    sample_grid: Optional[tuple[float, ...]]
-    schedule: Optional[EpiSchedule]
-    tolerances: Tolerances
+    scenario: Scenario
 
     def canonical(self) -> str:
         return canonical_json(self.raw)
 
     def hash(self) -> str:
         return doc_hash(self.raw)
-
-    def build_scenario(self) -> Scenario:
-        return _build_scenario(self)
 
 
 def _builder_ref(spec, path: str, n_max: int) -> Optional[BuilderRef]:
@@ -245,12 +230,15 @@ def _builder_ref(spec, path: str, n_max: int) -> Optional[BuilderRef]:
 
 def parse_scenario(text: str, tol: Optional[float] = None,
                    n_max: Optional[int] = None) -> ScenarioDoc:
-    """Parse and fully validate a scenario document.
+    """Parse and fully validate a scenario document, and build its
+    scenario.
 
     ``tol`` and ``n_max``, when given, replace the document's
     ``tolerances.tol`` and ``n_max`` before validation, so the document is
-    decoded and validated once.  Raises ScenarioFormatError with a field
-    path (or JSON line/column) on the first problem found.
+    decoded and validated once.  Builder families are built after every
+    field is validated, and cut to ``n_max``.  Raises ScenarioFormatError
+    with a field path (or JSON line/column) on the first problem found;
+    a gallery builder raises its own errors.
     """
     try:
         data = json.loads(text)
@@ -343,15 +331,39 @@ def parse_scenario(text: str, tol: Optional[float] = None,
     if data.get("tolerances") is not None:
         tolerances = _parse_tolerances(data["tolerances"], "$.tolerances")
 
-    return ScenarioDoc(name, data, tuple(checks_raw), certificate, domain, n_max,
-                       measures, functions, g_functions, limit_measure,
-                       limit_fn, k_grid, sample_grid, schedule, tolerances)
+    built: dict[BuilderRef, Scenario] = {}
+    measures = _resolve("measures", measures, built)
+    f_seq = _resolve("functions", functions, built)
+    g_seq = _resolve("g_functions", g_functions, built)
+    limit_measure = _resolve("limit_measure", limit_measure, built)
+    measures = _window(measures, n_max)
+    f_seq = _window(f_seq, n_max)
+    if g_seq is not None:
+        g_seq = _window(g_seq, n_max)
+    # a builder-backed document inherits the fixture's tuned analysis
+    # parameters unless the document pins its own; the first family built
+    # is the base
+    kwargs: dict = {}
+    base = next(iter(built.values()), None)
+    if base is not None:
+        kwargs.update(k_grid=base.k_grid, sample_grid=base.sample_grid,
+                      minorant_sup_bound=base.minorant_sup_bound)
+    if k_grid is not None:
+        kwargs["k_grid"] = k_grid
+    if sample_grid is not None:
+        kwargs["sample_grid"] = sample_grid
+    scenario = Scenario(name=name, measures=measures,
+                        limit_measure=limit_measure, f_seq=f_seq, g_seq=g_seq,
+                        limit_fn=limit_fn, schedule=schedule,
+                        tolerances=tolerances, certificate=certificate,
+                        **kwargs)
+    return ScenarioDoc(name, data, tuple(checks_raw), scenario)
 
 
 def _parse_family(data: dict, key: str, domain: Interval, n_max: int,
                   parse_item):
-    """A builder reference, or else the parsed explicit entries: one per
-    index, or the single limit measure."""
+    """A builder reference, or else the parsed explicit entries: a tuple
+    of measures, an ``FnSequence``, or the single limit measure."""
     spec = _get(data, key, "$", required=True)
     path = f"$.{key}"
     ref = _builder_ref(spec, path, n_max)
@@ -365,8 +377,9 @@ def _parse_family(data: dict, key: str, domain: Interval, n_max: int,
     if not isinstance(items, list) or len(items) != n_max:
         raise _fail(f"{path}.explicit",
                     f"expected exactly n_max={n_max} entries")
-    return tuple(parse_item(item, f"{path}.explicit[{i}]", domain)
-                 for i, item in enumerate(items))
+    entries = tuple(parse_item(item, f"{path}.explicit[{i}]", domain)
+                    for i, item in enumerate(items))
+    return entries if key == "measures" else FnSequence(entries)
 
 
 def _parse_schedule(spec, path: str, n_max: int) -> EpiSchedule:
@@ -406,46 +419,26 @@ _SCENARIO_FIELD = {"measures": "measures", "functions": "f_seq",
                    "g_functions": "g_seq", "limit_measure": "limit_measure"}
 
 
-def _build_scenario(doc: ScenarioDoc) -> Scenario:
-    n_max = doc.n_max
-    built: dict[BuilderRef, Scenario] = {}
+def _resolve(key: str, entry, built: dict):
+    """The family of the fixture a builder reference names, built once per
+    reference; parsed entries (or None) as they are."""
+    if not isinstance(entry, BuilderRef):
+        return entry
+    if entry not in built:
+        built[entry] = gallery.build(entry.name, **dict(entry.params))
+    family = getattr(built[entry], _SCENARIO_FIELD[key])
+    if family is None:
+        raise _fail(f"$.{key}", f"builder {entry.name!r} has no {key}")
+    return family
 
-    def family(key: str, entry, seq_type=None):
-        if isinstance(entry, BuilderRef):
-            if entry not in built:
-                built[entry] = gallery.build(entry.name, **dict(entry.params))
-            source = getattr(built[entry], _SCENARIO_FIELD[key])
-            if source is None:
-                raise _fail(f"$.{key}", f"builder {entry.name!r} has no {key}")
-            return source
-        if entry is None or seq_type is None:
-            return entry
-        return seq_type(n_max, lambda n: entry[n - 1])
 
-    measures = family("measures", doc.measures, MeasureSequence)
-    f_seq = family("functions", doc.functions, FnSequence)
-    g_seq = family("g_functions", doc.g_functions, FnSequence)
-    limit_measure = family("limit_measure", doc.limit_measure)
-    # sequences may come from different builders than n_max implies; clamp
-    for fam in (f for f in (measures, f_seq, g_seq) if f is not None):
-        if fam.n_max < n_max:
-            raise _fail("$.n_max",
-                        f"n_max={n_max} exceeds the built family range {fam.n_max}")
-        fam.n_max = n_max
-    # a builder-backed document inherits the fixture's tuned analysis
-    # parameters unless the document pins its own; the first family built
-    # is the base
-    kwargs: dict = {}
-    base = next(iter(built.values()), None)
-    if base is not None:
-        kwargs.update(k_grid=base.k_grid, sample_grid=base.sample_grid,
-                      minorant_sup_bound=base.minorant_sup_bound)
-    if doc.k_grid is not None:
-        kwargs["k_grid"] = doc.k_grid
-    if doc.sample_grid is not None:
-        kwargs["sample_grid"] = doc.sample_grid
-    return Scenario(name=doc.name, measures=measures,
-                    limit_measure=limit_measure, f_seq=f_seq, g_seq=g_seq,
-                    limit_fn=doc.limit_fn, schedule=doc.schedule,
-                    tolerances=doc.tolerances, certificate=doc.certificate,
-                    **kwargs)
+def _window(family, n_max: int):
+    """The first n_max members of a family of measures or functions; a
+    builder family may be longer than n_max, never shorter."""
+    size = len(family) if isinstance(family, tuple) else family.n_max
+    if size < n_max:
+        raise _fail("$.n_max",
+                    f"n_max={n_max} exceeds the built family range {size}")
+    if isinstance(family, tuple):
+        return family[:n_max]
+    return replace(family, fns=family.fns[:n_max])

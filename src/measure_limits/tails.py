@@ -18,7 +18,7 @@ import numpy as np
 
 from .functions import FnSequence
 from .kernels import tail_dots
-from .measures import MeasureSequence
+from .measures import FiniteMeasure
 from .refinement import fn_measure_rows, reduce_family
 
 DEFAULT_K_GRID: tuple[float, ...] = tuple(2.0 ** j for j in range(-1, 13))
@@ -63,7 +63,7 @@ class UiVerdict:
     tol: float
 
 
-def tail_curve(seq: FnSequence, measures: MeasureSequence,
+def tail_curve(seq: FnSequence, measures: tuple[FiniteMeasure, ...],
                k_grid=DEFAULT_K_GRID, window_start: Optional[int] = None,
                stab_tol: float = 1e-9) -> TailCurve:
     """Table of the integrals of |f_n| over {|f_n| >= K} against mu_n, for
@@ -80,9 +80,7 @@ def tail_curve(seq: FnSequence, measures: MeasureSequence,
     if not 1 <= window_start <= n_max:
         raise ValueError(f"window start {window_start} outside 1..{n_max}")
     table = np.empty((n_max, len(k_grid)))
-    indices = range(1, n_max + 1)
-    rows = fn_measure_rows((seq.fn(n) for n in indices),
-                           (measures.measure(n) for n in indices))
+    rows = fn_measure_rows(seq.fns, measures)
     for n, row in enumerate(reduce_family(rows, lambda p: tail_dots(
             p.values[0], p.masses[0], p.offsets, k_grid))):
         table[n] = row

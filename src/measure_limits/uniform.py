@@ -92,7 +92,7 @@ def _condition_series(f_seq: FnSequence, f: PiecewiseFn, m: FiniteMeasure,
     if not eps > 0:
         raise ValueError("epsilon must be positive")
     under, inmeas = [], []
-    rows = (((f_seq.fn(n), f), (m,)) for n in range(1, f_seq.n_max + 1))
+    rows = (((f_n, f), (m,)) for f_n in f_seq.fns)
     for p in family_pairing(rows):
         (vn, v), (w,) = p.values, p.masses
         # where f_n and f are the same infinity, |f_n - f| is NaN, which
@@ -192,14 +192,10 @@ def _uniform_report_body(sc: Scenario) -> UniformReport:
         raise UnsupportedScenarioError("uniform checks need a limit function")
     t = sc.tolerances
     f, m = sc.limit_fn, sc.limit_measure
-    indices = range(1, sc.n_max + 1)
-    l1 = integral_series((sc.abs_seq.fn(n) for n in indices),
-                         (sc.measures.measure(n) for n in indices))
-    gaps = _gap_series(_gap_rows((sc.f_seq.fn(n) for n in indices),
-                                 (sc.measures.measure(n) for n in indices),
-                                 f, m))
+    l1 = integral_series(sc.abs_seq.fns, sc.measures)
+    gaps = _gap_series(_gap_rows(sc.f_seq.fns, sc.measures, f, m))
     inf_gaps, sup_gaps = [], []
-    for n in indices:
+    for n in range(1, sc.n_max + 1):
         if next(l1) == math.inf:
             raise NotIntegrableError(
                 "f_n is not integrable against its measure")

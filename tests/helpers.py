@@ -17,7 +17,7 @@ from typing import Optional
 import numpy as np
 
 from measure_limits import EpiCertificate, FiniteMeasure, FnSequence, Interval
-from measure_limits import MeasureSequence, PiecewiseFn, Ramp, Scenario, lebesgue
+from measure_limits import PiecewiseFn, Ramp, Scenario, lebesgue
 from measure_limits import zero_fn
 from measure_limits.functions import DominanceWitness
 from measure_limits.kernels import tail_dots, union_edges
@@ -169,9 +169,9 @@ def fatou_random_scenario(rng: np.random.Generator, n_max: int = 16,
         perturbed.append(FiniteMeasure(atoms=atoms, cells=cells, domain=domain))
     return Scenario(
         name=name,
-        measures=MeasureSequence(n_max, lambda n: perturbed[n - 1]),
+        measures=tuple(perturbed),
         limit_measure=base,
-        f_seq=FnSequence(n_max, lambda n: fns[n - 1]),
+        f_seq=FnSequence(tuple(fns)),
         certificate="tv",
     )
 
@@ -194,13 +194,12 @@ def fatou_random_document(rng: np.random.Generator, n_max: int = 12,
                 "cells": [[float(a), float(b), float(d)] for a, b, d in
                           zip(m.cell_los, m.cell_his, m.cell_densities)]}
 
-    fns = [sc.f_seq.fn(n) for n in range(1, n_max + 1)]
+    fns = sc.f_seq.fns
     return {
         "name": name,
         "space": {"lo": 0.0, "hi": 1.0},
         "n_max": n_max,
-        "measures": {"explicit": [measure_spec(sc.measures.measure(n))
-                                  for n in range(1, n_max + 1)]},
+        "measures": {"explicit": [measure_spec(m) for m in sc.measures]},
         "limit_measure": measure_spec(sc.limit_measure),
         "functions": {"explicit": [fn_spec(f) for f in fns]},
         "g_functions": {"explicit": [fn_spec(f, shift) for f in fns]},
@@ -262,8 +261,8 @@ def scan_epi_oracle(seq: FnSequence, s: float, sched, lower: bool
     per_j = []
     for n0, delta in sched.steps:
         best = math.inf if lower else -math.inf
-        for n in range(n0, seq.n_max + 1):
-            lo, hi = range_on(seq.fn(n), s - delta, s + delta, False, False)
+        for f in seq.fns[n0 - 1:]:
+            lo, hi = range_on(f, s - delta, s + delta, False, False)
             best = min(best, lo) if lower else max(best, hi)
         per_j.append(best)
     return per_j
@@ -392,7 +391,7 @@ def list_comb_g(n: int) -> PiecewiseFn:
 
 
 def constant_seq(f: PiecewiseFn, n_max: int) -> FnSequence:
-    return FnSequence(n_max, lambda n: f)
+    return FnSequence((f,) * n_max)
 
 
 def zero_seq(domain: Interval, n_max: int) -> FnSequence:
@@ -415,7 +414,7 @@ def with_constant_offset(sc: Scenario, c: float) -> Scenario:
                               tuple((loc, v + c) for loc, v in cert.overrides))
 
     base = sc.f_seq
-    offset = FnSequence(base.n_max, lambda n: shift_fn(base.fn(n)),
+    offset = FnSequence(tuple(shift_fn(f) for f in base.fns),
                         shift_cert(base.epi_liminf_cert),
                         shift_cert(base.epi_limsup_cert))
     return replace(sc, f_seq=offset, name=f"{sc.name}+{c}")
@@ -554,16 +553,14 @@ def loop_integrate(f: PiecewiseFn, m: FiniteMeasure) -> float:
                              "both positive and negative parts diverge")
 
 
-def loop_integral_series(seq: FnSequence, measures: MeasureSequence) -> list:
-    return [loop_integrate(seq.fn(n), measures.measure(n))
-            for n in range(1, seq.n_max + 1)]
+def loop_integral_series(seq: FnSequence, measures) -> list:
+    return [loop_integrate(f, m) for f, m in zip(seq.fns, measures)]
 
 
-def loop_tail_table(seq: FnSequence, measures: MeasureSequence, ks) -> list:
+def loop_tail_table(seq: FnSequence, measures, ks) -> list:
     rows = []
-    for n in range(1, seq.n_max + 1):
-        values, masses = loop_refined_values_masses(seq.fn(n),
-                                                    measures.measure(n))
+    for f, m in zip(seq.fns, measures):
+        values, masses = loop_refined_values_masses(f, m)
         row = []
         for k in ks:
             s, has_inf = loop_tail_dot(values, masses, k)
@@ -579,9 +576,8 @@ def loop_tv_norm_diff(a: FiniteMeasure, b: FiniteMeasure) -> float:
     return math.fsum(np.abs(ma - mb).tolist()) + 0.0
 
 
-def loop_tv_series(measures: MeasureSequence, limit: FiniteMeasure) -> list:
-    return [loop_tv_norm_diff(measures.measure(n), limit)
-            for n in range(1, measures.n_max + 1)]
+def loop_tv_series(measures, limit: FiniteMeasure) -> list:
+    return [loop_tv_norm_diff(m, limit) for m in measures]
 
 
 def loop_gap_masses(f_n, m_n, f, m) -> list:
@@ -609,8 +605,7 @@ def loop_gap_series(sc: Scenario) -> tuple[list, list]:
     the L1 checks, the segment check and the gap masses in their order."""
     f, m = sc.limit_fn, sc.limit_measure
     inf_gaps, sup_gaps = [], []
-    for n in range(1, sc.n_max + 1):
-        f_n, m_n = sc.f_seq.fn(n), sc.measures.measure(n)
+    for n, (f_n, m_n) in enumerate(zip(sc.f_seq.fns, sc.measures), start=1):
         if loop_integrate(abs(f_n), m_n) == math.inf:
             raise NotIntegrableError("f_n is not integrable against its measure")
         if n == 1 and loop_integrate(abs(f), m) == math.inf:
@@ -627,8 +622,7 @@ def loop_gap_series(sc: Scenario) -> tuple[list, list]:
 def loop_condition_series(f_seq: FnSequence, f: PiecewiseFn, m: FiniteMeasure,
                           eps: float) -> tuple[list, list]:
     under, inmeas = [], []
-    for n in range(1, f_seq.n_max + 1):
-        f_n = f_seq.fn(n)
+    for f_n in f_seq.fns:
         p = common_refinement([f_n, f, m])
         vn = f_n.cell_values(p.edges)
         v = f.cell_values(p.edges)
@@ -680,13 +674,11 @@ def loop_bank_eval(h, m: FiniteMeasure) -> float:
     return loop_integrate(h, m)
 
 
-def loop_weak_gaps(measures: MeasureSequence, limit: FiniteMeasure,
-                   bank) -> list:
+def loop_weak_gaps(measures, limit: FiniteMeasure, bank) -> list:
     """Reference for ``integration.weak_gap_bank``'s gaps."""
     base = [loop_bank_eval(h, limit) for h in bank]
     gaps = []
-    for n in range(1, measures.n_max + 1):
-        mn = measures.measure(n)
+    for mn in measures:
         gaps.append(max((abs(loop_bank_eval(h, mn) - b)
                          for h, b in zip(bank, base)), default=0.0))
     return gaps

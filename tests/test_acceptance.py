@@ -13,7 +13,6 @@ import pytest
 
 from measure_limits import (
     FnSequence,
-    constant_measures,
     epi_integral,
     epi_liminf,
     epi_limsup,
@@ -66,7 +65,7 @@ def test_criterion_1_staircase_conformance():
         for j, k in enumerate(ks):
             got = table[n - 1, j]
             ok &= abs(got - staircase_tail_formula(k)) <= tol
-        ok &= abs(integrate(sc.f_seq.fn(n), sc.measures.measure(n)) + 2.0) <= 1e-9
+        ok &= abs(integrate(sc.f_seq.fns[n - 1], sc.measures[n - 1]) + 2.0) <= 1e-9
     elapsed = time.perf_counter() - t0
     ok &= elapsed < 1.0
     _report(f"1 staircase tails+integrals ({elapsed:.2f}s)", ok)
@@ -79,8 +78,8 @@ def test_criterion_2_dyadic_comb_conformance():
     half = 1.0 / (2.0 * LN2)
     ok = True
     for n in range(1, 21):
-        ok &= abs(integrate(sc.f_seq.fn(n), mu) + half) <= 1e-9
-        ok &= abs(integrate(sc.g_seq.fn(n), mu) + 1.0 / LN2) <= 1e-6
+        ok &= abs(integrate(sc.f_seq.fns[n - 1], mu) + half) <= 1e-9
+        ok &= abs(integrate(sc.g_seq.fns[n - 1], mu) + 1.0 / LN2) <= 1e-6
     sched, grid = sc.resolved_schedule(), sc.resolved_grid()
     v, cert = epi_integral(sc.g_seq, mu, "liminf", sched, grid)
     ok &= cert == "exact" and abs(v + 1.0 / LN2) <= 1e-6
@@ -181,8 +180,8 @@ def test_criterion_7_invariant_suite():
     grid = tuple(2.0 ** j for j in range(-1, 7))
     for _ in range(25):
         fns = [rand_step_fn(rng, dom) for _ in range(8)]
-        seq = FnSequence(8, lambda n, fns=fns: fns[n - 1])
-        measures = constant_measures(rand_measure(rng, dom), 8)
+        seq = FnSequence(tuple(fns))
+        measures = (rand_measure(rng, dom),) * 8
         curve = tail_curve(seq, measures, grid, 5)
         ok &= bool(np.all(np.diff(curve.table, axis=1) <= 1e-12))
         ok &= bool(np.all(curve.sup_curve >= curve.limsup_curve - 1e-15))
@@ -192,7 +191,7 @@ def test_criterion_7_invariant_suite():
     count = 0
     for _ in range(40):
         fns = [rand_step_fn(rng, dom) for _ in range(8)]
-        seq = FnSequence(8, lambda n, fns=fns: fns[n - 1])
+        seq = FnSequence(tuple(fns))
         for s in rng.uniform(0.0, 1.0, 25):
             lo = epi_liminf(seq, float(s), sched).value
             hi = epi_limsup(seq, float(s), sched).value

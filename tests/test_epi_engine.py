@@ -22,6 +22,7 @@ from measure_limits import (
     epi_limit_exists,
     epi_liminf,
     epi_limsup,
+    epilimits,
     fatou,
     lebesgue,
     zero_fn,
@@ -71,7 +72,7 @@ def families(draw):
         st.one_of(st.sampled_from(GRID),
                   st.floats(0.0, 1.0, allow_nan=False)),
         min_size=1, max_size=6))
-    seq = FnSequence(n_max, lambda n: fns[n - 1])
+    seq = FnSequence(tuple(fns))
     return seq, sched, pts
 
 
@@ -109,7 +110,7 @@ def test_scan_on_breakpoints_domain_ends_and_unbounded_domain():
                            dom),
                PiecewiseFn([0.25, 0.75], [math.inf], -0.0, dom),
                PiecewiseFn((), (), 1.0, dom)]
-        seq = FnSequence(3, lambda n: fns[n - 1])
+        seq = FnSequence(tuple(fns))
         sched = EpiSchedule(((1, 0.25), (2, 0.125), (3, 0.0625)), 3)
         pts = [0.0, 0.125, 0.25, 0.5, 0.75, 1.0]
         for lower in (True, False):
@@ -131,23 +132,25 @@ def test_public_estimates_match_oracle():
             assert bits([est.value]) == bits(want[-1:])
 
 
-def counting_seq(n_max: int, calls: list) -> FnSequence:
+def spike_seq(n_max: int) -> FnSequence:
     dom = Interval(-1.0, 1.0)
-
-    def build(n: int) -> PiecewiseFn:
-        calls.append(n)
-        return PiecewiseFn([-1.0 / n, 0.0, 1.0 / n], [-float(n), float(n)],
-                           0.0, dom)
-
     return FnSequence(
-        n_max, build,
+        tuple(PiecewiseFn([-1.0 / n, 0.0, 1.0 / n], [-float(n), float(n)],
+                          0.0, dom) for n in range(1, n_max + 1)),
         epi_liminf_cert=EpiCertificate(zero_fn(dom), ((0.0, -math.inf),)),
         epi_limsup_cert=EpiCertificate(zero_fn(dom), ((0.0, math.inf),)))
 
 
-def test_certified_estimate_builds_nothing():
+def test_certified_estimate_builds_nothing(monkeypatch):
+    # a certificate decides: no scan reads the functions
     calls: list = []
-    seq = counting_seq(16, calls)
+
+    def counted(*args):
+        calls.append(1)
+        return _scan(*args)
+
+    monkeypatch.setattr(epilimits, "_scan", counted)
+    seq = spike_seq(16)
     sched = EpiSchedule.default(16)
     est = epi_liminf(seq, 0.0, sched)
     assert est.value == -math.inf and est.certainty == "exact"
@@ -155,14 +158,14 @@ def test_certified_estimate_builds_nothing():
     rep = epi_limit_exists(seq, [-0.5, 0.0, 0.5], sched, 1e-9,
                            lebesgue(-1.0, 1.0))
     assert rep.mass_exact and calls == []
-    # the same builder with the certificates stripped is scanned
-    bare = epi_liminf(FnSequence(16, seq.builder), 0.0, sched)
+    # the same functions with the certificates stripped are scanned
+    bare = epi_liminf(FnSequence(seq.fns), 0.0, sched)
     assert bits(bare.per_j) == bits(scan_epi_oracle(seq, 0.0, sched, True))
     assert calls
 
 
 def test_certified_estimate_rejects_balls_outside_the_domain():
-    seq = counting_seq(8, [])
+    seq = spike_seq(8)
     with pytest.raises(MalformedObjectError):
         epi_liminf(seq, 5.0, EpiSchedule.default(8))
 
@@ -170,8 +173,9 @@ def test_certified_estimate_rejects_balls_outside_the_domain():
 def test_epi_integrals_are_computed_once_per_scenario(monkeypatch):
     rng = np.random.default_rng(11)
     sc = fatou_random_scenario(rng, n_max=8)
-    sc.g_seq = sc.f_seq.map(lambda f: f.map_values(lambda v: v - 0.5,
-                                                   lambda d: d - 0.5))
+    sc.g_seq = FnSequence(tuple(
+        f.map_values(lambda v: v - 0.5, lambda d: d - 0.5)
+        for f in sc.f_seq.fns))
     seen = []
     inner = fatou.epi_integral
 

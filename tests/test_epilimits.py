@@ -63,7 +63,7 @@ def test_constant_sequence_recovers_constant():
 
 def test_comb_cliff_certificate_matches_the_stripped_scan():
     sc = gallery.build("dyadic_comb", n_max=8)
-    bare = FnSequence(8, sc.f_seq.builder)
+    bare = FnSequence(sc.f_seq.fns)
     for s in (0.0, 0.7, 3.2):
         # the cliffs march off every ball: the scan reads the certified 0
         est = epi_liminf(bare, s, sched_for(8))
@@ -76,13 +76,13 @@ def test_staircase_liminf_at_origin_is_minus_infinity():
     est = epi_liminf(sc.f_seq, 0.0, sched_for(16))
     assert est.value == -math.inf and est.certainty == "exact"
     # windowed scan bottoms out at the truncated staircase floor
-    bare = epi_liminf(FnSequence(16, sc.f_seq.builder), 0.0, sched_for(16))
+    bare = epi_liminf(FnSequence(sc.f_seq.fns), 0.0, sched_for(16))
     assert min(bare.per_j) <= -(50.0)
 
 
 def test_spike_window_scan_blows_up_at_origin():
     sc = gallery.build("twin_spikes", n_max=32)
-    bare = FnSequence(32, sc.f_seq.builder)
+    bare = FnSequence(sc.f_seq.fns)
     lo = epi_liminf(bare, 0.0, sched_for(32))
     hi = epi_limsup(bare, 0.0, sched_for(32))
     assert lo.per_j[-1] <= -32.0 + 1e-9
@@ -93,7 +93,7 @@ def test_spike_window_scan_blows_up_at_origin():
 def test_comb_teeth_liminf_tracks_exponential_envelope():
     sc = gallery.build("dyadic_comb", n_max=12)
     sched = sc.resolved_schedule()
-    bare = FnSequence(12, sc.g_seq.builder)
+    bare = FnSequence(sc.g_seq.fns)
     for s in (0.0, 0.5, 1.25, 1.9):
         est = epi_liminf(sc.g_seq, s, sched)
         assert est.value == pytest.approx(-(2.0 ** (s - 1.0)) / LN2, abs=2e-3)
@@ -106,7 +106,7 @@ def test_comb_teeth_liminf_tracks_exponential_envelope():
 def test_comb_teeth_limsup_is_zero():
     sc = gallery.build("dyadic_comb", n_max=12)
     sched = sc.resolved_schedule()
-    bare = FnSequence(12, sc.g_seq.builder)
+    bare = FnSequence(sc.g_seq.fns)
     for s in (0.0, 0.5, 1.25, 1.9):
         est = epi_limsup(sc.g_seq, s, sched)
         assert est.value == 0.0
@@ -119,8 +119,8 @@ def test_liminf_of_negation_mirrors_limsup():
     sched = sched_for(6)
     for _ in range(25):
         fns = [rand_step_fn(rng, DOM) for _ in range(6)]
-        seq = FnSequence(6, lambda n, fns=fns: fns[n - 1])
-        neg = FnSequence(6, lambda n, fns=fns: -fns[n - 1])
+        seq = FnSequence(tuple(fns))
+        neg = FnSequence(tuple(-f for f in fns))
         for s in rng.uniform(0, 1, 5):
             a = epi_liminf(neg, float(s), sched).per_j
             b = epi_limsup(seq, float(s), sched).per_j
@@ -175,7 +175,7 @@ def test_exists_sampled_mass_isolated_vs_runs():
     # without certificates the mass estimate is sample-based
     dom = DOM
     fns = [PiecewiseFn([0.0, 0.5], [float(n % 2)], 0.0, dom) for n in range(8)]
-    seq = FnSequence(8, lambda n: fns[n - 1])
+    seq = FnSequence(tuple(fns))
     m = lebesgue(0.0, 1.0)
     rep = epi_limit_exists(seq, [0.1, 0.25, 0.4, 0.7, 0.9], sched_for(8),
                            1e-9, m)
@@ -211,7 +211,7 @@ def test_epi_integral_atom_override():
 def test_epi_integral_window_path_tagged():
     rng = np.random.default_rng(31)
     fns = [rand_step_fn(rng, DOM) for _ in range(8)]
-    seq = FnSequence(8, lambda n: fns[n - 1])
+    seq = FnSequence(tuple(fns))
     v, cert = epi_integral(seq, lebesgue(0.0, 1.0), "liminf", sched_for(8),
                            np.linspace(0, 1, 17))
     assert cert == "window"

@@ -20,7 +20,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from measure_limits import (
-    FiniteMeasure, FnSequence, Interval, MeasureSequence, NotIntegrableError,
+    FiniteMeasure, FnSequence, Interval, NotIntegrableError,
     PiecewiseFn, Ramp, Scenario, UndefinedIntegralError,
     UnsupportedScenarioError, constant_fn, make_segment, tail_curve,
     weak_gap_bank,
@@ -91,9 +91,9 @@ def scenarios(draw, n_max=st.integers(1, 20)) -> Scenario:
     fns = [draw(step_fns(domain)) for _ in range(n)]
     ms = [draw(measures(domain)) for _ in range(n)]
     return Scenario(
-        name="ragged", measures=MeasureSequence(n, lambda i: ms[i - 1]),
+        name="ragged", measures=tuple(ms),
         limit_measure=draw(measures(domain)),
-        f_seq=FnSequence(n, lambda i: fns[i - 1]),
+        f_seq=FnSequence(tuple(fns)),
         limit_fn=draw(step_fns(domain)), k_grid=K_GRID)
 
 
@@ -131,10 +131,8 @@ def same_pairing(rows, budget):
 @settings(max_examples=100, deadline=None)
 @given(scenarios(), chunk_budgets)
 def test_pairing_arrays_match_each_index_refined_alone(sc, budget):
-    n = range(1, sc.n_max + 1)
     f, m = sc.limit_fn, sc.limit_measure
-    fns = [sc.f_seq.fn(i) for i in n]
-    ms = [sc.measures.measure(i) for i in n]
+    fns, ms = sc.f_seq.fns, sc.measures
     same_pairing([((g,), (mu,)) for g, mu in zip(fns, ms)], budget)
     same_pairing([((), (mu, m)) for mu in ms], budget)
     same_pairing([((g, f), (mu, m)) for g, mu in zip(fns, ms)], budget)
@@ -150,9 +148,8 @@ def test_series_match_the_per_index_loops(sc, budget):
         assert (outcome(lambda: tail_curve(sc.f_seq, sc.measures,
                                            K_GRID).table)
                 == outcome(loop_tail_table, sc.f_seq, sc.measures, K_GRID))
-        assert (outcome(lambda: list(tv_series(
-            (sc.measures.measure(i) for i in range(1, sc.n_max + 1)),
-            sc.limit_measure)))
+        assert (outcome(lambda: list(tv_series(sc.measures,
+                                               sc.limit_measure)))
                 == outcome(loop_tv_series, sc.measures, sc.limit_measure))
         for i in (0, 1):
             assert (outcome(lambda: _condition_series(
@@ -164,9 +161,8 @@ def test_series_match_the_per_index_loops(sc, budget):
 def _loop_hahn(sc):
     """(positive, negative) sums of each index's signed gap masses."""
     out = []
-    for n in range(1, sc.n_max + 1):
-        gaps = loop_gap_masses(sc.f_seq.fn(n), sc.measures.measure(n),
-                               sc.limit_fn, sc.limit_measure)
+    for f_n, m_n in zip(sc.f_seq.fns, sc.measures):
+        gaps = loop_gap_masses(f_n, m_n, sc.limit_fn, sc.limit_measure)
         out.append((math.fsum([g for g in gaps if g > 0.0]) + 0.0,
                     math.fsum([g for g in gaps if g < 0.0]) + 0.0))
     return out
@@ -175,10 +171,8 @@ def _loop_hahn(sc):
 @settings(max_examples=100, deadline=None)
 @given(scenarios(), chunk_budgets)
 def test_hahn_masses_match_the_per_index_loop(sc, budget):
-    n = range(1, sc.n_max + 1)
-    rows = _gap_rows((sc.f_seq.fn(i) for i in n),
-                     (sc.measures.measure(i) for i in n),
-                     sc.limit_fn, sc.limit_measure)
+    rows = _gap_rows(sc.f_seq.fns, sc.measures, sc.limit_fn,
+                     sc.limit_measure)
     # without the report's L1 checks, infinite values reach the gap
     # masses, and inf - inf is NaN on both sides
     with mock.patch.object(refinement, "CHUNK_EDGES", budget), \
@@ -229,8 +223,7 @@ UNIT = FiniteMeasure(atoms=[(0.25, 1.0), (0.75, 1.0)], domain=DOM)
 def _family(fns, ms=None):
     n = len(fns)
     ms = ms or [UNIT] * n
-    return (FnSequence(n, lambda i: fns[i - 1]),
-            MeasureSequence(n, lambda i: ms[i - 1]))
+    return FnSequence(tuple(fns)), tuple(ms)
 
 
 def _overflowing():
@@ -273,9 +266,9 @@ def _uniform_scenario(bad_segments_at: int) -> Scenario:
     spike = PiecewiseFn([0.0, 1.0], [math.inf], 0.0, dom)
     fns = [fine, spike, fine, fine]
     ms = [without if n == bad_segments_at else with_seg for n in range(1, 5)]
-    return Scenario(name="order", measures=MeasureSequence(4, lambda n: ms[n - 1]),
+    return Scenario(name="order", measures=tuple(ms),
                     limit_measure=with_seg,
-                    f_seq=FnSequence(4, lambda n: fns[n - 1]), limit_fn=fine)
+                    f_seq=FnSequence(tuple(fns)), limit_fn=fine)
 
 
 @pytest.mark.parametrize("budget", [1, refinement.CHUNK_EDGES])

@@ -182,7 +182,7 @@ def test_dominates_matches_the_list_oracle(pair):
 
 @pytest.mark.parametrize("n", [1, 2, 3, 8])
 def test_comb_builder_matches_the_list_oracle(n):
-    g = gallery.build("dyadic_comb", n_max=8).g_seq.fn(n)
+    g = gallery.build("dyadic_comb", n_max=8).g_seq.fns[n - 1]
     ref = list_comb_g(n)
     assert same_array(g.breakpoints, ref.breakpoints)
     assert same_array(g.values, ref.values)

@@ -12,7 +12,6 @@ from measure_limits import (
     UnsupportedScenarioError,
     bounded_minorant_shift_probe,
     constant_fn,
-    constant_measures,
     dct_report,
     fatou_report,
     lebesgue,
@@ -90,7 +89,7 @@ def test_violation_requires_exact_certainty():
     # same comb functions, certificates stripped: the truncated epi estimate
     # cannot prove a violation, so the verdict degrades to inconclusive
     sc = gallery.build("dyadic_comb", n_max=12)
-    bare_f = FnSequence(12, sc.f_seq.builder)
+    bare_f = FnSequence(sc.f_seq.fns)
     sc2 = Scenario(name="comb_bare", measures=sc.measures,
                    limit_measure=sc.limit_measure, f_seq=bare_f,
                    sample_grid=sc.sample_grid, certificate="tv")
@@ -184,12 +183,11 @@ def test_dct_spikes_equality_without_condition():
 
 
 def test_dct_zero_family_trivially_passes():
-    seq = constant_seq(zero_fn(DOM), 8)
-    sc = Scenario("zeros", constant_measures(lebesgue(0.0, 1.0), 8),
+    seq = FnSequence((zero_fn(DOM),) * 8, EpiCertificate(zero_fn(DOM)),
+                     EpiCertificate(zero_fn(DOM)))
+    sc = Scenario("zeros", (lebesgue(0.0, 1.0),) * 8,
                   lebesgue(0.0, 1.0), seq, g_seq=constant_seq(zero_fn(DOM), 8),
                   certificate="tv")
-    seq.epi_liminf_cert = EpiCertificate(zero_fn(DOM))
-    seq.epi_limsup_cert = EpiCertificate(zero_fn(DOM))
     dct = dct_report(sc)
     assert dct.conclusion == HOLDS and not dct.equality_without_condition
 
@@ -226,11 +224,9 @@ def test_probe_respects_declared_bound():
 def test_offset_invariance_mass_preserving():
     # stabilizing family on a fixed probability measure
     f = PiecewiseFn([0.0, 0.5, 1.0], [-2.0, 1.0], 0.0, DOM)
-    seq = constant_seq(f, 12)
-    seq.epi_liminf_cert = EpiCertificate(f)
-    seq.epi_limsup_cert = EpiCertificate(f)
+    seq = FnSequence((f,) * 12, EpiCertificate(f), EpiCertificate(f))
     m = lebesgue(0.0, 1.0)
-    sc = Scenario("const", constant_measures(m, 12), m, seq, certificate="tv")
+    sc = Scenario("const", (m,) * 12, m, seq, certificate="tv")
     base = fatou_report(sc)
     for c in (-3.0, 0.25, 10.0):
         rep = fatou_report(with_constant_offset(sc, c))
@@ -244,15 +240,15 @@ def test_antisymmetry_brackets_limit():
     dom = DOM
     f = PiecewiseFn([0.0, 0.5, 1.0], [2.0, -1.0], 0.0, dom)
     fns = [zero_fn(dom), zero_fn(dom)] + [f] * 10
-    seq = FnSequence(12, lambda n: fns[n - 1],
+    seq = FnSequence(tuple(fns),
                      epi_liminf_cert=EpiCertificate(f),
                      epi_limsup_cert=EpiCertificate(f))
-    neg_seq = FnSequence(12, lambda n: -fns[n - 1],
+    neg_seq = FnSequence(tuple(-g for g in fns),
                          epi_liminf_cert=EpiCertificate(-f),
                          epi_limsup_cert=EpiCertificate(-f))
     m = lebesgue(0.0, 1.0)
-    sc = Scenario("stab", constant_measures(m, 12), m, seq, certificate="tv")
-    sc_neg = Scenario("stab_neg", constant_measures(m, 12), m, neg_seq,
+    sc = Scenario("stab", (m,) * 12, m, seq, certificate="tv")
+    sc_neg = Scenario("stab_neg", (m,) * 12, m, neg_seq,
                       certificate="tv")
     rep, rep_neg = fatou_report(sc), fatou_report(sc_neg)
     assert rep.gap >= -1e-12 and rep_neg.gap >= -1e-12

@@ -26,13 +26,13 @@ def test_every_expected_value_is_exercised():
 def test_staircase_builds_probability_measures():
     sc = gallery.build("staircase", n_max=64)
     for n in (1, 13, 64):
-        assert sc.measures.measure(n).total_mass() == pytest.approx(1.0,
-                                                                   abs=1e-15)
+        assert sc.measures[n - 1].total_mass() == pytest.approx(1.0,
+                                                                abs=1e-15)
 
 
 def test_spike_values_at_build_time():
     sc = gallery.build("twin_spikes", n_max=100)
-    f50 = sc.f_seq.fn(50)
+    f50 = sc.f_seq.fns[49]
     assert f50(0.01) == 50.0
     assert f50(-0.01) == -50.0
     assert f50(0.5) == 0.0
@@ -40,7 +40,7 @@ def test_spike_values_at_build_time():
 
 def test_comb_dyadic_cell_count():
     sc = gallery.build("dyadic_comb", n_max=4)
-    g3 = sc.g_seq.fn(3)
+    g3 = sc.g_seq.fns[2]
     depressed = np.sum((g3.values < 0) & (g3.values > -4))
     assert depressed == 8
     # teeth cover [0, 2): first cell starts at 0, alternating
@@ -48,9 +48,6 @@ def test_comb_dyadic_cell_count():
 
 
 def test_comb_memory_budget_guard():
-    sc = gallery.build("dyadic_comb", n_max=20)
-    with pytest.raises(MalformedObjectError):
-        sc.g_seq.builder(23)
     with pytest.raises(MalformedObjectError):
         gallery.build("dyadic_comb", n_max=23)
 

@@ -14,7 +14,6 @@ from measure_limits import (
     UndefinedIntegralError,
     UnsupportedScenarioError,
     constant_fn,
-    constant_measures,
     integrate,
     integrate_ramp,
     lebesgue,
@@ -25,7 +24,6 @@ from measure_limits import (
     weak_gap_bank,
     zero_fn,
 )
-from measure_limits.measures import MeasureSequence
 
 from helpers import rand_atomic_measure, rand_measure, rand_step_fn, scan_integrate
 from test_functions import step_fns
@@ -178,7 +176,7 @@ def test_tv_symmetry_and_triangle_on_random_atomic_triples():
 
 def test_weak_gap_constant_family_is_zero():
     m = lebesgue(0.0, 1.0)
-    seq = constant_measures(m, 8)
+    seq = (m,) * 8
     bank = [constant_fn(1.0, DOM), Ramp((0.0, 1.0), (1.0, 0.0))]
     series = weak_gap_bank(seq, m, bank, "tv")
     assert series.gaps == (0.0,) * 8
@@ -186,8 +184,8 @@ def test_weak_gap_constant_family_is_zero():
 
 def test_weak_gap_lipschitz_bound_for_shrinking_densities():
     mu = point_mass(0.0, 1.0, DOM)
-    seq = MeasureSequence(16, lambda n: FiniteMeasure(
-        cells=[(0.0, 1.0 / n, float(n))], domain=DOM))
+    seq = tuple(FiniteMeasure(cells=[(0.0, 1.0 / n, float(n))], domain=DOM)
+                for n in range(1, 17))
     bank = [Ramp((-1.0, 0.0, 1.0), (0.0, 1.0, 0.0))]
     series = weak_gap_bank(seq, mu, bank, "builder")
     for n, g in enumerate(series.gaps, start=1):
@@ -196,7 +194,7 @@ def test_weak_gap_lipschitz_bound_for_shrinking_densities():
 
 def test_weak_gap_witnesses_nonconvergence():
     dom = Interval(0.0, 2.0)
-    seq = MeasureSequence(32, lambda n: point_mass(1.0 / n, 1.0, dom))
+    seq = tuple(point_mass(1.0 / n, 1.0, dom) for n in range(1, 33))
     limit = point_mass(1.0, 1.0, dom)
     ramp = Ramp((0.0, 1.0), (1.0, 0.0))  # min(1, max(0, 1-x))
     series = weak_gap_bank(seq, limit, [ramp], "none")
@@ -205,7 +203,7 @@ def test_weak_gap_witnesses_nonconvergence():
 
 def test_unbounded_bank_function_rejected():
     m = lebesgue(0.0, 1.0)
-    seq = constant_measures(m, 2)
+    seq = (m,) * 2
     bad = PiecewiseFn([0.0, 1.0], [math.inf], 0.0, DOM)
     with pytest.raises(UnsupportedScenarioError):
         weak_gap_bank(seq, m, [bad], "none")

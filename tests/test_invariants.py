@@ -13,7 +13,6 @@ from measure_limits import (
     FnSequence,
     Interval,
     PiecewiseFn,
-    constant_measures,
     epi_liminf,
     epi_limsup,
     integrate,
@@ -39,7 +38,7 @@ DOM = Interval(0.0, 1.0)
 
 def random_seq(rng, n_max=8):
     fns = [rand_step_fn(rng, DOM) for _ in range(n_max)]
-    return FnSequence(n_max, lambda n: fns[n - 1])
+    return FnSequence(tuple(fns))
 
 
 def test_tail_rows_nonincreasing_in_level():
@@ -47,7 +46,7 @@ def test_tail_rows_nonincreasing_in_level():
     grid = tuple(2.0 ** j for j in range(-1, 6))
     for _ in range(20):
         seq = random_seq(rng)
-        measures = constant_measures(rand_measure(rng, DOM), 8)
+        measures = (rand_measure(rng, DOM),) * 8
         curve = tail_curve(seq, measures, grid, 5)
         assert np.all(np.diff(curve.table, axis=1) <= 1e-12)
 
@@ -57,7 +56,7 @@ def test_sup_curve_dominates_window_curve():
     grid = tuple(2.0 ** j for j in range(-1, 6))
     for _ in range(20):
         seq = random_seq(rng)
-        measures = constant_measures(rand_measure(rng, DOM), 8)
+        measures = (rand_measure(rng, DOM),) * 8
         curve = tail_curve(seq, measures, grid, 6)
         assert np.all(curve.sup_curve >= curve.limsup_curve - 1e-15)
 
@@ -123,7 +122,7 @@ def test_windowed_liminf_rows_monotone_toward_certified_direction():
         for s in rng.uniform(0, 1, 5):
             lo = epi_liminf(seq, float(s), sched)
             # same index tail, smaller ball: inf can only rise
-            tail_vals = [min(range_on(seq.fn(n), s - d, s + d, False, False)[0]
+            tail_vals = [min(range_on(seq.fns[n - 1], s - d, s + d, False, False)[0]
                              for n in range(6, n_max + 1))
                          for _, d in sched.steps]
             assert all(b >= a - 1e-12 for a, b in zip(tail_vals, tail_vals[1:]))

@@ -52,7 +52,7 @@ def test_builder_document_resolves_gallery():
         "convergence_certificate": {"kind": "tv"},
     })
     doc = parse_scenario(text)
-    sc = doc.build_scenario()
+    sc = doc.scenario
     assert sc.n_max == 10
     assert sc.f_seq.epi_liminf_cert is not None  # builder carries certificates
     report = run_checks(doc)
@@ -72,7 +72,7 @@ def test_builder_document_inherits_tuned_grid():
         "convergence_certificate": {"kind": "tv"},
     })
     doc = parse_scenario(text)
-    sc = doc.build_scenario()
+    sc = doc.scenario
     # fixture grid is capped at n_max/2 so the finite index range cannot
     # masquerade as a vanishing tail
     assert max(sc.k_grid) == 30.0
@@ -268,7 +268,7 @@ def test_document_schedule_reaches_the_scenario(tmp_path, capsys):
         "checks": ["fatou"],
         "convergence_certificate": {"kind": "builder"},
     }
-    sched = parse_scenario(json.dumps(doc)).build_scenario().resolved_schedule()
+    sched = parse_scenario(json.dumps(doc)).scenario.resolved_schedule()
     assert sched.steps == ((2, 0.5), (8, 0.25), (16, 0.125))
     assert sched.n_max == 16
     src = tmp_path / "doc.json"

@@ -9,7 +9,6 @@ from measure_limits import (
     Interval,
     MalformedObjectError,
     PiecewiseFn,
-    constant_measures,
     first_shift,
     lebesgue,
     part,
@@ -58,7 +57,7 @@ def test_spike_tail_is_one_below_index():
 
 def test_tail_zero_above_uniform_bound():
     seq = constant_seq(PiecewiseFn([0.0, 1.0], [-3.0], 0.0, DOM), 4)
-    measures = constant_measures(lebesgue(0.0, 1.0), 4)
+    measures = (lebesgue(0.0, 1.0),) * 4
     assert tail_at(seq, measures, 2, 3.5) == 0.0
 
 
@@ -69,7 +68,7 @@ def test_tail_against_scan_oracle():
         n = int(rng.integers(1, 17))
         k = float(rng.uniform(0.5, 12.0))
         assert tail_at(neg, measures, n, k) == pytest.approx(
-            scan_tail(neg.fn(n), measures.measure(n), k), abs=1e-12)
+            scan_tail(neg.fns[n - 1], measures[n - 1], k), abs=1e-12)
 
 
 def test_curve_monotone_and_sup_dominates_window():
@@ -82,7 +81,7 @@ def test_curve_monotone_and_sup_dominates_window():
 
 def test_zero_family_has_zero_curve():
     seq = zero_seq(DOM, 6)
-    measures = constant_measures(lebesgue(0.0, 1.0), 6)
+    measures = (lebesgue(0.0, 1.0),) * 6
     curve = tail_curve(seq, measures, (1.0, 2.0), 3)
     assert np.all(curve.table == 0.0)
 
@@ -98,7 +97,7 @@ def test_verdict_threshold_and_k_star():
 
 def test_verdict_empty_tail_family():
     seq = constant_seq(PiecewiseFn([0.0, 1.0], [-0.25], 0.0, DOM), 4)
-    measures = constant_measures(lebesgue(0.0, 1.0), 4)
+    measures = (lebesgue(0.0, 1.0),) * 4
     curve = tail_curve(seq, measures, (0.5, 1.0), 2)
     v = verdict(curve, "ui", tol=1e-9)
     assert v.passes and v.k_star == 0.5
@@ -120,8 +119,8 @@ def top_level_shift(seq, measures, tol, k_max, n_shift_max):
 def test_first_shift_first_index_offender():
     bad = PiecewiseFn([0.0, 1.0], [math.inf], 0.0, DOM)
     fns = [bad] + [zero_fn(DOM)] * 5
-    seq = FnSequence(6, lambda n: fns[n - 1])
-    measures = constant_measures(lebesgue(0.0, 1.0), 6)
+    seq = FnSequence(tuple(fns))
+    measures = (lebesgue(0.0, 1.0),) * 6
     assert top_level_shift(seq, measures, 1e-6, 4.0, 5) == 1
 
 
@@ -137,7 +136,7 @@ def test_first_shift_absent_for_spikes():
 
 def test_first_shift_never_empties_the_range():
     seq = constant_seq(PiecewiseFn([0.0, 1.0], [-5.0], 0.0, DOM), 3)
-    measures = constant_measures(lebesgue(0.0, 1.0), 3)
+    measures = (lebesgue(0.0, 1.0),) * 3
     # tails never vanish at k=2 < 5, and N must stay < n_max
     assert top_level_shift(seq, measures, 1e-6, 2.0, 99) is None
 
@@ -172,7 +171,7 @@ def test_table_check_rejects_rising_rows():
 
 def test_curve_csv_layout():
     seq = zero_seq(DOM, 2)
-    measures = constant_measures(lebesgue(0.0, 1.0), 2)
+    measures = (lebesgue(0.0, 1.0),) * 2
     curve = tail_curve(seq, measures, (1.0, 2.0), 1)
     lines = curve.to_csv().strip().splitlines()
     assert lines[0] == "K,n=1,n=2,sup,limsup_window"
@@ -184,7 +183,7 @@ def test_single_function_family_as_constant_sequence():
     f = PiecewiseFn([0.0, 0.5], [-4.0], 0.0, DOM)
     measures = FiniteMeasure(cells=[(0.0, 1.0, 1.0)], domain=DOM)
     seq = constant_seq(part(f, "negative"), 5)
-    curve = tail_curve(seq, constant_measures(measures, 5), (1.0, 4.0, 8.0), 3)
+    curve = tail_curve(seq, (measures,) * 5, (1.0, 4.0, 8.0), 3)
     assert verdict(curve, "ui").passes  # vanishes once K > 4
     assert curve.sup_curve[0] == pytest.approx(2.0)
 

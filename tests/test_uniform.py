@@ -12,7 +12,6 @@ from measure_limits import (
     Scenario,
     UnsupportedScenarioError,
     constant_fn,
-    constant_measures,
     lebesgue,
     make_segment,
     point_mass,
@@ -131,7 +130,7 @@ def test_non_integrable_input_rejected():
     dom = Interval(0.0, 1.0)
     m = lebesgue(0.0, 1.0)
     bad = PiecewiseFn([0.0, 0.5], [math.inf], 0.0, dom)
-    sc = Scenario("bad", constant_measures(m, 4), m, constant_seq(bad, 4),
+    sc = Scenario("bad", (m,) * 4, m, constant_seq(bad, 4),
                   limit_fn=zero_fn(dom), certificate="tv")
     with pytest.raises(NotIntegrableError):
         uniform_report(sc)
@@ -176,8 +175,8 @@ def test_condition_shrinking_support():
     dom = Interval(0.0, 1.0)
     eps = 1e-3
     m = lebesgue(0.0, 1.0)
-    seq = FnSequence(8, lambda n: PiecewiseFn([0.0, 1.0 / n], [-2 * eps],
-                                              0.0, dom))
+    seq = FnSequence(tuple(PiecewiseFn([0.0, 1.0 / n], [-2 * eps], 0.0, dom)
+                           for n in range(1, 9)))
     out = _condition_series(seq, zero_fn(dom), m, eps)[0]
     assert out == pytest.approx([1.0 / n for n in range(1, 9)], abs=1e-15)
 
@@ -195,7 +194,7 @@ def test_uniform_report_identity_scenario():
     m = lebesgue(0.0, 1.0)
     f = PiecewiseFn([0.0, 0.5], [1.0], 0.0, dom)
     seq = constant_seq(f, 12)
-    sc = Scenario("id", constant_measures(m, 12), m, seq, limit_fn=f,
+    sc = Scenario("id", (m,) * 12, m, seq, limit_fn=f,
                   certificate="tv")
     rep = uniform_report(sc)
     assert all(g == 0.0 for g in rep.series.inf_gaps)
@@ -217,10 +216,10 @@ def test_uniform_report_vanishing_offset():
     from measure_limits import Tolerances
     dom = Interval(0.0, 1.0)
     m = lebesgue(0.0, 1.0)
-    seq = FnSequence(16, lambda n: constant_fn(1.0 / n, dom))
+    seq = FnSequence(tuple(constant_fn(1.0 / n, dom) for n in range(1, 17)))
     # epsilon must be resolvable inside the window (1/n < eps there),
     # otherwise the in-measure condition cannot be observed yet
-    sc = Scenario("off", constant_measures(m, 16), m, seq,
+    sc = Scenario("off", (m,) * 16, m, seq,
                   limit_fn=zero_fn(dom), certificate="tv",
                   tolerances=Tolerances(eps_cond=0.1))
     rep = uniform_report(sc)

@@ -11,7 +11,9 @@ copied, not searched, and its counts of large ``np.unique`` calls and of
 sorted again, and that its kernel sums are certified in numpy.  The
 pass counts pin that every per-index series of a check is one ragged
 family pass (``refinement.family_pairing``) with one kernel call, not one
-refinement per index.
+refinement per index.  The ``PiecewiseFn`` construction counts of a
+gallery run pin that every f_n is built once, also where f and g are the
+same family.
 """
 
 import json
@@ -114,6 +116,28 @@ def test_gallery_run_pairs_each_family_in_one_pass(monkeypatch, fixture,
     chunks = count_calls(monkeypatch, refinement, "_pair_chunk")
     assert gallery.run(fixture).failures == 0
     assert len(chunks) == passes
+
+
+@pytest.mark.parametrize("fixture, builds", [
+    # f_n and g_n share one family in both fixtures: 100 and 64 functions
+    # built once each, their negative parts and absolute values, and the
+    # certificates, limit functions and bank steps
+    ("twin_spikes", 304),
+    ("staircase", 132),
+    # the zero minorant is one function repeated, not 32
+    ("shrinking_plateau", 70),
+])
+def test_gallery_run_builds_each_function_once(monkeypatch, fixture, builds):
+    original = PiecewiseFn.__init__
+    calls = []
+
+    def counted(self, *args, **kwargs):
+        calls.append(1)
+        original(self, *args, **kwargs)
+
+    monkeypatch.setattr(PiecewiseFn, "__init__", counted)
+    assert gallery.run(fixture).failures == 0
+    assert len(calls) == builds
 
 
 def test_known_checks_and_the_runner_registry_agree():
