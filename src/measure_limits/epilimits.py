@@ -32,6 +32,7 @@ from .xreal import (
     Interval,
     MalformedObjectError,
     ScheduleError,
+    close,
     integral_of_parts,
 )
 
@@ -211,12 +212,7 @@ def _estimates(seq: FnSequence, pts: list[float], sched: EpiSchedule,
     out = []
     for row in _scan(seq, np.asarray(pts), sched, lower).tolist():
         per_j = tuple(row)
-        if len(per_j) >= 2:
-            a, b = per_j[-2], per_j[-1]
-            stab = ((a == b) if (math.isinf(a) or math.isinf(b))
-                    else abs(a - b) <= stab_tol)
-        else:
-            stab = False
+        stab = len(per_j) >= 2 and close(per_j[-2], per_j[-1], stab_tol)
         out.append(EpiEstimate(per_j[-1], WINDOW, stab, per_j))
     return out
 
@@ -230,12 +226,6 @@ def epi_liminf(seq: FnSequence, s: float, sched: EpiSchedule,
 def epi_limsup(seq: FnSequence, s: float, sched: EpiSchedule,
                stab_tol: float = 1e-9) -> EpiEstimate:
     return _estimates(seq, [s], sched, False, stab_tol)[0]
-
-
-def _agree(lo: EpiEstimate, hi: EpiEstimate, tol: float) -> bool:
-    if math.isinf(lo.value) or math.isinf(hi.value):
-        return lo.value == hi.value
-    return abs(hi.value - lo.value) <= tol
 
 
 @dataclass(frozen=True)
@@ -264,7 +254,7 @@ def epi_limit_exists(seq: FnSequence, grid, sched: EpiSchedule, tol: float,
                       _estimates(seq, pts, sched, False, stab_tol)):
         comparable = ((lo.certainty == EXACT and hi.certainty == EXACT)
                       or (lo.stabilized and hi.stabilized))
-        oks.append(comparable and _agree(lo, hi, tol))
+        oks.append(comparable and close(lo.value, hi.value, tol))
     lo_cert, hi_cert = seq.epi_liminf_cert, seq.epi_limsup_cert
     if lo_cert is not None and hi_cert is not None:
         mass = _cert_disagreement_mass(lo_cert, hi_cert, m, tol)
@@ -297,11 +287,8 @@ def _cert_disagreement_mass(lo_cert: EpiCertificate, hi_cert: EpiCertificate,
         bad = ~(diff <= tol)
     terms = [comp_sum(masses[bad])] if np.any(bad) else []
     for loc, w in zip(m.atom_locs, m.atom_weights):
-        a = lo_cert.value_at(float(loc), "lower")
-        b = hi_cert.value_at(float(loc), "upper")
-        same_inf = math.isinf(a) and math.isinf(b) and (a > 0) == (b > 0)
-        if not (same_inf or (math.isfinite(a) and math.isfinite(b)
-                             and abs(b - a) <= tol)):
+        if not close(lo_cert.value_at(float(loc), "lower"),
+                     hi_cert.value_at(float(loc), "upper"), tol):
             terms.append(w)
     return comp_sum(np.asarray(terms)) if terms else 0.0
 

@@ -32,7 +32,7 @@ from .tails import (
     tail_curve,
     verdict,
 )
-from .xreal import UnsupportedScenarioError
+from .xreal import UnsupportedScenarioError, close
 
 HOLDS = "holds"
 VIOLATED = "violated"
@@ -186,12 +186,7 @@ def seq_liminf(values, window_start: int, stab_tol: float = 1e-9
         raise ValueError(f"window start {window_start} outside 1..{len(vals)}")
     window = vals[window_start - 1:]
     value = min(window)
-    top = max(window)
-    if math.isinf(value) or math.isinf(top):
-        stab = value == top
-    else:
-        stab = (top - value) <= stab_tol
-    return value, stab
+    return value, close(value, max(window), stab_tol)
 
 
 def seq_limsup(values, window_start: int, stab_tol: float = 1e-9

@@ -40,7 +40,7 @@ from .integration import default_bank, tv_norm_diff, weak_gap_bank
 from .measures import FiniteMeasure, lebesgue, make_segment, point_mass
 from .tails import first_shift, tail_curve, verdict
 from .uniform import uniform_report
-from .xreal import Interval, MalformedObjectError, UnsupportedScenarioError
+from .xreal import Interval, MalformedObjectError, UnsupportedScenarioError, close
 
 LN2 = math.log(2.0)
 _STAIR_STEPS = 50
@@ -356,11 +356,8 @@ class ConformanceReport:
 
 
 def _num(qid: str, value: float, expected: float, tol: float, note: str) -> Quantity:
-    if math.isinf(expected) or math.isinf(value):
-        ok = value == expected
-    else:
-        ok = abs(value - expected) <= tol
-    return Quantity(qid, float(value), float(expected), tol, bool(ok), note)
+    return Quantity(qid, float(value), float(expected), tol,
+                    bool(close(value, expected, tol)), note)
 
 
 def _flag(qid: str, value, expected, note: str) -> Quantity:

@@ -9,6 +9,8 @@ relies on:
   ``UndefinedIntegralError`` (``integral_of_parts``).  Other
   ``inf - inf`` differences are not trapped: a Fatou gap between two
   equal infinities is NaN.
+* two values are ``close`` within a tolerance when both are finite and
+  at most the tolerance apart, or when they are the same infinity.
 """
 
 from __future__ import annotations
@@ -62,6 +64,14 @@ def integral_of_parts(pos: float, neg: float, undefined: str) -> float:
     if math.isinf(neg):
         return -math.inf
     return pos - neg
+
+
+def close(a: float, b: float, tol: float) -> bool:
+    """|a - b| <= tol for finite a and b; an infinity is close only to
+    itself."""
+    if math.isinf(a) or math.isinf(b):
+        return a == b
+    return abs(a - b) <= tol
 
 
 def require_not_nan(x: float, what: str) -> float:
