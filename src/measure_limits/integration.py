@@ -188,10 +188,11 @@ def _bank_integrals(bank: list, measures: list) -> Iterator[float]:
 class WeakGapSeries:
     """Per-index worst bank gap sup_h |int h dmu_n - int h dmu|.
 
-    A large gap at a large index witnesses failure of weak convergence; small
-    gaps over a finite bank are evidence only.  ``certificate`` records how
-    the scenario claims convergence ('tv', 'builder', or 'none'); without a
-    certificate the bank result must be read as inconclusive.
+    Gaps over a finite bank and a finite index window are evidence only:
+    gaps of any size at finitely many indices are compatible with weak
+    convergence, and small ones do not prove it.  ``certificate`` records
+    how the scenario claims convergence ('tv', 'builder', or 'none');
+    without a certificate the bank result is inconclusive.
     """
 
     gaps: tuple[float, ...]

@@ -205,25 +205,21 @@ def _check_uniform_dct(sc: Scenario) -> CheckResult:
 
 
 def _check_weak_gap(sc: Scenario) -> CheckResult:
+    # a finite window of bank gaps neither proves nor refutes weak
+    # convergence, so the verdict is the certificate's
     series = weak_gap_bank(sc.measures, sc.limit_measure,
                            default_bank(sc.limit_measure),
                            sc.certificate)
     w = sc.window_start
-    vanishing = trend_vanishing(series.gaps, w, sc.tolerances.ui_tol)
-    witnessed = not vanishing and min(series.gaps[w - 1:]) > 100 * sc.tolerances.ui_tol
-    if witnessed:
-        v = "violated"
-    elif sc.certificate in ("tv", "builder"):
-        v = "pass"
-    else:
-        v = "inconclusive"
+    v = PASS if sc.certificate in ("tv", "builder") else "inconclusive"
     return CheckResult("weak_gap", v, {
         "bank_size": series.bank_size,
         "certificate": series.certificate,
         "max_gap_window": max(series.gaps[w - 1:]),
-        "trend_vanishing": vanishing,
-        "note": "bank gaps witness non-convergence only; convergence needs "
-                "a certificate",
+        "trend_vanishing": trend_vanishing(series.gaps, w,
+                                           sc.tolerances.ui_tol),
+        "note": "bank gaps over a finite window are evidence only; the "
+                "verdict is the convergence certificate's",
     }, {})
 
 

@@ -262,3 +262,29 @@ def test_an_unwritable_output_path_exits_one(tmp_path, capsys, argv):
     err = capsys.readouterr().err
     assert f"error: cannot write {blocker}/" in err
     assert "Traceback" not in err
+
+
+def test_weak_gap_is_inconclusive_without_a_certificate(tmp_path, capsys):
+    # mu_n = exp2 on [0, inf) + an atom at 1 - 1/(n + 1) converges weakly
+    # to exp2 + the atom at 1; the bank's indicator at 1 keeps a gap of 1
+    # at every index, which a finite window cannot read as a violation
+    exp2 = {"name": "exp2", "lo": 0.0, "hi": "inf"}
+    n_max = 12
+    doc = {
+        "name": "moving-atom",
+        "space": {"lo": 0.0, "hi": "inf"},
+        "n_max": n_max,
+        "measures": {"explicit": [
+            {"atoms": [[1.0 - 1.0 / (n + 1), 1.0]], "segments": [exp2]}
+            for n in range(1, n_max + 1)]},
+        "limit_measure": {"atoms": [[1.0, 1.0]], "segments": [exp2]},
+        "functions": {"explicit": [{"default": 0.0}] * n_max},
+        "checks": ["weak_gap"],
+        "convergence_certificate": {"kind": "none"},
+    }
+    out = tmp_path / "report.json"
+    assert main(["check", str(write(tmp_path, doc)), "--out", str(out)]) == 0
+    entry = json.loads(out.read_text())["checks"]["weak_gap"]
+    assert entry["verdict"] == "inconclusive"
+    assert entry["max_gap_window"] == 1.0
+    assert "weak_gap: inconclusive" in capsys.readouterr().err

@@ -24,23 +24,23 @@ SCENARIOS = Path(__file__).resolve().parent.parent / "scenarios"
 
 GOLDEN = {
     "comb_fatou.json": (
-        2, "31888e9337f7c831166afbcd6756ab5fe63a60d50ad6ad54d2e62bc642a8ef38"),
+        2, "1e0adeb909952fd057e8a84b7e8cbcc800cf916e788db73dbf112d2e17502cba"),
     "spikes_uniform.json": (
         2, "40130ec9a23c8f38011328959ec30d35bd56b7340d3e3a38a4be83400a3ae770"),
     "seed0": (
-        2, "d9e4724624129816d7f8e23e229db69197c56316e1e71333539f618a064e5d9c"),
+        2, "e9131398acc8aa7edf129e118fe9b2507355d5af2b3cd6faab2308edc1def3d0"),
     "seed1": (
-        2, "1dc8f937ea2407fe537775b7f821630752bdbd5ed4088c5cf01b5e8d63a013da"),
+        2, "85ec258658f6c1601b80a0e4db641db205113046f72811851918a7fe862b83f1"),
     "seed2": (
-        2, "c283a9576831af3b6f528a48abeaf9d77461add4e953b3a0ec87038878e99b62"),
+        2, "f616a6ed93f1d6bc1c22215614138b4402896f268884f19d087a88b75dcfa06e"),
     "seed3": (
-        2, "78035cdf31c04ba60579b8008747dbf624fbd70f1bcaa18f448244f3b1cfb56a"),
+        2, "cc5f50eb7d59241421749a31591082c53dd2cf01cc4386a52f02a21821c5d217"),
     "seed4": (
-        2, "189e2610623b0c96a2c38ca0802ad61f585d0a5ca6cd3b3e9d02fad9120158ec"),
+        2, "4f6d4c4ccd720e7b75019d231e17aa96dc7dc0c42a7a9a34425dee7e2aaa31ac"),
     "nmax1": (
-        2, "bfda3fdb6fe14a69557756f6476b83a3bdda4ca3a870373353445efcbbc8795c"),
+        2, "2760dbaa77f12d2d15c03cf7ba0382cd747292b4b13057f94c7895c7732ffc19"),
     "exp2_atom0": (
-        2, "b3291916c00054bb7fe227d8320f54ada3e81794ccf19d97523bbbfb50f06a54"),
+        2, "63cbb3a3343161caa23e1ff12e61c5fce6fb905d789e51628438e1ad363d8c5f"),
 }
 
 
