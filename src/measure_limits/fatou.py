@@ -202,10 +202,11 @@ def _le(a: float, b: float, tol: float) -> bool:
     return a <= b + tol
 
 
-def _gap(rhs: float, lhs: float) -> float:
-    """rhs - lhs; NaN marks the inf - inf case (conclusion uses _le)."""
-    if math.isinf(rhs) and math.isinf(lhs) and (rhs > 0) == (lhs > 0):
-        return math.nan
+def _gap(rhs: float, lhs: float) -> Optional[float]:
+    """rhs - lhs; None where both sides are the same infinity and the
+    difference is undefined (the conclusion uses _le)."""
+    if math.isinf(rhs) and rhs == lhs:
+        return None
     return rhs - lhs
 
 
@@ -249,7 +250,7 @@ class GapReport:
     lhs_certainty: str
     rhs: float
     rhs_stabilized: bool
-    gap: float
+    gap: Optional[float]       # None when both sides are the same infinity
     conclusion: str
     window_start: int
     diagnostics: dict

@@ -8,7 +8,8 @@ relies on:
 * an integral whose positive and negative parts both diverge raises
   ``UndefinedIntegralError`` (``integral_of_parts``).  Other
   ``inf - inf`` differences are not trapped: a Fatou gap between two
-  equal infinities is NaN.
+  equal infinities is undefined, reported as None (``null`` in a
+  report), never as NaN.
 * two values are ``close`` within a tolerance when both are finite and
   at most the tolerance apart, or when they are the same infinity.
 """

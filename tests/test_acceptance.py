@@ -124,7 +124,7 @@ def test_criterion_4_randomized_fatou_property():
     for i in range(200):
         sc = fatou_random_scenario(rng, n_max=12, name=f"acc4_{i}")
         rep = fatou_report(sc)
-        worst = min(worst, rep.gap if not math.isnan(rep.gap) else 0.0)
+        worst = min(worst, rep.gap if rep.gap is not None else 0.0)
         violated += rep.conclusion == "violated"
     ok = worst >= -1e-9 and violated == 0
     _report(f"4 randomized Fatou property (worst gap {worst:.2e})", ok)

@@ -288,3 +288,25 @@ def test_weak_gap_is_inconclusive_without_a_certificate(tmp_path, capsys):
     assert entry["verdict"] == "inconclusive"
     assert entry["max_gap_window"] == 1.0
     assert "weak_gap: inconclusive" in capsys.readouterr().err
+
+
+def _reject_constant(name: str):
+    raise ValueError(f"{name} is not JSON")
+
+
+def test_every_infinite_probe_report_is_strict_json(tmp_path, capsys):
+    # the 40 probe documents with one +inf or -inf cell value of seeds
+    # 1-10; an inf - inf Fatou gap is written as null, never as nan
+    docs = load_perfbench_docs()
+    out = tmp_path / "report.json"
+    null_gaps = 0
+    for seed in range(1, 11):
+        for i, inf in enumerate(docs.INF_PROBE):
+            src = write(tmp_path, docs.generate(seed, i, inf))
+            out.unlink(missing_ok=True)
+            # a check that meets an undefined integral reads error: exit 1
+            assert main(["check", str(src), "--out", str(out)]) in (0, 1, 2)
+            report = json.loads(out.read_text(encoding="utf-8"),
+                                parse_constant=_reject_constant)
+            null_gaps += report["checks"]["fatou"]["gap"] is None
+    assert null_gaps == 15
