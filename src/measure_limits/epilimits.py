@@ -11,7 +11,8 @@ a proof.
 
 A certificate decides every point exactly, and nothing is scanned.
 Without one, the points of one family and direction go through one
-batched scan that reads each f_n once for all points.  ``tests/helpers.py`` keeps the scalar one-ball-at-a-time scan
+batched scan that reads each f_n once for all points.
+``tests/helpers.py`` keeps the scalar one-ball-at-a-time scan
 (``range_on``) that it must match bit for bit.
 """
 

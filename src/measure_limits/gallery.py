@@ -40,7 +40,12 @@ from .integration import default_bank, tv_norm_diff, weak_gap_bank
 from .measures import FiniteMeasure, lebesgue, make_segment, point_mass
 from .tails import first_shift, tail_curve, verdict
 from .uniform import uniform_report
-from .xreal import Interval, MalformedObjectError, UnsupportedScenarioError, close
+from .xreal import (
+    Interval,
+    MalformedObjectError,
+    UnsupportedScenarioError,
+    close,
+)
 
 LN2 = math.log(2.0)
 _STAIR_STEPS = 50
