@@ -68,9 +68,6 @@ class Scenario:
     sample_grid: Optional[tuple[float, ...]] = None
     tolerances: Tolerances = field(default_factory=Tolerances)
     certificate: str = "none"
-    #: declared uniform upper bound for the minorant family, when known
-    #: analytically; finite index windows cannot certify boundedness alone
-    minorant_sup_bound: Optional[float] = None
 
     @property
     def n_max(self) -> int:
@@ -102,21 +99,21 @@ class Scenario:
 
     @cached_property
     def f_integral_series(self) -> list[float]:
-        return _integral_series(self.f_seq, self.measures)
+        return list(integral_series(self.f_seq.fns, self.measures))
 
     @cached_property
     def g_integral_series(self) -> list[float]:
-        return _integral_series(self.g_seq, self.measures)
+        return list(integral_series(self.g_seq.fns, self.measures))
 
     @cached_property
-    def f_dominates_g(self):
-        """(ok, first bad index, witness) for f_n >= g_n."""
-        return _dominance_all(self.f_seq, self.g_seq)
+    def f_dominates_g(self) -> bool:
+        """f_n >= g_n everywhere, for every index n."""
+        return dominates(self.f_seq.fns, self.g_seq.fns)
 
     @cached_property
-    def g_dominates_abs_f(self):
-        """(ok, first bad index, witness) for g_n >= |f_n|."""
-        return _dominance_all(self.g_seq, self.abs_seq)
+    def g_dominates_abs_f(self) -> bool:
+        """g_n >= |f_n| everywhere, for every index n."""
+        return dominates(self.g_seq.fns, self.abs_seq.fns)
 
     @cached_property
     def f_epi_liminf(self) -> tuple[float, str]:
@@ -210,19 +207,6 @@ def _gap(rhs: float, lhs: float) -> Optional[float]:
     return rhs - lhs
 
 
-def _integral_series(seq: FnSequence, measures: tuple[FiniteMeasure, ...]
-                     ) -> list[float]:
-    return list(integral_series(seq.fns, measures))
-
-
-def _dominance_all(upper: FnSequence, lower: FnSequence):
-    for n, pair in enumerate(zip(upper.fns, lower.fns), start=1):
-        ok, witness = dominates(*pair)
-        if not ok:
-            return False, n, witness
-    return True, None, None
-
-
 def neg_part_shift(sc: Scenario) -> Optional[int]:
     """Smallest shift N < n_max after which the negative parts' tails at
     the top grid level stay within ``ui_tol``; read off the last column of
@@ -245,7 +229,6 @@ def convergence_evidence(sc: Scenario) -> dict:
 
 @dataclass(frozen=True)
 class GapReport:
-    scenario: str
     lhs: float
     lhs_certainty: str
     rhs: float
@@ -272,9 +255,6 @@ def fatou_report(sc: Scenario) -> GapReport:
     rhs, rhs_stab = seq_liminf(series, sc.window_start, t.stab_tol)
 
     diagnostics["aui_negative_parts"] = verdict(sc.neg_tail_curve, "aui", t.ui_tol)
-    if sc.g_seq is not None:
-        ok, n_bad, witness = sc.f_dominates_g
-        diagnostics["dominance"] = {"ok": ok, "index": n_bad, "witness": witness}
 
     if zero_mass or _le(lhs, rhs, t.tol):
         conclusion = HOLDS
@@ -282,21 +262,17 @@ def fatou_report(sc: Scenario) -> GapReport:
         conclusion = VIOLATED
     else:
         conclusion = INCONCLUSIVE
-    return GapReport(sc.name, lhs, lhs_cert, rhs, rhs_stab, _gap(rhs, lhs),
+    return GapReport(lhs, lhs_cert, rhs, rhs_stab, _gap(rhs, lhs),
                      conclusion, sc.window_start, diagnostics)
 
 
 @dataclass(frozen=True)
 class MinorantReport:
-    scenario: str
-    variant: str               # "limsup" (the condition) | "liminf" (weakened)
     dominance_ok: bool
-    dominance_witness: Optional[tuple]
     epi_integral: float
     epi_certainty: str
     finite_ok: bool
     liminf_of_integrals: float
-    stabilized: bool
     chain_ok: bool
 
     @property
@@ -305,15 +281,14 @@ class MinorantReport:
 
 
 def _minorant(sc: Scenario, variant: str) -> MinorantReport:
+    """``variant`` is "limsup" (the condition) or "liminf" (weakened)."""
     if sc.g_seq is None:
         raise UnsupportedScenarioError("minorant checks need a minorant family")
     t = sc.tolerances
-    ok, n_bad, witness = sc.f_dominates_g
+    ok = sc.f_dominates_g
     val, cert = sc.g_epi_limsup if variant == "limsup" else sc.g_epi_liminf
-    series = sc.g_integral_series
-    rhs, stab = seq_liminf(series, sc.window_start, t.stab_tol)
-    return MinorantReport(sc.name, variant, ok, (n_bad, witness) if not ok else None,
-                          val, cert, val > -math.inf, rhs, stab,
+    rhs, _ = seq_liminf(sc.g_integral_series, sc.window_start, t.stab_tol)
+    return MinorantReport(ok, val, cert, val > -math.inf, rhs,
                           _le(val, rhs, t.tol))
 
 
@@ -331,11 +306,8 @@ def weakened_minorant_probe(sc: Scenario) -> MinorantReport:
 
 @dataclass(frozen=True)
 class MajorantReport:
-    scenario: str
     dominance_ok: bool
-    dominance_witness: Optional[tuple]
     limsup_of_integrals: float
-    stabilized: bool
     epi_liminf_integral: float
     epi_certainty: str
     finite_ok: bool
@@ -352,18 +324,15 @@ def majorant_check(sc: Scenario) -> MajorantReport:
     if sc.g_seq is None:
         raise UnsupportedScenarioError("majorant check needs a dominating family")
     t = sc.tolerances
-    ok, n_bad, witness = sc.g_dominates_abs_f
-    series = sc.g_integral_series
-    lhs, stab = seq_limsup(series, sc.window_start, t.stab_tol)
+    ok = sc.g_dominates_abs_f
+    lhs, _ = seq_limsup(sc.g_integral_series, sc.window_start, t.stab_tol)
     val, cert = sc.g_epi_liminf
-    return MajorantReport(sc.name, ok, (n_bad, witness) if not ok else None,
-                          lhs, stab, val, cert, val < math.inf,
+    return MajorantReport(ok, lhs, val, cert, val < math.inf,
                           _le(lhs, val, t.tol))
 
 
 @dataclass(frozen=True)
 class DctReport:
-    scenario: str
     limit_exists_ae: bool
     exception_mass: float
     mass_exact: bool
@@ -372,7 +341,6 @@ class DctReport:
     hypotheses_ok: bool
     lim_lo: float
     lim_hi: float
-    stabilized: bool
     limit_integral: float
     limit_certainty: str
     equal: bool
@@ -415,16 +383,14 @@ def dct_report(sc: Scenario, equality_tol: Optional[float] = None) -> DctReport:
         conclusion = VIOLATED
     else:
         conclusion = INCONCLUSIVE
-    return DctReport(sc.name, exists_ok, exists.exception_mass, exists.mass_exact,
+    return DctReport(exists_ok, exists.exception_mass, exists.mass_exact,
                      aui_full, major, hyp_ok, lim_lo, lim_hi,
-                     stab_lo and stab_hi, limit_integral, cert, equal, conclusion,
+                     limit_integral, cert, equal, conclusion,
                      equality_without_condition=equal and not condition_ok)
 
 
 @dataclass(frozen=True)
 class ShiftProbeReport:
-    scenario: str
-    minorant: MinorantReport
     applicable: bool
     shift: Optional[int]
     consistent: bool
@@ -446,18 +412,12 @@ def bounded_minorant_shift_probe(sc: Scenario) -> ShiftProbeReport:
     if max(tops) == math.inf:
         raise UnsupportedScenarioError(
             "minorants are not uniformly bounded from above")
-    if sc.minorant_sup_bound is not None:
-        if max(tops) > sc.minorant_sup_bound + sc.tolerances.stab_tol:
-            raise UnsupportedScenarioError(
-                "observed minorant values exceed the declared upper bound")
-    elif len(tops) >= 2:
+    if len(tops) >= 2:
         half = len(tops) // 2
         if max(tops[half:]) > max(tops[:half]) + sc.tolerances.stab_tol:
             raise UnsupportedScenarioError(
-                "minorant envelope is still growing with the index; declare "
-                "minorant_sup_bound if the family is genuinely bounded above")
-    minor = minorant_check(sc)
-    if not minor.holds:
-        return ShiftProbeReport(sc.name, minor, False, None, True)
+                "minorant envelope is still growing with the index")
+    if not minorant_check(sc).holds:
+        return ShiftProbeReport(False, None, True)
     shift = neg_part_shift(sc)
-    return ShiftProbeReport(sc.name, minor, True, shift, shift is not None)
+    return ShiftProbeReport(True, shift, shift is not None)

@@ -1,21 +1,24 @@
-"""Extended-real-valued step functions, function sequences, and ramps.
+"""Extended-real-valued step functions, function sequences, ramps, and
+the dominance check between two function families.
 
 A :class:`PiecewiseFn` is a measurable step function with finitely many
 breakpoints, a constant value on every cell, and a default value outside
 the listed cells.  Cells are half-open ``[lo, hi)``; the rightmost domain
 endpoint belongs to the last cell when a breakpoint lands exactly on it.
 Values may be ``+inf``/``-inf``; only integration decides definedness.
+``dominates`` compares two families on their common refinements, in one
+``refinement.family_pairing`` pass, as the integral series do.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import Callable, Optional
+from typing import Callable, Optional, Sequence
 
 import numpy as np
 
-from .kernels import union_edges
+from .refinement import family_pairing
 from .xreal import (
     DomainMismatchError,
     Interval,
@@ -69,51 +72,6 @@ class PiecewiseFn:
         if i < 0 or i >= self.values.size:
             return self.default
         return float(self.values[i])
-
-    def values_at(self, points) -> np.ndarray:
-        """Vectorized evaluation; caller guarantees points lie in the domain.
-
-        Each point is located by binary search in the breakpoints; a
-        breakpoint on a finite ``domain.hi`` gives that point the last cell's
-        value.  :meth:`cell_values` skips the search when the points are the
-        left edges of f's own cells.
-        """
-        pts = np.asarray(points, dtype=np.float64)
-        out = np.full(pts.shape, self.default)
-        bp = self.breakpoints
-        if bp.size == 0:
-            return out
-        idx = np.searchsorted(bp, pts, side="right") - 1
-        mask = (idx >= 0) & (idx < self.values.size)
-        out[mask] = self.values[idx[mask]]
-        if self.values.size and bp[-1] == self.domain.hi:
-            out[pts == self.domain.hi] = self.values[-1]
-        return out
-
-    def cell_values(self, edges: np.ndarray) -> np.ndarray:
-        """f's value on each cell ``[edges[i], edges[i+1])`` of a partition
-        that refines f: bit for bit ``values_at(edges[:-1])``.
-
-        When the edges are f's breakpoints plus at most one edge before and
-        one after them, as the domain ends of a refinement of f alone are,
-        the cells are f's own: ``values`` is copied out, with ``default`` in
-        the end cells, and nothing is searched.  Any other edge set goes to
-        ``values_at``, and so does a cell that starts at a breakpoint on
-        ``domain.hi`` (that closed end takes the last cell's value).  The
-        size test comes first, so a partition with more edges pays one
-        integer comparison.
-        """
-        bp = self.breakpoints
-        extra = edges.size - bp.size
-        if bp.size and 0 <= extra <= 2:
-            lead = int(edges[0] < bp[0])
-            trail = extra - lead
-            if (trail <= 1 and not (trail and bp[-1] == self.domain.hi)
-                    and np.array_equal(edges[lead:lead + bp.size], bp)):
-                out = np.full(edges.size - 1, self.default)
-                out[lead:lead + self.values.size] = self.values
-                return out
-        return self.values_at(edges[:-1])
 
     def left_limit(self, x: float) -> float:
         """Value of the cell ending at x (the one-sided limit from below)."""
@@ -212,45 +170,39 @@ def part(f: PiecewiseFn, which: str) -> PiecewiseFn:
     raise ValueError(f"which must be 'positive' or 'negative', got {which!r}")
 
 
-@dataclass(frozen=True)
-class DominanceWitness:
-    lo: float
-    hi: float
-    upper_value: float
-    lower_value: float
+def dominates(upper: Sequence[PiecewiseFn], lower: Sequence[PiecewiseFn]
+              ) -> bool:
+    """Exact check that u_n >= l_n everywhere, for every index n of two
+    families of step functions of the same length.
 
+    The pairs (u_n, l_n) are refined by one ``family_pairing`` pass and
+    compared cell by cell.  The cells cover the whole domain, ends
+    included: a closed finite ``domain.hi`` takes the last cell's value
+    in both functions.  A one-point domain has no cells; both functions
+    are their defaults there.  The pairs are read lazily and in order, so
+    a pair on two different domains raises DomainMismatchError unless an
+    earlier pair already fails.
+    """
+    point_fails = []
 
-def dominates(upper: PiecewiseFn, lower: PiecewiseFn
-              ) -> tuple[bool, Optional[DominanceWitness]]:
-    """Exact pointwise check upper >= lower; reports a witness cell on failure."""
-    if upper.domain != lower.domain:
-        raise DomainMismatchError("dominance check requires a shared domain")
-    dom = upper.domain
-    edges = union_edges([
-        upper.breakpoints, lower.breakpoints,
-        np.asarray([b for b in (dom.lo, dom.hi) if math.isfinite(b)]),
-    ])
-    # representative points: one per region, half-open semantics make the
-    # left edge carry the cell value; the last edge stands for itself
-    if edges.size == 0:
-        reps = np.zeros(1)
-    elif edges[0] > dom.lo:
-        lead = dom.lo if math.isfinite(dom.lo) else edges[0] - 1.0
-        reps = np.concatenate([[lead], edges])
-    else:
-        reps = edges
-    # the closing edge dom.hi lets cell_values read the last point as well
-    cells = np.append(reps, dom.hi)
-    uv = upper.cell_values(cells)
-    lv = lower.cell_values(cells)
-    bad = np.nonzero(uv < lv)[0]
-    if bad.size == 0:
-        return True, None
-    i = int(bad[0])
-    x = float(reps[i])
-    j = int(np.searchsorted(edges, x, side="right"))
-    hi = float(edges[j]) if j < edges.size else dom.hi
-    return False, DominanceWitness(x, hi, float(uv[i]), float(lv[i]))
+    def rows():
+        for u, l in zip(upper, lower):
+            if u.domain != l.domain:
+                raise DomainMismatchError(
+                    "dominance check requires a shared domain")
+            if u.domain.lo < u.domain.hi:
+                yield (u, l), ()
+            elif u.default < l.default:
+                point_fails.append(True)
+                return
+
+    for p in family_pairing(rows()):
+        fails = bool(np.any(p.values[0] < p.values[1]))
+        # released before the next chunk is built
+        del p
+        if fails:
+            return False
+    return not point_fails
 
 
 @dataclass(frozen=True)

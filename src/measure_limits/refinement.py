@@ -12,7 +12,10 @@ index and its source, the edges are sorted by (index, value) and
 deduplicated within each index, and each input's cell values, density
 masses and atom weights are read off running counts of the tags.  Each
 index keeps its own refinement, and its values and masses are bit for bit
-those of refining that index alone (a pass over a one-row family).
+those of refining that index alone (a pass over a one-row family).  The
+integral, tail, TV and set-uniform series pair functions with measures;
+the dominance check (``functions.dominates``) pairs two functions and no
+measure.
 """
 
 from __future__ import annotations
@@ -60,7 +63,9 @@ def family_pairing(rows: Iterable) -> Iterator[FamilyPairing]:
     """Ragged common refinements of an indexed family, chunk by chunk.
 
     ``rows`` yields one ``(functions, measures)`` pair of tuples per index,
-    of the same lengths at every index, and is read lazily.  A row whose
+    of the same lengths at every index, and is read lazily.  Either tuple
+    may be empty, but not both; a row without measures has no atom
+    entries, so each index is its cells alone.  A row whose
     objects do not share one domain raises DomainMismatchError, and an
     exception raised while reading a row is raised only after the chunk of
     the indices before it has been yielded, so a caller that reduces the

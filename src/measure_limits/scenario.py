@@ -346,8 +346,7 @@ def parse_scenario(text: str, tol: Optional[float] = None,
     kwargs: dict = {}
     base = next(iter(built.values()), None)
     if base is not None:
-        kwargs.update(k_grid=base.k_grid, sample_grid=base.sample_grid,
-                      minorant_sup_bound=base.minorant_sup_bound)
+        kwargs.update(k_grid=base.k_grid, sample_grid=base.sample_grid)
     if k_grid is not None:
         kwargs["k_grid"] = k_grid
     if sample_grid is not None:

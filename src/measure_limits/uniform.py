@@ -21,7 +21,7 @@ from typing import Iterator
 
 import numpy as np
 
-from .fatou import Scenario, convergence_evidence
+from .fatou import Scenario
 from .functions import FnSequence, PiecewiseFn
 from .integration import integral_series, integrate
 from .kernels import comp_sum, ragged_sums, sign_sums
@@ -131,12 +131,10 @@ def trend_vanishing(values, window_start: int, tol: float) -> bool:
 
 @dataclass(frozen=True)
 class UniformGapSeries:
-    scenario: str
     inf_gaps: tuple[float, ...]      # per-n inf over sets; <= 0
     sup_gaps: tuple[float, ...]      # per-n sup over sets of |gap|; >= 0
     cond_undershoot: tuple[float, ...]
     cond_in_measure: tuple[float, ...]
-    eps: float
 
     def to_csv(self) -> str:
         buf = io.StringIO()
@@ -152,7 +150,6 @@ class UniformGapSeries:
 @dataclass(frozen=True)
 class UniformReport:
     series: UniformGapSeries
-    tv_series: tuple[float, ...]
     tv_vanishing: bool
     fatou_gap_vanishing: bool
     sup_gap_vanishing: bool
@@ -164,7 +161,6 @@ class UniformReport:
     fatou_consistent: bool
     dct_predicted: bool
     dct_consistent: bool
-    diagnostics: dict
 
     @property
     def consistent(self) -> bool:
@@ -207,8 +203,8 @@ def _uniform_report_body(sc: Scenario) -> UniformReport:
         inf_gaps.append(inf_gap)
         sup_gaps.append(sup_gap)
     under, inmeas = _condition_series(sc.f_seq, f, m, t.eps_cond)
-    series = UniformGapSeries(sc.name, tuple(inf_gaps), tuple(sup_gaps),
-                              tuple(under), tuple(inmeas), t.eps_cond)
+    series = UniformGapSeries(tuple(inf_gaps), tuple(sup_gaps),
+                              tuple(under), tuple(inmeas))
 
     tv = sc.tv_series
     w = sc.window_start
@@ -223,11 +219,7 @@ def _uniform_report_body(sc: Scenario) -> UniformReport:
     fatou_pred = under_v and aui_neg
     dct_pred = inmeas_v and aui_full
     return UniformReport(
-        series, tuple(tv), tv_v, gap_v, sup_v, under_v, inmeas_v,
-        aui_neg, aui_full,
+        series, tv_v, gap_v, sup_v, under_v, inmeas_v, aui_neg, aui_full,
         fatou_predicted=fatou_pred, fatou_consistent=(gap_v == fatou_pred),
         dct_predicted=dct_pred, dct_consistent=(sup_v == dct_pred),
-        diagnostics={"weak_convergence": convergence_evidence(sc),
-                     "window_start": w,
-                     "integral_series": sc.f_integral_series},
     )

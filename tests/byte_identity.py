@@ -11,6 +11,8 @@ of its report and its stderr:
 
 - ``check`` on both ``scenarios/*.json``, with ``--curves-dir``; every
   curve CSV is an entry of its own, keyed by its file name;
+- ``check`` on both ``scenarios/*.json`` with ``--nmax 8``, which cuts
+  their builder families (the comb g_n included) to 8 indices;
 - ``check`` on 300 documents of the seed-77 stream of
   ``perfbench/docs.py``, the first 30 also with ``--tol 1e-6`` and with
   ``--nmax 10``;
@@ -70,6 +72,8 @@ def _check_runs(tmp: Path) -> list[tuple[str, list[str]]]:
     for path in sorted((ROOT / "scenarios").glob("*.json")):
         runs.append((f"scenario/{path.name}",
                      ["check", str(path), "--curves-dir", str(tmp / "curves")]))
+        runs.append((f"scenario/{path.name}/nmax",
+                     ["check", str(path), "--nmax", "8"]))
     for i in range(300):
         path = tmp / f"doc{i:03d}.json"
         path.write_text(json.dumps(docs.generate(77, i)), encoding="utf-8")

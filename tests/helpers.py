@@ -19,7 +19,6 @@ import numpy as np
 from measure_limits import EpiCertificate, FiniteMeasure, FnSequence, Interval
 from measure_limits import PiecewiseFn, Ramp, Scenario, lebesgue
 from measure_limits import zero_fn
-from measure_limits.functions import DominanceWitness
 from measure_limits.kernels import tail_dots, union_edges
 from measure_limits.uniform import _gap_rows, _gap_series
 from measure_limits.xreal import (
@@ -335,32 +334,23 @@ def loop_tail_dot(values, masses, k: float) -> tuple[float, bool]:
     return math.fsum(terms) + 0.0, has_inf
 
 
-def list_dominates(upper: PiecewiseFn, lower: PiecewiseFn):
-    """Reference for ``functions.dominates``: the representative points
-    gathered in a Python list, evaluated through ``values_at``."""
+def list_dominates(upper: PiecewiseFn, lower: PiecewiseFn) -> bool:
+    """Reference for one index of ``functions.dominates``: upper >= lower
+    at one point of every region, each point evaluated by the scalar
+    ``f(x)``.  The regions are the cells between the breakpoints and the
+    finite domain ends, and the last edge on its own."""
     dom = upper.domain
-    assert lower.domain == dom
+    if lower.domain != dom:
+        raise DomainMismatchError("dominance check requires a shared domain")
     edges = unique_edges([
         upper.breakpoints, lower.breakpoints,
         np.asarray([b for b in (dom.lo, dom.hi) if math.isfinite(b)]),
-    ])
-    reps = list(edges)
-    if edges.size == 0:
-        reps = [0.0]
+    ]).tolist()
+    if not edges:
+        edges = [0.0]
     elif edges[0] > dom.lo:
-        reps.insert(0, dom.lo if math.isfinite(dom.lo) else edges[0] - 1.0)
-    reps = np.asarray(reps, dtype=np.float64)
-    reps = reps[(reps >= dom.lo) & (reps <= dom.hi)]
-    uv = upper.values_at(reps)
-    lv = lower.values_at(reps)
-    bad = np.nonzero(uv < lv)[0]
-    if bad.size == 0:
-        return True, None
-    i = int(bad[0])
-    x = float(reps[i])
-    nxt = edges[edges > x]
-    hi = float(nxt[0]) if nxt.size else dom.hi
-    return False, DominanceWitness(x, hi, float(uv[i]), float(lv[i]))
+        edges.insert(0, dom.lo if math.isfinite(dom.lo) else edges[0] - 1.0)
+    return all(upper(x) >= lower(x) for x in edges)
 
 
 def list_comb_g(n: int) -> PiecewiseFn:
@@ -531,8 +521,9 @@ def loop_pairing(fns, measures):
     """One index's common refinement of the functions and measures, as
     (values per function, masses per measure, number of cells)."""
     p = common_refinement(list(fns) + list(measures))
-    values = [np.concatenate([f.cell_values(p.edges), f.values_at(p.atoms)])
-              for f in fns]
+    # each cell is read at its left edge, then each atom at its location
+    points = p.edges[:-1].tolist() + p.atoms.tolist()
+    values = [np.asarray([f(x) for x in points], dtype=np.float64) for f in fns]
     masses = [np.concatenate([m.continuous_cell_masses(p.edges),
                               atom_weights_at(m, p.atoms)])
               for m in measures]
@@ -624,8 +615,9 @@ def loop_condition_series(f_seq: FnSequence, f: PiecewiseFn, m: FiniteMeasure,
     under, inmeas = [], []
     for f_n in f_seq.fns:
         p = common_refinement([f_n, f, m])
-        vn = f_n.cell_values(p.edges)
-        v = f.cell_values(p.edges)
+        points = p.edges[:-1].tolist()
+        vn = np.asarray([f_n(x) for x in points], dtype=np.float64)
+        v = np.asarray([f(x) for x in points], dtype=np.float64)
         masses = m.continuous_cell_masses(p.edges)
         with np.errstate(invalid="ignore"):
             under_terms = [math.fsum(masses[vn <= v - eps].tolist()) + 0.0]

@@ -26,8 +26,7 @@ from measure_limits import (
     weak_gap_bank,
 )
 from measure_limits import refinement
-from measure_limits.fatou import _integral_series
-from measure_limits.integration import default_bank, tv_series
+from measure_limits.integration import default_bank, integral_series, tv_series
 from measure_limits.refinement import family_pairing
 from measure_limits.refinement import reduce_family
 from measure_limits.uniform import (
@@ -143,7 +142,8 @@ def test_pairing_arrays_match_each_index_refined_alone(sc, budget):
 @given(scenarios(), chunk_budgets)
 def test_series_match_the_per_index_loops(sc, budget):
     with mock.patch.object(refinement, "CHUNK_EDGES", budget):
-        assert (outcome(_integral_series, sc.f_seq, sc.measures)
+        assert (outcome(lambda: list(integral_series(sc.f_seq.fns,
+                                                     sc.measures)))
                 == outcome(loop_integral_series, sc.f_seq, sc.measures))
         assert (outcome(lambda: tail_curve(sc.f_seq, sc.measures,
                                            K_GRID).table)
@@ -244,13 +244,13 @@ def test_first_failing_index_decides_the_error(budget, k):
     undefined_first = [ok] * (k - 1) + [_undefined(), _overflowing(), ok]
     with mock.patch.object(refinement, "CHUNK_EDGES", budget):
         with pytest.raises(OverflowError):
-            _integral_series(*_family(overflow_first))
+            list(integral_series(overflow_first, [UNIT] * len(overflow_first)))
         with pytest.raises(UndefinedIntegralError):
-            _integral_series(*_family(undefined_first))
+            list(integral_series(undefined_first, [UNIT] * len(undefined_first)))
         with pytest.raises(OverflowError):
             tail_curve(*_family(overflow_first), K_GRID)
     for fns in (overflow_first, undefined_first):
-        assert (outcome(_integral_series, *_family(fns))
+        assert (outcome(lambda: list(integral_series(fns, [UNIT] * len(fns))))
                 == outcome(loop_integral_series, *_family(fns)))
 
 

@@ -1,13 +1,15 @@
-"""The array fast paths against the list-based code they stand in for.
+"""The array paths against the per-index and list-based code they stand
+in for.
 
-``PiecewiseFn.cell_values`` copies a function's own cell values when the
-partition is its breakpoints plus the domain ends, ``dominates`` gathers
-its representative points as arrays, and the ``dyadic_comb`` builder
-assembles g_n from arrays.  ``helpers.list_dominates`` and
-``helpers.list_comb_g`` keep the list-based code.  Every result must agree
+``dominates`` checks two whole families in ragged ``family_pairing``
+passes; ``helpers.list_dominates`` checks one index by scalar evaluation,
+and a loop over the indices must give the same verdict, or raise the
+same error.  The ``dyadic_comb`` builder assembles g_n from arrays;
+``helpers.list_comb_g`` keeps the list-based code, and the two must agree
 bit for bit, the sign of zero included.
 """
 
+import json
 import math
 from unittest import mock
 
@@ -16,9 +18,11 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from measure_limits import Interval, PiecewiseFn, dominates, gallery
+from measure_limits import (
+    Interval, PiecewiseFn, dominates, gallery, parse_scenario, refinement,
+)
 
-from helpers import list_comb_g, list_dominates
+from helpers import fatou_random_document, list_comb_g, list_dominates
 
 GRID = [k / 16 for k in range(17)]
 VALUES = [0.0, -0.0, 1.0, -1.0, 2.5, -3.0, math.inf, -math.inf]
@@ -36,40 +40,6 @@ def same_array(a: np.ndarray, b: np.ndarray) -> bool:
             and all(same(x, y) for x, y in zip(a.tolist(), b.tolist())))
 
 
-def counted_cell_values(f: PiecewiseFn, edges: np.ndarray
-                        ) -> tuple[np.ndarray, int]:
-    """``f.cell_values(edges)`` and how many ``values_at`` calls it made."""
-    with mock.patch.object(PiecewiseFn, "values_at", autospec=True,
-                           side_effect=PiecewiseFn.values_at) as spy:
-        out = f.cell_values(edges)
-    return out, spy.call_count
-
-
-def own_edges(f: PiecewiseFn) -> np.ndarray:
-    """f's breakpoints and the domain ends, as ``common_refinement`` of f
-    alone builds them."""
-    dom = f.domain
-    return np.unique(np.concatenate([[dom.lo, dom.hi], f.breakpoints]))
-
-
-def assert_cell_values_match(f: PiecewiseFn, edges: np.ndarray,
-                             fast: bool) -> None:
-    out, calls = counted_cell_values(f, edges)
-    assert same_array(out, f.values_at(edges[:-1]))
-    assert calls == (0 if fast else 1)
-
-
-def assert_dominates_matches(upper: PiecewiseFn, lower: PiecewiseFn) -> None:
-    ok, witness = dominates(upper, lower)
-    ref_ok, ref = list_dominates(upper, lower)
-    assert ok == ref_ok
-    if ref is None:
-        assert witness is None
-    else:
-        assert all(same(getattr(witness, k), getattr(ref, k))
-                   for k in ("lo", "hi", "upper_value", "lower_value"))
-
-
 @st.composite
 def step_fns(draw, domain: Interval):
     n_cells = draw(st.integers(0, 8))
@@ -84,12 +54,42 @@ def step_fns(draw, domain: Interval):
 
 
 @st.composite
-def fn_pairs(draw):
+def families(draw):
+    """Two families of 1 to 20 indices on one domain.  Most lower members
+    are capped copies of their upper ones, so that the first failing index
+    can lie anywhere; one lower member may live on another domain."""
     domain = draw(st.sampled_from(DOMAINS))
-    return draw(step_fns(domain)), draw(step_fns(domain))
+    n = draw(st.integers(1, 20))
+    us = [draw(step_fns(domain)) for _ in range(n)]
+    if draw(st.booleans()):
+        return us, us
+    ls = []
+    for u in us:
+        if draw(st.integers(0, 3)):
+            cap = draw(st.sampled_from(VALUES))
+            ls.append(u.map_values(lambda v: np.minimum(v, cap),
+                                   lambda d: min(d, cap)))
+        else:
+            ls.append(draw(step_fns(domain)))
+    if draw(st.integers(0, 4)) == 0:
+        other = draw(st.sampled_from([d for d in DOMAINS if d != domain]))
+        ls[draw(st.integers(0, n - 1))] = PiecewiseFn((), (), 0.0, other)
+    return us, ls
 
 
-# --- cell_values -------------------------------------------------------------
+def outcome(fn, *args):
+    """A verdict, or the error's type and message."""
+    try:
+        return fn(*args)
+    except Exception as exc:  # the error itself is compared
+        return type(exc), str(exc)
+
+
+def loop_dominates(us, ls) -> bool:
+    """Per-index reference for ``dominates``: the first index that fails
+    or raises decides."""
+    return all(list_dominates(u, l) for u, l in zip(us, ls))
+
 
 INF = math.inf
 CASES = {
@@ -112,70 +112,47 @@ CASES = {
 }
 
 
-@pytest.mark.parametrize("name", sorted(CASES))
-def test_cell_values_reads_own_cells_without_a_search(name):
-    f = CASES[name]
-    edges = own_edges(f)
-    assert_cell_values_match(f, edges, fast=f.breakpoints.size > 0)
-    if f.breakpoints.size:
-        # the bare breakpoints, and either domain end alone, are own cells too
-        assert_cell_values_match(f, f.breakpoints, fast=True)
-        for end in (f.domain.lo, f.domain.hi):
-            if end not in f.breakpoints:
-                edges = np.unique(np.append(f.breakpoints, end))
-                assert_cell_values_match(f, edges, fast=True)
-        # a cell after a breakpoint on a finite domain.hi is that closed end
-        if f.breakpoints[-1] == f.domain.hi:
-            edges = np.append(f.breakpoints, f.domain.hi)
-            assert_cell_values_match(f, edges, fast=False)
-
-
-@pytest.mark.parametrize("name", sorted(CASES))
-def test_cell_values_falls_back_when_edges_merely_contain_the_breakpoints(
-        name):
-    f = CASES[name]
-    extra = np.array([0.125, 0.625, 3.0])
-    extra = extra[(extra > f.domain.lo) & (extra < f.domain.hi)]
-    edges = np.unique(np.concatenate([own_edges(f), extra]))
-    assert_cell_values_match(f, edges, fast=False)
-    # a single interior point is enough to leave the fast path
-    assert_cell_values_match(f, np.unique(np.append(own_edges(f), 0.375)),
-                             fast=False)
-
-
-@settings(max_examples=300, deadline=None)
-@given(st.data())
-def test_cell_values_equals_values_at_on_any_edge_set(data):
-    domain = data.draw(st.sampled_from(DOMAINS))
-    f = data.draw(step_fns(domain))
-    own = own_edges(f)
-    assert_cell_values_match(f, own, fast=f.breakpoints.size > 0)
-    extra = data.draw(st.lists(st.sampled_from(GRID), min_size=1,
-                               max_size=6))
-    edges = np.unique(np.concatenate([own, extra]))
-    assert_cell_values_match(
-        f, edges, fast=f.breakpoints.size > 0 and edges.size == own.size)
-    # dominates closes its representative points with domain.hi, which
-    # repeats a finite domain.hi
-    closed = np.append(edges, domain.hi)
-    assert same_array(f.cell_values(closed), f.values_at(edges))
-
-
 # --- dominates ---------------------------------------------------------------
 
 @pytest.mark.parametrize("upper, lower", [
     (a, b) for a in sorted(CASES) for b in sorted(CASES)
     if CASES[a].domain == CASES[b].domain])
 def test_dominates_matches_the_list_oracle_on_fixed_cases(upper, lower):
-    assert_dominates_matches(CASES[upper], CASES[lower])
+    u, l = CASES[upper], CASES[lower]
+    assert dominates((u,), (l,)) == list_dominates(u, l)
 
 
-@settings(max_examples=400, deadline=None)
-@given(fn_pairs())
-def test_dominates_matches_the_list_oracle(pair):
-    f, g = pair
-    for upper, lower in ((f, g), (g, f), (f, f)):
-        assert_dominates_matches(upper, lower)
+@settings(max_examples=300, deadline=None)
+@given(families(), st.sampled_from([1, 9, 40, refinement.CHUNK_EDGES]))
+def test_dominates_matches_the_list_oracle(pair, budget):
+    # a small chunk budget puts the first failing index past a chunk
+    # boundary: a budget of 1 makes every index a chunk of its own
+    us, ls = pair
+    with mock.patch.object(refinement, "CHUNK_EDGES", budget):
+        assert outcome(dominates, us, ls) == outcome(loop_dominates, us, ls)
+
+
+@pytest.mark.parametrize("name", [
+    "dyadic_comb", "fading_plateau", "flat_negative", "shrinking_plateau",
+    "staircase", "twin_spikes"])
+@pytest.mark.parametrize("which", ["f >= g", "g >= |f|"])
+def test_dominates_matches_the_list_oracle_on_fixtures(name, which):
+    # the comb's g_n of 2^(n+1) cells are read point by point here
+    sc = gallery.build(name, **({"n_max": 12} if name == "dyadic_comb" else {}))
+    us, ls = ((sc.f_seq.fns, sc.g_seq.fns) if which == "f >= g"
+              else (sc.g_seq.fns, sc.abs_seq.fns))
+    for budget in (1, refinement.CHUNK_EDGES):
+        with mock.patch.object(refinement, "CHUNK_EDGES", budget):
+            assert dominates(us, ls) == loop_dominates(us, ls)
+
+
+@pytest.mark.parametrize("seed", range(5))
+def test_dominates_matches_the_list_oracle_on_documents(seed):
+    doc = fatou_random_document(np.random.default_rng(seed))
+    sc = parse_scenario(json.dumps(doc)).scenario
+    f, g, abs_f = sc.f_seq.fns, sc.g_seq.fns, sc.abs_seq.fns
+    for us, ls in ((f, g), (g, abs_f), (abs_f, f)):
+        assert dominates(us, ls) == loop_dominates(us, ls)
 
 
 # --- the comb builder --------------------------------------------------------

@@ -4,6 +4,7 @@ import numpy as np
 import pytest
 
 from measure_limits import (
+    DomainMismatchError,
     EpiCertificate,
     FnSequence,
     Interval,
@@ -212,11 +213,19 @@ def test_probe_plateau_with_zero_minorant():
     assert rep.applicable and rep.shift == 0
 
 
-def test_probe_respects_declared_bound():
-    sc = gallery.build("twin_spikes", n_max=40)
-    sc.minorant_sup_bound = 1.0  # wrong declaration: data exceeds it
-    with pytest.raises(UnsupportedScenarioError):
-        bounded_minorant_shift_probe(sc)
+def test_g_family_on_another_domain_fails_dominance_not_fatou():
+    # the Fatou report reads no dominance, so only the checks that do fail
+    f = PiecewiseFn([0.0, 0.5, 1.0], [-2.0, 1.0], 0.0, DOM)
+    g = zero_fn(Interval(0.0, 2.0))
+    m = lebesgue(0.0, 1.0)
+    sc = Scenario("mixed", (m,) * 12, m,
+                  FnSequence((f,) * 12, EpiCertificate(f), EpiCertificate(f)),
+                  g_seq=FnSequence((g,) * 12), certificate="tv")
+    assert fatou_report(sc).conclusion == HOLDS
+    for check in (minorant_check, majorant_check):
+        with pytest.raises(DomainMismatchError,
+                           match="dominance check requires a shared domain"):
+            check(sc)
 
 
 # -- structural properties -------------------------------------------------------

@@ -133,21 +133,41 @@ def test_canonicalization_without_merges_keeps_the_arrays():
 
 def test_dominates_examples():
     f = PiecewiseFn([0.0, 0.5, 1.0], [1.0, 2.0], 0.0, DOM)
-    ok, witness = dominates(f, f)
-    assert ok and witness is None
     zero = zero_fn(DOM)
     one = PiecewiseFn((), (), 1.0, DOM)
-    ok, witness = dominates(zero, one)
-    assert not ok
-    assert witness.upper_value == 0.0 and witness.lower_value == 1.0
+    assert dominates((f,), (f,))
+    assert dominates((f, one), (zero, zero))
+    assert not dominates((zero,), (one,))
+    # the failing index need not be the first
+    assert not dominates((f, zero), (zero, one))
+    assert dominates((), ())
 
 
 def test_dominates_subcell_violation_is_found():
     upper = PiecewiseFn([0.0, 1.0], [1.0], 0.0, DOM)
     lower = PiecewiseFn([0.4, 0.6], [5.0], 0.0, DOM)
-    ok, witness = dominates(upper, lower)
-    assert not ok
-    assert witness.lo == 0.4 and witness.hi == 0.6
+    assert not dominates((upper,), (lower,))
+    # a violation at the closed end domain.hi alone
+    top = PiecewiseFn([0.5, 1.0], [2.0], 0.0, DOM)
+    assert not dominates((zero_fn(DOM),), (top,))
+    assert dominates((top,), (PiecewiseFn([0.5, 1.0], [1.0], 0.0, DOM),))
+
+
+def test_dominates_on_a_one_point_domain_compares_defaults():
+    point = Interval(2.0, 2.0)
+    lo, hi = (PiecewiseFn((), (), v, point) for v in (-1.0, 3.0))
+    assert dominates((hi, lo), (lo, lo))
+    assert not dominates((hi, lo), (lo, hi))
+
+
+def test_dominates_raises_at_the_first_mismatched_index():
+    f = PiecewiseFn([0.0, 0.5], [2.0], 0.0, DOM)
+    other = zero_fn(Interval(0.0, 2.0))
+    with pytest.raises(DomainMismatchError,
+                       match="dominance check requires a shared domain"):
+        dominates((f, f, f), (f, other, zero_fn(DOM)))
+    # an earlier failing index returns before the mismatch is read
+    assert not dominates((zero_fn(DOM), f), (f, other))
 
 
 def test_range_on_matches_dense_sampling():
@@ -163,7 +183,7 @@ def test_range_on_matches_dense_sampling():
             continue
         lo, hi = range_on(f, a, b, False, False)
         xs = np.linspace(a + 1e-9, b - 1e-9, 2000)
-        sampled = f.values_at(xs)
+        sampled = np.asarray([f(x) for x in xs])
         assert lo <= float(np.min(sampled)) + 1e-12
         assert hi >= float(np.max(sampled)) - 1e-12
         # sampling at cell interiors must reach the exact extrema

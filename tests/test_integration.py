@@ -106,7 +106,7 @@ def test_monotonicity(f, g):
     # build h = max(f, g) pointwise on the merged grid
     edges = np.unique(np.concatenate([f.breakpoints, g.breakpoints,
                                       [0.0, 1.0]]))
-    vals = np.maximum(f.values_at(edges[:-1]), g.values_at(edges[:-1]))
+    vals = [max(f(x), g(x)) for x in edges[:-1]]
     h = PiecewiseFn(edges, vals, max(f.default, g.default), DOM)
     assert integrate(f, m) <= integrate(h, m) + 1e-12
 

@@ -18,7 +18,7 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from measure_limits import (
-    FiniteMeasure, Interval, PiecewiseFn, dominates, functions, make_segment,
+    FiniteMeasure, Interval, PiecewiseFn, dominates, make_segment, refinement,
 )
 from measure_limits.kernels import (
     _TREE_MIN, _tree_sum, comp_sum, pos_neg_dot, union_edges,
@@ -268,10 +268,10 @@ def test_refinement_and_dominance_edges_match_unique(case, other):
             seen.append((pieces, union_edges(pieces)))
             return seen[-1][1]
 
-        with mock.patch.object(functions, "union_edges", side_effect=spy):
-            got = dominates(f, g)
-        finite = np.asarray([b for b in (dom.lo, dom.hi) if math.isfinite(b)])
-        want_edges = unique_edges([f.breakpoints, g.breakpoints, finite])
+        # one index is refined by one union_edges call in refinement
+        with mock.patch.object(refinement, "union_edges", side_effect=spy):
+            got = dominates((f,), (g,))
+        want_edges = unique_edges([ends, f.breakpoints, g.breakpoints])
         assert same_array(seen[0][1], want_edges)
         assert got == list_dominates(f, g)
 

@@ -5,13 +5,14 @@ scenario: the set-uniform report, the total-variation series and the
 negative-part tail curve that the shift check reads.  The counts pin that
 sharing, so a change that computes one of them twice fails here even when
 the report bytes stay the same.  The ``dyadic_comb`` fixture's count of
-``values_at`` searches pins that the values of g_n's up to 2M cells are
-copied, not searched, and its counts of large ``np.unique`` calls and of
-``math.fsum`` fallbacks pin that its 2M-edge refinements are merged, not
-sorted again, and that its kernel sums are certified in numpy.  The
-pass counts pin that every per-index series of a check is one ragged
-family pass (``refinement.family_pairing``) with one kernel call, not one
-refinement per index.  The ``PiecewiseFn`` construction counts of a
+large ``np.searchsorted`` calls pins that the values of g_n's up to 2M
+cells are sliced from g_n's own table, not searched, and its counts of
+large ``np.unique`` calls and of ``math.fsum`` fallbacks pin that its
+2M-edge refinements are merged, not sorted again, and that its kernel
+sums are certified in numpy.  The pass counts pin that every per-index
+series of a check, and each dominance check, is one ragged family pass
+(``refinement.family_pairing``) with one kernel call, not one refinement
+per index.  The ``PiecewiseFn`` construction counts of a
 gallery run pin that every f_n is built once, also where f and g are the
 same family.
 """
@@ -80,10 +81,11 @@ def test_one_check_computes_each_shared_quantity_once(tmp_path, monkeypatch,
     assert len(hahn) == 1
     # one ragged pass each for the f and g integrals, the negative-part
     # and full-family tail curves, the L1 checks of the f_n, the signed
-    # gaps, both condition series, the TV series and the weak-gap bank's
-    # constant witness against the limit measure and each mu_n, plus the
-    # limit function's one-index L1 check
-    assert len(passes) == 10
+    # gaps, both condition series, the TV series, the weak-gap bank's
+    # constant witness against the limit measure and each mu_n and the
+    # dominance checks f_n >= g_n and g_n >= |f_n|, plus the limit
+    # function's one-index L1 check
+    assert len(passes) == 12
 
 
 @pytest.mark.parametrize("flags", [[], ["--tol", "1e-4"]])
@@ -106,10 +108,11 @@ def test_one_check_parses_each_spec_once(tmp_path, monkeypatch, flags):
     # the closed-form tail check is one 64-row curve, and the shift is
     # read off the negative-part curve the verdicts already computed; the
     # epi certificates' integrals and the TV spot checks are one-index
-    # passes
-    ("staircase", 11),
+    # passes; each dominance check the fixture reads is one pass (f_n >=
+    # g_n in both, g_n >= |f_n| in twin_spikes' majorant)
+    ("staircase", 12),
     ("staircase_late_start", 1),
-    ("twin_spikes", 13),
+    ("twin_spikes", 15),
 ])
 def test_gallery_run_pairs_each_family_in_one_pass(monkeypatch, fixture,
                                                    passes):
@@ -145,19 +148,21 @@ def test_known_checks_and_the_runner_registry_agree():
 
 
 def test_comb_fixture_reads_own_cells_without_a_search(monkeypatch):
-    # g_n's refinements and dominance checks copy g_n's own cell values;
-    # the searches left are f_n's cliff against g_n's cells in the 20
-    # dominance checks (the epi certificates are read by family passes)
-    original = PiecewiseFn.values_at
-    calls = []
+    # the one-index passes over g_n (its integrals, tail curves and
+    # dominance rows) slice g_n's cell values from its own table; only
+    # small sides are searched, such as f_n's two breakpoints against
+    # g_n's edges
+    original = np.searchsorted
+    large = []
 
-    def counted(self, points):
-        calls.append(1)
-        return original(self, points)
+    def counted(a, v, *args, **kwargs):
+        if np.size(a) > 1024 and np.size(v) > 1024:
+            large.append((np.size(a), np.size(v)))
+        return original(a, v, *args, **kwargs)
 
-    monkeypatch.setattr(PiecewiseFn, "values_at", counted)
+    monkeypatch.setattr(np, "searchsorted", counted)
     assert gallery.run("dyadic_comb").failures == 0
-    assert len(calls) == 20
+    assert large == []
 
 
 def test_comb_fixture_merges_and_sums_without_fallback(monkeypatch):
