@@ -10,26 +10,28 @@ value is ``window``-truncated and downstream checks must not treat it as
 a proof.
 
 A certificate decides every point exactly, and nothing is scanned.
-Without one, the points of one family and direction go through one
-batched scan that reads each f_n once for all points.
-``tests/helpers.py`` keeps the scalar one-ball-at-a-time scan
-(``range_on``) that it must match bit for bit.
+Without one, an estimate reads the last two schedule steps: the last
+gives the value, and their agreement makes it stabilized.  The inf over
+n >= N_j and a ball is the inf over that ball of the envelope
+min_{n >= N_j} f_n (max for the limsup), one step function scanned once
+for all points.  ``tests/helpers.py`` keeps the scalar scan (one
+``range_on`` call per step and index) that it must match bit for bit.
 """
 
 from __future__ import annotations
 
 import math
-from bisect import bisect_right
 from dataclasses import dataclass
-from typing import Optional
+from typing import Optional, Sequence
 
 import numpy as np
 
 from .functions import EpiCertificate, FnSequence, PiecewiseFn
-from .kernels import comp_sum, pos_neg_dot
+from .kernels import comp_sum, pos_neg_dot, union_edges
 from .measures import FiniteMeasure
 from .refinement import family_pairing
 from .xreal import (
+    DomainMismatchError,
     Interval,
     MalformedObjectError,
     ScheduleError,
@@ -83,8 +85,6 @@ class EpiEstimate:
     value: float
     certainty: str          # EXACT | WINDOW
     stabilized: bool
-    #: windowed inf/sup per schedule step; () where a certificate decides
-    per_j: tuple[float, ...]
 
 
 def _balls(domain: Interval, pts: np.ndarray, deltas: np.ndarray):
@@ -109,28 +109,15 @@ def _require_nonempty(empty: np.ndarray) -> None:
 
 def _reduce_ranges(ufunc: np.ufunc, vals: np.ndarray, starts: np.ndarray,
                    ends: np.ndarray) -> np.ndarray:
-    """``ufunc.reduce(vals[s:e])`` for every pair, each distinct range read
-    once as that very slice (so ties between 0.0 and -0.0 resolve as a
-    scalar reduction of the slice resolves them)."""
-    width = vals.size + 1
-    keys, inverse = np.unique(starts * width + ends, return_inverse=True)
-    lo, hi = np.divmod(keys, width)
-    out = np.empty(keys.size)
-    # reduceat's last segment runs to the end of the array, so a range
-    # that reaches the last cell is reduced on its own
-    tail = hi == vals.size
-    for i in np.flatnonzero(tail):
-        out[i] = ufunc.reduce(vals[lo[i]:])
-    inner = np.flatnonzero(~tail)
-    if inner.size:
-        # ends descending: each next start lies below the previous end, so
-        # the segments between two ranges are single elements
-        inner = inner[np.argsort(-hi[inner], kind="stable")]
-        idx = np.empty(2 * inner.size, dtype=np.intp)
-        idx[0::2] = lo[inner]
-        idx[1::2] = hi[inner]
-        out[inner] = ufunc.reduceat(vals[:hi[inner[0]] + 1], idx)[0::2]
-    return out[inverse]
+    """``ufunc.reduce(vals[s:e])`` for every pair with s < e, by one
+    ``reduceat``.  The ranges go in descending order of their ends, so the
+    segment between two ranges is a single element, and one sentinel past
+    the last value lets an end equal ``vals.size``."""
+    order = np.argsort(-ends)
+    idx = np.stack([starts, ends], axis=1)[order].ravel()
+    out = np.empty(order.size)
+    out[order] = ufunc.reduceat(np.append(vals, 0.0), idx)[0::2]
+    return out
 
 
 def _ball_extrema(f: PiecewiseFn, lo, hi, lo_closed, hi_closed, lower: bool
@@ -167,66 +154,77 @@ def _ball_extrema(f: PiecewiseFn, lo, hi, lo_closed, hi_closed, lower: bool
     return out
 
 
+def _envelope(fns: Sequence[PiecewiseFn], lower: bool) -> PiecewiseFn:
+    """Pointwise min (lower) or max of a family of step functions on one
+    domain, as one step function on the union of their breakpoints."""
+    domain = fns[0].domain
+    if any(f.domain != domain for f in fns):
+        raise DomainMismatchError("an epi-limit scan requires a shared domain")
+    ext = np.minimum if lower else np.maximum
+    edges = union_edges([f.breakpoints for f in fns])
+    vals = np.full(max(edges.size - 1, 0), math.inf if lower else -math.inf)
+    for f in fns:
+        # f's breakpoints at or left of each cell start pick its value
+        lut = np.concatenate([[f.default], f.values, [f.default]])
+        ext(vals, lut[np.searchsorted(f.breakpoints, edges[:-1], side="right")],
+            out=vals)
+    return PiecewiseFn(edges, vals, float(ext.reduce([f.default for f in fns])),
+                       domain)
+
+
 def _scan(seq: FnSequence, pts: np.ndarray, sched: EpiSchedule, lower: bool
           ) -> np.ndarray:
-    """Windowed epi-liminf (lower) or limsup of every point at every
-    schedule step, shape (points, steps): entry (p, j) is the inf/sup of
-    f_n over the open delta_j-ball around point p and every n >= N_j.
-
-    Each f_n is searched once for all points; steps whose threshold n has
-    reached take it into their running extreme.
-    """
-    thresholds = [n for n, _ in sched.steps]
-    deltas = np.asarray([d for _, d in sched.steps])
-    acc = np.full((pts.size, deltas.size), math.inf if lower else -math.inf)
-    better = np.less if lower else np.greater
-    balls: dict = {}
-    for n, f in enumerate(seq.fns[thresholds[0] - 1:], start=thresholds[0]):
-        key = (f.domain.lo, f.domain.hi)
-        if key not in balls:
-            balls[key] = _balls(f.domain, pts, deltas)
-        lo, hi, lo_closed, hi_closed, empty = balls[key]
-        k = bisect_right(thresholds, n)
-        _require_nonempty(empty[:, :k])
-        ext = _ball_extrema(f, lo[:, :k], hi[:, :k], lo_closed[:, :k],
-                            hi_closed[:, :k], lower)
-        run = acc[:, :k]
-        np.copyto(run, ext, where=better(ext, run))
-    return acc
+    """Windowed epi-liminf (lower) or limsup of every point at the last two
+    schedule steps (or the one step), shape (points, steps): entry (p, j)
+    is the inf/sup over the open delta_j-ball around point p of the
+    envelope of f_n, n >= N_j; +inf (lower) or -inf past the family."""
+    steps = sched.steps[-2:]
+    out = np.full((pts.size, len(steps)), math.inf if lower else -math.inf)
+    for j, (n, delta) in enumerate(steps):
+        if n > seq.n_max:
+            continue
+        env = _envelope(seq.fns[n - 1:], lower)
+        *balls, empty = _balls(env.domain, pts, np.asarray([delta]))
+        _require_nonempty(empty)
+        out[:, j] = _ball_extrema(env, *balls, lower)[:, 0]
+    return out
 
 
 def _estimates(seq: FnSequence, pts: list[float], sched: EpiSchedule,
-               lower: bool, stab_tol: float) -> list[EpiEstimate]:
-    """Estimates at every point: a certificate decides every point
-    exactly; without one, one batched scan covers them all."""
-    if not pts:
-        return []
+               lower: bool, stab_tol: float
+               ) -> tuple[np.ndarray, np.ndarray, str]:
+    """Values, stabilized flags and the certainty tag of the estimates at
+    every point: a certificate decides every point exactly; without one,
+    one scan covers them all."""
     cert = seq.epi_liminf_cert if lower else seq.epi_limsup_cert
     if cert is not None:
         # a scan would reject a ball outside the domain; so does this
         deltas = np.asarray([d for n, d in sched.steps if n <= seq.n_max])
         *_, empty = _balls(cert.fn.domain, np.asarray(pts), deltas)
         _require_nonempty(empty)
-        direction = "lower" if lower else "upper"
-        return [EpiEstimate(cert.value_at(s, direction), EXACT, True, ())
-                for s in pts]
-    out = []
-    for row in _scan(seq, np.asarray(pts), sched, lower).tolist():
-        per_j = tuple(row)
-        stab = len(per_j) >= 2 and close(per_j[-2], per_j[-1], stab_tol)
-        out.append(EpiEstimate(per_j[-1], WINDOW, stab, per_j))
-    return out
+        return (np.asarray([cert.value_at(s, "lower" if lower else "upper")
+                            for s in pts]),
+                np.ones(len(pts), dtype=bool), EXACT)
+    cols = _scan(seq, np.asarray(pts, dtype=np.float64), sched, lower)
+    stab = [len(c) == 2 and close(c[0], c[1], stab_tol) for c in cols.tolist()]
+    return cols[:, -1], np.asarray(stab, dtype=bool), WINDOW
+
+
+def _estimate(seq: FnSequence, s: float, sched: EpiSchedule, lower: bool,
+              stab_tol: float) -> EpiEstimate:
+    values, stab, certainty = _estimates(seq, [s], sched, lower, stab_tol)
+    return EpiEstimate(float(values[0]), certainty, bool(stab[0]))
 
 
 def epi_liminf(seq: FnSequence, s: float, sched: EpiSchedule,
                stab_tol: float = 1e-9) -> EpiEstimate:
     """liminf over n -> inf, s' -> s of f_n(s'); -inf propagates."""
-    return _estimates(seq, [s], sched, True, stab_tol)[0]
+    return _estimate(seq, s, sched, True, stab_tol)
 
 
 def epi_limsup(seq: FnSequence, s: float, sched: EpiSchedule,
                stab_tol: float = 1e-9) -> EpiEstimate:
-    return _estimates(seq, [s], sched, False, stab_tol)[0]
+    return _estimate(seq, s, sched, False, stab_tol)
 
 
 @dataclass(frozen=True)
@@ -243,19 +241,17 @@ def epi_limit_exists(seq: FnSequence, grid, sched: EpiSchedule, tol: float,
     the estimated exception set.
 
     A sample point passes when liminf and limsup agree within tol and both
-    carry equal-strength certainty (both exact or both stabilized).  With
-    certificates on both sides the exception mass is exact: it is the
-    measure of the step-function disagreement set.  Otherwise the mass is
-    a sample-based estimate: isolated failures contribute only the atom
-    mass at the point, runs of failures contribute their midpoint cells.
+    are stabilized (an exact estimate always is).  With certificates on
+    both sides the exception mass is exact: it is the measure of the
+    step-function disagreement set.  Otherwise the mass is a sample-based
+    estimate: isolated failures contribute only the atom mass at the
+    point, runs of failures contribute their midpoint cells.
     """
     pts = sorted(float(x) for x in grid)
-    oks = []
-    for lo, hi in zip(_estimates(seq, pts, sched, True, stab_tol),
-                      _estimates(seq, pts, sched, False, stab_tol)):
-        comparable = ((lo.certainty == EXACT and hi.certainty == EXACT)
-                      or (lo.stabilized and hi.stabilized))
-        oks.append(comparable and close(lo.value, hi.value, tol))
+    lo, lo_stab, _ = _estimates(seq, pts, sched, True, stab_tol)
+    hi, hi_stab, _ = _estimates(seq, pts, sched, False, stab_tol)
+    oks = [ok and close(a, b, tol) for a, b, ok
+           in zip(lo.tolist(), hi.tolist(), (lo_stab & hi_stab).tolist())]
     lo_cert, hi_cert = seq.epi_liminf_cert, seq.epi_limsup_cert
     if lo_cert is not None and hi_cert is not None:
         mass = _cert_disagreement_mass(lo_cert, hi_cert, m, tol)
@@ -268,10 +264,7 @@ def epi_limit_exists(seq: FnSequence, grid, sched: EpiSchedule, tol: float,
         right_bad = i + 1 < len(pts) and not oks[i + 1]
         lo_edge = (pts[i - 1] + s) / 2 if left_bad else s
         hi_edge = (s + pts[i + 1]) / 2 if right_bad else s
-        if lo_edge == hi_edge:
-            terms.append(m.mass_of_interval(s, s, True, True))
-        else:
-            terms.append(m.mass_of_interval(lo_edge, hi_edge, True, True))
+        terms.append(m.mass_of_interval(lo_edge, hi_edge, True, True))
     mass = comp_sum(np.asarray(terms)) if terms else 0.0
     return ExistsReport(tuple(pts), tuple(oks), mass, False)
 
@@ -344,8 +337,7 @@ def epi_integral(seq: FnSequence, m: FiniteMeasure, which: str,
         finite_edge = np.where(np.isfinite(edges[:-1]), edges[:-1], edges[1:] - 1.0)
         mids = np.where(unbounded, finite_edge + 1.0, mids)
     pts = mids.tolist() + m.atom_locs.tolist()
-    vals = np.asarray([e.value for e in _estimates(seq, pts, sched, lower,
-                                                   stab_tol)])
+    vals = _estimates(seq, pts, sched, lower, stab_tol)[0]
     if m.atom_locs.size:
         masses = np.concatenate([masses, m.atom_weights])
     return (integral_of_parts(*pos_neg_dot(vals, masses),

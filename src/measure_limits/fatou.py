@@ -137,12 +137,12 @@ class Scenario:
     @cached_property
     def neg_tail_curve(self) -> TailCurve:
         return tail_curve(self.neg_part_seq, self.measures, self.k_grid,
-                          self.window_start, self.tolerances.stab_tol)
+                          self.window_start)
 
     @cached_property
     def abs_tail_curve(self) -> TailCurve:
         return tail_curve(self.abs_seq, self.measures, self.k_grid,
-                          self.window_start, self.tolerances.stab_tol)
+                          self.window_start)
 
     @cached_property
     def tv_series(self) -> tuple[float, ...]:

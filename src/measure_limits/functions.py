@@ -6,6 +6,7 @@ breakpoints, a constant value on every cell, and a default value outside
 the listed cells.  Cells are half-open ``[lo, hi)``; the rightmost domain
 endpoint belongs to the last cell when a breakpoint lands exactly on it.
 Values may be ``+inf``/``-inf``; only integration decides definedness.
+A -0.0 value or default is stored as 0.0, so extremes ignore tie order.
 ``dominates`` compares two families on their common refinements, in one
 ``refinement.family_pairing`` pass, as the integral series do.
 """
@@ -55,7 +56,7 @@ class PiecewiseFn:
         vals.setflags(write=False)
         self.breakpoints = bp
         self.values = vals
-        self.default = float(default)
+        self.default = float(default) + 0.0
         self.domain = domain
 
     # -- evaluation ------------------------------------------------------
@@ -121,10 +122,9 @@ class PiecewiseFn:
 
 def _canonicalize(bp: np.ndarray, vals: np.ndarray, default: float
                   ) -> tuple[np.ndarray, np.ndarray]:
-    """Merge adjacent equal-valued cells and strip default-valued edge cells.
-
-    Evaluation-preserving everywhere under the half-open cell convention.
-    """
+    """Merge adjacent equal-valued cells, strip default-valued edge cells
+    and store -0.0 values as 0.0: evaluation-preserving everywhere under
+    the half-open cell convention, up to the sign of zero."""
     if bp.size == 0:
         return bp, vals
     lo, hi = 0, vals.size
@@ -141,15 +141,15 @@ def _canonicalize(bp: np.ndarray, vals: np.ndarray, default: float
     if keep.all():
         # nothing to merge: the arrays are copied whole (read-only inputs,
         # such as another function's, are shared as they are)
-        return _own(bp), _own(vals)
-    return np.ascontiguousarray(bp[keep]), np.ascontiguousarray(vals[keep[:-1]])
+        return _own(bp, np.array), _own(vals, lambda v: v + 0.0)
+    return np.ascontiguousarray(bp[keep]), vals[keep[:-1]] + 0.0
 
 
-def _own(a: np.ndarray) -> np.ndarray:
-    """a itself when it is read-only and contiguous, else a contiguous copy,
-    so that freezing the result never freezes a caller's array."""
+def _own(a: np.ndarray, copy) -> np.ndarray:
+    """a itself when it is read-only and contiguous, else ``copy(a)``, so
+    that freezing the result never freezes a caller's array."""
     if a.flags.writeable or not a.flags.c_contiguous:
-        return np.array(a)
+        return copy(a)
     return a
 
 

@@ -190,14 +190,11 @@ class WeakGapSeries:
 
     Gaps over a finite bank and a finite index window are evidence only:
     gaps of any size at finitely many indices are compatible with weak
-    convergence, and small ones do not prove it.  ``certificate`` records
-    how the scenario claims convergence ('tv', 'builder', or 'none');
-    without a certificate the bank result is inconclusive.
+    convergence, and small ones do not prove it.
     """
 
     gaps: tuple[float, ...]
     bank_size: int
-    certificate: str
 
 
 def default_bank(limit: FiniteMeasure) -> list:
@@ -219,7 +216,7 @@ def default_bank(limit: FiniteMeasure) -> list:
 
 
 def weak_gap_bank(measures: tuple[FiniteMeasure, ...], limit: FiniteMeasure,
-                  bank, certificate: str = "none") -> WeakGapSeries:
+                  bank) -> WeakGapSeries:
     """The worst bank gap of each mu_n against the limit: the integrals
     of every bank entry against the limit and against each measure, in
     one pass over all (measure, entry) pairs."""
@@ -230,4 +227,4 @@ def weak_gap_bank(measures: tuple[FiniteMeasure, ...], limit: FiniteMeasure,
     for _ in measures:
         row = [next(values) for _ in bank]
         gaps.append(max((abs(v - b) for v, b in zip(row, base)), default=0.0))
-    return WeakGapSeries(tuple(gaps), len(bank), certificate)
+    return WeakGapSeries(tuple(gaps), len(bank))

@@ -208,7 +208,7 @@ def _pair_chunk(rows) -> FamilyPairing:
                 lut.append((f.values[-1] if f.breakpoints[-1] == d.hi
                             else f.default,))
         lut = np.concatenate(lut)
-        if n == 1 and not atom_edges.size:
+        if n == 1 and not atom_edges.size and n_cells[0]:
             c0, c1 = np.searchsorted(groups[1 + k][0], edges[[0, -2]],
                                      side="right").tolist()
             if c1 - c0 == n_cells[0] - 1:

@@ -208,13 +208,12 @@ def _check_weak_gap(sc: Scenario) -> CheckResult:
     # a finite window of bank gaps neither proves nor refutes weak
     # convergence, so the verdict is the certificate's
     series = weak_gap_bank(sc.measures, sc.limit_measure,
-                           default_bank(sc.limit_measure),
-                           sc.certificate)
+                           default_bank(sc.limit_measure))
     w = sc.window_start
     v = PASS if sc.certificate in ("tv", "builder") else "inconclusive"
     return CheckResult("weak_gap", v, {
         "bank_size": series.bank_size,
-        "certificate": series.certificate,
+        "certificate": sc.certificate,
         "max_gap_window": max(series.gaps[w - 1:]),
         "trend_vanishing": trend_vanishing(series.gaps, w,
                                            sc.tolerances.ui_tol),

@@ -3,8 +3,8 @@
 For a family of functions and measures the tail functional at level K is
 the integral of |f_n| over {|f_n| >= K}.  The sup-over-n aggregation of
 the K-curve realizes the uniform-integrability criterion; the limsup over
-n is approximated by a sup over a trailing index window plus a
-stabilization flag, so verdicts are explicitly grid- and window-relative.
+n is approximated by a sup over a trailing index window, so verdicts are
+explicitly grid- and window-relative.
 """
 
 from __future__ import annotations
@@ -36,8 +36,6 @@ class TailCurve:
     window_start: int
     sup_curve: np.ndarray
     limsup_curve: np.ndarray   # sup over the trailing window
-    stabilized: np.ndarray     # per-K bool: window values agree within stab_tol
-    stab_tol: float
 
     @property
     def n_max(self) -> int:
@@ -57,15 +55,14 @@ class TailCurve:
 
 @dataclass(frozen=True)
 class UiVerdict:
-    kind: str                  # "ui" | "aui"
     passes: bool
     k_star: Optional[float]    # smallest grid K with aggregate <= tol
     tol: float
 
 
 def tail_curve(seq: FnSequence, measures: tuple[FiniteMeasure, ...],
-               k_grid=DEFAULT_K_GRID, window_start: Optional[int] = None,
-               stab_tol: float = 1e-9) -> TailCurve:
+               k_grid=DEFAULT_K_GRID, window_start: Optional[int] = None
+               ) -> TailCurve:
     """Table of the integrals of |f_n| over {|f_n| >= K} against mu_n, for
     every index n and grid level K (inclusive threshold; exact, +inf
     allowed), with its aggregates.  Each index is refined on its own, in
@@ -85,14 +82,8 @@ def tail_curve(seq: FnSequence, measures: tuple[FiniteMeasure, ...],
             p.values[0], p.masses[0], p.offsets, k_grid))):
         table[n] = row
     sup_curve = np.max(table, axis=0)
-    window = table[window_start - 1:, :]
-    limsup_curve = np.max(window, axis=0)
-    with np.errstate(invalid="ignore"):
-        spread = np.max(window, axis=0) - np.min(window, axis=0)
-    stabilized = np.where(np.isnan(spread), np.all(np.isinf(window), axis=0),
-                          spread < stab_tol)
-    return TailCurve(k_grid, table, window_start, sup_curve, limsup_curve,
-                     np.asarray(stabilized, dtype=bool), stab_tol)
+    limsup_curve = np.max(table[window_start - 1:, :], axis=0)
+    return TailCurve(k_grid, table, window_start, sup_curve, limsup_curve)
 
 
 def verdict(curve: TailCurve, kind: str, tol: float = 1e-6) -> UiVerdict:
@@ -104,8 +95,8 @@ def verdict(curve: TailCurve, kind: str, tol: float = 1e-6) -> UiVerdict:
     agg = curve.sup_curve if kind == "ui" else curve.limsup_curve
     hits = np.nonzero(agg <= tol)[0]
     if hits.size:
-        return UiVerdict(kind, True, float(curve.k_grid[hits[0]]), tol)
-    return UiVerdict(kind, False, None, tol)
+        return UiVerdict(True, float(curve.k_grid[hits[0]]), tol)
+    return UiVerdict(False, None, tol)
 
 
 def first_shift(tails, tol: float, n_shift_max: int) -> Optional[int]:

@@ -18,6 +18,10 @@ of its report and its stderr:
   ``--nmax 10``;
 - ``check`` on the 40 probe documents with one +inf or -inf cell value
   of seeds 1-10;
+- ``check`` on 20 signed-zero probe documents: seed-77 documents 0-19
+  with -0.0 written, at places drawn by ``random.Random(i)``, into six
+  cell values and three defaults of the f and g families, into one first
+  breakpoint and into the limit function's default;
 - ``gallery run all``, with each fixture's ``elapsed_s`` taken out of the
   report and the timings taken out of stderr.
 
@@ -34,6 +38,7 @@ import hashlib
 import importlib.util
 import io
 import json
+import random
 import re
 import sys
 import tempfile
@@ -66,6 +71,21 @@ def _invoke(main, argv: list[str]) -> tuple[int | str, str]:
     return rc, err.getvalue()
 
 
+def _signed_zero_doc(docs, i: int) -> dict:
+    """Seed-77 document i with -0.0 written into cell values, defaults, a
+    first breakpoint (shared by f_n and g_n) and the limit default."""
+    doc = docs.generate(77, i)
+    rng = random.Random(i)
+    fns = doc["functions"]["explicit"] + doc["g_functions"]["explicit"]
+    for fn in rng.sample(fns, 6):
+        fn["values"][rng.randrange(len(fn["values"]))] = -0.0
+    for fn in rng.sample(fns, 3):
+        fn["default"] = -0.0
+    rng.choice(fns)["breakpoints"][0] = -0.0
+    doc["limit_function"]["default"] = -0.0
+    return doc
+
+
 def _check_runs(tmp: Path) -> list[tuple[str, list[str]]]:
     docs = _load_docs()
     runs = []
@@ -87,6 +107,10 @@ def _check_runs(tmp: Path) -> list[tuple[str, list[str]]]:
             path.write_text(json.dumps(docs.generate(seed, i, inf)),
                             encoding="utf-8")
             runs.append((f"inf/{seed}/{i}", ["check", str(path)]))
+    for i in range(20):
+        path = tmp / f"zero{i:02d}.json"
+        path.write_text(json.dumps(_signed_zero_doc(docs, i)), encoding="utf-8")
+        runs.append((f"zero/{i}", ["check", str(path)]))
     return runs
 
 

@@ -255,8 +255,9 @@ def range_on(f: PiecewiseFn, lo: float, hi: float, lo_closed: bool,
 def scan_epi_oracle(seq: FnSequence, s: float, sched, lower: bool
                     ) -> list[float]:
     """Windowed epi-liminf (lower) or limsup at s per schedule step, one
-    scalar ``range_on`` call per step and index: the reference that the
-    batched scan in ``measure_limits.epilimits`` must match bit for bit."""
+    scalar ``range_on`` call per step and index: the reference whose last
+    two entries the envelope scan in ``measure_limits.epilimits`` must
+    match bit for bit."""
     per_j = []
     for n0, delta in sched.steps:
         best = math.inf if lower else -math.inf

@@ -1,9 +1,11 @@
-"""The batched epi-limit scan against the scalar ``range_on`` oracle.
+"""The envelope epi-limit scan against the scalar ``range_on`` oracle.
 
-The engine in ``measure_limits.epilimits`` scans every point of a family
-at once; ``helpers.scan_epi_oracle`` scans one point with one scalar
-``helpers.range_on`` call per step and index.  They must agree bit for
-bit, the sign of zero included, and reject the same empty balls.
+The engine in ``measure_limits.epilimits`` scans the last two schedule
+steps of every point of a family at once, each step on the envelope of
+its tail; ``helpers.scan_epi_oracle`` scans one point at every step with
+one scalar ``helpers.range_on`` call per step and index.  The engine's
+columns must equal the oracle's last two entries bit for bit, the sign
+of zero included, and the two must reject the same empty balls.
 """
 
 import math
@@ -27,10 +29,10 @@ from measure_limits import (
     lebesgue,
     zero_fn,
 )
-from measure_limits.epilimits import _scan
+from measure_limits.epilimits import _envelope, _scan
 from measure_limits.fatou import dct_report, fatou_report, majorant_check
 from measure_limits.fatou import minorant_check, weakened_minorant_probe
-from measure_limits.xreal import MalformedObjectError
+from measure_limits.xreal import DomainMismatchError, MalformedObjectError, close
 
 from helpers import fatou_random_scenario, scan_epi_oracle
 
@@ -80,13 +82,40 @@ def bits(values) -> list[str]:
     return [float(v).hex() for v in values]
 
 
+@settings(max_examples=200, deadline=None)
+@given(st.sampled_from(DOMAINS).flatmap(
+           lambda d: st.lists(step_fns(d), min_size=1, max_size=6)),
+       st.booleans(), st.lists(st.floats(0.0, 1.0, allow_nan=False),
+                               max_size=4))
+def test_envelope_is_the_pointwise_extreme(fns, lower, extra):
+    env = _envelope(fns, lower)
+    dom = fns[0].domain
+    xs = [x for f in fns for x in f.breakpoints.tolist()]
+    xs += [dom.lo, dom.hi] + extra + GRID
+    ext = min if lower else max
+    for x in xs:
+        if dom.contains(x):
+            assert bits([env(x)]) == bits([ext(f(x) for f in fns)])
+
+
+def test_envelope_rejects_a_family_on_two_domains():
+    fns = [PiecewiseFn([0.0, 0.5], [1.0], 0.0, DOMAINS[0]),
+           PiecewiseFn([0.0, 0.5], [1.0], 0.0, DOMAINS[2])]
+    with pytest.raises(DomainMismatchError):
+        _envelope(fns, True)
+    sched = EpiSchedule(((1, 0.25), (2, 0.125)), 2)
+    with pytest.raises(DomainMismatchError):
+        epi_liminf(FnSequence(tuple(fns)), 0.25, sched)
+
+
 @settings(max_examples=400, deadline=None)
 @given(families(), st.booleans())
 def test_batched_scan_matches_scalar_oracle(family, lower):
     seq, sched, pts = family
     rows = _scan(seq, np.asarray(pts, dtype=np.float64), sched, lower)
+    assert rows.shape == (len(pts), min(2, len(sched.steps)))
     for s, row in zip(pts, rows):
-        assert bits(row) == bits(scan_epi_oracle(seq, s, sched, lower))
+        assert bits(row) == bits(scan_epi_oracle(seq, s, sched, lower)[-2:])
 
 
 @settings(max_examples=150, deadline=None)
@@ -101,7 +130,7 @@ def test_batched_scan_rejects_the_balls_the_oracle_rejects(family, lower, s):
             _scan(seq, np.asarray(pts + [s]), sched, lower)
         return
     got = _scan(seq, np.asarray(pts + [s]), sched, lower)
-    assert bits(got[-1]) == want
+    assert bits(got[-1]) == want[-2:]
 
 
 def test_scan_on_breakpoints_domain_ends_and_unbounded_domain():
@@ -116,7 +145,35 @@ def test_scan_on_breakpoints_domain_ends_and_unbounded_domain():
         for lower in (True, False):
             rows = _scan(seq, np.asarray(pts), sched, lower)
             for s, row in zip(pts, rows):
-                assert bits(row) == bits(scan_epi_oracle(seq, s, sched, lower))
+                want = scan_epi_oracle(seq, s, sched, lower)[-2:]
+                assert bits(row) == bits(want)
+
+
+def test_one_step_schedule_reads_one_column_and_never_stabilizes():
+    fns = [PiecewiseFn([0.0, 0.5, 1.0], [-0.0, 2.0], 1.0, DOMAINS[0])] * 3
+    seq = FnSequence(tuple(fns))
+    sched = EpiSchedule(((2, 0.25),), 3)
+    rows = _scan(seq, np.asarray([0.25, 0.75]), sched, True)
+    assert rows.shape == (2, 1)
+    for s, row in zip((0.25, 0.75), rows):
+        assert bits(row) == bits(scan_epi_oracle(seq, s, sched, True))
+    est = epi_liminf(seq, 0.75, sched)
+    assert est.value == 2.0 and not est.stabilized
+
+
+def test_a_step_past_the_family_is_infinite_and_checks_no_ball():
+    dom = DOMAINS[0]
+    seq = FnSequence((PiecewiseFn([0.0, 0.5], [3.0], 1.0, dom),) * 4)
+    sched = EpiSchedule(((2, 0.5), (4, 0.25), (6, 0.125)), 6)
+    for lower, inf in ((True, math.inf), (False, -math.inf)):
+        rows = _scan(seq, np.asarray([0.25, 0.75]), sched, lower)
+        assert rows.tolist() == [[3.0, inf], [1.0, inf]]
+        for s, row in zip((0.25, 0.75), rows):
+            assert bits(row) == bits(scan_epi_oracle(seq, s, sched, lower)[-2:])
+    # the last two steps pass the family: a point off the domain is not
+    # checked, as the oracle checks no ball of such a step
+    past = EpiSchedule(((2, 0.5), (5, 0.25), (6, 0.125)), 6)
+    assert _scan(seq, np.asarray([5.0]), past, True).tolist() == [[math.inf] * 2]
 
 
 def test_public_estimates_match_oracle():
@@ -128,8 +185,9 @@ def test_public_estimates_match_oracle():
                            (epi_limsup(sc.f_seq, s, sched), False)):
             want = scan_epi_oracle(sc.f_seq, s, sched, lower)
             assert est.certainty == "window"
-            assert bits(est.per_j) == bits(want)
             assert bits([est.value]) == bits(want[-1:])
+            assert est.stabilized == (len(want) >= 2
+                                      and close(want[-2], want[-1], 1e-9))
 
 
 def spike_seq(n_max: int) -> FnSequence:
@@ -154,13 +212,13 @@ def test_certified_estimate_builds_nothing(monkeypatch):
     sched = EpiSchedule.default(16)
     est = epi_liminf(seq, 0.0, sched)
     assert est.value == -math.inf and est.certainty == "exact"
-    assert est.per_j == () and calls == []
+    assert est.stabilized and calls == []
     rep = epi_limit_exists(seq, [-0.5, 0.0, 0.5], sched, 1e-9,
                            lebesgue(-1.0, 1.0))
     assert rep.mass_exact and calls == []
     # the same functions with the certificates stripped are scanned
     bare = epi_liminf(FnSequence(seq.fns), 0.0, sched)
-    assert bits(bare.per_j) == bits(scan_epi_oracle(seq, 0.0, sched, True))
+    assert bits([bare.value]) == bits(scan_epi_oracle(seq, 0.0, sched, True)[-1:])
     assert calls
 
 

@@ -18,6 +18,7 @@ from measure_limits import (
     zero_fn,
 )
 from measure_limits import gallery
+from measure_limits.epilimits import _scan
 from measure_limits.xreal import ScheduleError
 
 from helpers import constant_seq, rand_step_fn
@@ -77,7 +78,7 @@ def test_staircase_liminf_at_origin_is_minus_infinity():
     assert est.value == -math.inf and est.certainty == "exact"
     # windowed scan bottoms out at the truncated staircase floor
     bare = epi_liminf(FnSequence(sc.f_seq.fns), 0.0, sched_for(16))
-    assert min(bare.per_j) <= -(50.0)
+    assert bare.value <= -(50.0)
 
 
 def test_spike_window_scan_blows_up_at_origin():
@@ -85,8 +86,8 @@ def test_spike_window_scan_blows_up_at_origin():
     bare = FnSequence(sc.f_seq.fns)
     lo = epi_liminf(bare, 0.0, sched_for(32))
     hi = epi_limsup(bare, 0.0, sched_for(32))
-    assert lo.per_j[-1] <= -32.0 + 1e-9
-    assert hi.per_j[-1] >= 32.0 - 1e-9
+    assert lo.value <= -32.0 + 1e-9
+    assert hi.value >= 32.0 - 1e-9
     assert lo.certainty == "window"
 
 
@@ -99,7 +100,7 @@ def test_comb_teeth_liminf_tracks_exponential_envelope():
         assert est.value == pytest.approx(-(2.0 ** (s - 1.0)) / LN2, abs=2e-3)
         # windowed scan agrees within the final ball's envelope oscillation
         delta = sched.steps[-1][1]
-        assert epi_liminf(bare, s, sched).per_j[-1] == pytest.approx(
+        assert epi_liminf(bare, s, sched).value == pytest.approx(
             est.value, rel=2.0 ** delta - 1.0 + 1e-6)
 
 
@@ -111,7 +112,7 @@ def test_comb_teeth_limsup_is_zero():
         est = epi_limsup(sc.g_seq, s, sched)
         assert est.value == 0.0
         # plain teeth reach 0 in every ball
-        assert epi_limsup(bare, s, sched).per_j[-1] == 0.0
+        assert epi_limsup(bare, s, sched).value == 0.0
 
 
 def test_liminf_of_negation_mirrors_limsup():
@@ -121,10 +122,10 @@ def test_liminf_of_negation_mirrors_limsup():
         fns = [rand_step_fn(rng, DOM) for _ in range(6)]
         seq = FnSequence(tuple(fns))
         neg = FnSequence(tuple(-f for f in fns))
-        for s in rng.uniform(0, 1, 5):
-            a = epi_liminf(neg, float(s), sched).per_j
-            b = epi_limsup(seq, float(s), sched).per_j
-            assert a == tuple(-x for x in b)
+        pts = rng.uniform(0, 1, 5)
+        a = _scan(neg, pts, sched, True).tolist()
+        b = _scan(seq, pts, sched, False).tolist()
+        assert a == [[-x for x in row] for row in b]
 
 
 def test_constant_in_n_step_fn_envelope():
@@ -132,10 +133,10 @@ def test_constant_in_n_step_fn_envelope():
     seq = constant_seq(f, 8)
     sched = sched_for(8)
     # interior of a cell: the cell value
-    assert epi_liminf(seq, 0.2, sched).per_j[-1] == 2.0
+    assert epi_liminf(seq, 0.2, sched).value == 2.0
     # breakpoint: min of adjacent cell values (oracle: neighborhood scan)
-    assert epi_liminf(seq, 0.4, sched).per_j[-1] == -1.0
-    assert epi_limsup(seq, 0.4, sched).per_j[-1] == 2.0
+    assert epi_liminf(seq, 0.4, sched).value == -1.0
+    assert epi_limsup(seq, 0.4, sched).value == 2.0
 
 
 def test_schedule_exhaustion_reported():

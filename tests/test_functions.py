@@ -113,11 +113,13 @@ def test_canonicalization_merges_and_strips():
 
 
 def test_canonicalization_without_merges_keeps_the_arrays():
-    bp = np.array([0.0, 0.25, 0.5, 1.0])
+    bp = np.array([-0.0, 0.25, 0.5, 1.0])
     vals = np.array([1.0, -0.0, 2.0])
     f = PiecewiseFn(bp, vals, 0.0, DOM)
     assert f.breakpoints.tobytes() == bp.tobytes()
-    assert f.values.tobytes() == vals.tobytes()
+    # a -0.0 value is stored as 0.0; breakpoints keep their bytes
+    assert f.values.tobytes() == np.array([1.0, 0.0, 2.0]).tobytes()
+    assert vals.tobytes() == np.array([1.0, -0.0, 2.0]).tobytes()
     # the caller's arrays are copied, not frozen; a function's own
     # read-only arrays are shared
     assert bp.flags.writeable and vals.flags.writeable
@@ -125,10 +127,16 @@ def test_canonicalization_without_merges_keeps_the_arrays():
     g = PiecewiseFn(f.breakpoints, f.values, 0.0, DOM)
     assert np.shares_memory(g.breakpoints, f.breakpoints)
     assert np.shares_memory(g.values, f.values)
-    # equal neighbours still merge
-    h = PiecewiseFn(bp, [1.0, 1.0, 2.0], 0.0, DOM)
-    assert h.breakpoints.tolist() == [0.0, 0.5, 1.0]
-    assert h.values.tolist() == [1.0, 2.0]
+    # equal neighbours still merge, and a merged -0.0 cell or a -0.0
+    # default is stored as 0.0 as well
+    h = PiecewiseFn(bp, [-0.0, 0.0, 2.0], -0.0, DOM)
+    assert h.breakpoints.tolist() == [0.5, 1.0]
+    assert h.values.tolist() == [2.0]
+    assert math.copysign(1.0, h.default) == 1.0
+    k = PiecewiseFn(bp, [-0.0, 0.0, 2.0], 1.0, DOM)
+    assert k.breakpoints.tolist() == [0.0, 0.5, 1.0]
+    assert np.signbit(k.values).tolist() == [False, False]
+    assert np.signbit((-k).values).tolist() == [False, True]
 
 
 def test_dominates_examples():

@@ -89,6 +89,12 @@ def test_domain_mismatch():
         integrate(zero_fn(DOM), lebesgue(0.0, 2.0))
 
 
+def test_one_point_domain_without_atoms_integrates_to_zero():
+    # the one-index pairing has a single edge and no cell there
+    point = Interval(1.0, 1.0)
+    assert integrate(constant_fn(2.0, point), FiniteMeasure(domain=point)) == 0.0
+
+
 @settings(max_examples=120, deadline=None)
 @given(step_fns())
 def test_part_identity_exact_under_integration(f):
@@ -178,7 +184,7 @@ def test_weak_gap_constant_family_is_zero():
     m = lebesgue(0.0, 1.0)
     seq = (m,) * 8
     bank = [constant_fn(1.0, DOM), Ramp((0.0, 1.0), (1.0, 0.0))]
-    series = weak_gap_bank(seq, m, bank, "tv")
+    series = weak_gap_bank(seq, m, bank)
     assert series.gaps == (0.0,) * 8
 
 
@@ -187,7 +193,7 @@ def test_weak_gap_lipschitz_bound_for_shrinking_densities():
     seq = tuple(FiniteMeasure(cells=[(0.0, 1.0 / n, float(n))], domain=DOM)
                 for n in range(1, 17))
     bank = [Ramp((-1.0, 0.0, 1.0), (0.0, 1.0, 0.0))]
-    series = weak_gap_bank(seq, mu, bank, "builder")
+    series = weak_gap_bank(seq, mu, bank)
     for n, g in enumerate(series.gaps, start=1):
         assert g <= 1.0 / (2 * n) + 1e-12
 
@@ -197,7 +203,7 @@ def test_weak_gap_witnesses_nonconvergence():
     seq = tuple(point_mass(1.0 / n, 1.0, dom) for n in range(1, 33))
     limit = point_mass(1.0, 1.0, dom)
     ramp = Ramp((0.0, 1.0), (1.0, 0.0))  # min(1, max(0, 1-x))
-    series = weak_gap_bank(seq, limit, [ramp], "none")
+    series = weak_gap_bank(seq, limit, [ramp])
     assert series.gaps[-1] == pytest.approx(1.0 - 1.0 / 32, abs=1e-12)
 
 
@@ -206,7 +212,7 @@ def test_unbounded_bank_function_rejected():
     seq = (m,) * 2
     bad = PiecewiseFn([0.0, 1.0], [math.inf], 0.0, DOM)
     with pytest.raises(UnsupportedScenarioError):
-        weak_gap_bank(seq, m, [bad], "none")
+        weak_gap_bank(seq, m, [bad])
 
 
 # -- ramps --------------------------------------------------------------------

@@ -76,7 +76,6 @@ def test_curve_monotone_and_sup_dominates_window():
     curve = tail_curve(neg, measures, sc.k_grid, sc.window_start)
     assert np.all(np.diff(curve.table, axis=1) <= 1e-12)
     assert np.all(curve.sup_curve >= curve.limsup_curve - 1e-15)
-    assert bool(np.all(curve.stabilized))
 
 
 def test_zero_family_has_zero_curve():
