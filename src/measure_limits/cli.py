@@ -12,7 +12,6 @@ Exit codes: 0 all verdicts hold/pass, 2 at least one violated verdict,
 from __future__ import annotations
 
 import argparse
-import json
 import os
 import sys
 import tempfile
@@ -50,7 +49,7 @@ def _write(path: Path, text: str) -> bool:
 def _cmd_check(args) -> int:
     try:
         text = Path(args.scenario).read_text(encoding="utf-8")
-    except OSError as exc:
+    except (OSError, UnicodeDecodeError) as exc:
         print(f"error: cannot read {args.scenario}: {exc}", file=sys.stderr)
         return 1
     try:
@@ -153,11 +152,7 @@ def main(argv=None) -> int:
     p_list.set_defaults(func=_cmd_gallery)
 
     args = parser.parse_args(argv)
-    try:
-        return args.func(args)
-    except json.JSONDecodeError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 1
+    return args.func(args)
 
 
 if __name__ == "__main__":

@@ -32,6 +32,7 @@ from .tails import (
     tail_curve,
     verdict,
 )
+from .uniform import UniformReport, uniform_report
 from .xreal import UnsupportedScenarioError, close
 
 HOLDS = "holds"
@@ -150,11 +151,9 @@ class Scenario:
         return tuple(tv_series(self.measures, self.limit_measure))
 
     @cached_property
-    def uniform_report(self):
-        """The set-uniform report that ``uniform.uniform_report`` returns."""
-        # uniform imports this module, so it is imported here, on first use
-        from .uniform import _uniform_report_body
-        return _uniform_report_body(self)
+    def uniform_report(self) -> UniformReport:
+        """The set-uniform report, ``uniform.uniform_report(self)``."""
+        return uniform_report(self)
 
 
 def default_sample_grid(m: FiniteMeasure, seq: FnSequence,
@@ -235,7 +234,6 @@ class GapReport:
     rhs_stabilized: bool
     gap: Optional[float]       # None when both sides are the same infinity
     conclusion: str
-    window_start: int
     diagnostics: dict
 
 
@@ -263,7 +261,7 @@ def fatou_report(sc: Scenario) -> GapReport:
     else:
         conclusion = INCONCLUSIVE
     return GapReport(lhs, lhs_cert, rhs, rhs_stab, _gap(rhs, lhs),
-                     conclusion, sc.window_start, diagnostics)
+                     conclusion, diagnostics)
 
 
 @dataclass(frozen=True)

@@ -139,18 +139,9 @@ def _canonicalize(bp: np.ndarray, vals: np.ndarray, default: float
     keep = np.ones(bp.size, dtype=bool)
     keep[1:-1] = vals[1:] != vals[:-1]
     if keep.all():
-        # nothing to merge: the arrays are copied whole (read-only inputs,
-        # such as another function's, are shared as they are)
-        return _own(bp, np.array), _own(vals, lambda v: v + 0.0)
+        # nothing to merge: the arrays are copied whole
+        return np.array(bp), vals + 0.0
     return np.ascontiguousarray(bp[keep]), vals[keep[:-1]] + 0.0
-
-
-def _own(a: np.ndarray, copy) -> np.ndarray:
-    """a itself when it is read-only and contiguous, else ``copy(a)``, so
-    that freezing the result never freezes a caller's array."""
-    if a.flags.writeable or not a.flags.c_contiguous:
-        return copy(a)
-    return a
 
 
 def zero_fn(domain: Interval) -> PiecewiseFn:

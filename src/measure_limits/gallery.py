@@ -420,7 +420,7 @@ def _run_staircase(params: dict) -> list[Quantity]:
 
     gaps = weak_gap_bank(sc.measures, sc.limit_measure,
                          default_bank(sc.limit_measure))
-    ok = all(g <= 1.0 / (2.0 * n) + 1e-12 for n, g in enumerate(gaps.gaps, start=1))
+    ok = all(g <= 1.0 / (2.0 * n) + 1e-12 for n, g in enumerate(gaps, start=1))
     qs.append(_flag("weak_gap_within_lipschitz_bound", ok, True,
                     "mean of |s| over [0,1/n] is 1/(2n)"))
     return qs

@@ -15,7 +15,6 @@ and ``integrate_ramp`` are the same passes over one index.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 from typing import Iterable, Iterator
 
 import numpy as np
@@ -23,13 +22,12 @@ import numpy as np
 from .functions import PiecewiseFn, Ramp, constant_fn
 from .kernels import pos_neg_dots, ragged_sums
 from .measures import FiniteMeasure
-from .refinement import fn_measure_rows, reduce_family
-from .xreal import DomainMismatchError, UnsupportedScenarioError, integral_of_parts
+from .refinement import reduce_family
+from .xreal import UnsupportedScenarioError, integral_of_parts
 
 __all__ = [
     "integrate", "integral_series", "tv_norm_diff",
     "tv_series", "integrate_ramp", "default_bank", "weak_gap_bank",
-    "WeakGapSeries",
 ]
 
 
@@ -47,7 +45,7 @@ def integral_series(fns: Iterable[PiecewiseFn],
                     measures: Iterable[FiniteMeasure]) -> Iterator[float]:
     """The integral of each f_n against its mu_n, from ragged family
     passes; read lazily, it raises at the first index that fails."""
-    return _integrals(fn_measure_rows(fns, measures))
+    return _integrals(((f,), (m,)) for f, m in zip(fns, measures))
 
 
 def integrate(f: PiecewiseFn, m: FiniteMeasure) -> float:
@@ -63,14 +61,8 @@ def tv_series(measures: Iterable[FiniteMeasure],
     """Total-variation norm of mu_n - mu for each mu_n, from ragged
     family passes: the sum of |mass difference| over each index's cells
     and atoms."""
-    def rows():
-        for m in measures:
-            if m.domain != limit.domain:
-                raise DomainMismatchError(
-                    "total-variation distance requires one domain")
-            yield (), (m, limit)
-
-    return reduce_family(rows(), lambda p: ragged_sums(
+    rows = (((), (m, limit)) for m in measures)
+    return reduce_family(rows, lambda p: ragged_sums(
         np.abs(p.masses[0] - p.masses[1]), p.offsets))
 
 
@@ -168,7 +160,7 @@ def _bank_integrals(bank: list, measures: list) -> Iterator[float]:
                 if not h.is_bounded():
                     raise UnsupportedScenarioError(
                         "bank functions must be bounded")
-                yield from fn_measure_rows([h], [m])
+                yield (h,), (m,)
 
     step_values = _integrals(step_rows())
     ramp_values = _ramp_integrals([h for h in bank if isinstance(h, Ramp)],
@@ -182,19 +174,6 @@ def _bank_integrals(bank: list, measures: list) -> Iterator[float]:
             else:
                 raise TypeError("bank entries must be PiecewiseFn or Ramp, "
                                 f"got {type(h).__name__}")
-
-
-@dataclass(frozen=True)
-class WeakGapSeries:
-    """Per-index worst bank gap sup_h |int h dmu_n - int h dmu|.
-
-    Gaps over a finite bank and a finite index window are evidence only:
-    gaps of any size at finitely many indices are compatible with weak
-    convergence, and small ones do not prove it.
-    """
-
-    gaps: tuple[float, ...]
-    bank_size: int
 
 
 def default_bank(limit: FiniteMeasure) -> list:
@@ -216,10 +195,16 @@ def default_bank(limit: FiniteMeasure) -> list:
 
 
 def weak_gap_bank(measures: tuple[FiniteMeasure, ...], limit: FiniteMeasure,
-                  bank) -> WeakGapSeries:
-    """The worst bank gap of each mu_n against the limit: the integrals
-    of every bank entry against the limit and against each measure, in
-    one pass over all (measure, entry) pairs."""
+                  bank) -> tuple[float, ...]:
+    """The worst bank gap sup_h |int h dmu_n - int h dmu| of each mu_n
+    against the limit: the integrals of every bank entry against the
+    limit and against each measure, in one pass over all (measure, entry)
+    pairs.
+
+    Gaps over a finite bank and a finite index window are evidence only:
+    gaps of any size at finitely many indices are compatible with weak
+    convergence, and small ones do not prove it.
+    """
     bank = list(bank)
     values = _bank_integrals(bank, [limit, *measures])
     base = [next(values) for _ in bank]
@@ -227,4 +212,4 @@ def weak_gap_bank(measures: tuple[FiniteMeasure, ...], limit: FiniteMeasure,
     for _ in measures:
         row = [next(values) for _ in bank]
         gaps.append(max((abs(v - b) for v, b in zip(row, base)), default=0.0))
-    return WeakGapSeries(tuple(gaps), len(bank))
+    return tuple(gaps)

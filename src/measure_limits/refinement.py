@@ -262,15 +262,3 @@ def reduce_family(rows: Iterable, reduce) -> Iterator:
         results = reduce(p)
         del p
         yield from results
-
-
-def fn_measure_rows(fns, measures) -> Iterator[tuple[tuple, tuple]]:
-    """``family_pairing`` rows of (f_n, mu_n) pairs, read lazily.
-
-    Raises DomainMismatchError at an index whose function and measure
-    live on different domains.
-    """
-    for f, m in zip(fns, measures):
-        if f.domain != m.domain:
-            raise DomainMismatchError("function and measure domains differ")
-        yield (f,), (m,)

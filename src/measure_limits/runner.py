@@ -25,7 +25,7 @@ from .fatou import (
 from .integration import default_bank, weak_gap_bank
 from .scenario import KNOWN_CHECKS, ScenarioDoc, canonical_json
 from .tails import verdict
-from .uniform import trend_vanishing, uniform_report
+from .uniform import trend_vanishing
 from .xreal import MeasureLimitsError, ScenarioFormatError
 
 PASS = "pass"
@@ -85,7 +85,7 @@ def _check_ui(sc: Scenario) -> CheckResult:
     curve = sc.neg_tail_curve
     v = verdict(curve, "ui", sc.tolerances.ui_tol)
     return CheckResult("ui", _vd(v.passes),
-                       {"k_star": v.k_star, "tol": v.tol,
+                       {"k_star": v.k_star, "tol": sc.tolerances.ui_tol,
                         "family": "negative_parts"},
                        {"ui_tail_curve": curve.to_csv()})
 
@@ -94,7 +94,7 @@ def _check_aui(sc: Scenario) -> CheckResult:
     curve = sc.neg_tail_curve
     v = verdict(curve, "aui", sc.tolerances.ui_tol)
     return CheckResult("aui", _vd(v.passes),
-                       {"k_star": v.k_star, "tol": v.tol,
+                       {"k_star": v.k_star, "tol": sc.tolerances.ui_tol,
                         "window_start": curve.window_start,
                         "family": "negative_parts"},
                        {"aui_tail_curve": curve.to_csv()})
@@ -112,7 +112,7 @@ def _check_fatou(sc: Scenario) -> CheckResult:
     return CheckResult("fatou", rep.conclusion, {
         "lhs": rep.lhs, "lhs_certainty": rep.lhs_certainty,
         "rhs": rep.rhs, "rhs_stabilized": rep.rhs_stabilized,
-        "gap": rep.gap, "window_start": rep.window_start,
+        "gap": rep.gap, "window_start": sc.window_start,
         "aui_negative_parts": aui.passes,
         "weak_convergence": rep.diagnostics["weak_convergence"],
     }, {})
@@ -169,7 +169,7 @@ def _check_dct(sc: Scenario) -> CheckResult:
 
 
 def _check_uniform(sc: Scenario, which: str) -> CheckResult:
-    rep = uniform_report(sc)
+    rep = sc.uniform_report
     if which == "uniform_fatou":
         consistent, observed, predicted = (
             rep.fatou_consistent, rep.fatou_gap_vanishing, rep.fatou_predicted)
@@ -207,16 +207,15 @@ def _check_uniform_dct(sc: Scenario) -> CheckResult:
 def _check_weak_gap(sc: Scenario) -> CheckResult:
     # a finite window of bank gaps neither proves nor refutes weak
     # convergence, so the verdict is the certificate's
-    series = weak_gap_bank(sc.measures, sc.limit_measure,
-                           default_bank(sc.limit_measure))
+    bank = default_bank(sc.limit_measure)
+    gaps = weak_gap_bank(sc.measures, sc.limit_measure, bank)
     w = sc.window_start
     v = PASS if sc.certificate in ("tv", "builder") else "inconclusive"
     return CheckResult("weak_gap", v, {
-        "bank_size": series.bank_size,
+        "bank_size": len(bank),
         "certificate": sc.certificate,
-        "max_gap_window": max(series.gaps[w - 1:]),
-        "trend_vanishing": trend_vanishing(series.gaps, w,
-                                           sc.tolerances.ui_tol),
+        "max_gap_window": max(gaps[w - 1:]),
+        "trend_vanishing": trend_vanishing(gaps, w, sc.tolerances.ui_tol),
         "note": "bank gaps over a finite window are evidence only; the "
                 "verdict is the convergence certificate's",
     }, {})

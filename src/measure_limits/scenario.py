@@ -92,6 +92,12 @@ def _get(d: dict, key: str, path: str, required: bool = False, default=None):
     return d[key]
 
 
+def _only(spec: dict, fields, path: str) -> None:
+    unknown = set(spec) - set(fields)
+    if unknown:
+        raise _fail(path, f"unknown fields {sorted(unknown)}")
+
+
 def _as_float(v, path: str) -> float:
     if isinstance(v, str):
         if v == "inf":
@@ -127,9 +133,7 @@ def parse_fn_spec(spec, path: str, domain: Interval) -> PiecewiseFn:
                           f"{path}.values")
     default = _as_float(_get(spec, "default", path, default=0.0),
                         f"{path}.default")
-    unknown = set(spec) - {"breakpoints", "values", "default"}
-    if unknown:
-        raise _fail(path, f"unknown fields {sorted(unknown)}")
+    _only(spec, ("breakpoints", "values", "default"), path)
     if bp != sorted(bp):
         raise _fail(f"{path}.breakpoints", "must be sorted ascending")
     try:
@@ -141,9 +145,7 @@ def parse_fn_spec(spec, path: str, domain: Interval) -> PiecewiseFn:
 def parse_measure_spec(spec, path: str, domain: Interval) -> FiniteMeasure:
     if not isinstance(spec, dict):
         raise _fail(path, "expected an object with atoms/cells/segments")
-    unknown = set(spec) - {"atoms", "cells", "segments"}
-    if unknown:
-        raise _fail(path, f"unknown fields {sorted(unknown)}")
+    _only(spec, ("atoms", "cells", "segments"), path)
     atoms = []
     for i, entry in enumerate(_get(spec, "atoms", path, default=[]) or []):
         p = f"{path}.atoms[{i}]"
@@ -208,16 +210,12 @@ class ScenarioDoc:
 def _builder_ref(spec, path: str, n_max: int) -> Optional[BuilderRef]:
     if not (isinstance(spec, dict) and "builder" in spec):
         return None
-    unknown = set(spec) - {"builder", "params"}
-    if unknown:
-        raise _fail(path, f"unknown fields {sorted(unknown)}")
+    _only(spec, ("builder", "params"), path)
     params = _get(spec, "params", path, default={}) or {}
     if not isinstance(params, dict):
         raise _fail(f"{path}.params", "expected an object")
     # every gallery builder takes the family size and nothing else
-    unknown = set(params) - {"n_max"}
-    if unknown:
-        raise _fail(f"{path}.params", f"unknown fields {sorted(unknown)}")
+    _only(params, ("n_max",), f"{path}.params")
     if ("n_max" in params
             and _as_int(params["n_max"], f"{path}.params.n_max") < 1):
         raise _fail(f"{path}.params.n_max", "must be >= 1")
@@ -258,9 +256,7 @@ def parse_scenario(text: str, tol: Optional[float] = None,
                "functions", "g_functions", "limit_function", "K_grid",
                "schedule", "sample_grid", "tolerances", "checks",
                "convergence_certificate"}
-    unknown = set(data) - allowed
-    if unknown:
-        raise _fail("$", f"unknown fields {sorted(unknown)}")
+    _only(data, allowed, "$")
 
     name = _get(data, "name", "$", required=True)
     if not isinstance(name, str) or not name:
@@ -272,6 +268,7 @@ def parse_scenario(text: str, tol: Optional[float] = None,
     space = _get(data, "space", "$", required=True)
     if not isinstance(space, dict):
         raise _fail("$.space", "expected {lo, hi}")
+    _only(space, ("lo", "hi"), "$.space")
     lo = _as_float(_get(space, "lo", "$.space", required=True), "$.space.lo")
     hi = _as_float(_get(space, "hi", "$.space", required=True), "$.space.hi")
     if not lo < hi:
@@ -294,6 +291,7 @@ def parse_scenario(text: str, tol: Optional[float] = None,
                      default={"kind": "none"})
     if not isinstance(cert_spec, dict) or "kind" not in cert_spec:
         raise _fail("$.convergence_certificate", "expected {kind}")
+    _only(cert_spec, ("kind",), "$.convergence_certificate")
     certificate = cert_spec["kind"]
     if certificate not in CERTIFICATE_KINDS:
         raise _fail("$.convergence_certificate.kind",
@@ -332,10 +330,10 @@ def parse_scenario(text: str, tol: Optional[float] = None,
         tolerances = _parse_tolerances(data["tolerances"], "$.tolerances")
 
     built: dict[BuilderRef, Scenario] = {}
-    measures = _resolve("measures", measures, built)
-    f_seq = _resolve("functions", functions, built)
-    g_seq = _resolve("g_functions", g_functions, built)
-    limit_measure = _resolve("limit_measure", limit_measure, built)
+    measures = _resolve("measures", measures, built, domain)
+    f_seq = _resolve("functions", functions, built, domain)
+    g_seq = _resolve("g_functions", g_functions, built, domain)
+    limit_measure = _resolve("limit_measure", limit_measure, built, domain)
     measures = _window(measures, n_max)
     f_seq = _window(f_seq, n_max)
     if g_seq is not None:
@@ -384,8 +382,8 @@ def _parse_family(data: dict, key: str, domain: Interval, n_max: int,
 def _parse_schedule(spec, path: str, n_max: int) -> EpiSchedule:
     if not isinstance(spec, dict):
         raise _fail(path, "expected {N: [...], delta: [...]}")
-    ns = _get(spec, "N", path, required=True)
-    ds = _get(spec, "delta", path, required=True)
+    _only(spec, ("N", "delta"), path)
+    ns, ds = (_get(spec, k, path, required=True) for k in ("N", "delta"))
     if not isinstance(ns, list) or not isinstance(ds, list) or len(ns) != len(ds):
         raise _fail(path, "N and delta must be arrays of equal length")
     steps = tuple((_as_int(n, f"{path}.N[{i}]"),
@@ -400,9 +398,7 @@ def _parse_schedule(spec, path: str, n_max: int) -> EpiSchedule:
 def _parse_tolerances(spec, path: str) -> Tolerances:
     if not isinstance(spec, dict):
         raise _fail(path, "expected an object")
-    unknown = set(spec) - {"tol", "stab_tol", "ui_tol", "eps_cond"}
-    if unknown:
-        raise _fail(path, f"unknown fields {sorted(unknown)}")
+    _only(spec, ("tol", "stab_tol", "ui_tol", "eps_cond"), path)
     kwargs = {}
     for k in ("tol", "stab_tol", "ui_tol", "eps_cond"):
         if k in spec:
@@ -418,9 +414,10 @@ _SCENARIO_FIELD = {"measures": "measures", "functions": "f_seq",
                    "g_functions": "g_seq", "limit_measure": "limit_measure"}
 
 
-def _resolve(key: str, entry, built: dict):
+def _resolve(key: str, entry, built: dict, domain: Interval):
     """The family of the fixture a builder reference names, built once per
-    reference; parsed entries (or None) as they are."""
+    reference, whose members must live on ``domain``; parsed entries (or
+    None) as they are."""
     if not isinstance(entry, BuilderRef):
         return entry
     if entry not in built:
@@ -428,6 +425,13 @@ def _resolve(key: str, entry, built: dict):
     family = getattr(built[entry], _SCENARIO_FIELD[key])
     if family is None:
         raise _fail(f"$.{key}", f"builder {entry.name!r} has no {key}")
+    members = family.fns if isinstance(family, FnSequence) else family
+    for m in members if isinstance(members, tuple) else (members,):
+        if m.domain != domain:
+            raise _fail(f"$.{key}.builder",
+                        f"builder {entry.name!r} lives on [{m.domain.lo}, "
+                        f"{m.domain.hi}], not on $.space [{domain.lo}, "
+                        f"{domain.hi}]")
     return family
 
 

@@ -19,7 +19,7 @@ import numpy as np
 from .functions import FnSequence
 from .kernels import tail_dots
 from .measures import FiniteMeasure
-from .refinement import fn_measure_rows, reduce_family
+from .refinement import reduce_family
 
 DEFAULT_K_GRID: tuple[float, ...] = tuple(2.0 ** j for j in range(-1, 13))
 
@@ -57,7 +57,6 @@ class TailCurve:
 class UiVerdict:
     passes: bool
     k_star: Optional[float]    # smallest grid K with aggregate <= tol
-    tol: float
 
 
 def tail_curve(seq: FnSequence, measures: tuple[FiniteMeasure, ...],
@@ -77,7 +76,7 @@ def tail_curve(seq: FnSequence, measures: tuple[FiniteMeasure, ...],
     if not 1 <= window_start <= n_max:
         raise ValueError(f"window start {window_start} outside 1..{n_max}")
     table = np.empty((n_max, len(k_grid)))
-    rows = fn_measure_rows(seq.fns, measures)
+    rows = (((f,), (m,)) for f, m in zip(seq.fns, measures))
     for n, row in enumerate(reduce_family(rows, lambda p: tail_dots(
             p.values[0], p.masses[0], p.offsets, k_grid))):
         table[n] = row
@@ -95,8 +94,8 @@ def verdict(curve: TailCurve, kind: str, tol: float = 1e-6) -> UiVerdict:
     agg = curve.sup_curve if kind == "ui" else curve.limsup_curve
     hits = np.nonzero(agg <= tol)[0]
     if hits.size:
-        return UiVerdict(True, float(curve.k_grid[hits[0]]), tol)
-    return UiVerdict(False, None, tol)
+        return UiVerdict(True, float(curve.k_grid[hits[0]]))
+    return UiVerdict(False, None)
 
 
 def first_shift(tails, tol: float, n_shift_max: int) -> Optional[int]:

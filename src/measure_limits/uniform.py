@@ -17,11 +17,10 @@ import csv
 import io
 import math
 from dataclasses import dataclass
-from typing import Iterator
+from typing import TYPE_CHECKING, Iterator
 
 import numpy as np
 
-from .fatou import Scenario
 from .functions import FnSequence, PiecewiseFn
 from .integration import integral_series, integrate
 from .kernels import comp_sum, ragged_sums, sign_sums
@@ -29,6 +28,9 @@ from .measures import FiniteMeasure
 from .refinement import FamilyPairing, family_pairing, reduce_family
 from .tails import verdict
 from .xreal import NotIntegrableError, UnsupportedScenarioError
+
+if TYPE_CHECKING:
+    from .fatou import Scenario
 
 
 def _require_l1(f: PiecewiseFn, m: FiniteMeasure, what: str) -> None:
@@ -168,9 +170,9 @@ class UniformReport:
 
 
 def uniform_report(sc: Scenario) -> UniformReport:
-    """Observed gap trends against the two-condition characterizations,
-    computed once per scenario (``Scenario.uniform_report``) and shared by
-    every check that reads it.
+    """Observed gap trends against the two-condition characterizations;
+    ``Scenario.uniform_report`` computes it once per scenario for every
+    check that reads it.
 
     The uniform Fatou property should hold exactly when the undershoot
     masses vanish and the negative parts are a.u.i.; the uniform
@@ -180,10 +182,6 @@ def uniform_report(sc: Scenario) -> UniformReport:
     on a closed-form fixture that is a fixture bug, on a document a window
     too short to judge.
     """
-    return sc.uniform_report
-
-
-def _uniform_report_body(sc: Scenario) -> UniformReport:
     if sc.limit_fn is None:
         raise UnsupportedScenarioError("uniform checks need a limit function")
     t = sc.tolerances

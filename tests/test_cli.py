@@ -195,6 +195,43 @@ def test_check_rejects_bad_builder_params_with_the_field_path(
     assert not out.exists()
 
 
+def test_check_reports_an_undecodable_file_as_unreadable(tmp_path, capsys):
+    src = tmp_path / "doc.json"
+    src.write_bytes(b'\xff\xfe{"a":1}')
+    assert main(["check", str(src)]) == 1
+    err = capsys.readouterr().err
+    assert err.startswith(f"error: cannot read {src}: ")
+    assert err.count("\n") == 1
+
+
+def test_check_rejects_a_builder_family_off_the_space(tmp_path, capsys):
+    path = (Path(__file__).resolve().parent.parent / "scenarios"
+            / "spikes_uniform.json")
+    doc = dict(json.loads(path.read_text(encoding="utf-8")),
+               space={"lo": -5, "hi": 5})
+    out = tmp_path / "report.json"
+    assert main(["check", str(write(tmp_path, doc)), "--out", str(out)]) == 1
+    assert capsys.readouterr().err == (
+        "error: $.measures.builder: builder 'twin_spikes' lives on "
+        "[-1.0, 1.0], not on $.space [-5.0, 5.0]\n")
+    assert not out.exists()
+
+
+@pytest.mark.parametrize("field, value", [
+    ("space", {"lo": 0.0, "hi": 1.0, "typo": NAN}),
+    ("convergence_certificate", {"kind": "tv", "typo": 1}),
+    ("schedule", {"N": [1], "delta": [0.5], "typo": 1}),
+])
+def test_check_rejects_unknown_fields_with_the_field_path(tmp_path, capsys,
+                                                          field, value):
+    src = write(tmp_path, dict(HOLDS_DOC, **{field: value}))
+    out = tmp_path / "report.json"
+    assert main(["check", str(src), "--out", str(out)]) == 1
+    assert (capsys.readouterr().err
+            == f"error: $.{field}: unknown fields ['typo']\n")
+    assert not out.exists()
+
+
 def load_perfbench_docs():
     path = Path(__file__).resolve().parent.parent / "perfbench" / "docs.py"
     spec = importlib.util.spec_from_file_location("perfbench_docs", path)

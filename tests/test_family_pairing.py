@@ -30,7 +30,7 @@ from measure_limits.integration import default_bank, integral_series, tv_series
 from measure_limits.refinement import family_pairing
 from measure_limits.refinement import reduce_family
 from measure_limits.uniform import (
-    _condition_series, _gap_rows, _hahn_sums, _uniform_report_body,
+    _condition_series, _gap_rows, _hahn_sums, uniform_report,
 )
 
 from helpers import (
@@ -190,7 +190,7 @@ def test_uniform_gap_series_match_the_per_index_loop(sc, budget):
         want_inf = outcome(lambda: loop_gap_series(sc)[0])
         want_sup = outcome(lambda: loop_gap_series(sc)[1])
         try:
-            rep = _uniform_report_body(sc)
+            rep = uniform_report(sc)
         except Exception as exc:
             if want_inf[0] != "ok":
                 assert (type(exc), str(exc)) == want_inf
@@ -210,7 +210,7 @@ def test_weak_gap_bank_matches_the_per_index_loop(sc, budget, mixed):
                 Ramp((0.25, 0.5, 1.0), (0.0, 1.0, 0.5)), sc.limit_fn]
     with mock.patch.object(refinement, "CHUNK_EDGES", budget):
         assert (outcome(lambda: weak_gap_bank(sc.measures, sc.limit_measure,
-                                              bank).gaps)
+                                              bank))
                 == outcome(loop_weak_gaps, sc.measures, sc.limit_measure, bank))
 
 
@@ -280,7 +280,7 @@ def test_uniform_report_raises_in_index_order(budget, bad_segments_at, error):
     sc = _uniform_scenario(bad_segments_at)
     with mock.patch.object(refinement, "CHUNK_EDGES", budget):
         with pytest.raises(error) as got:
-            _uniform_report_body(sc)
+            uniform_report(sc)
     with pytest.raises(error) as want:
         loop_gap_series(_uniform_scenario(bad_segments_at))
     assert str(got.value) == str(want.value)

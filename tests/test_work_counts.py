@@ -57,7 +57,7 @@ def test_one_check_computes_each_shared_quantity_once(tmp_path, monkeypatch,
     doc = fatou_random_document(np.random.default_rng(0), n_max=N_MAX)
     src = tmp_path / "doc.json"
     src.write_text(json.dumps(doc), encoding="utf-8")
-    bodies = count_calls(monkeypatch, uniform, "_uniform_report_body")
+    bodies = count_calls(monkeypatch, uniform, "uniform_report")
     tv = count_calls(monkeypatch, integration, "tv_series")
     curves = count_calls(monkeypatch, tails, "tail_curve")
     tail_rows = count_calls(monkeypatch, kernels, "tail_dots")
