@@ -15,7 +15,7 @@ from .xreal import (
 )
 from .functions import (
     PiecewiseFn, FnSequence, EpiCertificate, Ramp,
-    part, dominates, zero_fn, constant_fn,
+    dominates, zero_fn, constant_fn,
 )
 from .measures import (
     FiniteMeasure, AnalyticSegment, lebesgue, point_mass, make_segment,

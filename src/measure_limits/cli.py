@@ -59,16 +59,18 @@ def _cmd_check(args) -> int:
     except MeasureLimitsError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1
-    curve_files = {}
-    if args.curves_dir:
-        cdir = Path(args.curves_dir)
-        for result in report.results:
-            for cname, csv_text in result.curves.items():
-                fname = f"{doc.name}_{cname}.csv"
-                if not _write(cdir / fname, csv_text):
-                    return 1
-                curve_files[cname] = fname
-    out_json = report.to_json(curve_files) + "\n"
+    curves = {cname: (f"{doc.name}_{cname}.csv", csv_text)
+              for result in report.results if args.curves_dir
+              for cname, csv_text in result.curves.items()}
+    try:
+        out_json = report.to_json({c: f for c, (f, _) in curves.items()}) + "\n"
+    except ValueError as exc:
+        # a NaN has no canonical JSON: nothing is written
+        print(f"error: {exc}", file=sys.stderr)
+        return 1
+    for fname, csv_text in curves.values():
+        if not _write(Path(args.curves_dir) / fname, csv_text):
+            return 1
     if args.out:
         if not _write(Path(args.out), out_json):
             return 1
@@ -107,7 +109,11 @@ def _cmd_gallery(args) -> int:
             return 1
     payload = {"tool": "measure-limits", "version": __version__,
                "fixtures": [_conformance_dict(r) for r in reports]}
-    text = canonical_json(payload) + "\n"
+    try:
+        text = canonical_json(payload) + "\n"
+    except ValueError as exc:
+        print(f"error: {exc}", file=sys.stderr)
+        return 1
     if args.out:
         if not _write(Path(args.out), text):
             return 1

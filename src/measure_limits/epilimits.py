@@ -13,8 +13,9 @@ A certificate decides every point exactly, and nothing is scanned.
 Without one, an estimate reads the last two schedule steps: the last
 gives the value, and their agreement makes it stabilized.  The inf over
 n >= N_j and a ball is the inf over that ball of the envelope
-min_{n >= N_j} f_n (max for the limsup), one step function scanned once
-for all points.  ``tests/helpers.py`` keeps the scalar scan (one
+min_{n >= N_j} f_n (max for the limsup).  One ``epi_scan`` reads both
+directions at all the points a caller needs of a family, from the two
+envelopes of each step.  ``tests/helpers.py`` keeps the scalar scan (one
 ``range_on`` call per step and index) that it must match bit for bit.
 """
 
@@ -120,82 +121,101 @@ def _reduce_ranges(ufunc: np.ufunc, vals: np.ndarray, starts: np.ndarray,
     return out
 
 
-def _ball_extrema(f: PiecewiseFn, lo, hi, lo_closed, hi_closed, lower: bool
-                  ) -> np.ndarray:
-    """inf (lower) or sup of f over every clipped ball: the value at each
-    closed end, the cells meeting the open interior and the default
-    outside the breakpoints are offered in that order, and the first
-    extreme one is kept."""
-    better = np.less if lower else np.greater
-    out = np.full(lo.shape, math.inf if lower else -math.inf)
+def _ball_extrema(domain: Interval, edges, vals, defaults, lo, hi,
+                  lo_closed, hi_closed) -> np.ndarray:
+    """inf of the min envelope (row 0) and sup of the max envelope (row 1)
+    over every clipped ball, from the ``_envelopes`` of a family on
+    ``domain``.  The value at each closed end, the cells meeting the open
+    interior and the default outside the edges are offered in that order,
+    and the first extreme one is kept."""
 
-    def offer(where: np.ndarray, cand) -> None:
-        np.copyto(out, cand, where=where & better(cand, out))
+    def at(x: float):
+        # both envelopes at x, read as PiecewiseFn reads a function: the
+        # last cell's value at a closed end on the last edge
+        if edges.size and x == domain.hi == edges[-1]:
+            return vals[:, -1]
+        i = int(np.searchsorted(edges, x, side="right")) - 1
+        return vals[:, i] if 0 <= i < vals.shape[1] else defaults
 
     inner = hi > lo
+    offers = []
     if lo_closed.any():
-        offer(lo_closed, f(f.domain.lo))
+        offers.append((lo_closed, at(domain.lo)))
     if (hi_closed & inner).any():
-        offer(hi_closed & inner, f(f.domain.hi))
-    bp, vals = f.breakpoints, f.values
-    if bp.size == 0:
-        offer(inner, f.default)
-        return out
-    # cells [bp[i], bp[i+1]) meeting the open interior (lo, hi)
-    i0 = np.maximum(np.searchsorted(bp, lo, side="right") - 1, 0)
-    i1 = np.minimum(np.searchsorted(bp, hi, side="left"), vals.size)
+        offers.append((hi_closed & inner, at(domain.hi)))
+    # cells [edges[i], edges[i+1]) meeting the open interior (lo, hi)
+    i0 = np.maximum(np.searchsorted(edges, lo, side="right") - 1, 0)
+    i1 = np.minimum(np.searchsorted(edges, hi, side="left"), vals.shape[1])
     hit = inner & (i1 > i0)
     if hit.any():
-        cand = np.empty(lo.shape)
-        cand[hit] = _reduce_ranges(np.minimum if lower else np.maximum,
-                                   vals, i0[hit], i1[hit])
-        offer(hit, cand)
-    offer(inner & ((lo < bp[0]) | (hi > bp[-1])), f.default)
+        cand = np.empty((2, *lo.shape))
+        for k, ufunc in enumerate((np.minimum, np.maximum)):
+            cand[k][hit] = _reduce_ranges(ufunc, vals[k], i0[hit], i1[hit])
+        offers.append((hit, cand))
+    offers.append((inner & ((lo < edges[0]) | (hi > edges[-1]))
+                   if edges.size else inner, defaults))
+    out = np.full((2, *lo.shape), math.inf)
+    out[1] = -math.inf
+    for k, better in enumerate((np.less, np.greater)):
+        for where, cand in offers:
+            np.copyto(out[k], cand[k], where=where & better(cand[k], out[k]))
     return out
 
 
-def _envelope(fns: Sequence[PiecewiseFn], lower: bool) -> PiecewiseFn:
-    """Pointwise min (lower) or max of a family of step functions on one
-    domain, as one step function on the union of their breakpoints."""
+def _envelopes(fns: Sequence[PiecewiseFn]) -> tuple:
+    """Pointwise min and max of a family of step functions on one domain,
+    on the union of their breakpoints: ``(edges, vals, defaults)``, row 0
+    of ``vals`` and ``defaults[0]`` the min, row 1 and ``defaults[1]`` the
+    max."""
     domain = fns[0].domain
     if any(f.domain != domain for f in fns):
         raise DomainMismatchError("an epi-limit scan requires a shared domain")
-    ext = np.minimum if lower else np.maximum
     edges = union_edges([f.breakpoints for f in fns])
-    vals = np.full(max(edges.size - 1, 0), math.inf if lower else -math.inf)
+    vals = np.full((2, max(edges.size - 1, 0)), math.inf)
+    vals[1] = -math.inf
     for f in fns:
         # f's breakpoints at or left of each cell start pick its value
         lut = np.concatenate([[f.default], f.values, [f.default]])
-        ext(vals, lut[np.searchsorted(f.breakpoints, edges[:-1], side="right")],
-            out=vals)
-    return PiecewiseFn(edges, vals, float(ext.reduce([f.default for f in fns])),
-                       domain)
+        v = lut[np.searchsorted(f.breakpoints, edges[:-1], side="right")]
+        np.minimum(vals[0], v, out=vals[0])
+        np.maximum(vals[1], v, out=vals[1])
+    defaults = [f.default for f in fns]
+    return edges, vals, (min(defaults), max(defaults))
 
 
-def _scan(seq: FnSequence, pts: np.ndarray, sched: EpiSchedule, lower: bool
-          ) -> np.ndarray:
-    """Windowed epi-liminf (lower) or limsup of every point at the last two
-    schedule steps (or the one step), shape (points, steps): entry (p, j)
-    is the inf/sup over the open delta_j-ball around point p of the
-    envelope of f_n, n >= N_j; +inf (lower) or -inf past the family."""
+def epi_scan(seq: FnSequence, pts, sched: EpiSchedule, stab_tol: float):
+    """Windowed estimates of the family at every point, certificates aside:
+    ``(points, cols, stab, empty)`` over the sorted distinct points.
+    ``cols[0][p, j]`` (``cols[1]``) is the inf (sup) over the open
+    delta_j-ball around p of the min (max) envelope of f_n, n >= N_j, at
+    the last two steps (or the one step), +inf (-inf) past the family;
+    ``stab`` marks two steps that agree within stab_tol, ``empty`` a
+    point with a scanned ball off the domain."""
+    pts = np.unique(np.asarray(pts, dtype=np.float64))
     steps = sched.steps[-2:]
-    out = np.full((pts.size, len(steps)), math.inf if lower else -math.inf)
+    cols = np.full((2, pts.size, len(steps)), math.inf)
+    cols[1] = -math.inf
+    empty = np.zeros(pts.size, dtype=bool)
     for j, (n, delta) in enumerate(steps):
         if n > seq.n_max:
             continue
-        env = _envelope(seq.fns[n - 1:], lower)
-        *balls, empty = _balls(env.domain, pts, np.asarray([delta]))
-        _require_nonempty(empty)
-        out[:, j] = _ball_extrema(env, *balls, lower)[:, 0]
-    return out
+        domain = seq.fns[n - 1].domain
+        envs = _envelopes(seq.fns[n - 1:])
+        *balls, miss = _balls(domain, pts, np.asarray([delta]))
+        empty |= miss[:, 0]
+        cols[:, :, j] = _ball_extrema(domain, *envs, *balls)[..., 0]
+    a, b = cols[..., 0], cols[..., -1]
+    with np.errstate(over="ignore", invalid="ignore"):
+        stab = np.where(np.isinf(a) | np.isinf(b), a == b,
+                        np.abs(a - b) <= stab_tol) & (len(steps) == 2)
+    return pts, cols, stab, empty
 
 
-def _estimates(seq: FnSequence, pts: list[float], sched: EpiSchedule,
-               lower: bool, stab_tol: float
+def _estimates(seq: FnSequence, pts, sched: EpiSchedule, lower: bool, scan
                ) -> tuple[np.ndarray, np.ndarray, str]:
     """Values, stabilized flags and the certainty tag of the estimates at
     every point: a certificate decides every point exactly; without one,
-    one scan covers them all."""
+    ``scan()`` does, an ``epi_scan`` at points that include these."""
     cert = seq.epi_liminf_cert if lower else seq.epi_limsup_cert
     if cert is not None:
         # a scan would reject a ball outside the domain; so does this
@@ -205,14 +225,17 @@ def _estimates(seq: FnSequence, pts: list[float], sched: EpiSchedule,
         return (np.asarray([cert.value_at(s, "lower" if lower else "upper")
                             for s in pts]),
                 np.ones(len(pts), dtype=bool), EXACT)
-    cols = _scan(seq, np.asarray(pts, dtype=np.float64), sched, lower)
-    stab = [len(c) == 2 and close(c[0], c[1], stab_tol) for c in cols.tolist()]
-    return cols[:, -1], np.asarray(stab, dtype=bool), WINDOW
+    points, cols, stab, empty = scan()
+    at = np.searchsorted(points, np.asarray(pts, dtype=np.float64))
+    _require_nonempty(empty[at])
+    k = 0 if lower else 1
+    return cols[k, at, -1], stab[k, at], WINDOW
 
 
 def _estimate(seq: FnSequence, s: float, sched: EpiSchedule, lower: bool,
               stab_tol: float) -> EpiEstimate:
-    values, stab, certainty = _estimates(seq, [s], sched, lower, stab_tol)
+    values, stab, certainty = _estimates(
+        seq, [s], sched, lower, lambda: epi_scan(seq, [s], sched, stab_tol))
     return EpiEstimate(float(values[0]), certainty, bool(stab[0]))
 
 
@@ -236,7 +259,8 @@ class ExistsReport:
 
 
 def epi_limit_exists(seq: FnSequence, grid, sched: EpiSchedule, tol: float,
-                     m: FiniteMeasure, stab_tol: float = 1e-9) -> ExistsReport:
+                     m: FiniteMeasure, stab_tol: float = 1e-9, scan=None
+                     ) -> ExistsReport:
     """Pointwise existence of the epigraphical limit plus the measure of
     the estimated exception set.
 
@@ -245,26 +269,28 @@ def epi_limit_exists(seq: FnSequence, grid, sched: EpiSchedule, tol: float,
     both sides the exception mass is exact: it is the measure of the
     step-function disagreement set.  Otherwise the mass is a sample-based
     estimate: isolated failures contribute only the atom mass at the
-    point, runs of failures contribute their midpoint cells.
+    point, runs of failures contribute their midpoint cells.  ``scan``
+    returns an ``epi_scan`` at points that include the grid.
     """
     pts = sorted(float(x) for x in grid)
-    lo, lo_stab, _ = _estimates(seq, pts, sched, True, stab_tol)
-    hi, hi_stab, _ = _estimates(seq, pts, sched, False, stab_tol)
+    scan = scan or (lambda: epi_scan(seq, pts, sched, stab_tol))
+    lo, lo_stab, _ = _estimates(seq, pts, sched, True, scan)
+    hi, hi_stab, _ = _estimates(seq, pts, sched, False, scan)
     oks = [ok and close(a, b, tol) for a, b, ok
            in zip(lo.tolist(), hi.tolist(), (lo_stab & hi_stab).tolist())]
     lo_cert, hi_cert = seq.epi_liminf_cert, seq.epi_limsup_cert
     if lo_cert is not None and hi_cert is not None:
         mass = _cert_disagreement_mass(lo_cert, hi_cert, m, tol)
         return ExistsReport(tuple(pts), tuple(oks), mass, True)
-    terms = []
+    los, his = [], []
     for i, s in enumerate(pts):
         if oks[i]:
             continue
         left_bad = i > 0 and not oks[i - 1]
         right_bad = i + 1 < len(pts) and not oks[i + 1]
-        lo_edge = (pts[i - 1] + s) / 2 if left_bad else s
-        hi_edge = (s + pts[i + 1]) / 2 if right_bad else s
-        terms.append(m.mass_of_interval(lo_edge, hi_edge, True, True))
+        los.append((pts[i - 1] + s) / 2 if left_bad else s)
+        his.append((s + pts[i + 1]) / 2 if right_bad else s)
+    terms = m.masses_of_intervals(los, his, True, True)
     mass = comp_sum(np.asarray(terms)) if terms else 0.0
     return ExistsReport(tuple(pts), tuple(oks), mass, False)
 
@@ -303,22 +329,11 @@ def _integrate_certificate(cert: EpiCertificate, m: FiniteMeasure,
                              "certificate integral undefined")
 
 
-def epi_integral(seq: FnSequence, m: FiniteMeasure, which: str,
-                 sched: EpiSchedule, grid, stab_tol: float = 1e-9
-                 ) -> tuple[float, str]:
-    """Integral of the epi-liminf/limsup against m, with a certainty tag.
-
-    With an analytic certificate the value is exact.  Without one the
-    domain is cut at the sample grid, the windowed estimate at each cell
-    midpoint stands in for the cell, and the certainty is ``window``.
-    """
-    if which not in ("liminf", "limsup"):
-        raise ValueError(f"which must be 'liminf' or 'limsup', got {which!r}")
-    lower = which == "liminf"
-    cert = seq.epi_liminf_cert if lower else seq.epi_limsup_cert
-    if cert is not None:
-        return (_integrate_certificate(cert, m, "lower" if lower else "upper"),
-                EXACT)
+def epi_window(seq: FnSequence, m: FiniteMeasure, sched: EpiSchedule, grid,
+               stab_tol: float, *extra) -> tuple:
+    """What a windowed epi integral reads: the points whose estimates stand
+    in for the cells and atoms of m, their masses, and one ``epi_scan`` at
+    those points and the ``extra`` ones."""
     # refine by the trailing-tail functions so each is cell-constant; the
     # midpoint estimate then bounds every tail function's cell value from
     # the certified side, which keeps windowed Fatou gaps one-sided
@@ -336,9 +351,30 @@ def epi_integral(seq: FnSequence, m: FiniteMeasure, which: str,
     if np.any(unbounded):
         finite_edge = np.where(np.isfinite(edges[:-1]), edges[:-1], edges[1:] - 1.0)
         mids = np.where(unbounded, finite_edge + 1.0, mids)
-    pts = mids.tolist() + m.atom_locs.tolist()
-    vals = _estimates(seq, pts, sched, lower, stab_tol)[0]
-    if m.atom_locs.size:
-        masses = np.concatenate([masses, m.atom_weights])
+    pts = np.concatenate([mids, m.atom_locs])
+    return (pts, np.concatenate([masses, m.atom_weights]),
+            epi_scan(seq, np.concatenate([pts, *extra]), sched, stab_tol))
+
+
+def epi_integral(seq: FnSequence, m: FiniteMeasure, which: str,
+                 sched: EpiSchedule, grid, stab_tol: float = 1e-9,
+                 window=None) -> tuple[float, str]:
+    """Integral of the epi-liminf/limsup against m, with a certainty tag.
+
+    With an analytic certificate the value is exact.  Without one the
+    domain is cut at the sample grid, the windowed estimate at each cell
+    midpoint stands in for the cell, and the certainty is ``window``.
+    ``window`` returns the ``epi_window``.
+    """
+    if which not in ("liminf", "limsup"):
+        raise ValueError(f"which must be 'liminf' or 'limsup', got {which!r}")
+    lower = which == "liminf"
+    cert = seq.epi_liminf_cert if lower else seq.epi_limsup_cert
+    if cert is not None:
+        return (_integrate_certificate(cert, m, "lower" if lower else "upper"),
+                EXACT)
+    window = window or (lambda: epi_window(seq, m, sched, grid, stab_tol))
+    pts, masses, scan = window()
+    vals = _estimates(seq, pts, sched, lower, lambda: scan)[0]
     return (integral_of_parts(*pos_neg_dot(vals, masses),
                               "epi integral undefined"), WINDOW)

@@ -19,17 +19,21 @@ from typing import Optional
 
 import numpy as np
 
-from .epilimits import EXACT, EpiSchedule, epi_integral, epi_limit_exists
-from .functions import FnSequence, PiecewiseFn, dominates, part
-from .integration import integral_series, tv_series
+from .epilimits import (
+    EXACT, EpiSchedule, epi_integral, epi_limit_exists, epi_window,
+)
+from .functions import FnSequence, PiecewiseFn, dominates
+from .integration import chunk_integrals, integral_series, tv_series
 from .measures import FiniteMeasure
+from .refinement import reduce_family_shared, replay
 from .tails import (
     DEFAULT_K_GRID,
     TailCurve,
     UiVerdict,
+    curve_of,
     default_window_start,
     first_shift,
-    tail_curve,
+    tail_rows,
     verdict,
 )
 from .uniform import UniformReport, uniform_report
@@ -84,23 +88,41 @@ class Scenario:
     def resolved_grid(self) -> tuple[float, ...]:
         if self.sample_grid is not None:
             return self.sample_grid
+        return self._default_grid
+
+    @cached_property
+    def _default_grid(self) -> tuple[float, ...]:
+        # the epi scans, their cells and dct_report read it
         return default_sample_grid(self.limit_measure, self.f_seq)
 
     # Results that several checks read, each computed once per scenario:
     # scalars, small series and sequences, never per-index cell arrays.
+    # Shared work is memoized too: one family pass per pair of series,
+    # each with its own first error, and one epi scan per family.
     # ``dataclasses.replace`` makes a scenario with none of them computed.
-
-    @cached_property
-    def neg_part_seq(self) -> FnSequence:
-        return FnSequence(tuple(part(f, "negative") for f in self.f_seq.fns))
 
     @cached_property
     def abs_seq(self) -> FnSequence:
         return FnSequence(tuple(abs(f) for f in self.f_seq.fns))
 
     @cached_property
+    def f_pass(self) -> list[list]:
+        """The integrals and the negative parts' tail rows of one (f_n, mu_n)
+        pass; ``abs_pass`` gives the L1 norms and tail rows of |f_n|."""
+        return self._pass(self.f_seq.fns, True)
+
+    @cached_property
+    def abs_pass(self) -> list[list]:
+        return self._pass(self.abs_seq.fns, False)
+
+    def _pass(self, fns, negative: bool) -> list[list]:
+        return reduce_family_shared(
+            (((f,), (m,)) for f, m in zip(fns, self.measures)),
+            (chunk_integrals, lambda p: tail_rows(p, self.k_grid, negative)))
+
+    @cached_property
     def f_integral_series(self) -> list[float]:
-        return list(integral_series(self.f_seq.fns, self.measures))
+        return list(replay(self.f_pass[0]))
 
     @cached_property
     def g_integral_series(self) -> list[float]:
@@ -117,33 +139,49 @@ class Scenario:
         return dominates(self.g_seq.fns, self.abs_seq.fns)
 
     @cached_property
+    def f_epi(self) -> tuple:
+        """f's ``epi_window``, also scanned at the sample grid that
+        ``dct_report`` reads; ``g_epi`` is g's."""
+        return self._epi(self.f_seq, self.resolved_grid())
+
+    @cached_property
+    def g_epi(self) -> tuple:
+        return self._epi(self.g_seq)
+
+    def _epi(self, seq: FnSequence, *extra) -> tuple:
+        return epi_window(seq, self.limit_measure, self.resolved_schedule(),
+                          self.resolved_grid(), self.tolerances.stab_tol,
+                          *extra)
+
+    @cached_property
     def f_epi_liminf(self) -> tuple[float, str]:
         """Epi-liminf integral of the f family against the limit measure,
         with its certainty tag; likewise the two g-family sides below."""
-        return self._epi_integral(self.f_seq, "liminf")
+        return self._epi_integral(self.f_seq, "liminf", lambda: self.f_epi)
 
     @cached_property
     def g_epi_liminf(self) -> tuple[float, str]:
-        return self._epi_integral(self.g_seq, "liminf")
+        return self._epi_integral(self.g_seq, "liminf", lambda: self.g_epi)
 
     @cached_property
     def g_epi_limsup(self) -> tuple[float, str]:
-        return self._epi_integral(self.g_seq, "limsup")
+        return self._epi_integral(self.g_seq, "limsup", lambda: self.g_epi)
 
-    def _epi_integral(self, seq: FnSequence, which: str) -> tuple[float, str]:
+    def _epi_integral(self, seq: FnSequence, which: str, window
+                      ) -> tuple[float, str]:
         return epi_integral(seq, self.limit_measure, which,
                             self.resolved_schedule(), self.resolved_grid(),
-                            self.tolerances.stab_tol)
+                            self.tolerances.stab_tol, window)
 
     @cached_property
     def neg_tail_curve(self) -> TailCurve:
-        return tail_curve(self.neg_part_seq, self.measures, self.k_grid,
-                          self.window_start)
+        return curve_of(replay(self.f_pass[1]), self.n_max, self.k_grid,
+                        self.window_start)
 
     @cached_property
     def abs_tail_curve(self) -> TailCurve:
-        return tail_curve(self.abs_seq, self.measures, self.k_grid,
-                          self.window_start)
+        return curve_of(replay(self.abs_pass[1]), self.n_max, self.k_grid,
+                        self.window_start)
 
     @cached_property
     def tv_series(self) -> tuple[float, ...]:
@@ -356,10 +394,9 @@ def dct_report(sc: Scenario, equality_tol: Optional[float] = None) -> DctReport:
     """
     t = sc.tolerances
     tol = t.tol if equality_tol is None else equality_tol
-    sched = sc.resolved_schedule()
-    grid = sc.resolved_grid()
-    exists = epi_limit_exists(sc.f_seq, grid, sched, tol, sc.limit_measure,
-                              t.stab_tol)
+    exists = epi_limit_exists(sc.f_seq, sc.resolved_grid(),
+                              sc.resolved_schedule(), tol, sc.limit_measure,
+                              t.stab_tol, lambda: sc.f_epi[2])
     exists_ok = exists.exception_mass <= t.tol
     aui_full = verdict(sc.abs_tail_curve, "aui", t.ui_tol)
     major = None

@@ -152,15 +152,6 @@ def constant_fn(c: float, domain: Interval) -> PiecewiseFn:
     return PiecewiseFn((), (), c, domain)
 
 
-def part(f: PiecewiseFn, which: str) -> PiecewiseFn:
-    """Positive part max(f, 0) or negative part -min(f, 0); both nonnegative."""
-    if which == "positive":
-        return f.map_values(lambda v: np.maximum(v, 0.0), lambda d: max(d, 0.0))
-    if which == "negative":
-        return f.map_values(lambda v: np.maximum(-v, 0.0), lambda d: max(-d, 0.0))
-    raise ValueError(f"which must be 'positive' or 'negative', got {which!r}")
-
-
 def dominates(upper: Sequence[PiecewiseFn], lower: Sequence[PiecewiseFn]
               ) -> bool:
     """Exact check that u_n >= l_n everywhere, for every index n of two

@@ -33,7 +33,6 @@ from .functions import (
     FnSequence,
     PiecewiseFn,
     constant_fn,
-    part,
     zero_fn,
 )
 from .integration import default_bank, tv_norm_diff, weak_gap_bank
@@ -375,7 +374,7 @@ def _run_staircase(params: dict) -> list[Quantity]:
     qs = []
 
     ks = [0.5] + [float(k) for k in range(1, 11)]
-    table = tail_curve(sc.neg_part_seq, sc.measures, ks).table
+    table = tail_curve(sc.f_seq, sc.measures, ks, negative=True).table
     dev = max(abs(table[n - 1, j] - staircase_tail_formula(k))
               for n in range(1, sc.n_max + 1) for j, k in enumerate(ks))
     qs.append(_num("tail_matches_closed_form", dev, 0.0, 1e-9 + residual,

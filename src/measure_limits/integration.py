@@ -7,9 +7,10 @@ reductions run through ``kernels``, whose sums are exactly rounded
 (equal to ``math.fsum`` of the same terms; large arrays are summed in
 numpy with a certified error bound), so they do not depend on the order
 of the cells.  A series over the indices of a family is computed by
-ragged family passes (``refinement.family_pairing``) and read lazily, so
-it raises at the first index that fails; ``integrate``, ``tv_norm_diff``
-and ``integrate_ramp`` are the same passes over one index.
+ragged family passes (``refinement.family_pairing``) and read index by
+index, so it raises at the first index that fails; ``integrate``,
+``tv_norm_diff`` and ``integrate_ramp`` are the same passes over one
+index.
 """
 
 from __future__ import annotations
@@ -22,7 +23,7 @@ import numpy as np
 from .functions import PiecewiseFn, Ramp, constant_fn
 from .kernels import pos_neg_dots, ragged_sums
 from .measures import FiniteMeasure
-from .refinement import reduce_family
+from .refinement import FamilyPairing, reduce_family
 from .xreal import UnsupportedScenarioError, integral_of_parts
 
 __all__ = [
@@ -31,12 +32,11 @@ __all__ = [
 ]
 
 
-def _integrals(rows) -> Iterator[float]:
-    """The integral of each (f, m) row: the difference of its positive-
-    and negative-part integrals."""
-    parts = reduce_family(rows, lambda p: pos_neg_dots(
-        p.values[0], p.masses[0], p.offsets))
-    for pos, neg in parts:
+def chunk_integrals(p: FamilyPairing) -> Iterator[float]:
+    """Per index of a chunk, the integral of its first function against
+    its first measure: the difference of the positive- and negative-part
+    integrals."""
+    for pos, neg in pos_neg_dots(p.values[0], p.masses[0], p.offsets):
         yield integral_of_parts(pos, neg,
                                 "both positive and negative parts diverge")
 
@@ -44,8 +44,10 @@ def _integrals(rows) -> Iterator[float]:
 def integral_series(fns: Iterable[PiecewiseFn],
                     measures: Iterable[FiniteMeasure]) -> Iterator[float]:
     """The integral of each f_n against its mu_n, from ragged family
-    passes; read lazily, it raises at the first index that fails."""
-    return _integrals(((f,), (m,)) for f, m in zip(fns, measures))
+    passes; read index by index, it raises at the first index that
+    fails."""
+    return reduce_family((((f,), (m,)) for f, m in zip(fns, measures)),
+                         chunk_integrals)
 
 
 def integrate(f: PiecewiseFn, m: FiniteMeasure) -> float:
@@ -150,7 +152,7 @@ def integrate_ramp(r: Ramp, m: FiniteMeasure) -> float:
 
 def _bank_integrals(bank: list, measures: list) -> Iterator[float]:
     """The integral of every bank entry against every measure, measure by
-    measure and entry by entry in bank order, read lazily: step entries
+    measure and entry by entry in bank order, read one by one: step entries
     through ragged family passes, ramps through one vectorized pass."""
     steps = [h for h in bank if isinstance(h, PiecewiseFn)]
 
@@ -162,7 +164,7 @@ def _bank_integrals(bank: list, measures: list) -> Iterator[float]:
                         "bank functions must be bounded")
                 yield (h,), (m,)
 
-    step_values = _integrals(step_rows())
+    step_values = reduce_family(step_rows(), chunk_integrals)
     ramp_values = _ramp_integrals([h for h in bank if isinstance(h, Ramp)],
                                   measures)
     for _ in measures:

@@ -16,7 +16,7 @@ from typing import Callable, Optional
 
 import numpy as np
 
-from .kernels import comp_sum
+from .kernels import comp_sum, ragged_sums
 from .xreal import Interval, MalformedObjectError
 
 _LN2 = math.log(2.0)
@@ -190,24 +190,33 @@ class FiniteMeasure:
             out[i0:i1] += seg.mass_inside(edges[i0:i1], edges[i0 + 1:i1 + 1])
         return out
 
-    def mass_of_interval(self, lo: float, hi: float,
-                         lo_closed: bool = True, hi_closed: bool = False) -> float:
-        """Mass of an interval; endpoint atoms included per the closed flags."""
-        if hi < lo:
-            return 0.0
-        terms = []
-        for aloc, w in zip(self.atom_locs, self.atom_weights):
-            if (lo < aloc < hi) or (aloc == lo and lo_closed) or (aloc == hi and hi_closed):
-                terms.append(w)
+    def masses_of_intervals(self, los, his, lo_closed: bool = True,
+                            hi_closed: bool = False) -> list[float]:
+        """Mass of every interval (lo, hi), endpoint atoms included per the
+        closed flags: one row of atom, cell and segment terms per interval,
+        formed at once, and one exactly rounded sum of each row's terms."""
+        lo = np.asarray(los, dtype=np.float64)[:, None]
+        hi = np.asarray(his, dtype=np.float64)[:, None]
+        locs = self.atom_locs
+        atoms = (((lo < locs) & (locs < hi)) | ((locs == lo) & lo_closed)
+                 | ((locs == hi) & hi_closed))
         clip_lo = np.maximum(self.cell_los, lo)
         clip_hi = np.minimum(self.cell_his, hi)
-        grab = clip_hi > clip_lo
-        terms.extend(self.cell_densities[grab] * (clip_hi[grab] - clip_lo[grab]))
-        for seg in self.segments:
-            a, b = max(seg.lo, lo), min(seg.hi, hi)
-            if b > a:
-                terms.append(float(seg.mass(a, b)))
-        return comp_sum(np.asarray(terms)) if terms else 0.0
+        seg = np.zeros((lo.size, len(self.segments)))
+        seg_keep = np.zeros(seg.shape, dtype=bool)
+        for i, (a, b) in enumerate(zip(lo[:, 0].tolist(), hi[:, 0].tolist())):
+            for j, s in enumerate(self.segments):
+                s_lo, s_hi = max(s.lo, a), min(s.hi, b)
+                if s_hi > s_lo:
+                    seg[i, j], seg_keep[i, j] = float(s.mass(s_lo, s_hi)), True
+        terms = np.concatenate([np.broadcast_to(self.atom_weights, atoms.shape),
+                                self.cell_densities * (clip_hi - clip_lo), seg],
+                               axis=1)
+        keep = (np.concatenate([atoms, clip_hi > clip_lo, seg_keep], axis=1)
+                & (hi >= lo))
+        return list(ragged_sums(terms.ravel(),
+                                np.arange(lo.size + 1) * terms.shape[1],
+                                keep.ravel()))
 
     def piece_edges(self) -> np.ndarray:
         """All finite structural endpoints (cells, segments, atoms), sorted;

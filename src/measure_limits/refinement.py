@@ -256,9 +256,38 @@ def _pair_chunk(rows) -> FamilyPairing:
 
 def reduce_family(rows: Iterable, reduce) -> Iterator:
     """The per-index results of ``reduce(chunk)`` over the chunks of
-    ``family_pairing(rows)``, in index order and read lazily; a chunk is
-    released before the next one is built."""
-    for p in family_pairing(rows):
-        results = reduce(p)
-        del p
-        yield from results
+    ``family_pairing(rows)``, computed at once and read in index order; an
+    error is raised when its index is read."""
+    return replay(reduce_family_shared(rows, (reduce,))[0])
+
+
+def reduce_family_shared(rows: Iterable, reduces) -> list[list]:
+    """Several reductions of one pass, each chunk released before the next
+    one is built: per reduction, its per-index results, ended by its first
+    error if any (``replay`` reads them back).  A failing reduction does
+    not stop the others; an error of the pass itself ends every one that
+    has not failed."""
+    out: list[list] = [[] for _ in reduces]
+    live = list(range(len(reduces)))
+    try:
+        for p in family_pairing(rows):
+            for k in list(live):
+                try:
+                    for result in reduces[k](p):
+                        out[k].append(result)
+                except Exception as exc:
+                    out[k].append(exc)
+                    live.remove(k)
+            del p
+    except Exception as exc:
+        for k in live:
+            out[k].append(exc)
+    return out
+
+
+def replay(results: list) -> Iterator:
+    """``reduce_family_shared`` results, raising an error at its index."""
+    for result in results:
+        if isinstance(result, Exception):
+            raise result
+        yield result

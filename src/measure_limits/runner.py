@@ -1,10 +1,10 @@
 """Check execution and report assembly for scenario documents.
 
 Each requested check runs against the built scenario and yields a verdict
-record; module errors become per-check ``error`` verdicts instead of
-aborting the run.  Reports serialize canonically so identical inputs hash
-identically.  Checks run one after another and share the scenario's
-memoized computations.
+record; an exception a check raises becomes its ``error`` verdict
+instead of aborting the run.  Reports serialize canonically so identical
+inputs hash identically.  Checks run one after another and share the
+scenario's memoized computations.
 """
 
 from __future__ import annotations
@@ -26,7 +26,7 @@ from .integration import default_bank, weak_gap_bank
 from .scenario import KNOWN_CHECKS, ScenarioDoc, canonical_json
 from .tails import verdict
 from .uniform import trend_vanishing
-from .xreal import MeasureLimitsError, ScenarioFormatError
+from .xreal import ScenarioFormatError
 
 PASS = "pass"
 FAIL = "fail"
@@ -227,7 +227,7 @@ _CHECKS = {name: globals()[f"_check_{name}"] for name in KNOWN_CHECKS}
 
 def run_checks(doc: ScenarioDoc, checks: Optional[tuple[str, ...]] = None
                ) -> ReportDoc:
-    """Execute the requested checks; failed modules yield 'error' verdicts."""
+    """Execute the requested checks; a check that raises reads 'error'."""
     names = tuple(checks if checks is not None else doc.checks)
     unknown = [n for n in names if n not in _CHECKS]
     if unknown:
@@ -236,11 +236,12 @@ def run_checks(doc: ScenarioDoc, checks: Optional[tuple[str, ...]] = None
     sc = doc.scenario
 
     def one(name: str) -> CheckResult:
+        # module errors, math.fsum's OverflowError (finite products whose
+        # sum passes the double range) and any other failure of one check
+        # are its error verdict; the other checks still run
         try:
             return _CHECKS[name](sc)
-        # finite products whose sum passes the double range make the
-        # kernels' math.fsum raise OverflowError
-        except (MeasureLimitsError, OverflowError) as exc:
+        except Exception as exc:
             return CheckResult(name, "error",
                                {"error": f"{type(exc).__name__}: {exc}"}, {})
 

@@ -44,6 +44,8 @@ def _canon(value: Any, out: list[str]) -> None:
     elif isinstance(value, int):
         out.append(str(value))
     elif isinstance(value, float):
+        if math.isnan(value):
+            raise ValueError("cannot serialize NaN in canonical JSON")
         if math.isinf(value):
             out.append('"inf"' if value > 0 else '"-inf"')
         else:
@@ -244,6 +246,8 @@ def parse_scenario(text: str, tol: Optional[float] = None,
         raise ScenarioFormatError(
             f"invalid JSON at line {exc.lineno}, column {exc.colno}: {exc.msg}"
         ) from None
+    except RecursionError:
+        raise _fail("$", "arrays and objects nest too deeply") from None
     if not isinstance(data, dict):
         raise _fail("$", "scenario document must be a JSON object")
     tols = data.get("tolerances")

@@ -12,14 +12,14 @@ from __future__ import annotations
 import csv
 import io
 from dataclasses import dataclass
-from typing import Optional
+from typing import Iterator, Optional
 
 import numpy as np
 
 from .functions import FnSequence
 from .kernels import tail_dots
 from .measures import FiniteMeasure
-from .refinement import reduce_family
+from .refinement import FamilyPairing, reduce_family
 
 DEFAULT_K_GRID: tuple[float, ...] = tuple(2.0 ** j for j in range(-1, 13))
 
@@ -60,25 +60,42 @@ class UiVerdict:
 
 
 def tail_curve(seq: FnSequence, measures: tuple[FiniteMeasure, ...],
-               k_grid=DEFAULT_K_GRID, window_start: Optional[int] = None
-               ) -> TailCurve:
+               k_grid=DEFAULT_K_GRID, window_start: Optional[int] = None,
+               negative: bool = False) -> TailCurve:
     """Table of the integrals of |f_n| over {|f_n| >= K} against mu_n, for
     every index n and grid level K (inclusive threshold; exact, +inf
-    allowed), with its aggregates.  Each index is refined on its own, in
-    ragged passes over the family, and each pass's rows come from one
-    ``tail_dots`` call over the whole grid."""
+    allowed), with its aggregates; of the negative parts max(-f_n, 0)
+    with ``negative``.  Each index is refined on its own, in ragged passes
+    over the family, and each pass's rows come from one ``tail_dots``
+    call over the whole grid."""
+    k_grid = tuple(k_grid)
+    rows = (((f,), (m,)) for f, m in zip(seq.fns, measures))
+    return curve_of(reduce_family(rows, lambda p: tail_rows(p, k_grid, negative)),
+                    seq.n_max, k_grid, window_start)
+
+
+def tail_rows(p: FamilyPairing, k_grid, negative: bool = False
+              ) -> Iterator[np.ndarray]:
+    """Per index of a chunk, the tail row of its first function against
+    its first measure, or of the negative part max(-v, 0): bit for bit
+    the row of that part refined on its own, whose merged cells are 0."""
+    v = np.maximum(-p.values[0], 0.0) if negative else p.values[0]
+    return tail_dots(v, p.masses[0], p.offsets, k_grid)
+
+
+def curve_of(rows, n_max: int, k_grid, window_start: Optional[int] = None
+             ) -> TailCurve:
+    """The curve of the tail rows of indices 1..n_max, read once the grid
+    and the window start are checked; a row that raises raises here."""
     k_grid = tuple(float(k) for k in k_grid)
     if not k_grid or any(k <= 0 for k in k_grid) or list(k_grid) != sorted(k_grid):
         raise ValueError("K grid must be nonempty, positive, and sorted")
-    n_max = seq.n_max
     if window_start is None:
         window_start = default_window_start(n_max)
     if not 1 <= window_start <= n_max:
         raise ValueError(f"window start {window_start} outside 1..{n_max}")
     table = np.empty((n_max, len(k_grid)))
-    rows = (((f,), (m,)) for f, m in zip(seq.fns, measures))
-    for n, row in enumerate(reduce_family(rows, lambda p: tail_dots(
-            p.values[0], p.masses[0], p.offsets, k_grid))):
+    for n, row in enumerate(rows):
         table[n] = row
     sup_curve = np.max(table, axis=0)
     limsup_curve = np.max(table[window_start - 1:, :], axis=0)

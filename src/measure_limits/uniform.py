@@ -22,20 +22,15 @@ from typing import TYPE_CHECKING, Iterator
 import numpy as np
 
 from .functions import FnSequence, PiecewiseFn
-from .integration import integral_series, integrate
+from .integration import integrate
 from .kernels import comp_sum, ragged_sums, sign_sums
 from .measures import FiniteMeasure
-from .refinement import FamilyPairing, family_pairing, reduce_family
+from .refinement import FamilyPairing, family_pairing, reduce_family, replay
 from .tails import verdict
 from .xreal import NotIntegrableError, UnsupportedScenarioError
 
 if TYPE_CHECKING:
     from .fatou import Scenario
-
-
-def _require_l1(f: PiecewiseFn, m: FiniteMeasure, what: str) -> None:
-    if integrate(abs(f), m) == math.inf:
-        raise NotIntegrableError(f"{what} is not integrable against its measure")
 
 
 def _check_shared_segments(m_n: FiniteMeasure, m: FiniteMeasure) -> None:
@@ -186,7 +181,7 @@ def uniform_report(sc: Scenario) -> UniformReport:
         raise UnsupportedScenarioError("uniform checks need a limit function")
     t = sc.tolerances
     f, m = sc.limit_fn, sc.limit_measure
-    l1 = integral_series(sc.abs_seq.fns, sc.measures)
+    l1 = replay(sc.abs_pass[0])
     gaps = _gap_series(_gap_rows(sc.f_seq.fns, sc.measures, f, m))
     inf_gaps, sup_gaps = [], []
     for n in range(1, sc.n_max + 1):
@@ -196,7 +191,9 @@ def uniform_report(sc: Scenario) -> UniformReport:
         if n == 1:
             # the limit is the same at every index, so it is checked once,
             # after f_1: a non-integrable f_1 is the first error raised
-            _require_l1(f, m, "limit function")
+            if integrate(abs(f), m) == math.inf:
+                raise NotIntegrableError(
+                    "limit function is not integrable against its measure")
         inf_gap, sup_gap = next(gaps)
         inf_gaps.append(inf_gap)
         sup_gaps.append(sup_gap)

@@ -5,7 +5,8 @@ evaluate functions pointwise through binary search, accumulate with
 math.fsum, and derive analytic masses straight from the CDF, so agreement
 with the main path is meaningful.  The per-index oracles at the end are
 the loops that the ragged family passes replaced: one ``common_refinement``
-per index, reduced by the cell-loop kernels.
+per index, reduced by the cell-loop kernels.  The epi and tail oracles
+keep the one-quantity paths that the shared scans and passes replaced.
 """
 
 from __future__ import annotations
@@ -18,6 +19,8 @@ import numpy as np
 
 from measure_limits import EpiCertificate, FiniteMeasure, FnSequence, Interval
 from measure_limits import PiecewiseFn, Ramp, Scenario, lebesgue
+from measure_limits import epilimits, tail_curve
+from measure_limits.integration import integral_series
 from measure_limits import zero_fn
 from measure_limits.kernels import tail_dots, union_edges
 from measure_limits.uniform import _gap_rows, _gap_series
@@ -26,6 +29,7 @@ from measure_limits.xreal import (
     MalformedObjectError,
     NotIntegrableError,
     UnsupportedScenarioError,
+    close,
     integral_of_parts,
 )
 from measure_limits.gallery import _comb_depths, _comb_domain
@@ -266,6 +270,141 @@ def scan_epi_oracle(seq: FnSequence, s: float, sched, lower: bool
             best = min(best, lo) if lower else max(best, hi)
         per_j.append(best)
     return per_j
+
+
+def scan_columns(seq: FnSequence, pts, sched, lower: bool) -> np.ndarray:
+    """One direction of ``epilimits.epi_scan``'s columns at pts, in their
+    order; a ball around one of them that misses the domain raises, as it
+    does for the scan's readers."""
+    pts = np.asarray(pts, dtype=np.float64)
+    points, cols, _, empty = epilimits.epi_scan(seq, pts, sched, 1e-9)
+    at = np.searchsorted(points, pts)
+    epilimits._require_nonempty(empty[at])
+    return cols[0 if lower else 1][at]
+
+
+def envelope_oracle(fns, lower: bool) -> PiecewiseFn:
+    """The one-direction envelope that the two-sided scan replaced:
+    min (lower) or max of a family, each function looked up on its own
+    union of breakpoints."""
+    domain = fns[0].domain
+    if any(f.domain != domain for f in fns):
+        raise DomainMismatchError("an epi-limit scan requires a shared domain")
+    ext = np.minimum if lower else np.maximum
+    edges = union_edges([f.breakpoints for f in fns])
+    vals = np.full(max(edges.size - 1, 0), math.inf if lower else -math.inf)
+    for f in fns:
+        lut = np.concatenate([[f.default], f.values, [f.default]])
+        ext(vals, lut[np.searchsorted(f.breakpoints, edges[:-1], side="right")],
+            out=vals)
+    return PiecewiseFn(edges, vals, float(ext.reduce([f.default for f in fns])),
+                       domain)
+
+
+def ball_extrema_oracle(f: PiecewiseFn, lo, hi, lo_closed, hi_closed,
+                        lower: bool) -> np.ndarray:
+    """The one-direction ball scan that the two-sided one replaced: inf
+    (lower) or sup of one step function over every clipped ball."""
+    better = np.less if lower else np.greater
+    out = np.full(lo.shape, math.inf if lower else -math.inf)
+
+    def offer(where: np.ndarray, cand) -> None:
+        np.copyto(out, cand, where=where & better(cand, out))
+
+    inner = hi > lo
+    if lo_closed.any():
+        offer(lo_closed, f(f.domain.lo))
+    if (hi_closed & inner).any():
+        offer(hi_closed & inner, f(f.domain.hi))
+    bp, vals = f.breakpoints, f.values
+    if bp.size == 0:
+        offer(inner, f.default)
+        return out
+    i0 = np.maximum(np.searchsorted(bp, lo, side="right") - 1, 0)
+    i1 = np.minimum(np.searchsorted(bp, hi, side="left"), vals.size)
+    hit = inner & (i1 > i0)
+    if hit.any():
+        cand = np.empty(lo.shape)
+        cand[hit] = epilimits._reduce_ranges(
+            np.minimum if lower else np.maximum, vals, i0[hit], i1[hit])
+        offer(hit, cand)
+    offer(inner & ((lo < bp[0]) | (hi > bp[-1])), f.default)
+    return out
+
+
+def estimates_oracle(seq: FnSequence, pts, sched, lower: bool,
+                     stab_tol: float = 1e-9):
+    """The one-direction estimates that the two-sided scan replaced:
+    (values, stabilized flags, certainty) at pts, each of the last two
+    steps scanning one envelope and rejecting an empty ball at once."""
+    cert = seq.epi_liminf_cert if lower else seq.epi_limsup_cert
+    pts = np.asarray(pts, dtype=np.float64)
+    if cert is not None:
+        deltas = np.asarray([d for n, d in sched.steps if n <= seq.n_max])
+        *_, empty = epilimits._balls(cert.fn.domain, pts, deltas)
+        epilimits._require_nonempty(empty)
+        return (np.asarray([cert.value_at(s, "lower" if lower else "upper")
+                            for s in pts.tolist()]),
+                np.ones(pts.size, dtype=bool), "exact")
+    steps = sched.steps[-2:]
+    cols = np.full((pts.size, len(steps)), math.inf if lower else -math.inf)
+    for j, (n, delta) in enumerate(steps):
+        if n > seq.n_max:
+            continue
+        env = envelope_oracle(seq.fns[n - 1:], lower)
+        *balls, empty = epilimits._balls(env.domain, pts, np.asarray([delta]))
+        epilimits._require_nonempty(empty)
+        cols[:, j] = ball_extrema_oracle(env, *balls, lower)[:, 0]
+    stab = [len(c) == 2 and close(c[0], c[1], stab_tol) for c in cols.tolist()]
+    return cols[:, -1], np.asarray(stab, dtype=bool), "window"
+
+
+def part(f: PiecewiseFn, which: str) -> PiecewiseFn:
+    """Positive part max(f, 0) or negative part -min(f, 0), both
+    nonnegative, as step functions of their own."""
+    if which == "positive":
+        return f.map_values(lambda v: np.maximum(v, 0.0), lambda d: max(d, 0.0))
+    if which == "negative":
+        return f.map_values(lambda v: np.maximum(-v, 0.0), lambda d: max(-d, 0.0))
+    raise ValueError(f"which must be 'positive' or 'negative', got {which!r}")
+
+
+def neg_parts(sc: Scenario) -> FnSequence:
+    """The family of the negative parts ``part(f_n, "negative")``."""
+    return FnSequence(tuple(part(f, "negative") for f in sc.f_seq.fns))
+
+
+def neg_tail_curve_oracle(sc: Scenario):
+    """The negative-part tail curve as a family pass of its own, over the
+    ``part(f_n, "negative")`` family."""
+    return tail_curve(neg_parts(sc), sc.measures, sc.k_grid, sc.window_start)
+
+
+def l1_series_oracle(sc: Scenario):
+    """The L1 norms of the f_n as a family pass of their own, over the
+    |f_n| family; read index by index."""
+    return integral_series([abs(f) for f in sc.f_seq.fns], sc.measures)
+
+
+def loop_mass_of_interval(m: FiniteMeasure, lo: float, hi: float,
+                          lo_closed: bool, hi_closed: bool) -> float:
+    """Reference for ``FiniteMeasure.masses_of_intervals``: one interval,
+    its atoms tested one by one."""
+    if hi < lo:
+        return 0.0
+    terms = []
+    for aloc, w in zip(m.atom_locs, m.atom_weights):
+        if (lo < aloc < hi) or (aloc == lo and lo_closed) or (aloc == hi and hi_closed):
+            terms.append(w)
+    clip_lo = np.maximum(m.cell_los, lo)
+    clip_hi = np.minimum(m.cell_his, hi)
+    grab = clip_hi > clip_lo
+    terms.extend(m.cell_densities[grab] * (clip_hi[grab] - clip_lo[grab]))
+    for seg in m.segments:
+        a, b = max(seg.lo, lo), min(seg.hi, hi)
+        if b > a:
+            terms.append(float(seg.mass(a, b)))
+    return math.fsum(terms) + 0.0 if terms else 0.0
 
 
 def unique_edges(pieces) -> np.ndarray:

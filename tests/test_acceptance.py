@@ -19,7 +19,6 @@ from measure_limits import (
     first_shift,
     integrate,
     lebesgue,
-    part,
     tail_curve,
     tv_norm_diff,
     uniform_report,
@@ -38,6 +37,8 @@ from measure_limits.gallery import staircase_tail_formula
 from helpers import (
     fatou_random_scenario,
     masses_extrema,
+    neg_parts,
+    part,
     rand_atomic_measure,
     rand_measure,
     rand_step_fn,
@@ -59,7 +60,7 @@ def test_criterion_1_staircase_conformance():
     residual = 52.0 * 2.0 ** -50
     tol = 1e-9 + residual
     ks = [0.5] + [float(k) for k in range(1, 11)]
-    table = tail_curve(sc.neg_part_seq, sc.measures, ks).table
+    table = tail_curve(neg_parts(sc), sc.measures, ks).table
     ok = True
     for n in range(1, 65):
         for j, k in enumerate(ks):

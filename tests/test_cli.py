@@ -1,9 +1,12 @@
+import dataclasses
 import importlib.util
 import json
+import math
 from pathlib import Path
 
 import pytest
 
+from measure_limits import gallery, runner
 from measure_limits.cli import main
 
 COMB_DOC = {
@@ -347,3 +350,44 @@ def test_every_infinite_probe_report_is_strict_json(tmp_path, capsys):
                                 parse_constant=_reject_constant)
             null_gaps += report["checks"]["fatou"]["gap"] is None
     assert null_gaps == 15
+
+
+def test_check_reports_a_too_deeply_nested_document_as_an_error(tmp_path,
+                                                                capsys):
+    src = tmp_path / "deep.json"
+    src.write_text("[" * 100_000 + "]" * 100_000, encoding="utf-8")
+    assert main(["check", str(src)]) == 1
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == "error: $: arrays and objects nest too deeply\n"
+
+
+def test_a_nan_in_a_check_report_is_an_error(tmp_path, capsys, monkeypatch):
+    # canonical JSON has no NaN: nothing is written, neither the report
+    # nor the curves
+    def nan_ui(sc):
+        return runner.CheckResult("ui", "pass", {"k_star": math.nan},
+                                  {"ui_tail_curve": "K\n"})
+
+    monkeypatch.setitem(runner._CHECKS, "ui", nan_ui)
+    out, curves = tmp_path / "report.json", tmp_path / "curves"
+    argv = ["check", str(write(tmp_path, HOLDS_DOC)), "--out", str(out),
+            "--curves-dir", str(curves)]
+    assert main(argv) == 1
+    err = capsys.readouterr().err
+    assert err.startswith("error: cannot serialize NaN")
+    assert "Traceback" not in err
+    assert not out.exists() and not curves.exists()
+
+
+def test_a_nan_in_a_gallery_report_is_an_error(tmp_path, capsys, monkeypatch):
+    run = gallery.run
+
+    def nan_run(fixture):
+        return dataclasses.replace(run(fixture), elapsed_s=math.nan)
+
+    monkeypatch.setattr(gallery, "run", nan_run)
+    out = tmp_path / "conf.json"
+    assert main(["gallery", "run", "flat_negative", "--out", str(out)]) == 1
+    assert capsys.readouterr().err.startswith("error: cannot serialize NaN")
+    assert not out.exists()

@@ -1,11 +1,15 @@
-"""The envelope epi-limit scan against the scalar ``range_on`` oracle.
+"""The two-sided envelope epi-limit scan against the scalar ``range_on``
+oracle and the one-direction scan it replaced.
 
 The engine in ``measure_limits.epilimits`` scans the last two schedule
-steps of every point of a family at once, each step on the envelope of
-its tail; ``helpers.scan_epi_oracle`` scans one point at every step with
-one scalar ``helpers.range_on`` call per step and index.  The engine's
-columns must equal the oracle's last two entries bit for bit, the sign
-of zero included, and the two must reject the same empty balls.
+steps of every point of a family at once and in both directions, each
+step on the min and max envelopes of its tail;
+``helpers.scan_epi_oracle`` scans one point at every step with one scalar
+``helpers.range_on`` call per step and index.  The engine's columns must
+equal the oracle's last two entries bit for bit in both directions, the
+sign of zero included, and the two must reject the same empty balls.
+``helpers.estimates_oracle`` is the one-direction scan, per quantity,
+that a scenario's shared scans must reproduce.
 """
 
 import math
@@ -29,12 +33,23 @@ from measure_limits import (
     lebesgue,
     zero_fn,
 )
-from measure_limits.epilimits import _envelope, _scan
+from measure_limits.epilimits import _envelopes, _estimates, epi_scan, epi_window
 from measure_limits.fatou import dct_report, fatou_report, majorant_check
 from measure_limits.fatou import minorant_check, weakened_minorant_probe
-from measure_limits.xreal import DomainMismatchError, MalformedObjectError, close
+from measure_limits.kernels import pos_neg_dot
+from measure_limits.xreal import (
+    DomainMismatchError,
+    MalformedObjectError,
+    close,
+    integral_of_parts,
+)
 
-from helpers import fatou_random_scenario, scan_epi_oracle
+from helpers import (
+    estimates_oracle,
+    fatou_random_scenario,
+    scan_columns,
+    scan_epi_oracle,
+)
 
 # dyadic breakpoints and radii: a point of the grid plus or minus a radius
 # lands exactly on another grid point, i.e. on a breakpoint
@@ -74,7 +89,9 @@ def families(draw):
         st.one_of(st.sampled_from(GRID),
                   st.floats(0.0, 1.0, allow_nan=False)),
         min_size=1, max_size=6))
-    seq = FnSequence(tuple(fns))
+    # a shorter family leaves the schedule's last steps past its end
+    seq = FnSequence(tuple(fns[:draw(st.integers(1, n_max))]
+                           if draw(st.booleans()) else fns))
     return seq, sched, pts
 
 
@@ -85,51 +102,71 @@ def bits(values) -> list[str]:
 @settings(max_examples=200, deadline=None)
 @given(st.sampled_from(DOMAINS).flatmap(
            lambda d: st.lists(step_fns(d), min_size=1, max_size=6)),
-       st.booleans(), st.lists(st.floats(0.0, 1.0, allow_nan=False),
-                               max_size=4))
-def test_envelope_is_the_pointwise_extreme(fns, lower, extra):
-    env = _envelope(fns, lower)
+       st.lists(st.floats(0.0, 1.0, allow_nan=False), max_size=4))
+def test_envelopes_are_the_pointwise_extremes(fns, extra):
+    edges, vals, defaults = _envelopes(fns)
     dom = fns[0].domain
+    lo, hi = (PiecewiseFn(edges, vals[k], defaults[k], dom) for k in (0, 1))
     xs = [x for f in fns for x in f.breakpoints.tolist()]
     xs += [dom.lo, dom.hi] + extra + GRID
-    ext = min if lower else max
     for x in xs:
         if dom.contains(x):
-            assert bits([env(x)]) == bits([ext(f(x) for f in fns)])
+            assert bits([lo(x)]) == bits([min(f(x) for f in fns)])
+            assert bits([hi(x)]) == bits([max(f(x) for f in fns)])
 
 
 def test_envelope_rejects_a_family_on_two_domains():
     fns = [PiecewiseFn([0.0, 0.5], [1.0], 0.0, DOMAINS[0]),
            PiecewiseFn([0.0, 0.5], [1.0], 0.0, DOMAINS[2])]
     with pytest.raises(DomainMismatchError):
-        _envelope(fns, True)
+        _envelopes(fns)
     sched = EpiSchedule(((1, 0.25), (2, 0.125)), 2)
     with pytest.raises(DomainMismatchError):
         epi_liminf(FnSequence(tuple(fns)), 0.25, sched)
 
 
 @settings(max_examples=400, deadline=None)
-@given(families(), st.booleans())
-def test_batched_scan_matches_scalar_oracle(family, lower):
+@given(families())
+def test_two_sided_scan_matches_scalar_oracle(family):
     seq, sched, pts = family
-    rows = _scan(seq, np.asarray(pts, dtype=np.float64), sched, lower)
-    assert rows.shape == (len(pts), min(2, len(sched.steps)))
-    for s, row in zip(pts, rows):
-        assert bits(row) == bits(scan_epi_oracle(seq, s, sched, lower)[-2:])
+    for lower in (True, False):
+        rows = scan_columns(seq, pts, sched, lower)
+        assert rows.shape == (len(pts), min(2, len(sched.steps)))
+        for s, row in zip(pts, rows):
+            want = scan_epi_oracle(seq, s, sched, lower)[-2:]
+            assert bits(row) == bits(want)
+
+
+@settings(max_examples=300, deadline=None)
+@given(families(), st.sampled_from([0.0, 1e-9, 0.5]))
+def test_two_sided_scan_matches_one_direction_scans(family, stab_tol):
+    # values and stabilized flags of both directions, from one scan, are
+    # those of one scan per direction
+    seq, sched, pts = family
+    scan = epi_scan(seq, pts, sched, stab_tol)
+    for lower in (True, False):
+        want = estimates_oracle(seq, pts, sched, lower, stab_tol)
+        got = _estimates(seq, pts, sched, lower, lambda: scan)
+        assert bits(got[0]) == bits(want[0])
+        assert got[1].tolist() == want[1].tolist()
+        assert got[2] == want[2] == "window"
 
 
 @settings(max_examples=150, deadline=None)
 @given(families(), st.booleans(),
        st.floats(-3.0, 4.0, allow_nan=False))
 def test_batched_scan_rejects_the_balls_the_oracle_rejects(family, lower, s):
+    # the engine reads the last two steps only: a step before them may
+    # reach the family where they do not, and its ball is not checked
     seq, sched, pts = family
+    read = EpiSchedule(sched.steps[-2:], sched.n_max)
     try:
-        want = bits(scan_epi_oracle(seq, s, sched, lower))
+        want = bits(scan_epi_oracle(seq, s, read, lower))
     except MalformedObjectError:
         with pytest.raises(MalformedObjectError):
-            _scan(seq, np.asarray(pts + [s]), sched, lower)
+            scan_columns(seq, pts + [s], sched, lower)
         return
-    got = _scan(seq, np.asarray(pts + [s]), sched, lower)
+    got = scan_columns(seq, pts + [s], sched, lower)
     assert bits(got[-1]) == want[-2:]
 
 
@@ -143,7 +180,7 @@ def test_scan_on_breakpoints_domain_ends_and_unbounded_domain():
         sched = EpiSchedule(((1, 0.25), (2, 0.125), (3, 0.0625)), 3)
         pts = [0.0, 0.125, 0.25, 0.5, 0.75, 1.0]
         for lower in (True, False):
-            rows = _scan(seq, np.asarray(pts), sched, lower)
+            rows = scan_columns(seq, pts, sched, lower)
             for s, row in zip(pts, rows):
                 want = scan_epi_oracle(seq, s, sched, lower)[-2:]
                 assert bits(row) == bits(want)
@@ -153,7 +190,7 @@ def test_one_step_schedule_reads_one_column_and_never_stabilizes():
     fns = [PiecewiseFn([0.0, 0.5, 1.0], [-0.0, 2.0], 1.0, DOMAINS[0])] * 3
     seq = FnSequence(tuple(fns))
     sched = EpiSchedule(((2, 0.25),), 3)
-    rows = _scan(seq, np.asarray([0.25, 0.75]), sched, True)
+    rows = scan_columns(seq, [0.25, 0.75], sched, True)
     assert rows.shape == (2, 1)
     for s, row in zip((0.25, 0.75), rows):
         assert bits(row) == bits(scan_epi_oracle(seq, s, sched, True))
@@ -166,14 +203,14 @@ def test_a_step_past_the_family_is_infinite_and_checks_no_ball():
     seq = FnSequence((PiecewiseFn([0.0, 0.5], [3.0], 1.0, dom),) * 4)
     sched = EpiSchedule(((2, 0.5), (4, 0.25), (6, 0.125)), 6)
     for lower, inf in ((True, math.inf), (False, -math.inf)):
-        rows = _scan(seq, np.asarray([0.25, 0.75]), sched, lower)
+        rows = scan_columns(seq, [0.25, 0.75], sched, lower)
         assert rows.tolist() == [[3.0, inf], [1.0, inf]]
         for s, row in zip((0.25, 0.75), rows):
             assert bits(row) == bits(scan_epi_oracle(seq, s, sched, lower)[-2:])
     # the last two steps pass the family: a point off the domain is not
     # checked, as the oracle checks no ball of such a step
     past = EpiSchedule(((2, 0.5), (5, 0.25), (6, 0.125)), 6)
-    assert _scan(seq, np.asarray([5.0]), past, True).tolist() == [[math.inf] * 2]
+    assert scan_columns(seq, [5.0], past, True).tolist() == [[math.inf] * 2]
 
 
 def test_public_estimates_match_oracle():
@@ -205,9 +242,9 @@ def test_certified_estimate_builds_nothing(monkeypatch):
 
     def counted(*args):
         calls.append(1)
-        return _scan(*args)
+        return epi_scan(*args)
 
-    monkeypatch.setattr(epilimits, "_scan", counted)
+    monkeypatch.setattr(epilimits, "epi_scan", counted)
     seq = spike_seq(16)
     sched = EpiSchedule.default(16)
     est = epi_liminf(seq, 0.0, sched)
@@ -248,3 +285,37 @@ def test_epi_integrals_are_computed_once_per_scenario(monkeypatch):
     assert sorted(seen) == sorted({(id(sc.f_seq), "liminf"),
                                    (id(sc.g_seq), "liminf"),
                                    (id(sc.g_seq), "limsup")})
+
+
+def one_direction_integral(seq, m, lower, sched, grid) -> float:
+    pts, masses, _ = epi_window(seq, m, sched, grid, 1e-9)
+    vals = estimates_oracle(seq, pts, sched, lower)[0]
+    return integral_of_parts(*pos_neg_dot(vals, masses),
+                             "epi integral undefined")
+
+
+def test_scenario_scans_match_one_direction_paths():
+    # a scenario scans f once for its epi-liminf integral and the sample
+    # grid, and g once for both its integrals: every value is that of a
+    # scan per quantity and direction
+    rng = np.random.default_rng(23)
+    for _ in range(12):
+        sc = fatou_random_scenario(rng, n_max=8)
+        sc.g_seq = FnSequence(tuple(
+            f.map_values(lambda v: v - 0.5, lambda d: d - 0.5)
+            for f in sc.f_seq.fns))
+        sched, grid, mu = sc.resolved_schedule(), sc.resolved_grid(), sc.limit_measure
+        for (got, cert), seq, lower in ((sc.f_epi_liminf, sc.f_seq, True),
+                                        (sc.g_epi_liminf, sc.g_seq, True),
+                                        (sc.g_epi_limsup, sc.g_seq, False)):
+            assert cert == "window"
+            want = one_direction_integral(seq, mu, lower, sched, grid)
+            assert bits([got]) == bits([want])
+        rep = dct_report(sc)
+        alone = epi_limit_exists(sc.f_seq, grid, sched, sc.tolerances.tol, mu)
+        assert bits([rep.exception_mass]) == bits([alone.exception_mass])
+        lo = estimates_oracle(sc.f_seq, sorted(grid), sched, True)
+        hi = estimates_oracle(sc.f_seq, sorted(grid), sched, False)
+        oks = [bool(a and b and close(x, y, sc.tolerances.tol)) for x, y, a, b
+               in zip(lo[0].tolist(), hi[0].tolist(), lo[1], hi[1])]
+        assert list(alone.point_ok) == oks

@@ -18,10 +18,9 @@ from measure_limits import (
     zero_fn,
 )
 from measure_limits import gallery
-from measure_limits.epilimits import _scan
 from measure_limits.xreal import ScheduleError
 
-from helpers import constant_seq, rand_step_fn
+from helpers import constant_seq, rand_step_fn, scan_columns
 
 LN2 = math.log(2.0)
 DOM = Interval(0.0, 1.0)
@@ -123,8 +122,8 @@ def test_liminf_of_negation_mirrors_limsup():
         seq = FnSequence(tuple(fns))
         neg = FnSequence(tuple(-f for f in fns))
         pts = rng.uniform(0, 1, 5)
-        a = _scan(neg, pts, sched, True).tolist()
-        b = _scan(seq, pts, sched, False).tolist()
+        a = scan_columns(neg, pts, sched, True).tolist()
+        b = scan_columns(seq, pts, sched, False).tolist()
         assert a == [[-x for x in row] for row in b]
 
 

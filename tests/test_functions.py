@@ -12,11 +12,10 @@ from measure_limits import (
     PiecewiseFn,
     Ramp,
     dominates,
-    part,
     zero_fn,
 )
 
-from helpers import range_on
+from helpers import part, range_on
 
 DOM = Interval(0.0, 1.0)
 

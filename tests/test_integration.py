@@ -19,7 +19,6 @@ from measure_limits import (
     integrate_ramp,
     lebesgue,
     make_segment,
-    part,
     point_mass,
     tv_norm_diff,
     weak_gap_bank,
@@ -29,7 +28,13 @@ from measure_limits import (
 from measure_limits import refinement
 from measure_limits.integration import integral_series, tv_series
 
-from helpers import rand_atomic_measure, rand_measure, rand_step_fn, scan_integrate
+from helpers import (
+    part,
+    rand_atomic_measure,
+    rand_measure,
+    rand_step_fn,
+    scan_integrate,
+)
 from test_functions import step_fns
 
 LN2 = math.log(2.0)

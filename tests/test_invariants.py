@@ -17,7 +17,6 @@ from measure_limits import (
     epi_limsup,
     integrate,
     lebesgue,
-    part,
     tail_curve,
     tv_norm_diff,
 )
@@ -27,6 +26,7 @@ from measure_limits.fatou import fatou_report
 from helpers import (
     fatou_random_scenario,
     masses_extrema,
+    part,
     rand_atomic_measure,
     rand_measure,
     rand_step_fn,

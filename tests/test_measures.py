@@ -2,6 +2,8 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from measure_limits import (
     FiniteMeasure,
@@ -12,7 +14,7 @@ from measure_limits import (
     point_mass,
 )
 
-from helpers import riemann_mass
+from helpers import loop_mass_of_interval, riemann_mass
 
 LN2 = math.log(2.0)
 
@@ -78,18 +80,41 @@ def test_atoms_may_sit_inside_cells():
     m = FiniteMeasure(atoms=[(0.5, 2.0)], cells=[(0.0, 1.0, 1.0)],
                       domain=Interval(0.0, 1.0))
     assert m.total_mass() == 3.0
-    assert m.mass_of_interval(0.25, 0.75) == pytest.approx(2.5)
+    assert m.masses_of_intervals([0.25], [0.75]) == [pytest.approx(2.5)]
 
 
 def test_mass_of_interval_endpoint_flags():
     m = point_mass(0.5, 1.0, Interval(0.0, 1.0))
-    assert m.mass_of_interval(0.5, 0.7, lo_closed=True) == 1.0
-    assert m.mass_of_interval(0.5, 0.7, lo_closed=False) == 0.0
-    assert m.mass_of_interval(0.2, 0.5, hi_closed=True) == 1.0
-    assert m.mass_of_interval(0.2, 0.5, hi_closed=False) == 0.0
+    assert m.masses_of_intervals([0.5], [0.7], lo_closed=True) == [1.0]
+    assert m.masses_of_intervals([0.5], [0.7], lo_closed=False) == [0.0]
+    assert m.masses_of_intervals([0.2], [0.5], hi_closed=True) == [1.0]
+    assert m.masses_of_intervals([0.2], [0.5], hi_closed=False) == [0.0]
+
+
+# dyadic ends: interval ends land on atoms, cell ends and segment ends
+ENDS = [k / 8 for k in range(-2, 19)]
+
+
+@settings(max_examples=200, deadline=None)
+@given(st.lists(st.sampled_from(ENDS[2:-2]), max_size=4, unique=True),
+       st.sampled_from([(), ((0.0, 0.5, 2.0), (0.75, 1.25, 0.3))]),
+       st.booleans(),
+       st.lists(st.tuples(st.sampled_from(ENDS), st.sampled_from(ENDS)),
+                max_size=6),
+       st.booleans(), st.booleans())
+def test_masses_of_intervals_match_one_interval_at_a_time(
+        locs, cells, segment, bounds, lo_closed, hi_closed):
+    m = FiniteMeasure(atoms=[(x, 0.1 + x) for x in locs], cells=cells,
+                      segments=[make_segment("exp2", 1.5, 2.0)] if segment else [],
+                      domain=Interval(-0.25, 2.25))
+    got = m.masses_of_intervals([a for a, _ in bounds], [b for _, b in bounds],
+                                lo_closed, hi_closed)
+    want = [loop_mass_of_interval(m, a, b, lo_closed, hi_closed)
+            for a, b in bounds]
+    assert [x.hex() for x in got] == [x.hex() for x in want]
 
 
 def test_lebesgue_helper():
     m = lebesgue(-1.0, 1.0)
     assert m.total_mass() == 2.0
-    assert m.mass_of_interval(-0.5, 0.25) == pytest.approx(0.75)
+    assert m.masses_of_intervals([-0.5], [0.25]) == [pytest.approx(0.75)]

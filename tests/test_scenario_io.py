@@ -1,6 +1,7 @@
 import json
 import math
 
+import numpy as np
 import pytest
 
 from measure_limits import (
@@ -9,6 +10,7 @@ from measure_limits import (
     doc_hash,
     parse_scenario,
     run_checks,
+    runner,
 )
 
 MINIMAL = """
@@ -177,6 +179,25 @@ def test_seventeen_digit_floats_roundtrip():
 def test_infinity_encoding():
     assert canonical_json({"a": math.inf, "b": -math.inf}) == \
         '{"a":"inf","b":"-inf"}'
+
+
+def test_nan_has_no_canonical_encoding():
+    with pytest.raises(ValueError, match="NaN"):
+        canonical_json({"a": [1.0, math.nan]})
+    with pytest.raises(ValueError, match="NaN"):
+        canonical_json({"a": np.float64("nan")})
+
+
+def test_any_exception_of_a_check_is_its_error_verdict(monkeypatch):
+    def broken(sc):
+        raise KeyError("missing")
+
+    monkeypatch.setitem(runner._CHECKS, "ui", broken)
+    report = run_checks(parse_scenario(MINIMAL), ("ui", "fatou"))
+    ui, fatou = report.results
+    assert (ui.verdict, ui.payload) == ("error", {"error": "KeyError: 'missing'"})
+    assert fatou.verdict == "holds"
+    assert report.exit_code == 1
 
 
 def test_report_hash_stability():

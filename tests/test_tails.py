@@ -11,26 +11,32 @@ from measure_limits import (
     PiecewiseFn,
     first_shift,
     lebesgue,
-    part,
     tail_curve,
     verdict,
     zero_fn,
 )
 from measure_limits import gallery
 
-from helpers import check_tail_table, constant_seq, scan_tail, zero_seq
+from helpers import (
+    check_tail_table,
+    constant_seq,
+    neg_parts,
+    part,
+    scan_tail,
+    zero_seq,
+)
 
 DOM = Interval(0.0, 1.0)
 
 
 def staircase_pair(n_max=16):
     sc = gallery.build("staircase", n_max=n_max)
-    return sc.neg_part_seq, sc.measures, sc
+    return neg_parts(sc), sc.measures, sc
 
 
 def spikes_pair(n_max=50):
     sc = gallery.build("twin_spikes", n_max=n_max)
-    return sc.neg_part_seq, sc.measures, sc
+    return neg_parts(sc), sc.measures, sc
 
 
 def tail_at(seq, measures, n, k):

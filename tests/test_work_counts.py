@@ -1,10 +1,13 @@
 """How much work one ``check`` does, counted per call.
 
 Every per-document quantity that several checks read is computed once per
-scenario: the set-uniform report, the total-variation series and the
-negative-part tail curve that the shift check reads.  The counts pin that
-sharing, so a change that computes one of them twice fails here even when
-the report bytes stay the same.  The ``dyadic_comb`` fixture's count of
+scenario: the set-uniform report, the total-variation series, the
+negative-part tail curve that the shift check reads, and one two-sided
+epi scan per family.  Quantities of one family share its pass: the f
+integrals and the negative parts' tail rows, the L1 norms and the tail
+rows of the |f_n|.  The counts pin that sharing, so a change that
+computes one of them twice fails here even when the report bytes stay
+the same.  The ``dyadic_comb`` fixture's count of
 large ``np.searchsorted`` calls pins that the values of g_n's up to 2M
 cells are sliced from g_n's own table, not searched, and its counts of
 large ``np.unique`` calls and of ``math.fsum`` fallbacks pin that its
@@ -24,8 +27,8 @@ import numpy as np
 import pytest
 
 from measure_limits import (
-    PiecewiseFn, gallery, integration, kernels, refinement, scenario, tails,
-    uniform,
+    PiecewiseFn, epilimits, gallery, integration, kernels, refinement,
+    scenario, tails, uniform,
 )
 from measure_limits.cli import main
 from measure_limits.runner import _CHECKS
@@ -59,10 +62,16 @@ def test_one_check_computes_each_shared_quantity_once(tmp_path, monkeypatch,
     src.write_text(json.dumps(doc), encoding="utf-8")
     bodies = count_calls(monkeypatch, uniform, "uniform_report")
     tv = count_calls(monkeypatch, integration, "tv_series")
-    curves = count_calls(monkeypatch, tails, "tail_curve")
+    curves = count_calls(monkeypatch, tails, "curve_of")
     tail_rows = count_calls(monkeypatch, kernels, "tail_dots")
     hahn = count_calls(monkeypatch, kernels, "sign_sums")
     passes = count_calls(monkeypatch, refinement, "_pair_chunk")
+    scans = count_calls(monkeypatch, epilimits, "epi_scan")
+    unions = []
+    union_edges = epilimits.union_edges
+    monkeypatch.setattr(epilimits, "union_edges",
+                        lambda pieces: unions.append(1) or union_edges(pieces))
+    builds = count_builds(monkeypatch)
 
     out = tmp_path / "report.json"
     assert main(["check", str(src), "--out", str(out)]) == 2
@@ -79,13 +88,24 @@ def test_one_check_computes_each_shared_quantity_once(tmp_path, monkeypatch,
     # Hahn masses of all the signed gaps
     assert len(tail_rows) == 2
     assert len(hahn) == 1
-    # one ragged pass each for the f and g integrals, the negative-part
-    # and full-family tail curves, the L1 checks of the f_n, the signed
-    # gaps, both condition series, the TV series, the weak-gap bank's
-    # constant witness against the limit measure and each mu_n and the
-    # dominance checks f_n >= g_n and g_n >= |f_n|, plus the limit
-    # function's one-index L1 check
-    assert len(passes) == 12
+    # one ragged pass for the f integrals and the negative parts' tail
+    # rows, one for the L1 norms and tail rows of the |f_n|, one each for
+    # the g integrals, the signed gaps, both condition series, the TV
+    # series, the weak-gap bank's constant witness against the limit
+    # measure and each mu_n and the dominance checks f_n >= g_n and
+    # g_n >= |f_n|, plus the limit function's one-index L1 check
+    assert len(passes) == 10
+    # one two-sided epi scan of f (its epi-liminf integral and the sample
+    # grid) and one of g (both its epi integrals); each scans the last two
+    # schedule steps, and each step unions the breakpoints of its tail once
+    # for the min and the max envelope
+    assert len(scans) == 2
+    assert len(unions) == 4
+    # 12 f_n, 12 g_n and the limit function parsed, the 12 |f_n| and the
+    # limit function's absolute value, and the weak-gap bank's constant
+    # witness; no negative part is built, since its tail rows are read off
+    # f_n's own refinement, and the scans keep their envelopes as arrays
+    assert len(builds) == 39
 
 
 @pytest.mark.parametrize("flags", [[], ["--tol", "1e-4"]])
@@ -106,13 +126,15 @@ def test_one_check_parses_each_spec_once(tmp_path, monkeypatch, flags):
 
 @pytest.mark.parametrize("fixture, passes", [
     # the closed-form tail check is one 64-row curve, and the shift is
-    # read off the negative-part curve the verdicts already computed; the
-    # epi certificates' integrals and the TV spot checks are one-index
-    # passes; each dominance check the fixture reads is one pass (f_n >=
-    # g_n in both, g_n >= |f_n| in twin_spikes' majorant)
-    ("staircase", 12),
+    # read off the negative-part curve the verdicts already computed, from
+    # the pass that also gives the f integrals (and in twin_spikes the tail
+    # rows of |f_n| come from the pass of the L1 norms); the epi
+    # certificates' integrals and the TV spot checks are one-index passes;
+    # each dominance check the fixture reads is one pass (f_n >= g_n in
+    # both, g_n >= |f_n| in twin_spikes' majorant)
+    ("staircase", 11),
     ("staircase_late_start", 1),
-    ("twin_spikes", 15),
+    ("twin_spikes", 13),
 ])
 def test_gallery_run_pairs_each_family_in_one_pass(monkeypatch, fixture,
                                                    passes):
@@ -121,16 +143,8 @@ def test_gallery_run_pairs_each_family_in_one_pass(monkeypatch, fixture,
     assert len(chunks) == passes
 
 
-@pytest.mark.parametrize("fixture, builds", [
-    # f_n and g_n share one family in both fixtures: 100 and 64 functions
-    # built once each, their negative parts and absolute values, and the
-    # certificates, limit functions and bank steps
-    ("twin_spikes", 304),
-    ("staircase", 132),
-    # the zero minorant is one function repeated, not 32
-    ("shrinking_plateau", 70),
-])
-def test_gallery_run_builds_each_function_once(monkeypatch, fixture, builds):
+def count_builds(monkeypatch) -> list:
+    """A list that grows by one entry per ``PiecewiseFn`` built."""
     original = PiecewiseFn.__init__
     calls = []
 
@@ -139,6 +153,20 @@ def test_gallery_run_builds_each_function_once(monkeypatch, fixture, builds):
         original(self, *args, **kwargs)
 
     monkeypatch.setattr(PiecewiseFn, "__init__", counted)
+    return calls
+
+
+@pytest.mark.parametrize("fixture, builds", [
+    # f_n and g_n share one family in both fixtures: 100 and 64 functions
+    # built once each, their absolute values, and the certificates, limit
+    # functions and bank steps; no negative part is built
+    ("twin_spikes", 204),
+    ("staircase", 68),
+    # the zero minorant is one function repeated, not 32
+    ("shrinking_plateau", 38),
+])
+def test_gallery_run_builds_each_function_once(monkeypatch, fixture, builds):
+    calls = count_builds(monkeypatch)
     assert gallery.run(fixture).failures == 0
     assert len(calls) == builds
 
