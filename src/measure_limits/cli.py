@@ -59,9 +59,9 @@ def _cmd_check(args) -> int:
     except MeasureLimitsError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1
-    curves = {cname: (f"{doc.name}_{cname}.csv", csv_text)
+    curves = {cname: (f"{doc.name}_{cname}.csv", curve.to_csv())
               for result in report.results if args.curves_dir
-              for cname, csv_text in result.curves.items()}
+              for cname, curve in result.curves.items()}
     try:
         out_json = report.to_json({c: f for c, (f, _) in curves.items()}) + "\n"
     except ValueError as exc:
@@ -130,34 +130,36 @@ def _cmd_gallery(args) -> int:
     return 0
 
 
+_parser = None  # built by the first main call, then reused
+
+
 def main(argv=None) -> int:
-    parser = argparse.ArgumentParser(
-        prog="measure-limits",
-        description="Diagnostics for limit theorems on sequences of finite "
-                    "measures: tail functionals, epigraphical limits, and "
-                    "Fatou/dominated-convergence gaps.")
-    parser.add_argument("--version", action="version", version=__version__)
-    sub = parser.add_subparsers(dest="command", required=True)
-
-    p_check = sub.add_parser("check", help="run checks from a scenario file")
-    p_check.add_argument("scenario", help="path to a scenario JSON document")
-    p_check.add_argument("--checks", help="comma-separated subset of checks")
-    p_check.add_argument("--out", help="write the report JSON here")
-    p_check.add_argument("--curves-dir", help="write curve CSV files here")
-    p_check.add_argument("--tol", type=float, help="override the gap tolerance")
-    p_check.add_argument("--nmax", type=int, help="override the index range")
-    p_check.set_defaults(func=_cmd_check)
-
-    p_gal = sub.add_parser("gallery", help="fixture gallery operations")
-    gal_sub = p_gal.add_subparsers(dest="action", required=True)
-    p_run = gal_sub.add_parser("run", help="run fixture conformance")
-    p_run.add_argument("fixture", help="fixture id or 'all'")
-    p_run.add_argument("--out", help="write the conformance JSON here")
-    p_run.set_defaults(func=_cmd_gallery)
-    p_list = gal_sub.add_parser("list", help="list fixtures")
-    p_list.set_defaults(func=_cmd_gallery)
-
-    args = parser.parse_args(argv)
+    global _parser
+    if _parser is None:
+        _parser = parser = argparse.ArgumentParser(
+            prog="measure-limits",
+            description="Diagnostics for limit theorems on sequences of finite "
+                        "measures: tail functionals, epigraphical limits, and "
+                        "Fatou/dominated-convergence gaps.")
+        parser.add_argument("--version", action="version", version=__version__)
+        sub = parser.add_subparsers(dest="command", required=True)
+        p_check = sub.add_parser("check", help="run checks from a scenario file")
+        p_check.add_argument("scenario", help="path to a scenario JSON document")
+        p_check.add_argument("--checks", help="comma-separated subset of checks")
+        p_check.add_argument("--out", help="write the report JSON here")
+        p_check.add_argument("--curves-dir", help="write curve CSV files here")
+        p_check.add_argument("--tol", type=float, help="override the gap tolerance")
+        p_check.add_argument("--nmax", type=int, help="override the index range")
+        p_check.set_defaults(func=_cmd_check)
+        p_gal = sub.add_parser("gallery", help="fixture gallery operations")
+        gal_sub = p_gal.add_subparsers(dest="action", required=True)
+        p_run = gal_sub.add_parser("run", help="run fixture conformance")
+        p_run.add_argument("fixture", help="fixture id or 'all'")
+        p_run.add_argument("--out", help="write the conformance JSON here")
+        p_run.set_defaults(func=_cmd_gallery)
+        gal_sub.add_parser("list", help="list fixtures").set_defaults(
+            func=_cmd_gallery)
+    args = _parser.parse_args(argv)
     return args.func(args)
 
 

@@ -44,9 +44,9 @@ class PiecewiseFn:
                 f"{vals.size} cell values for {bp.size} breakpoints")
         if bp.size == 0 and vals.size != 0:
             raise MalformedObjectError("cell values without breakpoints")
-        if bp.size and (not np.all(np.isfinite(bp)) or np.any(np.diff(bp) <= 0)):
+        if bp.size and (not np.isfinite(bp).all() or not (bp[1:] > bp[:-1]).all()):
             raise MalformedObjectError("breakpoints must be finite and strictly increasing")
-        if np.any(np.isnan(vals)):
+        if np.isnan(vals).any():
             raise MalformedObjectError("cell values may not be NaN")
         require_not_nan(default, "default value")
         if bp.size and (bp[0] < domain.lo or bp[-1] > domain.hi):

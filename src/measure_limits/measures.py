@@ -117,13 +117,10 @@ class FiniteMeasure:
 
     def __init__(self, atoms=(), cells=(), segments=(),
                  domain: Interval = Interval(-math.inf, math.inf)):
-        atoms = sorted(atoms)
-        self.atom_locs = np.asarray([a[0] for a in atoms], dtype=np.float64)
-        self.atom_weights = np.asarray([a[1] for a in atoms], dtype=np.float64)
-        cells = sorted(cells)
-        self.cell_los = np.asarray([c[0] for c in cells], dtype=np.float64)
-        self.cell_his = np.asarray([c[1] for c in cells], dtype=np.float64)
-        self.cell_densities = np.asarray([c[2] for c in cells], dtype=np.float64)
+        self.atom_locs, self.atom_weights = np.array(
+            sorted(atoms), dtype=np.float64).reshape(-1, 2).T.copy()
+        self.cell_los, self.cell_his, self.cell_densities = np.array(
+            sorted(cells), dtype=np.float64).reshape(-1, 3).T.copy()
         self.segments = tuple(sorted(segments, key=lambda s: s.lo))
         self.domain = domain
         self._validate()
@@ -137,32 +134,43 @@ class FiniteMeasure:
         self._piece_edges.flags.writeable = False
 
     def _validate(self) -> None:
-        if self.atom_locs.size:
-            if not np.all(np.isfinite(self.atom_locs)):
+        locs, w, dom = self.atom_locs, self.atom_weights, self.domain
+        if locs.size:
+            if not np.isfinite(locs).all():
                 raise MalformedObjectError("atom locations must be finite")
-            if np.any(self.atom_weights < 0) or not np.all(np.isfinite(self.atom_weights)):
+            if (w < 0).any() or not np.isfinite(w).all():
                 raise MalformedObjectError("atom weights must be finite and >= 0")
-            if np.unique(self.atom_locs).size != self.atom_locs.size:
+            # the atoms are sorted, so equal locations are neighbours
+            if (locs[1:] == locs[:-1]).any():
                 raise MalformedObjectError("duplicate atom locations")
-            if np.any(self.atom_locs < self.domain.lo) or np.any(self.atom_locs > self.domain.hi):
+            if (locs < dom.lo).any() or (locs > dom.hi).any():
                 raise MalformedObjectError("atom outside domain")
-        if self.cell_los.size:
-            if not (np.all(np.isfinite(self.cell_los)) and np.all(np.isfinite(self.cell_his))):
+        los, his, rho = self.cell_los, self.cell_his, self.cell_densities
+        if los.size:
+            if not (np.isfinite(los).all() and np.isfinite(his).all()):
                 raise MalformedObjectError("cell bounds must be finite")
-            if np.any(self.cell_his <= self.cell_los):
+            if (his <= los).any():
                 raise MalformedObjectError("cell needs lo < hi")
-            if np.any(self.cell_densities < 0) or not np.all(np.isfinite(self.cell_densities)):
+            if (rho < 0).any() or not np.isfinite(rho).all():
                 raise MalformedObjectError("cell density must be finite and >= 0")
-        # cells and segments must be pairwise non-overlapping
-        spans = sorted(
-            [(lo, hi, f"cell [{lo}, {hi})") for lo, hi in zip(self.cell_los, self.cell_his)]
-            + [(s.lo, s.hi, f"segment {s.name!r} [{s.lo}, {s.hi})") for s in self.segments])
-        for (lo1, hi1, d1), (lo2, hi2, d2) in zip(spans, spans[1:]):
-            if lo2 < hi1:
-                raise MalformedObjectError(f"overlapping regions: {d1} and {d2}")
-        for lo, hi, desc in spans:
-            if lo < self.domain.lo or hi > self.domain.hi:
-                raise MalformedObjectError(f"{desc} outside domain")
+        # cells and segments must be pairwise non-overlapping: sorted by
+        # lo, each span ends by the next one's lo
+        ends = sorted([*zip(los.tolist(), his.tolist()),
+                       *((s.lo, s.hi) for s in self.segments)])
+        if (any(lo2 < hi1 for (_, hi1), (lo2, _) in zip(ends, ends[1:]))
+                or any(lo < dom.lo or hi > dom.hi for lo, hi in ends)):
+            # the first fault in the order of the described spans
+            spans = sorted(
+                [(lo, hi, f"cell [{lo}, {hi})")
+                 for lo, hi in zip(self.cell_los, self.cell_his)]
+                + [(s.lo, s.hi, f"segment {s.name!r} [{s.lo}, {s.hi})")
+                   for s in self.segments])
+            for (lo1, hi1, d1), (lo2, hi2, d2) in zip(spans, spans[1:]):
+                if lo2 < hi1:
+                    raise MalformedObjectError(f"overlapping regions: {d1} and {d2}")
+            for lo, hi, desc in spans:
+                if lo < dom.lo or hi > dom.hi:
+                    raise MalformedObjectError(f"{desc} outside domain")
 
     # -- masses ----------------------------------------------------------
 

@@ -39,7 +39,7 @@ class CheckResult:
     name: str
     verdict: str
     payload: dict
-    curves: dict  # curve name -> CSV text
+    curves: dict  # curve name -> curve, rendered by its to_csv()
 
 
 @dataclass(frozen=True)
@@ -87,7 +87,7 @@ def _check_ui(sc: Scenario) -> CheckResult:
     return CheckResult("ui", _vd(v.passes),
                        {"k_star": v.k_star, "tol": sc.tolerances.ui_tol,
                         "family": "negative_parts"},
-                       {"ui_tail_curve": curve.to_csv()})
+                       {"ui_tail_curve": curve})
 
 
 def _check_aui(sc: Scenario) -> CheckResult:
@@ -97,7 +97,7 @@ def _check_aui(sc: Scenario) -> CheckResult:
                        {"k_star": v.k_star, "tol": sc.tolerances.ui_tol,
                         "window_start": curve.window_start,
                         "family": "negative_parts"},
-                       {"aui_tail_curve": curve.to_csv()})
+                       {"aui_tail_curve": curve})
 
 
 def _check_shift(sc: Scenario) -> CheckResult:
@@ -193,7 +193,7 @@ def _check_uniform(sc: Scenario, which: str) -> CheckResult:
     if not consistent:
         payload["disagreement"] = ("observed gap trend contradicts the "
                                    "two-condition characterization")
-    return CheckResult(which, v, payload, {f"{which}_series": rep.series.to_csv()})
+    return CheckResult(which, v, payload, {f"{which}_series": rep.series})
 
 
 def _check_uniform_fatou(sc: Scenario) -> CheckResult:

@@ -30,44 +30,47 @@ CERTIFICATE_KINDS = ("tv", "builder", "none")
 
 # -- canonical JSON ---------------------------------------------------------
 
+_encode_str = json.encoder.encode_basestring
+
+
 def _canon(value: Any, out: list[str]) -> None:
-    if type(value).__module__ == "numpy":
-        value = value.item() if hasattr(value, "item") else value
-    if value is None:
-        out.append("null")
-    elif value is True:
-        out.append("true")
-    elif value is False:
-        out.append("false")
-    elif isinstance(value, str):
-        out.append(json.dumps(value, ensure_ascii=False))
-    elif isinstance(value, int):
-        out.append(str(value))
-    elif isinstance(value, float):
-        if math.isnan(value):
+    # exact types first; a str is written as json.dumps(s, ensure_ascii=False)
+    t = type(value)
+    if t is float:
+        if value - value == 0.0:
+            out.append("%.17g" % value)
+        elif value != value:
             raise ValueError("cannot serialize NaN in canonical JSON")
-        if math.isinf(value):
-            out.append('"inf"' if value > 0 else '"-inf"')
         else:
-            out.append(format(value, ".17g"))
-    elif isinstance(value, dict):
-        out.append("{")
-        for i, k in enumerate(sorted(value)):
-            if i:
-                out.append(",")
-            out.append(json.dumps(str(k), ensure_ascii=False))
-            out.append(":")
+            out.append('"inf"' if value > 0 else '"-inf"')
+    elif t is str:
+        out.append(_encode_str(value))
+    elif t is dict:
+        sep = "{"
+        for k in sorted(value):
+            out.append(f"{sep}{_encode_str(str(k))}:")
+            sep = ","
             _canon(value[k], out)
-        out.append("}")
-    elif isinstance(value, (list, tuple)):
-        out.append("[")
-        for i, v in enumerate(value):
-            if i:
-                out.append(",")
+        out.append("}" if value else "{}")
+    elif t is list or t is tuple:
+        sep = "["
+        for v in value:
+            out.append(sep)
+            sep = ","
             _canon(v, out)
-        out.append("]")
+        out.append("]" if value else "[]")
+    elif t is int:
+        out.append(str(value))
+    elif value is None or t is bool:
+        out.append("null" if value is None else "true" if value else "false")
+    elif t.__module__ == "numpy" and hasattr(value, "item"):
+        _canon(value.item(), out)
     else:
-        raise TypeError(f"cannot serialize {type(value).__name__}")
+        # a subclass of a JSON type is written as its base type
+        for base in (str, int, float, dict, list, tuple):
+            if isinstance(value, base):
+                return _canon(base(value), out)
+        raise TypeError(f"cannot serialize {t.__name__}")
 
 
 def canonical_json(value: Any) -> str:
@@ -107,14 +110,19 @@ def _as_float(v, path: str) -> float:
         if v == "-inf":
             return -math.inf
         raise _fail(path, f"not a number: {v!r}")
-    if isinstance(v, bool) or not isinstance(v, (int, float)) or math.isnan(v):
+    if isinstance(v, bool) or not isinstance(v, (int, float)) or v != v:
         raise _fail(path, f"not a number: {v!r}")
-    return float(v)
+    try:
+        return float(v)
+    except OverflowError:
+        raise _fail(path, "integer too large for a double") from None
 
 
 def _as_float_list(v, path: str) -> list[float]:
     if not isinstance(v, list):
         raise _fail(path, "expected an array of numbers")
+    if set(map(type, v)) <= {float} and not any(map(math.isnan, v)):
+        return v  # already a list of non-NaN floats
     return [_as_float(x, f"{path}[{i}]") for i, x in enumerate(v)]
 
 
@@ -248,6 +256,8 @@ def parse_scenario(text: str, tol: Optional[float] = None,
         ) from None
     except RecursionError:
         raise _fail("$", "arrays and objects nest too deeply") from None
+    except ValueError as exc:  # an integer past Python's digit limit
+        raise _fail("$", str(exc)) from None
     if not isinstance(data, dict):
         raise _fail("$", "scenario document must be a JSON object")
     tols = data.get("tolerances")

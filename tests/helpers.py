@@ -7,10 +7,14 @@ with the main path is meaningful.  The per-index oracles at the end are
 the loops that the ragged family passes replaced: one ``common_refinement``
 per index, reduced by the cell-loop kernels.  The epi and tail oracles
 keep the one-quantity paths that the shared scans and passes replaced.
+The emission and validation oracles at the very end are the generic
+canonical emitter and the construction checks that the type-dispatched
+emitter and the lean checks replaced.
 """
 
 from __future__ import annotations
 
+import json
 import math
 from dataclasses import dataclass, replace
 from typing import Optional
@@ -20,6 +24,7 @@ import numpy as np
 from measure_limits import EpiCertificate, FiniteMeasure, FnSequence, Interval
 from measure_limits import PiecewiseFn, Ramp, Scenario, lebesgue
 from measure_limits import epilimits, tail_curve
+from measure_limits.functions import _canonicalize
 from measure_limits.integration import integral_series
 from measure_limits import zero_fn
 from measure_limits.kernels import tail_dots, union_edges
@@ -814,3 +819,113 @@ def loop_weak_gaps(measures, limit: FiniteMeasure, bank) -> list:
         gaps.append(max((abs(loop_bank_eval(h, mn) - b)
                          for h, b in zip(bank, base)), default=0.0))
     return gaps
+
+
+def canonical_json_oracle(value) -> str:
+    """Reference for ``scenario.canonical_json``: one ``isinstance`` chain
+    and one ``json.dumps`` per string."""
+    out: list[str] = []
+
+    def canon(value) -> None:
+        if type(value).__module__ == "numpy":
+            value = value.item() if hasattr(value, "item") else value
+        if value is None:
+            out.append("null")
+        elif value is True:
+            out.append("true")
+        elif value is False:
+            out.append("false")
+        elif isinstance(value, str):
+            out.append(json.dumps(value, ensure_ascii=False))
+        elif isinstance(value, int):
+            out.append(str(value))
+        elif isinstance(value, float):
+            if math.isnan(value):
+                raise ValueError("cannot serialize NaN in canonical JSON")
+            if math.isinf(value):
+                out.append('"inf"' if value > 0 else '"-inf"')
+            else:
+                out.append(format(value, ".17g"))
+        elif isinstance(value, dict):
+            out.append("{")
+            for i, k in enumerate(sorted(value)):
+                if i:
+                    out.append(",")
+                out.append(json.dumps(str(k), ensure_ascii=False))
+                out.append(":")
+                canon(value[k])
+            out.append("}")
+        elif isinstance(value, (list, tuple)):
+            out.append("[")
+            for i, v in enumerate(value):
+                if i:
+                    out.append(",")
+                canon(v)
+            out.append("]")
+        else:
+            raise TypeError(f"cannot serialize {type(value).__name__}")
+
+    canon(value)
+    return "".join(out)
+
+
+def piecewise_oracle(breakpoints, values, default, domain: Interval
+                     ) -> tuple[np.ndarray, np.ndarray, float]:
+    """Reference for ``PiecewiseFn``'s construction: its checks in their
+    order, with ``np.diff`` for the order of the breakpoints, and the
+    stored breakpoints, values and default."""
+    bp = np.asarray(breakpoints, dtype=np.float64)
+    vals = np.asarray(values, dtype=np.float64)
+    if bp.ndim != 1 or vals.ndim != 1:
+        raise MalformedObjectError("breakpoints and values must be 1-d")
+    if bp.size != 0 and vals.size != bp.size - 1:
+        raise MalformedObjectError(
+            f"{vals.size} cell values for {bp.size} breakpoints")
+    if bp.size == 0 and vals.size != 0:
+        raise MalformedObjectError("cell values without breakpoints")
+    if bp.size and (not np.all(np.isfinite(bp)) or np.any(np.diff(bp) <= 0)):
+        raise MalformedObjectError(
+            "breakpoints must be finite and strictly increasing")
+    if np.any(np.isnan(vals)):
+        raise MalformedObjectError("cell values may not be NaN")
+    if math.isnan(default):
+        raise MalformedObjectError("default value is NaN")
+    if bp.size and (bp[0] < domain.lo or bp[-1] > domain.hi):
+        raise MalformedObjectError("breakpoints outside the declared domain")
+    bp, vals = _canonicalize(bp, vals, default)
+    return bp, vals, float(default) + 0.0
+
+
+def validate_measure_oracle(m: FiniteMeasure) -> None:
+    """Reference for ``FiniteMeasure._validate``: ``np.unique`` for
+    duplicate atoms and every span described before the overlap scan."""
+    if m.atom_locs.size:
+        if not np.all(np.isfinite(m.atom_locs)):
+            raise MalformedObjectError("atom locations must be finite")
+        if (np.any(m.atom_weights < 0)
+                or not np.all(np.isfinite(m.atom_weights))):
+            raise MalformedObjectError("atom weights must be finite and >= 0")
+        if np.unique(m.atom_locs).size != m.atom_locs.size:
+            raise MalformedObjectError("duplicate atom locations")
+        if (np.any(m.atom_locs < m.domain.lo)
+                or np.any(m.atom_locs > m.domain.hi)):
+            raise MalformedObjectError("atom outside domain")
+    if m.cell_los.size:
+        if not (np.all(np.isfinite(m.cell_los))
+                and np.all(np.isfinite(m.cell_his))):
+            raise MalformedObjectError("cell bounds must be finite")
+        if np.any(m.cell_his <= m.cell_los):
+            raise MalformedObjectError("cell needs lo < hi")
+        if (np.any(m.cell_densities < 0)
+                or not np.all(np.isfinite(m.cell_densities))):
+            raise MalformedObjectError("cell density must be finite and >= 0")
+    spans = sorted(
+        [(lo, hi, f"cell [{lo}, {hi})") for lo, hi in zip(m.cell_los, m.cell_his)]
+        + [(s.lo, s.hi, f"segment {s.name!r} [{s.lo}, {s.hi})")
+           for s in m.segments])
+    for (lo1, hi1, d1), (lo2, hi2, d2) in zip(spans, spans[1:]):
+        if lo2 < hi1:
+            raise MalformedObjectError(f"overlapping regions: {d1} and {d2}")
+    for lo, hi, desc in spans:
+        if lo < m.domain.lo or hi > m.domain.hi:
+            raise MalformedObjectError(f"{desc} outside domain")

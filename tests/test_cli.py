@@ -3,6 +3,7 @@ import importlib.util
 import json
 import math
 from pathlib import Path
+from types import SimpleNamespace
 
 import pytest
 
@@ -177,6 +178,44 @@ def test_check_rejects_nan_with_the_field_path(tmp_path, capsys, field, value,
     assert f"{path}: {REASONS.get(path, 'not a number: nan')}" in err
     assert "Traceback" not in err
     assert not out.exists()
+
+
+BIG = 10 ** 400  # a JSON integer past the double range
+
+
+@pytest.mark.parametrize("field, value, path", [
+    ("functions", {"explicit": [{"breakpoints": [0.0, 0.5, 1.0],
+                                 "values": [BIG, 1.0]}] * 4},
+     "$.functions.explicit[0].values[0]"),
+    ("functions", {"explicit": [{"breakpoints": [0.0, BIG],
+                                 "values": [1.0]}] * 4},
+     "$.functions.explicit[0].breakpoints[1]"),
+    ("limit_measure", {"atoms": [[0.5, BIG]]},
+     "$.limit_measure.atoms[0][1]"),
+    ("K_grid", [1.0, BIG], "$.K_grid[1]"),
+    ("sample_grid", [0.5, -BIG], "$.sample_grid[1]"),
+    ("space", {"lo": -BIG, "hi": 1.0}, "$.space.lo"),
+    ("tolerances", {"tol": BIG}, "$.tolerances.tol"),
+    ("schedule", {"N": [1], "delta": [BIG]}, "$.schedule.delta[0]"),
+])
+def test_check_rejects_an_integer_past_the_double_range(tmp_path, capsys,
+                                                        field, value, path):
+    doc = dict(HOLDS_DOC, **{field: value})
+    src = write(tmp_path, doc)
+    out = tmp_path / "report.json"
+    assert main(["check", str(src), "--out", str(out)]) == 1
+    err = capsys.readouterr().err
+    assert f"error: {path}: integer too large for a double" in err
+    assert not out.exists()
+
+
+def test_check_rejects_an_integer_past_the_digit_limit(tmp_path, capsys):
+    src = tmp_path / "long.json"
+    src.write_text('{"name": "long", "n_max": 1' + "0" * 5000 + "}",
+                   encoding="utf-8")
+    assert main(["check", str(src)]) == 1
+    err = capsys.readouterr().err
+    assert err.startswith("error: $: Exceeds the limit (4300 digits)")
 
 
 @pytest.mark.parametrize("params, message", [
@@ -367,7 +406,8 @@ def test_a_nan_in_a_check_report_is_an_error(tmp_path, capsys, monkeypatch):
     # nor the curves
     def nan_ui(sc):
         return runner.CheckResult("ui", "pass", {"k_star": math.nan},
-                                  {"ui_tail_curve": "K\n"})
+                                  {"ui_tail_curve": SimpleNamespace(
+                                      to_csv=lambda: "K\n")})
 
     monkeypatch.setitem(runner._CHECKS, "ui", nan_ui)
     out, curves = tmp_path / "report.json", tmp_path / "curves"

@@ -6,7 +6,13 @@ passes; ``helpers.list_dominates`` checks one index by scalar evaluation,
 and a loop over the indices must give the same verdict, or raise the
 same error.  The ``dyadic_comb`` builder assembles g_n from arrays;
 ``helpers.list_comb_g`` keeps the list-based code, and the two must agree
-bit for bit, the sign of zero included.
+bit for bit, the sign of zero included.  ``scenario.canonical_json``
+dispatches on exact types; ``helpers.canonical_json_oracle`` keeps the
+``isinstance`` chain with one ``json.dumps`` per string, and the two must
+give the same string or the same error.  The lean construction checks of
+``PiecewiseFn`` and ``FiniteMeasure`` must raise what
+``helpers.piecewise_oracle`` and ``helpers.validate_measure_oracle``
+raise, with the same message, or store the same arrays.
 """
 
 import json
@@ -19,10 +25,16 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from measure_limits import (
-    Interval, PiecewiseFn, dominates, gallery, parse_scenario, refinement,
+    FiniteMeasure, Interval, PiecewiseFn, canonical_json, dominates, gallery,
+    parse_scenario, refinement,
 )
+from measure_limits.measures import AnalyticSegment, _exp2_cdf, _exp2_mass
+from measure_limits.xreal import MalformedObjectError
 
-from helpers import fatou_random_document, list_comb_g, list_dominates
+from helpers import (
+    canonical_json_oracle, fatou_random_document, list_comb_g, list_dominates,
+    piecewise_oracle, validate_measure_oracle,
+)
 
 GRID = [k / 16 for k in range(17)]
 VALUES = [0.0, -0.0, 1.0, -1.0, 2.5, -3.0, math.inf, -math.inf]
@@ -165,3 +177,150 @@ def test_comb_builder_matches_the_list_oracle(n):
     assert same_array(g.values, ref.values)
     assert same(g.default, ref.default)
     assert g.domain == ref.domain
+
+
+FLOATS = st.one_of(
+    st.floats(allow_nan=False),
+    st.sampled_from([0.0, -0.0, math.inf, -math.inf, 5e-324, -5e-324,
+                     2.2250738585072014e-308, 1e308, -1e308]))
+JSON_SCALARS = st.one_of(
+    st.text(), st.sampled_from(["é", "\u2028", '"', "\\", "\x00\x1f\x7f", "\ud800"]),
+    st.integers(), st.sampled_from([2 ** 64, -(10 ** 300)]),
+    st.booleans(), st.none(), FLOATS,
+    FLOATS.map(np.float64), st.integers(-2 ** 63, 2 ** 63 - 1).map(np.int64),
+    st.booleans().map(np.bool_))
+KEYS = [st.text(), st.integers(), FLOATS, st.booleans()]
+
+
+def json_trees(leaves):
+    return st.recursive(leaves, lambda inner: st.one_of(
+        st.lists(inner, max_size=4),
+        st.lists(inner, max_size=4).map(tuple),
+        *(st.dictionaries(k, inner, max_size=4) for k in KEYS)),
+        max_leaves=24)
+
+
+@settings(max_examples=400, deadline=None)
+@given(json_trees(JSON_SCALARS))
+def test_canonical_json_matches_the_oracle(value):
+    assert outcome(canonical_json, value) == outcome(canonical_json_oracle,
+                                                     value)
+
+
+@settings(max_examples=200, deadline=None)
+@given(json_trees(st.one_of(JSON_SCALARS, st.just(math.nan),
+                            st.just(np.float64("nan")))))
+def test_canonical_json_raises_on_nan_as_the_oracle(value):
+    value = [value, {"x": math.nan}]
+    got = outcome(canonical_json, value)
+    assert got == outcome(canonical_json_oracle, value)
+    assert got == (ValueError, "cannot serialize NaN in canonical JSON")
+
+
+class Tag(str):
+    pass
+
+
+class Count(int):
+    pass
+
+
+class Share(float):
+    pass
+
+
+@pytest.mark.parametrize("value", [
+    [Tag("é"), Count(3), Share(0.5), Share("inf"), {Tag("b"): 1, "a": 2}],
+    np.array([1.5]), np.array(2), np.str_("x"), object(), {1, 2},
+])
+def test_canonical_json_writes_other_types_as_the_oracle(value):
+    assert outcome(canonical_json, value) == outcome(canonical_json_oracle,
+                                                     value)
+
+
+BREAKS = st.sampled_from([0.0, -0.0, 0.25, 0.5, 1.0, -1.0, 2.0,
+                          math.nan, math.inf, -math.inf])
+CELL_VALUES = st.sampled_from(VALUES + [math.nan])
+
+
+@st.composite
+def step_specs(draw):
+    """Breakpoints as drawn, sorted or sorted without repeats, and one
+    value per cell give or take one."""
+    bp = draw(st.lists(BREAKS, max_size=6))
+    bp = draw(st.sampled_from([bp, sorted(bp), sorted(set(bp))]))
+    n = max(len(bp) - 1 + draw(st.sampled_from([0, 0, 0, 1, -1])), 0)
+    vals = draw(st.lists(CELL_VALUES, min_size=n, max_size=n))
+    return bp, vals, draw(CELL_VALUES), draw(st.sampled_from(DOMAINS))
+
+
+def stored_fn(*spec):
+    f = PiecewiseFn(*spec)
+    return f.breakpoints, f.values, f.default
+
+
+@settings(max_examples=500, deadline=None)
+@given(step_specs())
+def test_piecewise_checks_match_the_oracle(spec):
+    want = outcome(piecewise_oracle, *spec)
+    got = outcome(stored_fn, *spec)
+    if isinstance(want[0], type):
+        assert got == want
+        return
+    (bp, vals, default), (want_bp, want_vals, want_default) = got, want
+    assert same_array(bp, want_bp) and same_array(vals, want_vals)
+    assert same(default, want_default)
+
+
+ENDS = st.sampled_from([0.0, -0.0, 0.25, 0.5, 1.0, -1.0, 2.0,
+                        math.nan, math.inf])
+MASSES = st.sampled_from([0.0, 1.0, 2.5, -1.0, math.nan, math.inf])
+#: segments under several names, so spans with equal ends order by name
+SEGMENTS = [AnalyticSegment(name, lo, hi, _exp2_cdf, _exp2_mass)
+            for name in ("exp2", "a b", "a'b")
+            for lo, hi in ((0.0, 0.5), (0.25, 1.0), (0.5, math.inf),
+                           (0.0, 1.0), (-1.0, 0.5), (-0.0, 0.25))]
+
+
+def stored_measure(m: FiniteMeasure):
+    return (m.atom_locs, m.atom_weights, m.cell_los, m.cell_his,
+            m.cell_densities, m.piece_edges(), m.segments)
+
+
+@settings(max_examples=500, deadline=None)
+@given(st.lists(st.tuples(ENDS, MASSES), max_size=4),
+       st.lists(st.tuples(ENDS, ENDS, MASSES), max_size=4),
+       st.lists(st.sampled_from(SEGMENTS), max_size=2),
+       st.sampled_from(DOMAINS))
+def test_measure_validation_matches_the_oracle(atoms, cells, segments, domain):
+    def build():
+        return stored_measure(FiniteMeasure(atoms, cells, segments, domain))
+
+    got = outcome(build)
+    with pytest.MonkeyPatch.context() as patch:
+        patch.setattr(FiniteMeasure, "_validate", validate_measure_oracle)
+        want = outcome(build)
+    if isinstance(want[0], type):
+        assert got == want
+        return
+    *arrays, segs = got
+    *want_arrays, want_segs = want
+    assert all(same_array(a, b) for a, b in zip(arrays, want_arrays))
+    assert segs == want_segs
+
+
+@pytest.mark.parametrize("cells, segments, message", [
+    # equal spans order by their descriptions, -0.0 before 0.0
+    ([(0.0, 1.0, 1.0), (-0.0, 1.0, 2.0)], [],
+     "overlapping regions: cell [-0.0, 1.0) and cell [0.0, 1.0)"),
+    ([(0.0, 0.5, 1.0)], [SEGMENTS[0]],
+     "overlapping regions: cell [0.0, 0.5) and segment 'exp2' [0.0, 0.5)"),
+    ([], [SEGMENTS[0], SEGMENTS[6]],
+     "overlapping regions: segment 'a b' [0.0, 0.5) and "
+     "segment 'exp2' [0.0, 0.5)"),
+    ([(0.5, 2.0, 1.0)], [], "cell [0.5, 2.0) outside domain"),
+])
+def test_measure_validation_names_the_first_fault(cells, segments, message):
+    with pytest.raises(MalformedObjectError) as lean:
+        FiniteMeasure((), cells, segments, Interval(0.0, 1.0))
+    assert str(lean.value) == message

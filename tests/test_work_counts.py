@@ -17,9 +17,12 @@ series of a check, and each dominance check, is one ragged family pass
 (``refinement.family_pairing``) with one kernel call, not one refinement
 per index.  The ``PiecewiseFn`` construction counts of a
 gallery run pin that every f_n is built once, also where f and g are the
-same family.
+same family.  A ``check`` builds the CLI parser only on a process's first
+call, renders curve CSVs only when ``--curves-dir`` asks for them, and
+emits its report without ``json.dumps``.
 """
 
+import argparse
 import json
 import sys
 
@@ -32,6 +35,8 @@ from measure_limits import (
 )
 from measure_limits.cli import main
 from measure_limits.runner import _CHECKS
+from measure_limits.tails import TailCurve
+from measure_limits.uniform import UniformGapSeries
 
 from helpers import fatou_random_document
 
@@ -108,6 +113,65 @@ def test_one_check_computes_each_shared_quantity_once(tmp_path, monkeypatch,
     assert len(builds) == 39
 
 
+def write_doc(tmp_path):
+    doc = fatou_random_document(np.random.default_rng(0), n_max=N_MAX)
+    src = tmp_path / "doc.json"
+    src.write_text(json.dumps(doc), encoding="utf-8")
+    return src
+
+
+def count_method(monkeypatch, cls, name: str) -> list:
+    """A list that grows by one entry per call of ``cls.name``."""
+    original = getattr(cls, name)
+    calls = []
+
+    def counted(self, *args, **kwargs):
+        calls.append(1)
+        return original(self, *args, **kwargs)
+
+    monkeypatch.setattr(cls, name, counted)
+    return calls
+
+
+def test_a_second_check_builds_no_parser(tmp_path, monkeypatch):
+    src = write_doc(tmp_path)
+    argv = ["check", str(src), "--out", str(tmp_path / "r.json")]
+    assert main(argv) == 2
+    parsers = count_method(monkeypatch, argparse.ArgumentParser, "__init__")
+    assert main(argv) == 2
+    assert parsers == []
+
+
+@pytest.mark.parametrize("flags, csvs", [
+    ([], 0),
+    # the ui and aui tail curves and the two uniform gap series
+    (["--curves-dir", "curves"], 4),
+])
+def test_curve_csvs_are_rendered_only_when_written(tmp_path, monkeypatch,
+                                                   flags, csvs):
+    src = write_doc(tmp_path)
+    monkeypatch.chdir(tmp_path)
+    tails_csv = count_method(monkeypatch, TailCurve, "to_csv")
+    series_csv = count_method(monkeypatch, UniformGapSeries, "to_csv")
+    assert main(["check", str(src), "--out", "r.json"] + flags) == 2
+    assert len(tails_csv) + len(series_csv) == csvs
+    assert len(list(tmp_path.glob("curves/*.csv"))) == csvs
+
+
+def test_canonical_emission_calls_no_json_dumps(tmp_path, monkeypatch):
+    src = write_doc(tmp_path)
+    dumps = []
+    original = json.dumps
+    monkeypatch.setattr(json, "dumps",
+                        lambda *a, **k: dumps.append(1) or original(*a, **k))
+    out = tmp_path / "r.json"
+    assert main(["check", str(src), "--out", str(out)]) == 2
+    assert json.loads(out.read_text())["scenario"] == "random-doc"
+    assert scenario.canonical_json({"é\n": ["ü\"", None, 1.5]}) == (
+        '{"é\\n":["ü\\"",null,1.5]}')
+    assert dumps == []
+
+
 @pytest.mark.parametrize("flags", [[], ["--tol", "1e-4"]])
 def test_one_check_parses_each_spec_once(tmp_path, monkeypatch, flags):
     # validation keeps what it parses, and building the scenario reuses it:
@@ -145,15 +209,7 @@ def test_gallery_run_pairs_each_family_in_one_pass(monkeypatch, fixture,
 
 def count_builds(monkeypatch) -> list:
     """A list that grows by one entry per ``PiecewiseFn`` built."""
-    original = PiecewiseFn.__init__
-    calls = []
-
-    def counted(self, *args, **kwargs):
-        calls.append(1)
-        original(self, *args, **kwargs)
-
-    monkeypatch.setattr(PiecewiseFn, "__init__", counted)
-    return calls
+    return count_method(monkeypatch, PiecewiseFn, "__init__")
 
 
 @pytest.mark.parametrize("fixture, builds", [
