@@ -136,11 +136,12 @@ def _canonicalize(bp: np.ndarray, vals: np.ndarray, default: float
     bp = bp[lo:hi + 1]
     if vals.size == 0:
         return np.empty(0), np.empty(0)
-    keep = np.ones(bp.size, dtype=bool)
-    keep[1:-1] = vals[1:] != vals[:-1]
-    if keep.all():
+    merge = vals[1:] == vals[:-1]
+    if not merge.any():
         # nothing to merge: the arrays are copied whole
         return np.array(bp), vals + 0.0
+    keep = np.ones(bp.size, dtype=bool)
+    keep[1:-1] = ~merge
     return np.ascontiguousarray(bp[keep]), vals[keep[:-1]] + 0.0
 
 

@@ -188,8 +188,8 @@ def _dyadic_comb_scenario(n_max: int = 20) -> Scenario:
 
     g_n is built as numpy arrays, never as Python lists: two float64 arrays
     (breakpoints and cell values) of 2^(n+1) cells plus at most two cliff
-    cells, 16 MiB each at n = 20.  The family holds every g_n, about
-    64 MiB for n_max = 20.
+    cells, 16 MiB each at n = 20, each written once.  The family holds
+    every g_n, about 64 MiB for n_max = 20.
     """
     if n_max > _COMB_MAX_N:
         raise MalformedObjectError(
@@ -203,18 +203,18 @@ def _dyadic_comb_scenario(n_max: int = 20) -> Scenario:
     def g_builder(n: int) -> PiecewiseFn:
         h = 2.0 ** -n
         n_cells = 2 ** (n + 1)
-        bp = np.arange(n_cells + 1) * h
-        vals = np.zeros(n_cells)
+        # the cells of [0, 2), then for n >= 2 the cliff [n, n + 1)
+        tail = [float(n), float(n + 1)] if n > 2 else [3.0] if n == 2 else []
+        bp = np.arange(n_cells + 1 + len(tail), dtype=np.float64)
+        bp[:n_cells + 1] *= h
+        bp[n_cells + 1:] = tail
+        vals = np.zeros(bp.size - 1)
         if n < 2:
-            vals[bp[:-1] >= n] = -(2.0 ** n)
-        a = bp[0:-1:2]
-        vals[0::2] -= _comb_depths(seg, a, a + h)
-        if n > 2:
-            bp = np.concatenate([bp, [float(n), float(n + 1)]])
-            vals = np.concatenate([vals, [0.0, -(2.0 ** n)]])
-        elif n == 2:
-            bp = np.concatenate([bp, [float(n + 1)]])
-            vals = np.concatenate([vals, [-(2.0 ** n)]])
+            vals[bp[:n_cells] >= n] = -(2.0 ** n)
+        else:
+            vals[-1] = -(2.0 ** n)
+        a = bp[0:n_cells:2]
+        vals[0:n_cells:2] -= _comb_depths(seg, a, a + h)
         return PiecewiseFn(bp, vals, 0.0, dom)
 
     fine_bp = np.arange(_COMB_CERT_CELLS + 1) * (2.0 / _COMB_CERT_CELLS)
@@ -625,6 +625,7 @@ class Fixture:
     summary: str
     build: Callable[..., Scenario]
     run: Callable[[dict], list[Quantity]]
+    max_n: Optional[int] = None  # the largest n_max its builder accepts
 
 
 FIXTURES: dict[str, Fixture] = {
@@ -646,7 +647,7 @@ FIXTURES: dict[str, Fixture] = {
         "dyadic_comb",
         "geometric cliffs plus dyadic comb depressions on an "
         "exponentially decaying measure",
-        _dyadic_comb_scenario, _run_dyadic_comb),
+        _dyadic_comb_scenario, _run_dyadic_comb, _COMB_MAX_N),
     "shrinking_plateau": Fixture(
         "shrinking_plateau",
         "classic strict-inequality plateau family",

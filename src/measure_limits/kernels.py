@@ -6,10 +6,11 @@ the products in numpy and adds them exactly rounded: every sum equals
 ``math.fsum`` of the same terms, so its value does not depend on the
 order of the terms.  Arrays of fewer than 4,096 terms go to
 ``math.fsum`` directly.  Larger ones are added in numpy by a tree of
-error-free (TwoSum) levels whose rounding errors are summed with a
-proven bound; when that bound cannot certify the rounded result, or a
-term is not finite, or partial sums could come near the double range,
-the terms go to ``math.fsum`` in cell order instead.  So
+error-free (TwoSum) levels, over cache-sized blocks, whose rounding
+errors are summed with a proven bound; when that bound cannot certify
+the rounded result, or a term is not finite, or partial sums could come
+near the double range, the terms go to ``math.fsum`` in cell order
+instead.  So
 ``OverflowError`` for a finite sum past the double range, ``ValueError``
 for inf + -inf and inf results are ``math.fsum``'s own.
 
@@ -34,6 +35,8 @@ import numpy as np
 #: tree's numpy calls per level cost more than ``math.fsum`` on fewer
 #: terms (they break even near 3,000 terms).
 _TREE_MIN = 4096
+#: The tree runs its levels over blocks of this many terms (1 MiB).
+_TREE_BLOCK = 1 << 17
 #: No partial sum of n terms of magnitude below 2**1000 / n comes near
 #: the double range, in the tree or in ``math.fsum``.
 _TREE_RANGE = 2.0 ** 1000
@@ -49,44 +52,56 @@ def _pair(values, masses) -> tuple[np.ndarray, np.ndarray]:
     return v, m
 
 
-def _tree_sum(x: np.ndarray) -> float | None:
-    """The correctly rounded sum of x, or None when it is not certified.
-
-    Each level adds the two halves of the array with TwoSum, which also
-    yields the exact rounding error of every addition, so the exact sum
-    is the last level's single value s plus the sum E of all errors.
-    The errors are added in numpy to e, with |E - e| <= b for
-    b = 2 n u * sum|err| (u = 2**-53), a bound that holds for any order
-    of summation.  Rounding is monotone, so when s + (e - b) and
-    s + (e + b), each rounded outwards first, round to the same double,
-    that double is the rounded exact sum: the value ``math.fsum`` gives.
-    """
-    n = x.size
-    if not max(float(x.max()), -float(x.min())) * n < _TREE_RANGE:  # NaN too
-        return None
-    err_sum = 0.0
-    err_abs = 0.0
+def _tree_levels(x: np.ndarray, bufs) -> tuple[float, float, float]:
+    """(last level's value, float sums of the errors and of |errors|) of
+    one block; two of the four half-block ``bufs`` rows take turns
+    holding a level's sums, two hold its errors."""
+    err_sum = err_abs = 0.0
+    sums, spare, b_buf, err_buf = bufs
     while x.size > 1:
         h = x.size // 2
         a, b = x[:h], x[h:2 * h]
-        s = np.empty(x.size - h)
+        s = sums[:x.size - h]
         top = np.add(a, b, out=s[:h])
         if x.size & 1:
             s[h] = x[-1]
-        b_virtual = top - a
-        err = top - b_virtual
+        b_virtual = np.subtract(top, a, out=b_buf[:h])
+        err = np.subtract(top, b_virtual, out=err_buf[:h])
         np.subtract(a, err, out=err)
         np.subtract(b, b_virtual, out=b_virtual)
         err += b_virtual
         err_sum += float(err.sum())
         err_abs += float(np.abs(err, out=err).sum())
-        x = s
-    s = float(x[0])
+        x, sums, spare = s, spare, sums
+    return float(x[0]), err_sum, err_abs
+
+
+def _tree_sum(x: np.ndarray) -> float | None:
+    """The correctly rounded sum of x, or None when it is not certified.
+
+    Each level of a block of 2**17 terms (1 MiB, in cache) adds its two
+    halves with TwoSum, which also yields the exact rounding error of
+    every addition, so the exact sum is the sum of the blocks' last
+    values s_i plus the sum E of all errors.  The errors are added to e,
+    with |E - e| <= b for b = 2 n u * sum|err| (u = 2**-53), a bound that
+    holds for any order of summation.  Rounding is monotone, so when
+    ``math.fsum`` of the s_i and e - b, and of the s_i and e + b, each
+    rounded outwards first, give the same double, that double is the
+    rounded exact sum: the value ``math.fsum`` gives.
+    """
+    n = x.size
+    if not max(float(x.max()), -float(x.min())) * n < _TREE_RANGE:  # NaN too
+        return None
+    bufs = np.empty((4, (min(n, _TREE_BLOCK) + 1) // 2))
+    sums, errs, abss = zip(*(_tree_levels(x[i:i + _TREE_BLOCK], bufs)
+                             for i in range(0, n, _TREE_BLOCK)))
+    err_abs = math.fsum(abss)
     if err_abs == 0.0:
-        return s + 0.0
+        return math.fsum(sums) + 0.0
+    err_sum = math.fsum(errs)
     bound = err_abs * (n * 2.0 ** -52) + 5e-324
-    lo = s + math.nextafter(err_sum - bound, -math.inf)
-    hi = s + math.nextafter(err_sum + bound, math.inf)
+    lo = math.fsum((*sums, math.nextafter(err_sum - bound, -math.inf)))
+    hi = math.fsum((*sums, math.nextafter(err_sum + bound, math.inf)))
     return lo + 0.0 if lo == hi else None
 
 
@@ -190,22 +205,28 @@ def pos_neg_dots(values, masses, offsets) -> Iterator[tuple[float, float]]:
     # the products are formed once: -(v * m) is (-v) * m exactly
     with np.errstate(over="ignore", invalid="ignore"):
         prod = v * m
-    live = m != 0.0
-    pos_cells = live & (v > 0.0)
-    neg_cells = live & ~(v >= 0.0)  # v < 0, or NaN
-    inf = np.isinf(v)
+    pos_cells = v > 0.0
+    neg_cells = ~(v >= 0.0)  # v < 0, or NaN
     runs = len(offsets) - 1
     pos_inf = neg_inf = [False] * runs
-    if inf.any():
+    # a finite value on a zero-mass cell adds a zero term, which leaves an
+    # exactly rounded sum as it is; an infinite or NaN one is left out
+    odd = ~np.isfinite(v)
+    if odd.any():
+        live = m != 0.0
+        pos_cells &= live
+        neg_cells &= live
+        inf = np.isinf(v, out=odd)
         pos_inf = (np.diff(_bounds(pos_cells & inf, offsets)) > 0).tolist()
         neg_inf = (np.diff(_bounds(neg_cells & inf, offsets)) > 0).tolist()
         pos_cells &= ~inf
         neg_cells &= ~inf
+        del live, inf
     pos = _sums(prod[pos_cells], _bounds(pos_cells, offsets).tolist())
     neg_terms = prod[neg_cells]
     neg = _sums(np.negative(neg_terms, out=neg_terms),
                 _bounds(neg_cells, offsets).tolist())
-    del prod, live, pos_cells, neg_cells, inf, neg_terms
+    del prod, pos_cells, neg_cells, odd, neg_terms
     for p_inf, n_inf, p, n in zip(pos_inf, neg_inf, pos, neg):
         yield math.inf if p_inf else p, math.inf if n_inf else n
 

@@ -20,6 +20,8 @@ from .kernels import comp_sum, ragged_sums
 from .xreal import Interval, MalformedObjectError
 
 _LN2 = math.log(2.0)
+#: ``_exp2_mass`` runs its chain over blocks of this many cells (512 KiB).
+_EXP2_BLOCK = 1 << 16
 
 
 def _exp2_cdf(s):
@@ -30,18 +32,22 @@ def _exp2_mass(a, b):
     # 2^-a * (1 - 2^-(b-a)) / ln 2, written to avoid cancellation for b - a << 1
     a = np.asarray(a, dtype=np.float64)
     b = np.asarray(b, dtype=np.float64)
-    if a.ndim == 0 or a.shape != b.shape:
+    if a.ndim != 1 or a.shape != b.shape:
         return np.exp2(-a) * (-np.expm1(-(b - a) * _LN2)) / _LN2
-    # the same IEEE operations in the same order, on two arrays in place:
-    # (b - a) * -ln2 is -(b - a) * ln2 exactly
-    d = b - a
-    d *= -_LN2
-    np.expm1(d, out=d)
-    np.negative(d, out=d)
-    out = np.negative(a)
-    np.exp2(out, out=out)
-    out *= d
-    out /= _LN2
+    # the same IEEE operations in the same order, block by block in place,
+    # with one scratch block: (b - a) * -ln2 is -(b - a) * ln2 exactly
+    out = np.empty(a.shape)
+    d = np.empty(min(a.size, _EXP2_BLOCK))
+    for i in range(0, a.size, _EXP2_BLOCK):
+        x, o = a[i:i + _EXP2_BLOCK], out[i:i + _EXP2_BLOCK]
+        t = np.subtract(b[i:i + _EXP2_BLOCK], x, out=d[:x.size])
+        t *= -_LN2
+        np.expm1(t, out=t)
+        np.negative(t, out=t)
+        np.negative(x, out=o)
+        np.exp2(o, out=o)
+        o *= t
+        o /= _LN2
     return out
 
 

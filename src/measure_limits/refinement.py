@@ -10,7 +10,9 @@ cell.  Atom locations are listed separately.
 passes over chunks of consecutive indices: every edge is tagged with its
 index and its source, the edges are sorted by (index, value) and
 deduplicated within each index, and each input's cell values, density
-masses and atom weights are read off running counts of the tags.  Each
+masses and atom weights are read off running counts of the tags.  One
+index merges its edges with ``kernels.union_edges``, and a function's
+cell values are runs of its lookup table, one search per breakpoint.  Each
 index keeps its own refinement, and its values and masses are bit for bit
 those of refining that index alone (a pass over a one-row family).  The
 integral, tail, TV and set-uniform series pair functions with measures;
@@ -126,16 +128,13 @@ def _pair_chunk(rows) -> FamilyPairing:
     first = 1 + n_fns
     if n == 1:
         # one index: its edges are merged by one union_edges call
-        # and every element is found among them by binary search
+        # and every measure element is found among them by binary search
         edges = union_edges([g[0] for g in groups])
         edge_row = np.broadcast_to(np.intp(0), edges.shape)
         n_edges = np.asarray([edges.size])
         left, right = slice(None, -1), slice(1, None)
         on = np.searchsorted(edges, np.concatenate(
             [g[0] for g in groups[first:]] + [_EMPTY])).tolist()
-
-        def seen(k):
-            return np.searchsorted(groups[1 + k][0], edges, side="right")
     else:
         vals = np.concatenate([a for g in groups for a in g])
         tags = np.repeat(np.arange(len(groups), dtype=np.int16), sizes)
@@ -158,11 +157,6 @@ def _pair_chunk(rows) -> FamilyPairing:
         on = np.searchsorted(
             ends, at[np.argsort(tags[at], kind="stable")]).tolist()
         del at
-
-        def seen(k):
-            c = np.cumsum(tags == 1 + k, dtype=np.int32)[ends]
-            c += edge_row
-            return c
     bounds = np.cumsum([0] + sizes[first:]).tolist()
     on = [on[a:b] for a, b in zip(bounds, bounds[1:])]
 
@@ -208,18 +202,27 @@ def _pair_chunk(rows) -> FamilyPairing:
                 lut.append((f.values[-1] if f.breakpoints[-1] == d.hi
                             else f.default,))
         lut = np.concatenate(lut)
-        if n == 1 and not atom_edges.size and n_cells[0]:
-            c0, c1 = np.searchsorted(groups[1 + k][0], edges[[0, -2]],
+        if n > 1:
+            # f's breakpoints at or left of each edge, plus the edge's row
+            c = np.cumsum(tags == 1 + k, dtype=np.int32)[ends]
+            c += edge_row
+            values.append(place(lut[c[left]], lut[c[atom_edges]]))
+            continue
+        bp = groups[1 + k][0]
+        if not atom_edges.size and n_cells[0]:
+            c0, c1 = np.searchsorted(bp, edges[[0, -2]],
                                      side="right").tolist()
             if c1 - c0 == n_cells[0] - 1:
                 # each cell starts at one more breakpoint: a table slice
                 values.append(lut[c0:c1 + 1])
                 continue
-        # f's breakpoints at or left of each edge, plus the edge's row
-        c = seen(k)
-        values.append(place(lut[c[left]], lut[c[atom_edges]]))
-        del c
-    del groups, seen
+        # every breakpoint is an edge, so the cells take the table's
+        # entries in runs that end where the breakpoints sit
+        runs = np.diff(np.concatenate(
+            ([0], np.searchsorted(edges, bp), n_cells)))
+        values.append(place(np.repeat(lut, runs), lut[np.searchsorted(
+            bp, edges[atom_edges], side="right")]))
+    del groups
 
     masses = []
     for k in range(n_measures):

@@ -233,6 +233,11 @@ def _builder_ref(spec, path: str, n_max: int) -> Optional[BuilderRef]:
     if name not in gallery.FIXTURES:
         raise _fail(f"{path}.builder",
                     f"unknown builder {name!r}; known: {sorted(gallery.FIXTURES)}")
+    size, limit = params.get("n_max", n_max), gallery.FIXTURES[name].max_n
+    if limit is not None and size > limit:
+        raise _fail(f"{path}.params.n_max" if "n_max" in params else "$.n_max",
+                    f"builder {name!r} builds at most n_max={limit} "
+                    f"(memory budget), got {size}")
     return BuilderRef(name, tuple(sorted({"n_max": n_max, **params}.items())))
 
 

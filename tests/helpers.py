@@ -7,9 +7,13 @@ with the main path is meaningful.  The per-index oracles at the end are
 the loops that the ragged family passes replaced: one ``common_refinement``
 per index, reduced by the cell-loop kernels.  The epi and tail oracles
 keep the one-quantity paths that the shared scans and passes replaced.
-The emission and validation oracles at the very end are the generic
+The emission and validation oracles near the end are the generic
 canonical emitter and the construction checks that the type-dispatched
-emitter and the lean checks replaced.
+emitter and the lean checks replaced.  The whole-array oracles at the
+very end are the comb path's passes before they were blocked or
+written once: the TwoSum tree and the exp2 chain over whole arrays, the
+per-edge binary search of one-index value lookups and the concatenating
+comb builder.
 """
 
 from __future__ import annotations
@@ -24,10 +28,10 @@ import numpy as np
 from measure_limits import EpiCertificate, FiniteMeasure, FnSequence, Interval
 from measure_limits import PiecewiseFn, Ramp, Scenario, lebesgue
 from measure_limits import epilimits, tail_curve
-from measure_limits.functions import _canonicalize
 from measure_limits.integration import integral_series
 from measure_limits import zero_fn
 from measure_limits.kernels import tail_dots, union_edges
+from measure_limits.measures import _LN2
 from measure_limits.uniform import _gap_rows, _gap_series
 from measure_limits.xreal import (
     DomainMismatchError,
@@ -892,8 +896,30 @@ def piecewise_oracle(breakpoints, values, default, domain: Interval
         raise MalformedObjectError("default value is NaN")
     if bp.size and (bp[0] < domain.lo or bp[-1] > domain.hi):
         raise MalformedObjectError("breakpoints outside the declared domain")
-    bp, vals = _canonicalize(bp, vals, default)
+    bp, vals = canonicalize_oracle(bp, vals, default)
     return bp, vals, float(default) + 0.0
+
+
+def canonicalize_oracle(bp: np.ndarray, vals: np.ndarray, default: float
+                        ) -> tuple[np.ndarray, np.ndarray]:
+    """Reference for ``functions._canonicalize``: the ``keep`` mask is
+    built whole before it is asked whether anything merges."""
+    if bp.size == 0:
+        return bp, vals
+    lo, hi = 0, vals.size
+    while lo < hi and vals[lo] == default:
+        lo += 1
+    while hi > lo and vals[hi - 1] == default:
+        hi -= 1
+    vals = vals[lo:hi]
+    bp = bp[lo:hi + 1]
+    if vals.size == 0:
+        return np.empty(0), np.empty(0)
+    keep = np.ones(bp.size, dtype=bool)
+    keep[1:-1] = vals[1:] != vals[:-1]
+    if keep.all():
+        return np.array(bp), vals + 0.0
+    return np.ascontiguousarray(bp[keep]), vals[keep[:-1]] + 0.0
 
 
 def validate_measure_oracle(m: FiniteMeasure) -> None:
@@ -929,3 +955,97 @@ def validate_measure_oracle(m: FiniteMeasure) -> None:
     for lo, hi, desc in spans:
         if lo < m.domain.lo or hi > m.domain.hi:
             raise MalformedObjectError(f"{desc} outside domain")
+
+
+def whole_tree_sum(x: np.ndarray) -> float | None:
+    """Reference for ``kernels._tree_sum``: the TwoSum levels over the
+    whole array, with fresh arrays at every level."""
+    n = x.size
+    if not max(float(x.max()), -float(x.min())) * n < 2.0 ** 1000:
+        return None
+    err_sum = 0.0
+    err_abs = 0.0
+    while x.size > 1:
+        h = x.size // 2
+        a, b = x[:h], x[h:2 * h]
+        s = np.empty(x.size - h)
+        top = np.add(a, b, out=s[:h])
+        if x.size & 1:
+            s[h] = x[-1]
+        b_virtual = top - a
+        err = top - b_virtual
+        np.subtract(a, err, out=err)
+        np.subtract(b, b_virtual, out=b_virtual)
+        err += b_virtual
+        err_sum += float(err.sum())
+        err_abs += float(np.abs(err, out=err).sum())
+        x = s
+    s = float(x[0])
+    if err_abs == 0.0:
+        return s + 0.0
+    bound = err_abs * (n * 2.0 ** -52) + 5e-324
+    lo = s + math.nextafter(err_sum - bound, -math.inf)
+    hi = s + math.nextafter(err_sum + bound, math.inf)
+    return lo + 0.0 if lo == hi else None
+
+
+def whole_exp2_mass(a, b) -> np.ndarray:
+    """Reference for ``measures._exp2_mass`` on 1-d arrays: the same
+    chain on two whole arrays in place."""
+    a = np.asarray(a, dtype=np.float64)
+    b = np.asarray(b, dtype=np.float64)
+    d = b - a
+    d *= -_LN2
+    np.expm1(d, out=d)
+    np.negative(d, out=d)
+    out = np.negative(a)
+    np.exp2(out, out=out)
+    out *= d
+    out /= _LN2
+    return out
+
+
+def seen_values(f: PiecewiseFn, fns, measures) -> np.ndarray:
+    """Reference for f's values in the one-index pairing of ``(fns,
+    measures)``: f's breakpoints at or left of every edge, found by one
+    binary search per edge, index f's lookup table once for the cells
+    and once for the atoms."""
+    d = (fns + measures)[0].domain
+    pieces = [np.asarray([d.lo, d.hi]), *(g.breakpoints for g in fns)]
+    for m in measures:
+        pieces += [m.cell_los, m.cell_his,
+                   np.asarray([s.lo for s in m.segments]),
+                   np.asarray([s.hi for s in m.segments]), m.atom_locs]
+    edges = union_edges(pieces)
+    atom_edges = np.unique(np.searchsorted(edges, np.concatenate(
+        [m.atom_locs for m in measures] + [np.empty(0)])))
+    lut = [(f.default,)]
+    if f.breakpoints.size:
+        lut.append(f.values)
+        lut.append((f.values[-1] if f.breakpoints[-1] == d.hi
+                    else f.default,))
+    lut = np.concatenate(lut)
+    c = np.searchsorted(f.breakpoints, edges, side="right")
+    return np.concatenate([lut[c[:-1]], lut[c[atom_edges]]])
+
+
+def concat_comb_g(n: int) -> PiecewiseFn:
+    """Reference for the ``dyadic_comb`` fixture's g_n: the dyadic cells
+    first, then the cliff appended by ``np.concatenate``."""
+    dom, mu = _comb_domain()
+    seg = mu.segments[0]
+    h = 2.0 ** -n
+    n_cells = 2 ** (n + 1)
+    bp = np.arange(n_cells + 1) * h
+    vals = np.zeros(n_cells)
+    if n < 2:
+        vals[bp[:-1] >= n] = -(2.0 ** n)
+    a = bp[0:-1:2]
+    vals[0::2] -= _comb_depths(seg, a, a + h)
+    if n > 2:
+        bp = np.concatenate([bp, [float(n), float(n + 1)]])
+        vals = np.concatenate([vals, [0.0, -(2.0 ** n)]])
+    elif n == 2:
+        bp = np.concatenate([bp, [float(n + 1)]])
+        vals = np.concatenate([vals, [-(2.0 ** n)]])
+    return PiecewiseFn(bp, vals, 0.0, dom)

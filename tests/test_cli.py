@@ -102,6 +102,14 @@ def test_check_nmax_override(tmp_path):
     assert main(["check", str(path), "--nmax", "0"]) == 1
 
 
+def test_check_nmax_above_the_comb_limit_names_the_field(capsys):
+    comb = Path(__file__).resolve().parent.parent / "scenarios" / "comb_fatou.json"
+    assert main(["check", str(comb), "--nmax", "23"]) == 1
+    err = capsys.readouterr().err
+    assert err == ("error: $.n_max: builder 'dyadic_comb' builds at most "
+                   "n_max=22 (memory budget), got 23\n")
+
+
 def test_check_overrides_apply_before_the_one_validation(tmp_path, capsys):
     from measure_limits import doc_hash
     # an override replaces its field, even an invalid value of it, and the

@@ -12,7 +12,13 @@ dispatches on exact types; ``helpers.canonical_json_oracle`` keeps the
 give the same string or the same error.  The lean construction checks of
 ``PiecewiseFn`` and ``FiniteMeasure`` must raise what
 ``helpers.piecewise_oracle`` and ``helpers.validate_measure_oracle``
-raise, with the same message, or store the same arrays.
+raise, with the same message, or store the same arrays; the oracle
+merges cells with ``helpers.canonicalize_oracle``.  The comb builder
+writes g_n's arrays once, and must store what
+``helpers.concat_comb_g`` (the dyadic cells, then the cliff appended)
+stores.  A one-index pairing reads a function's values as runs of its
+lookup table, and must give ``helpers.seen_values``: every edge
+searched among the breakpoints.
 """
 
 import json
@@ -32,8 +38,8 @@ from measure_limits.measures import AnalyticSegment, _exp2_cdf, _exp2_mass
 from measure_limits.xreal import MalformedObjectError
 
 from helpers import (
-    canonical_json_oracle, fatou_random_document, list_comb_g, list_dominates,
-    piecewise_oracle, validate_measure_oracle,
+    canonical_json_oracle, concat_comb_g, fatou_random_document, list_comb_g,
+    list_dominates, piecewise_oracle, seen_values, validate_measure_oracle,
 )
 
 GRID = [k / 16 for k in range(17)]
@@ -169,14 +175,91 @@ def test_dominates_matches_the_list_oracle_on_documents(seed):
 
 # --- the comb builder --------------------------------------------------------
 
+def same_fn(g: PiecewiseFn, ref: PiecewiseFn) -> bool:
+    return (same_array(g.breakpoints, ref.breakpoints)
+            and same_array(g.values, ref.values)
+            and same(g.default, ref.default) and g.domain == ref.domain)
+
+
 @pytest.mark.parametrize("n", [1, 2, 3, 8])
 def test_comb_builder_matches_the_list_oracle(n):
     g = gallery.build("dyadic_comb", n_max=8).g_seq.fns[n - 1]
-    ref = list_comb_g(n)
-    assert same_array(g.breakpoints, ref.breakpoints)
-    assert same_array(g.values, ref.values)
-    assert same(g.default, ref.default)
-    assert g.domain == ref.domain
+    assert same_fn(g, list_comb_g(n))
+
+
+@pytest.fixture(scope="module")
+def comb_g():
+    return gallery.build("dyadic_comb").g_seq.fns
+
+
+@pytest.mark.parametrize("n", [*range(1, 13), 20])
+def test_comb_builder_matches_the_concatenating_oracle(comb_g, n):
+    # g_20's 2,097,154 breakpoints and values are compared as raw bytes;
+    # the smaller ones element by element, signs of zero included
+    g, ref = comb_g[n - 1], concat_comb_g(n)
+    if n == 20:
+        assert g.breakpoints.tobytes() == ref.breakpoints.tobytes()
+        assert g.values.tobytes() == ref.values.tobytes()
+        assert same(g.default, ref.default) and g.domain == ref.domain
+    else:
+        assert same_fn(g, ref)
+
+
+# --- one-index value lookup --------------------------------------------------
+
+OFF_GRID = [0.3, 0.7, -0.5, 1.5]
+
+
+@st.composite
+def one_index_rows(draw):
+    """(fns, measures) of one index: one or two step functions, which may
+    have no breakpoints, breakpoints on the domain ends or a thousand
+    and more breakpoints, and at most one measure whose atoms sit on or
+    off the grid of breakpoints and whose cell may cover several
+    breakpoints."""
+    domain = draw(st.sampled_from(DOMAINS))
+    fns = [draw(step_fns(domain)) for _ in range(draw(st.integers(1, 2)))]
+    if draw(st.integers(0, 3)) == 0:
+        rng = np.random.default_rng(draw(st.integers(0, 2 ** 32 - 1)))
+        bp = np.unique(rng.uniform(0.0, 1.0, size=draw(st.integers(1100, 3000))))
+        if draw(st.booleans()):
+            bp[0], bp[-1] = 0.0, 1.0
+        vals = rng.choice(VALUES, size=bp.size - 1)
+        fns[0] = PiecewiseFn(bp, vals, draw(st.sampled_from(VALUES)), domain)
+    measures = []
+    if draw(st.booleans()) or len(fns) == 1:
+        points = [x for x in GRID + OFF_GRID if domain.contains(x)]
+        atoms = draw(st.lists(st.sampled_from(points), max_size=4, unique=True))
+        cells = []
+        if draw(st.booleans()):
+            lo, hi = sorted(draw(st.lists(st.sampled_from(GRID), min_size=2,
+                                          max_size=2, unique=True)))
+            cells = [(lo, hi, 1.5)]
+        measures = [FiniteMeasure([(x, 0.25) for x in atoms], cells, (),
+                                  domain)]
+    return tuple(fns), tuple(measures)
+
+
+@settings(max_examples=300, deadline=None)
+@given(one_index_rows())
+def test_one_index_values_match_the_per_edge_search(row):
+    fns, measures = row
+    p = next(refinement.family_pairing([row]))
+    for k, f in enumerate(fns):
+        assert same_array(p.values[k], seen_values(f, fns, measures))
+
+
+@pytest.mark.parametrize("n", [3, 12])
+def test_comb_pairings_match_the_per_edge_search(comb_g, n):
+    # f_n's two breakpoints against g_n's edges, and g_n against the
+    # exp2 measure's segment ends
+    sc = gallery.build("dyadic_comb", n_max=12)
+    f, mu = sc.f_seq.fns[n - 1], sc.measures[n - 1]
+    for row in (((f, comb_g[n - 1]), ()), ((comb_g[n - 1],), (mu,)),
+                ((f,), (mu,))):
+        p = next(refinement.family_pairing([row]))
+        for k, fn in enumerate(row[0]):
+            assert same_array(p.values[k], seen_values(fn, *row))
 
 
 FLOATS = st.one_of(
@@ -270,6 +353,20 @@ def test_piecewise_checks_match_the_oracle(spec):
     (bp, vals, default), (want_bp, want_vals, want_default) = got, want
     assert same_array(bp, want_bp) and same_array(vals, want_vals)
     assert same(default, want_default)
+
+
+@settings(max_examples=300, deadline=None)
+@given(st.lists(st.sampled_from(GRID), min_size=2, max_size=9, unique=True),
+       st.data())
+def test_merged_cells_match_the_oracle(bps, data):
+    # few distinct values, so that neighbours, first and last cells
+    # included, often repeat each other or the default
+    vals = data.draw(st.lists(st.sampled_from([1.0, 0.0, -0.0]),
+                              min_size=len(bps) - 1, max_size=len(bps) - 1))
+    spec = (sorted(bps), vals, data.draw(st.sampled_from([0.0, 1.0, 2.0])),
+            Interval(0.0, 1.0))
+    (bp, vals, default), want = stored_fn(*spec), piecewise_oracle(*spec)
+    assert same_array(bp, want[0]) and same_array(vals, want[1])
 
 
 ENDS = st.sampled_from([0.0, -0.0, 0.25, 0.5, 1.0, -1.0, 2.0,

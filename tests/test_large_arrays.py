@@ -7,7 +7,10 @@ clipping.  ``helpers`` keeps the old code: ``loop_*`` sums with
 ``math.fsum`` one cell at a time, ``unique_edges`` sorts with
 ``np.unique`` and ``clipped_exp2_mass`` is the clipped expression.  Every
 result must agree bit for bit, the sign of zero included, and so must
-the ``OverflowError`` or ``ValueError`` that ``math.fsum`` raises.
+the ``OverflowError`` or ``ValueError`` that ``math.fsum`` raises.  The
+tree runs block by block and the exp2 chain runs in blocks too;
+``helpers.whole_tree_sum`` and ``helpers.whole_exp2_mass`` keep both
+over whole arrays, for sizes at and next to the block multiples.
 """
 
 import math
@@ -21,12 +24,15 @@ from measure_limits import (
     FiniteMeasure, Interval, PiecewiseFn, dominates, make_segment, refinement,
 )
 from measure_limits.kernels import (
-    _TREE_MIN, _tree_sum, comp_sum, pos_neg_dot, union_edges,
+    _TREE_BLOCK, _TREE_MIN, _TREE_RANGE, _tree_sum, comp_sum, pos_neg_dot,
+    union_edges,
 )
+from measure_limits.measures import _EXP2_BLOCK, _exp2_mass
 
 from helpers import (
     clipped_exp2_mass, common_refinement, list_dominates, loop_comp_sum,
-    loop_pos_neg_dot, loop_tail_dot, tail_row, unique_edges,
+    loop_pos_neg_dot, loop_tail_dot, tail_row, unique_edges, whole_exp2_mass,
+    whole_tree_sum,
 )
 
 TINY = 5e-324
@@ -206,6 +212,62 @@ def test_tree_sum_certifies_plain_sums_and_defers_the_rest():
     assert comp_sum(above) == 1.0 + 2.0 ** -52
 
 
+#: Sizes around the tree's block multiples, and one block and a term.
+BLOCK_SIZES = [k * _TREE_BLOCK + d for k in (1, 2, 3) for d in (-1, 0, 1)]
+
+
+@st.composite
+def blocked_arrays(draw):
+    """Terms as ``draw_values`` makes them, over a size at or next to a
+    multiple of the tree's block, and sometimes scaled so that their
+    largest magnitude times their count lies just below or just above
+    ``_TREE_RANGE``."""
+    n = draw(st.sampled_from(BLOCK_SIZES))
+    values = draw_values(draw, n)
+    scale = draw(st.sampled_from([None, None, 1.0 - 2.0 ** -40, 1.0 + 2.0 ** -40]))
+    top = float(np.max(np.abs(values)))
+    if scale is not None and math.isfinite(top) and top > 0.0:
+        values *= (_TREE_RANGE / n / top) * scale
+    return values
+
+
+@settings(max_examples=40, deadline=None)
+@given(blocked_arrays())
+# total cancellation across blocks, and signed zeros in every block
+@example(np.concatenate([np.full(_TREE_BLOCK, 1e300), np.full(_TREE_BLOCK, -1e300),
+                         [3.0]]))
+@example(np.tile([-0.0, 0.0], _TREE_BLOCK + 1))
+# a half-ulp tie whose parts sit in different blocks
+@example(padded([1.0, 2.0 ** -54], _TREE_BLOCK + 1)[::-1].copy())
+def test_blocked_tree_sum_is_fsum_or_defers_as_the_whole_array_tree(terms):
+    want = outcome(loop_comp_sum, terms.tolist())
+    got = _tree_sum(terms)
+    assert got is None or same(got, want)
+    whole = whole_tree_sum(terms)
+    assert whole is None or same(whole, want)
+    if terms.size <= _TREE_BLOCK:
+        # one block is the whole-array tree, operation for operation
+        assert got is whole or same(got, whole)
+    assert same(outcome(comp_sum, terms), want)
+
+
+def test_blocked_tree_sum_certifies_what_the_whole_array_tree_certifies():
+    rng = np.random.default_rng(11)
+    for n in BLOCK_SIZES:
+        plain = rng.uniform(-1.0, 1.0, size=n) * 10.0 ** rng.integers(-6, 7, size=n)
+        want = math.fsum(plain.tolist())
+        assert _tree_sum(plain) == whole_tree_sum(plain) == want
+    # partial sums that may reach the double range go to math.fsum
+    edge = np.full(2 * _TREE_BLOCK + 1, _TREE_RANGE / (2 * _TREE_BLOCK + 1))
+    assert _tree_sum(edge) is None and whole_tree_sum(edge) is None
+    # cancellation across blocks leaves a bound far wider than the result's
+    # rounding: neither tree certifies it, and comp_sum is math.fsum's
+    big = rng.uniform(1.0, 2.0, size=_TREE_BLOCK) * 1e12
+    mixed = rng.permutation(np.concatenate([big, -big, [1e-3]]))
+    assert _tree_sum(mixed) is None and whole_tree_sum(mixed) is None
+    assert comp_sum(mixed) == math.fsum(mixed.tolist()) == 1e-3
+
+
 # -- edge unions -----------------------------------------------------------
 
 DOMAINS = [Interval(-math.inf, math.inf), Interval(0.0, math.inf),
@@ -304,3 +366,20 @@ def test_exp2_masses_in_place_match_the_clipped_expression(bounds, n, seed, layo
     # scalars keep the one-expression form
     x, y = float(a[0]), float(b[0])
     assert same(float(seg.mass(x, y)), float(clipped_exp2_mass(lo, hi, x, y)))
+
+
+@settings(max_examples=30, deadline=None)
+@given(st.sampled_from([k * _EXP2_BLOCK + d for k in (1, 2, 5) for d in (-1, 0, 1)]
+                       + [1, 7]),
+       st.integers(0, 2 ** 32 - 1), st.booleans())
+def test_blocked_exp2_masses_match_the_whole_array_chain(n, seed, strided):
+    # sizes at and next to block multiples; strided ends as the comb
+    # builder passes them
+    rng = np.random.default_rng(seed)
+    edges = np.sort(rng.uniform(0.0, 60.0, size=2 * n + 1))
+    edges[-1] = math.inf
+    if strided:
+        a, b = edges[0:-1:2], edges[1::2]
+    else:
+        a, b = edges[:n], edges[1:n + 1]
+    assert same_array(_exp2_mass(a, b), whole_exp2_mass(a, b))

@@ -1,5 +1,6 @@
 import json
 import math
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -116,6 +117,23 @@ def test_unknown_builder_and_cdf_rejected():
                 {"name": "gauss", "lo": 0.0, "hi": 1.0}]}]},
         }))
     assert "unknown CDF" in str(err.value)
+
+
+@pytest.mark.parametrize("n_max, params, path", [
+    (23, None, "$.n_max"),
+    (8, {"n_max": 23}, "$.functions.params.n_max"),
+])
+def test_comb_size_limit_is_a_field_error(n_max, params, path):
+    doc = json.loads((Path(__file__).resolve().parent.parent / "scenarios"
+                      / "comb_fatou.json").read_text(encoding="utf-8"))
+    doc["n_max"] = n_max
+    if params is not None:
+        doc["functions"] = {"builder": "dyadic_comb", "params": params}
+    with pytest.raises(ScenarioFormatError) as err:
+        parse_scenario(json.dumps(doc))
+    assert str(err.value) == (
+        f"{path}: builder 'dyadic_comb' builds at most n_max=22 "
+        "(memory budget), got 23")
 
 
 def test_json_error_reports_line_and_column():

@@ -19,19 +19,23 @@ per index.  The ``PiecewiseFn`` construction counts of a
 gallery run pin that every f_n is built once, also where f and g are the
 same family.  A ``check`` builds the CLI parser only on a process's first
 call, renders curve CSVs only when ``--curves-dir`` asks for them, and
-emits its report without ``json.dumps``.
+emits its report without ``json.dumps``.  The comb's largest passes are
+held to bounds on the memory that ``tracemalloc`` traces: building the
+family, integrating g_20 and checking f_20 >= g_20.
 """
 
 import argparse
+import gc
 import json
 import sys
+import tracemalloc
 
 import numpy as np
 import pytest
 
 from measure_limits import (
-    PiecewiseFn, epilimits, gallery, integration, kernels, refinement,
-    scenario, tails, uniform,
+    PiecewiseFn, dominates, epilimits, gallery, integration, kernels,
+    refinement, scenario, tails, uniform,
 )
 from measure_limits.cli import main
 from measure_limits.runner import _CHECKS
@@ -273,3 +277,30 @@ def test_comb_fixture_merges_and_sums_without_fallback(monkeypatch):
     assert gallery.run("dyadic_comb").failures == 0
     assert large_uniques == []
     assert trees and None not in trees
+
+
+def traced_peak_mib(fn) -> float:
+    """The peak of the memory that ``tracemalloc`` traces while fn runs,
+    above what is traced when it starts, in MiB."""
+    gc.collect()
+    tracemalloc.start()
+    try:
+        base = tracemalloc.get_traced_memory()[0]
+        fn()
+        return (tracemalloc.get_traced_memory()[1] - base) / 2 ** 20
+    finally:
+        tracemalloc.stop()
+
+
+def test_comb_passes_stay_within_their_memory_bounds():
+    # building the family holds every g_n (about 64 MiB) plus g_20's
+    # arrays while they are written and stored; integrating g_20 holds
+    # its 2^21-cell refinement, masses and kernel terms; the bounds sit
+    # just above the 101.1, 64.5 and 50.0 MiB measured
+    build = traced_peak_mib(lambda: gallery.build("dyadic_comb"))
+    sc = gallery.build("dyadic_comb")
+    f, g, mu = sc.f_seq.fns[-1], sc.g_seq.fns[-1], sc.measures[-1]
+    assert build < 103
+    assert traced_peak_mib(
+        lambda: list(integration.integral_series([g], [mu]))) < 66
+    assert traced_peak_mib(lambda: dominates([f], [g])) < 51
