@@ -20,16 +20,13 @@ from .functions import (
 from .measures import (
     FiniteMeasure, AnalyticSegment, lebesgue, point_mass, make_segment,
 )
-from .integration import (
-    integrate, tv_norm_diff, integrate_ramp, weak_gap_bank,
-)
+from .integration import integrate, weak_gap_bank
 from .tails import (
     TailCurve, UiVerdict, tail_curve, verdict, first_shift,
     DEFAULT_K_GRID, default_window_start,
 )
 from .epilimits import (
-    EpiSchedule, EpiEstimate, epi_liminf, epi_limsup, epi_limit_exists,
-    epi_integral,
+    EpiSchedule, epi_limit_exists, epi_integral,
 )
 from .fatou import (
     Scenario, Tolerances, GapReport, seq_liminf, seq_limsup, fatou_report,

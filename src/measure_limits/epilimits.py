@@ -81,13 +81,6 @@ class EpiSchedule:
         return cls(tuple(steps), n_max)
 
 
-@dataclass(frozen=True)
-class EpiEstimate:
-    value: float
-    certainty: str          # EXACT | WINDOW
-    stabilized: bool
-
-
 def _balls(domain: Interval, pts: np.ndarray, deltas: np.ndarray):
     """Open balls of radius delta_j around every point, clipped to the
     domain: a clipped end becomes the closed domain end.  Returns (lo, hi,
@@ -230,24 +223,6 @@ def _estimates(seq: FnSequence, pts, sched: EpiSchedule, lower: bool, scan
     _require_nonempty(empty[at])
     k = 0 if lower else 1
     return cols[k, at, -1], stab[k, at], WINDOW
-
-
-def _estimate(seq: FnSequence, s: float, sched: EpiSchedule, lower: bool,
-              stab_tol: float) -> EpiEstimate:
-    values, stab, certainty = _estimates(
-        seq, [s], sched, lower, lambda: epi_scan(seq, [s], sched, stab_tol))
-    return EpiEstimate(float(values[0]), certainty, bool(stab[0]))
-
-
-def epi_liminf(seq: FnSequence, s: float, sched: EpiSchedule,
-               stab_tol: float = 1e-9) -> EpiEstimate:
-    """liminf over n -> inf, s' -> s of f_n(s'); -inf propagates."""
-    return _estimate(seq, s, sched, True, stab_tol)
-
-
-def epi_limsup(seq: FnSequence, s: float, sched: EpiSchedule,
-               stab_tol: float = 1e-9) -> EpiEstimate:
-    return _estimate(seq, s, sched, False, stab_tol)
 
 
 @dataclass(frozen=True)

@@ -104,9 +104,6 @@ class PiecewiseFn:
         vals = fn(self.values) if self.values.size else self.values
         return PiecewiseFn(self.breakpoints, vals, fn_scalar(self.default), self.domain)
 
-    def __neg__(self) -> "PiecewiseFn":
-        return self.map_values(lambda v: -v, lambda d: -d)
-
     def __abs__(self) -> "PiecewiseFn":
         return self.map_values(np.abs, abs)
 
@@ -114,10 +111,6 @@ class PiecewiseFn:
         if self.values.size and not np.all(np.isfinite(self.values)):
             return False
         return math.isfinite(self.default)
-
-    def __repr__(self) -> str:
-        return (f"PiecewiseFn({self.breakpoints.size} breakpoints, "
-                f"default={self.default})")
 
 
 def _canonicalize(bp: np.ndarray, vals: np.ndarray, default: float
@@ -243,6 +236,3 @@ class Ramp:
 
     def __call__(self, x: float) -> float:
         return float(np.interp(x, self.xs, self.ys))
-
-    def sup_abs(self) -> float:
-        return max(abs(v) for v in self.ys)

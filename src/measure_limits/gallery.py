@@ -17,7 +17,7 @@ from typing import Callable, Optional
 
 import numpy as np
 
-from .epilimits import epi_limit_exists, epi_liminf
+from .epilimits import epi_limit_exists
 from .fatou import (
     HOLDS,
     VIOLATED,
@@ -35,7 +35,7 @@ from .functions import (
     constant_fn,
     zero_fn,
 )
-from .integration import default_bank, tv_norm_diff, weak_gap_bank
+from .integration import default_bank, weak_gap_bank
 from .measures import FiniteMeasure, lebesgue, make_segment, point_mass
 from .tails import first_shift, tail_curve, verdict
 from .uniform import uniform_report
@@ -412,8 +412,7 @@ def _run_staircase(params: dict) -> list[Quantity]:
     qs.append(_flag("weakened_self_infinite", weak.finite_ok, False,
                     "lower epi-limit integral is -inf at the atom"))
 
-    dev = max(abs(tv_norm_diff(sc.measures[n - 1], sc.limit_measure) - 2.0)
-              for n in (1, 7, sc.n_max))
+    dev = max(abs(sc.tv_series[n - 1] - 2.0) for n in (1, 7, sc.n_max))
     qs.append(_num("tv_to_limit_is_two", dev, 0.0, 1e-12,
                    "mutually singular unit masses"))
 
@@ -548,15 +547,15 @@ def _run_dyadic_comb(params: dict) -> list[Quantity]:
     qs.append(_num("weakened_epi_side", weak.epi_integral, -1.0 / LN2, 1e-6,
                    "depression envelope integrates like a constant density"))
 
-    sched = sc.resolved_schedule()
     env_dev = 0.0
     for s in np.linspace(0.0, 1.9375, 32):
-        est = epi_liminf(sc.g_seq, float(s), sched)
-        env_dev = max(env_dev, abs(est.value + 2.0 ** (s - 1.0) / LN2))
+        est = sc.g_seq.epi_liminf_cert.value_at(float(s), "lower")
+        env_dev = max(env_dev, abs(est + 2.0 ** (s - 1.0) / LN2))
     qs.append(_num("g_epi_liminf_pointwise", env_dev, 0.0, 2e-3,
                    "certificate tracks the exponential envelope per cell"))
 
-    exists = epi_limit_exists(sc.g_seq, sc.resolved_grid(), sched, 1e-9, mu)
+    exists = epi_limit_exists(sc.g_seq, sc.resolved_grid(),
+                              sc.resolved_schedule(), 1e-9, mu)
     qs.append(_num("g_limit_exception_mass", exists.exception_mass,
                    0.75 / LN2, 1e-6, "CDF difference over [0, 2)"))
     qs.append(_flag("g_exception_mass_exact", exists.mass_exact, True,

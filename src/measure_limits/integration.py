@@ -8,9 +8,8 @@ reductions run through ``kernels``, whose sums are exactly rounded
 numpy with a certified error bound), so they do not depend on the order
 of the cells.  A series over the indices of a family is computed by
 ragged family passes (``refinement.family_pairing``) and read index by
-index, so it raises at the first index that fails; ``integrate``,
-``tv_norm_diff`` and ``integrate_ramp`` are the same passes over one
-index.
+index, so it raises at the first index that fails; ``integrate`` is the
+same pass over one index.  Ramps enter only through ``weak_gap_bank``.
 """
 
 from __future__ import annotations
@@ -27,8 +26,8 @@ from .refinement import FamilyPairing, reduce_family
 from .xreal import UnsupportedScenarioError, integral_of_parts
 
 __all__ = [
-    "integrate", "integral_series", "tv_norm_diff",
-    "tv_series", "integrate_ramp", "default_bank", "weak_gap_bank",
+    "integrate", "integral_series", "tv_series", "default_bank",
+    "weak_gap_bank",
 ]
 
 
@@ -66,11 +65,6 @@ def tv_series(measures: Iterable[FiniteMeasure],
     rows = (((), (m, limit)) for m in measures)
     return reduce_family(rows, lambda p: ragged_sums(
         np.abs(p.masses[0] - p.masses[1]), p.offsets))
-
-
-def tv_norm_diff(a: FiniteMeasure, b: FiniteMeasure) -> float:
-    """Total-variation norm of a - b: positive plus negative Hahn mass."""
-    return next(tv_series([a], b))
 
 
 def _ramp_integrals(ramps: list, measures: list) -> Iterator[float]:
@@ -138,16 +132,6 @@ def _ramp_integrals(ramps: list, measures: list) -> Iterator[float]:
             raise UnsupportedScenarioError(
                 "ramp varies over an analytic segment; use a step-function bank")
         yield next(totals)
-
-
-def integrate_ramp(r: Ramp, m: FiniteMeasure) -> float:
-    """Exact integral of a continuous piecewise-linear function.
-
-    Supported against atoms and constant-density cells.  Analytic
-    segments are accepted only where the ramp is constant; the CDF alone
-    does not determine first moments, and guessing is worse than refusing.
-    """
-    return next(_ramp_integrals([r], [m]))
 
 
 def _bank_integrals(bank: list, measures: list) -> Iterator[float]:

@@ -32,8 +32,6 @@ def _exp2_mass(a, b):
     # 2^-a * (1 - 2^-(b-a)) / ln 2, written to avoid cancellation for b - a << 1
     a = np.asarray(a, dtype=np.float64)
     b = np.asarray(b, dtype=np.float64)
-    if a.ndim != 1 or a.shape != b.shape:
-        return np.exp2(-a) * (-np.expm1(-(b - a) * _LN2)) / _LN2
     # the same IEEE operations in the same order, block by block in place,
     # with one scratch block: (b - a) * -ln2 is -(b - a) * ln2 exactly
     out = np.empty(a.shape)
@@ -55,9 +53,10 @@ def _exp2_mass(a, b):
 class AnalyticSegment:
     """Measure layer on [lo, hi] defined by a monotone CDF with cdf(lo) = 0.
 
-    ``mass_fn``, when given, returns the exact mass of a subinterval and
-    is preferred over CDF differences (it can avoid cancellation); the
-    CDF remains the definition and the cross-check oracle target.
+    ``mass_fn``, when given, returns the exact masses of subintervals, from
+    1-d end arrays, and is preferred over CDF differences (it can avoid
+    cancellation); the CDF remains the definition and the cross-check
+    oracle target.
     """
 
     name: str
@@ -77,20 +76,10 @@ class AnalyticSegment:
     def total(self) -> float:
         return float(np.asarray(self.cdf(self.hi)))
 
-    def mass(self, a, b) -> np.ndarray:
-        """Exact mass of [a, b) subintervals (arrays allowed).
-
-        Both ends are clipped to [lo, hi] first, so any interval may be
-        asked for; the part outside the segment has no mass.
-        """
-        a = np.clip(np.asarray(a, dtype=np.float64), self.lo, self.hi)
-        b = np.clip(np.asarray(b, dtype=np.float64), self.lo, self.hi)
-        return np.maximum(self._raw_mass(a, b), 0.0)
-
     def mass_inside(self, a: np.ndarray, b: np.ndarray) -> np.ndarray:
-        """:meth:`mass` for 1-d end arrays that already lie in [lo, hi]:
-        the ends are neither clipped nor copied, and the result is
-        bit for bit the clipped one."""
+        """Exact masses of the [a, b) subintervals, from 1-d end arrays
+        that lie in [lo, hi]; the ends are not copied, and a negative
+        difference reads 0.  Callers clip the ends to the segment."""
         out = self._raw_mass(a, b)
         return np.maximum(out, 0.0, out=out)
 
@@ -216,13 +205,14 @@ class FiniteMeasure:
                  | ((locs == hi) & hi_closed))
         clip_lo = np.maximum(self.cell_los, lo)
         clip_hi = np.minimum(self.cell_his, hi)
-        seg = np.zeros((lo.size, len(self.segments)))
-        seg_keep = np.zeros(seg.shape, dtype=bool)
-        for i, (a, b) in enumerate(zip(lo[:, 0].tolist(), hi[:, 0].tolist())):
-            for j, s in enumerate(self.segments):
-                s_lo, s_hi = max(s.lo, a), min(s.hi, b)
-                if s_hi > s_lo:
-                    seg[i, j], seg_keep[i, j] = float(s.mass(s_lo, s_hi)), True
+        # each segment's masses by one call over its clipped ends
+        s_lo = np.maximum([s.lo for s in self.segments], lo)
+        s_hi = np.minimum([s.hi for s in self.segments], hi)
+        seg_keep = s_hi > s_lo
+        seg = np.zeros(seg_keep.shape)
+        for j, s in enumerate(self.segments):
+            keep = seg_keep[:, j]
+            seg[keep, j] = s.mass_inside(s_lo[keep, j], s_hi[keep, j])
         terms = np.concatenate([np.broadcast_to(self.atom_weights, atoms.shape),
                                 self.cell_densities * (clip_hi - clip_lo), seg],
                                axis=1)
@@ -236,11 +226,6 @@ class FiniteMeasure:
         """All finite structural endpoints (cells, segments, atoms), sorted;
         a read-only array computed once at construction."""
         return self._piece_edges
-
-    def __repr__(self) -> str:
-        return (f"FiniteMeasure({self.atom_locs.size} atoms, "
-                f"{self.cell_los.size} cells, {len(self.segments)} segments, "
-                f"mass={self.total_mass():.6g})")
 
 
 def lebesgue(lo: float, hi: float) -> FiniteMeasure:

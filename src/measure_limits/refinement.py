@@ -57,9 +57,6 @@ class FamilyPairing:
     values: tuple[np.ndarray, ...]
     masses: tuple[np.ndarray, ...]
 
-    def __len__(self) -> int:
-        return self.offsets.size - 1
-
 
 def family_pairing(rows: Iterable) -> Iterator[FamilyPairing]:
     """Ragged common refinements of an indexed family, chunk by chunk.

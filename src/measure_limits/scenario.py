@@ -210,9 +210,6 @@ class ScenarioDoc:
     checks: tuple[str, ...]
     scenario: Scenario
 
-    def canonical(self) -> str:
-        return canonical_json(self.raw)
-
     def hash(self) -> str:
         return doc_hash(self.raw)
 
@@ -281,8 +278,11 @@ def parse_scenario(text: str, tol: Optional[float] = None,
     if not isinstance(name, str) or not name:
         raise _fail("$.name", "expected a nonempty string")
     # the name prefixes curve file names, which must stay in their directory
+    # and be paths that the OS accepts
     if "/" in name:
         raise _fail("$.name", "must not contain '/'")
+    if "\0" in name:
+        raise _fail("$.name", "must not contain a NUL character")
 
     space = _get(data, "space", "$", required=True)
     if not isinstance(space, dict):
@@ -337,6 +337,9 @@ def parse_scenario(text: str, tol: Optional[float] = None,
     sample_grid = None
     if data.get("sample_grid") is not None:
         sample_grid = tuple(_as_float_list(data["sample_grid"], "$.sample_grid"))
+        # an empty grid would let the existence check pass unscanned
+        if not sample_grid:
+            raise _fail("$.sample_grid", "must hold at least one point")
         for i, x in enumerate(sample_grid):
             if not (math.isfinite(x) and domain.contains(x)):
                 raise _fail(f"$.sample_grid[{i}]",

@@ -6,7 +6,10 @@ math.fsum, and derive analytic masses straight from the CDF, so agreement
 with the main path is meaningful.  The per-index oracles at the end are
 the loops that the ragged family passes replaced: one ``common_refinement``
 per index, reduced by the cell-loop kernels.  The epi and tail oracles
-keep the one-quantity paths that the shared scans and passes replaced.
+keep the one-quantity paths that the shared scans and passes replaced;
+``epi_estimate`` reads one point through the shared scan, and
+``loop_masses_of_intervals`` keeps the per-interval segment loop that
+one call per segment replaced.
 The emission and validation oracles near the end are the generic
 canonical emitter and the construction checks that the type-dispatched
 emitter and the lean checks replaced.  The whole-array oracles at the
@@ -30,8 +33,8 @@ from measure_limits import PiecewiseFn, Ramp, Scenario, lebesgue
 from measure_limits import epilimits, tail_curve
 from measure_limits.integration import integral_series
 from measure_limits import zero_fn
-from measure_limits.kernels import tail_dots, union_edges
-from measure_limits.measures import _LN2
+from measure_limits.kernels import ragged_sums, tail_dots, union_edges
+from measure_limits.measures import _LN2, _exp2_mass
 from measure_limits.uniform import _gap_rows, _gap_series
 from measure_limits.xreal import (
     DomainMismatchError,
@@ -368,6 +371,26 @@ def estimates_oracle(seq: FnSequence, pts, sched, lower: bool,
     return cols[:, -1], np.asarray(stab, dtype=bool), "window"
 
 
+@dataclass(frozen=True)
+class Estimate:
+    """The epi-liminf or limsup estimate at one point."""
+
+    value: float
+    certainty: str          # "exact" | "window"
+    stabilized: bool
+
+
+def epi_estimate(seq: FnSequence, s: float, sched, lower: bool,
+                 stab_tol: float = 1e-9) -> Estimate:
+    """The epi-liminf (lower) or limsup estimate at s through the calls
+    that the checks make: ``epilimits._estimates`` over one
+    ``epilimits.epi_scan`` at s, looked up when it runs."""
+    values, stab, certainty = epilimits._estimates(
+        seq, [s], sched, lower,
+        lambda: epilimits.epi_scan(seq, [s], sched, stab_tol))
+    return Estimate(float(values[0]), certainty, bool(stab[0]))
+
+
 def part(f: PiecewiseFn, which: str) -> PiecewiseFn:
     """Positive part max(f, 0) or negative part -min(f, 0), both
     nonnegative, as step functions of their own."""
@@ -376,6 +399,12 @@ def part(f: PiecewiseFn, which: str) -> PiecewiseFn:
     if which == "negative":
         return f.map_values(lambda v: np.maximum(-v, 0.0), lambda d: max(-d, 0.0))
     raise ValueError(f"which must be 'positive' or 'negative', got {which!r}")
+
+
+def negated(f: PiecewiseFn) -> PiecewiseFn:
+    """-f as a step function of its own: every value and the default
+    negated."""
+    return f.map_values(lambda v: -v, lambda d: -d)
 
 
 def neg_parts(sc: Scenario) -> FnSequence:
@@ -412,8 +441,50 @@ def loop_mass_of_interval(m: FiniteMeasure, lo: float, hi: float,
     for seg in m.segments:
         a, b = max(seg.lo, lo), min(seg.hi, hi)
         if b > a:
-            terms.append(float(seg.mass(a, b)))
+            terms.append(float(segment_mass(seg, a, b)))
     return math.fsum(terms) + 0.0 if terms else 0.0
+
+
+def segment_mass(seg, a, b) -> np.ndarray:
+    """Reference for a segment's masses of [a, b) subintervals, scalars or
+    arrays: both ends clipped to the segment, the exp2 closed form as one
+    expression and any other segment as a CDF difference, a negative
+    mass read as 0."""
+    if seg.mass_fn is _exp2_mass:
+        return clipped_exp2_mass(seg.lo, seg.hi, a, b)
+    a = np.clip(np.asarray(a, dtype=np.float64), seg.lo, seg.hi)
+    b = np.clip(np.asarray(b, dtype=np.float64), seg.lo, seg.hi)
+    return np.maximum(np.asarray(seg.cdf(b)) - np.asarray(seg.cdf(a)), 0.0)
+
+
+def loop_masses_of_intervals(m: FiniteMeasure, los, his, lo_closed: bool,
+                             hi_closed: bool) -> list[float]:
+    """Reference for ``FiniteMeasure.masses_of_intervals``: its body with
+    the segment masses taken one interval and segment at a time, each
+    from the scalar ``segment_mass`` of the ends clipped in Python."""
+    lo = np.asarray(los, dtype=np.float64)[:, None]
+    hi = np.asarray(his, dtype=np.float64)[:, None]
+    locs = m.atom_locs
+    atoms = (((lo < locs) & (locs < hi)) | ((locs == lo) & lo_closed)
+             | ((locs == hi) & hi_closed))
+    clip_lo = np.maximum(m.cell_los, lo)
+    clip_hi = np.minimum(m.cell_his, hi)
+    seg = np.zeros((lo.size, len(m.segments)))
+    seg_keep = np.zeros(seg.shape, dtype=bool)
+    for i, (a, b) in enumerate(zip(lo[:, 0].tolist(), hi[:, 0].tolist())):
+        for j, s in enumerate(m.segments):
+            s_lo, s_hi = max(s.lo, a), min(s.hi, b)
+            if s_hi > s_lo:
+                seg[i, j] = float(segment_mass(s, s_lo, s_hi))
+                seg_keep[i, j] = True
+    terms = np.concatenate([np.broadcast_to(m.atom_weights, atoms.shape),
+                            m.cell_densities * (clip_hi - clip_lo), seg],
+                           axis=1)
+    keep = (np.concatenate([atoms, clip_hi > clip_lo, seg_keep], axis=1)
+            & (hi >= lo))
+    return list(ragged_sums(terms.ravel(),
+                            np.arange(lo.size + 1) * terms.shape[1],
+                            keep.ravel()))
 
 
 def unique_edges(pieces) -> np.ndarray:
@@ -784,7 +855,8 @@ def loop_condition_series(f_seq: FnSequence, f: PiecewiseFn, m: FiniteMeasure,
 
 
 def loop_integrate_ramp(r: Ramp, m: FiniteMeasure) -> float:
-    """Reference for ``integration.integrate_ramp``, one cell at a time."""
+    """Reference for one ramp against one measure in
+    ``integration._ramp_integrals``, one cell at a time."""
     terms = [w * r(loc) for loc, w in zip(m.atom_locs, m.atom_weights)]
     nodes = np.asarray(r.xs)
     for lo, hi, rho in zip(m.cell_los, m.cell_his, m.cell_densities):

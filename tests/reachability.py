@@ -11,7 +11,8 @@ The run is the CLI, in process, under ``sys.settrace``:
 - ``check`` on 30 documents of the seed-77 stream of ``perfbench/docs.py``,
   every third with ``--tol 1e-6`` and every fifth with ``--nmax 10``;
 - ``check`` on 12 probe documents of that stream with one +inf or -inf
-  cell value.
+  cell value;
+- ``check`` on seed-77 document 30 with its own epi ``schedule``.
 
 Every function defined in ``src/measure_limits`` whose code object never
 starts running is printed with its first line and line count, followed
@@ -92,6 +93,10 @@ def standard_run(tmp: Path) -> None:
         path.write_text(json.dumps(docs.generate(77, i, inf)),
                         encoding="utf-8")
         runs.append(["check", str(path)])
+    path = tmp / "schedule.json"
+    path.write_text(json.dumps(dict(docs.generate(77, 30), schedule={
+        "N": [2, 4, 8], "delta": [0.5, 0.25, 0.125]})), encoding="utf-8")
+    runs.append(["check", str(path)])
     for argv in runs:
         with contextlib.redirect_stdout(io.StringIO()), \
                 contextlib.redirect_stderr(io.StringIO()):

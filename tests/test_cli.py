@@ -161,7 +161,8 @@ NAN = float("nan")
 
 
 #: why a row's value is rejected, where it is not a NaN
-REASONS = {"$.sample_grid[1]": "5.0 is not a finite point of the space"}
+REASONS = {"$.sample_grid[1]": "5.0 is not a finite point of the space",
+           "$.sample_grid": "must hold at least one point"}
 
 
 @pytest.mark.parametrize("field, value, path", [
@@ -175,6 +176,8 @@ REASONS = {"$.sample_grid[1]": "5.0 is not a finite point of the space"}
      "$.functions.explicit[0].values[0]"),
     # a sample point off the space would reach the epi-limit scans
     ("sample_grid", [0.5, 5.0], "$.sample_grid[1]"),
+    # an empty grid would pass the epi-limit existence check unscanned
+    ("sample_grid", [], "$.sample_grid"),
 ])
 def test_check_rejects_nan_with_the_field_path(tmp_path, capsys, field, value,
                                                path):
@@ -331,6 +334,19 @@ def test_check_rejects_a_name_that_would_leave_the_curves_dir(tmp_path,
     assert main(["check", str(src), "--curves-dir", str(curves)]) == 1
     assert "error: $.name: " in capsys.readouterr().err
     assert not (tmp_path / "curves").exists()
+
+
+def test_check_rejects_a_name_with_a_nul_character(tmp_path, capsys):
+    # the name prefixes the curve files, and no path may hold a NUL
+    src = tmp_path / "doc.json"
+    src.write_text(json.dumps(dict(HOLDS_DOC, name="a\u0000b")),
+                   encoding="utf-8")
+    curves = tmp_path / "curves"
+    assert main(["check", str(src), "--curves-dir", str(curves)]) == 1
+    err = capsys.readouterr().err
+    assert "error: $.name: must not contain a NUL character" in err
+    assert "Traceback" not in err
+    assert not curves.exists()
 
 
 @pytest.mark.parametrize("argv", [

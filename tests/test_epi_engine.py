@@ -26,8 +26,6 @@ from measure_limits import (
     Interval,
     PiecewiseFn,
     epi_limit_exists,
-    epi_liminf,
-    epi_limsup,
     epilimits,
     fatou,
     lebesgue,
@@ -45,6 +43,7 @@ from measure_limits.xreal import (
 )
 
 from helpers import (
+    epi_estimate,
     estimates_oracle,
     fatou_random_scenario,
     scan_columns,
@@ -122,7 +121,7 @@ def test_envelope_rejects_a_family_on_two_domains():
         _envelopes(fns)
     sched = EpiSchedule(((1, 0.25), (2, 0.125)), 2)
     with pytest.raises(DomainMismatchError):
-        epi_liminf(FnSequence(tuple(fns)), 0.25, sched)
+        epi_estimate(FnSequence(tuple(fns)), 0.25, sched, True)
 
 
 @settings(max_examples=400, deadline=None)
@@ -194,7 +193,7 @@ def test_one_step_schedule_reads_one_column_and_never_stabilizes():
     assert rows.shape == (2, 1)
     for s, row in zip((0.25, 0.75), rows):
         assert bits(row) == bits(scan_epi_oracle(seq, s, sched, True))
-    est = epi_liminf(seq, 0.75, sched)
+    est = epi_estimate(seq, 0.75, sched, True)
     assert est.value == 2.0 and not est.stabilized
 
 
@@ -218,8 +217,8 @@ def test_public_estimates_match_oracle():
     sc = fatou_random_scenario(rng, n_max=8)
     sched = sc.resolved_schedule()
     for s in sc.resolved_grid()[::7]:
-        for est, lower in ((epi_liminf(sc.f_seq, s, sched), True),
-                           (epi_limsup(sc.f_seq, s, sched), False)):
+        for est, lower in ((epi_estimate(sc.f_seq, s, sched, True), True),
+                           (epi_estimate(sc.f_seq, s, sched, False), False)):
             want = scan_epi_oracle(sc.f_seq, s, sched, lower)
             assert est.certainty == "window"
             assert bits([est.value]) == bits(want[-1:])
@@ -247,14 +246,14 @@ def test_certified_estimate_builds_nothing(monkeypatch):
     monkeypatch.setattr(epilimits, "epi_scan", counted)
     seq = spike_seq(16)
     sched = EpiSchedule.default(16)
-    est = epi_liminf(seq, 0.0, sched)
+    est = epi_estimate(seq, 0.0, sched, True)
     assert est.value == -math.inf and est.certainty == "exact"
     assert est.stabilized and calls == []
     rep = epi_limit_exists(seq, [-0.5, 0.0, 0.5], sched, 1e-9,
                            lebesgue(-1.0, 1.0))
     assert rep.mass_exact and calls == []
     # the same functions with the certificates stripped are scanned
-    bare = epi_liminf(FnSequence(seq.fns), 0.0, sched)
+    bare = epi_estimate(FnSequence(seq.fns), 0.0, sched, True)
     assert bits([bare.value]) == bits(scan_epi_oracle(seq, 0.0, sched, True)[-1:])
     assert calls
 
@@ -262,7 +261,7 @@ def test_certified_estimate_builds_nothing(monkeypatch):
 def test_certified_estimate_rejects_balls_outside_the_domain():
     seq = spike_seq(8)
     with pytest.raises(MalformedObjectError):
-        epi_liminf(seq, 5.0, EpiSchedule.default(8))
+        epi_estimate(seq, 5.0, EpiSchedule.default(8), True)
 
 
 def test_epi_integrals_are_computed_once_per_scenario(monkeypatch):

@@ -10,9 +10,7 @@ from measure_limits import (
     PiecewiseFn,
     constant_fn,
     epi_integral,
-    epi_liminf,
     epi_limit_exists,
-    epi_limsup,
     lebesgue,
     point_mass,
     zero_fn,
@@ -20,7 +18,8 @@ from measure_limits import (
 from measure_limits import gallery
 from measure_limits.xreal import ScheduleError
 
-from helpers import constant_seq, rand_step_fn, scan_columns
+from helpers import constant_seq, epi_estimate, negated, rand_step_fn
+from helpers import scan_columns
 
 LN2 = math.log(2.0)
 DOM = Interval(0.0, 1.0)
@@ -56,9 +55,9 @@ def test_default_schedule_caps_at_window():
 
 def test_constant_sequence_recovers_constant():
     seq = constant_seq(constant_fn(2.5, DOM), 8)
-    est = epi_liminf(seq, 0.3, sched_for(8))
+    est = epi_estimate(seq, 0.3, sched_for(8), True)
     assert est.value == 2.5
-    assert epi_limsup(seq, 0.3, sched_for(8)).value == 2.5
+    assert epi_estimate(seq, 0.3, sched_for(8), False).value == 2.5
 
 
 def test_comb_cliff_certificate_matches_the_stripped_scan():
@@ -66,25 +65,26 @@ def test_comb_cliff_certificate_matches_the_stripped_scan():
     bare = FnSequence(sc.f_seq.fns)
     for s in (0.0, 0.7, 3.2):
         # the cliffs march off every ball: the scan reads the certified 0
-        est = epi_liminf(bare, s, sched_for(8))
-        assert est.value == epi_liminf(sc.f_seq, s, sched_for(8)).value == 0.0
+        est = epi_estimate(bare, s, sched_for(8), True)
+        cert = epi_estimate(sc.f_seq, s, sched_for(8), True)
+        assert est.value == cert.value == 0.0
         assert est.certainty == "window" and est.stabilized
 
 
 def test_staircase_liminf_at_origin_is_minus_infinity():
     sc = gallery.build("staircase", n_max=16)
-    est = epi_liminf(sc.f_seq, 0.0, sched_for(16))
+    est = epi_estimate(sc.f_seq, 0.0, sched_for(16), True)
     assert est.value == -math.inf and est.certainty == "exact"
     # windowed scan bottoms out at the truncated staircase floor
-    bare = epi_liminf(FnSequence(sc.f_seq.fns), 0.0, sched_for(16))
+    bare = epi_estimate(FnSequence(sc.f_seq.fns), 0.0, sched_for(16), True)
     assert bare.value <= -(50.0)
 
 
 def test_spike_window_scan_blows_up_at_origin():
     sc = gallery.build("twin_spikes", n_max=32)
     bare = FnSequence(sc.f_seq.fns)
-    lo = epi_liminf(bare, 0.0, sched_for(32))
-    hi = epi_limsup(bare, 0.0, sched_for(32))
+    lo = epi_estimate(bare, 0.0, sched_for(32), True)
+    hi = epi_estimate(bare, 0.0, sched_for(32), False)
     assert lo.value <= -32.0 + 1e-9
     assert hi.value >= 32.0 - 1e-9
     assert lo.certainty == "window"
@@ -95,11 +95,11 @@ def test_comb_teeth_liminf_tracks_exponential_envelope():
     sched = sc.resolved_schedule()
     bare = FnSequence(sc.g_seq.fns)
     for s in (0.0, 0.5, 1.25, 1.9):
-        est = epi_liminf(sc.g_seq, s, sched)
+        est = epi_estimate(sc.g_seq, s, sched, True)
         assert est.value == pytest.approx(-(2.0 ** (s - 1.0)) / LN2, abs=2e-3)
         # windowed scan agrees within the final ball's envelope oscillation
         delta = sched.steps[-1][1]
-        assert epi_liminf(bare, s, sched).value == pytest.approx(
+        assert epi_estimate(bare, s, sched, True).value == pytest.approx(
             est.value, rel=2.0 ** delta - 1.0 + 1e-6)
 
 
@@ -108,10 +108,10 @@ def test_comb_teeth_limsup_is_zero():
     sched = sc.resolved_schedule()
     bare = FnSequence(sc.g_seq.fns)
     for s in (0.0, 0.5, 1.25, 1.9):
-        est = epi_limsup(sc.g_seq, s, sched)
+        est = epi_estimate(sc.g_seq, s, sched, False)
         assert est.value == 0.0
         # plain teeth reach 0 in every ball
-        assert epi_limsup(bare, s, sched).value == 0.0
+        assert epi_estimate(bare, s, sched, False).value == 0.0
 
 
 def test_liminf_of_negation_mirrors_limsup():
@@ -120,7 +120,7 @@ def test_liminf_of_negation_mirrors_limsup():
     for _ in range(25):
         fns = [rand_step_fn(rng, DOM) for _ in range(6)]
         seq = FnSequence(tuple(fns))
-        neg = FnSequence(tuple(-f for f in fns))
+        neg = FnSequence(tuple(negated(f) for f in fns))
         pts = rng.uniform(0, 1, 5)
         a = scan_columns(neg, pts, sched, True).tolist()
         b = scan_columns(seq, pts, sched, False).tolist()
@@ -132,16 +132,16 @@ def test_constant_in_n_step_fn_envelope():
     seq = constant_seq(f, 8)
     sched = sched_for(8)
     # interior of a cell: the cell value
-    assert epi_liminf(seq, 0.2, sched).value == 2.0
+    assert epi_estimate(seq, 0.2, sched, True).value == 2.0
     # breakpoint: min of adjacent cell values (oracle: neighborhood scan)
-    assert epi_liminf(seq, 0.4, sched).value == -1.0
-    assert epi_limsup(seq, 0.4, sched).value == 2.0
+    assert epi_estimate(seq, 0.4, sched, True).value == -1.0
+    assert epi_estimate(seq, 0.4, sched, False).value == 2.0
 
 
 def test_schedule_exhaustion_reported():
     seq = constant_seq(zero_fn(DOM), 4)
     with pytest.raises(ScheduleError):
-        epi_liminf(seq, 0.5, EpiSchedule(((2, 0.5), (8, 0.25)), 4))
+        epi_estimate(seq, 0.5, EpiSchedule(((2, 0.5), (8, 0.25)), 4), True)
 
 
 # -- existence ----------------------------------------------------------------

@@ -113,7 +113,7 @@ def same_pairing(rows, budget):
         chunks = list(family_pairing(iter(rows)))
     i = 0
     for p in chunks:
-        for j in range(len(p)):
+        for j in range(p.offsets.size - 1):
             lo, hi = p.offsets[j], p.offsets[j + 1]
             values, masses, cells = loop_pairing(*rows[i])
             assert p.n_cells[j] == cells

@@ -26,7 +26,8 @@ from measure_limits import (
 from measure_limits import gallery
 from measure_limits.fatou import HOLDS, VIOLATED
 
-from helpers import constant_seq, fatou_random_scenario, with_constant_offset
+from helpers import constant_seq, fatou_random_scenario, negated
+from helpers import with_constant_offset
 
 LN2 = math.log(2.0)
 DOM = Interval(0.0, 1.0)
@@ -252,9 +253,9 @@ def test_antisymmetry_brackets_limit():
     seq = FnSequence(tuple(fns),
                      epi_liminf_cert=EpiCertificate(f),
                      epi_limsup_cert=EpiCertificate(f))
-    neg_seq = FnSequence(tuple(-g for g in fns),
-                         epi_liminf_cert=EpiCertificate(-f),
-                         epi_limsup_cert=EpiCertificate(-f))
+    neg_seq = FnSequence(tuple(negated(g) for g in fns),
+                         epi_liminf_cert=EpiCertificate(negated(f)),
+                         epi_limsup_cert=EpiCertificate(negated(f)))
     m = lebesgue(0.0, 1.0)
     sc = Scenario("stab", (m,) * 12, m, seq, certificate="tv")
     sc_neg = Scenario("stab_neg", (m,) * 12, m, neg_seq,

@@ -13,17 +13,16 @@ from measure_limits import (
     FnSequence,
     Interval,
     PiecewiseFn,
-    epi_liminf,
-    epi_limsup,
     integrate,
     lebesgue,
     tail_curve,
-    tv_norm_diff,
 )
 from measure_limits.epilimits import EpiSchedule
+from measure_limits.integration import tv_series
 from measure_limits.fatou import fatou_report
 
 from helpers import (
+    epi_estimate,
     fatou_random_scenario,
     masses_extrema,
     part,
@@ -68,8 +67,8 @@ def test_epi_liminf_below_limsup_at_random_points():
     for _ in range(40):
         seq = random_seq(rng)
         for s in rng.uniform(0.0, 1.0, 25):
-            lo = epi_liminf(seq, float(s), sched)
-            hi = epi_limsup(seq, float(s), sched)
+            lo = epi_estimate(seq, float(s), sched, True)
+            hi = epi_estimate(seq, float(s), sched, False)
             assert lo.value <= hi.value + 1e-12
             checked += 1
     assert checked == 1000
@@ -88,9 +87,9 @@ def test_tv_triangle_inequality_random_triples():
     rng = np.random.default_rng(45)
     for _ in range(100):
         a, b, c = (rand_atomic_measure(rng, DOM) for _ in range(3))
-        assert tv_norm_diff(a, c) <= (tv_norm_diff(a, b)
-                                      + tv_norm_diff(b, c) + 1e-12)
-        assert tv_norm_diff(a, b) == tv_norm_diff(b, a)
+        assert next(tv_series([a], c)) <= (next(tv_series([a], b))
+                                           + next(tv_series([b], c)) + 1e-12)
+        assert next(tv_series([a], b)) == next(tv_series([b], a))
 
 
 def test_uniform_gap_never_positive_random():
@@ -120,7 +119,7 @@ def test_windowed_liminf_rows_monotone_toward_certified_direction():
     for _ in range(20):
         seq = random_seq(rng, n_max)
         for s in rng.uniform(0, 1, 5):
-            lo = epi_liminf(seq, float(s), sched)
+            lo = epi_estimate(seq, float(s), sched, True)
             # same index tail, smaller ball: inf can only rise
             tail_vals = [min(range_on(seq.fns[n - 1], s - d, s + d, False, False)[0]
                              for n in range(6, n_max + 1))

@@ -6,6 +6,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from measure_limits import (
+    AnalyticSegment,
     FiniteMeasure,
     Interval,
     MalformedObjectError,
@@ -13,10 +14,17 @@ from measure_limits import (
     make_segment,
     point_mass,
 )
+from measure_limits.measures import _exp2_cdf
 
-from helpers import loop_mass_of_interval, riemann_mass
+from helpers import loop_mass_of_interval, loop_masses_of_intervals
+from helpers import riemann_mass
 
 LN2 = math.log(2.0)
+
+
+def seg_mass(seg, a: float, b: float) -> float:
+    """The segment's mass of [a, b), for ends inside it."""
+    return float(seg.mass_inside(np.array([a]), np.array([b]))[0])
 
 
 def test_total_mass_shrinking_density():
@@ -41,7 +49,7 @@ def test_total_mass_exp2_segment():
 def test_segment_mass_matches_riemann_oracle():
     seg = make_segment("exp2", 0.0, math.inf)
     for a, b in [(0.0, 1.0), (0.25, 2.5), (3.0, 8.0)]:
-        exact = float(seg.mass(a, b))
+        exact = seg_mass(seg, a, b)
         approx = riemann_mass(lambda s: np.exp2(-s), a, b)
         assert abs(exact - approx) <= 1e-6 * abs(exact)
 
@@ -50,7 +58,7 @@ def test_segment_mass_consistent_with_cdf_difference():
     seg = make_segment("exp2", 0.0, math.inf)
     for a, b in [(0.0, 0.5), (1.0, 1.0009765625), (10.0, 10.25)]:
         by_cdf = float(np.asarray(seg.cdf(b)) - np.asarray(seg.cdf(a)))
-        assert float(seg.mass(a, b)) == pytest.approx(by_cdf, rel=1e-9)
+        assert seg_mass(seg, a, b) == pytest.approx(by_cdf, rel=1e-9)
 
 
 def test_overlap_rejected_naming_both_cells():
@@ -111,6 +119,37 @@ def test_masses_of_intervals_match_one_interval_at_a_time(
                                 lo_closed, hi_closed)
     want = [loop_mass_of_interval(m, a, b, lo_closed, hi_closed)
             for a, b in bounds]
+    assert [x.hex() for x in got] == [x.hex() for x in want]
+
+
+#: interval ends on, next to, inside and far past the segments below: past
+#: 2000 an exp2 mass of ends outside a segment overflows to nan
+SEG_ENDS = [-math.inf, -2000.0, -1.0, 0.0, 0.25, 1.0, math.nextafter(1.0, 2.0),
+            1.5, 2.0, math.nextafter(3.0, 0.0), 3.0, 3.5, 8.0, 9.0, 2000.0,
+            math.inf]
+SEG_END = st.sampled_from(SEG_ENDS) | st.floats(-3.0, 10.0)
+
+
+@settings(max_examples=300, deadline=None)
+@given(st.booleans(), st.booleans(),
+       st.sampled_from([None, (3.0, 8.0), (3.0, math.inf)]),
+       st.lists(st.tuples(SEG_END, SEG_END), max_size=8),
+       st.booleans(), st.booleans())
+def test_segment_masses_of_intervals_match_the_interval_loop(
+        exp2_unit, cdf_only, last, bounds, lo_closed, hi_closed):
+    # [lo, hi] and [lo, inf) segments, with a closed-form mass or a CDF
+    # alone; intervals inside, across and off them, empty and reversed
+    segments = [make_segment("exp2", 0.0, 1.0)] if exp2_unit else []
+    if cdf_only:
+        segments.append(AnalyticSegment("cdf", 1.5, 3.0, _exp2_cdf))
+    if last is not None:
+        segments.append(make_segment("exp2", *last))
+    m = FiniteMeasure(atoms=[(0.5, 0.25), (3.0, 0.5), (9.0, 1.0)],
+                      cells=[(-1.0, 0.0, 0.5)], segments=segments,
+                      domain=Interval(-5.0, math.inf))
+    los, his = [a for a, _ in bounds], [b for _, b in bounds]
+    got = m.masses_of_intervals(los, his, lo_closed, hi_closed)
+    want = loop_masses_of_intervals(m, los, his, lo_closed, hi_closed)
     assert [x.hex() for x in got] == [x.hex() for x in want]
 
 

@@ -197,10 +197,11 @@ def test_one_check_parses_each_spec_once(tmp_path, monkeypatch, flags):
     # read off the negative-part curve the verdicts already computed, from
     # the pass that also gives the f integrals (and in twin_spikes the tail
     # rows of |f_n| come from the pass of the L1 norms); the epi
-    # certificates' integrals and the TV spot checks are one-index passes;
-    # each dominance check the fixture reads is one pass (f_n >= g_n in
-    # both, g_n >= |f_n| in twin_spikes' majorant)
-    ("staircase", 11),
+    # certificates' integrals are one-index passes, and the TV spot checks
+    # read the scenario's TV series, one pass; each dominance check the
+    # fixture reads is one pass (f_n >= g_n in both, g_n >= |f_n| in
+    # twin_spikes' majorant)
+    ("staircase", 9),
     ("staircase_late_start", 1),
     ("twin_spikes", 13),
 ])
