@@ -63,7 +63,8 @@ def _cmd_check(args) -> int:
               for result in report.results if args.curves_dir
               for cname, curve in result.curves.items()}
     try:
-        out_json = report.to_json({c: f for c, (f, _) in curves.items()}) + "\n"
+        out_json = canonical_json(
+            report.to_dict({c: f for c, (f, _) in curves.items()})) + "\n"
     except ValueError as exc:
         # a NaN has no canonical JSON: nothing is written
         print(f"error: {exc}", file=sys.stderr)

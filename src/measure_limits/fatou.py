@@ -345,7 +345,6 @@ class MajorantReport:
     dominance_ok: bool
     limsup_of_integrals: float
     epi_liminf_integral: float
-    epi_certainty: str
     finite_ok: bool
     chain_ok: bool
 
@@ -362,9 +361,8 @@ def majorant_check(sc: Scenario) -> MajorantReport:
     t = sc.tolerances
     ok = sc.g_dominates_abs_f
     lhs, _ = seq_limsup(sc.g_integral_series, sc.window_start, t.stab_tol)
-    val, cert = sc.g_epi_liminf
-    return MajorantReport(ok, lhs, val, cert, val < math.inf,
-                          _le(lhs, val, t.tol))
+    val, _ = sc.g_epi_liminf
+    return MajorantReport(ok, lhs, val, val < math.inf, _le(lhs, val, t.tol))
 
 
 @dataclass(frozen=True)

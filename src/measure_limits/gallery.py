@@ -55,6 +55,12 @@ def _family(builder: Callable[[int], object], n_max: int) -> tuple:
     return tuple(builder(n) for n in range(1, n_max + 1))
 
 
+def _constant_seq(c: PiecewiseFn, n_max: int) -> FnSequence:
+    """n_max copies of c, certified as their own epi-limits."""
+    return FnSequence((c,) * n_max, epi_liminf_cert=EpiCertificate(c),
+                      epi_limsup_cert=EpiCertificate(c))
+
+
 # --------------------------------------------------------------------------
 # fixture: staircase
 # --------------------------------------------------------------------------
@@ -256,15 +262,12 @@ def _shrinking_plateau_scenario(n_max: int = 32) -> Scenario:
         _family(f_builder, n_max),
         epi_liminf_cert=EpiCertificate(zero_fn(dom)),
         epi_limsup_cert=EpiCertificate(zero_fn(dom), ((0.0, math.inf),)))
-    zero_seq = FnSequence((zero_fn(dom),) * n_max,
-                          epi_liminf_cert=EpiCertificate(zero_fn(dom)),
-                          epi_limsup_cert=EpiCertificate(zero_fn(dom)))
     return Scenario(
         name="shrinking_plateau",
         measures=(lebesgue(0.0, 1.0),) * n_max,
         limit_measure=lebesgue(0.0, 1.0),
         f_seq=f_seq,
-        g_seq=zero_seq,
+        g_seq=_constant_seq(zero_fn(dom), n_max),
         limit_fn=zero_fn(dom),
         certificate="tv",
     )
@@ -279,15 +282,12 @@ def _fading_plateau_scenario(n_max: int = 32) -> Scenario:
                 n_max),
         epi_liminf_cert=EpiCertificate(one),
         epi_limsup_cert=EpiCertificate(one))
-    g_seq = FnSequence((one,) * n_max,
-                       epi_liminf_cert=EpiCertificate(one),
-                       epi_limsup_cert=EpiCertificate(one))
     return Scenario(
         name="fading_plateau",
         measures=(lebesgue(0.0, 1.0),) * n_max,
         limit_measure=lebesgue(0.0, 1.0),
         f_seq=f_seq,
-        g_seq=g_seq,
+        g_seq=_constant_seq(one, n_max),
         limit_fn=one,
         certificate="tv",
     )
@@ -297,9 +297,7 @@ def _flat_negative_scenario(n_max: int = 16) -> Scenario:
     """Constant family f_n = g_n = -1; every diagnostic is trivial."""
     dom = Interval(0.0, 1.0)
     neg_one = constant_fn(-1.0, dom)
-    seq = FnSequence((neg_one,) * n_max,
-                     epi_liminf_cert=EpiCertificate(neg_one),
-                     epi_limsup_cert=EpiCertificate(neg_one))
+    seq = _constant_seq(neg_one, n_max)
     return Scenario(
         name="flat_negative",
         measures=(lebesgue(0.0, 1.0),) * n_max,
@@ -314,16 +312,13 @@ def _flat_negative_scenario(n_max: int = 16) -> Scenario:
 def _vanishing_mass_scenario(n_max: int = 32) -> Scenario:
     """Measures with total mass 1/n collapsing to the zero measure."""
     dom = Interval(0.0, 1.0)
-    neg_one = constant_fn(-1.0, dom)
     return Scenario(
         name="vanishing_mass",
         measures=_family(
             lambda n: FiniteMeasure(cells=[(0.0, 1.0, 1.0 / n)], domain=dom),
             n_max),
         limit_measure=FiniteMeasure(domain=dom),
-        f_seq=FnSequence((neg_one,) * n_max,
-                         epi_liminf_cert=EpiCertificate(neg_one),
-                         epi_limsup_cert=EpiCertificate(neg_one)),
+        f_seq=_constant_seq(constant_fn(-1.0, dom), n_max),
         certificate="builder",
     )
 
@@ -368,8 +363,7 @@ def _flag(qid: str, value, expected, note: str) -> Quantity:
     return Quantity(qid, value, expected, None, bool(value == expected), note)
 
 
-def _run_staircase(params: dict) -> list[Quantity]:
-    sc = _staircase_scenario(params.get("n_max", 64))
+def _run_staircase(sc: Scenario) -> list[Quantity]:
     residual = (_STAIR_STEPS + 2.0) * 2.0 ** -_STAIR_STEPS
     qs = []
 
@@ -424,8 +418,7 @@ def _run_staircase(params: dict) -> list[Quantity]:
     return qs
 
 
-def _run_staircase_late_start(params: dict) -> list[Quantity]:
-    sc = _staircase_late_start_scenario(params.get("n_max", 65))
+def _run_staircase_late_start(sc: Scenario) -> list[Quantity]:
     curve = sc.neg_tail_curve
     return [
         _flag("aui_passes", verdict(curve, "aui").passes, True,
@@ -438,8 +431,7 @@ def _run_staircase_late_start(params: dict) -> list[Quantity]:
     ]
 
 
-def _run_twin_spikes(params: dict) -> list[Quantity]:
-    sc = _twin_spikes_scenario(params.get("n_max", 100))
+def _run_twin_spikes(sc: Scenario) -> list[Quantity]:
     qs = []
     f50 = sc.f_seq.fns[49]
     qs.append(_num("f50_at_+0.01", f50(0.01), 50.0, 0.0, "direct construction"))
@@ -503,8 +495,7 @@ def _run_twin_spikes(params: dict) -> list[Quantity]:
     return qs
 
 
-def _run_dyadic_comb(params: dict) -> list[Quantity]:
-    sc = _dyadic_comb_scenario(params.get("n_max", 20))
+def _run_dyadic_comb(sc: Scenario) -> list[Quantity]:
     mu = sc.limit_measure
     qs = []
 
@@ -563,8 +554,7 @@ def _run_dyadic_comb(params: dict) -> list[Quantity]:
     return qs
 
 
-def _run_shrinking_plateau(params: dict) -> list[Quantity]:
-    sc = _shrinking_plateau_scenario(params.get("n_max", 32))
+def _run_shrinking_plateau(sc: Scenario) -> list[Quantity]:
     rep = fatou_report(sc)
     probe = bounded_minorant_shift_probe(sc)
     return [
@@ -578,8 +568,7 @@ def _run_shrinking_plateau(params: dict) -> list[Quantity]:
     ]
 
 
-def _run_fading_plateau(params: dict) -> list[Quantity]:
-    sc = _fading_plateau_scenario(params.get("n_max", 32))
+def _run_fading_plateau(sc: Scenario) -> list[Quantity]:
     # the integral series 1 - 1/n crawls to its limit; equality can only be
     # asserted at the window's own resolution
     dct = dct_report(sc, equality_tol=2.0 / sc.window_start)
@@ -595,8 +584,7 @@ def _run_fading_plateau(params: dict) -> list[Quantity]:
     ]
 
 
-def _run_flat_negative(params: dict) -> list[Quantity]:
-    sc = _flat_negative_scenario(params.get("n_max", 16))
+def _run_flat_negative(sc: Scenario) -> list[Quantity]:
     probe = bounded_minorant_shift_probe(sc)
     rep = fatou_report(sc)
     return [
@@ -606,8 +594,7 @@ def _run_flat_negative(params: dict) -> list[Quantity]:
     ]
 
 
-def _run_vanishing_mass(params: dict) -> list[Quantity]:
-    sc = _vanishing_mass_scenario(params.get("n_max", 32))
+def _run_vanishing_mass(sc: Scenario) -> list[Quantity]:
     rep = fatou_report(sc)
     return [
         _flag("fatou_conclusion", rep.conclusion, HOLDS,
@@ -620,47 +607,38 @@ def _run_vanishing_mass(params: dict) -> list[Quantity]:
 
 @dataclass(frozen=True)
 class Fixture:
-    fixture_id: str
     summary: str
     build: Callable[..., Scenario]
-    run: Callable[[dict], list[Quantity]]
+    run: Callable[[Scenario], list[Quantity]]
     max_n: Optional[int] = None  # the largest n_max its builder accepts
 
 
 FIXTURES: dict[str, Fixture] = {
     "staircase": Fixture(
-        "staircase",
         "collapsing densities vs point mass; staircase integrands with "
         "uniformly integrable negative parts and no minorant certificate",
         _staircase_scenario, _run_staircase),
     "staircase_late_start": Fixture(
-        "staircase_late_start",
         "staircase family with one non-integrable index prepended",
         _staircase_late_start_scenario, _run_staircase_late_start),
     "twin_spikes": Fixture(
-        "twin_spikes",
         "antisymmetric +-n spikes on Lebesgue measure: integrals converge "
         "without any uniform integrability",
         _twin_spikes_scenario, _run_twin_spikes),
     "dyadic_comb": Fixture(
-        "dyadic_comb",
         "geometric cliffs plus dyadic comb depressions on an "
         "exponentially decaying measure",
         _dyadic_comb_scenario, _run_dyadic_comb, _COMB_MAX_N),
     "shrinking_plateau": Fixture(
-        "shrinking_plateau",
         "classic strict-inequality plateau family",
         _shrinking_plateau_scenario, _run_shrinking_plateau),
     "fading_plateau": Fixture(
-        "fading_plateau",
         "plateaus rising to a constant limit under a constant majorant",
         _fading_plateau_scenario, _run_fading_plateau),
     "flat_negative": Fixture(
-        "flat_negative",
         "constant -1 family; all diagnostics trivial",
         _flat_negative_scenario, _run_flat_negative),
     "vanishing_mass": Fixture(
-        "vanishing_mass",
         "mass draining to the zero measure: degenerate-limit edge case",
         _vanishing_mass_scenario, _run_vanishing_mass),
 }
@@ -680,8 +658,8 @@ def build(fixture_id: str, **params) -> Scenario:
 
 
 def run(fixture_id: str, **params) -> ConformanceReport:
-    """Recompute every expected quantity of a fixture and compare."""
+    """Build a fixture's scenario and check every expected quantity."""
     fx = _fixture(fixture_id)
     t0 = time.perf_counter()
-    qs = fx.run(dict(params))
+    qs = fx.run(fx.build(**params))
     return ConformanceReport(fixture_id, tuple(qs), time.perf_counter() - t0)

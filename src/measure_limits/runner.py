@@ -9,8 +9,8 @@ scenario's memoized computations.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-from typing import Optional
+from dataclasses import asdict, dataclass
+from typing import TYPE_CHECKING, Optional
 
 from . import __version__
 from .fatou import (
@@ -23,10 +23,12 @@ from .fatou import (
     weakened_minorant_probe,
 )
 from .integration import default_bank, weak_gap_bank
-from .scenario import KNOWN_CHECKS, ScenarioDoc, canonical_json
 from .tails import verdict
 from .uniform import trend_vanishing
 from .xreal import ScenarioFormatError
+
+if TYPE_CHECKING:
+    from .scenario import ScenarioDoc
 
 PASS = "pass"
 FAIL = "fail"
@@ -64,9 +66,6 @@ class ReportDoc:
             "scenario_hash": self.scenario_hash,
             "checks": checks,
         }
-
-    def to_json(self, curve_files: Optional[dict] = None) -> str:
-        return canonical_json(self.to_dict(curve_files))
 
     @property
     def exit_code(self) -> int:
@@ -109,47 +108,22 @@ def _check_shift(sc: Scenario) -> CheckResult:
 def _check_fatou(sc: Scenario) -> CheckResult:
     rep = fatou_report(sc)
     aui = rep.diagnostics["aui_negative_parts"]
-    return CheckResult("fatou", rep.conclusion, {
+    payload = {
         "lhs": rep.lhs, "lhs_certainty": rep.lhs_certainty,
         "rhs": rep.rhs, "rhs_stabilized": rep.rhs_stabilized,
         "gap": rep.gap, "window_start": sc.window_start,
         "aui_negative_parts": aui.passes,
         "weak_convergence": rep.diagnostics["weak_convergence"],
-    }, {})
-
-
-def _minorant_payload(rep) -> dict:
-    return {
-        "dominance_ok": rep.dominance_ok,
-        "epi_integral": rep.epi_integral,
-        "epi_certainty": rep.epi_certainty,
-        "finite_ok": rep.finite_ok,
-        "liminf_of_integrals": rep.liminf_of_integrals,
-        "chain_ok": rep.chain_ok,
     }
+    if "zero_limit_measure" in rep.diagnostics:  # lhs is 0 by fiat
+        payload["zero_limit_measure"] = True
+    return CheckResult("fatou", rep.conclusion, payload, {})
 
 
-def _check_minorant(sc: Scenario) -> CheckResult:
-    rep = minorant_check(sc)
-    return CheckResult("minorant", "holds" if rep.holds else "violated",
-                       _minorant_payload(rep), {})
-
-
-def _check_weakened_minorant(sc: Scenario) -> CheckResult:
-    rep = weakened_minorant_probe(sc)
-    return CheckResult("weakened_minorant", "holds" if rep.holds else "violated",
-                       _minorant_payload(rep), {})
-
-
-def _check_majorant(sc: Scenario) -> CheckResult:
-    rep = majorant_check(sc)
-    return CheckResult("majorant", "holds" if rep.holds else "violated", {
-        "dominance_ok": rep.dominance_ok,
-        "limsup_of_integrals": rep.limsup_of_integrals,
-        "epi_liminf_integral": rep.epi_liminf_integral,
-        "finite_ok": rep.finite_ok,
-        "chain_ok": rep.chain_ok,
-    }, {})
+def _chain(name: str, rep) -> CheckResult:
+    """A minorant or majorant report, its fields as the payload."""
+    return CheckResult(name, "holds" if rep.holds else "violated",
+                       asdict(rep), {})
 
 
 def _check_dct(sc: Scenario) -> CheckResult:
@@ -196,14 +170,6 @@ def _check_uniform(sc: Scenario, which: str) -> CheckResult:
     return CheckResult(which, v, payload, {f"{which}_series": rep.series})
 
 
-def _check_uniform_fatou(sc: Scenario) -> CheckResult:
-    return _check_uniform(sc, "uniform_fatou")
-
-
-def _check_uniform_dct(sc: Scenario) -> CheckResult:
-    return _check_uniform(sc, "uniform_dct")
-
-
 def _check_weak_gap(sc: Scenario) -> CheckResult:
     # a finite window of bank gaps neither proves nor refutes weak
     # convergence, so the verdict is the certificate's
@@ -221,8 +187,22 @@ def _check_weak_gap(sc: Scenario) -> CheckResult:
     }, {})
 
 
-# each scenario.KNOWN_CHECKS name is served by the function `_check_<name>`
-_CHECKS = {name: globals()[f"_check_{name}"] for name in KNOWN_CHECKS}
+# every check, in the order the `$.checks` error lists them; the lambdas
+# look up the report functions at call time, so perfbench's tracer sees them
+_CHECKS = {
+    "ui": _check_ui,
+    "aui": _check_aui,
+    "shift": _check_shift,
+    "fatou": _check_fatou,
+    "minorant": lambda sc: _chain("minorant", minorant_check(sc)),
+    "weakened_minorant": lambda sc: _chain("weakened_minorant",
+                                           weakened_minorant_probe(sc)),
+    "majorant": lambda sc: _chain("majorant", majorant_check(sc)),
+    "dct": _check_dct,
+    "uniform_fatou": lambda sc: _check_uniform(sc, "uniform_fatou"),
+    "uniform_dct": lambda sc: _check_uniform(sc, "uniform_dct"),
+    "weak_gap": _check_weak_gap,
+}
 
 
 def run_checks(doc: ScenarioDoc, checks: Optional[tuple[str, ...]] = None

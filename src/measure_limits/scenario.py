@@ -21,10 +21,9 @@ from .epilimits import EpiSchedule
 from .fatou import Scenario, Tolerances
 from .functions import FnSequence, PiecewiseFn
 from .measures import CDF_REGISTRY, FiniteMeasure, make_segment
+from .runner import _CHECKS
 from .xreal import Interval, MalformedObjectError, ScenarioFormatError
 
-KNOWN_CHECKS = ("ui", "aui", "shift", "fatou", "minorant", "weakened_minorant",
-                "majorant", "dct", "uniform_fatou", "uniform_dct", "weak_gap")
 CERTIFICATE_KINDS = ("tv", "builder", "none")
 
 
@@ -302,9 +301,10 @@ def parse_scenario(text: str, tol: Optional[float] = None,
     if not isinstance(checks_raw, list):
         raise _fail("$.checks", "expected an array of check names")
     for i, c in enumerate(checks_raw):
-        if c not in KNOWN_CHECKS:
+        # a dict lookup hashes its key, so a list entry is turned away first
+        if not isinstance(c, str) or c not in _CHECKS:
             raise _fail(f"$.checks[{i}]",
-                        f"unknown check {c!r}; known: {list(KNOWN_CHECKS)}")
+                        f"unknown check {c!r}; known: {list(_CHECKS)}")
 
     cert_spec = _get(data, "convergence_certificate", "$",
                      default={"kind": "none"})

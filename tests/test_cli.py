@@ -131,6 +131,21 @@ def test_check_overrides_apply_before_the_one_validation(tmp_path, capsys):
     assert "Traceback" not in err
 
 
+@pytest.mark.parametrize("limit, lhs, flag", [
+    ({}, 0.0, True),
+    (HOLDS_DOC["limit_measure"], -1.0, None),
+])
+def test_check_flags_a_zero_mass_limit_measure(tmp_path, limit, lhs, flag):
+    # against the zero measure the left side is 0 by fiat, not computed,
+    # and the report says so; a limit measure with mass carries no flag
+    doc = dict(HOLDS_DOC, limit_measure=limit, checks=["fatou"])
+    out = tmp_path / "report.json"
+    assert main(["check", str(write(tmp_path, doc)), "--out", str(out)]) == 0
+    fatou = json.loads(out.read_text())["checks"]["fatou"]
+    assert fatou["verdict"] == "holds"
+    assert (fatou["lhs"], fatou.get("zero_limit_measure")) == (lhs, flag)
+
+
 def test_gallery_list(capsys):
     assert main(["gallery", "list"]) == 0
     out = capsys.readouterr().out
@@ -162,7 +177,8 @@ NAN = float("nan")
 
 #: why a row's value is rejected, where it is not a NaN
 REASONS = {"$.sample_grid[1]": "5.0 is not a finite point of the space",
-           "$.sample_grid": "must hold at least one point"}
+           "$.sample_grid": "must hold at least one point",
+           "$.checks[0]": "unknown check ['ui']; known: ['ui', 'aui', "}
 
 
 @pytest.mark.parametrize("field, value, path", [
@@ -178,10 +194,13 @@ REASONS = {"$.sample_grid[1]": "5.0 is not a finite point of the space",
     ("sample_grid", [0.5, 5.0], "$.sample_grid[1]"),
     # an empty grid would pass the epi-limit existence check unscanned
     ("sample_grid", [], "$.sample_grid"),
+    # a check name that is not a string, which a dict lookup cannot hash
+    ("checks", [["ui"]], "$.checks[0]"),
 ])
 def test_check_rejects_nan_with_the_field_path(tmp_path, capsys, field, value,
                                                path):
-    doc = dict(HOLDS_DOC, checks=["ui", "shift", "fatou"], **{field: value})
+    doc = dict(HOLDS_DOC, **{"checks": ["ui", "shift", "fatou"],
+                             field: value})
     src = write(tmp_path, doc)
     out = tmp_path / "report.json"
     assert main(["check", str(src), "--out", str(out)]) == 1

@@ -227,7 +227,9 @@ def blocked_arrays(draw):
     scale = draw(st.sampled_from([None, None, 1.0 - 2.0 ** -40, 1.0 + 2.0 ** -40]))
     top = float(np.max(np.abs(values)))
     if scale is not None and math.isfinite(top) and top > 0.0:
-        values *= (_TREE_RANGE / n / top) * scale
+        # divided by top first: _TREE_RANGE / top overflows for a tiny top
+        values /= top
+        values *= (_TREE_RANGE / n) * scale
     return values
 
 

@@ -1,3 +1,4 @@
+import dataclasses
 import json
 import math
 from pathlib import Path
@@ -13,6 +14,7 @@ from measure_limits import (
     run_checks,
     runner,
 )
+from measure_limits.fatou import MajorantReport, MinorantReport
 
 MINIMAL = """
 {
@@ -222,8 +224,35 @@ def test_report_hash_stability():
     doc = parse_scenario(MINIMAL)
     r1 = run_checks(doc)
     r2 = run_checks(doc)
-    assert r1.to_json() == r2.to_json()
+    assert canonical_json(r1.to_dict()) == canonical_json(r2.to_dict())
     assert r1.scenario_hash == doc_hash(doc.raw)
+
+
+@pytest.mark.parametrize("name, function, report", [
+    ("minorant", "minorant_check",
+     MinorantReport(True, -1.0, "exact", True, 0.0, True)),
+    ("weakened_minorant", "weakened_minorant_probe",
+     MinorantReport(True, -1.0, "window", True, 0.0, False)),
+    ("majorant", "majorant_check", MajorantReport(True, 1.0, 2.0, True, True)),
+])
+def test_chain_checks_look_up_their_report_function_when_they_run(
+        monkeypatch, name, function, report):
+    # a report function replaced on the runner module after import (as a
+    # tracer does) is the one the registry calls; the payload is the
+    # report's fields
+    calls = []
+
+    def spy(sc):
+        calls.append(sc)
+        return report
+
+    monkeypatch.setattr(runner, function, spy)
+    sc = parse_scenario(MINIMAL).scenario
+    result = runner._CHECKS[name](sc)
+    assert calls == [sc]
+    assert result.name == name
+    assert result.verdict == ("holds" if report.holds else "violated")
+    assert result.payload == dataclasses.asdict(report)
 
 
 def test_unknown_check_requested():
