@@ -15,6 +15,7 @@ import argparse
 import os
 import sys
 import tempfile
+from dataclasses import asdict
 from pathlib import Path
 
 from . import __version__, gallery
@@ -82,19 +83,6 @@ def _cmd_check(args) -> int:
     return report.exit_code
 
 
-def _conformance_dict(rep: gallery.ConformanceReport) -> dict:
-    return {
-        "fixture": rep.fixture,
-        "failures": rep.failures,
-        "elapsed_s": rep.elapsed_s,
-        "quantities": [
-            {"id": q.qid, "value": q.value, "expected": q.expected,
-             "tol": q.tol, "ok": q.ok, "note": q.note}
-            for q in rep.quantities
-        ],
-    }
-
-
 def _cmd_gallery(args) -> int:
     if args.action == "list":
         for fid, fx in sorted(gallery.FIXTURES.items()):
@@ -109,7 +97,8 @@ def _cmd_gallery(args) -> int:
             print(f"error: {fid}: {exc}", file=sys.stderr)
             return 1
     payload = {"tool": "measure-limits", "version": __version__,
-               "fixtures": [_conformance_dict(r) for r in reports]}
+               "fixtures": [{**asdict(r), "failures": r.failures}
+                            for r in reports]}
     try:
         text = canonical_json(payload) + "\n"
     except ValueError as exc:

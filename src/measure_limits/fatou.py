@@ -29,7 +29,6 @@ from .refinement import reduce_family_shared, replay
 from .tails import (
     DEFAULT_K_GRID,
     TailCurve,
-    UiVerdict,
     curve_of,
     default_window_start,
     first_shift,
@@ -81,6 +80,10 @@ class Scenario:
     @property
     def window_start(self) -> int:
         return default_window_start(self.n_max)
+
+    @property
+    def certified(self) -> bool:  # the certificate proves weak convergence
+        return self.certificate in ("tv", "builder")
 
     def resolved_schedule(self) -> EpiSchedule:
         return self.schedule or EpiSchedule.default(self.n_max, self.window_start)
@@ -255,8 +258,7 @@ def neg_part_shift(sc: Scenario) -> Optional[int]:
 
 def convergence_evidence(sc: Scenario) -> dict:
     """Hypothesis record for weak convergence of the measure family."""
-    ev: dict = {"kind": sc.certificate,
-                "certified": sc.certificate in ("tv", "builder")}
+    ev: dict = {"kind": sc.certificate, "certified": sc.certified}
     if sc.certificate == "tv":
         series = sc.tv_series[sc.window_start - 1:]
         ev["tv_window_max"] = max(series)
@@ -272,26 +274,24 @@ class GapReport:
     rhs_stabilized: bool
     gap: Optional[float]       # None when both sides are the same infinity
     conclusion: str
-    diagnostics: dict
+    window_start: int
+    aui_negative_parts: bool
+    weak_convergence: dict     # convergence_evidence
+    zero_limit_measure: bool   # the lhs is then 0 by fiat
 
 
 def fatou_report(sc: Scenario) -> GapReport:
     """Epi-liminf integral vs windowed liminf of integrals, plus the
     hypothesis diagnostics that explain the verdict."""
     t = sc.tolerances
-    diagnostics: dict = {"weak_convergence": convergence_evidence(sc)}
-
+    evidence = convergence_evidence(sc)
     zero_mass = sc.limit_measure.total_mass() == 0.0
-    lhs, lhs_cert = sc.f_epi_liminf
+    lhs, lhs_cert = sc.f_epi_liminf  # its errors stand even at zero mass
     if zero_mass:
-        diagnostics["zero_limit_measure"] = True
         lhs, lhs_cert = 0.0, EXACT
-
-    series = sc.f_integral_series
-    rhs, rhs_stab = seq_liminf(series, sc.window_start, t.stab_tol)
-
-    diagnostics["aui_negative_parts"] = verdict(sc.neg_tail_curve, "aui", t.ui_tol)
-
+    rhs, rhs_stab = seq_liminf(sc.f_integral_series, sc.window_start,
+                               t.stab_tol)
+    aui = verdict(sc.neg_tail_curve, "aui", t.ui_tol).passes
     if zero_mass or _le(lhs, rhs, t.tol):
         conclusion = HOLDS
     elif lhs_cert == EXACT and rhs_stab:
@@ -299,21 +299,29 @@ def fatou_report(sc: Scenario) -> GapReport:
     else:
         conclusion = INCONCLUSIVE
     return GapReport(lhs, lhs_cert, rhs, rhs_stab, _gap(rhs, lhs),
-                     conclusion, diagnostics)
+                     conclusion, sc.window_start, aui, evidence, zero_mass)
+
+
+class _Chain:
+    """A minorant or majorant chain holds when each of its parts does."""
+
+    @property
+    def holds(self) -> bool:
+        return self.dominance_ok and self.finite_ok and self.chain_ok
+
+    @property
+    def conclusion(self) -> str:
+        return HOLDS if self.holds else VIOLATED
 
 
 @dataclass(frozen=True)
-class MinorantReport:
+class MinorantReport(_Chain):
     dominance_ok: bool
     epi_integral: float
     epi_certainty: str
     finite_ok: bool
     liminf_of_integrals: float
     chain_ok: bool
-
-    @property
-    def holds(self) -> bool:
-        return self.dominance_ok and self.finite_ok and self.chain_ok
 
 
 def _minorant(sc: Scenario, variant: str) -> MinorantReport:
@@ -341,16 +349,12 @@ def weakened_minorant_probe(sc: Scenario) -> MinorantReport:
 
 
 @dataclass(frozen=True)
-class MajorantReport:
+class MajorantReport(_Chain):
     dominance_ok: bool
     limsup_of_integrals: float
     epi_liminf_integral: float
     finite_ok: bool
     chain_ok: bool
-
-    @property
-    def holds(self) -> bool:
-        return self.dominance_ok and self.finite_ok and self.chain_ok
 
 
 def majorant_check(sc: Scenario) -> MajorantReport:
@@ -370,8 +374,7 @@ class DctReport:
     limit_exists_ae: bool
     exception_mass: float
     mass_exact: bool
-    aui_full: UiVerdict
-    majorant: Optional[MajorantReport]
+    aui_full_family: bool
     hypotheses_ok: bool
     lim_lo: float
     lim_hi: float
@@ -396,11 +399,11 @@ def dct_report(sc: Scenario, equality_tol: Optional[float] = None) -> DctReport:
                               sc.resolved_schedule(), tol, sc.limit_measure,
                               t.stab_tol, lambda: sc.f_epi[2])
     exists_ok = exists.exception_mass <= t.tol
-    aui_full = verdict(sc.abs_tail_curve, "aui", t.ui_tol)
-    major = None
-    if sc.g_seq is not None:
-        major = majorant_check(sc)
-    condition_ok = aui_full.passes or (major is not None and major.holds)
+    aui_full = verdict(sc.abs_tail_curve, "aui", t.ui_tol).passes
+    # the majorant is checked even when a.u.i. already passes, so a
+    # majorant check that raises is the dct check's error
+    major = majorant_check(sc) if sc.g_seq is not None else None
+    condition_ok = aui_full or (major is not None and major.holds)
     hyp_ok = exists_ok and condition_ok
 
     series = sc.f_integral_series
@@ -417,7 +420,7 @@ def dct_report(sc: Scenario, equality_tol: Optional[float] = None) -> DctReport:
     else:
         conclusion = INCONCLUSIVE
     return DctReport(exists_ok, exists.exception_mass, exists.mass_exact,
-                     aui_full, major, hyp_ok, lim_lo, lim_hi,
+                     aui_full, hyp_ok, lim_lo, lim_hi,
                      limit_integral, cert, equal, conclusion,
                      equality_without_condition=equal and not condition_ok)
 

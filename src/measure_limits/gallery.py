@@ -25,6 +25,7 @@ from .fatou import (
     bounded_minorant_shift_probe,
     dct_report,
     fatou_report,
+    majorant_check,
     minorant_check,
     weakened_minorant_probe,
 )
@@ -38,7 +39,6 @@ from .functions import (
 from .integration import default_bank, weak_gap_bank
 from .measures import FiniteMeasure, lebesgue, make_segment, point_mass
 from .tails import first_shift, tail_curve, verdict
-from .uniform import uniform_report
 from .xreal import (
     Interval,
     MalformedObjectError,
@@ -329,7 +329,7 @@ def _vanishing_mass_scenario(n_max: int = 32) -> Scenario:
 
 @dataclass(frozen=True)
 class Quantity:
-    qid: str
+    id: str
     value: object
     expected: object
     tol: Optional[float]
@@ -349,7 +349,7 @@ class ConformanceReport:
 
     @property
     def verdicts(self) -> dict:
-        return {q.qid: q.value for q in self.quantities
+        return {q.id: q.value for q in self.quantities
                 if isinstance(q.value, str) and q.value in
                 ("holds", "violated", "inconclusive")}
 
@@ -468,7 +468,7 @@ def _run_twin_spikes(sc: Scenario) -> list[Quantity]:
     qs.append(_num("minorant_epi_side", minor.epi_integral, 0.0, 1e-12,
                    "upper epi-limit is 0 off the origin"))
 
-    rep = uniform_report(sc)
+    rep = sc.uniform_report
     qs.append(_num("uniform_sup_gap_is_one",
                    max(abs(g - 1.0) for g in rep.series.sup_gaps), 0.0, 1e-12,
                    "each Hahn side carries mass 1"))
@@ -479,7 +479,8 @@ def _run_twin_spikes(sc: Scenario) -> list[Quantity]:
               for n in range(1, sc.n_max + 1))
     qs.append(_num("undershoot_mass_is_1_over_n", dev, 0.0, 1e-12,
                    "undershoot set is [-1/n, 0)"))
-    qs.append(_flag("uniform_verdicts_consistent", rep.consistent, True,
+    qs.append(_flag("uniform_verdicts_consistent",
+                    rep.fatou.consistent and rep.dct.consistent, True,
                     "stalled gaps match the failing tail condition"))
 
     fat = fatou_report(sc)
@@ -519,7 +520,7 @@ def _run_dyadic_comb(sc: Scenario) -> list[Quantity]:
     qs.append(_num("fatou_lhs", rep.lhs, 0.0, 1e-12, "cliffs march off every ball"))
     qs.append(_num("fatou_rhs", rep.rhs, -half, 1e-9, "constant integral series"))
     qs.append(_flag("fatou_aui_diag_fails",
-                    rep.diagnostics["aui_negative_parts"].passes, False,
+                    rep.aui_negative_parts, False,
                     "negative-part tails stick at 1/(2 ln 2)"))
 
     minor = minorant_check(sc)
@@ -573,7 +574,7 @@ def _run_fading_plateau(sc: Scenario) -> list[Quantity]:
     # asserted at the window's own resolution
     dct = dct_report(sc, equality_tol=2.0 / sc.window_start)
     return [
-        _flag("majorant_holds", dct.majorant.holds, True,
+        _flag("majorant_holds", majorant_check(sc).holds, True,
               "constant majorant, chain 1 <= 1 < inf"),
         _num("limit_integral", dct.limit_integral, 1.0, 1e-12,
              "constant limit function"),
@@ -600,7 +601,7 @@ def _run_vanishing_mass(sc: Scenario) -> list[Quantity]:
         _flag("fatou_conclusion", rep.conclusion, HOLDS,
               "zero limit measure edge"),
         _num("fatou_lhs", rep.lhs, 0.0, 0.0, "integral against zero measure"),
-        _flag("edge_recorded", rep.diagnostics.get("zero_limit_measure"), True,
+        _flag("edge_recorded", rep.zero_limit_measure, True,
               "degenerate scenario is flagged, not silent"),
     ]
 

@@ -12,7 +12,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import Callable, Optional
+from typing import Callable
 
 import numpy as np
 
@@ -53,17 +53,16 @@ def _exp2_mass(a, b):
 class AnalyticSegment:
     """Measure layer on [lo, hi] defined by a monotone CDF with cdf(lo) = 0.
 
-    ``mass_fn``, when given, returns the exact masses of subintervals, from
-    1-d end arrays, and is preferred over CDF differences (it can avoid
-    cancellation); the CDF remains the definition and the cross-check
-    oracle target.
+    ``mass_fn`` returns the exact masses of subintervals, from 1-d end
+    arrays, without the cancellation of CDF differences; the CDF remains
+    the definition and the cross-check oracle target.
     """
 
     name: str
     lo: float
     hi: float
     cdf: Callable[[np.ndarray], np.ndarray]
-    mass_fn: Optional[Callable[[np.ndarray, np.ndarray], np.ndarray]] = None
+    mass_fn: Callable[[np.ndarray, np.ndarray], np.ndarray]
 
     def __post_init__(self) -> None:
         if not (math.isfinite(self.lo) and self.lo < self.hi):
@@ -80,13 +79,8 @@ class AnalyticSegment:
         """Exact masses of the [a, b) subintervals, from 1-d end arrays
         that lie in [lo, hi]; the ends are not copied, and a negative
         difference reads 0.  Callers clip the ends to the segment."""
-        out = self._raw_mass(a, b)
+        out = self.mass_fn(a, b)
         return np.maximum(out, 0.0, out=out)
-
-    def _raw_mass(self, a: np.ndarray, b: np.ndarray) -> np.ndarray:
-        if self.mass_fn is not None:
-            return self.mass_fn(a, b)
-        return np.asarray(self.cdf(b)) - np.asarray(self.cdf(a))
 
 
 #: Named CDFs resolvable from scenario files.

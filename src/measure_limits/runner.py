@@ -2,8 +2,11 @@
 
 Each requested check runs against the built scenario and yields a verdict
 record; an exception a check raises becomes its ``error`` verdict
-instead of aborting the run.  Reports serialize canonically so identical
-inputs hash identically.  Checks run one after another and share the
+instead of aborting the run.  A check backed by a report (``fatou``, the
+minorant and majorant chains, ``dct`` and the uniform checks) writes the
+report as it is: the report's fields are the payload and its conclusion
+is the verdict.  Reports serialize canonically so identical inputs hash
+identically.  Checks run one after another and share the
 scenario's memoized computations.
 """
 
@@ -80,23 +83,15 @@ def _vd(v) -> str:
     return PASS if v else FAIL
 
 
-def _check_ui(sc: Scenario) -> CheckResult:
+def _check_tail(sc: Scenario, kind: str) -> CheckResult:
     curve = sc.neg_tail_curve
-    v = verdict(curve, "ui", sc.tolerances.ui_tol)
-    return CheckResult("ui", _vd(v.passes),
-                       {"k_star": v.k_star, "tol": sc.tolerances.ui_tol,
-                        "family": "negative_parts"},
-                       {"ui_tail_curve": curve})
-
-
-def _check_aui(sc: Scenario) -> CheckResult:
-    curve = sc.neg_tail_curve
-    v = verdict(curve, "aui", sc.tolerances.ui_tol)
-    return CheckResult("aui", _vd(v.passes),
-                       {"k_star": v.k_star, "tol": sc.tolerances.ui_tol,
-                        "window_start": curve.window_start,
-                        "family": "negative_parts"},
-                       {"aui_tail_curve": curve})
+    v = verdict(curve, kind, sc.tolerances.ui_tol)
+    payload = {"k_star": v.k_star, "tol": sc.tolerances.ui_tol,
+               "family": "negative_parts"}
+    if kind == "aui":
+        payload["window_start"] = curve.window_start
+    return CheckResult(kind, _vd(v.passes), payload,
+                       {f"{kind}_tail_curve": curve})
 
 
 def _check_shift(sc: Scenario) -> CheckResult:
@@ -105,69 +100,22 @@ def _check_shift(sc: Scenario) -> CheckResult:
                        {"shift": n, "k_max": max(sc.k_grid)}, {})
 
 
-def _check_fatou(sc: Scenario) -> CheckResult:
-    rep = fatou_report(sc)
-    aui = rep.diagnostics["aui_negative_parts"]
-    payload = {
-        "lhs": rep.lhs, "lhs_certainty": rep.lhs_certainty,
-        "rhs": rep.rhs, "rhs_stabilized": rep.rhs_stabilized,
-        "gap": rep.gap, "window_start": sc.window_start,
-        "aui_negative_parts": aui.passes,
-        "weak_convergence": rep.diagnostics["weak_convergence"],
-    }
-    if "zero_limit_measure" in rep.diagnostics:  # lhs is 0 by fiat
-        payload["zero_limit_measure"] = True
-    return CheckResult("fatou", rep.conclusion, payload, {})
+# payload keys that a report writes only when they are set
+_UNSET = {"zero_limit_measure": False, "disagreement": None}
 
 
-def _chain(name: str, rep) -> CheckResult:
-    """A minorant or majorant report, its fields as the payload."""
-    return CheckResult(name, "holds" if rep.holds else "violated",
-                       asdict(rep), {})
-
-
-def _check_dct(sc: Scenario) -> CheckResult:
-    rep = dct_report(sc)
-    return CheckResult("dct", rep.conclusion, {
-        "limit_exists_ae": rep.limit_exists_ae,
-        "exception_mass": rep.exception_mass,
-        "mass_exact": rep.mass_exact,
-        "aui_full_family": rep.aui_full.passes,
-        "hypotheses_ok": rep.hypotheses_ok,
-        "lim_lo": rep.lim_lo, "lim_hi": rep.lim_hi,
-        "limit_integral": rep.limit_integral,
-        "limit_certainty": rep.limit_certainty,
-        "equal": rep.equal,
-        "equality_without_condition": rep.equality_without_condition,
-    }, {})
+def _report(name: str, rep, **curves) -> CheckResult:
+    """A report as its check's result: the report's conclusion is the
+    verdict, and its other fields, less those not set, are the payload."""
+    payload = {k: v for k, v in asdict(rep).items() if k != "conclusion"
+               and (k not in _UNSET or v is not _UNSET[k])}
+    return CheckResult(name, rep.conclusion, payload, curves)
 
 
 def _check_uniform(sc: Scenario, which: str) -> CheckResult:
     rep = sc.uniform_report
-    if which == "uniform_fatou":
-        consistent, observed, predicted = (
-            rep.fatou_consistent, rep.fatou_gap_vanishing, rep.fatou_predicted)
-    else:
-        consistent, observed, predicted = (
-            rep.dct_consistent, rep.sup_gap_vanishing, rep.dct_predicted)
-    # both sides are trends judged over the trailing window; when they
-    # disagree, the window cannot tell which one misjudged the limit
-    v = ("inconclusive" if not consistent
-         else "holds" if observed else "violated")
-    payload = {
-        "gap_trend_vanishing": observed,
-        "conditions_predict_vanishing": predicted,
-        "consistent": consistent,
-        "aui_negative_parts": rep.aui_neg,
-        "aui_full_family": rep.aui_full,
-        "tv_vanishing": rep.tv_vanishing,
-        "undershoot_vanishing": rep.undershoot_vanishing,
-        "in_measure_vanishing": rep.in_measure_vanishing,
-    }
-    if not consistent:
-        payload["disagreement"] = ("observed gap trend contradicts the "
-                                   "two-condition characterization")
-    return CheckResult(which, v, payload, {f"{which}_series": rep.series})
+    return _report(which, rep.fatou if which == "uniform_fatou" else rep.dct,
+                   **{f"{which}_series": rep.series})
 
 
 def _check_weak_gap(sc: Scenario) -> CheckResult:
@@ -176,8 +124,7 @@ def _check_weak_gap(sc: Scenario) -> CheckResult:
     bank = default_bank(sc.limit_measure)
     gaps = weak_gap_bank(sc.measures, sc.limit_measure, bank)
     w = sc.window_start
-    v = PASS if sc.certificate in ("tv", "builder") else "inconclusive"
-    return CheckResult("weak_gap", v, {
+    return CheckResult("weak_gap", PASS if sc.certified else "inconclusive", {
         "bank_size": len(bank),
         "certificate": sc.certificate,
         "max_gap_window": max(gaps[w - 1:]),
@@ -190,15 +137,15 @@ def _check_weak_gap(sc: Scenario) -> CheckResult:
 # every check, in the order the `$.checks` error lists them; the lambdas
 # look up the report functions at call time, so perfbench's tracer sees them
 _CHECKS = {
-    "ui": _check_ui,
-    "aui": _check_aui,
+    "ui": lambda sc: _check_tail(sc, "ui"),
+    "aui": lambda sc: _check_tail(sc, "aui"),
     "shift": _check_shift,
-    "fatou": _check_fatou,
-    "minorant": lambda sc: _chain("minorant", minorant_check(sc)),
-    "weakened_minorant": lambda sc: _chain("weakened_minorant",
-                                           weakened_minorant_probe(sc)),
-    "majorant": lambda sc: _chain("majorant", majorant_check(sc)),
-    "dct": _check_dct,
+    "fatou": lambda sc: _report("fatou", fatou_report(sc)),
+    "minorant": lambda sc: _report("minorant", minorant_check(sc)),
+    "weakened_minorant": lambda sc: _report("weakened_minorant",
+                                            weakened_minorant_probe(sc)),
+    "majorant": lambda sc: _report("majorant", majorant_check(sc)),
+    "dct": lambda sc: _report("dct", dct_report(sc)),
     "uniform_fatou": lambda sc: _check_uniform(sc, "uniform_fatou"),
     "uniform_dct": lambda sc: _check_uniform(sc, "uniform_dct"),
     "weak_gap": _check_weak_gap,

@@ -17,7 +17,7 @@ import csv
 import io
 import math
 from dataclasses import dataclass
-from typing import TYPE_CHECKING, Iterator
+from typing import TYPE_CHECKING, Iterator, Optional
 
 import numpy as np
 
@@ -145,23 +145,39 @@ class UniformGapSeries:
 
 
 @dataclass(frozen=True)
-class UniformReport:
-    series: UniformGapSeries
+class UniformCheck:
+    """One set-uniform check's gap trend against its prediction."""
+    gap_trend_vanishing: bool
+    conditions_predict_vanishing: bool
+    consistent: bool
+    aui_negative_parts: bool
+    aui_full_family: bool
     tv_vanishing: bool
-    fatou_gap_vanishing: bool
-    sup_gap_vanishing: bool
     undershoot_vanishing: bool
     in_measure_vanishing: bool
-    aui_neg: bool
-    aui_full: bool
-    fatou_predicted: bool
-    fatou_consistent: bool
-    dct_predicted: bool
-    dct_consistent: bool
+    conclusion: str
+    disagreement: Optional[str]   # set when the trend contradicts the prediction
 
-    @property
-    def consistent(self) -> bool:
-        return self.fatou_consistent and self.dct_consistent
+
+def _uniform_check(observed: bool, predicted: bool, trends: dict
+                   ) -> UniformCheck:
+    # both sides are trends judged over the trailing window; when they
+    # disagree, the window cannot tell which one misjudged the limit
+    consistent = observed == predicted
+    return UniformCheck(
+        observed, predicted, consistent, **trends,
+        conclusion=("inconclusive" if not consistent
+                    else "holds" if observed else "violated"),
+        disagreement=None if consistent else (
+            "observed gap trend contradicts the two-condition "
+            "characterization"))
+
+
+@dataclass(frozen=True)
+class UniformReport:
+    series: UniformGapSeries
+    fatou: UniformCheck    # the uniform Fatou property
+    dct: UniformCheck      # uniform convergence of integrals over all sets
 
 
 def uniform_report(sc: Scenario) -> UniformReport:
@@ -173,9 +189,9 @@ def uniform_report(sc: Scenario) -> UniformReport:
     masses vanish and the negative parts are a.u.i.; the uniform
     convergence of integrals over all sets exactly when the family
     converges in measure and is a.u.i.  Disagreement between an observed
-    trend and its prediction clears ``fatou_consistent``/``dct_consistent``:
-    on a closed-form fixture that is a fixture bug, on a document a window
-    too short to judge.
+    trend and its prediction clears the check's ``consistent`` and reads
+    ``inconclusive``: on a closed-form fixture that is a fixture bug, on a
+    document a window too short to judge.
     """
     if sc.limit_fn is None:
         raise UnsupportedScenarioError("uniform checks need a limit function")
@@ -205,16 +221,15 @@ def uniform_report(sc: Scenario) -> UniformReport:
     w = sc.window_start
     aui_neg = verdict(sc.neg_tail_curve, "aui", t.ui_tol).passes
     aui_full = verdict(sc.abs_tail_curve, "aui", t.ui_tol).passes
-
-    gap_v = trend_vanishing(inf_gaps, w, t.ui_tol)
-    sup_v = trend_vanishing(sup_gaps, w, t.ui_tol)
     under_v = trend_vanishing(under, w, t.ui_tol)
     inmeas_v = trend_vanishing(inmeas, w, t.ui_tol)
-    tv_v = trend_vanishing(tv, w, t.ui_tol)
-    fatou_pred = under_v and aui_neg
-    dct_pred = inmeas_v and aui_full
+    trends = {"aui_negative_parts": aui_neg, "aui_full_family": aui_full,
+              "tv_vanishing": trend_vanishing(tv, w, t.ui_tol),
+              "undershoot_vanishing": under_v,
+              "in_measure_vanishing": inmeas_v}
     return UniformReport(
-        series, tv_v, gap_v, sup_v, under_v, inmeas_v, aui_neg, aui_full,
-        fatou_predicted=fatou_pred, fatou_consistent=(gap_v == fatou_pred),
-        dct_predicted=dct_pred, dct_consistent=(sup_v == dct_pred),
-    )
+        series,
+        _uniform_check(trend_vanishing(inf_gaps, w, t.ui_tol),
+                       under_v and aui_neg, trends),
+        _uniform_check(trend_vanishing(sup_gaps, w, t.ui_tol),
+                       inmeas_v and aui_full, trends))

@@ -67,7 +67,7 @@ def test_comb_scenario_certified_violation():
     assert rep.rhs == pytest.approx(-1.0 / (2 * LN2), abs=1e-9)
     assert rep.rhs_stabilized
     assert rep.gap == pytest.approx(-1.0 / (2 * LN2), abs=1e-9)
-    assert not rep.diagnostics["aui_negative_parts"].passes
+    assert not rep.aui_negative_parts
 
 
 def test_classic_plateau_strict_inequality():
@@ -106,7 +106,7 @@ def test_zero_limit_measure_edge_flagged():
     rep = fatou_report(sc)
     assert rep.conclusion == HOLDS
     assert rep.lhs == 0.0
-    assert rep.diagnostics["zero_limit_measure"] is True
+    assert rep.zero_limit_measure is True
 
 
 def test_random_scenarios_never_negative_gap():
@@ -180,7 +180,7 @@ def test_dct_spikes_equality_without_condition():
     dct = dct_report(sc, equality_tol=1e-12)
     assert dct.conclusion == HOLDS
     assert dct.equality_without_condition
-    assert not dct.aui_full.passes
+    assert not dct.aui_full_family
     assert dct.limit_exists_ae and dct.exception_mass == 0.0
 
 

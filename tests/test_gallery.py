@@ -11,7 +11,7 @@ from measure_limits import gallery
 def test_fixture_conformance(fixture_id):
     rep = gallery.run(fixture_id)
     bad = [q for q in rep.quantities if not q.ok]
-    assert not bad, [f"{q.qid}: {q.value} != {q.expected}" for q in bad]
+    assert not bad, [f"{q.id}: {q.value} != {q.expected}" for q in bad]
 
 
 def test_every_expected_value_is_exercised():
@@ -62,8 +62,8 @@ def test_unknown_fixture_rejected():
 def test_runs_are_deterministic():
     a = gallery.run("staircase", n_max=16)
     b = gallery.run("staircase", n_max=16)
-    assert [(q.qid, q.value) for q in a.quantities] == \
-           [(q.qid, q.value) for q in b.quantities]
+    assert [(q.id, q.value) for q in a.quantities] == \
+           [(q.id, q.value) for q in b.quantities]
 
 
 def test_conformance_report_verdict_surface():

@@ -14,7 +14,7 @@ from measure_limits import (
     make_segment,
     point_mass,
 )
-from measure_limits.measures import _exp2_cdf
+from measure_limits.measures import _exp2_cdf, _exp2_mass
 
 from helpers import loop_mass_of_interval, loop_masses_of_intervals
 from helpers import riemann_mass
@@ -136,12 +136,13 @@ SEG_END = st.sampled_from(SEG_ENDS) | st.floats(-3.0, 10.0)
        st.lists(st.tuples(SEG_END, SEG_END), max_size=8),
        st.booleans(), st.booleans())
 def test_segment_masses_of_intervals_match_the_interval_loop(
-        exp2_unit, cdf_only, last, bounds, lo_closed, hi_closed):
-    # [lo, hi] and [lo, inf) segments, with a closed-form mass or a CDF
-    # alone; intervals inside, across and off them, empty and reversed
+        exp2_unit, middle, last, bounds, lo_closed, hi_closed):
+    # [lo, hi] and [lo, inf) segments, one of them under a name of its
+    # own; intervals inside, across and off them, empty and reversed
     segments = [make_segment("exp2", 0.0, 1.0)] if exp2_unit else []
-    if cdf_only:
-        segments.append(AnalyticSegment("cdf", 1.5, 3.0, _exp2_cdf))
+    if middle:
+        segments.append(AnalyticSegment("mid", 1.5, 3.0, _exp2_cdf,
+                                        _exp2_mass))
     if last is not None:
         segments.append(make_segment("exp2", *last))
     m = FiniteMeasure(atoms=[(0.5, 0.25), (3.0, 0.5), (9.0, 1.0)],

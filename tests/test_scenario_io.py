@@ -14,7 +14,14 @@ from measure_limits import (
     run_checks,
     runner,
 )
-from measure_limits.fatou import MajorantReport, MinorantReport
+from measure_limits import fatou
+from measure_limits.fatou import (
+    DctReport,
+    GapReport,
+    MajorantReport,
+    MinorantReport,
+)
+from measure_limits.uniform import UniformCheck, UniformGapSeries, UniformReport
 
 MINIMAL = """
 {
@@ -228,31 +235,89 @@ def test_report_hash_stability():
     assert r1.scenario_hash == doc_hash(doc.raw)
 
 
-@pytest.mark.parametrize("name, function, report", [
-    ("minorant", "minorant_check",
-     MinorantReport(True, -1.0, "exact", True, 0.0, True)),
-    ("weakened_minorant", "weakened_minorant_probe",
-     MinorantReport(True, -1.0, "window", True, 0.0, False)),
-    ("majorant", "majorant_check", MajorantReport(True, 1.0, 2.0, True, True)),
-])
+MINOR = MinorantReport(True, -1.0, "exact", True, 0.0, True)
+WEAK = MinorantReport(True, -1.0, "window", True, 0.0, False)
+MAJOR = MajorantReport(True, 1.0, 2.0, True, True)
+EVIDENCE = {"kind": "tv", "certified": True, "tv_window_max": 0.0,
+            "tv_last": 0.0}
+GAP = GapReport(2.0, "exact", 2.0, True, 0.0, "holds", 1, True, EVIDENCE,
+                False)
+ZERO_MASS_GAP = dataclasses.replace(GAP, lhs=0.0, gap=2.0,
+                                    zero_limit_measure=True)
+DCT = DctReport(True, 0.0, True, False, True, 2.0, 2.0, 2.0, "exact", True,
+                "holds", True)
+SERIES = UniformGapSeries((0.0, 0.0), (0.0, 0.0), (0.0, 0.0), (0.0, 0.0))
+AGREE = UniformCheck(True, True, True, True, True, True, True, True, "holds",
+                     None)
+DISAGREE = UniformCheck(False, True, False, True, True, True, True, True,
+                        "inconclusive", "observed gap trend contradicts the "
+                        "two-condition characterization")
+UNIFORM = UniformReport(SERIES, AGREE, DISAGREE)
+
+
+@pytest.mark.parametrize(
+    "name, module, function, report, written, unset, curves", [
+        ("minorant", runner, "minorant_check", MINOR, MINOR, (), {}),
+        ("weakened_minorant", runner, "weakened_minorant_probe", WEAK, WEAK,
+         (), {}),
+        ("majorant", runner, "majorant_check", MAJOR, MAJOR, (), {}),
+        ("fatou", runner, "fatou_report", GAP, GAP, ("zero_limit_measure",),
+         {}),
+        ("fatou", runner, "fatou_report", ZERO_MASS_GAP, ZERO_MASS_GAP, (),
+         {}),
+        ("dct", runner, "dct_report", DCT, DCT, (), {}),
+        # the uniform checks read the scenario's memo, which calls the
+        # report function that the fatou module names
+        ("uniform_fatou", fatou, "uniform_report", UNIFORM, AGREE,
+         ("disagreement",), {"uniform_fatou_series": SERIES}),
+        ("uniform_dct", fatou, "uniform_report", UNIFORM, DISAGREE, (),
+         {"uniform_dct_series": SERIES}),
+    ])
 def test_chain_checks_look_up_their_report_function_when_they_run(
-        monkeypatch, name, function, report):
-    # a report function replaced on the runner module after import (as a
-    # tracer does) is the one the registry calls; the payload is the
-    # report's fields
+        monkeypatch, name, module, function, report, written, unset, curves):
+    # a report function replaced on its module after import (as a tracer
+    # does) is the one the registry calls; the payload is the written
+    # report's fields less its conclusion, which is the verdict, and a key
+    # written only when set is there exactly when it is set
     calls = []
 
     def spy(sc):
         calls.append(sc)
         return report
 
-    monkeypatch.setattr(runner, function, spy)
+    monkeypatch.setattr(module, function, spy)
     sc = parse_scenario(MINIMAL).scenario
     result = runner._CHECKS[name](sc)
+    want = dataclasses.asdict(written)
+    want.pop("conclusion", None)
+    for key in unset:
+        assert want.pop(key) in (False, None)
     assert calls == [sc]
     assert result.name == name
-    assert result.verdict == ("holds" if report.holds else "violated")
-    assert result.payload == dataclasses.asdict(report)
+    assert result.verdict == written.conclusion
+    assert result.payload == want
+    assert result.curves == curves
+    if isinstance(written, (MinorantReport, MajorantReport)):
+        assert result.verdict == ("holds" if written.holds else "violated")
+
+
+def test_dct_reads_error_when_the_majorant_check_raises(monkeypatch):
+    # dct_report checks the majorant whenever a g family exists, even
+    # when the full family is a.u.i. and the majorant cannot change the
+    # verdict, so the majorant's error is the dct check's
+    doc = json.loads(MINIMAL)
+    doc["g_functions"] = doc["functions"]
+    text = json.dumps(doc)
+    dct = run_checks(parse_scenario(text), ("dct",)).results[0]
+    assert dct.verdict == "holds" and dct.payload["aui_full_family"] is True
+
+    def broken(sc):
+        raise KeyError("majorant")
+
+    monkeypatch.setattr(fatou, "majorant_check", broken)
+    dct, = run_checks(parse_scenario(text), ("dct",)).results
+    assert (dct.verdict, dct.payload) == ("error",
+                                          {"error": "KeyError: 'majorant'"})
 
 
 def test_unknown_check_requested():

@@ -199,17 +199,18 @@ def test_uniform_report_identity_scenario():
     rep = uniform_report(sc)
     assert all(g == 0.0 for g in rep.series.inf_gaps)
     assert all(g == 0.0 for g in rep.series.sup_gaps)
-    assert rep.fatou_gap_vanishing and rep.sup_gap_vanishing
-    assert rep.consistent
+    assert rep.fatou.gap_trend_vanishing and rep.dct.gap_trend_vanishing
+    assert rep.fatou.consistent and rep.dct.consistent
 
 
 def test_uniform_report_spikes_consistent_failure():
     sc = gallery.build("twin_spikes", n_max=40)
     rep = uniform_report(sc)
     assert all(g == pytest.approx(1.0, abs=1e-12) for g in rep.series.sup_gaps)
-    assert not rep.sup_gap_vanishing and not rep.dct_predicted
-    assert rep.consistent
-    assert rep.tv_vanishing  # identical measures
+    assert not rep.dct.gap_trend_vanishing
+    assert not rep.dct.conditions_predict_vanishing
+    assert rep.fatou.consistent and rep.dct.consistent
+    assert rep.fatou.tv_vanishing and rep.dct.tv_vanishing  # identical measures
 
 
 def test_uniform_report_vanishing_offset():
@@ -225,7 +226,8 @@ def test_uniform_report_vanishing_offset():
     rep = uniform_report(sc)
     assert rep.series.sup_gaps == pytest.approx(
         tuple(1.0 / n for n in range(1, 17)), abs=1e-15)
-    assert rep.sup_gap_vanishing and rep.consistent
+    assert rep.dct.gap_trend_vanishing
+    assert rep.fatou.consistent and rep.dct.consistent
 
 
 def test_uniform_report_requires_limit_fn():
