@@ -29,7 +29,8 @@ from .xreal import (
 
 
 class PiecewiseFn:
-    """Step function on an interval domain."""
+    """Step function on an interval domain, on read-only arrays: input
+    arrays that are read-only, own their data and are canonical are kept."""
 
     __slots__ = ("breakpoints", "values", "default", "domain")
 
@@ -44,7 +45,9 @@ class PiecewiseFn:
                 f"{vals.size} cell values for {bp.size} breakpoints")
         if bp.size == 0 and vals.size != 0:
             raise MalformedObjectError("cell values without breakpoints")
-        if bp.size and (not np.isfinite(bp).all() or not (bp[1:] > bp[:-1]).all()):
+        # strictly increasing breakpoints between finite ends are finite
+        if bp.size and not (math.isfinite(bp[0]) and math.isfinite(bp[-1])
+                            and (bp[1:] > bp[:-1]).all()):
             raise MalformedObjectError("breakpoints must be finite and strictly increasing")
         if np.isnan(vals).any():
             raise MalformedObjectError("cell values may not be NaN")
@@ -52,8 +55,6 @@ class PiecewiseFn:
         if bp.size and (bp[0] < domain.lo or bp[-1] > domain.hi):
             raise MalformedObjectError("breakpoints outside the declared domain")
         bp, vals = _canonicalize(bp, vals, default)
-        bp.setflags(write=False)
-        vals.setflags(write=False)
         self.breakpoints = bp
         self.values = vals
         self.default = float(default) + 0.0
@@ -118,24 +119,28 @@ def _canonicalize(bp: np.ndarray, vals: np.ndarray, default: float
     """Merge adjacent equal-valued cells, strip default-valued edge cells
     and store -0.0 values as 0.0: evaluation-preserving everywhere under
     the half-open cell convention, up to the sign of zero."""
-    if bp.size == 0:
-        return bp, vals
     lo, hi = 0, vals.size
     while lo < hi and vals[lo] == default:
         lo += 1
     while hi > lo and vals[hi - 1] == default:
         hi -= 1
-    vals = vals[lo:hi]
-    bp = bp[lo:hi + 1]
-    if vals.size == 0:
-        return np.empty(0), np.empty(0)
-    merge = vals[1:] == vals[:-1]
-    if not merge.any():
-        # nothing to merge: the arrays are copied whole
-        return np.array(bp), vals + 0.0
-    keep = np.ones(bp.size, dtype=bool)
-    keep[1:-1] = ~merge
-    return np.ascontiguousarray(bp[keep]), vals[keep[:-1]] + 0.0
+    if hi - lo < max(vals.size, 1):
+        vals, bp = vals[lo:hi], bp[lo:hi + 1] if hi > lo else bp[:0]
+    change = vals[1:] != vals[:-1]
+    if not change.all():
+        # each kept cell starts where the value changes
+        new = np.flatnonzero(change) + 1
+        vals, bp = vals[np.append(0, new)], bp[np.r_[0, new, bp.size - 1]]
+    # an array that is read-only and owns its data is kept, unless it holds
+    # -0.0, the one double whose int64 view is the least int64
+    if bp.base is not None or bp.flags.writeable:
+        bp = np.array(bp)
+    if (vals.base is not None or vals.flags.writeable
+            or vals.view(np.int64).min(initial=0) == np.iinfo(np.int64).min):
+        vals = vals + 0.0
+    bp.setflags(write=False)
+    vals.setflags(write=False)
+    return bp, vals
 
 
 def zero_fn(domain: Interval) -> PiecewiseFn:

@@ -177,9 +177,11 @@ def _comb_domain() -> tuple[Interval, FiniteMeasure]:
 
 
 def _comb_depths(seg, a: np.ndarray, b: np.ndarray) -> np.ndarray:
-    """Depression depth per dyadic cell: the measure-average of the
-    exponential envelope 2^(s-1)/ln 2, i.e. (len/(2 ln 2)) / mass."""
-    return ((b - a) / (2.0 * LN2)) / seg.mass_inside(a, b)
+    """Depression depth per cell [a, b) of a dyadic grid, all b[0] - a[0]
+    long: the exponential envelope 2^(s-1)/ln 2 averaged by the measure,
+    i.e. (len/(2 ln 2)) / mass, written over the masses."""
+    depths = seg.mass_inside(a, b)
+    return np.divide((b[0] - a[0]) / (2.0 * LN2), depths, out=depths)
 
 
 def _dyadic_comb_scenario(n_max: int = 20) -> Scenario:
@@ -192,10 +194,11 @@ def _dyadic_comb_scenario(n_max: int = 20) -> Scenario:
     while the pointwise values stay within one cell's oscillation of the
     envelope.
 
-    g_n is built as numpy arrays, never as Python lists: two float64 arrays
-    (breakpoints and cell values) of 2^(n+1) cells plus at most two cliff
-    cells, 16 MiB each at n = 20, each written once.  The family holds
-    every g_n, about 64 MiB for n_max = 20.
+    g_n is built as numpy arrays, never as Python lists, and canonical:
+    for n > 2 the last dyadic cell and [2, n) are one zero cell, so g_n has
+    2^(n+1) + 2 breakpoints.  Both arrays, 16 MiB each at n = 20, are
+    written once and frozen, so ``PiecewiseFn`` keeps them.  The family
+    holds every g_n, about 64 MiB for n_max = 20.
     """
     if n_max > _COMB_MAX_N:
         raise MalformedObjectError(
@@ -209,18 +212,20 @@ def _dyadic_comb_scenario(n_max: int = 20) -> Scenario:
     def g_builder(n: int) -> PiecewiseFn:
         h = 2.0 ** -n
         n_cells = 2 ** (n + 1)
-        # the cells of [0, 2), then for n >= 2 the cliff [n, n + 1)
+        # the dyadic edges of [0, 2), 2.0 only for n <= 2, then the cliff
         tail = [float(n), float(n + 1)] if n > 2 else [3.0] if n == 2 else []
-        bp = np.arange(n_cells + 1 + len(tail), dtype=np.float64)
-        bp[:n_cells + 1] *= h
-        bp[n_cells + 1:] = tail
+        n_dyadic = n_cells + (n <= 2)
+        bp = np.arange(n_dyadic + len(tail), dtype=np.float64)
+        bp[:n_dyadic] *= h
+        bp[n_dyadic:] = tail
         vals = np.zeros(bp.size - 1)
         if n < 2:
             vals[bp[:n_cells] >= n] = -(2.0 ** n)
         else:
             vals[-1] = -(2.0 ** n)
-        a = bp[0:n_cells:2]
-        vals[0:n_cells:2] -= _comb_depths(seg, a, a + h)
+        # each depressed cell ends at the next dyadic edge
+        vals[0:n_cells:2] -= _comb_depths(seg, bp[0:n_cells:2], bp[1:n_cells:2])
+        bp.flags.writeable = vals.flags.writeable = False
         return PiecewiseFn(bp, vals, 0.0, dom)
 
     fine_bp = np.arange(_COMB_CERT_CELLS + 1) * (2.0 / _COMB_CERT_CELLS)

@@ -1,10 +1,10 @@
 """Reduction kernels over aligned cell-value / cell-mass arrays, and the
 sorted union of edge arrays that refinements are built on.
 
-Each kernel selects its terms with numpy sign and threshold masks, forms
-the products in numpy and adds them exactly rounded: every sum equals
-``math.fsum`` of the same terms, so its value does not depend on the
-order of the terms.  Arrays of fewer than 4,096 terms go to
+Each kernel gathers its terms by the indices of a sign or threshold
+test, forms their products in numpy and adds them exactly rounded: every
+sum equals ``math.fsum`` of the same terms, so its value does not depend
+on the order of the terms.  Arrays of fewer than 4,096 terms go to
 ``math.fsum`` directly.  Larger ones are added in numpy by a tree of
 error-free (TwoSum) levels, over cache-sized blocks, whose rounding
 errors are summed with a proven bound; when that bound cannot certify
@@ -16,7 +16,7 @@ for inf + -inf and inf results are ``math.fsum``'s own.
 
 Every kernel takes ragged arrays: the ``offsets`` of a family pairing
 split them into one run of cells per index (see
-``refinement.family_pairing``), the masks and products are formed once
+``refinement.family_pairing``), the gathers and products are formed once
 for all the runs, and the per-index sums are computed as the caller asks
 for them, so a caller that reduces index by index raises at the first
 index that fails.  ``pos_neg_dot`` is the one-run call of ``pos_neg_dots``.
@@ -151,14 +151,6 @@ def union_edges(pieces) -> np.ndarray:
     return np.insert(big, at[new], rest[new])
 
 
-def _bounds(mask: np.ndarray, offsets) -> np.ndarray:
-    """Where each run of ``offsets`` starts among the entries of ``mask``,
-    counted in order: the run bounds of ``x[mask]``."""
-    if len(offsets) == 2 and offsets[0] == 0 and offsets[1] == mask.size:
-        return np.asarray([0, np.count_nonzero(mask)])
-    return np.searchsorted(np.flatnonzero(mask), offsets)
-
-
 def _run_sum(terms: np.ndarray, t_list, lo: int, hi: int) -> float:
     """Exactly rounded sum of ``terms[lo:hi]``; ``t_list`` is
     ``terms.tolist()`` when terms is too short for the numpy tree."""
@@ -182,7 +174,8 @@ def ragged_sums(xs, offsets, mask=None) -> Iterator[float]:
     x = np.asarray(xs, dtype=np.float64)
     if mask is None:
         return _sums(x, np.asarray(offsets).tolist())
-    return _sums(x[mask], _bounds(mask, offsets).tolist())
+    idx = mask.nonzero()[0]
+    return _sums(x.take(idx), idx.searchsorted(offsets).tolist())
 
 
 def sign_sums(xs, offsets) -> Iterator[tuple[float, float]]:
@@ -191,6 +184,14 @@ def sign_sums(xs, offsets) -> Iterator[tuple[float, float]]:
     negative one with its sign."""
     x = np.asarray(xs, dtype=np.float64)
     return zip(ragged_sums(x, offsets, x > 0.0), ragged_sums(x, offsets, x < 0.0))
+
+
+def _drop_inf(v, mask, offsets) -> tuple[np.ndarray, list]:
+    """The indices of the entries of ``mask`` whose value is not infinite,
+    and per run whether an entry of ``mask`` holds an infinite value."""
+    idx = mask.nonzero()[0]
+    inf = np.isinf(v.take(idx))
+    return idx[~inf], (np.diff(idx[inf].searchsorted(offsets)) > 0).tolist()
 
 
 def pos_neg_dots(values, masses, offsets) -> Iterator[tuple[float, float]]:
@@ -202,39 +203,33 @@ def pos_neg_dots(values, masses, offsets) -> Iterator[tuple[float, float]]:
     its part +inf.  Each run sums pos before neg.
     """
     v, m = _pair(values, masses)
-    # the products are formed once: -(v * m) is (-v) * m exactly
-    with np.errstate(over="ignore", invalid="ignore"):
-        prod = v * m
-    pos_cells = v > 0.0
-    neg_cells = ~(v >= 0.0)  # v < 0, or NaN
-    runs = len(offsets) - 1
-    pos_inf = neg_inf = [False] * runs
+    pos_inf = neg_inf = [False] * (len(offsets) - 1)
     # a finite value on a zero-mass cell adds a zero term, which leaves an
     # exactly rounded sum as it is; an infinite or NaN one is left out
-    odd = ~np.isfinite(v)
-    if odd.any():
-        live = m != 0.0
-        pos_cells &= live
-        neg_cells &= live
-        inf = np.isinf(v, out=odd)
-        pos_inf = (np.diff(_bounds(pos_cells & inf, offsets)) > 0).tolist()
-        neg_inf = (np.diff(_bounds(neg_cells & inf, offsets)) > 0).tolist()
-        pos_cells &= ~inf
-        neg_cells &= ~inf
-        del live, inf
-    pos = _sums(prod[pos_cells], _bounds(pos_cells, offsets).tolist())
-    neg_terms = prod[neg_cells]
-    neg = _sums(np.negative(neg_terms, out=neg_terms),
-                _bounds(neg_cells, offsets).tolist())
-    del prod, pos_cells, neg_cells, odd, neg_terms
-    for p_inf, n_inf, p, n in zip(pos_inf, neg_inf, pos, neg):
+    if v.size and not (math.isfinite(np.minimum.reduce(v))
+                       and math.isfinite(np.maximum.reduce(v))):
+        pos, pos_inf = _drop_inf(v, (m != 0.0) & (v > 0.0), offsets)
+        # v < 0, or NaN
+        neg, neg_inf = _drop_inf(v, (m != 0.0) & ~(v >= 0.0), offsets)
+    else:
+        pos, neg = (v > 0.0).nonzero()[0], (v < 0.0).nonzero()[0]
+    # -(v * m) is (-v) * m exactly
+    with np.errstate(over="ignore", invalid="ignore"):
+        pos_terms = v.take(pos)
+        pos_terms *= m.take(pos)
+        neg_terms = v.take(neg)
+        neg_terms *= m.take(neg)
+    pos_sums = _sums(pos_terms, pos.searchsorted(offsets).tolist())
+    neg_sums = _sums(np.negative(neg_terms, out=neg_terms),
+                     neg.searchsorted(offsets).tolist())
+    del pos, neg, pos_terms, neg_terms
+    for p_inf, n_inf, p, n in zip(pos_inf, neg_inf, pos_sums, neg_sums):
         yield math.inf if p_inf else p, math.inf if n_inf else n
 
 
 def pos_neg_dot(values, masses) -> tuple[float, float]:
     """``pos_neg_dots`` of one run."""
-    v, m = _pair(values, masses)
-    return next(pos_neg_dots(v, m, (0, v.size)))
+    return next(pos_neg_dots(values, masses, (0, len(values))))
 
 
 def tail_dots(values, masses, offsets, ks) -> Iterator[np.ndarray]:
@@ -252,23 +247,20 @@ def tail_dots(values, masses, offsets, ks) -> Iterator[np.ndarray]:
     ks = np.asarray(ks, dtype=np.float64)
     if ks.ndim != 1:
         raise ValueError("ks must be a 1-d grid of thresholds")
-    a = np.abs(v)
-    live = m != 0.0
-    inf = np.isinf(a)
-    has_inf = (np.diff(_bounds(live & inf, offsets)) > 0).tolist()
-    keep = live & ~inf
-    a, m = a[keep], m[keep]
+    keep, has_inf = _drop_inf(v, m != 0.0, offsets)
+    a = np.abs(v.take(keep))
     with np.errstate(over="ignore"):
-        terms = a * m
-    runs = _bounds(keep, offsets)
+        terms = a * m.take(keep)
+    runs = keep.searchsorted(offsets).tolist()
+    del keep
     grid = ks.tolist()
-    table = np.empty((runs.size - 1, len(grid)))
+    table = np.empty((len(runs) - 1, len(grid)))
     failed: dict = {}
     for j, k in enumerate(grid):
-        sel = a >= k
-        t = terms[sel]
+        sel = (a >= k).nonzero()[0]
+        t = terms.take(sel)
         t_list = t.tolist() if t.size < _TREE_MIN else None
-        b = _bounds(sel, runs).tolist()
+        b = sel.searchsorted(runs).tolist()
         for i in range(len(b) - 1):
             if i in failed:
                 continue

@@ -33,12 +33,15 @@ def _exp2_mass(a, b):
     a = np.asarray(a, dtype=np.float64)
     b = np.asarray(b, dtype=np.float64)
     # the same IEEE operations in the same order, block by block in place,
-    # with one scratch block: (b - a) * -ln2 is -(b - a) * ln2 exactly
+    # with one scratch block: (b - a) * -ln2 is -(b - a) * ln2 exactly; a
+    # block of widths with one bit pattern takes its first cell's expm1
     out = np.empty(a.shape)
     d = np.empty(min(a.size, _EXP2_BLOCK))
     for i in range(0, a.size, _EXP2_BLOCK):
         x, o = a[i:i + _EXP2_BLOCK], out[i:i + _EXP2_BLOCK]
         t = np.subtract(b[i:i + _EXP2_BLOCK], x, out=d[:x.size])
+        if t.view(np.int64).min() == t.view(np.int64).max():
+            t = t[:1]
         t *= -_LN2
         np.expm1(t, out=t)
         np.negative(t, out=t)

@@ -224,7 +224,20 @@ def _pair_chunk(rows) -> FamilyPairing:
     masses = []
     for k in range(n_measures):
         ms = [r[1][k] for r in rows]
-        on_cells = np.zeros(cell_lo.size)
+        # one mass_inside call per run of segments that share mass_fn over
+        # adjacent cells; a lone run over all cells gives the cell masses
+        runs = []
+        for seg, a, b in zip([s for m in ms for s in m.segments],
+                             on[5 * k + _SEG_LO], on[5 * k + _SEG_HI]):
+            a, b = a - edge_row[a], b - edge_row[a]
+            if runs and (runs[-1][0].mass_fn, runs[-1][2]) == (seg.mass_fn, a):
+                runs[-1][2] = b
+            else:
+                runs.append([seg, a, b])
+        if [r[1:] for r in runs] == [[0, cell_lo.size]]:
+            on_cells = runs.pop()[0].mass_inside(cell_lo, cell_hi)
+        else:
+            on_cells = np.zeros(cell_lo.size)
         los = on[5 * k + _CELL_LO]
         if los:
             # a measure cell covers the partition cells from its lo edge up
@@ -237,11 +250,7 @@ def _pair_chunk(rows) -> FamilyPairing:
             rho = np.repeat(np.concatenate([m.cell_densities for m in ms]),
                             span)
             on_cells[where] += rho * (cell_hi[where] - cell_lo[where])
-        segments = [s for m in ms for s in m.segments]
-        for seg, a, b in zip(segments, on[5 * k + _SEG_LO],
-                             on[5 * k + _SEG_HI]):
-            r = int(edge_row[a])
-            a, b = a - r, b - r
+        for seg, a, b in runs:
             on_cells[a:b] += seg.mass_inside(cell_lo[a:b], cell_hi[a:b])
         on_atoms = np.zeros(atom_edges.size)
         locs = on[5 * k + _ATOM]

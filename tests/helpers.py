@@ -16,7 +16,10 @@ emitter and the lean checks replaced.  The whole-array oracles at the
 very end are the comb path's passes before they were blocked or
 written once: the TwoSum tree and the exp2 chain over whole arrays, the
 per-edge binary search of one-index value lookups and the concatenating
-comb builder.
+comb builder.  After them come the comb path's passes before they
+gathered by index and kept their arrays: the kernels that compress by
+boolean masks, the exp2 chain with one expm1 per cell and the comb
+builder that writes the edge 2.0 for ``PiecewiseFn`` to merge away.
 """
 
 from __future__ import annotations
@@ -33,8 +36,10 @@ from measure_limits import PiecewiseFn, Ramp, Scenario, lebesgue
 from measure_limits import epilimits, tail_curve
 from measure_limits.integration import integral_series
 from measure_limits import zero_fn
-from measure_limits.kernels import ragged_sums, tail_dots, union_edges
-from measure_limits.measures import _LN2, _exp2_mass
+from measure_limits.kernels import (
+    _TREE_MIN, _pair, _run_sum, _sums, ragged_sums, tail_dots, union_edges,
+)
+from measure_limits.measures import _EXP2_BLOCK, _LN2, _exp2_mass
 from measure_limits.uniform import _gap_rows, _gap_series
 from measure_limits.xreal import (
     DomainMismatchError,
@@ -44,7 +49,7 @@ from measure_limits.xreal import (
     close,
     integral_of_parts,
 )
-from measure_limits.gallery import _comb_depths, _comb_domain
+from measure_limits.gallery import LN2, _comb_depths, _comb_domain
 
 
 def brute_edges(f: PiecewiseFn, m: FiniteMeasure) -> list[float]:
@@ -446,15 +451,11 @@ def loop_mass_of_interval(m: FiniteMeasure, lo: float, hi: float,
 
 
 def segment_mass(seg, a, b) -> np.ndarray:
-    """Reference for a segment's masses of [a, b) subintervals, scalars or
-    arrays: both ends clipped to the segment, the exp2 closed form as one
-    expression and any other segment as a CDF difference, a negative
-    mass read as 0."""
-    if seg.mass_fn is _exp2_mass:
-        return clipped_exp2_mass(seg.lo, seg.hi, a, b)
-    a = np.clip(np.asarray(a, dtype=np.float64), seg.lo, seg.hi)
-    b = np.clip(np.asarray(b, dtype=np.float64), seg.lo, seg.hi)
-    return np.maximum(np.asarray(seg.cdf(b)) - np.asarray(seg.cdf(a)), 0.0)
+    """Reference for an exp2 segment's masses of [a, b) subintervals,
+    scalars or arrays: ``clipped_exp2_mass`` over the segment's bounds.
+    Every segment that the tests build carries the exp2 ``mass_fn``."""
+    assert seg.mass_fn is _exp2_mass, "the reference knows exp2 segments only"
+    return clipped_exp2_mass(seg.lo, seg.hi, a, b)
 
 
 def loop_masses_of_intervals(m: FiniteMeasure, los, his, lo_closed: bool,
@@ -1120,4 +1121,139 @@ def concat_comb_g(n: int) -> PiecewiseFn:
     elif n == 2:
         bp = np.concatenate([bp, [float(n + 1)]])
         vals = np.concatenate([vals, [-(2.0 ** n)]])
+    return PiecewiseFn(bp, vals, 0.0, dom)
+
+
+# --------------------------------------------------------------------------
+# the comb path before index gathers and kept arrays
+#
+# The kernels as they selected their terms with boolean masks and formed
+# every product, the exp2 chain with one expm1 per cell, and the comb
+# builder that wrote the edge 2.0 for ``PiecewiseFn`` to merge away; the
+# copying canonicalization is ``canonicalize_oracle`` above.
+
+def mask_bounds(mask: np.ndarray, offsets) -> np.ndarray:
+    """Where each run of ``offsets`` starts among the entries of ``mask``,
+    counted in order: the run bounds of ``x[mask]``."""
+    if len(offsets) == 2 and offsets[0] == 0 and offsets[1] == mask.size:
+        return np.asarray([0, np.count_nonzero(mask)])
+    return np.searchsorted(np.flatnonzero(mask), offsets)
+
+
+def mask_ragged_sums(xs, offsets, mask=None):
+    """Reference for ``kernels.ragged_sums``: a boolean compress."""
+    x = np.asarray(xs, dtype=np.float64)
+    if mask is None:
+        return _sums(x, np.asarray(offsets).tolist())
+    return _sums(x[mask], mask_bounds(mask, offsets).tolist())
+
+
+def mask_pos_neg_dots(values, masses, offsets):
+    """Reference for ``kernels.pos_neg_dots``: every product formed, the
+    terms selected by sign masks and compressed."""
+    v, m = _pair(values, masses)
+    with np.errstate(over="ignore", invalid="ignore"):
+        prod = v * m
+    pos_cells = v > 0.0
+    neg_cells = ~(v >= 0.0)
+    runs = len(offsets) - 1
+    pos_inf = neg_inf = [False] * runs
+    odd = ~np.isfinite(v)
+    if odd.any():
+        live = m != 0.0
+        pos_cells &= live
+        neg_cells &= live
+        inf = np.isinf(v, out=odd)
+        pos_inf = (np.diff(mask_bounds(pos_cells & inf, offsets)) > 0).tolist()
+        neg_inf = (np.diff(mask_bounds(neg_cells & inf, offsets)) > 0).tolist()
+        pos_cells &= ~inf
+        neg_cells &= ~inf
+    pos = _sums(prod[pos_cells], mask_bounds(pos_cells, offsets).tolist())
+    neg_terms = prod[neg_cells]
+    neg = _sums(np.negative(neg_terms, out=neg_terms),
+                mask_bounds(neg_cells, offsets).tolist())
+    for p_inf, n_inf, p, n in zip(pos_inf, neg_inf, pos, neg):
+        yield math.inf if p_inf else p, math.inf if n_inf else n
+
+
+def mask_tail_dots(values, masses, offsets, ks):
+    """Reference for ``kernels.tail_dots``: live, finite and threshold
+    masks, each compressing the arrays."""
+    v, m = _pair(values, masses)
+    ks = np.asarray(ks, dtype=np.float64)
+    if ks.ndim != 1:
+        raise ValueError("ks must be a 1-d grid of thresholds")
+    a = np.abs(v)
+    live = m != 0.0
+    inf = np.isinf(a)
+    has_inf = (np.diff(mask_bounds(live & inf, offsets)) > 0).tolist()
+    keep = live & ~inf
+    a, m = a[keep], m[keep]
+    with np.errstate(over="ignore"):
+        terms = a * m
+    runs = mask_bounds(keep, offsets)
+    grid = ks.tolist()
+    table = np.empty((runs.size - 1, len(grid)))
+    failed: dict = {}
+    for j, k in enumerate(grid):
+        sel = a >= k
+        t = terms[sel]
+        t_list = t.tolist() if t.size < _TREE_MIN else None
+        b = mask_bounds(sel, runs).tolist()
+        for i in range(len(b) - 1):
+            if i in failed:
+                continue
+            try:
+                s = _run_sum(t, t_list, b[i], b[i + 1])
+            except (OverflowError, ValueError) as exc:
+                failed[i] = exc
+                continue
+            table[i, j] = math.inf if has_inf[i] and math.inf >= k else s
+    for i, row in enumerate(table):
+        if i in failed:
+            raise failed[i]
+        yield row
+
+
+def cellwise_exp2_mass(a, b) -> np.ndarray:
+    """Reference for ``measures._exp2_mass``: the blocked chain with one
+    expm1 per cell, whatever the widths."""
+    a = np.asarray(a, dtype=np.float64)
+    b = np.asarray(b, dtype=np.float64)
+    out = np.empty(a.shape)
+    d = np.empty(min(a.size, _EXP2_BLOCK))
+    for i in range(0, a.size, _EXP2_BLOCK):
+        x, o = a[i:i + _EXP2_BLOCK], out[i:i + _EXP2_BLOCK]
+        t = np.subtract(b[i:i + _EXP2_BLOCK], x, out=d[:x.size])
+        t *= -_LN2
+        np.expm1(t, out=t)
+        np.negative(t, out=t)
+        np.negative(x, out=o)
+        np.exp2(o, out=o)
+        o *= t
+        o /= _LN2
+    return out
+
+
+def written_comb_g(n: int) -> PiecewiseFn:
+    """Reference for the ``dyadic_comb`` fixture's g_n: every dyadic edge
+    of [0, 2] written, 2.0 included, the depths as ``(b - a) / (2 ln 2)``
+    over the masses of ``cellwise_exp2_mass``, and writeable arrays that
+    ``PiecewiseFn`` copies and canonicalizes."""
+    dom, _ = _comb_domain()
+    h = 2.0 ** -n
+    n_cells = 2 ** (n + 1)
+    tail = [float(n), float(n + 1)] if n > 2 else [3.0] if n == 2 else []
+    bp = np.arange(n_cells + 1 + len(tail), dtype=np.float64)
+    bp[:n_cells + 1] *= h
+    bp[n_cells + 1:] = tail
+    vals = np.zeros(bp.size - 1)
+    if n < 2:
+        vals[bp[:n_cells] >= n] = -(2.0 ** n)
+    else:
+        vals[-1] = -(2.0 ** n)
+    a = bp[0:n_cells:2]
+    b = a + h
+    mass = np.maximum(cellwise_exp2_mass(a, b), 0.0)
+    vals[0:n_cells:2] -= ((b - a) / (2.0 * LN2)) / mass
     return PiecewiseFn(bp, vals, 0.0, dom)

@@ -27,6 +27,7 @@ from measure_limits import (
 )
 from measure_limits import refinement
 from measure_limits.integration import default_bank, integral_series, tv_series
+from measure_limits.measures import AnalyticSegment, _exp2_cdf, _exp2_mass
 from measure_limits.refinement import family_pairing
 from measure_limits.refinement import reduce_family
 from measure_limits.uniform import (
@@ -136,6 +137,44 @@ def test_pairing_arrays_match_each_index_refined_alone(sc, budget):
     same_pairing([((), (mu, m)) for mu in ms], budget)
     same_pairing([((g, f), (mu, m)) for g, mu in zip(fns, ms)], budget)
     same_pairing([((g, f), (m,)) for g in fns], budget)
+
+
+def _halved_mass(a, b):
+    return _exp2_mass(a, b) * 0.5
+
+
+def _halved(lo: float, hi: float) -> AnalyticSegment:
+    """A segment whose ``mass_fn`` is not exp2's, so that it ends a run."""
+    return AnalyticSegment("half", lo, hi, lambda s: 0.5 * _exp2_cdf(s),
+                           _halved_mass)
+
+
+@st.composite
+def segmented_measures(draw) -> FiniteMeasure:
+    """Measures on [0, inf) whose segments tile [start, inf) in one to
+    four pieces, each exp2 or halved, so that neighbours share mass_fn or
+    not; cells below start and atoms anywhere."""
+    start = draw(st.sampled_from((0.0, 0.5, 1.0)))
+    cuts = _distinct(draw(st.lists(st.sampled_from(
+        [x for x in (0.5, 1.0, 2.0, 3.0) if x > start]), max_size=3)))
+    ends = [start, *cuts, math.inf]
+    segments = [make_segment("exp2", lo, hi) if draw(st.booleans())
+                else _halved(lo, hi) for lo, hi in zip(ends, ends[1:])]
+    cells = [(0.0, start, draw(st.sampled_from(DENSITIES)))] if start else []
+    locs = _distinct(draw(st.lists(st.sampled_from(
+        [x for x in POINTS if x >= 0.0]), max_size=2)))
+    return FiniteMeasure([(x, 1.0) for x in locs], cells, segments, HALF_LINE)
+
+
+@settings(max_examples=100, deadline=None)
+@given(st.lists(st.tuples(step_fns(HALF_LINE), segmented_measures()),
+                min_size=1, max_size=8), chunk_budgets)
+def test_segment_runs_match_the_per_segment_loop(rows, budget):
+    # one mass_inside call per run of segments that share mass_fn over
+    # adjacent cells, and a lone run over all cells as the masses
+    # themselves, against one call per segment and index
+    same_pairing([((f,), (m,)) for f, m in rows], budget)
+    same_pairing([((), (m, rows[0][1])) for _, m in rows], budget)
 
 
 @settings(max_examples=100, deadline=None)

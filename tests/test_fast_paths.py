@@ -14,9 +14,10 @@ give the same string or the same error.  The lean construction checks of
 ``helpers.piecewise_oracle`` and ``helpers.validate_measure_oracle``
 raise, with the same message, or store the same arrays; the oracle
 merges cells with ``helpers.canonicalize_oracle``.  The comb builder
-writes g_n's arrays once, and must store what
+writes g_n's arrays once, canonical and frozen, and must store what
 ``helpers.concat_comb_g`` (the dyadic cells, then the cliff appended)
-stores.  A one-index pairing reads a function's values as runs of its
+and ``helpers.written_comb_g`` (the edge 2.0 written, for
+``PiecewiseFn`` to merge away) store.  A one-index pairing reads a function's values as runs of its
 lookup table, and must give ``helpers.seen_values``: every edge
 searched among the breakpoints.
 """
@@ -40,6 +41,7 @@ from measure_limits.xreal import MalformedObjectError
 from helpers import (
     canonical_json_oracle, concat_comb_g, fatou_random_document, list_comb_g,
     list_dominates, piecewise_oracle, seen_values, validate_measure_oracle,
+    written_comb_g,
 )
 
 GRID = [k / 16 for k in range(17)]
@@ -203,6 +205,26 @@ def test_comb_builder_matches_the_concatenating_oracle(comb_g, n):
         assert same(g.default, ref.default) and g.domain == ref.domain
     else:
         assert same_fn(g, ref)
+
+
+@pytest.mark.parametrize("n", [1, 2, 3, 4, 12, 20])
+def test_comb_builder_matches_the_builder_that_writes_the_edge_two(comb_g, n):
+    # the edge 2.0 of the written g_n merges away in PiecewiseFn
+    g, ref = comb_g[n - 1], written_comb_g(n)
+    assert g.breakpoints.tobytes() == ref.breakpoints.tobytes()
+    assert g.values.tobytes() == ref.values.tobytes()
+    assert same(g.default, ref.default) and g.domain == ref.domain
+
+
+def test_comb_builder_writes_canonical_frozen_arrays(comb_g):
+    for n, g in enumerate(comb_g, start=1):
+        # for n > 2, 2^(n+1) - 1 dyadic cells, [2 - 2^-n, n) and the cliff
+        assert g.breakpoints.size == 2 ** (n + 1) + (2 if n > 2 else n)
+        # the builder's own arrays, kept without a copy
+        for a in (g.breakpoints, g.values):
+            assert a.base is None and not a.flags.writeable
+        assert (g.values[1:] != g.values[:-1]).all()
+        assert g.values[0] != 0.0 and g.values[-1] != 0.0
 
 
 # --- one-index value lookup --------------------------------------------------

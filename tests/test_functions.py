@@ -134,6 +134,47 @@ def test_canonicalization_without_merges_keeps_the_arrays():
     assert np.signbit(negated(k).values).tolist() == [False, True]
 
 
+def frozen(xs) -> np.ndarray:
+    a = np.array(xs, dtype=np.float64)
+    a.flags.writeable = False
+    return a
+
+
+def test_frozen_owning_arrays_without_negative_zero_are_shared():
+    bp, vals = frozen([0.0, 0.25, 0.5, 1.0]), frozen([1.0, 0.0, 2.0])
+    f = PiecewiseFn(bp, vals, 0.0, DOM)
+    assert f.breakpoints is bp and f.values is vals
+    # a function built from another one's arrays shares them too
+    g = PiecewiseFn(f.breakpoints, f.values, 0.0, DOM)
+    assert g.breakpoints is bp and g.values is vals
+
+
+def test_frozen_arrays_that_need_a_change_are_copied():
+    bp = frozen([0.0, 0.25, 0.5, 1.0])
+    # a -0.0 value is stored as 0.0 in a copy; the breakpoints are kept
+    vals = frozen([1.0, -0.0, 2.0])
+    f = PiecewiseFn(bp, vals, 0.0, DOM)
+    assert f.breakpoints is bp and f.values is not vals
+    assert f.values.tobytes() == np.array([1.0, 0.0, 2.0]).tobytes()
+    assert vals.tobytes() == np.array([1.0, -0.0, 2.0]).tobytes()
+    # a read-only view does not own its data, so it is copied
+    base = frozen([-1.0, 0.0, 0.25, 0.5, 1.0])
+    view = base[1:]
+    assert not view.flags.writeable
+    g = PiecewiseFn(view, frozen([1.0, 3.0, 2.0]), 0.0, DOM)
+    assert g.breakpoints is not view
+    assert not np.shares_memory(g.breakpoints, base)
+    assert g.breakpoints.tobytes() == view.tobytes()
+    # stripped or merged cells give new arrays of the kept entries
+    h = PiecewiseFn(bp, frozen([0.0, 2.0, 2.0]), 0.0, DOM)
+    assert h.breakpoints.tolist() == [0.25, 1.0]
+    assert h.values.tolist() == [2.0]
+    assert not np.shares_memory(h.breakpoints, bp)
+    for a in (f.breakpoints, f.values, g.breakpoints, g.values,
+              h.breakpoints, h.values):
+        assert not a.flags.writeable and a.base is None
+
+
 def test_dominates_examples():
     f = PiecewiseFn([0.0, 0.5, 1.0], [1.0, 2.0], 0.0, DOM)
     zero = zero_fn(DOM)

@@ -1,0 +1,189 @@
+"""The comb path's index gathers and kept arrays against the mask and copy
+code they replaced.
+
+The kernels gather their terms by index and form products only on the
+gathered cells; ``helpers`` keeps the bodies that compressed by boolean
+masks and formed every product (``mask_pos_neg_dots``,
+``mask_ragged_sums``, ``mask_tail_dots``).  ``measures._exp2_mass`` takes
+one expm1 per block whose widths share one bit pattern;
+``helpers.cellwise_exp2_mass`` takes one per cell.  ``PiecewiseFn`` keeps
+read-only arrays that own their data when canonical form leaves them as
+they are; ``helpers.piecewise_oracle`` copies every input.  Every result
+must agree bit for bit, NaN and the sign of zero included, and so must
+every error, message and all.  The comb builder's canonical arrays are
+checked in ``test_fast_paths``.
+"""
+
+import math
+
+import numpy as np
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
+
+from measure_limits import Interval, PiecewiseFn
+from measure_limits.kernels import (
+    _TREE_MIN, pos_neg_dots, ragged_sums, sign_sums, tail_dots,
+)
+from measure_limits.measures import _EXP2_BLOCK, _exp2_mass
+
+from helpers import (
+    cellwise_exp2_mass, mask_pos_neg_dots, mask_ragged_sums, mask_tail_dots,
+    piecewise_oracle,
+)
+
+SPECIALS = [0.0, -0.0, math.inf, -math.inf, math.nan, 1e308, -1e308,
+            5e-324, -5e-324]
+
+
+def drain(results) -> list:
+    """Every result as bytes, ended by the error's type and message."""
+    out = []
+    try:
+        for r in results:
+            out.append(np.asarray(r, dtype=np.float64).tobytes())
+    except Exception as exc:  # the error itself is compared
+        out.append((type(exc), str(exc)))
+    return out
+
+
+@st.composite
+def ragged_cells(draw):
+    """(values, masses, offsets): runs of cells whose values alternate in
+    sign or with zero, as the comb's do, or fall anywhere, with NaN,
+    infinities, signed zeros and near-overflow values mixed in, and masses
+    that are often zero, -0.0 or NaN; sizes on both sides of the tree's
+    cut and runs that may be empty."""
+    n = draw(st.sampled_from([0, 1, 2, 7, 64, _TREE_MIN + 5, 2 * _TREE_MIN]))
+    rng = np.random.default_rng(draw(st.integers(0, 2 ** 32 - 1)))
+    values = rng.normal(size=n) * 10.0 ** rng.integers(-3, 4, size=n)
+    layout = draw(st.sampled_from(["alternating", "comb", "any"]))
+    if layout == "alternating":
+        values = np.abs(values) * np.where(np.arange(n) % 2, -1.0, 1.0)
+    elif layout == "comb":
+        values = -np.abs(values)
+        values[1::2] = 0.0
+    share = draw(st.sampled_from([0.0, 0.0, 0.01, 0.3]))
+    odd = rng.random(n) < share
+    values[odd] = rng.choice(SPECIALS, size=int(odd.sum()))
+    masses = rng.uniform(0.0, 2.0, size=n)
+    for x, p in ((0.0, draw(st.sampled_from([0.0, 0.1, 0.5]))),
+                 (-0.0, draw(st.sampled_from([0.0, 0.05]))),
+                 (math.nan, draw(st.sampled_from([0.0, 0.0, 0.01])))):
+        masses[rng.random(n) < p] = x
+    cuts = rng.integers(0, n + 1, size=draw(st.integers(0, 4)))
+    offsets = np.concatenate(([0], np.sort(cuts), [n])).astype(np.intp)
+    return values, masses, offsets
+
+
+@settings(max_examples=200, deadline=None)
+@given(ragged_cells())
+@example((np.array([-1.0, 0.0] * 3000), np.ones(6000),
+          np.array([0, 6000])))
+@example((np.array([math.inf, -math.inf, 1.0, math.nan]),
+          np.array([1.0, 0.0, 1.0, 1.0]), np.array([0, 2, 4])))
+@example((np.array([1e308, 1e308, -0.0]), np.array([2.0, 2.0, 1.0]),
+          np.array([0, 3])))
+def test_gathered_kernels_match_the_mask_kernels(cells):
+    values, masses, offsets = cells
+    assert drain(pos_neg_dots(values, masses, offsets)) == drain(
+        mask_pos_neg_dots(values, masses, offsets))
+    ks = [0.0, 1.0, math.inf, math.nan, *np.abs(values[:2]).tolist()]
+    assert drain(tail_dots(values, masses, offsets, ks)) == drain(
+        mask_tail_dots(values, masses, offsets, ks))
+    for mask in (None, values > 0.0, ~(values >= 0.0), masses != 0.0,
+                 np.arange(values.size) % 2 == 0):
+        assert drain(ragged_sums(masses, offsets, mask)) == drain(
+            mask_ragged_sums(masses, offsets, mask))
+    assert drain(sign_sums(values, offsets)) == drain(zip(
+        mask_ragged_sums(values, offsets, values > 0.0),
+        mask_ragged_sums(values, offsets, values < 0.0)))
+
+
+#: Cell widths of dyadic grids, so that b - a repeats one bit pattern.
+WIDTHS = [2.0 ** -20, 2.0 ** -3, 1.0, 64.0]
+
+
+@st.composite
+def exp2_cells(draw):
+    """(a, b): cells of one width over one to three 2^16-cell blocks, with
+    other widths at drawn places inside blocks and at their edges, and
+    ends that are NaN, infinite or zeros of either sign."""
+    n = draw(st.sampled_from([1, 7, _EXP2_BLOCK - 1, _EXP2_BLOCK,
+                              _EXP2_BLOCK + 1, 2 * _EXP2_BLOCK + 3,
+                              3 * _EXP2_BLOCK]))
+    h = draw(st.sampled_from(WIDTHS))
+    start = draw(st.sampled_from([0.0, -4.0, 3.0, 1000.0]))
+    a = start + np.arange(n) * h
+    b = start + np.arange(1, n + 1) * h
+    if draw(st.booleans()):
+        # zero widths, which other spots may give the other sign
+        a[:] = 0.0
+        b[:] = -0.0
+    edges = [0, _EXP2_BLOCK - 1, _EXP2_BLOCK, n - 1]
+    spots = draw(st.lists(st.one_of(st.sampled_from(edges),
+                                    st.integers(0, n - 1)), max_size=3))
+    for i in spots:
+        i = min(i, n - 1)
+        kind = draw(st.sampled_from(["width", "inf", "nan", "-0", "+0"]))
+        if kind == "width":
+            b[i] = a[i] + draw(st.sampled_from(WIDTHS + [0.0, 3.0]))
+        elif kind == "inf":
+            b[i] = math.inf
+        elif kind == "nan":
+            a[i] = math.nan
+        else:
+            # widths of -0.0 and 0.0: same value, other bit patterns
+            a[i], b[i] = (0.0, -0.0) if kind == "-0" else (-0.0, 0.0)
+    return a, b
+
+
+@settings(max_examples=60, deadline=None)
+@given(exp2_cells(), st.booleans())
+def test_exp2_masses_match_one_expm1_per_cell(cells, strided):
+    a, b = cells
+    if strided:
+        # ends as strided views, as the comb builder passes them
+        a, b = np.repeat(a, 2)[::2], np.repeat(b, 2)[::2]
+    with np.errstate(invalid="ignore"):
+        got, want = _exp2_mass(a, b), cellwise_exp2_mass(a, b)
+    assert got.tobytes() == want.tobytes()
+
+
+HOLDERS = ["list", "writeable", "frozen", "frozen view"]
+
+
+def held(xs, holder: str):
+    """xs as a list, a writeable array, a read-only array that owns its
+    data, or a read-only view."""
+    if holder == "list":
+        return list(xs)
+    a = np.array(([7.0] if holder == "frozen view" else []) + list(xs))
+    a.flags.writeable = holder == "writeable"
+    return a[1:] if holder == "frozen view" else a
+
+
+@settings(max_examples=300, deadline=None)
+@given(st.lists(st.sampled_from([k / 8 for k in range(9)]), min_size=2,
+                max_size=8, unique=True), st.data())
+def test_kept_arrays_match_the_copying_oracle(bps, data):
+    vals = data.draw(st.lists(st.sampled_from([1.0, 0.0, -0.0, 2.0]),
+                              min_size=len(bps) - 1, max_size=len(bps) - 1))
+    default = data.draw(st.sampled_from([0.0, -0.0, 1.0, 3.0]))
+    holders = [data.draw(st.sampled_from(HOLDERS)) for _ in range(2)]
+    bp_in, vals_in = held(sorted(bps), holders[0]), held(vals, holders[1])
+    f = PiecewiseFn(bp_in, vals_in, default, Interval(0.0, 1.0))
+    want_bp, want_vals, _ = piecewise_oracle(sorted(bps), vals, default,
+                                             Interval(0.0, 1.0))
+    assert f.breakpoints.tobytes() == want_bp.tobytes()
+    assert f.values.tobytes() == want_vals.tobytes()
+    # an input is kept exactly when it is read-only, owns its data and is
+    # canonical: no cell stripped or merged, and no -0.0 value
+    canonical = want_bp.size == len(bps)
+    for stored, given_in, holder, keep in (
+            (f.breakpoints, bp_in, holders[0], canonical),
+            (f.values, vals_in, holders[1],
+             canonical and not np.signbit(vals).any())):
+        assert not stored.flags.writeable and stored.base is None
+        assert (stored is given_in) == (holder == "frozen" and keep)
+        if isinstance(given_in, np.ndarray) and stored is not given_in:
+            assert not np.shares_memory(stored, given_in)

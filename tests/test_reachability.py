@@ -19,7 +19,7 @@ import reachability
 BUDGET_LINES = 2
 BUDGET_FUNCTIONS = 1
 #: newlines in ``src/measure_limits/*.py``, as ``wc -l`` counts them
-BUDGET_SRC_LINES = 4029
+BUDGET_SRC_LINES = 4043
 
 
 def test_the_standard_run_leaves_at_most_the_budget_unentered():

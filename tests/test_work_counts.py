@@ -19,9 +19,10 @@ per index.  The ``PiecewiseFn`` construction counts of a
 gallery run pin that every f_n is built once, also where f and g are the
 same family.  A ``check`` builds the CLI parser only on a process's first
 call, renders curve CSVs only when ``--curves-dir`` asks for them, and
-emits its report without ``json.dumps``.  The comb's largest passes are
-held to bounds on the memory that ``tracemalloc`` traces: building the
-family, integrating g_20 and checking f_20 >= g_20.
+emits its report without ``json.dumps``.  A pass over the comb's f
+family takes one exp2 mass call for all its indices.  The comb's largest
+passes are held to bounds on the memory that ``tracemalloc`` traces:
+building the family, integrating g_20 and checking f_20 >= g_20.
 """
 
 import argparse
@@ -38,6 +39,7 @@ from measure_limits import (
     refinement, scenario, tails, uniform,
 )
 from measure_limits.cli import main
+from measure_limits.measures import AnalyticSegment
 from measure_limits.tails import TailCurve
 from measure_limits.uniform import UniformGapSeries
 
@@ -276,6 +278,19 @@ def test_comb_fixture_merges_and_sums_without_fallback(monkeypatch):
     assert trees and None not in trees
 
 
+def test_comb_f_family_takes_one_segment_mass_call_per_pass(monkeypatch):
+    # the 20 f_n share one chunk, and the exp2 segment of every index
+    # covers that index's cells, so the segments form one run of one
+    # mass_fn: one mass_inside call over all the cells of the chunk
+    sc = gallery.build("dyadic_comb")
+    calls = count_method(monkeypatch, AnalyticSegment, "mass_inside")
+    chunks = count_calls(monkeypatch, refinement, "_pair_chunk")
+    assert len(list(integration.integral_series(sc.f_seq.fns,
+                                                sc.measures))) == 20
+    assert len(chunks) == 1
+    assert len(calls) == 1
+
+
 def traced_peak_mib(fn) -> float:
     """The peak of the memory that ``tracemalloc`` traces while fn runs,
     above what is traced when it starts, in MiB."""
@@ -291,13 +306,15 @@ def traced_peak_mib(fn) -> float:
 
 def test_comb_passes_stay_within_their_memory_bounds():
     # building the family holds every g_n (about 64 MiB) plus g_20's
-    # arrays while they are written and stored; integrating g_20 holds
-    # its 2^21-cell refinement, masses and kernel terms; the bounds sit
-    # just above the 101.1, 64.5 and 50.0 MiB measured
+    # depths while they are written, and keeps the builder's frozen arrays
+    # without a copy; integrating g_20 holds its 2^21-cell refinement,
+    # masses and the gathered kernel terms; the bounds sit just above the
+    # 73.6, 64.5 and 50.0 MiB measured when each was set (the integral
+    # now reads 58.0 MiB, its kernel terms gathered by index)
     build = traced_peak_mib(lambda: gallery.build("dyadic_comb"))
     sc = gallery.build("dyadic_comb")
     f, g, mu = sc.f_seq.fns[-1], sc.g_seq.fns[-1], sc.measures[-1]
-    assert build < 103
+    assert build < 75
     assert traced_peak_mib(
         lambda: list(integration.integral_series([g], [mu]))) < 66
     assert traced_peak_mib(lambda: dominates([f], [g])) < 51
