@@ -257,7 +257,7 @@ def epi_limit_exists(seq: FnSequence, grid, sched: EpiSchedule, tol: float,
     if lo_cert is not None and hi_cert is not None:
         mass = _cert_disagreement_mass(lo_cert, hi_cert, m, tol)
         return ExistsReport(tuple(pts), tuple(oks), mass, True)
-    los, his = [], []
+    los, his, hi_closed = [], [], []
     for i, s in enumerate(pts):
         if oks[i]:
             continue
@@ -265,7 +265,10 @@ def epi_limit_exists(seq: FnSequence, grid, sched: EpiSchedule, tol: float,
         right_bad = i + 1 < len(pts) and not oks[i + 1]
         los.append((pts[i - 1] + s) / 2 if left_bad else s)
         his.append((s + pts[i + 1]) / 2 if right_bad else s)
-    terms = m.masses_of_intervals(los, his, True, True)
+        # a midpoint shared with a failing right neighbour is that
+        # neighbour's: an atom there counts once
+        hi_closed.append(not right_bad)
+    terms = m.masses_of_intervals(los, his, True, hi_closed)
     mass = comp_sum(np.asarray(terms)) if terms else 0.0
     return ExistsReport(tuple(pts), tuple(oks), mass, False)
 
@@ -280,12 +283,11 @@ def _cert_disagreement_mass(lo_cert: EpiCertificate, hi_cert: EpiCertificate,
         both_inf = np.isinf(lv) & np.isinf(hv) & (np.sign(lv) == np.sign(hv))
         diff = np.where(both_inf, 0.0, np.abs(hv - lv))
         bad = ~(diff <= tol)
-    terms = [comp_sum(masses[bad])] if np.any(bad) else []
-    for loc, w in zip(m.atom_locs, m.atom_weights):
-        if not close(lo_cert.value_at(float(loc), "lower"),
-                     hi_cert.value_at(float(loc), "upper"), tol):
-            terms.append(w)
-    return comp_sum(np.asarray(terms)) if terms else 0.0
+    bad_atoms = np.asarray([not close(lo_cert.value_at(loc, "lower"),
+                                      hi_cert.value_at(loc, "upper"), tol)
+                            for loc in m.atom_locs.tolist()], dtype=bool)
+    # one exactly rounded sum over the cells and the atoms
+    return comp_sum(np.concatenate([masses[bad], m.atom_weights[bad_atoms]]))
 
 
 def _integrate_certificate(cert: EpiCertificate, m: FiniteMeasure,

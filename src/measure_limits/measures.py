@@ -191,12 +191,14 @@ class FiniteMeasure:
         return out
 
     def masses_of_intervals(self, los, his, lo_closed: bool = True,
-                            hi_closed: bool = False) -> list[float]:
+                            hi_closed=False) -> list[float]:
         """Mass of every interval (lo, hi), endpoint atoms included per the
-        closed flags: one row of atom, cell and segment terms per interval,
-        formed at once, and one exactly rounded sum of each row's terms."""
+        closed flags, ``hi_closed`` one flag or one per interval: one row of
+        atom, cell and segment terms per interval, formed at once, and one
+        exactly rounded sum of each row's terms."""
         lo = np.asarray(los, dtype=np.float64)[:, None]
         hi = np.asarray(his, dtype=np.float64)[:, None]
+        hi_closed = np.asarray(hi_closed, dtype=bool)[..., None]
         locs = self.atom_locs
         atoms = (((lo < locs) & (locs < hi)) | ((locs == lo) & lo_closed)
                  | ((locs == hi) & hi_closed))

@@ -23,7 +23,7 @@ import numpy as np
 
 from .functions import FnSequence, PiecewiseFn
 from .integration import integrate
-from .kernels import comp_sum, ragged_sums, sign_sums
+from .kernels import ragged_sums, sign_sums
 from .measures import FiniteMeasure
 from .refinement import FamilyPairing, family_pairing, reduce_family, replay
 from .tails import verdict
@@ -84,8 +84,9 @@ def _gap_series(rows) -> Iterator[tuple[float, float]]:
 def _condition_series(f_seq: FnSequence, f: PiecewiseFn, m: FiniteMeasure,
                       eps: float) -> tuple[list[float], list[float]]:
     """Per-index masses of {f_n <= f - eps} and of {|f_n - f| >= eps},
-    both read from ragged passes over the refinements of (f_n, f, m): the
-    cells' masses are summed first, then added to the atoms' weights."""
+    both read from ragged passes over the refinements of (f_n, f, m): one
+    exactly rounded sum per index over its cells' masses and its atoms'
+    weights."""
     if not eps > 0:
         raise ValueError("epsilon must be positive")
     under, inmeas = [], []
@@ -97,21 +98,8 @@ def _condition_series(f_seq: FnSequence, f: PiecewiseFn, m: FiniteMeasure,
         with np.errstate(invalid="ignore"):
             below = vn <= v - eps
             far = np.abs(vn - v) >= eps
-        cells = ~p.atom
-        cell_under = ragged_sums(w, p.offsets, cells & below)
-        cell_far = ragged_sums(w, p.offsets, cells & far)
-        weights, below, far = w.tolist(), below.tolist(), far.tolist()
-        bounds = p.offsets.tolist()
-        for i, n_cells in enumerate(p.n_cells.tolist()):
-            under_terms = [next(cell_under)]
-            inmeas_terms = [next(cell_far)]
-            for j in range(bounds[i] + n_cells, bounds[i + 1]):
-                if below[j]:
-                    under_terms.append(weights[j])
-                if far[j]:
-                    inmeas_terms.append(weights[j])
-            under.append(comp_sum(under_terms))
-            inmeas.append(comp_sum(inmeas_terms))
+        under.extend(ragged_sums(w, p.offsets, below))
+        inmeas.extend(ragged_sums(w, p.offsets, far))
     return under, inmeas
 
 

@@ -1,25 +1,33 @@
-"""Shared test utilities: independent oracles and random object builders.
+"""Shared test utilities: one reference per computation, and random
+object builders (the hypothesis strategies are in ``strategies.py``).
 
-Most oracles deliberately avoid the library's refinement/kernel path: they
-evaluate functions pointwise through binary search, accumulate with
-math.fsum, and derive analytic masses straight from the CDF, so agreement
-with the main path is meaningful.  The per-index oracles at the end are
-the loops that the ragged family passes replaced: one ``common_refinement``
-per index, reduced by the cell-loop kernels.  The epi and tail oracles
-keep the one-quantity paths that the shared scans and passes replaced;
-``epi_estimate`` reads one point through the shared scan, and
-``loop_masses_of_intervals`` keeps the per-interval segment loop that
-one call per segment replaced.
-The emission and validation oracles near the end are the generic
-canonical emitter and the construction checks that the type-dispatched
-emitter and the lean checks replaced.  The whole-array oracles at the
-very end are the comb path's passes before they were blocked or
-written once: the TwoSum tree and the exp2 chain over whole arrays, the
-per-edge binary search of one-index value lookups and the concatenating
-comb builder.  After them come the comb path's passes before they
-gathered by index and kept their arrays: the kernels that compress by
-boolean masks, the exp2 chain with one expm1 per cell and the comb
-builder that writes the edge 2.0 for ``PiecewiseFn`` to merge away.
+Each reference is the most direct form of its computation: scalar
+evaluation, one cell at a time, ``math.fsum``.  Every fast path is
+compared with its reference bit for bit, so a new fast path replaces the
+code it speeds up and keeps no generation of its own here.
+
+Computation -> reference:
+
+- exact sums (``kernels.comp_sum``, the certified tree): ``loop_comp_sum``;
+- positive and negative parts (``kernels.pos_neg_dots``): ``loop_pos_neg_dot``;
+- tail rows (``kernels.tail_dots``): ``loop_tail_dot``;
+- edge unions (``kernels.union_edges``): ``unique_edges``;
+- exp2 segment masses (``measures._exp2_mass``): ``exp2_mass``;
+- interval masses (``FiniteMeasure.masses_of_intervals``):
+  ``loop_mass_of_interval``;
+- family pairings (``refinement.family_pairing``): ``loop_pairing``, and
+  the per-index series read off it: ``loop_integral_series``,
+  ``loop_tail_table``, ``loop_tv_series``, ``loop_gap_series``,
+  ``loop_condition_series``, ``loop_weak_gaps``;
+- shared family passes: ``neg_tail_curve_oracle``, ``l1_series_oracle``;
+- dominance (``functions.dominates``): ``list_dominates``;
+- epi-limit scans (``epilimits.epi_scan`` and the estimates read off it):
+  ``scan_epi_oracle``, one scalar ``range_on`` per step and index;
+- the comb fixture's g_n: ``comb_g_oracle``;
+- canonical JSON: ``canonical_json_oracle``;
+- construction checks of ``PiecewiseFn`` and ``FiniteMeasure``:
+  ``piecewise_oracle`` with ``canonicalize_oracle``, and
+  ``validate_measure_oracle``.
 """
 
 from __future__ import annotations
@@ -31,15 +39,13 @@ from typing import Optional
 
 import numpy as np
 
-from measure_limits import EpiCertificate, FiniteMeasure, FnSequence, Interval
-from measure_limits import PiecewiseFn, Ramp, Scenario, lebesgue
+from measure_limits import EpiCertificate, EpiSchedule, FiniteMeasure, FnSequence
+from measure_limits import Interval, PiecewiseFn, Ramp, Scenario, lebesgue
 from measure_limits import epilimits, tail_curve
 from measure_limits.integration import integral_series
 from measure_limits import zero_fn
-from measure_limits.kernels import (
-    _TREE_MIN, _pair, _run_sum, _sums, ragged_sums, tail_dots, union_edges,
-)
-from measure_limits.measures import _EXP2_BLOCK, _LN2, _exp2_mass
+from measure_limits.kernels import tail_dots, union_edges
+from measure_limits.measures import _exp2_mass
 from measure_limits.uniform import _gap_rows, _gap_series
 from measure_limits.xreal import (
     DomainMismatchError,
@@ -49,71 +55,7 @@ from measure_limits.xreal import (
     close,
     integral_of_parts,
 )
-from measure_limits.gallery import LN2, _comb_depths, _comb_domain
-
-
-def brute_edges(f: PiecewiseFn, m: FiniteMeasure) -> list[float]:
-    pts = set(float(x) for x in f.breakpoints)
-    pts.update(float(x) for x in m.cell_los)
-    pts.update(float(x) for x in m.cell_his)
-    for s in m.segments:
-        pts.add(s.lo)
-        if math.isfinite(s.hi):
-            pts.add(s.hi)
-    for b in (m.domain.lo, m.domain.hi):
-        if math.isfinite(b):
-            pts.add(b)
-    return sorted(pts)
-
-
-def brute_cell_mass(m: FiniteMeasure, lo: float, hi: float) -> float:
-    """Mass of [lo, hi) from the continuous layers, one piece at a time."""
-    total = []
-    for clo, chi, rho in zip(m.cell_los, m.cell_his, m.cell_densities):
-        a, b = max(clo, lo), min(chi, hi)
-        if b > a:
-            total.append(rho * (b - a))
-    for seg in m.segments:
-        a, b = max(seg.lo, lo), min(seg.hi, hi)
-        if b > a:
-            total.append(float(np.asarray(seg.cdf(b)) - np.asarray(seg.cdf(a))))
-    return math.fsum(total)
-
-
-def scan_integrate(f: PiecewiseFn, m: FiniteMeasure) -> float:
-    """Pointwise-evaluation integration oracle (finite-valued inputs)."""
-    edges = brute_edges(f, m)
-    terms = []
-    for lo, hi in zip(edges, edges[1:]):
-        mid = (lo + hi) / 2.0
-        terms.append(f(mid) * brute_cell_mass(m, lo, hi))
-    if edges and math.isinf(m.domain.hi):
-        # segments may extend beyond the last finite edge
-        last = edges[-1]
-        terms.append(f(last + 1.0) * brute_cell_mass(m, last, math.inf))
-    for loc, w in zip(m.atom_locs, m.atom_weights):
-        terms.append(f(float(loc)) * float(w))
-    return math.fsum(terms)
-
-
-def scan_tail(f: PiecewiseFn, m: FiniteMeasure, k: float) -> float:
-    """Tail-functional oracle via pointwise |f| indicator scan."""
-    edges = brute_edges(f, m)
-    terms = []
-    for lo, hi in zip(edges, edges[1:]):
-        v = abs(f((lo + hi) / 2.0))
-        if v >= k:
-            terms.append(v * brute_cell_mass(m, lo, hi))
-    if edges and math.isinf(m.domain.hi):
-        last = edges[-1]
-        v = abs(f(last + 1.0))
-        if v >= k:
-            terms.append(v * brute_cell_mass(m, last, math.inf))
-    for loc, w in zip(m.atom_locs, m.atom_weights):
-        v = abs(f(float(loc)))
-        if v >= k:
-            terms.append(v * float(w))
-    return math.fsum(terms)
+from measure_limits.gallery import LN2, _comb_domain
 
 
 def riemann_mass(density, lo: float, hi: float, n: int = 1_000_000) -> float:
@@ -300,80 +242,19 @@ def scan_columns(seq: FnSequence, pts, sched, lower: bool) -> np.ndarray:
     return cols[0 if lower else 1][at]
 
 
-def envelope_oracle(fns, lower: bool) -> PiecewiseFn:
-    """The one-direction envelope that the two-sided scan replaced:
-    min (lower) or max of a family, each function looked up on its own
-    union of breakpoints."""
-    domain = fns[0].domain
-    if any(f.domain != domain for f in fns):
-        raise DomainMismatchError("an epi-limit scan requires a shared domain")
-    ext = np.minimum if lower else np.maximum
-    edges = union_edges([f.breakpoints for f in fns])
-    vals = np.full(max(edges.size - 1, 0), math.inf if lower else -math.inf)
-    for f in fns:
-        lut = np.concatenate([[f.default], f.values, [f.default]])
-        ext(vals, lut[np.searchsorted(f.breakpoints, edges[:-1], side="right")],
-            out=vals)
-    return PiecewiseFn(edges, vals, float(ext.reduce([f.default for f in fns])),
-                       domain)
-
-
-def ball_extrema_oracle(f: PiecewiseFn, lo, hi, lo_closed, hi_closed,
-                        lower: bool) -> np.ndarray:
-    """The one-direction ball scan that the two-sided one replaced: inf
-    (lower) or sup of one step function over every clipped ball."""
-    better = np.less if lower else np.greater
-    out = np.full(lo.shape, math.inf if lower else -math.inf)
-
-    def offer(where: np.ndarray, cand) -> None:
-        np.copyto(out, cand, where=where & better(cand, out))
-
-    inner = hi > lo
-    if lo_closed.any():
-        offer(lo_closed, f(f.domain.lo))
-    if (hi_closed & inner).any():
-        offer(hi_closed & inner, f(f.domain.hi))
-    bp, vals = f.breakpoints, f.values
-    if bp.size == 0:
-        offer(inner, f.default)
-        return out
-    i0 = np.maximum(np.searchsorted(bp, lo, side="right") - 1, 0)
-    i1 = np.minimum(np.searchsorted(bp, hi, side="left"), vals.size)
-    hit = inner & (i1 > i0)
-    if hit.any():
-        cand = np.empty(lo.shape)
-        cand[hit] = epilimits._reduce_ranges(
-            np.minimum if lower else np.maximum, vals, i0[hit], i1[hit])
-        offer(hit, cand)
-    offer(inner & ((lo < bp[0]) | (hi > bp[-1])), f.default)
-    return out
-
-
-def estimates_oracle(seq: FnSequence, pts, sched, lower: bool,
-                     stab_tol: float = 1e-9):
-    """The one-direction estimates that the two-sided scan replaced:
-    (values, stabilized flags, certainty) at pts, each of the last two
-    steps scanning one envelope and rejecting an empty ball at once."""
-    cert = seq.epi_liminf_cert if lower else seq.epi_limsup_cert
-    pts = np.asarray(pts, dtype=np.float64)
-    if cert is not None:
-        deltas = np.asarray([d for n, d in sched.steps if n <= seq.n_max])
-        *_, empty = epilimits._balls(cert.fn.domain, pts, deltas)
-        epilimits._require_nonempty(empty)
-        return (np.asarray([cert.value_at(s, "lower" if lower else "upper")
-                            for s in pts.tolist()]),
-                np.ones(pts.size, dtype=bool), "exact")
-    steps = sched.steps[-2:]
-    cols = np.full((pts.size, len(steps)), math.inf if lower else -math.inf)
-    for j, (n, delta) in enumerate(steps):
-        if n > seq.n_max:
-            continue
-        env = envelope_oracle(seq.fns[n - 1:], lower)
-        *balls, empty = epilimits._balls(env.domain, pts, np.asarray([delta]))
-        epilimits._require_nonempty(empty)
-        cols[:, j] = ball_extrema_oracle(env, *balls, lower)[:, 0]
-    stab = [len(c) == 2 and close(c[0], c[1], stab_tol) for c in cols.tolist()]
-    return cols[:, -1], np.asarray(stab, dtype=bool), "window"
+def scan_estimates(seq: FnSequence, pts, sched, lower: bool,
+                   stab_tol: float = 1e-9) -> tuple[list[float], list[bool]]:
+    """Windowed epi-liminf (lower) or limsup estimates at pts, and their
+    stabilized flags: the last of ``scan_epi_oracle``'s entries over the
+    schedule's last two steps, stabilized when both are there and
+    close."""
+    read = EpiSchedule(sched.steps[-2:], sched.n_max)
+    values, stab = [], []
+    for s in pts:
+        *prev, last = scan_epi_oracle(seq, s, read, lower)
+        values.append(last)
+        stab.append(bool(prev) and close(prev[0], last, stab_tol))
+    return values, stab
 
 
 @dataclass(frozen=True)
@@ -432,7 +313,7 @@ def l1_series_oracle(sc: Scenario):
 def loop_mass_of_interval(m: FiniteMeasure, lo: float, hi: float,
                           lo_closed: bool, hi_closed: bool) -> float:
     """Reference for ``FiniteMeasure.masses_of_intervals``: one interval,
-    its atoms tested one by one."""
+    its atoms tested one by one, its segment ends clipped in Python."""
     if hi < lo:
         return 0.0
     terms = []
@@ -444,48 +325,11 @@ def loop_mass_of_interval(m: FiniteMeasure, lo: float, hi: float,
     grab = clip_hi > clip_lo
     terms.extend(m.cell_densities[grab] * (clip_hi[grab] - clip_lo[grab]))
     for seg in m.segments:
+        assert seg.mass_fn is _exp2_mass, "the reference knows exp2 segments only"
         a, b = max(seg.lo, lo), min(seg.hi, hi)
         if b > a:
-            terms.append(float(segment_mass(seg, a, b)))
+            terms.append(float(exp2_mass(a, b)))
     return math.fsum(terms) + 0.0 if terms else 0.0
-
-
-def segment_mass(seg, a, b) -> np.ndarray:
-    """Reference for an exp2 segment's masses of [a, b) subintervals,
-    scalars or arrays: ``clipped_exp2_mass`` over the segment's bounds.
-    Every segment that the tests build carries the exp2 ``mass_fn``."""
-    assert seg.mass_fn is _exp2_mass, "the reference knows exp2 segments only"
-    return clipped_exp2_mass(seg.lo, seg.hi, a, b)
-
-
-def loop_masses_of_intervals(m: FiniteMeasure, los, his, lo_closed: bool,
-                             hi_closed: bool) -> list[float]:
-    """Reference for ``FiniteMeasure.masses_of_intervals``: its body with
-    the segment masses taken one interval and segment at a time, each
-    from the scalar ``segment_mass`` of the ends clipped in Python."""
-    lo = np.asarray(los, dtype=np.float64)[:, None]
-    hi = np.asarray(his, dtype=np.float64)[:, None]
-    locs = m.atom_locs
-    atoms = (((lo < locs) & (locs < hi)) | ((locs == lo) & lo_closed)
-             | ((locs == hi) & hi_closed))
-    clip_lo = np.maximum(m.cell_los, lo)
-    clip_hi = np.minimum(m.cell_his, hi)
-    seg = np.zeros((lo.size, len(m.segments)))
-    seg_keep = np.zeros(seg.shape, dtype=bool)
-    for i, (a, b) in enumerate(zip(lo[:, 0].tolist(), hi[:, 0].tolist())):
-        for j, s in enumerate(m.segments):
-            s_lo, s_hi = max(s.lo, a), min(s.hi, b)
-            if s_hi > s_lo:
-                seg[i, j] = float(segment_mass(s, s_lo, s_hi))
-                seg_keep[i, j] = True
-    terms = np.concatenate([np.broadcast_to(m.atom_weights, atoms.shape),
-                            m.cell_densities * (clip_hi - clip_lo), seg],
-                           axis=1)
-    keep = (np.concatenate([atoms, clip_hi > clip_lo, seg_keep], axis=1)
-            & (hi >= lo))
-    return list(ragged_sums(terms.ravel(),
-                            np.arange(lo.size + 1) * terms.shape[1],
-                            keep.ravel()))
 
 
 def unique_edges(pieces) -> np.ndarray:
@@ -494,13 +338,14 @@ def unique_edges(pieces) -> np.ndarray:
     return np.unique(np.concatenate(pieces))
 
 
-def clipped_exp2_mass(lo: float, hi: float, a, b) -> np.ndarray:
-    """Reference for the exp2 segment's cell masses: both ends clipped to
-    [lo, hi], then the closed form as one expression with temporaries."""
-    ln2 = math.log(2.0)
-    a = np.clip(np.asarray(a, dtype=np.float64), lo, hi)
-    b = np.clip(np.asarray(b, dtype=np.float64), lo, hi)
-    return np.maximum(np.exp2(-a) * (-np.expm1(-(b - a) * ln2)) / ln2, 0.0)
+def exp2_mass(a, b) -> np.ndarray:
+    """Reference for the exp2 segment's masses of [a, b) cells,
+    ``measures._exp2_mass``: 2^-a (1 - 2^-(b - a)) / ln 2 as one
+    expression per cell, expm1 against cancellation.  ``mass_inside``
+    clamps it at 0."""
+    a = np.asarray(a, dtype=np.float64)
+    b = np.asarray(b, dtype=np.float64)
+    return np.exp2(-a) * -np.expm1((b - a) * -LN2) / LN2
 
 
 def loop_comp_sum(xs) -> float:
@@ -529,7 +374,8 @@ def loop_pos_neg_dot(values, masses) -> tuple[float, float, bool, bool]:
             if math.isinf(v):
                 neg_inf = True
             else:
-                neg_terms.append(-v * m)
+                # the kernel's spelling: (-v) * m differs in a NaN's sign
+                neg_terms.append(-(v * m))
     return math.fsum(pos_terms) + 0.0, math.fsum(neg_terms) + 0.0, pos_inf, neg_inf
 
 
@@ -574,31 +420,23 @@ def list_dominates(upper: PiecewiseFn, lower: PiecewiseFn) -> bool:
     return all(upper(x) >= lower(x) for x in edges)
 
 
-def list_comb_g(n: int) -> PiecewiseFn:
-    """Reference for the ``dyadic_comb`` fixture's g_n: the dyadic cells
-    and the cliff gathered cell by cell in Python lists."""
-    dom, mu = _comb_domain()
-    seg = mu.segments[0]
+def comb_g_oracle(n: int) -> PiecewiseFn:
+    """Reference for the ``dyadic_comb`` fixture's g_n: the 2^(n+1) cells
+    of width h = 2^-n on [0, 2], each even one depressed by its measure
+    average (h / (2 ln 2)) / ``exp2_mass``, and the cliff -2^n on
+    [n, n + 1), past 2 appended after a zero cell [2, n); ``PiecewiseFn``
+    merges equal neighbours."""
+    dom, _ = _comb_domain()
     h = 2.0 ** -n
-    n_cells = 2 ** (n + 1)
-    bp = np.arange(n_cells + 1) * h
-    base = np.zeros(n_cells)
-    lo = bp[:-1]
-    if n < 2:
-        base[lo >= n] = -(2.0 ** n)
+    bp = np.arange(2 ** (n + 1) + 1) * h
+    vals = np.where(bp[:-1] >= n, -(2.0 ** n), 0.0)
     a = bp[0:-1:2]
-    depths = _comb_depths(seg, a, a + h)
-    vals = base.copy()
-    vals[0::2] -= depths
-    bps = list(bp)
-    cells = list(vals)
-    if n >= 2:
-        if n > 2:
-            bps.append(float(n))
-            cells.append(0.0)
-        bps.append(float(n + 1))
-        cells.append(-(2.0 ** n))
-    return PiecewiseFn(bps, cells, 0.0, dom)
+    vals[0::2] -= (h / (2.0 * LN2)) / exp2_mass(a, a + h)
+    if n > 2:
+        bp, vals = np.append(bp, [n, n + 1.0]), np.append(vals, [0.0, -(2.0 ** n)])
+    elif n == 2:
+        bp, vals = np.append(bp, 3.0), np.append(vals, -4.0)
+    return PiecewiseFn(bp, vals, 0.0, dom)
 
 
 def constant_seq(f: PiecewiseFn, n_max: int) -> FnSequence:
@@ -833,25 +671,15 @@ def loop_gap_series(sc: Scenario) -> tuple[list, list]:
 
 def loop_condition_series(f_seq: FnSequence, f: PiecewiseFn, m: FiniteMeasure,
                           eps: float) -> tuple[list, list]:
+    """Reference for ``uniform._condition_series``: per index, one
+    ``math.fsum`` over the cell masses and atom weights of {f_n <= f - eps}
+    and one over those of {|f_n - f| >= eps}."""
     under, inmeas = [], []
     for f_n in f_seq.fns:
-        p = common_refinement([f_n, f, m])
-        points = p.edges[:-1].tolist()
-        vn = np.asarray([f_n(x) for x in points], dtype=np.float64)
-        v = np.asarray([f(x) for x in points], dtype=np.float64)
-        masses = m.continuous_cell_masses(p.edges)
+        (vn, v), (w,), _ = loop_pairing([f_n, f], [m])
         with np.errstate(invalid="ignore"):
-            under_terms = [math.fsum(masses[vn <= v - eps].tolist()) + 0.0]
-            inmeas_terms = [math.fsum(masses[np.abs(vn - v) >= eps].tolist())
-                            + 0.0]
-        for loc, w in zip(m.atom_locs, m.atom_weights):
-            a, b = f_n(float(loc)), f(float(loc))
-            if a <= b - eps:
-                under_terms.append(float(w))
-            if abs(a - b) >= eps:
-                inmeas_terms.append(float(w))
-        under.append(math.fsum(under_terms) + 0.0)
-        inmeas.append(math.fsum(inmeas_terms) + 0.0)
+            under.append(math.fsum(w[vn <= v - eps].tolist()) + 0.0)
+            inmeas.append(math.fsum(w[np.abs(vn - v) >= eps].tolist()) + 0.0)
     return under, inmeas
 
 
@@ -1028,232 +856,3 @@ def validate_measure_oracle(m: FiniteMeasure) -> None:
     for lo, hi, desc in spans:
         if lo < m.domain.lo or hi > m.domain.hi:
             raise MalformedObjectError(f"{desc} outside domain")
-
-
-def whole_tree_sum(x: np.ndarray) -> float | None:
-    """Reference for ``kernels._tree_sum``: the TwoSum levels over the
-    whole array, with fresh arrays at every level."""
-    n = x.size
-    if not max(float(x.max()), -float(x.min())) * n < 2.0 ** 1000:
-        return None
-    err_sum = 0.0
-    err_abs = 0.0
-    while x.size > 1:
-        h = x.size // 2
-        a, b = x[:h], x[h:2 * h]
-        s = np.empty(x.size - h)
-        top = np.add(a, b, out=s[:h])
-        if x.size & 1:
-            s[h] = x[-1]
-        b_virtual = top - a
-        err = top - b_virtual
-        np.subtract(a, err, out=err)
-        np.subtract(b, b_virtual, out=b_virtual)
-        err += b_virtual
-        err_sum += float(err.sum())
-        err_abs += float(np.abs(err, out=err).sum())
-        x = s
-    s = float(x[0])
-    if err_abs == 0.0:
-        return s + 0.0
-    bound = err_abs * (n * 2.0 ** -52) + 5e-324
-    lo = s + math.nextafter(err_sum - bound, -math.inf)
-    hi = s + math.nextafter(err_sum + bound, math.inf)
-    return lo + 0.0 if lo == hi else None
-
-
-def whole_exp2_mass(a, b) -> np.ndarray:
-    """Reference for ``measures._exp2_mass`` on 1-d arrays: the same
-    chain on two whole arrays in place."""
-    a = np.asarray(a, dtype=np.float64)
-    b = np.asarray(b, dtype=np.float64)
-    d = b - a
-    d *= -_LN2
-    np.expm1(d, out=d)
-    np.negative(d, out=d)
-    out = np.negative(a)
-    np.exp2(out, out=out)
-    out *= d
-    out /= _LN2
-    return out
-
-
-def seen_values(f: PiecewiseFn, fns, measures) -> np.ndarray:
-    """Reference for f's values in the one-index pairing of ``(fns,
-    measures)``: f's breakpoints at or left of every edge, found by one
-    binary search per edge, index f's lookup table once for the cells
-    and once for the atoms."""
-    d = (fns + measures)[0].domain
-    pieces = [np.asarray([d.lo, d.hi]), *(g.breakpoints for g in fns)]
-    for m in measures:
-        pieces += [m.cell_los, m.cell_his,
-                   np.asarray([s.lo for s in m.segments]),
-                   np.asarray([s.hi for s in m.segments]), m.atom_locs]
-    edges = union_edges(pieces)
-    atom_edges = np.unique(np.searchsorted(edges, np.concatenate(
-        [m.atom_locs for m in measures] + [np.empty(0)])))
-    lut = [(f.default,)]
-    if f.breakpoints.size:
-        lut.append(f.values)
-        lut.append((f.values[-1] if f.breakpoints[-1] == d.hi
-                    else f.default,))
-    lut = np.concatenate(lut)
-    c = np.searchsorted(f.breakpoints, edges, side="right")
-    return np.concatenate([lut[c[:-1]], lut[c[atom_edges]]])
-
-
-def concat_comb_g(n: int) -> PiecewiseFn:
-    """Reference for the ``dyadic_comb`` fixture's g_n: the dyadic cells
-    first, then the cliff appended by ``np.concatenate``."""
-    dom, mu = _comb_domain()
-    seg = mu.segments[0]
-    h = 2.0 ** -n
-    n_cells = 2 ** (n + 1)
-    bp = np.arange(n_cells + 1) * h
-    vals = np.zeros(n_cells)
-    if n < 2:
-        vals[bp[:-1] >= n] = -(2.0 ** n)
-    a = bp[0:-1:2]
-    vals[0::2] -= _comb_depths(seg, a, a + h)
-    if n > 2:
-        bp = np.concatenate([bp, [float(n), float(n + 1)]])
-        vals = np.concatenate([vals, [0.0, -(2.0 ** n)]])
-    elif n == 2:
-        bp = np.concatenate([bp, [float(n + 1)]])
-        vals = np.concatenate([vals, [-(2.0 ** n)]])
-    return PiecewiseFn(bp, vals, 0.0, dom)
-
-
-# --------------------------------------------------------------------------
-# the comb path before index gathers and kept arrays
-#
-# The kernels as they selected their terms with boolean masks and formed
-# every product, the exp2 chain with one expm1 per cell, and the comb
-# builder that wrote the edge 2.0 for ``PiecewiseFn`` to merge away; the
-# copying canonicalization is ``canonicalize_oracle`` above.
-
-def mask_bounds(mask: np.ndarray, offsets) -> np.ndarray:
-    """Where each run of ``offsets`` starts among the entries of ``mask``,
-    counted in order: the run bounds of ``x[mask]``."""
-    if len(offsets) == 2 and offsets[0] == 0 and offsets[1] == mask.size:
-        return np.asarray([0, np.count_nonzero(mask)])
-    return np.searchsorted(np.flatnonzero(mask), offsets)
-
-
-def mask_ragged_sums(xs, offsets, mask=None):
-    """Reference for ``kernels.ragged_sums``: a boolean compress."""
-    x = np.asarray(xs, dtype=np.float64)
-    if mask is None:
-        return _sums(x, np.asarray(offsets).tolist())
-    return _sums(x[mask], mask_bounds(mask, offsets).tolist())
-
-
-def mask_pos_neg_dots(values, masses, offsets):
-    """Reference for ``kernels.pos_neg_dots``: every product formed, the
-    terms selected by sign masks and compressed."""
-    v, m = _pair(values, masses)
-    with np.errstate(over="ignore", invalid="ignore"):
-        prod = v * m
-    pos_cells = v > 0.0
-    neg_cells = ~(v >= 0.0)
-    runs = len(offsets) - 1
-    pos_inf = neg_inf = [False] * runs
-    odd = ~np.isfinite(v)
-    if odd.any():
-        live = m != 0.0
-        pos_cells &= live
-        neg_cells &= live
-        inf = np.isinf(v, out=odd)
-        pos_inf = (np.diff(mask_bounds(pos_cells & inf, offsets)) > 0).tolist()
-        neg_inf = (np.diff(mask_bounds(neg_cells & inf, offsets)) > 0).tolist()
-        pos_cells &= ~inf
-        neg_cells &= ~inf
-    pos = _sums(prod[pos_cells], mask_bounds(pos_cells, offsets).tolist())
-    neg_terms = prod[neg_cells]
-    neg = _sums(np.negative(neg_terms, out=neg_terms),
-                mask_bounds(neg_cells, offsets).tolist())
-    for p_inf, n_inf, p, n in zip(pos_inf, neg_inf, pos, neg):
-        yield math.inf if p_inf else p, math.inf if n_inf else n
-
-
-def mask_tail_dots(values, masses, offsets, ks):
-    """Reference for ``kernels.tail_dots``: live, finite and threshold
-    masks, each compressing the arrays."""
-    v, m = _pair(values, masses)
-    ks = np.asarray(ks, dtype=np.float64)
-    if ks.ndim != 1:
-        raise ValueError("ks must be a 1-d grid of thresholds")
-    a = np.abs(v)
-    live = m != 0.0
-    inf = np.isinf(a)
-    has_inf = (np.diff(mask_bounds(live & inf, offsets)) > 0).tolist()
-    keep = live & ~inf
-    a, m = a[keep], m[keep]
-    with np.errstate(over="ignore"):
-        terms = a * m
-    runs = mask_bounds(keep, offsets)
-    grid = ks.tolist()
-    table = np.empty((runs.size - 1, len(grid)))
-    failed: dict = {}
-    for j, k in enumerate(grid):
-        sel = a >= k
-        t = terms[sel]
-        t_list = t.tolist() if t.size < _TREE_MIN else None
-        b = mask_bounds(sel, runs).tolist()
-        for i in range(len(b) - 1):
-            if i in failed:
-                continue
-            try:
-                s = _run_sum(t, t_list, b[i], b[i + 1])
-            except (OverflowError, ValueError) as exc:
-                failed[i] = exc
-                continue
-            table[i, j] = math.inf if has_inf[i] and math.inf >= k else s
-    for i, row in enumerate(table):
-        if i in failed:
-            raise failed[i]
-        yield row
-
-
-def cellwise_exp2_mass(a, b) -> np.ndarray:
-    """Reference for ``measures._exp2_mass``: the blocked chain with one
-    expm1 per cell, whatever the widths."""
-    a = np.asarray(a, dtype=np.float64)
-    b = np.asarray(b, dtype=np.float64)
-    out = np.empty(a.shape)
-    d = np.empty(min(a.size, _EXP2_BLOCK))
-    for i in range(0, a.size, _EXP2_BLOCK):
-        x, o = a[i:i + _EXP2_BLOCK], out[i:i + _EXP2_BLOCK]
-        t = np.subtract(b[i:i + _EXP2_BLOCK], x, out=d[:x.size])
-        t *= -_LN2
-        np.expm1(t, out=t)
-        np.negative(t, out=t)
-        np.negative(x, out=o)
-        np.exp2(o, out=o)
-        o *= t
-        o /= _LN2
-    return out
-
-
-def written_comb_g(n: int) -> PiecewiseFn:
-    """Reference for the ``dyadic_comb`` fixture's g_n: every dyadic edge
-    of [0, 2] written, 2.0 included, the depths as ``(b - a) / (2 ln 2)``
-    over the masses of ``cellwise_exp2_mass``, and writeable arrays that
-    ``PiecewiseFn`` copies and canonicalizes."""
-    dom, _ = _comb_domain()
-    h = 2.0 ** -n
-    n_cells = 2 ** (n + 1)
-    tail = [float(n), float(n + 1)] if n > 2 else [3.0] if n == 2 else []
-    bp = np.arange(n_cells + 1 + len(tail), dtype=np.float64)
-    bp[:n_cells + 1] *= h
-    bp[n_cells + 1:] = tail
-    vals = np.zeros(bp.size - 1)
-    if n < 2:
-        vals[bp[:n_cells] >= n] = -(2.0 ** n)
-    else:
-        vals[-1] = -(2.0 ** n)
-    a = bp[0:n_cells:2]
-    b = a + h
-    mass = np.maximum(cellwise_exp2_mass(a, b), 0.0)
-    vals[0:n_cells:2] -= ((b - a) / (2.0 * LN2)) / mass
-    return PiecewiseFn(bp, vals, 0.0, dom)

@@ -1,5 +1,5 @@
 """The two-sided envelope epi-limit scan against the scalar ``range_on``
-oracle and the one-direction scan it replaced.
+oracle.
 
 The engine in ``measure_limits.epilimits`` scans the last two schedule
 steps of every point of a family at once and in both directions, each
@@ -8,8 +8,9 @@ step on the min and max envelopes of its tail;
 ``helpers.range_on`` call per step and index.  The engine's columns must
 equal the oracle's last two entries bit for bit in both directions, the
 sign of zero included, and the two must reject the same empty balls.
-``helpers.estimates_oracle`` is the one-direction scan, per quantity,
-that a scenario's shared scans must reproduce.
+The estimates and stabilized flags read off the columns, alone or through
+a scenario's shared scans, must be ``helpers.scan_estimates``: the
+oracle's last entry, stabilized when its last two entries are close.
 """
 
 import math
@@ -44,11 +45,12 @@ from measure_limits.xreal import (
 
 from helpers import (
     epi_estimate,
-    estimates_oracle,
     fatou_random_scenario,
     scan_columns,
     scan_epi_oracle,
+    scan_estimates,
 )
+from strategies import families, step_fns, subset
 
 # dyadic breakpoints and radii: a point of the grid plus or minus a radius
 # lands exactly on another grid point, i.e. on a breakpoint
@@ -58,27 +60,25 @@ DOMAINS = [Interval(0.0, 1.0), Interval(-math.inf, math.inf),
            Interval(0.0, math.inf), Interval(-math.inf, 1.0)]
 
 
-@st.composite
-def step_fns(draw, domain: Interval):
-    n_cells = draw(st.integers(0, 8))
-    default = draw(st.sampled_from(VALUES))
-    if n_cells == 0:
-        return PiecewiseFn((), (), default, domain)
-    bps = draw(st.lists(st.sampled_from(GRID), min_size=n_cells + 1,
-                        max_size=n_cells + 1, unique=True))
-    vals = draw(st.lists(st.sampled_from(VALUES), min_size=n_cells,
-                         max_size=n_cells))
-    return PiecewiseFn(sorted(bps), vals, default, domain)
+def grid_fns(domain: Interval):
+    return step_fns(domain, GRID, VALUES, 8)
 
 
 @st.composite
-def families(draw):
+def tails(draw, max_size: int):
+    """1 to max_size step functions on one domain."""
     domain = draw(st.sampled_from(DOMAINS))
-    n_max = draw(st.integers(1, 6))
-    fns = [draw(step_fns(domain)) for _ in range(n_max)]
+    return draw(families(max_size, grid_fns(domain)))[0]
+
+
+@st.composite
+def scans(draw):
+    """(family, schedule, points): a schedule of 1 to 4 steps over a
+    family of 1 to 6 indices, and 1 to 6 points on the grid or off it."""
+    fns = draw(tails(6))
+    n_max = len(fns)
     n_steps = draw(st.integers(1, min(4, n_max)))
-    thresholds = sorted(draw(st.lists(st.integers(1, n_max), min_size=n_steps,
-                                      max_size=n_steps, unique=True)))
+    thresholds = subset(draw, range(1, n_max + 1), n_steps)
     if draw(st.booleans()):
         thresholds[-1] = n_max           # the last step scans f_{n_max} only
     first = draw(st.integers(1, 3))
@@ -99,9 +99,7 @@ def bits(values) -> list[str]:
 
 
 @settings(max_examples=200, deadline=None)
-@given(st.sampled_from(DOMAINS).flatmap(
-           lambda d: st.lists(step_fns(d), min_size=1, max_size=6)),
-       st.lists(st.floats(0.0, 1.0, allow_nan=False), max_size=4))
+@given(tails(6), st.lists(st.floats(0.0, 1.0, allow_nan=False), max_size=4))
 def test_envelopes_are_the_pointwise_extremes(fns, extra):
     edges, vals, defaults = _envelopes(fns)
     dom = fns[0].domain
@@ -125,35 +123,34 @@ def test_envelope_rejects_a_family_on_two_domains():
 
 
 @settings(max_examples=400, deadline=None)
-@given(families())
+@given(scans())
 def test_two_sided_scan_matches_scalar_oracle(family):
     seq, sched, pts = family
+    read = EpiSchedule(sched.steps[-2:], sched.n_max)
     for lower in (True, False):
         rows = scan_columns(seq, pts, sched, lower)
         assert rows.shape == (len(pts), min(2, len(sched.steps)))
         for s, row in zip(pts, rows):
-            want = scan_epi_oracle(seq, s, sched, lower)[-2:]
-            assert bits(row) == bits(want)
+            assert bits(row) == bits(scan_epi_oracle(seq, s, read, lower))
 
 
 @settings(max_examples=300, deadline=None)
-@given(families(), st.sampled_from([0.0, 1e-9, 0.5]))
-def test_two_sided_scan_matches_one_direction_scans(family, stab_tol):
+@given(scans(), st.sampled_from([0.0, 1e-9, 0.5]))
+def test_estimates_of_one_scan_match_the_scalar_oracle(family, stab_tol):
     # values and stabilized flags of both directions, from one scan, are
-    # those of one scan per direction
+    # those of the scalar scan per direction
     seq, sched, pts = family
     scan = epi_scan(seq, pts, sched, stab_tol)
     for lower in (True, False):
-        want = estimates_oracle(seq, pts, sched, lower, stab_tol)
+        want = scan_estimates(seq, pts, sched, lower, stab_tol)
         got = _estimates(seq, pts, sched, lower, lambda: scan)
         assert bits(got[0]) == bits(want[0])
-        assert got[1].tolist() == want[1].tolist()
-        assert got[2] == want[2] == "window"
+        assert got[1].tolist() == want[1]
+        assert got[2] == "window"
 
 
 @settings(max_examples=150, deadline=None)
-@given(families(), st.booleans(),
-       st.floats(-3.0, 4.0, allow_nan=False))
+@given(scans(), st.booleans(), st.floats(-3.0, 4.0, allow_nan=False))
 def test_batched_scan_rejects_the_balls_the_oracle_rejects(family, lower, s):
     # the engine reads the last two steps only: a step before them may
     # reach the family where they do not, and its ball is not checked
@@ -288,15 +285,15 @@ def test_epi_integrals_are_computed_once_per_scenario(monkeypatch):
 
 def one_direction_integral(seq, m, lower, sched, grid) -> float:
     pts, masses, _ = epi_window(seq, m, sched, grid, 1e-9)
-    vals = estimates_oracle(seq, pts, sched, lower)[0]
+    vals = scan_estimates(seq, pts, sched, lower)[0]
     return integral_of_parts(*pos_neg_dot(vals, masses),
                              "epi integral undefined")
 
 
 def test_scenario_scans_match_one_direction_paths():
     # a scenario scans f once for its epi-liminf integral and the sample
-    # grid, and g once for both its integrals: every value is that of a
-    # scan per quantity and direction
+    # grid, and g once for both its integrals: every value is that of the
+    # scalar scan per quantity and direction
     rng = np.random.default_rng(23)
     for _ in range(12):
         sc = fatou_random_scenario(rng, n_max=8)
@@ -313,8 +310,8 @@ def test_scenario_scans_match_one_direction_paths():
         rep = dct_report(sc)
         alone = epi_limit_exists(sc.f_seq, grid, sched, sc.tolerances.tol, mu)
         assert bits([rep.exception_mass]) == bits([alone.exception_mass])
-        lo = estimates_oracle(sc.f_seq, sorted(grid), sched, True)
-        hi = estimates_oracle(sc.f_seq, sorted(grid), sched, False)
-        oks = [bool(a and b and close(x, y, sc.tolerances.tol)) for x, y, a, b
-               in zip(lo[0].tolist(), hi[0].tolist(), lo[1], hi[1])]
+        lo = scan_estimates(sc.f_seq, sorted(grid), sched, True)
+        hi = scan_estimates(sc.f_seq, sorted(grid), sched, False)
+        oks = [a and b and close(x, y, sc.tolerances.tol) for x, a, y, b
+               in zip(*lo, *hi)]
         assert list(alone.point_ok) == oks

@@ -4,7 +4,9 @@ import numpy as np
 import pytest
 
 from measure_limits import (
+    EpiCertificate,
     EpiSchedule,
+    FiniteMeasure,
     FnSequence,
     Interval,
     PiecewiseFn,
@@ -185,6 +187,34 @@ def test_exists_sampled_mass_isolated_vs_runs():
     assert fails == [0.1, 0.25, 0.4, 0.7]
     assert not rep.mass_exact
     assert 0.3 <= rep.exception_mass <= 0.75
+
+
+def test_exists_counts_an_atom_on_a_shared_midpoint_once():
+    # 0 and 1 fail, so each takes the half of [0, 1] next to it; the atom
+    # on their shared midpoint belongs to one of the two halves
+    dom = Interval(0.0, 2.0)
+    fns = [PiecewiseFn([0.0, 1.0], [(-1.0) ** n], 0.0, dom) for n in range(8)]
+    rep = epi_limit_exists(FnSequence(tuple(fns)), [0.0, 1.0, 2.0],
+                           sched_for(8), 1e-9, point_mass(0.5, 1.0, dom))
+    assert rep.point_ok[:2] == (False, False)
+    assert rep.exception_mass == 1.0
+
+
+#: cells of mass 1 and 1e-16 and an atom of 1e-16: the cells alone round
+#: to 1.0, and adding the atom to that rounded sum leaves 1.0
+TIES = FiniteMeasure(atoms=[(2.5, 1e-16)],
+                     cells=[(0.0, 1.0, 1.0), (1.0, 2.0, 1e-16)],
+                     domain=Interval(0.0, 3.0))
+
+
+def test_certified_exception_mass_is_one_exactly_rounded_sum():
+    dom = TIES.domain
+    seq = FnSequence((zero_fn(dom),) * 4,
+                     epi_liminf_cert=EpiCertificate(zero_fn(dom)),
+                     epi_limsup_cert=EpiCertificate(constant_fn(1.0, dom)))
+    rep = epi_limit_exists(seq, [0.5], sched_for(4), 1e-9, TIES)
+    assert rep.mass_exact
+    assert rep.exception_mass == math.fsum([1.0, 1e-16, 1e-16]) > 1.0
 
 
 # -- integrals ----------------------------------------------------------------

@@ -39,6 +39,7 @@ from helpers import (
     loop_integral_series, loop_pairing, loop_tail_table, loop_tv_series,
     loop_weak_gaps,
 )
+from strategies import families, measures, picks, step_fns, subset
 
 FINITE = Interval(-1.0, 3.0)
 HALF_LINE = Interval(0.0, math.inf)
@@ -50,51 +51,25 @@ DENSITIES = (0.0, 0.5, 1.0, 3.0)
 K_GRID = (0.5, 1.0, 2.0, 1e300)
 
 
-def _distinct(xs) -> list[float]:
-    """Sorted values of xs, each kept once (its first spelling of zero)."""
-    out = []
-    for x in xs:
-        if x not in out:
-            out.append(x)
-    return sorted(out)
+def fns_on(domain: Interval):
+    return step_fns(domain, POINTS, VALUES, 5)
+
+
+def measures_on(domain: Interval):
+    # None leaves a cell out, as often as a density keeps it
+    return measures(domain, POINTS, DENSITIES + (None,) * len(DENSITIES),
+                    WEIGHTS, (0, 5), 3, segment_los=(0.0, 1.0, 2.0))
 
 
 @st.composite
-def step_fns(draw, domain: Interval) -> PiecewiseFn:
-    pts = [x for x in POINTS if domain.lo <= x <= domain.hi]
-    bps = _distinct(draw(st.lists(st.sampled_from(pts), max_size=6)))
-    values = [draw(st.sampled_from(VALUES)) for _ in bps[1:]]
-    return PiecewiseFn(bps, values, draw(st.sampled_from(VALUES)), domain)
-
-
-@st.composite
-def measures(draw, domain: Interval) -> FiniteMeasure:
-    pts = [x for x in POINTS if domain.lo <= x <= domain.hi]
-    segments, cell_top = [], domain.hi
-    if math.isinf(domain.hi) and draw(st.booleans()):
-        lo = draw(st.sampled_from((0.0, 1.0, 2.0)))
-        segments.append(make_segment("exp2", lo, math.inf))
-        cell_top = lo
-    cuts = _distinct(draw(st.lists(
-        st.sampled_from([x for x in pts if x <= cell_top]), max_size=5)))
-    cells = [(a, b, draw(st.sampled_from(DENSITIES)))
-             for a, b in zip(cuts, cuts[1:]) if draw(st.booleans())]
-    locs = _distinct(draw(st.lists(st.sampled_from(pts), max_size=3)))
-    atoms = [(x, draw(st.sampled_from(WEIGHTS))) for x in locs]
-    return FiniteMeasure(atoms, cells, segments, domain)
-
-
-@st.composite
-def scenarios(draw, n_max=st.integers(1, 20)) -> Scenario:
+def scenarios(draw) -> Scenario:
     domain = draw(st.sampled_from((FINITE, HALF_LINE)))
-    n = draw(n_max)
-    fns = [draw(step_fns(domain)) for _ in range(n)]
-    ms = [draw(measures(domain)) for _ in range(n)]
+    fns, ms = draw(families(20, fns_on(domain), measures_on(domain)))
     return Scenario(
         name="ragged", measures=tuple(ms),
-        limit_measure=draw(measures(domain)),
+        limit_measure=draw(measures_on(domain)),
         f_seq=FnSequence(tuple(fns)),
-        limit_fn=draw(step_fns(domain)), k_grid=K_GRID)
+        limit_fn=draw(fns_on(domain)), k_grid=K_GRID)
 
 
 chunk_budgets = st.sampled_from((1, 9, 40, refinement.CHUNK_EDGES))
@@ -155,24 +130,24 @@ def segmented_measures(draw) -> FiniteMeasure:
     four pieces, each exp2 or halved, so that neighbours share mass_fn or
     not; cells below start and atoms anywhere."""
     start = draw(st.sampled_from((0.0, 0.5, 1.0)))
-    cuts = _distinct(draw(st.lists(st.sampled_from(
-        [x for x in (0.5, 1.0, 2.0, 3.0) if x > start]), max_size=3)))
-    ends = [start, *cuts, math.inf]
-    segments = [make_segment("exp2", lo, hi) if draw(st.booleans())
-                else _halved(lo, hi) for lo, hi in zip(ends, ends[1:])]
+    inner = [x for x in (0.5, 1.0, 2.0, 3.0) if x > start]
+    ends = [start, *subset(draw, inner, draw(st.integers(0, min(3, len(inner))))),
+            math.inf]
+    segments = [make_segment("exp2", lo, hi) if exp2 else _halved(lo, hi)
+                for lo, hi, exp2 in zip(ends, ends[1:],
+                                        picks(draw, (True, False), len(ends) - 1))]
     cells = [(0.0, start, draw(st.sampled_from(DENSITIES)))] if start else []
-    locs = _distinct(draw(st.lists(st.sampled_from(
-        [x for x in POINTS if x >= 0.0]), max_size=2)))
+    locs = subset(draw, [x for x in POINTS if x >= 0.0], draw(st.integers(0, 2)))
     return FiniteMeasure([(x, 1.0) for x in locs], cells, segments, HALF_LINE)
 
 
 @settings(max_examples=100, deadline=None)
-@given(st.lists(st.tuples(step_fns(HALF_LINE), segmented_measures()),
-                min_size=1, max_size=8), chunk_budgets)
-def test_segment_runs_match_the_per_segment_loop(rows, budget):
+@given(families(8, fns_on(HALF_LINE), segmented_measures()), chunk_budgets)
+def test_segment_runs_match_the_per_segment_loop(family, budget):
     # one mass_inside call per run of segments that share mass_fn over
     # adjacent cells, and a lone run over all cells as the masses
     # themselves, against one call per segment and index
+    rows = list(zip(*family))
     same_pairing([((f,), (m,)) for f, m in rows], budget)
     same_pairing([((), (m, rows[0][1])) for _, m in rows], budget)
 
@@ -190,11 +165,10 @@ def test_series_match_the_per_index_loops(sc, budget):
         assert (outcome(lambda: list(tv_series(sc.measures,
                                                sc.limit_measure)))
                 == outcome(loop_tv_series, sc.measures, sc.limit_measure))
-        for i in (0, 1):
-            assert (outcome(lambda: _condition_series(
-                sc.f_seq, sc.limit_fn, sc.limit_measure, 0.5)[i])
-                    == outcome(lambda: loop_condition_series(
-                        sc.f_seq, sc.limit_fn, sc.limit_measure, 0.5)[i]))
+        assert (outcome(_condition_series, sc.f_seq, sc.limit_fn,
+                        sc.limit_measure, 0.5)
+                == outcome(loop_condition_series, sc.f_seq, sc.limit_fn,
+                           sc.limit_measure, 0.5))
 
 
 def _loop_hahn(sc):
@@ -225,17 +199,15 @@ def test_hahn_masses_match_the_per_index_loop(sc, budget):
 def test_uniform_gap_series_match_the_per_index_loop(sc, budget):
     # the report body computes the gap series first; whatever it raises
     # there, the loop raises too, and otherwise both series agree
+    want = outcome(loop_gap_series, sc)
     with mock.patch.object(refinement, "CHUNK_EDGES", budget):
-        want_inf = outcome(lambda: loop_gap_series(sc)[0])
-        want_sup = outcome(lambda: loop_gap_series(sc)[1])
         try:
             rep = uniform_report(sc)
         except Exception as exc:
-            if want_inf[0] != "ok":
-                assert (type(exc), str(exc)) == want_inf
+            if want[0] != "ok":
+                assert (type(exc), str(exc)) == want
             return
-        assert outcome(lambda: rep.series.inf_gaps) == want_inf
-        assert outcome(lambda: rep.series.sup_gaps) == want_sup
+    assert outcome(lambda: (rep.series.inf_gaps, rep.series.sup_gaps)) == want
 
 
 @settings(max_examples=100, deadline=None)

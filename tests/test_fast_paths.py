@@ -4,22 +4,20 @@ in for.
 ``dominates`` checks two whole families in ragged ``family_pairing``
 passes; ``helpers.list_dominates`` checks one index by scalar evaluation,
 and a loop over the indices must give the same verdict, or raise the
-same error.  The ``dyadic_comb`` builder assembles g_n from arrays;
-``helpers.list_comb_g`` keeps the list-based code, and the two must agree
-bit for bit, the sign of zero included.  ``scenario.canonical_json``
+same error.  The ``dyadic_comb`` builder writes g_n's arrays once,
+canonical and frozen; ``helpers.comb_g_oracle`` appends the dyadic cells
+and the cliff for ``PiecewiseFn`` to merge, and the two must agree bit
+for bit at every n of the fixture.  ``scenario.canonical_json``
 dispatches on exact types; ``helpers.canonical_json_oracle`` keeps the
 ``isinstance`` chain with one ``json.dumps`` per string, and the two must
 give the same string or the same error.  The lean construction checks of
 ``PiecewiseFn`` and ``FiniteMeasure`` must raise what
 ``helpers.piecewise_oracle`` and ``helpers.validate_measure_oracle``
 raise, with the same message, or store the same arrays; the oracle
-merges cells with ``helpers.canonicalize_oracle``.  The comb builder
-writes g_n's arrays once, canonical and frozen, and must store what
-``helpers.concat_comb_g`` (the dyadic cells, then the cliff appended)
-and ``helpers.written_comb_g`` (the edge 2.0 written, for
-``PiecewiseFn`` to merge away) store.  A one-index pairing reads a function's values as runs of its
-lookup table, and must give ``helpers.seen_values``: every edge
-searched among the breakpoints.
+merges cells with ``helpers.canonicalize_oracle``.  A one-index pairing
+reads a function's values as runs of its lookup table, and must give the
+values of ``helpers.loop_pairing``: the function evaluated at every cell
+and atom.
 """
 
 import json
@@ -39,10 +37,10 @@ from measure_limits.measures import AnalyticSegment, _exp2_cdf, _exp2_mass
 from measure_limits.xreal import MalformedObjectError
 
 from helpers import (
-    canonical_json_oracle, concat_comb_g, fatou_random_document, list_comb_g,
-    list_dominates, piecewise_oracle, seen_values, validate_measure_oracle,
-    written_comb_g,
+    canonical_json_oracle, comb_g_oracle, fatou_random_document,
+    list_dominates, loop_pairing, piecewise_oracle, validate_measure_oracle,
 )
+from strategies import families, picks, step_fns
 
 GRID = [k / 16 for k in range(17)]
 VALUES = [0.0, -0.0, 1.0, -1.0, 2.5, -3.0, math.inf, -math.inf]
@@ -60,40 +58,30 @@ def same_array(a: np.ndarray, b: np.ndarray) -> bool:
             and all(same(x, y) for x, y in zip(a.tolist(), b.tolist())))
 
 
-@st.composite
-def step_fns(draw, domain: Interval):
-    n_cells = draw(st.integers(0, 8))
-    default = draw(st.sampled_from(VALUES))
-    if n_cells == 0:
-        return PiecewiseFn((), (), default, domain)
-    bps = draw(st.lists(st.sampled_from(GRID), min_size=n_cells + 1,
-                        max_size=n_cells + 1, unique=True))
-    vals = draw(st.lists(st.sampled_from(VALUES), min_size=n_cells,
-                         max_size=n_cells))
-    return PiecewiseFn(sorted(bps), vals, default, domain)
+#: per index of a lower family: the upper member capped by a value three
+#: times in four, a member of its own (None) once in four
+CAPS = [None] * len(VALUES) + VALUES * 3
+
+
+def grid_fns(domain: Interval):
+    return step_fns(domain, GRID, VALUES, 8)
 
 
 @st.composite
-def families(draw):
+def dominance_pairs(draw):
     """Two families of 1 to 20 indices on one domain.  Most lower members
     are capped copies of their upper ones, so that the first failing index
     can lie anywhere; one lower member may live on another domain."""
     domain = draw(st.sampled_from(DOMAINS))
-    n = draw(st.integers(1, 20))
-    us = [draw(step_fns(domain)) for _ in range(n)]
+    (us,) = draw(families(20, grid_fns(domain)))
     if draw(st.booleans()):
         return us, us
-    ls = []
-    for u in us:
-        if draw(st.integers(0, 3)):
-            cap = draw(st.sampled_from(VALUES))
-            ls.append(u.map_values(lambda v: np.minimum(v, cap),
-                                   lambda d: min(d, cap)))
-        else:
-            ls.append(draw(step_fns(domain)))
+    ls = [draw(grid_fns(domain)) if cap is None
+          else u.map_values(lambda v: np.minimum(v, cap), lambda d: min(d, cap))
+          for u, cap in zip(us, picks(draw, CAPS, len(us)))]
     if draw(st.integers(0, 4)) == 0:
         other = draw(st.sampled_from([d for d in DOMAINS if d != domain]))
-        ls[draw(st.integers(0, n - 1))] = PiecewiseFn((), (), 0.0, other)
+        ls[draw(st.integers(0, len(us) - 1))] = PiecewiseFn((), (), 0.0, other)
     return us, ls
 
 
@@ -143,7 +131,7 @@ def test_dominates_matches_the_list_oracle_on_fixed_cases(upper, lower):
 
 
 @settings(max_examples=300, deadline=None)
-@given(families(), st.sampled_from([1, 9, 40, refinement.CHUNK_EDGES]))
+@given(dominance_pairs(), st.sampled_from([1, 9, 40, refinement.CHUNK_EDGES]))
 def test_dominates_matches_the_list_oracle(pair, budget):
     # a small chunk budget puts the first failing index past a chunk
     # boundary: a budget of 1 makes every index a chunk of its own
@@ -177,40 +165,16 @@ def test_dominates_matches_the_list_oracle_on_documents(seed):
 
 # --- the comb builder --------------------------------------------------------
 
-def same_fn(g: PiecewiseFn, ref: PiecewiseFn) -> bool:
-    return (same_array(g.breakpoints, ref.breakpoints)
-            and same_array(g.values, ref.values)
-            and same(g.default, ref.default) and g.domain == ref.domain)
-
-
-@pytest.mark.parametrize("n", [1, 2, 3, 8])
-def test_comb_builder_matches_the_list_oracle(n):
-    g = gallery.build("dyadic_comb", n_max=8).g_seq.fns[n - 1]
-    assert same_fn(g, list_comb_g(n))
-
-
 @pytest.fixture(scope="module")
 def comb_g():
     return gallery.build("dyadic_comb").g_seq.fns
 
 
-@pytest.mark.parametrize("n", [*range(1, 13), 20])
-def test_comb_builder_matches_the_concatenating_oracle(comb_g, n):
-    # g_20's 2,097,154 breakpoints and values are compared as raw bytes;
-    # the smaller ones element by element, signs of zero included
-    g, ref = comb_g[n - 1], concat_comb_g(n)
-    if n == 20:
-        assert g.breakpoints.tobytes() == ref.breakpoints.tobytes()
-        assert g.values.tobytes() == ref.values.tobytes()
-        assert same(g.default, ref.default) and g.domain == ref.domain
-    else:
-        assert same_fn(g, ref)
-
-
-@pytest.mark.parametrize("n", [1, 2, 3, 4, 12, 20])
-def test_comb_builder_matches_the_builder_that_writes_the_edge_two(comb_g, n):
-    # the edge 2.0 of the written g_n merges away in PiecewiseFn
-    g, ref = comb_g[n - 1], written_comb_g(n)
+@pytest.mark.parametrize("n", range(1, 21))
+def test_comb_builder_matches_the_oracle(comb_g, n):
+    # g_20's 2,097,154 breakpoints and values are compared as raw bytes,
+    # signs of zero included; the edge 2.0 of the oracle merges away
+    g, ref = comb_g[n - 1], comb_g_oracle(n)
     assert g.breakpoints.tobytes() == ref.breakpoints.tobytes()
     assert g.values.tobytes() == ref.values.tobytes()
     assert same(g.default, ref.default) and g.domain == ref.domain
@@ -240,7 +204,7 @@ def one_index_rows(draw):
     off the grid of breakpoints and whose cell may cover several
     breakpoints."""
     domain = draw(st.sampled_from(DOMAINS))
-    fns = [draw(step_fns(domain)) for _ in range(draw(st.integers(1, 2)))]
+    (fns,) = draw(families(2, grid_fns(domain)))
     if draw(st.integers(0, 3)) == 0:
         rng = np.random.default_rng(draw(st.integers(0, 2 ** 32 - 1)))
         bp = np.unique(rng.uniform(0.0, 1.0, size=draw(st.integers(1100, 3000))))
@@ -264,15 +228,14 @@ def one_index_rows(draw):
 
 @settings(max_examples=300, deadline=None)
 @given(one_index_rows())
-def test_one_index_values_match_the_per_edge_search(row):
-    fns, measures = row
+def test_one_index_values_match_the_pointwise_values(row):
     p = next(refinement.family_pairing([row]))
-    for k, f in enumerate(fns):
-        assert same_array(p.values[k], seen_values(f, fns, measures))
+    for got, want in zip(p.values, loop_pairing(*row)[0]):
+        assert same_array(got, want)
 
 
 @pytest.mark.parametrize("n", [3, 12])
-def test_comb_pairings_match_the_per_edge_search(comb_g, n):
+def test_comb_pairings_match_the_pointwise_values(comb_g, n):
     # f_n's two breakpoints against g_n's edges, and g_n against the
     # exp2 measure's segment ends
     sc = gallery.build("dyadic_comb", n_max=12)
@@ -280,8 +243,8 @@ def test_comb_pairings_match_the_per_edge_search(comb_g, n):
     for row in (((f, comb_g[n - 1]), ()), ((comb_g[n - 1],), (mu,)),
                 ((f,), (mu,))):
         p = next(refinement.family_pairing([row]))
-        for k, fn in enumerate(row[0]):
-            assert same_array(p.values[k], seen_values(fn, *row))
+        for got, want in zip(p.values, loop_pairing(*row)[0]):
+            assert same_array(got, want)
 
 
 FLOATS = st.one_of(

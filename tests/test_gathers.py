@@ -1,12 +1,12 @@
-"""The comb path's index gathers and kept arrays against the mask and copy
-code they replaced.
+"""The comb path's index gathers and kept arrays against the cell loops
+and copies they stand in for.
 
-The kernels gather their terms by index and form products only on the
-gathered cells; ``helpers`` keeps the bodies that compressed by boolean
-masks and formed every product (``mask_pos_neg_dots``,
-``mask_ragged_sums``, ``mask_tail_dots``).  ``measures._exp2_mass`` takes
+The ragged kernels gather their terms by index and form products only on
+the gathered cells; each of their runs must be the cell loop of its
+slice (``helpers.loop_pos_neg_dot``, ``helpers.loop_tail_dot``, or
+``math.fsum`` of the selected entries).  ``measures._exp2_mass`` takes
 one expm1 per block whose widths share one bit pattern;
-``helpers.cellwise_exp2_mass`` takes one per cell.  ``PiecewiseFn`` keeps
+``helpers.exp2_mass`` takes one per cell.  ``PiecewiseFn`` keeps
 read-only arrays that own their data when canonical form leaves them as
 they are; ``helpers.piecewise_oracle`` copies every input.  Every result
 must agree bit for bit, NaN and the sign of zero included, and so must
@@ -26,10 +26,7 @@ from measure_limits.kernels import (
 )
 from measure_limits.measures import _EXP2_BLOCK, _exp2_mass
 
-from helpers import (
-    cellwise_exp2_mass, mask_pos_neg_dots, mask_ragged_sums, mask_tail_dots,
-    piecewise_oracle,
-)
+from helpers import exp2_mass, loop_pos_neg_dot, loop_tail_dot, piecewise_oracle
 
 SPECIALS = [0.0, -0.0, math.inf, -math.inf, math.nan, 1e308, -1e308,
             5e-324, -5e-324]
@@ -75,6 +72,27 @@ def ragged_cells(draw):
     return values, masses, offsets
 
 
+def per_run(fn, offsets, *arrays):
+    """fn of each run's slices of the arrays, one run after another."""
+    b = np.asarray(offsets).tolist()
+    for lo, hi in zip(b, b[1:]):
+        yield fn(*(a[lo:hi] for a in arrays))
+
+
+def fsum(xs: np.ndarray) -> float:
+    return math.fsum(xs.tolist()) + 0.0
+
+
+def loop_dots(v: np.ndarray, m: np.ndarray) -> tuple[float, float]:
+    pos, neg, pos_inf, neg_inf = loop_pos_neg_dot(v.tolist(), m.tolist())
+    return math.inf if pos_inf else pos, math.inf if neg_inf else neg
+
+
+def loop_row(v: np.ndarray, m: np.ndarray, ks) -> list[float]:
+    return [math.inf if has_inf else s for s, has_inf
+            in (loop_tail_dot(v.tolist(), m.tolist(), k) for k in ks)]
+
+
 @settings(max_examples=200, deadline=None)
 @given(ragged_cells())
 @example((np.array([-1.0, 0.0] * 3000), np.ones(6000),
@@ -83,20 +101,22 @@ def ragged_cells(draw):
           np.array([1.0, 0.0, 1.0, 1.0]), np.array([0, 2, 4])))
 @example((np.array([1e308, 1e308, -0.0]), np.array([2.0, 2.0, 1.0]),
           np.array([0, 3])))
-def test_gathered_kernels_match_the_mask_kernels(cells):
+def test_gathered_kernels_match_the_cell_loops(cells):
     values, masses, offsets = cells
     assert drain(pos_neg_dots(values, masses, offsets)) == drain(
-        mask_pos_neg_dots(values, masses, offsets))
+        per_run(loop_dots, offsets, values, masses))
     ks = [0.0, 1.0, math.inf, math.nan, *np.abs(values[:2]).tolist()]
     assert drain(tail_dots(values, masses, offsets, ks)) == drain(
-        mask_tail_dots(values, masses, offsets, ks))
-    for mask in (None, values > 0.0, ~(values >= 0.0), masses != 0.0,
+        per_run(lambda v, m: loop_row(v, m, ks), offsets, values, masses))
+    for mask in (np.ones(values.size, dtype=bool), values > 0.0,
+                 ~(values >= 0.0), masses != 0.0,
                  np.arange(values.size) % 2 == 0):
         assert drain(ragged_sums(masses, offsets, mask)) == drain(
-            mask_ragged_sums(masses, offsets, mask))
-    assert drain(sign_sums(values, offsets)) == drain(zip(
-        mask_ragged_sums(values, offsets, values > 0.0),
-        mask_ragged_sums(values, offsets, values < 0.0)))
+            per_run(lambda x, keep: fsum(x[keep]), offsets, masses, mask))
+    assert drain(ragged_sums(masses, offsets)) == drain(
+        per_run(fsum, offsets, masses))
+    assert drain(sign_sums(values, offsets)) == drain(per_run(
+        lambda x: (fsum(x[x > 0.0]), fsum(x[x < 0.0])), offsets, values))
 
 
 #: Cell widths of dyadic grids, so that b - a repeats one bit pattern.
@@ -145,7 +165,7 @@ def test_exp2_masses_match_one_expm1_per_cell(cells, strided):
         # ends as strided views, as the comb builder passes them
         a, b = np.repeat(a, 2)[::2], np.repeat(b, 2)[::2]
     with np.errstate(invalid="ignore"):
-        got, want = _exp2_mass(a, b), cellwise_exp2_mass(a, b)
+        got, want = _exp2_mass(a, b), exp2_mass(a, b)
     assert got.tobytes() == want.tobytes()
 
 

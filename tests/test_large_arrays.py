@@ -2,15 +2,14 @@
 
 Sums of 4,096 terms or more go through a certified numpy tree, a large
 function's breakpoints are merged with the other edges instead of sorted
-again, and the exp2 segment's cell masses are computed in place without
-clipping.  ``helpers`` keeps the old code: ``loop_*`` sums with
+again, and the exp2 segment's cell masses are computed in place, block by
+block.  ``helpers`` keeps the direct code: ``loop_*`` sums with
 ``math.fsum`` one cell at a time, ``unique_edges`` sorts with
-``np.unique`` and ``clipped_exp2_mass`` is the clipped expression.  Every
+``np.unique`` and ``exp2_mass`` is the closed form per cell.  Every
 result must agree bit for bit, the sign of zero included, and so must
 the ``OverflowError`` or ``ValueError`` that ``math.fsum`` raises.  The
-tree runs block by block and the exp2 chain runs in blocks too;
-``helpers.whole_tree_sum`` and ``helpers.whole_exp2_mass`` keep both
-over whole arrays, for sizes at and next to the block multiples.
+tree and the exp2 chain run in blocks; both are checked at sizes at and
+next to the block multiples.
 """
 
 import math
@@ -30,9 +29,8 @@ from measure_limits.kernels import (
 from measure_limits.measures import _EXP2_BLOCK, _exp2_mass
 
 from helpers import (
-    clipped_exp2_mass, common_refinement, list_dominates, loop_comp_sum,
-    loop_pos_neg_dot, loop_tail_dot, tail_row, unique_edges, whole_exp2_mass,
-    whole_tree_sum,
+    common_refinement, exp2_mass, list_dominates, loop_comp_sum,
+    loop_pos_neg_dot, loop_tail_dot, tail_row, unique_edges,
 )
 
 TINY = 5e-324
@@ -241,32 +239,26 @@ def blocked_arrays(draw):
 @example(np.tile([-0.0, 0.0], _TREE_BLOCK + 1))
 # a half-ulp tie whose parts sit in different blocks
 @example(padded([1.0, 2.0 ** -54], _TREE_BLOCK + 1)[::-1].copy())
-def test_blocked_tree_sum_is_fsum_or_defers_as_the_whole_array_tree(terms):
+def test_blocked_tree_sum_is_fsum_or_defers(terms):
     want = outcome(loop_comp_sum, terms.tolist())
     got = _tree_sum(terms)
     assert got is None or same(got, want)
-    whole = whole_tree_sum(terms)
-    assert whole is None or same(whole, want)
-    if terms.size <= _TREE_BLOCK:
-        # one block is the whole-array tree, operation for operation
-        assert got is whole or same(got, whole)
     assert same(outcome(comp_sum, terms), want)
 
 
-def test_blocked_tree_sum_certifies_what_the_whole_array_tree_certifies():
+def test_blocked_tree_sum_certifies_plain_sums_at_block_sizes():
     rng = np.random.default_rng(11)
     for n in BLOCK_SIZES:
         plain = rng.uniform(-1.0, 1.0, size=n) * 10.0 ** rng.integers(-6, 7, size=n)
-        want = math.fsum(plain.tolist())
-        assert _tree_sum(plain) == whole_tree_sum(plain) == want
+        assert _tree_sum(plain) == math.fsum(plain.tolist())
     # partial sums that may reach the double range go to math.fsum
     edge = np.full(2 * _TREE_BLOCK + 1, _TREE_RANGE / (2 * _TREE_BLOCK + 1))
-    assert _tree_sum(edge) is None and whole_tree_sum(edge) is None
+    assert _tree_sum(edge) is None
     # cancellation across blocks leaves a bound far wider than the result's
-    # rounding: neither tree certifies it, and comp_sum is math.fsum's
+    # rounding: the tree does not certify it, and comp_sum is math.fsum's
     big = rng.uniform(1.0, 2.0, size=_TREE_BLOCK) * 1e12
     mixed = rng.permutation(np.concatenate([big, -big, [1e-3]]))
-    assert _tree_sum(mixed) is None and whole_tree_sum(mixed) is None
+    assert _tree_sum(mixed) is None
     assert comp_sum(mixed) == math.fsum(mixed.tolist()) == 1e-3
 
 
@@ -346,7 +338,7 @@ def test_refinement_and_dominance_edges_match_unique(case, other):
 @given(st.sampled_from([(0.0, math.inf), (-3.0, 40.0), (1000.0, math.inf)]),
        st.integers(2, 3000), st.integers(0, 2 ** 32 - 1),
        st.sampled_from(["uniform", "dyadic", "clustered"]))
-def test_exp2_masses_in_place_match_the_clipped_expression(bounds, n, seed, layout):
+def test_exp2_masses_in_place_match_the_closed_form(bounds, n, seed, layout):
     lo, hi = bounds
     rng = np.random.default_rng(seed)
     top = lo + 60.0 if math.isinf(hi) else hi
@@ -360,22 +352,22 @@ def test_exp2_masses_in_place_match_the_clipped_expression(bounds, n, seed, layo
     edges = np.unique(np.concatenate([[lo, hi], inner[(inner > lo) & (inner < hi)]]))
     seg = make_segment("exp2", lo, hi)
     a, b = edges[:-1], edges[1:]
-    want = clipped_exp2_mass(lo, hi, a, b)
+    want = np.maximum(exp2_mass(a, b), 0.0)
     assert same_array(seg.mass_inside(a, b), want)
     m = FiniteMeasure(segments=[seg], domain=Interval(lo, hi))
     assert same_array(m.continuous_cell_masses(edges), want + 0.0)
     # one cell, as a one-interval masses_of_intervals asks for it, is the
-    # one-expression form on scalars
+    # closed form on scalars
     x, y = float(a[0]), float(b[0])
     assert same(float(seg.mass_inside(a[:1], b[:1])[0]),
-                float(clipped_exp2_mass(lo, hi, x, y)))
+                float(np.maximum(exp2_mass(x, y), 0.0)))
 
 
 @settings(max_examples=30, deadline=None)
 @given(st.sampled_from([k * _EXP2_BLOCK + d for k in (1, 2, 5) for d in (-1, 0, 1)]
                        + [1, 7]),
        st.integers(0, 2 ** 32 - 1), st.booleans())
-def test_blocked_exp2_masses_match_the_whole_array_chain(n, seed, strided):
+def test_blocked_exp2_masses_match_the_closed_form(n, seed, strided):
     # sizes at and next to block multiples; strided ends as the comb
     # builder passes them
     rng = np.random.default_rng(seed)
@@ -385,4 +377,4 @@ def test_blocked_exp2_masses_match_the_whole_array_chain(n, seed, strided):
         a, b = edges[0:-1:2], edges[1::2]
     else:
         a, b = edges[:n], edges[1:n + 1]
-    assert same_array(_exp2_mass(a, b), whole_exp2_mass(a, b))
+    assert same_array(_exp2_mass(a, b), exp2_mass(a, b))

@@ -16,7 +16,7 @@ from measure_limits import (
 )
 from measure_limits.measures import _exp2_cdf, _exp2_mass
 
-from helpers import loop_mass_of_interval, loop_masses_of_intervals
+from helpers import loop_mass_of_interval
 from helpers import riemann_mass
 
 LN2 = math.log(2.0)
@@ -97,6 +97,11 @@ def test_mass_of_interval_endpoint_flags():
     assert m.masses_of_intervals([0.5], [0.7], lo_closed=False) == [0.0]
     assert m.masses_of_intervals([0.2], [0.5], hi_closed=True) == [1.0]
     assert m.masses_of_intervals([0.2], [0.5], hi_closed=False) == [0.0]
+    # one hi flag per interval
+    assert m.masses_of_intervals([0.2, 0.5], [0.5, 0.7], True,
+                                 [False, True]) == [0.0, 1.0]
+    assert m.masses_of_intervals([0.2, 0.5], [0.5, 0.7], False,
+                                 [True, False]) == [1.0, 0.0]
 
 
 # dyadic ends: interval ends land on atoms, cell ends and segment ends
@@ -150,7 +155,8 @@ def test_segment_masses_of_intervals_match_the_interval_loop(
                       domain=Interval(-5.0, math.inf))
     los, his = [a for a, _ in bounds], [b for _, b in bounds]
     got = m.masses_of_intervals(los, his, lo_closed, hi_closed)
-    want = loop_masses_of_intervals(m, los, his, lo_closed, hi_closed)
+    want = [loop_mass_of_interval(m, a, b, lo_closed, hi_closed)
+            for a, b in bounds]
     assert [x.hex() for x in got] == [x.hex() for x in want]
 
 

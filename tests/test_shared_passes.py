@@ -44,6 +44,7 @@ from helpers import (
     neg_tail_curve_oracle,
     part,
 )
+from strategies import families, measures, step_fns
 
 DOM = Interval(0.0, 1.0)
 # dyadic breakpoints: measure cells and atoms land on function edges
@@ -52,35 +53,11 @@ VALUES = [0.0, -0.0, 1.0, -1.0, 2.5, -3.0, math.inf, -math.inf, 1e300, -1e300]
 KS = (0.5, 1.0, 2.0, 1e300)
 
 
-@st.composite
-def step_fns(draw):
-    default = draw(st.sampled_from(VALUES))
-    n_cells = draw(st.integers(0, 6))
-    if n_cells == 0:
-        return PiecewiseFn((), (), default, DOM)
-    bps = draw(st.lists(st.sampled_from(GRID), min_size=n_cells + 1,
-                        max_size=n_cells + 1, unique=True))
-    vals = draw(st.lists(st.sampled_from(VALUES), min_size=n_cells,
-                         max_size=n_cells))
-    return PiecewiseFn(sorted(bps), vals, default, DOM)
-
-
-@st.composite
-def measures(draw):
-    cuts = sorted(draw(st.lists(st.sampled_from(GRID), min_size=2,
-                                max_size=5, unique=True)))
-    cells = [(a, b, draw(st.sampled_from([0.0, 0.5, 3.0])))
-             for a, b in zip(cuts, cuts[1:])]
-    locs = draw(st.lists(st.sampled_from(GRID), max_size=3, unique=True))
-    atoms = [(x, draw(st.sampled_from([0.25, 1.0, 1e10]))) for x in locs]
-    return FiniteMeasure(atoms=atoms, cells=cells, domain=DOM)
-
-
-@st.composite
-def families(draw):
-    n = draw(st.integers(1, 6))
-    return ([draw(step_fns()) for _ in range(n)],
-            [draw(measures()) for _ in range(n)])
+#: 1 to 6 indices of (f_n, mu_n): up to 6 cells of VALUES on the grid,
+#: and 1 to 4 grid cells of density 0, 0.5 or 3 with up to 3 grid atoms
+FAMILIES = families(6, step_fns(DOM, GRID, VALUES, 6),
+                    measures(DOM, GRID, (0.0, 0.5, 3.0), (0.25, 1.0, 1e10),
+                             (2, 5), 3))
 
 
 def bits(v) -> list[str]:
@@ -106,7 +83,7 @@ def own_tail_rows(fns, ms):
 
 
 @settings(max_examples=300, deadline=None)
-@given(families(), st.sampled_from([refinement.CHUNK_EDGES, 8]))
+@given(FAMILIES, st.sampled_from([refinement.CHUNK_EDGES, 8]))
 def test_shared_passes_match_one_pass_per_quantity(family, chunk_edges):
     # chunks of at most 8 edges put about one index in each pass
     fns, ms = family

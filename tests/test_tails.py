@@ -20,9 +20,9 @@ from measure_limits import gallery
 from helpers import (
     check_tail_table,
     constant_seq,
+    loop_tail_table,
     neg_parts,
     part,
-    scan_tail,
     zero_seq,
 )
 
@@ -67,14 +67,14 @@ def test_tail_zero_above_uniform_bound():
     assert tail_at(seq, measures, 2, 3.5) == 0.0
 
 
-def test_tail_against_scan_oracle():
+def test_tail_against_the_cell_loop_oracle():
     neg, measures, _ = staircase_pair()
     rng = np.random.default_rng(23)
     for _ in range(25):
         n = int(rng.integers(1, 17))
         k = float(rng.uniform(0.5, 12.0))
-        assert tail_at(neg, measures, n, k) == pytest.approx(
-            scan_tail(neg.fns[n - 1], measures[n - 1], k), abs=1e-12)
+        assert tail_at(neg, measures, n, k) == loop_tail_table(
+            neg, measures, [k])[n - 1][0]
 
 
 def test_curve_monotone_and_sup_dominates_window():

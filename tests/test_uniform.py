@@ -181,6 +181,20 @@ def test_condition_shrinking_support():
     assert out == pytest.approx([1.0 / n for n in range(1, 9)], abs=1e-15)
 
 
+def test_condition_series_are_exactly_rounded_over_cells_and_atoms():
+    # cells of mass 1 and 1e-16 and an atom of 1e-16, all below f - eps
+    # and far from f: one sum of the three terms, not the atom added to
+    # the cells' rounded sum
+    dom = Interval(0.0, 3.0)
+    m = FiniteMeasure(atoms=[(2.5, 1e-16)],
+                      cells=[(0.0, 1.0, 1.0), (1.0, 2.0, 1e-16)], domain=dom)
+    want = math.fsum([1.0, 1e-16, 1e-16])
+    assert want > 1.0
+    seq = constant_seq(constant_fn(-1.0, dom), 2)
+    assert _condition_series(seq, zero_fn(dom), m, 0.5) == ([want] * 2,
+                                                            [want] * 2)
+
+
 def test_trend_heuristic():
     assert trend_vanishing([1.0 / n for n in range(1, 33)], 25, 1e-6)
     assert not trend_vanishing([1.0] * 32, 25, 1e-6)
