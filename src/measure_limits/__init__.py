@@ -22,7 +22,7 @@ from .measures import (
 )
 from .integration import integrate, weak_gap_bank
 from .tails import (
-    TailCurve, UiVerdict, tail_curve, verdict, first_shift,
+    TailCurve, UiVerdict, verdict, first_shift,
     DEFAULT_K_GRID, default_window_start,
 )
 from .epilimits import (

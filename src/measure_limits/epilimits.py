@@ -114,28 +114,19 @@ def _reduce_ranges(ufunc: np.ufunc, vals: np.ndarray, starts: np.ndarray,
     return out
 
 
-def _ball_extrema(domain: Interval, edges, vals, defaults, lo, hi,
-                  lo_closed, hi_closed) -> np.ndarray:
+def _ball_extrema(edges, vals, lo, hi, lo_closed, hi_closed) -> np.ndarray:
     """inf of the min envelope (row 0) and sup of the max envelope (row 1)
-    over every clipped ball, from the ``_envelopes`` of a family on
-    ``domain``.  The value at each closed end, the cells meeting the open
-    interior and the default outside the edges are offered in that order,
-    and the first extreme one is kept."""
-
-    def at(x: float):
-        # both envelopes at x, read as PiecewiseFn reads a function: the
-        # last cell's value at a closed end on the last edge
-        if edges.size and x == domain.hi == edges[-1]:
-            return vals[:, -1]
-        i = int(np.searchsorted(edges, x, side="right")) - 1
-        return vals[:, i] if 0 <= i < vals.shape[1] else defaults
-
+    over every clipped ball, from the ``_envelopes`` of a family: their
+    cells span the domain, so a closed end reads the first or the last
+    cell.  The value at each closed end and the cells meeting the open
+    interior are offered in that order, and the first extreme one is
+    kept."""
     inner = hi > lo
     offers = []
     if lo_closed.any():
-        offers.append((lo_closed, at(domain.lo)))
+        offers.append((lo_closed, vals[:, 0]))
     if (hi_closed & inner).any():
-        offers.append((hi_closed & inner, at(domain.hi)))
+        offers.append((hi_closed & inner, vals[:, -1]))
     # cells [edges[i], edges[i+1]) meeting the open interior (lo, hi)
     i0 = np.maximum(np.searchsorted(edges, lo, side="right") - 1, 0)
     i1 = np.minimum(np.searchsorted(edges, hi, side="left"), vals.shape[1])
@@ -145,8 +136,6 @@ def _ball_extrema(domain: Interval, edges, vals, defaults, lo, hi,
         for k, ufunc in enumerate((np.minimum, np.maximum)):
             cand[k][hit] = _reduce_ranges(ufunc, vals[k], i0[hit], i1[hit])
         offers.append((hit, cand))
-    offers.append((inner & ((lo < edges[0]) | (hi > edges[-1]))
-                   if edges.size else inner, defaults))
     out = np.full((2, *lo.shape), math.inf)
     out[1] = -math.inf
     for k, better in enumerate((np.less, np.greater)):
@@ -157,23 +146,25 @@ def _ball_extrema(domain: Interval, edges, vals, defaults, lo, hi,
 
 def _envelopes(fns: Sequence[PiecewiseFn]) -> tuple:
     """Pointwise min and max of a family of step functions on one domain,
-    on the union of their breakpoints: ``(edges, vals, defaults)``, row 0
-    of ``vals`` and ``defaults[0]`` the min, row 1 and ``defaults[1]`` the
-    max."""
+    on the union of the domain ends and their breakpoints: ``(edges,
+    vals)``, row 0 of ``vals`` the min and row 1 the max on the cells
+    [edges[i], edges[i+1]).  A one-point domain is one cell at its
+    point."""
     domain = fns[0].domain
     if any(f.domain != domain for f in fns):
         raise DomainMismatchError("an epi-limit scan requires a shared domain")
-    edges = union_edges([f.breakpoints for f in fns])
-    vals = np.full((2, max(edges.size - 1, 0)), math.inf)
+    edges = union_edges([np.asarray([domain.lo, domain.hi]),
+                         *(f.breakpoints for f in fns)])
+    starts = edges[:-1] if edges.size > 1 else edges
+    vals = np.full((2, starts.size), math.inf)
     vals[1] = -math.inf
     for f in fns:
         # f's breakpoints at or left of each cell start pick its value
         lut = np.concatenate([[f.default], f.values, [f.default]])
-        v = lut[np.searchsorted(f.breakpoints, edges[:-1], side="right")]
+        v = lut[np.searchsorted(f.breakpoints, starts, side="right")]
         np.minimum(vals[0], v, out=vals[0])
         np.maximum(vals[1], v, out=vals[1])
-    defaults = [f.default for f in fns]
-    return edges, vals, (min(defaults), max(defaults))
+    return edges, vals
 
 
 def epi_scan(seq: FnSequence, pts, sched: EpiSchedule, stab_tol: float):
@@ -192,11 +183,10 @@ def epi_scan(seq: FnSequence, pts, sched: EpiSchedule, stab_tol: float):
     for j, (n, delta) in enumerate(steps):
         if n > seq.n_max:
             continue
-        domain = seq.fns[n - 1].domain
         envs = _envelopes(seq.fns[n - 1:])
-        *balls, miss = _balls(domain, pts, np.asarray([delta]))
+        *balls, miss = _balls(seq.fns[n - 1].domain, pts, np.asarray([delta]))
         empty |= miss[:, 0]
-        cols[:, :, j] = _ball_extrema(domain, *envs, *balls)[..., 0]
+        cols[:, :, j] = _ball_extrema(*envs, *balls)[..., 0]
     a, b = cols[..., 0], cols[..., -1]
     with np.errstate(over="ignore", invalid="ignore"):
         stab = np.where(np.isinf(a) | np.isinf(b), a == b,

@@ -24,7 +24,6 @@ from .xreal import (
     DomainMismatchError,
     Interval,
     MalformedObjectError,
-    require_not_nan,
 )
 
 
@@ -51,7 +50,8 @@ class PiecewiseFn:
             raise MalformedObjectError("breakpoints must be finite and strictly increasing")
         if np.isnan(vals).any():
             raise MalformedObjectError("cell values may not be NaN")
-        require_not_nan(default, "default value")
+        if math.isnan(default):
+            raise MalformedObjectError("default value is NaN")
         if bp.size and (bp[0] < domain.lo or bp[-1] > domain.hi):
             raise MalformedObjectError("breakpoints outside the declared domain")
         bp, vals = _canonicalize(bp, vals, default)

@@ -12,7 +12,7 @@ from __future__ import annotations
 
 import math
 import time
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from typing import Callable, Optional
 
 import numpy as np
@@ -38,7 +38,7 @@ from .functions import (
 )
 from .integration import default_bank, weak_gap_bank
 from .measures import FiniteMeasure, lebesgue, make_segment, point_mass
-from .tails import first_shift, tail_curve, verdict
+from .tails import first_shift, verdict
 from .xreal import (
     Interval,
     MalformedObjectError,
@@ -180,7 +180,7 @@ def _comb_depths(seg, a: np.ndarray, b: np.ndarray) -> np.ndarray:
     """Depression depth per cell [a, b) of a dyadic grid, all b[0] - a[0]
     long: the exponential envelope 2^(s-1)/ln 2 averaged by the measure,
     i.e. (len/(2 ln 2)) / mass, written over the masses."""
-    depths = seg.mass_inside(a, b)
+    depths = seg.mass_fn(a, b)
     return np.divide((b[0] - a[0]) / (2.0 * LN2), depths, out=depths)
 
 
@@ -373,7 +373,7 @@ def _run_staircase(sc: Scenario) -> list[Quantity]:
     qs = []
 
     ks = [0.5] + [float(k) for k in range(1, 11)]
-    table = tail_curve(sc.f_seq, sc.measures, ks, negative=True).table
+    table = replace(sc, k_grid=tuple(ks)).neg_tail_curve.table
     dev = max(abs(table[n - 1, j] - staircase_tail_formula(k))
               for n in range(1, sc.n_max + 1) for j, k in enumerate(ks))
     qs.append(_num("tail_matches_closed_form", dev, 0.0, 1e-9 + residual,

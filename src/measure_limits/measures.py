@@ -56,9 +56,13 @@ def _exp2_mass(a, b):
 class AnalyticSegment:
     """Measure layer on [lo, hi] defined by a monotone CDF with cdf(lo) = 0.
 
-    ``mass_fn`` returns the exact masses of subintervals, from 1-d end
-    arrays, without the cancellation of CDF differences; the CDF remains
-    the definition and the cross-check oracle target.
+    ``mass_fn`` returns the exact masses of the [a, b) subintervals, from
+    1-d end arrays that lie in [lo, hi] with a < b, without the
+    cancellation of CDF differences; the ends are not copied, and callers
+    clip them to the segment.  No mass is negative or -0.0, so none is
+    clamped: for a < b, exp2's b - a > 0, -expm1(-(b - a) ln 2) >= +0 and
+    2^-a >= +0.  The CDF remains the definition and the cross-check oracle
+    target.
     """
 
     name: str
@@ -77,13 +81,6 @@ class AnalyticSegment:
     @property
     def total(self) -> float:
         return float(np.asarray(self.cdf(self.hi)))
-
-    def mass_inside(self, a: np.ndarray, b: np.ndarray) -> np.ndarray:
-        """Exact masses of the [a, b) subintervals, from 1-d end arrays
-        that lie in [lo, hi]; the ends are not copied, and a negative
-        difference reads 0.  Callers clip the ends to the segment."""
-        out = self.mass_fn(a, b)
-        return np.maximum(out, 0.0, out=out)
 
 
 #: Named CDFs resolvable from scenario files.
@@ -187,7 +184,7 @@ class FiniteMeasure:
         for seg in self.segments:
             i0 = int(np.searchsorted(edges, seg.lo, side="left"))
             i1 = int(np.searchsorted(edges, seg.hi, side="left"))
-            out[i0:i1] += seg.mass_inside(edges[i0:i1], edges[i0 + 1:i1 + 1])
+            out[i0:i1] += seg.mass_fn(edges[i0:i1], edges[i0 + 1:i1 + 1])
         return out
 
     def masses_of_intervals(self, los, his, lo_closed: bool = True,
@@ -211,7 +208,7 @@ class FiniteMeasure:
         seg = np.zeros(seg_keep.shape)
         for j, s in enumerate(self.segments):
             keep = seg_keep[:, j]
-            seg[keep, j] = s.mass_inside(s_lo[keep, j], s_hi[keep, j])
+            seg[keep, j] = s.mass_fn(s_lo[keep, j], s_hi[keep, j])
         terms = np.concatenate([np.broadcast_to(self.atom_weights, atoms.shape),
                                 self.cell_densities * (clip_hi - clip_lo), seg],
                                axis=1)

@@ -224,7 +224,7 @@ def _pair_chunk(rows) -> FamilyPairing:
     masses = []
     for k in range(n_measures):
         ms = [r[1][k] for r in rows]
-        # one mass_inside call per run of segments that share mass_fn over
+        # one mass_fn call per run of segments that share mass_fn over
         # adjacent cells; a lone run over all cells gives the cell masses
         runs = []
         for seg, a, b in zip([s for m in ms for s in m.segments],
@@ -235,7 +235,7 @@ def _pair_chunk(rows) -> FamilyPairing:
             else:
                 runs.append([seg, a, b])
         if [r[1:] for r in runs] == [[0, cell_lo.size]]:
-            on_cells = runs.pop()[0].mass_inside(cell_lo, cell_hi)
+            on_cells = runs.pop()[0].mass_fn(cell_lo, cell_hi)
         else:
             on_cells = np.zeros(cell_lo.size)
         los = on[5 * k + _CELL_LO]
@@ -251,7 +251,7 @@ def _pair_chunk(rows) -> FamilyPairing:
                             span)
             on_cells[where] += rho * (cell_hi[where] - cell_lo[where])
         for seg, a, b in runs:
-            on_cells[a:b] += seg.mass_inside(cell_lo[a:b], cell_hi[a:b])
+            on_cells[a:b] += seg.mass_fn(cell_lo[a:b], cell_hi[a:b])
         on_atoms = np.zeros(atom_edges.size)
         locs = on[5 * k + _ATOM]
         if locs:

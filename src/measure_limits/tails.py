@@ -16,10 +16,8 @@ from typing import Iterator, Optional
 
 import numpy as np
 
-from .functions import FnSequence
 from .kernels import tail_dots
-from .measures import FiniteMeasure
-from .refinement import FamilyPairing, reduce_family
+from .refinement import FamilyPairing
 
 DEFAULT_K_GRID: tuple[float, ...] = tuple(2.0 ** j for j in range(-1, 13))
 
@@ -57,21 +55,6 @@ class TailCurve:
 class UiVerdict:
     passes: bool
     k_star: Optional[float]    # smallest grid K with aggregate <= tol
-
-
-def tail_curve(seq: FnSequence, measures: tuple[FiniteMeasure, ...],
-               k_grid=DEFAULT_K_GRID, window_start: Optional[int] = None,
-               negative: bool = False) -> TailCurve:
-    """Table of the integrals of |f_n| over {|f_n| >= K} against mu_n, for
-    every index n and grid level K (inclusive threshold; exact, +inf
-    allowed), with its aggregates; of the negative parts max(-f_n, 0)
-    with ``negative``.  Each index is refined on its own, in ragged passes
-    over the family, and each pass's rows come from one ``tail_dots``
-    call over the whole grid."""
-    k_grid = tuple(k_grid)
-    rows = (((f,), (m,)) for f, m in zip(seq.fns, measures))
-    return curve_of(reduce_family(rows, lambda p: tail_rows(p, k_grid, negative)),
-                    seq.n_max, k_grid, window_start)
 
 
 def tail_rows(p: FamilyPairing, k_grid, negative: bool = False
@@ -119,7 +102,7 @@ def first_shift(tails, tol: float, n_shift_max: int) -> Optional[int]:
     """Smallest N <= n_shift_max with max(tails[N:]) <= tol, or None.
 
     ``tails[n - 1]`` is the tail of index n at one level K, e.g. a column
-    of a ``tail_curve`` table.  None (no such N) is a value, not an error.
+    of a ``TailCurve`` table.  None (no such N) is a value, not an error.
     N stays below len(tails) so the max never ranges over an empty index
     set.
     """

@@ -75,12 +75,6 @@ def close(a: float, b: float, tol: float) -> bool:
     return abs(a - b) <= tol
 
 
-def require_not_nan(x: float, what: str) -> float:
-    if math.isnan(x):
-        raise MalformedObjectError(f"{what} is NaN")
-    return x
-
-
 @dataclass(frozen=True)
 class Interval:
     """A closed interval of the real line; either end may be infinite."""

@@ -41,10 +41,10 @@ import numpy as np
 
 from measure_limits import EpiCertificate, EpiSchedule, FiniteMeasure, FnSequence
 from measure_limits import Interval, PiecewiseFn, Ramp, Scenario, lebesgue
-from measure_limits import epilimits, tail_curve
+from measure_limits import epilimits, zero_fn
 from measure_limits.integration import integral_series
-from measure_limits import zero_fn
 from measure_limits.kernels import tail_dots, union_edges
+from measure_limits.tails import curve_of
 from measure_limits.measures import _exp2_mass
 from measure_limits.uniform import _gap_rows, _gap_series
 from measure_limits.xreal import (
@@ -299,9 +299,10 @@ def neg_parts(sc: Scenario) -> FnSequence:
 
 
 def neg_tail_curve_oracle(sc: Scenario):
-    """The negative-part tail curve as a family pass of its own, over the
+    """The negative-part tail curve, its rows the per-index loop over the
     ``part(f_n, "negative")`` family."""
-    return tail_curve(neg_parts(sc), sc.measures, sc.k_grid, sc.window_start)
+    return curve_of(loop_tail_table(neg_parts(sc), sc.measures, sc.k_grid),
+                    sc.n_max, sc.k_grid, sc.window_start)
 
 
 def l1_series_oracle(sc: Scenario):
@@ -341,8 +342,7 @@ def unique_edges(pieces) -> np.ndarray:
 def exp2_mass(a, b) -> np.ndarray:
     """Reference for the exp2 segment's masses of [a, b) cells,
     ``measures._exp2_mass``: 2^-a (1 - 2^-(b - a)) / ln 2 as one
-    expression per cell, expm1 against cancellation.  ``mass_inside``
-    clamps it at 0."""
+    expression per cell, expm1 against cancellation."""
     a = np.asarray(a, dtype=np.float64)
     b = np.asarray(b, dtype=np.float64)
     return np.exp2(-a) * -np.expm1((b - a) * -LN2) / LN2

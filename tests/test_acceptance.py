@@ -7,17 +7,18 @@ Each test prints one PASS/FAIL line; the suite is the contract.  Run as
 
 import math
 import time
+from dataclasses import replace
 
 import numpy as np
 import pytest
 
 from measure_limits import (
     FnSequence,
+    Scenario,
     epi_integral,
     first_shift,
     integrate,
     lebesgue,
-    tail_curve,
     uniform_report,
     verdict,
 )
@@ -31,12 +32,12 @@ from measure_limits.fatou import (
     weakened_minorant_probe,
 )
 from measure_limits.gallery import staircase_tail_formula
+from measure_limits.tails import curve_of
 
 from helpers import (
     epi_estimate,
     fatou_random_scenario,
     masses_extrema,
-    neg_parts,
     part,
     rand_atomic_measure,
     rand_measure,
@@ -59,7 +60,7 @@ def test_criterion_1_staircase_conformance():
     residual = 52.0 * 2.0 ** -50
     tol = 1e-9 + residual
     ks = [0.5] + [float(k) for k in range(1, 11)]
-    table = tail_curve(neg_parts(sc), sc.measures, ks).table
+    table = replace(sc, k_grid=tuple(ks)).neg_tail_curve.table
     ok = True
     for n in range(1, 65):
         for j, k in enumerate(ks):
@@ -182,7 +183,8 @@ def test_criterion_7_invariant_suite():
         fns = [rand_step_fn(rng, dom) for _ in range(8)]
         seq = FnSequence(tuple(fns))
         measures = (rand_measure(rng, dom),) * 8
-        curve = tail_curve(seq, measures, grid, 5)
+        sc = Scenario("random", measures, measures[0], seq, k_grid=grid)
+        curve = curve_of(sc.abs_tail_curve.table, 8, grid, 5)
         ok &= bool(np.all(np.diff(curve.table, axis=1) <= 1e-12))
         ok &= bool(np.all(curve.sup_curve >= curve.limsup_curve - 1e-15))
 

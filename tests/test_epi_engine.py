@@ -101,15 +101,36 @@ def bits(values) -> list[str]:
 @settings(max_examples=200, deadline=None)
 @given(tails(6), st.lists(st.floats(0.0, 1.0, allow_nan=False), max_size=4))
 def test_envelopes_are_the_pointwise_extremes(fns, extra):
-    edges, vals, defaults = _envelopes(fns)
+    edges, vals = _envelopes(fns)
     dom = fns[0].domain
-    lo, hi = (PiecewiseFn(edges, vals[k], defaults[k], dom) for k in (0, 1))
+    # the cells span the domain, and a closed end reads the last cell
+    assert edges[0] == dom.lo and edges[-1] == dom.hi
+    assert (edges[1:] > edges[:-1]).all() and vals.shape == (2, edges.size - 1)
     xs = [x for f in fns for x in f.breakpoints.tolist()]
     xs += [dom.lo, dom.hi] + extra + GRID
     for x in xs:
         if dom.contains(x):
-            assert bits([lo(x)]) == bits([min(f(x) for f in fns)])
-            assert bits([hi(x)]) == bits([max(f(x) for f in fns)])
+            i = min(int(np.searchsorted(edges, x, side="right")) - 1,
+                    vals.shape[1] - 1)
+            assert bits([vals[0, i]]) == bits([min(f(x) for f in fns)])
+            assert bits([vals[1, i]]) == bits([max(f(x) for f in fns)])
+
+
+@pytest.mark.parametrize("p", [0.5, 0.0])
+def test_a_one_point_domain_scans_to_its_defaults_extremes(p):
+    dom = Interval(p, p)
+    fns = tuple(PiecewiseFn([], [], d, dom) for d in (2.0, -math.inf, 1.0))
+    edges, vals = _envelopes(fns)
+    assert edges.tolist() == [p] and vals.tolist() == [[-math.inf], [2.0]]
+    sched = EpiSchedule(((1, 0.25), (2, 0.125)), 3)
+    points, cols, stab, empty = epi_scan(FnSequence(fns), [p], sched, 1e-9)
+    assert points.tolist() == [p] and not empty.any()
+    # step 1 scans all three indices, step 2 the last two
+    assert cols[0].tolist() == [[-math.inf, -math.inf]]
+    assert cols[1].tolist() == [[2.0, 1.0]]
+    for lower in (True, False):
+        assert bits(scan_columns(FnSequence(fns), [p], sched, lower)[0]) == bits(
+            scan_epi_oracle(FnSequence(fns), p, sched, lower))
 
 
 def test_envelope_rejects_a_family_on_two_domains():

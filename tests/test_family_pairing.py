@@ -22,7 +22,7 @@ from hypothesis import strategies as st
 from measure_limits import (
     FiniteMeasure, FnSequence, Interval, NotIntegrableError,
     PiecewiseFn, Ramp, Scenario, UndefinedIntegralError,
-    UnsupportedScenarioError, constant_fn, make_segment, tail_curve,
+    UnsupportedScenarioError, constant_fn, make_segment,
     weak_gap_bank,
 )
 from measure_limits import refinement
@@ -37,7 +37,7 @@ from measure_limits.uniform import (
 from helpers import (
     loop_condition_series, loop_gap_masses, loop_gap_series,
     loop_integral_series, loop_pairing, loop_tail_table, loop_tv_series,
-    loop_weak_gaps,
+    loop_weak_gaps, neg_parts,
 )
 from strategies import families, measures, picks, step_fns, subset
 
@@ -144,7 +144,7 @@ def segmented_measures(draw) -> FiniteMeasure:
 @settings(max_examples=100, deadline=None)
 @given(families(8, fns_on(HALF_LINE), segmented_measures()), chunk_budgets)
 def test_segment_runs_match_the_per_segment_loop(family, budget):
-    # one mass_inside call per run of segments that share mass_fn over
+    # one mass_fn call per run of segments that share mass_fn over
     # adjacent cells, and a lone run over all cells as the masses
     # themselves, against one call per segment and index
     rows = list(zip(*family))
@@ -159,9 +159,10 @@ def test_series_match_the_per_index_loops(sc, budget):
         assert (outcome(lambda: list(integral_series(sc.f_seq.fns,
                                                      sc.measures)))
                 == outcome(loop_integral_series, sc.f_seq, sc.measures))
-        assert (outcome(lambda: tail_curve(sc.f_seq, sc.measures,
-                                           K_GRID).table)
-                == outcome(loop_tail_table, sc.f_seq, sc.measures, K_GRID))
+        assert (outcome(lambda: sc.abs_tail_curve.table)
+                == outcome(loop_tail_table, sc.abs_seq, sc.measures, K_GRID))
+        assert (outcome(lambda: sc.neg_tail_curve.table)
+                == outcome(loop_tail_table, neg_parts(sc), sc.measures, K_GRID))
         assert (outcome(lambda: list(tv_series(sc.measures,
                                                sc.limit_measure)))
                 == outcome(loop_tv_series, sc.measures, sc.limit_measure))
@@ -258,8 +259,9 @@ def test_first_failing_index_decides_the_error(budget, k):
             list(integral_series(overflow_first, [UNIT] * len(overflow_first)))
         with pytest.raises(UndefinedIntegralError):
             list(integral_series(undefined_first, [UNIT] * len(undefined_first)))
+        seq, ms = _family(overflow_first)
         with pytest.raises(OverflowError):
-            tail_curve(*_family(overflow_first), K_GRID)
+            Scenario("order", ms, UNIT, seq, k_grid=K_GRID).abs_tail_curve
     for fns in (overflow_first, undefined_first):
         assert (outcome(lambda: list(integral_series(fns, [UNIT] * len(fns))))
                 == outcome(loop_integral_series, *_family(fns)))

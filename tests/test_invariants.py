@@ -13,13 +13,14 @@ from measure_limits import (
     FnSequence,
     Interval,
     PiecewiseFn,
+    Scenario,
     integrate,
     lebesgue,
-    tail_curve,
 )
 from measure_limits.epilimits import EpiSchedule
 from measure_limits.integration import tv_series
 from measure_limits.fatou import fatou_report
+from measure_limits.tails import curve_of
 
 from helpers import (
     epi_estimate,
@@ -40,13 +41,20 @@ def random_seq(rng, n_max=8):
     return FnSequence(tuple(fns))
 
 
+def abs_tail_curve(seq, measures, k_grid, window_start: int):
+    """The scenario's tail curve of the |f_n|, aggregated over the
+    trailing window from window_start."""
+    sc = Scenario("random", measures, measures[0], seq, k_grid=k_grid)
+    return curve_of(sc.abs_tail_curve.table, sc.n_max, k_grid, window_start)
+
+
 def test_tail_rows_nonincreasing_in_level():
     rng = np.random.default_rng(41)
     grid = tuple(2.0 ** j for j in range(-1, 6))
     for _ in range(20):
         seq = random_seq(rng)
         measures = (rand_measure(rng, DOM),) * 8
-        curve = tail_curve(seq, measures, grid, 5)
+        curve = abs_tail_curve(seq, measures, grid, 5)
         assert np.all(np.diff(curve.table, axis=1) <= 1e-12)
 
 
@@ -56,7 +64,7 @@ def test_sup_curve_dominates_window_curve():
     for _ in range(20):
         seq = random_seq(rng)
         measures = (rand_measure(rng, DOM),) * 8
-        curve = tail_curve(seq, measures, grid, 6)
+        curve = abs_tail_curve(seq, measures, grid, 6)
         assert np.all(curve.sup_curve >= curve.limsup_curve - 1e-15)
 
 

@@ -352,15 +352,14 @@ def test_exp2_masses_in_place_match_the_closed_form(bounds, n, seed, layout):
     edges = np.unique(np.concatenate([[lo, hi], inner[(inner > lo) & (inner < hi)]]))
     seg = make_segment("exp2", lo, hi)
     a, b = edges[:-1], edges[1:]
-    want = np.maximum(exp2_mass(a, b), 0.0)
-    assert same_array(seg.mass_inside(a, b), want)
+    want = exp2_mass(a, b)
+    assert same_array(seg.mass_fn(a, b), want)
     m = FiniteMeasure(segments=[seg], domain=Interval(lo, hi))
     assert same_array(m.continuous_cell_masses(edges), want + 0.0)
     # one cell, as a one-interval masses_of_intervals asks for it, is the
     # closed form on scalars
     x, y = float(a[0]), float(b[0])
-    assert same(float(seg.mass_inside(a[:1], b[:1])[0]),
-                float(np.maximum(exp2_mass(x, y), 0.0)))
+    assert same(float(seg.mass_fn(a[:1], b[:1])[0]), float(exp2_mass(x, y)))
 
 
 @settings(max_examples=30, deadline=None)

@@ -24,7 +24,7 @@ LN2 = math.log(2.0)
 
 def seg_mass(seg, a: float, b: float) -> float:
     """The segment's mass of [a, b), for ends inside it."""
-    return float(seg.mass_inside(np.array([a]), np.array([b]))[0])
+    return float(seg.mass_fn(np.array([a]), np.array([b]))[0])
 
 
 def test_total_mass_shrinking_density():
@@ -59,6 +59,40 @@ def test_segment_mass_consistent_with_cdf_difference():
     for a, b in [(0.0, 0.5), (1.0, 1.0009765625), (10.0, 10.25)]:
         by_cdf = float(np.asarray(seg.cdf(b)) - np.asarray(seg.cdf(a)))
         assert seg_mass(seg, a, b) == pytest.approx(by_cdf, rel=1e-9)
+
+
+def assert_no_negative_mass(a, b):
+    masses = _exp2_mass(a, b)
+    assert (masses >= 0.0).all() and not np.signbit(masses).any(), masses
+
+
+@settings(max_examples=300, deadline=None)
+@given(st.lists(st.tuples(
+    st.floats(-1000.0, 1e300),
+    st.one_of(st.just("inf"), st.just("ulp"), st.floats(5e-324, 1e300))),
+    min_size=1, max_size=8))
+def test_exp2_masses_are_never_negative_nor_minus_zero(cells):
+    # a < b always: b is +inf, the next double, or a plus a positive width
+    a = np.asarray([x for x, _ in cells])
+    b = np.asarray([math.inf if w == "inf" else np.nextafter(x, math.inf)
+                    if w == "ulp" else max(x + w, np.nextafter(x, math.inf))
+                    for x, w in cells])
+    assert (a < b).all()
+    assert_no_negative_mass(a, b)
+
+
+@pytest.mark.parametrize("lo", [0.0, 1074.0, 1075.0, 1100.0, 1e300])
+def test_exp2_masses_stay_nonnegative_where_2_to_minus_a_underflows(lo):
+    # past a = 1074, 2^-a is +0.0: the masses are +0.0, never -0.0; one
+    # block of equal widths takes one expm1, one of one-ulp widths too
+    a = lo + np.arange(3.0 * (1 << 16))
+    ulp = np.nextafter(a, math.inf)
+    for b in (np.maximum(a + 1.0, ulp), ulp, np.full(a.shape, math.inf)):
+        assert (a < b).all()
+        assert_no_negative_mass(a, b)
+        assert_no_negative_mass(a[::2], b[::2])
+    if lo >= 1075.0:
+        assert not _exp2_mass(a, ulp).any()
 
 
 def test_overlap_rejected_naming_both_cells():

@@ -1,4 +1,5 @@
 import math
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -9,9 +10,9 @@ from measure_limits import (
     Interval,
     MalformedObjectError,
     PiecewiseFn,
+    Scenario,
     first_shift,
     lebesgue,
-    tail_curve,
     verdict,
     zero_fn,
 )
@@ -29,24 +30,27 @@ from helpers import (
 DOM = Interval(0.0, 1.0)
 
 
-def staircase_pair(n_max=16):
-    sc = gallery.build("staircase", n_max=n_max)
-    return neg_parts(sc), sc.measures, sc
+def neg_curve(fixture: str, n_max: int, k_grid=None):
+    """A fixture's negative-part tail curve, at its own K grid or at
+    k_grid, as its checks read it."""
+    sc = gallery.build(fixture, n_max=n_max)
+    return replace(sc, k_grid=tuple(k_grid or sc.k_grid)).neg_tail_curve
 
 
-def spikes_pair(n_max=50):
-    sc = gallery.build("twin_spikes", n_max=n_max)
-    return neg_parts(sc), sc.measures, sc
+def abs_curve(seq, measures, k_grid):
+    """The tail curve of the |f_n| at k_grid, as a scenario of the family
+    reads it."""
+    return Scenario("tails", tuple(measures), measures[0], seq,
+                    k_grid=tuple(k_grid)).abs_tail_curve
 
 
 def tail_at(seq, measures, n, k):
     """Tail of index n at level k, read off a one-level tail curve."""
-    return float(tail_curve(seq, measures, (k,)).table[n - 1, 0])
+    return float(abs_curve(seq, measures, (k,)).table[n - 1, 0])
 
 
 def test_staircase_tail_closed_form():
-    neg, measures, _ = staircase_pair()
-    table = tail_curve(neg, measures, (2.5, 3.0)).table
+    table = neg_curve("staircase", 16, (2.5, 3.0)).table
     # ceil(3) = 3: (3+1)/2^2 = 1
     for n in (1, 5, 16):
         assert table[n - 1, 1] == pytest.approx(1.0, abs=1e-12)
@@ -54,8 +58,7 @@ def test_staircase_tail_closed_form():
 
 
 def test_spike_tail_is_one_below_index():
-    neg, measures, _ = spikes_pair()
-    curve = tail_curve(neg, measures, (5.0, 10.0, 10.5, 40.0))
+    curve = neg_curve("twin_spikes", 50, (5.0, 10.0, 10.5, 40.0))
     for n, j in [(10, 0), (10, 1), (40, 3)]:
         assert curve.table[n - 1, j] == pytest.approx(1.0, abs=1e-15)
     assert curve.table[10 - 1, 2] == 0.0
@@ -68,18 +71,14 @@ def test_tail_zero_above_uniform_bound():
 
 
 def test_tail_against_the_cell_loop_oracle():
-    neg, measures, _ = staircase_pair()
-    rng = np.random.default_rng(23)
-    for _ in range(25):
-        n = int(rng.integers(1, 17))
-        k = float(rng.uniform(0.5, 12.0))
-        assert tail_at(neg, measures, n, k) == loop_tail_table(
-            neg, measures, [k])[n - 1][0]
+    sc = gallery.build("staircase", n_max=16)
+    ks = np.sort(np.random.default_rng(23).uniform(0.5, 12.0, 25)).tolist()
+    table = replace(sc, k_grid=tuple(ks)).neg_tail_curve.table
+    assert table.tolist() == loop_tail_table(neg_parts(sc), sc.measures, ks)
 
 
 def test_curve_monotone_and_sup_dominates_window():
-    neg, measures, sc = staircase_pair()
-    curve = tail_curve(neg, measures, sc.k_grid, sc.window_start)
+    curve = neg_curve("staircase", 16)
     assert np.all(np.diff(curve.table, axis=1) <= 1e-12)
     assert np.all(curve.sup_curve >= curve.limsup_curve - 1e-15)
 
@@ -87,14 +86,13 @@ def test_curve_monotone_and_sup_dominates_window():
 def test_zero_family_has_zero_curve():
     seq = zero_seq(DOM, 6)
     measures = (lebesgue(0.0, 1.0),) * 6
-    curve = tail_curve(seq, measures, (1.0, 2.0), 3)
+    curve = abs_curve(seq, measures, (1.0, 2.0))
     assert np.all(curve.table == 0.0)
 
 
 def test_verdict_threshold_and_k_star():
-    neg, measures, _ = staircase_pair()
     grid = tuple(float(k) for k in range(1, 21))
-    curve = tail_curve(neg, measures, grid, 9)
+    curve = neg_curve("staircase", 16, grid)
     v = verdict(curve, "ui", tol=1e-2)
     # (13)/2^11 < 1e-2 at K = 12
     assert v.passes and v.k_star == 12.0
@@ -103,21 +101,20 @@ def test_verdict_threshold_and_k_star():
 def test_verdict_empty_tail_family():
     seq = constant_seq(PiecewiseFn([0.0, 1.0], [-0.25], 0.0, DOM), 4)
     measures = (lebesgue(0.0, 1.0),) * 4
-    curve = tail_curve(seq, measures, (0.5, 1.0), 2)
+    curve = abs_curve(seq, measures, (0.5, 1.0))
     v = verdict(curve, "ui", tol=1e-9)
     assert v.passes and v.k_star == 0.5
 
 
 def test_spikes_fail_aui_on_capped_grid():
-    neg, measures, sc = spikes_pair()
-    curve = tail_curve(neg, measures, sc.k_grid, sc.window_start)
+    curve = neg_curve("twin_spikes", 50)
     assert not verdict(curve, "aui").passes
     assert not verdict(curve, "ui").passes
 
 
 def top_level_shift(seq, measures, tol, k_max, n_shift_max):
     """First shift of the tails at level k_max, read off a tail curve."""
-    curve = tail_curve(seq, measures, (k_max,))
+    curve = abs_curve(seq, measures, (k_max,))
     return first_shift(curve.table[:, -1], tol, n_shift_max)
 
 
@@ -130,13 +127,13 @@ def test_first_shift_first_index_offender():
 
 
 def test_first_shift_zero_for_uniform_family():
-    _, _, sc = staircase_pair()
-    assert first_shift(sc.neg_tail_curve.table[:, -1], 1e-6, 10) == 0
+    curve = neg_curve("staircase", 16)
+    assert first_shift(curve.table[:, -1], 1e-6, 10) == 0
 
 
 def test_first_shift_absent_for_spikes():
-    _, _, sc = spikes_pair()
-    assert first_shift(sc.neg_tail_curve.table[:, -1], 1e-6, 50) is None
+    curve = neg_curve("twin_spikes", 50)
+    assert first_shift(curve.table[:, -1], 1e-6, 50) is None
 
 
 def test_first_shift_never_empties_the_range():
@@ -147,9 +144,8 @@ def test_first_shift_never_empties_the_range():
 
 
 def test_table_check_staircase_holds_without_shift():
-    neg, measures, sc = staircase_pair()
-    curve = tail_curve(neg, measures, sc.k_grid, sc.window_start)
-    res = check_tail_table(curve.table, sc.k_grid, sc.window_start, 1e-6)
+    curve = neg_curve("staircase", 16)
+    res = check_tail_table(curve.table, curve.k_grid, curve.window_start, 1e-6)
     assert res.status == "holds" and res.shift == 0
 
 
@@ -177,7 +173,7 @@ def test_table_check_rejects_rising_rows():
 def test_curve_csv_layout():
     seq = zero_seq(DOM, 2)
     measures = (lebesgue(0.0, 1.0),) * 2
-    curve = tail_curve(seq, measures, (1.0, 2.0), 1)
+    curve = abs_curve(seq, measures, (1.0, 2.0))
     lines = curve.to_csv().strip().splitlines()
     assert lines[0] == "K,n=1,n=2,sup,limsup_window"
     assert len(lines) == 3
@@ -188,7 +184,7 @@ def test_single_function_family_as_constant_sequence():
     f = PiecewiseFn([0.0, 0.5], [-4.0], 0.0, DOM)
     measures = FiniteMeasure(cells=[(0.0, 1.0, 1.0)], domain=DOM)
     seq = constant_seq(part(f, "negative"), 5)
-    curve = tail_curve(seq, (measures,) * 5, (1.0, 4.0, 8.0), 3)
+    curve = abs_curve(seq, (measures,) * 5, (1.0, 4.0, 8.0))
     assert verdict(curve, "ui").passes  # vanishes once K > 4
     assert curve.sup_curve[0] == pytest.approx(2.0)
 

@@ -36,10 +36,9 @@ import pytest
 
 from measure_limits import (
     PiecewiseFn, dominates, epilimits, gallery, integration, kernels,
-    refinement, scenario, tails, uniform,
+    measures, refinement, scenario, tails, uniform,
 )
 from measure_limits.cli import main
-from measure_limits.measures import AnalyticSegment
 from measure_limits.tails import TailCurve
 from measure_limits.uniform import UniformGapSeries
 
@@ -281,9 +280,11 @@ def test_comb_fixture_merges_and_sums_without_fallback(monkeypatch):
 def test_comb_f_family_takes_one_segment_mass_call_per_pass(monkeypatch):
     # the 20 f_n share one chunk, and the exp2 segment of every index
     # covers that index's cells, so the segments form one run of one
-    # mass_fn: one mass_inside call over all the cells of the chunk
+    # mass_fn: one call of the registered exp2 mass over all the cells of
+    # the chunk; the segments take the counted function when built
+    calls = count_calls(monkeypatch, measures, "_exp2_mass")
     sc = gallery.build("dyadic_comb")
-    calls = count_method(monkeypatch, AnalyticSegment, "mass_inside")
+    calls.clear()
     chunks = count_calls(monkeypatch, refinement, "_pair_chunk")
     assert len(list(integration.integral_series(sc.f_seq.fns,
                                                 sc.measures))) == 20
