@@ -234,8 +234,9 @@ def epi_limit_exists(seq: FnSequence, grid, sched: EpiSchedule, tol: float,
     both sides the exception mass is exact: it is the measure of the
     step-function disagreement set.  Otherwise the mass is a sample-based
     estimate: isolated failures contribute only the atom mass at the
-    point, runs of failures contribute their midpoint cells.  ``scan``
-    returns an ``epi_scan`` at points that include the grid.
+    point, runs of failures contribute their midpoint cells, in one
+    exactly rounded sum.  ``scan`` returns an ``epi_scan`` at points that
+    include the grid.
     """
     pts = sorted(float(x) for x in grid)
     scan = scan or (lambda: epi_scan(seq, pts, sched, stab_tol))
@@ -258,8 +259,7 @@ def epi_limit_exists(seq: FnSequence, grid, sched: EpiSchedule, tol: float,
         # a midpoint shared with a failing right neighbour is that
         # neighbour's: an atom there counts once
         hi_closed.append(not right_bad)
-    terms = m.masses_of_intervals(los, his, True, hi_closed)
-    mass = comp_sum(np.asarray(terms)) if terms else 0.0
+    mass = m.mass_of_intervals(los, his, True, hi_closed)
     return ExistsReport(tuple(pts), tuple(oks), mass, False)
 
 

@@ -16,7 +16,7 @@ from typing import Callable
 
 import numpy as np
 
-from .kernels import comp_sum, ragged_sums
+from .kernels import comp_sum
 from .xreal import Interval, MalformedObjectError
 
 _LN2 = math.log(2.0)
@@ -187,12 +187,12 @@ class FiniteMeasure:
             out[i0:i1] += seg.mass_fn(edges[i0:i1], edges[i0 + 1:i1 + 1])
         return out
 
-    def masses_of_intervals(self, los, his, lo_closed: bool = True,
-                            hi_closed=False) -> list[float]:
-        """Mass of every interval (lo, hi), endpoint atoms included per the
-        closed flags, ``hi_closed`` one flag or one per interval: one row of
-        atom, cell and segment terms per interval, formed at once, and one
-        exactly rounded sum of each row's terms."""
+    def mass_of_intervals(self, los, his, lo_closed: bool = True,
+                          hi_closed=False) -> float:
+        """Mass of the intervals (lo, hi) together, endpoint atoms included
+        per the closed flags, ``hi_closed`` one flag or one per interval:
+        one row of atom, cell and segment terms per interval, formed at
+        once, and one exactly rounded sum of all the rows' terms."""
         lo = np.asarray(los, dtype=np.float64)[:, None]
         hi = np.asarray(his, dtype=np.float64)[:, None]
         hi_closed = np.asarray(hi_closed, dtype=bool)[..., None]
@@ -214,9 +214,7 @@ class FiniteMeasure:
                                axis=1)
         keep = (np.concatenate([atoms, clip_hi > clip_lo, seg_keep], axis=1)
                 & (hi >= lo))
-        return list(ragged_sums(terms.ravel(),
-                                np.arange(lo.size + 1) * terms.shape[1],
-                                keep.ravel()))
+        return comp_sum(terms[keep])
 
     def piece_edges(self) -> np.ndarray:
         """All finite structural endpoints (cells, segments, atoms), sorted;

@@ -13,8 +13,8 @@ Computation -> reference:
 - tail rows (``kernels.tail_dots``): ``loop_tail_dot``;
 - edge unions (``kernels.union_edges``): ``unique_edges``;
 - exp2 segment masses (``measures._exp2_mass``): ``exp2_mass``;
-- interval masses (``FiniteMeasure.masses_of_intervals``):
-  ``loop_mass_of_interval``;
+- interval masses (``FiniteMeasure.mass_of_intervals``):
+  ``loop_mass_of_intervals``;
 - family pairings (``refinement.family_pairing``): ``loop_pairing``, and
   the per-index series read off it: ``loop_integral_series``,
   ``loop_tail_table``, ``loop_tv_series``, ``loop_gap_series``,
@@ -311,26 +311,26 @@ def l1_series_oracle(sc: Scenario):
     return integral_series([abs(f) for f in sc.f_seq.fns], sc.measures)
 
 
-def loop_mass_of_interval(m: FiniteMeasure, lo: float, hi: float,
-                          lo_closed: bool, hi_closed: bool) -> float:
-    """Reference for ``FiniteMeasure.masses_of_intervals``: one interval,
-    its atoms tested one by one, its segment ends clipped in Python."""
-    if hi < lo:
-        return 0.0
+def loop_mass_of_intervals(m: FiniteMeasure, bounds, lo_closed: bool,
+                           hi_closed: bool) -> float:
+    """Reference for ``FiniteMeasure.mass_of_intervals``: one interval at
+    a time, its atoms tested one by one, its segment ends clipped in
+    Python, and one ``math.fsum`` of all the intervals' terms."""
     terms = []
-    for aloc, w in zip(m.atom_locs, m.atom_weights):
-        if (lo < aloc < hi) or (aloc == lo and lo_closed) or (aloc == hi and hi_closed):
-            terms.append(w)
-    clip_lo = np.maximum(m.cell_los, lo)
-    clip_hi = np.minimum(m.cell_his, hi)
-    grab = clip_hi > clip_lo
-    terms.extend(m.cell_densities[grab] * (clip_hi[grab] - clip_lo[grab]))
-    for seg in m.segments:
-        assert seg.mass_fn is _exp2_mass, "the reference knows exp2 segments only"
-        a, b = max(seg.lo, lo), min(seg.hi, hi)
-        if b > a:
-            terms.append(float(exp2_mass(a, b)))
-    return math.fsum(terms) + 0.0 if terms else 0.0
+    for lo, hi in [(lo, hi) for lo, hi in bounds if lo <= hi]:
+        for aloc, w in zip(m.atom_locs, m.atom_weights):
+            if (lo < aloc < hi) or (aloc == lo and lo_closed) or (aloc == hi and hi_closed):
+                terms.append(w)
+        clip_lo = np.maximum(m.cell_los, lo)
+        clip_hi = np.minimum(m.cell_his, hi)
+        grab = clip_hi > clip_lo
+        terms.extend(m.cell_densities[grab] * (clip_hi[grab] - clip_lo[grab]))
+        for seg in m.segments:
+            assert seg.mass_fn is _exp2_mass, "the reference knows exp2 segments only"
+            a, b = max(seg.lo, lo), min(seg.hi, hi)
+            if b > a:
+                terms.append(float(exp2_mass(a, b)))
+    return math.fsum(terms) + 0.0
 
 
 def unique_edges(pieces) -> np.ndarray:

@@ -217,6 +217,22 @@ def test_certified_exception_mass_is_one_exactly_rounded_sum():
     assert rep.exception_mass == math.fsum([1.0, 1e-16, 1e-16]) > 1.0
 
 
+def test_sampled_exception_mass_is_one_exactly_rounded_sum():
+    # 0.25, 0.5 and 0.75 fail as a run and 3.5 alone: the run's middle
+    # interval holds the cell's 1.0 and the atom at 0.5, the lone point
+    # the atom at 3.5; rounding the run's interval first would drop both
+    dom = Interval(0.0, 4.0)
+    fns = [PiecewiseFn([0.0, 1.0, 3.0, 4.0], [(-1.0) ** n, 0.0, (-1.0) ** n],
+                       0.0, dom) for n in range(8)]
+    m = FiniteMeasure(atoms=[(0.5, 1e-16), (3.5, 1e-16)],
+                      cells=[(0.375, 0.625, 4.0)], domain=dom)
+    rep = epi_limit_exists(FnSequence(tuple(fns)), [0.25, 0.5, 0.75, 2.0, 3.5],
+                           sched_for(8), 1e-9, m)
+    assert rep.point_ok == (False, False, False, True, False)
+    assert not rep.mass_exact
+    assert rep.exception_mass == math.fsum([1.0, 1e-16, 1e-16]) > 1.0
+
+
 # -- integrals ----------------------------------------------------------------
 
 def test_epi_integral_comb_values():

@@ -356,7 +356,7 @@ def test_exp2_masses_in_place_match_the_closed_form(bounds, n, seed, layout):
     assert same_array(seg.mass_fn(a, b), want)
     m = FiniteMeasure(segments=[seg], domain=Interval(lo, hi))
     assert same_array(m.continuous_cell_masses(edges), want + 0.0)
-    # one cell, as a one-interval masses_of_intervals asks for it, is the
+    # one cell, as a one-interval mass_of_intervals asks for it, is the
     # closed form on scalars
     x, y = float(a[0]), float(b[0])
     assert same(float(seg.mass_fn(a[:1], b[:1])[0]), float(exp2_mass(x, y)))

@@ -16,7 +16,7 @@ from measure_limits import (
 )
 from measure_limits.measures import _exp2_cdf, _exp2_mass
 
-from helpers import loop_mass_of_interval
+from helpers import loop_mass_of_intervals
 from helpers import riemann_mass
 
 LN2 = math.log(2.0)
@@ -122,20 +122,23 @@ def test_atoms_may_sit_inside_cells():
     m = FiniteMeasure(atoms=[(0.5, 2.0)], cells=[(0.0, 1.0, 1.0)],
                       domain=Interval(0.0, 1.0))
     assert m.total_mass() == 3.0
-    assert m.masses_of_intervals([0.25], [0.75]) == [pytest.approx(2.5)]
+    assert m.mass_of_intervals([0.25], [0.75]) == pytest.approx(2.5)
 
 
 def test_mass_of_interval_endpoint_flags():
     m = point_mass(0.5, 1.0, Interval(0.0, 1.0))
-    assert m.masses_of_intervals([0.5], [0.7], lo_closed=True) == [1.0]
-    assert m.masses_of_intervals([0.5], [0.7], lo_closed=False) == [0.0]
-    assert m.masses_of_intervals([0.2], [0.5], hi_closed=True) == [1.0]
-    assert m.masses_of_intervals([0.2], [0.5], hi_closed=False) == [0.0]
-    # one hi flag per interval
-    assert m.masses_of_intervals([0.2, 0.5], [0.5, 0.7], True,
-                                 [False, True]) == [0.0, 1.0]
-    assert m.masses_of_intervals([0.2, 0.5], [0.5, 0.7], False,
-                                 [True, False]) == [1.0, 0.0]
+    assert m.mass_of_intervals([0.5], [0.7], lo_closed=True) == 1.0
+    assert m.mass_of_intervals([0.5], [0.7], lo_closed=False) == 0.0
+    assert m.mass_of_intervals([0.2], [0.5], hi_closed=True) == 1.0
+    assert m.mass_of_intervals([0.2], [0.5], hi_closed=False) == 0.0
+    # one hi flag per interval; an atom counts once per interval holding it
+    assert m.mass_of_intervals([0.2, 0.5], [0.5, 0.7], True,
+                               [False, True]) == 1.0
+    assert m.mass_of_intervals([0.2, 0.5], [0.5, 0.7], True,
+                               [True, False]) == 2.0
+    assert m.mass_of_intervals([0.2, 0.5], [0.5, 0.7], False,
+                               [False, True]) == 0.0
+    assert m.mass_of_intervals([], [], True, []) == 0.0
 
 
 # dyadic ends: interval ends land on atoms, cell ends and segment ends
@@ -149,16 +152,15 @@ ENDS = [k / 8 for k in range(-2, 19)]
        st.lists(st.tuples(st.sampled_from(ENDS), st.sampled_from(ENDS)),
                 max_size=6),
        st.booleans(), st.booleans())
-def test_masses_of_intervals_match_one_interval_at_a_time(
+def test_mass_of_intervals_matches_one_interval_at_a_time(
         locs, cells, segment, bounds, lo_closed, hi_closed):
     m = FiniteMeasure(atoms=[(x, 0.1 + x) for x in locs], cells=cells,
                       segments=[make_segment("exp2", 1.5, 2.0)] if segment else [],
                       domain=Interval(-0.25, 2.25))
-    got = m.masses_of_intervals([a for a, _ in bounds], [b for _, b in bounds],
-                                lo_closed, hi_closed)
-    want = [loop_mass_of_interval(m, a, b, lo_closed, hi_closed)
-            for a, b in bounds]
-    assert [x.hex() for x in got] == [x.hex() for x in want]
+    got = m.mass_of_intervals([a for a, _ in bounds], [b for _, b in bounds],
+                              lo_closed, hi_closed)
+    want = loop_mass_of_intervals(m, bounds, lo_closed, hi_closed)
+    assert got.hex() == want.hex()
 
 
 #: interval ends on, next to, inside and far past the segments below: past
@@ -174,7 +176,7 @@ SEG_END = st.sampled_from(SEG_ENDS) | st.floats(-3.0, 10.0)
        st.sampled_from([None, (3.0, 8.0), (3.0, math.inf)]),
        st.lists(st.tuples(SEG_END, SEG_END), max_size=8),
        st.booleans(), st.booleans())
-def test_segment_masses_of_intervals_match_the_interval_loop(
+def test_segment_mass_of_intervals_matches_the_interval_loop(
         exp2_unit, middle, last, bounds, lo_closed, hi_closed):
     # [lo, hi] and [lo, inf) segments, one of them under a name of its
     # own; intervals inside, across and off them, empty and reversed
@@ -188,13 +190,12 @@ def test_segment_masses_of_intervals_match_the_interval_loop(
                       cells=[(-1.0, 0.0, 0.5)], segments=segments,
                       domain=Interval(-5.0, math.inf))
     los, his = [a for a, _ in bounds], [b for _, b in bounds]
-    got = m.masses_of_intervals(los, his, lo_closed, hi_closed)
-    want = [loop_mass_of_interval(m, a, b, lo_closed, hi_closed)
-            for a, b in bounds]
-    assert [x.hex() for x in got] == [x.hex() for x in want]
+    got = m.mass_of_intervals(los, his, lo_closed, hi_closed)
+    want = loop_mass_of_intervals(m, bounds, lo_closed, hi_closed)
+    assert got.hex() == want.hex()
 
 
 def test_lebesgue_helper():
     m = lebesgue(-1.0, 1.0)
     assert m.total_mass() == 2.0
-    assert m.masses_of_intervals([-0.5], [0.25]) == [pytest.approx(0.75)]
+    assert m.mass_of_intervals([-0.5], [0.25]) == pytest.approx(0.75)
