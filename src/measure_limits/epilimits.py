@@ -127,15 +127,15 @@ def _ball_extrema(edges, vals, lo, hi, lo_closed, hi_closed) -> np.ndarray:
         offers.append((lo_closed, vals[:, 0]))
     if (hi_closed & inner).any():
         offers.append((hi_closed & inner, vals[:, -1]))
-    # cells [edges[i], edges[i+1]) meeting the open interior (lo, hi)
-    i0 = np.maximum(np.searchsorted(edges, lo, side="right") - 1, 0)
-    i1 = np.minimum(np.searchsorted(edges, hi, side="left"), vals.shape[1])
-    hit = inner & (i1 > i0)
-    if hit.any():
+    # cells [edges[i], edges[i+1]) meeting the open interior (lo, hi),
+    # at least one for every inner ball, as the cells span the domain
+    i0 = np.searchsorted(edges, lo, side="right") - 1
+    i1 = np.searchsorted(edges, hi, side="left")
+    if inner.any():
         cand = np.empty((2, *lo.shape))
         for k, ufunc in enumerate((np.minimum, np.maximum)):
-            cand[k][hit] = _reduce_ranges(ufunc, vals[k], i0[hit], i1[hit])
-        offers.append((hit, cand))
+            cand[k][inner] = _reduce_ranges(ufunc, vals[k], i0[inner], i1[inner])
+        offers.append((inner, cand))
     out = np.full((2, *lo.shape), math.inf)
     out[1] = -math.inf
     for k, better in enumerate((np.less, np.greater)):
