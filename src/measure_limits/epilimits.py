@@ -84,7 +84,7 @@ class EpiSchedule:
 def _balls(domain: Interval, pts: np.ndarray, deltas: np.ndarray):
     """Open balls of radius delta_j around every point, clipped to the
     domain: a clipped end becomes the closed domain end.  Returns (lo, hi,
-    lo_closed, hi_closed, empty), each of shape (points, steps)."""
+    lo_closed, empty), each of shape (points, steps)."""
     lo = pts[:, None] - deltas[None, :]
     hi = pts[:, None] + deltas[None, :]
     lo_closed = lo < domain.lo
@@ -92,7 +92,7 @@ def _balls(domain: Interval, pts: np.ndarray, deltas: np.ndarray):
     lo = np.where(lo_closed, domain.lo, lo)
     hi = np.where(hi_closed, domain.hi, hi)
     empty = (lo > hi) | ((lo == hi) & ~(lo_closed & hi_closed))
-    return lo, hi, lo_closed, hi_closed, empty
+    return lo, hi, lo_closed, empty
 
 
 def _require_nonempty(empty: np.ndarray) -> None:
@@ -114,33 +114,23 @@ def _reduce_ranges(ufunc: np.ufunc, vals: np.ndarray, starts: np.ndarray,
     return out
 
 
-def _ball_extrema(edges, vals, lo, hi, lo_closed, hi_closed) -> np.ndarray:
+def _ball_extrema(edges, vals, lo, hi, lo_closed) -> np.ndarray:
     """inf of the min envelope (row 0) and sup of the max envelope (row 1)
     over every clipped ball, from the ``_envelopes`` of a family: their
-    cells span the domain, so a closed end reads the first or the last
-    cell.  The value at each closed end and the cells meeting the open
-    interior are offered in that order, and the first extreme one is
-    kept."""
+    cells span the domain, so a ball with an open interior reads the cells
+    that meet it, a closed end the first or the last one, and a one-point
+    ball, on a one-point domain, reads its one cell."""
     inner = hi > lo
-    offers = []
-    if lo_closed.any():
-        offers.append((lo_closed, vals[:, 0]))
-    if (hi_closed & inner).any():
-        offers.append((hi_closed & inner, vals[:, -1]))
-    # cells [edges[i], edges[i+1]) meeting the open interior (lo, hi),
-    # at least one for every inner ball, as the cells span the domain
-    i0 = np.searchsorted(edges, lo, side="right") - 1
-    i1 = np.searchsorted(edges, hi, side="left")
-    if inner.any():
-        cand = np.empty((2, *lo.shape))
-        for k, ufunc in enumerate((np.minimum, np.maximum)):
-            cand[k][inner] = _reduce_ranges(ufunc, vals[k], i0[inner], i1[inner])
-        offers.append((inner, cand))
     out = np.full((2, *lo.shape), math.inf)
     out[1] = -math.inf
-    for k, better in enumerate((np.less, np.greater)):
-        for where, cand in offers:
-            np.copyto(out[k], cand[k], where=where & better(cand[k], out[k]))
+    out[:, lo_closed & ~inner] = vals[:, :1]
+    if inner.any():
+        # cells [edges[i], edges[i+1]) meeting the open interior (lo, hi),
+        # at least one for every inner ball, as the cells span the domain
+        i0 = np.searchsorted(edges, lo[inner], side="right") - 1
+        i1 = np.searchsorted(edges, hi[inner], side="left")
+        for k, ufunc in enumerate((np.minimum, np.maximum)):
+            out[k][inner] = _reduce_ranges(ufunc, vals[k], i0, i1)
     return out
 
 
@@ -159,9 +149,9 @@ def _envelopes(fns: Sequence[PiecewiseFn]) -> tuple:
     vals = np.full((2, starts.size), math.inf)
     vals[1] = -math.inf
     for f in fns:
-        # f's breakpoints at or left of each cell start pick its value
-        lut = np.concatenate([[f.default], f.values, [f.default]])
-        v = lut[np.searchsorted(f.breakpoints, starts, side="right")]
+        # f's breakpoints at or left of each cell start pick its value;
+        # no cell starts at domain.hi, so the table's end is never read
+        v = f.table[np.searchsorted(f.breakpoints, starts, side="right")]
         np.minimum(vals[0], v, out=vals[0])
         np.maximum(vals[1], v, out=vals[1])
     return edges, vals
@@ -205,9 +195,7 @@ def _estimates(seq: FnSequence, pts, sched: EpiSchedule, lower: bool, scan
         deltas = np.asarray([d for n, d in sched.steps if n <= seq.n_max])
         *_, empty = _balls(cert.fn.domain, np.asarray(pts), deltas)
         _require_nonempty(empty)
-        return (np.asarray([cert.value_at(s, "lower" if lower else "upper")
-                            for s in pts]),
-                np.ones(len(pts), dtype=bool), EXACT)
+        return cert.values_at(pts, lower), np.ones(len(pts), dtype=bool), EXACT
     points, cols, stab, empty = scan()
     at = np.searchsorted(points, np.asarray(pts, dtype=np.float64))
     _require_nonempty(empty[at])
@@ -269,28 +257,28 @@ def _cert_disagreement_mass(lo_cert: EpiCertificate, hi_cert: EpiCertificate,
     cells = slice(0, int(p.n_cells[0]))
     lv, hv = p.values[0][cells], p.values[1][cells]
     masses = p.masses[0][cells]
-    with np.errstate(invalid="ignore"):
+    la, ha = lo_cert.values_at(m.atom_locs, True), hi_cert.values_at(
+        m.atom_locs, False)
+    with np.errstate(invalid="ignore", over="ignore"):
         both_inf = np.isinf(lv) & np.isinf(hv) & (np.sign(lv) == np.sign(hv))
         diff = np.where(both_inf, 0.0, np.abs(hv - lv))
         bad = ~(diff <= tol)
-    bad_atoms = np.asarray([not close(lo_cert.value_at(loc, "lower"),
-                                      hi_cert.value_at(loc, "upper"), tol)
-                            for loc in m.atom_locs.tolist()], dtype=bool)
+        # xreal.close on arrays: an infinity is close only to itself
+        bad_atoms = ~np.where(np.isinf(la) | np.isinf(ha), la == ha,
+                              np.abs(la - ha) <= tol)
     # one exactly rounded sum over the cells and the atoms
     return comp_sum(np.concatenate([masses[bad], m.atom_weights[bad_atoms]]))
 
 
 def _integrate_certificate(cert: EpiCertificate, m: FiniteMeasure,
-                           direction: str) -> float:
+                           lower: bool) -> float:
     """Exact integral of a certificate: cells pointwise, atoms by
     envelope/override in the certificate's semicontinuity direction."""
     p = next(family_pairing([((cert.fn,), (m,))]))
     cells = slice(0, int(p.n_cells[0]))
     vals, masses = p.values[0][cells], p.masses[0][cells]
     if m.atom_locs.size:
-        avals = np.asarray([cert.value_at(float(loc), direction)
-                            for loc in m.atom_locs])
-        vals = np.concatenate([vals, avals])
+        vals = np.concatenate([vals, cert.values_at(m.atom_locs, lower)])
         masses = np.concatenate([masses, m.atom_weights])
     return integral_of_parts(*pos_neg_dot(vals, masses),
                              "certificate integral undefined")
@@ -338,8 +326,7 @@ def epi_integral(seq: FnSequence, m: FiniteMeasure, which: str,
     lower = which == "liminf"
     cert = seq.epi_liminf_cert if lower else seq.epi_limsup_cert
     if cert is not None:
-        return (_integrate_certificate(cert, m, "lower" if lower else "upper"),
-                EXACT)
+        return _integrate_certificate(cert, m, lower), EXACT
     window = window or (lambda: epi_window(seq, m, sched, grid, stab_tol))
     pts, masses, scan = window()
     vals = _estimates(seq, pts, sched, lower, lambda: scan)[0]

@@ -28,10 +28,15 @@ from .xreal import (
 
 
 class PiecewiseFn:
-    """Step function on an interval domain, on read-only arrays: input
-    arrays that are read-only, own their data and are canonical are kept."""
+    """Step function on an interval domain, on read-only arrays.
 
-    __slots__ = ("breakpoints", "values", "default", "domain")
+    ``table[c]`` is its value after c breakpoints: the default for c = 0,
+    ``values`` (the view ``table[1:-1]``) in between, and the last cell's
+    value if the last breakpoint is ``domain.hi``, else the default.
+    Read-only canonical breakpoints that own their data are kept, and so
+    is such a table with the right ends given as ``table[1:-1]``."""
+
+    __slots__ = ("breakpoints", "values", "table", "default", "domain")
 
     def __init__(self, breakpoints, values, default: float = 0.0,
                  domain: Interval = Interval(-math.inf, math.inf)):
@@ -54,49 +59,18 @@ class PiecewiseFn:
             raise MalformedObjectError("default value is NaN")
         if bp.size and (bp[0] < domain.lo or bp[-1] > domain.hi):
             raise MalformedObjectError("breakpoints outside the declared domain")
-        bp, vals = _canonicalize(bp, vals, default)
-        self.breakpoints = bp
-        self.values = vals
         self.default = float(default) + 0.0
         self.domain = domain
+        self.breakpoints, self.table = _canonicalize(bp, vals, self.default,
+                                                     domain)
+        self.values = self.table[1:-1]
 
     # -- evaluation ------------------------------------------------------
 
     def __call__(self, x: float) -> float:
         if not self.domain.contains(x):
             raise DomainMismatchError(f"{x} outside domain [{self.domain.lo}, {self.domain.hi}]")
-        bp = self.breakpoints
-        if bp.size == 0:
-            return self.default
-        if x == self.domain.hi and x == bp[-1] and self.values.size:
-            return float(self.values[-1])
-        i = int(np.searchsorted(bp, x, side="right")) - 1
-        if i < 0 or i >= self.values.size:
-            return self.default
-        return float(self.values[i])
-
-    def left_limit(self, x: float) -> float:
-        """Value of the cell ending at x (the one-sided limit from below)."""
-        bp = self.breakpoints
-        if bp.size == 0 or x <= bp[0]:
-            return self.default
-        i = int(np.searchsorted(bp, x, side="left")) - 1
-        if i >= self.values.size:
-            return self.default
-        return float(self.values[i])
-
-    def lower_envelope(self, x: float) -> float:
-        """Lower-semicontinuous envelope at x: min of value and one-sided limits."""
-        v = self(x)
-        if x > self.domain.lo:
-            v = min(v, self.left_limit(x))
-        return v
-
-    def upper_envelope(self, x: float) -> float:
-        v = self(x)
-        if x > self.domain.lo:
-            v = max(v, self.left_limit(x))
-        return v
+        return float(self.table[np.searchsorted(self.breakpoints, x, "right")])
 
     # -- algebra ---------------------------------------------------------
 
@@ -114,12 +88,13 @@ class PiecewiseFn:
         return math.isfinite(self.default)
 
 
-def _canonicalize(bp: np.ndarray, vals: np.ndarray, default: float
-                  ) -> tuple[np.ndarray, np.ndarray]:
+def _canonicalize(bp: np.ndarray, vals: np.ndarray, default: float,
+                  domain: Interval) -> tuple[np.ndarray, np.ndarray]:
     """Merge adjacent equal-valued cells, strip default-valued edge cells
     and store -0.0 values as 0.0: evaluation-preserving everywhere under
-    the half-open cell convention, up to the sign of zero."""
-    lo, hi = 0, vals.size
+    the half-open cell convention, up to the sign of zero.  Returns the
+    breakpoints and the value table."""
+    given, lo, hi = vals, 0, vals.size
     while lo < hi and vals[lo] == default:
         lo += 1
     while hi > lo and vals[hi - 1] == default:
@@ -131,16 +106,25 @@ def _canonicalize(bp: np.ndarray, vals: np.ndarray, default: float
         # each kept cell starts where the value changes
         new = np.flatnonzero(change) + 1
         vals, bp = vals[np.append(0, new)], bp[np.r_[0, new, bp.size - 1]]
-    # an array that is read-only and owns its data is kept, unless it holds
-    # -0.0, the one double whose int64 view is the least int64
+    # breakpoints that are read-only and own their data are kept, and so
+    # are values given as table[1:-1] of such a table with the right ends
+    # and no -0.0, the one double whose int64 view is the least int64
     if bp.base is not None or bp.flags.writeable:
         bp = np.array(bp)
-    if (vals.base is not None or vals.flags.writeable
-            or vals.view(np.int64).min(initial=0) == np.iinfo(np.int64).min):
-        vals = vals + 0.0
     bp.setflags(write=False)
-    vals.setflags(write=False)
-    return bp, vals
+    end = vals[-1] + 0.0 if bp.size and bp[-1] == domain.hi else default
+    table = vals.base
+    if not (vals is given and isinstance(table, np.ndarray)
+            and table.shape == (bp.size + 1,) and table.base is None
+            and not (table.flags.writeable or vals.flags.writeable)
+            and table[1:-1].__array_interface__ == vals.__array_interface__
+            and (table[0], table[-1]) == (default, end)
+            and table.view(np.int64).min() != np.iinfo(np.int64).min):
+        table = np.empty(bp.size + 1)
+        table[0], table[-1] = default, end
+        np.add(vals, 0.0, out=table[1:-1])
+        table.setflags(write=False)
+    return bp, table
 
 
 def zero_fn(domain: Interval) -> PiecewiseFn:
@@ -201,13 +185,23 @@ class EpiCertificate:
     fn: PiecewiseFn
     overrides: tuple[tuple[float, float], ...] = ()
 
-    def value_at(self, x: float, direction: str) -> float:
-        for loc, v in self.overrides:
-            if loc == x:
-                return v
-        if direction == "lower":
-            return self.fn.lower_envelope(x)
-        return self.fn.upper_envelope(x)
+    def values_at(self, xs, lower: bool) -> np.ndarray:
+        """The lower (upper) semicontinuous envelope of ``fn`` at every
+        point, min (max) of f(x) and f(x-) read off its table, and f(x)
+        alone at ``domain.lo``; the first override at a point replaces
+        it."""
+        f, xs = self.fn, np.asarray(xs, dtype=np.float64)
+        out = ~((xs >= f.domain.lo) & (xs <= f.domain.hi))
+        if out.any():
+            raise DomainMismatchError(f"{float(xs[out][0])} outside domain "
+                                      f"[{f.domain.lo}, {f.domain.hi}]")
+        at, left = (f.table[np.searchsorted(f.breakpoints, xs, side)]
+                    for side in ("right", "left"))
+        env = np.where(xs > f.domain.lo,
+                       (np.minimum if lower else np.maximum)(at, left), at)
+        for loc, v in reversed(self.overrides):
+            env[xs == loc] = v
+        return env
 
 
 @dataclass(frozen=True)

@@ -196,8 +196,9 @@ def _dyadic_comb_scenario(n_max: int = 20) -> Scenario:
 
     g_n is built as numpy arrays, never as Python lists, and canonical:
     for n > 2 the last dyadic cell and [2, n) are one zero cell, so g_n has
-    2^(n+1) + 2 breakpoints.  Both arrays, 16 MiB each at n = 20, are
-    written once and frozen, so ``PiecewiseFn`` keeps them.  The family
+    2^(n+1) + 2 breakpoints.  The breakpoints and the value table, 16 MiB
+    each at n = 20, are written once and frozen, so ``PiecewiseFn`` keeps
+    them.  The family
     holds every g_n, about 64 MiB for n_max = 20.
     """
     if n_max > _COMB_MAX_N:
@@ -218,15 +219,17 @@ def _dyadic_comb_scenario(n_max: int = 20) -> Scenario:
         bp = np.arange(n_dyadic + len(tail), dtype=np.float64)
         bp[:n_dyadic] *= h
         bp[n_dyadic:] = tail
-        vals = np.zeros(bp.size - 1)
+        # g_n's value table [0.0, values..., 0.0]: the domain has no end
+        table = np.zeros(bp.size + 1)
+        vals = table[1:-1]
         if n < 2:
             vals[bp[:n_cells] >= n] = -(2.0 ** n)
         else:
             vals[-1] = -(2.0 ** n)
         # each depressed cell ends at the next dyadic edge
         vals[0:n_cells:2] -= _comb_depths(seg, bp[0:n_cells:2], bp[1:n_cells:2])
-        bp.flags.writeable = vals.flags.writeable = False
-        return PiecewiseFn(bp, vals, 0.0, dom)
+        bp.flags.writeable = table.flags.writeable = False
+        return PiecewiseFn(bp, table[1:-1], 0.0, dom)
 
     fine_bp = np.arange(_COMB_CERT_CELLS + 1) * (2.0 / _COMB_CERT_CELLS)
     fine_vals = -_comb_depths(seg, fine_bp[:-1], fine_bp[1:])
@@ -544,10 +547,11 @@ def _run_dyadic_comb(sc: Scenario) -> list[Quantity]:
     qs.append(_num("weakened_epi_side", weak.epi_integral, -1.0 / LN2, 1e-6,
                    "depression envelope integrates like a constant density"))
 
-    env_dev = 0.0
-    for s in np.linspace(0.0, 1.9375, 32):
-        est = sc.g_seq.epi_liminf_cert.value_at(float(s), "lower")
-        env_dev = max(env_dev, abs(est + 2.0 ** (s - 1.0) / LN2))
+    pts = np.linspace(0.0, 1.9375, 32)
+    ests = sc.g_seq.epi_liminf_cert.values_at(pts, True).tolist()
+    # the envelope on Python floats, each point as it was sampled
+    env_dev = max(abs(est + 2.0 ** (s - 1.0) / LN2)
+                  for s, est in zip(pts.tolist(), ests))
     qs.append(_num("g_epi_liminf_pointwise", env_dev, 0.0, 2e-3,
                    "certificate tracks the exponential envelope per cell"))
 

@@ -12,7 +12,8 @@ index and its source, the edges are sorted by (index, value) and
 deduplicated within each index, and each input's cell values, density
 masses and atom weights are read off running counts of the tags.  One
 index merges its edges with ``kernels.union_edges``, and a function's
-cell values are runs of its lookup table, one search per breakpoint.  Each
+cell values are runs of its value table (``PiecewiseFn.table``), one
+search per breakpoint, or a slice of it without a copy.  Each
 index keeps its own refinement, and its values and masses are bit for bit
 those of refining that index alone (a pass over a one-row family).  The
 integral, tail, TV and set-uniform series pair functions with measures;
@@ -47,13 +48,12 @@ class FamilyPairing:
     Entries ``offsets[i]:offsets[i + 1]`` of every array belong to the
     chunk's i-th index: its ``n_cells[i]`` partition cells in order, then
     its atoms (the union of its measures' atom locations) in order.
-    ``atom`` marks the atom entries, ``values[k]`` is the k-th function's
-    value on each entry and ``masses[k]`` the k-th measure's mass of it.
+    ``values[k]`` is the k-th function's value on each entry and
+    ``masses[k]`` the k-th measure's mass of it.
     """
 
     offsets: np.ndarray
     n_cells: np.ndarray
-    atom: np.ndarray
     values: tuple[np.ndarray, ...]
     masses: tuple[np.ndarray, ...]
 
@@ -186,38 +186,28 @@ def _pair_chunk(rows) -> FamilyPairing:
 
     values = []
     for k in range(n_fns):
-        # f's value after c of its breakpoints is default for c = 0 and
-        # past the last one, values[c - 1] in between, and the last cell's
-        # value at a closed domain end; each index's lookup table has one
-        # entry per c, so an edge's entry is its running count plus its row
-        lut = []
-        for fns, _, d in rows:
-            f = fns[k]
-            lut.append((f.default,))
-            if f.breakpoints.size:
-                lut.append(f.values)
-                lut.append((f.values[-1] if f.breakpoints[-1] == d.hi
-                            else f.default,))
-        lut = np.concatenate(lut)
+        # f's value after c of its breakpoints is its table's entry c, so
+        # an edge's entry in the rows' tables is its running count plus
+        # its row
         if n > 1:
-            # f's breakpoints at or left of each edge, plus the edge's row
+            table = np.concatenate([r[0][k].table for r in rows])
             c = np.cumsum(tags == 1 + k, dtype=np.int32)[ends]
             c += edge_row
-            values.append(place(lut[c[left]], lut[c[atom_edges]]))
+            values.append(place(table[c[left]], table[c[atom_edges]]))
             continue
-        bp = groups[1 + k][0]
+        bp, table = groups[1 + k][0], rows[0][0][k].table
         if not atom_edges.size and n_cells[0]:
             c0, c1 = np.searchsorted(bp, edges[[0, -2]],
                                      side="right").tolist()
             if c1 - c0 == n_cells[0] - 1:
                 # each cell starts at one more breakpoint: a table slice
-                values.append(lut[c0:c1 + 1])
+                values.append(table[c0:c1 + 1])
                 continue
         # every breakpoint is an edge, so the cells take the table's
         # entries in runs that end where the breakpoints sit
         runs = np.diff(np.concatenate(
             ([0], np.searchsorted(edges, bp), n_cells)))
-        values.append(place(np.repeat(lut, runs), lut[np.searchsorted(
+        values.append(place(np.repeat(table, runs), table[np.searchsorted(
             bp, edges[atom_edges], side="right")]))
     del groups
 
@@ -258,9 +248,7 @@ def _pair_chunk(rows) -> FamilyPairing:
             on_atoms[np.searchsorted(atom_edges, locs)] += np.concatenate(
                 [m.atom_weights for m in ms])
         masses.append(place(on_cells, on_atoms))
-    atom = np.zeros(total, dtype=bool)
-    atom[atom_pos] = True
-    return FamilyPairing(offsets, n_cells, atom, tuple(values), tuple(masses))
+    return FamilyPairing(offsets, n_cells, tuple(values), tuple(masses))
 
 
 def reduce_family(rows: Iterable, reduce) -> Iterator:

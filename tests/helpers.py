@@ -23,6 +23,7 @@ Computation -> reference:
 - dominance (``functions.dominates``): ``list_dominates``;
 - epi-limit scans (``epilimits.epi_scan`` and the estimates read off it):
   ``scan_epi_oracle``, one scalar ``range_on`` per step and index;
+- certificate envelopes (``EpiCertificate.values_at``): ``cert_value_at``;
 - the comb fixture's g_n: ``comb_g_oracle``;
 - canonical JSON: ``canonical_json_oracle``;
 - construction checks of ``PiecewiseFn`` and ``FiniteMeasure``:
@@ -255,6 +256,25 @@ def scan_estimates(seq: FnSequence, pts, sched, lower: bool,
         values.append(last)
         stab.append(bool(prev) and close(prev[0], last, stab_tol))
     return values, stab
+
+
+def cert_value_at(cert: EpiCertificate, x: float, lower: bool) -> float:
+    """Reference for ``EpiCertificate.values_at`` at one point: the first
+    override at x, else min (max) of f(x) and the left limit f(x-), the
+    value of the cell that ends at x, which ``domain.lo`` has not."""
+    f = cert.fn
+    if not f.domain.contains(x):
+        raise DomainMismatchError(
+            f"{x} outside domain [{f.domain.lo}, {f.domain.hi}]")
+    for loc, v in cert.overrides:
+        if loc == x:
+            return v
+    v = f(x)
+    if x > f.domain.lo:
+        i = int(np.searchsorted(f.breakpoints, x, side="left")) - 1
+        left = float(f.values[i]) if 0 <= i < f.values.size else f.default
+        v = min(v, left) if lower else max(v, left)
+    return v
 
 
 @dataclass(frozen=True)

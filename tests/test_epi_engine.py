@@ -14,6 +14,7 @@ oracle's last entry, stabilized when its last two entries are close.
 """
 
 import math
+import re
 
 import numpy as np
 import pytest
@@ -44,6 +45,7 @@ from measure_limits.xreal import (
 )
 
 from helpers import (
+    cert_value_at,
     epi_estimate,
     fatou_random_scenario,
     scan_columns,
@@ -280,6 +282,29 @@ def test_certified_estimate_rejects_balls_outside_the_domain():
     seq = spike_seq(8)
     with pytest.raises(MalformedObjectError):
         epi_estimate(seq, 5.0, EpiSchedule.default(8), True)
+
+
+@settings(max_examples=300, deadline=None)
+@given(st.data(), st.sampled_from(DOMAINS + [Interval(0.5, 0.5)]))
+def test_certificate_values_match_the_scalar_envelope(data, domain):
+    # points on and between breakpoints, at both domain ends, at +-inf
+    # and -0.0, and outside a bounded domain; overrides on a few of them,
+    # some repeated, so that the first one at a point must win
+    f = data.draw(step_fns(domain, GRID, VALUES, 8))
+    pts = GRID + [-0.0, 1 / 32, 0.5, -1.0, 2.0, math.inf, -math.inf]
+    locs = data.draw(st.lists(st.sampled_from(pts), max_size=4))
+    cert = EpiCertificate(f, tuple(
+        zip(locs, data.draw(st.lists(st.sampled_from(VALUES), min_size=len(locs),
+                                     max_size=len(locs))))))
+    xs = data.draw(st.lists(st.sampled_from(pts), max_size=8))
+    for lower in (True, False):
+        try:
+            want = bits([cert_value_at(cert, x, lower) for x in xs])
+        except DomainMismatchError as exc:
+            with pytest.raises(DomainMismatchError, match=f"^{re.escape(str(exc))}$"):
+                cert.values_at(xs, lower)
+            continue
+        assert bits(cert.values_at(xs, lower)) == want
 
 
 def test_epi_integrals_are_computed_once_per_scenario(monkeypatch):

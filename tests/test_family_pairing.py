@@ -93,12 +93,11 @@ def same_pairing(rows, budget):
             lo, hi = p.offsets[j], p.offsets[j + 1]
             values, masses, cells = loop_pairing(*rows[i])
             assert p.n_cells[j] == cells
-            assert not p.atom[lo:lo + cells].any()
-            assert p.atom[lo + cells:hi].all()
-            for got, want in zip(p.values, values):
-                assert got[lo:hi].tobytes() == want.tobytes()
-            for got, want in zip(p.masses, masses):
-                assert got[lo:hi].tobytes() == want.tobytes()
+            # the index's cells, then its atoms from offsets[j] + n_cells[j]
+            atoms = lo + p.n_cells[j]
+            for got, want in zip(p.values + p.masses, values + masses):
+                assert got[lo:atoms].tobytes() == want[:cells].tobytes()
+                assert got[atoms:hi].tobytes() == want[cells:].tobytes()
             i += 1
     assert i == len(rows)
 

@@ -184,9 +184,11 @@ def test_comb_builder_writes_canonical_frozen_arrays(comb_g):
     for n, g in enumerate(comb_g, start=1):
         # for n > 2, 2^(n+1) - 1 dyadic cells, [2 - 2^-n, n) and the cliff
         assert g.breakpoints.size == 2 ** (n + 1) + (2 if n > 2 else n)
-        # the builder's own arrays, kept without a copy
-        for a in (g.breakpoints, g.values):
+        # the builder's own breakpoints and value table, kept without a
+        # copy; the unbounded domain has the default at both table ends
+        for a in (g.breakpoints, g.table):
             assert a.base is None and not a.flags.writeable
+        assert g.values.base is g.table and g.table[[0, -1]].tolist() == [0.0, 0.0]
         assert (g.values[1:] != g.values[:-1]).all()
         assert g.values[0] != 0.0 and g.values[-1] != 0.0
 

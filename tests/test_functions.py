@@ -2,11 +2,12 @@ import math
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from measure_limits import (
     DomainMismatchError,
+    EpiCertificate,
     Interval,
     MalformedObjectError,
     PiecewiseFn,
@@ -15,7 +16,7 @@ from measure_limits import (
     zero_fn,
 )
 
-from helpers import negated, part, range_on
+from helpers import negated, part, piecewise_oracle, range_on
 
 DOM = Interval(0.0, 1.0)
 
@@ -61,11 +62,55 @@ def test_half_open_cells_and_right_endpoint():
 
 
 def test_left_limit_and_envelopes():
+    # the table's entry c is f after c breakpoints; the last breakpoint is
+    # the closed end, so the end entry is the last cell's value
     f = PiecewiseFn([0.0, 0.5, 1.0], [1.0, 3.0], 0.0, DOM)
-    assert f.left_limit(0.5) == 1.0
-    assert f.lower_envelope(0.5) == 1.0
-    assert f.upper_envelope(0.5) == 3.0
-    assert f.lower_envelope(0.25) == 1.0
+    assert f.table.tolist() == [0.0, 1.0, 3.0, 3.0]
+    # f(x) against the left limit f(x-), which domain.lo has not
+    xs = [0.5, 0.25, 0.0, 1.0]
+    assert EpiCertificate(f).values_at(xs, True).tolist() == [1.0, 1.0, 1.0, 3.0]
+    assert EpiCertificate(f).values_at(xs, False).tolist() == [3.0, 1.0, 1.0, 3.0]
+    # the first override at a point wins
+    pinned = EpiCertificate(f, ((0.5, -2.0), (0.5, 9.0)))
+    assert pinned.values_at(xs, True).tolist() == [-2.0, 1.0, 1.0, 3.0]
+    with pytest.raises(DomainMismatchError, match=r"^1.5 outside domain \[0.0, 1.0\]$"):
+        EpiCertificate(f).values_at([0.5, 1.5, -1.0], True)
+
+
+TABLE_DOMAINS = [DOM, Interval(0.0, math.inf), Interval(-math.inf, 1.0),
+                 Interval(0.5, 0.5)]
+TABLE_VALUES = st.sampled_from([0.0, -0.0, 1.0, -2.0, math.inf])
+
+
+@settings(max_examples=300, deadline=None)
+@given(st.sampled_from(TABLE_DOMAINS),
+       st.lists(st.sampled_from([k / 4 for k in range(5)]), unique=True,
+                max_size=5),
+       st.lists(TABLE_VALUES, min_size=4, max_size=4), TABLE_VALUES)
+@example(DOM, [0.0, 0.5, 1.0], [1.0, 3.0, 0.0, 0.0], 0.0)
+@example(DOM, [], [0.0] * 4, 1.0)
+@example(Interval(0.5, 0.5), [], [0.0] * 4, -0.0)
+def test_table_is_default_values_and_end(domain, bps, vals, default):
+    # entry c is the value after c breakpoints: the default, the stored
+    # values, then the last cell's value if the last breakpoint is a
+    # closed finite domain.hi and the default otherwise; one entry, the
+    # default, for a function without breakpoints
+    bps = sorted(x for x in bps if domain.contains(x))
+    vals = vals[:max(len(bps) - 1, 0)]
+    f = PiecewiseFn(bps, vals, default, domain)
+    want_bp, want_vals, want_default = piecewise_oracle(bps, vals, default,
+                                                        domain)
+    if want_bp.size:
+        end = want_vals[-1] if want_bp[-1] == domain.hi else want_default
+        want = [want_default, *want_vals, end]
+    else:
+        want = [want_default]
+    assert f.table.tobytes() == np.asarray(want).tobytes()
+    assert f.values.tobytes() == want_vals.tobytes()
+    for x in {*bps, domain.lo, domain.hi, 0.3}:
+        if domain.contains(x):
+            c = sum(b <= x for b in want_bp)
+            assert type(f(x)) is float and f(x).hex() == float(want[c]).hex()
 
 
 def test_part_examples():
@@ -141,22 +186,32 @@ def frozen(xs) -> np.ndarray:
 
 
 def test_frozen_owning_arrays_without_negative_zero_are_shared():
-    bp, vals = frozen([0.0, 0.25, 0.5, 1.0]), frozen([1.0, 0.0, 2.0])
-    f = PiecewiseFn(bp, vals, 0.0, DOM)
-    assert f.breakpoints is bp and f.values is vals
+    # values given as the inside of a frozen table [default, values, end]
+    bp, table = frozen([0.0, 0.25, 0.5, 1.0]), frozen([0.0, 1.0, 0.0, 2.0, 2.0])
+    f = PiecewiseFn(bp, table[1:-1], 0.0, DOM)
+    assert f.breakpoints is bp and f.table is table and f.values.base is table
     # a function built from another one's arrays shares them too
     g = PiecewiseFn(f.breakpoints, f.values, 0.0, DOM)
-    assert g.breakpoints is bp and g.values is vals
+    assert g.breakpoints is bp and g.table is table
 
 
 def test_frozen_arrays_that_need_a_change_are_copied():
     bp = frozen([0.0, 0.25, 0.5, 1.0])
-    # a -0.0 value is stored as 0.0 in a copy; the breakpoints are kept
-    vals = frozen([1.0, -0.0, 2.0])
-    f = PiecewiseFn(bp, vals, 0.0, DOM)
-    assert f.breakpoints is bp and f.values is not vals
-    assert f.values.tobytes() == np.array([1.0, 0.0, 2.0]).tobytes()
-    assert vals.tobytes() == np.array([1.0, -0.0, 2.0]).tobytes()
+    # a -0.0 value is stored as 0.0 in a new table; the breakpoints are kept
+    table = frozen([0.0, 1.0, -0.0, 2.0, 2.0])
+    f = PiecewiseFn(bp, table[1:-1], 0.0, DOM)
+    assert f.breakpoints is bp and f.table is not table
+    assert f.table.tobytes() == np.array([0.0, 1.0, 0.0, 2.0, 2.0]).tobytes()
+    assert table.tobytes() == np.array([0.0, 1.0, -0.0, 2.0, 2.0]).tobytes()
+    # so is a table whose ends are not the default and the end value: the
+    # end is the last cell's value, as the last breakpoint is domain.hi
+    for ends in ((0.0, 0.0), (-0.0, 2.0), (5.0, 2.0)):
+        wrong = frozen([ends[0], 1.0, 0.0, 2.0, ends[1]])
+        k = PiecewiseFn(bp, wrong[1:-1], 0.0, DOM)
+        assert k.table.tobytes() == np.array([0.0, 1.0, 0.0, 2.0, 2.0]).tobytes()
+    # values that own their data are written into a new table
+    vals = frozen([1.0, 0.0, 2.0])
+    assert not np.shares_memory(PiecewiseFn(bp, vals, 0.0, DOM).table, vals)
     # a read-only view does not own its data, so it is copied
     base = frozen([-1.0, 0.0, 0.25, 0.5, 1.0])
     view = base[1:]
@@ -170,9 +225,10 @@ def test_frozen_arrays_that_need_a_change_are_copied():
     assert h.breakpoints.tolist() == [0.25, 1.0]
     assert h.values.tolist() == [2.0]
     assert not np.shares_memory(h.breakpoints, bp)
-    for a in (f.breakpoints, f.values, g.breakpoints, g.values,
-              h.breakpoints, h.values):
-        assert not a.flags.writeable and a.base is None
+    for fn in (f, g, h):
+        for a in (fn.breakpoints, fn.table):
+            assert not a.flags.writeable and a.base is None
+        assert fn.values.base is fn.table
 
 
 def test_dominates_examples():

@@ -172,14 +172,16 @@ def test_exp2_masses_match_one_expm1_per_cell(cells, strided):
 HOLDERS = ["list", "writeable", "frozen", "frozen view"]
 
 
-def held(xs, holder: str):
+def held(xs, holder: str, ends=(7.0, 7.0)):
     """xs as a list, a writeable array, a read-only array that owns its
-    data, or a read-only view."""
+    data, or the read-only view ``table[1:-1]`` of such a table with the
+    given ends."""
     if holder == "list":
         return list(xs)
-    a = np.array(([7.0] if holder == "frozen view" else []) + list(xs))
+    view = holder == "frozen view"
+    a = np.array([ends[0]] * view + list(xs) + [ends[1]] * view)
     a.flags.writeable = holder == "writeable"
-    return a[1:] if holder == "frozen view" else a
+    return a[1:-1] if view else a
 
 
 @settings(max_examples=300, deadline=None)
@@ -189,21 +191,37 @@ def test_kept_arrays_match_the_copying_oracle(bps, data):
     vals = data.draw(st.lists(st.sampled_from([1.0, 0.0, -0.0, 2.0]),
                               min_size=len(bps) - 1, max_size=len(bps) - 1))
     default = data.draw(st.sampled_from([0.0, -0.0, 1.0, 3.0]))
+    want_bp, want_vals, want_default = piecewise_oracle(
+        sorted(bps), vals, default, Interval(0.0, 1.0))
+    # the table's right ends, and three wrong ones: a wrong end value, a
+    # wrong default and a -0.0 or negated default
+    end = (want_vals[-1] if want_bp.size and want_bp[-1] == 1.0
+           else want_default)
+    right = (want_default, end)
+    ends = data.draw(st.sampled_from(
+        [right, (want_default, 7.0), (7.0, end), (-want_default, end)]))
     holders = [data.draw(st.sampled_from(HOLDERS)) for _ in range(2)]
-    bp_in, vals_in = held(sorted(bps), holders[0]), held(vals, holders[1])
+    bp_in, vals_in = held(sorted(bps), holders[0]), held(vals, holders[1], ends)
     f = PiecewiseFn(bp_in, vals_in, default, Interval(0.0, 1.0))
-    want_bp, want_vals, _ = piecewise_oracle(sorted(bps), vals, default,
-                                             Interval(0.0, 1.0))
     assert f.breakpoints.tobytes() == want_bp.tobytes()
     assert f.values.tobytes() == want_vals.tobytes()
-    # an input is kept exactly when it is read-only, owns its data and is
-    # canonical: no cell stripped or merged, and no -0.0 value
+    table = [want_default, *want_vals, end] if want_bp.size else [end]
+    assert f.table.tobytes() == np.asarray(table).tobytes()
+    # the breakpoints are kept exactly when they are read-only, own their
+    # data and are canonical: no cell stripped or merged; the values are
+    # kept in their table exactly when that table is read-only, owns its
+    # data and holds the right ends, and the values are canonical with no
+    # -0.0
     canonical = want_bp.size == len(bps)
-    for stored, given_in, holder, keep in (
-            (f.breakpoints, bp_in, holders[0], canonical),
-            (f.values, vals_in, holders[1],
-             canonical and not np.signbit(vals).any())):
+    keep_table = (holders[1] == "frozen view" and canonical
+                  and ends == right and not np.signbit(vals + list(ends)).any())
+    assert f.values.base is f.table
+    # a view is compared through its table
+    vals_held = vals_in if getattr(vals_in, "base", None) is None else vals_in.base
+    for stored, given_in, keep in (
+            (f.breakpoints, bp_in, holders[0] == "frozen" and canonical),
+            (f.table, vals_held, keep_table)):
         assert not stored.flags.writeable and stored.base is None
-        assert (stored is given_in) == (holder == "frozen" and keep)
-        if isinstance(given_in, np.ndarray) and stored is not given_in:
+        assert (stored is given_in) == keep
+        if isinstance(given_in, np.ndarray) and not keep:
             assert not np.shares_memory(stored, given_in)

@@ -22,9 +22,9 @@ import reachability
 BUDGET_LINES = 2
 BUDGET_FUNCTIONS = 1
 #: newlines in ``src/measure_limits/*.py``, as ``wc -l`` counts them
-BUDGET_SRC_LINES = 3997
+BUDGET_SRC_LINES = 3971
 #: newlines in ``tests/helpers.py``, as ``wc -l`` counts them
-BUDGET_HELPERS_LINES = 858
+BUDGET_HELPERS_LINES = 878
 
 
 def test_the_standard_run_leaves_at_most_the_budget_unentered():

@@ -48,7 +48,9 @@ def gap_masses(f_n, m_n, f, m) -> tuple[list, list]:
     set-uniform report's Hahn sums read them."""
     p = next(family_pairing(_gap_rows([f_n], [m_n], f, m)))
     gaps = _signed_masses(p)
-    return gaps[~p.atom].tolist(), gaps[p.atom].tolist()
+    # the index's cells, then its atoms up to the next offset
+    atoms = int(p.offsets[0] + p.n_cells[0])
+    return gaps[:atoms].tolist(), gaps[atoms:p.offsets[1]].tolist()
 
 
 def spike_gap(n):

@@ -309,13 +309,13 @@ def test_comb_passes_stay_within_their_memory_bounds():
     # building the family holds every g_n (about 64 MiB) plus g_20's
     # depths while they are written, and keeps the builder's frozen arrays
     # without a copy; integrating g_20 holds its 2^21-cell refinement,
-    # masses and the gathered kernel terms; the bounds sit just above the
-    # 73.6, 64.5 and 50.0 MiB measured when each was set (the integral
-    # now reads 58.0 MiB, its kernel terms gathered by index)
+    # masses and the gathered kernel terms, and reads g_20's values as a
+    # slice of its own table; the bounds sit just above the 73.6, 40.0-42.0
+    # and 32.0-34.0 MiB measured when they were set
     build = traced_peak_mib(lambda: gallery.build("dyadic_comb"))
     sc = gallery.build("dyadic_comb")
     f, g, mu = sc.f_seq.fns[-1], sc.g_seq.fns[-1], sc.measures[-1]
     assert build < 75
     assert traced_peak_mib(
-        lambda: list(integration.integral_series([g], [mu]))) < 66
-    assert traced_peak_mib(lambda: dominates([f], [g])) < 51
+        lambda: list(integration.integral_series([g], [mu]))) < 44
+    assert traced_peak_mib(lambda: dominates([f], [g])) < 36
