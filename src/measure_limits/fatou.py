@@ -442,9 +442,8 @@ def bounded_minorant_shift_probe(sc: Scenario) -> ShiftProbeReport:
     """
     if sc.g_seq is None:
         raise UnsupportedScenarioError("shift probe needs a minorant family")
-    tops = [max(float(np.max(g.values)) if g.values.size else -math.inf,
-                g.default)
-            for g in sc.g_seq.fns]
+    # the default and the values: the largest entry of each table
+    tops = [float(np.max(g.table)) for g in sc.g_seq.fns]
     if max(tops) == math.inf:
         raise UnsupportedScenarioError(
             "minorants are not uniformly bounded from above")

@@ -83,9 +83,7 @@ class PiecewiseFn:
         return self.map_values(np.abs, abs)
 
     def is_bounded(self) -> bool:
-        if self.values.size and not np.all(np.isfinite(self.values)):
-            return False
-        return math.isfinite(self.default)
+        return bool(np.isfinite(self.table).all())
 
 
 def _canonicalize(bp: np.ndarray, vals: np.ndarray, default: float,
