@@ -245,7 +245,8 @@ def parse_scenario(text: str, tol: Optional[float] = None,
     ``tol`` and ``n_max``, when given, replace the document's
     ``tolerances.tol`` and ``n_max`` before validation, so the document is
     decoded and validated once.  Builder families are built after every
-    field is validated, and cut to ``n_max``.  Raises ScenarioFormatError
+    field is validated, and cut to ``n_max``, as explicit families are
+    under an ``n_max`` override.  Raises ScenarioFormatError
     with a field path (or JSON line/column) on the first problem found;
     a gallery builder raises its own errors.
     """
@@ -265,7 +266,8 @@ def parse_scenario(text: str, tol: Optional[float] = None,
     # a tolerances value that is not an object fails validation below
     if tol is not None and (tols is None or isinstance(tols, dict)):
         data["tolerances"] = {**(tols or {}), "tol": tol}
-    if n_max is not None:
+    cut = n_max is not None
+    if cut:
         data["n_max"] = n_max
     allowed = {"name", "space", "n_max", "measures", "limit_measure",
                "functions", "g_functions", "limit_function", "K_grid",
@@ -316,14 +318,16 @@ def parse_scenario(text: str, tol: Optional[float] = None,
         raise _fail("$.convergence_certificate.kind",
                     f"must be one of {list(CERTIFICATE_KINDS)}")
 
-    measures = _parse_family(data, "measures", domain, n_max, parse_measure_spec)
-    functions = _parse_family(data, "functions", domain, n_max, parse_fn_spec)
+    measures = _parse_family(data, "measures", domain, n_max,
+                             parse_measure_spec, cut)
+    functions = _parse_family(data, "functions", domain, n_max, parse_fn_spec,
+                              cut)
     g_functions = None
     if data.get("g_functions") is not None:
         g_functions = _parse_family(data, "g_functions", domain, n_max,
-                                    parse_fn_spec)
+                                    parse_fn_spec, cut)
     limit_measure = _parse_family(data, "limit_measure", domain, n_max,
-                                  parse_measure_spec)
+                                  parse_measure_spec, cut)
     limit_fn = None
     if data.get("limit_function") is not None:
         limit_fn = parse_fn_spec(data["limit_function"], "$.limit_function",
@@ -380,9 +384,11 @@ def parse_scenario(text: str, tol: Optional[float] = None,
 
 
 def _parse_family(data: dict, key: str, domain: Interval, n_max: int,
-                  parse_item):
+                  parse_item, cut: bool):
     """A builder reference, or else the parsed explicit entries: a tuple
-    of measures, an ``FnSequence``, or the single limit measure."""
+    of measures, an ``FnSequence``, or the single limit measure.  An
+    explicit family lists exactly n_max entries, or at least n_max when
+    ``cut``, and ``_window`` takes the first n_max."""
     spec = _get(data, key, "$", required=True)
     path = f"$.{key}"
     ref = _builder_ref(spec, path, n_max)
@@ -393,9 +399,10 @@ def _parse_family(data: dict, key: str, domain: Interval, n_max: int,
     if not isinstance(spec, dict) or "explicit" not in spec:
         raise _fail(path, "expected {explicit: [...]} or {builder: ...}")
     items = spec["explicit"]
-    if not isinstance(items, list) or len(items) != n_max:
-        raise _fail(f"{path}.explicit",
-                    f"expected exactly n_max={n_max} entries")
+    if not isinstance(items, list) or not (
+            n_max <= len(items) if cut else n_max == len(items)):
+        size = "at least" if cut else "exactly"
+        raise _fail(f"{path}.explicit", f"expected {size} n_max={n_max} entries")
     entries = tuple(parse_item(item, f"{path}.explicit[{i}]", domain)
                     for i, item in enumerate(items))
     return entries if key == "measures" else FnSequence(entries)
@@ -459,7 +466,7 @@ def _resolve(key: str, entry, built: dict, domain: Interval):
 
 def _window(family, n_max: int):
     """The first n_max members of a family of measures or functions; a
-    builder family may be longer than n_max, never shorter."""
+    family may be longer than n_max, never shorter."""
     size = len(family) if isinstance(family, tuple) else family.n_max
     if size < n_max:
         raise _fail("$.n_max",

@@ -12,7 +12,9 @@ The run is the CLI, in process, under ``sys.settrace``:
   every third with ``--tol 1e-6`` and every fifth with ``--nmax 10``;
 - ``check`` on 12 probe documents of that stream with one +inf or -inf
   cell value;
-- ``check`` on seed-77 document 30 with its own epi ``schedule``.
+- ``check`` on seed-77 document 30 with its own epi ``schedule``;
+- ``check --nmax 13`` on seed-77 document 0, whose families list 12
+  entries: a field-precise format error, exit 1.
 
 Every function defined in ``src/measure_limits`` whose code object never
 starts running is printed with its first line and line count, followed
@@ -97,6 +99,7 @@ def standard_run(tmp: Path) -> None:
     path.write_text(json.dumps(dict(docs.generate(77, 30), schedule={
         "N": [2, 4, 8], "delta": [0.5, 0.25, 0.125]})), encoding="utf-8")
     runs.append(["check", str(path)])
+    runs.append(["check", str(tmp / "doc00.json"), "--nmax", "13"])
     for argv in runs:
         with contextlib.redirect_stdout(io.StringIO()), \
                 contextlib.redirect_stderr(io.StringIO()):

@@ -131,6 +131,31 @@ def test_check_overrides_apply_before_the_one_validation(tmp_path, capsys):
     assert "Traceback" not in err
 
 
+def test_check_nmax_cuts_explicit_families_to_their_first_entries(
+        tmp_path, capsys):
+    # an explicit family lists exactly n_max entries; under --nmax N it
+    # lists at least N and is cut to its first N, as a builder family is
+    doc = dict(HOLDS_DOC, functions={"explicit": [
+        {"breakpoints": [], "values": [], "default": -float(n)}
+        for n in range(1, 5)]})
+    src, out = write(tmp_path, doc), tmp_path / "report.json"
+    assert main(["check", str(src), "--nmax", "2", "--out", str(out)]) == 0
+    cut = dict(doc, name="cut", n_max=2,
+               measures={"explicit": doc["measures"]["explicit"][:2]},
+               functions={"explicit": doc["functions"]["explicit"][:2]})
+    want = tmp_path / "want.json"
+    assert main(["check", str(write(tmp_path, cut)), "--out", str(want)]) == 0
+    assert (json.loads(out.read_text())["checks"]
+            == json.loads(want.read_text())["checks"])
+    capsys.readouterr()
+    assert main(["check", str(src), "--nmax", "5"]) == 1
+    assert capsys.readouterr().err == (
+        "error: $.measures.explicit: expected at least n_max=5 entries\n")
+    assert main(["check", str(write(tmp_path, dict(doc, n_max=3)))]) == 1
+    assert capsys.readouterr().err == (
+        "error: $.measures.explicit: expected exactly n_max=3 entries\n")
+
+
 @pytest.mark.parametrize("limit, lhs, flag", [
     ({}, 0.0, True),
     (HOLDS_DOC["limit_measure"], -1.0, None),

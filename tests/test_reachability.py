@@ -3,8 +3,8 @@ the src lines in all, stay within their budgets.
 
 ``reachability.unentered`` runs the CLI in process under ``sys.settrace``
 (``gallery run all``, both scenario files, 30 seed-77 documents, 12
-infinite-value probes and one document with its own schedule; about
-3 s).  A function that no standard run
+infinite-value probes, one document with its own schedule and one
+``--nmax`` past a document's entries; about 3 s).  A function that no standard run
 enters is either a public entry point kept on purpose or dead code, so a
 new one needs a reason in CHANGES.md and a raised budget here, or it
 goes.  The same holds for a change that makes src longer: it raises
@@ -22,7 +22,7 @@ import reachability
 BUDGET_LINES = 2
 BUDGET_FUNCTIONS = 1
 #: newlines in ``src/measure_limits/*.py``, as ``wc -l`` counts them
-BUDGET_SRC_LINES = 3967
+BUDGET_SRC_LINES = 3974
 #: newlines in ``tests/helpers.py``, as ``wc -l`` counts them
 BUDGET_HELPERS_LINES = 878
 
