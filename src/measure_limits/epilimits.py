@@ -149,8 +149,8 @@ def _envelopes(fns: Sequence[PiecewiseFn]) -> tuple:
     vals = np.full((2, starts.size), math.inf)
     vals[1] = -math.inf
     for f in fns:
-        # f's breakpoints at or left of each cell start pick its value;
-        # no cell starts at domain.hi, so the table's end is never read
+        # f's breakpoints at or left of each cell start pick its value; an
+        # end other than the default is at domain.hi, where no cell starts
         v = f.table[np.searchsorted(f.breakpoints, starts, side="right")]
         np.minimum(vals[0], v, out=vals[0])
         np.maximum(vals[1], v, out=vals[1])
@@ -257,8 +257,8 @@ def _cert_disagreement_mass(lo_cert: EpiCertificate, hi_cert: EpiCertificate,
     cells = slice(0, int(p.n_cells[0]))
     lv, hv = p.values[0][cells], p.values[1][cells]
     masses = p.masses[0][cells]
-    la, ha = lo_cert.values_at(m.atom_locs, True), hi_cert.values_at(
-        m.atom_locs, False)
+    la = lo_cert.values_at(m.atom_locs, True)
+    ha = hi_cert.values_at(m.atom_locs, False)
     with np.errstate(invalid="ignore", over="ignore"):
         both_inf = np.isinf(lv) & np.isinf(hv) & (np.sign(lv) == np.sign(hv))
         diff = np.where(both_inf, 0.0, np.abs(hv - lv))

@@ -189,9 +189,9 @@ class EpiCertificate:
         alone at ``domain.lo``; the first override at a point replaces
         it."""
         f, xs = self.fn, np.asarray(xs, dtype=np.float64)
-        out = ~((xs >= f.domain.lo) & (xs <= f.domain.hi))
-        if out.any():
-            raise DomainMismatchError(f"{float(xs[out][0])} outside domain "
+        outside = ~((xs >= f.domain.lo) & (xs <= f.domain.hi))
+        if outside.any():
+            raise DomainMismatchError(f"{float(xs[outside][0])} outside domain "
                                       f"[{f.domain.lo}, {f.domain.hi}]")
         at, left = (f.table[np.searchsorted(f.breakpoints, xs, side)]
                     for side in ("right", "left"))

@@ -219,7 +219,7 @@ def _dyadic_comb_scenario(n_max: int = 20) -> Scenario:
         bp = np.arange(n_dyadic + len(tail), dtype=np.float64)
         bp[:n_dyadic] *= h
         bp[n_dyadic:] = tail
-        # g_n's value table [0.0, values..., 0.0]: the domain has no end
+        # g_n's value table, the default 0.0 at both ends (no finite hi)
         table = np.zeros(bp.size + 1)
         vals = table[1:-1]
         if n < 2:
@@ -549,7 +549,7 @@ def _run_dyadic_comb(sc: Scenario) -> list[Quantity]:
 
     pts = np.linspace(0.0, 1.9375, 32)
     ests = sc.g_seq.epi_liminf_cert.values_at(pts, True).tolist()
-    # the envelope on Python floats, each point as it was sampled
+    # Python floats, so that the bits do not hang on numpy's power
     env_dev = max(abs(est + 2.0 ** (s - 1.0) / LN2)
                   for s, est in zip(pts.tolist(), ests))
     qs.append(_num("g_epi_liminf_pointwise", env_dev, 0.0, 2e-3,
