@@ -7,8 +7,10 @@ slice (``helpers.loop_pos_neg_dot``, ``helpers.loop_tail_dot``, or
 ``math.fsum`` of the selected entries).  ``measures._exp2_mass`` takes
 one expm1 per block whose widths share one bit pattern;
 ``helpers.exp2_mass`` takes one per cell.  ``PiecewiseFn`` keeps
-read-only arrays that own their data when canonical form leaves them as
-they are; ``helpers.piecewise_oracle`` copies every input.  Every result
+read-only breakpoints that own their data, and a read-only value table
+that owns its data and is given as ``table[1:-1]``, when canonical form
+leaves them as they are; ``helpers.piecewise_oracle`` copies every
+input.  Every result
 must agree bit for bit, NaN and the sign of zero included, and so must
 every error, message and all.  The comb builder's canonical arrays are
 checked in ``test_fast_paths``.
