@@ -260,12 +260,10 @@ def _cert_disagreement_mass(lo_cert: EpiCertificate, hi_cert: EpiCertificate,
     la = lo_cert.values_at(m.atom_locs, True)
     ha = hi_cert.values_at(m.atom_locs, False)
     with np.errstate(invalid="ignore", over="ignore"):
-        both_inf = np.isinf(lv) & np.isinf(hv) & (np.sign(lv) == np.sign(hv))
-        diff = np.where(both_inf, 0.0, np.abs(hv - lv))
-        bad = ~(diff <= tol)
         # xreal.close on arrays: an infinity is close only to itself
-        bad_atoms = ~np.where(np.isinf(la) | np.isinf(ha), la == ha,
-                              np.abs(la - ha) <= tol)
+        bad, bad_atoms = (~np.where(np.isinf(a) | np.isinf(b), a == b,
+                                    np.abs(a - b) <= tol)
+                          for a, b in ((lv, hv), (la, ha)))
     # one exactly rounded sum over the cells and the atoms
     return comp_sum(np.concatenate([masses[bad], m.atom_weights[bad_atoms]]))
 

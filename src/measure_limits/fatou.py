@@ -23,9 +23,9 @@ from .epilimits import (
     EXACT, EpiSchedule, epi_integral, epi_limit_exists, epi_window,
 )
 from .functions import FnSequence, PiecewiseFn, dominates
-from .integration import chunk_integrals, integral_series, tv_series
+from .integration import chunk_integrals, tv_series
 from .measures import FiniteMeasure
-from .refinement import reduce_family_shared, replay
+from .refinement import blocks, reduce_family_shared, replay
 from .tails import (
     DEFAULT_K_GRID,
     TailCurve,
@@ -129,12 +129,38 @@ class Scenario:
 
     @cached_property
     def g_integral_series(self) -> list[float]:
-        return list(integral_series(self.g_seq.fns, self.measures))
+        return list(replay(self.g_pass[0]))
 
     @cached_property
     def f_dominates_g(self) -> bool:
         """f_n >= g_n everywhere, for every index n."""
-        return dominates(self.f_seq.fns, self.g_seq.fns)
+        return next(replay(self.g_pass[1]))
+
+    @cached_property
+    def g_pass(self) -> tuple[list, list]:
+        """The g integrals and f_n >= g_n from one walk over the blocks of
+        indices that ``family_pairing`` cuts its chunks by, so that each
+        g_n is built once even on demand: per block, the integral rows
+        (g_n, mu_n) and the dominance rows (f_n, g_n) are refined apart,
+        and only the block and the g_n that closes it are held.  Each
+        quantity's results end at its first error, which ``replay``
+        raises; dominance stops at its first failing index."""
+        integrals, dominance = [], [True]
+        # zip keeps a result tuple, and its g_n, while it cannot reuse it
+        items = ((g, m, f) for g, m, f in
+                 zip(self.g_seq.fns, self.measures, self.f_seq.fns))
+        for block in blocks(items, _g_row_edges):
+            if not (integrals and isinstance(integrals[-1], Exception)):
+                integrals += reduce_family_shared(
+                    [((g,), (m,)) for g, m, _ in block], (chunk_integrals,))[0]
+            if dominance == [True]:
+                try:
+                    dominance = [dominates([f for *_, f in block],
+                                           [g for g, *_ in block])]
+                except Exception as exc:
+                    dominance = [exc]
+            del block
+        return integrals, dominance
 
     @cached_property
     def g_dominates_abs_f(self) -> bool:
@@ -195,6 +221,14 @@ class Scenario:
     def uniform_report(self) -> UniformReport:
         """The set-uniform report, ``uniform.uniform_report(self)``."""
         return uniform_report(self)
+
+
+def _g_row_edges(item) -> int:
+    """The edges of the larger of an index's two ``g_pass`` rows, as
+    ``family_pairing`` counts them."""
+    g, m, f = item
+    return 2 + g.breakpoints.size + max(m.piece_edges().size,
+                                        f.breakpoints.size)
 
 
 def default_sample_grid(m: FiniteMeasure, seq: FnSequence,

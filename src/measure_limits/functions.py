@@ -203,11 +203,32 @@ class EpiCertificate:
 
 
 @dataclass(frozen=True)
-class FnSequence:
-    """The indexed family f_1..f_{n_max} of step functions, built once:
-    ``fns[n - 1]`` is f_n."""
+class LazyFamily(Sequence):
+    """The step functions build(n), n in ``indices``, on one domain, built
+    on demand: ``len`` builds nothing, an index or an iteration builds its
+    members and keeps none, and a slice is again such a family."""
 
-    fns: tuple[PiecewiseFn, ...]
+    build: Callable[[int], PiecewiseFn]
+    indices: range
+
+    def __len__(self) -> int:
+        return len(self.indices)
+
+    def __getitem__(self, i):
+        if isinstance(i, slice):
+            return LazyFamily(self.build, self.indices[i])
+        return self.build(self.indices[i])
+
+    def __iter__(self):  # an IndexError of build is not the family's end
+        return map(self.build, self.indices)
+
+
+@dataclass(frozen=True)
+class FnSequence:
+    """The indexed family f_1..f_{n_max} of step functions: ``fns[n - 1]``
+    is f_n.  The family is a tuple, built once, or a ``LazyFamily``."""
+
+    fns: Sequence[PiecewiseFn]
     epi_liminf_cert: Optional[EpiCertificate] = None
     epi_limsup_cert: Optional[EpiCertificate] = None
 

@@ -32,6 +32,7 @@ from .fatou import (
 from .functions import (
     EpiCertificate,
     FnSequence,
+    LazyFamily,
     PiecewiseFn,
     constant_fn,
     zero_fn,
@@ -165,6 +166,8 @@ def _twin_spikes_scenario(n_max: int = 100) -> Scenario:
 # fixture: dyadic_comb
 # --------------------------------------------------------------------------
 
+#: The memory budget of the comb: g_n holds two arrays of 2^(n+1) + 2
+#: doubles, 64 MiB each at n = 22, and a run holds two g_n at a time.
 _COMB_MAX_N = 22
 _COMB_CERT_CELLS = 4096
 
@@ -198,8 +201,9 @@ def _dyadic_comb_scenario(n_max: int = 20) -> Scenario:
     for n > 2 the last dyadic cell and [2, n) are one zero cell, so g_n has
     2^(n+1) + 2 breakpoints.  The breakpoints and the value table, 16 MiB
     each at n = 20, are written once and frozen, so ``PiecewiseFn`` keeps
-    them.  The family
-    holds every g_n, about 64 MiB for n_max = 20.
+    them.  The g family is a ``LazyFamily``, which holds no g_n: a run
+    builds each one once in ``Scenario.g_pass`` (and g_3 again to count
+    its cells), and holds at most g_19 and g_20, 48 MiB, for n_max = 20.
     """
     if n_max > _COMB_MAX_N:
         raise MalformedObjectError(
@@ -240,7 +244,7 @@ def _dyadic_comb_scenario(n_max: int = 20) -> Scenario:
         epi_liminf_cert=EpiCertificate(zero_fn(dom)),
         epi_limsup_cert=EpiCertificate(zero_fn(dom)))
     g_seq = FnSequence(
-        _family(g_builder, n_max),
+        LazyFamily(g_builder, range(1, n_max + 1)),
         epi_liminf_cert=g_liminf_cert,
         epi_limsup_cert=EpiCertificate(zero_fn(dom)))
     return Scenario(

@@ -124,11 +124,12 @@ def union_edges(pieces) -> np.ndarray:
 
     When the largest piece has more than 1,024 entries and is strictly
     increasing, as a large function's breakpoints are, the other values
-    are deduplicated on their own and inserted into it at their
-    ``searchsorted`` positions, so the large piece is copied once and
-    never sorted.  Every other input goes to ``np.unique``, and so does
-    one that holds both 0.0 and -0.0: which of the two ``np.unique``
-    keeps depends on its sort and on the order of the pieces.
+    are deduplicated on their own and written with slice copies of the
+    large piece between their ``searchsorted`` positions, so the large
+    piece is copied once and never sorted.  Every other input goes to
+    ``np.unique``, and so does one that holds both 0.0 and -0.0: which of
+    the two ``np.unique`` keeps depends on its sort and on the order of
+    the pieces.
     """
     if max(map(len, pieces)) <= _MERGE_MIN:
         return np.unique(np.concatenate(pieces))
@@ -148,7 +149,14 @@ def union_edges(pieces) -> np.ndarray:
     at = np.searchsorted(big, rest)
     new = at == big.size
     new[~new] = big[at[~new]] != rest[~new]
-    return np.insert(big, at[new], rest[new])
+    # the k-th new value goes to at + k, after the run of big before it
+    out = np.empty(big.size + int(new.sum()))
+    src = 0
+    for k, (a, v) in enumerate(zip(at[new].tolist(), rest[new].tolist())):
+        out[src + k:a + k] = big[src:a]
+        out[a + k], src = v, a
+    out[src + out.size - big.size:] = big[src:]
+    return out
 
 
 def _run_sum(terms: np.ndarray, t_list, lo: int, hi: int) -> float:

@@ -71,30 +71,47 @@ def family_pairing(rows: Iterable) -> Iterator[FamilyPairing]:
     chunks index by index raises at the first index that fails, as a loop
     over the indices would.
     """
-    chunk, size, error = [], 0, None
-    rows = iter(rows)
-    while True:
-        try:
-            fns, measures = next(rows)
-            domain = (fns + measures)[0].domain
-            for obj in fns + measures:
-                if obj.domain != domain:
-                    raise DomainMismatchError(
-                        f"domain {obj.domain} differs from {domain}")
-        except StopIteration:
-            break
-        except Exception as exc:
-            error = exc
-            break
-        n = (2 + sum(f.breakpoints.size for f in fns)
-             + sum(m.piece_edges().size for m in measures))
-        if chunk and size + n > CHUNK_EDGES:
-            yield _pair_chunk(chunk)
-            chunk, size = [], 0
-        chunk.append((fns, measures, domain))
-        size += n
-    if chunk:
+    for chunk in blocks(map(_domain_row, rows), _row_edges):
         yield _pair_chunk(chunk)
+
+
+def _domain_row(row) -> tuple:
+    """(fns, measures, domain) of a row whose objects share one domain."""
+    fns, measures = row
+    domain = (fns + measures)[0].domain
+    for obj in fns + measures:
+        if obj.domain != domain:
+            raise DomainMismatchError(
+                f"domain {obj.domain} differs from {domain}")
+    return fns, measures, domain
+
+
+def _row_edges(row) -> int:
+    """The edges of a row: the domain ends, the functions' breakpoints and
+    the measures' piece edges."""
+    fns, measures, _ = row
+    return (2 + sum(f.breakpoints.size for f in fns)
+            + sum(m.piece_edges().size for m in measures))
+
+
+def blocks(items: Iterable, size) -> Iterator[list]:
+    """Consecutive items in the blocks that ``family_pairing`` makes its
+    chunks of: a block takes items while their ``size`` adds up to at most
+    CHUNK_EDGES, and an item of more is a block of its own.  An exception
+    raised while reading an item is raised after the block before it."""
+    block, total, error = [], 0, None
+    try:
+        for item in items:
+            n = size(item)
+            if block and total + n > CHUNK_EDGES:
+                yield block
+                block, total = [], 0
+            block.append(item)
+            total += n
+    except Exception as exc:
+        error = exc
+    if block:
+        yield block
     if error is not None:
         raise error
 

@@ -19,7 +19,7 @@ from typing import Any, Optional
 from . import gallery
 from .epilimits import EpiSchedule
 from .fatou import Scenario, Tolerances
-from .functions import FnSequence, PiecewiseFn
+from .functions import FnSequence, LazyFamily, PiecewiseFn
 from .measures import CDF_REGISTRY, FiniteMeasure, make_segment
 from .runner import _CHECKS
 from .xreal import Interval, MalformedObjectError, ScenarioFormatError
@@ -244,9 +244,9 @@ def parse_scenario(text: str, tol: Optional[float] = None,
 
     ``tol`` and ``n_max``, when given, replace the document's
     ``tolerances.tol`` and ``n_max`` before validation, so the document is
-    decoded and validated once.  Builder families are built after every
-    field is validated, and cut to ``n_max``, as explicit families are
-    under an ``n_max`` override.  Raises ScenarioFormatError
+    decoded and validated once.  Builder scenarios are built after every
+    field is validated, and their families cut to ``n_max``, as explicit
+    families are under an ``n_max`` override.  Raises ScenarioFormatError
     with a field path (or JSON line/column) on the first problem found;
     a gallery builder raises its own errors.
     """
@@ -455,6 +455,8 @@ def _resolve(key: str, entry, built: dict, domain: Interval):
     if family is None:
         raise _fail(f"$.{key}", f"builder {entry.name!r} has no {key}")
     members = family.fns if isinstance(family, FnSequence) else family
+    if isinstance(members, LazyFamily):  # on its first member's domain
+        members = tuple(members[:1])
     for m in members if isinstance(members, tuple) else (members,):
         if m.domain != domain:
             raise _fail(f"$.{key}.builder",
@@ -466,7 +468,8 @@ def _resolve(key: str, entry, built: dict, domain: Interval):
 
 def _window(family, n_max: int):
     """The first n_max members of a family of measures or functions; a
-    family may be longer than n_max, never shorter."""
+    family may be longer than n_max, never shorter.  A family built on
+    demand is cut without building a member."""
     size = len(family) if isinstance(family, tuple) else family.n_max
     if size < n_max:
         raise _fail("$.n_max",

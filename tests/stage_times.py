@@ -1,5 +1,5 @@
 """Time the stages of the ``dyadic_comb`` fixture in two source trees,
-alternating between them.
+alternating between them, and trace the memory that each stage takes.
 
 Run from the repository root:
 
@@ -9,12 +9,14 @@ SRC_A and SRC_B are ``src`` directories, say a checkout of the parent
 commit's and this tree's.  Each round starts one fresh worker process per
 tree, one after the other (A first in even rounds, B first in odd ones),
 and each worker runs every stage twice in process and reports the second
-time, after a first run has warmed it up.  A fresh pair per round keeps
-what one process happens to get (its heap layout, which pages back its
+time, after a first run has warmed it up, then runs it a third time
+under ``tracemalloc`` for its peak.  A fresh pair per round keeps what
+one process happens to get (its heap layout, which pages back its
 arrays) from favouring one tree in every round.  The stages:
 
-- ``build``: ``gallery.build("dyadic_comb")``, its 20 f_n and g_n (g_20
-  has 2^21 cells) and the epi certificates;
+- ``build``: ``gallery.build("dyadic_comb")``, its 20 f_n, its g family
+  (held whole, or built on demand, as the tree does it) and the epi
+  certificates;
 - ``g_integrals``: the 20 integrals of g_n against the exp2 measure,
   ``integral_series``;
 - ``g20_masses``: the exp2 measure's masses of g_20's 2^21 + 1 cells,
@@ -24,13 +26,16 @@ arrays) from favouring one tree in every round.  The stages:
 - ``dominance``: ``dominates(f, g)`` over the two families;
 - ``fatou_report``: the Fatou report of a freshly built scenario (the
   build is not timed);
+- ``comb_run``: ``gallery.run("dyadic_comb")``, the scenario built and
+  every quantity of the fixture checked;
 - ``gallery_run_all``: ``gallery run all`` through ``cli.main``, every
   fixture.
 
 It prints one JSON object: per stage the median and quartiles in ms of
 each tree, the ratio of the medians (B over A) and the number of rounds
-in which B was faster.  The name has no ``test_`` prefix, so pytest does
-not collect it.
+in which B was faster, and likewise for the traced peak in MiB above
+what was traced when the stage started.  The name has no ``test_``
+prefix, so pytest does not collect it.
 """
 
 from __future__ import annotations
@@ -45,17 +50,18 @@ import subprocess
 import sys
 import tempfile
 import time
+import tracemalloc
 from pathlib import Path
 
 import numpy as np
 
 STAGES = ("build", "g_integrals", "g20_masses", "g20_dots", "dominance",
-          "fatou_report", "gallery_run_all")
+          "fatou_report", "comb_run", "gallery_run_all")
 
 
 def _worker(src: str) -> None:
-    """Print the second of two in-process times of each stage, in
-    seconds, as one JSON object."""
+    """Print per stage the second of two in-process times, in seconds, and
+    the traced peak of a third run, in MiB, as one JSON object."""
     sys.path.insert(0, str(Path(src).resolve()))
     from measure_limits import cli, dominates, fatou_report, gallery
     from measure_limits.integration import integral_series
@@ -66,13 +72,17 @@ def _worker(src: str) -> None:
     mu = sc.measures[-1]
     p = next(family_pairing([((sc.g_seq.fns[-1],), (mu,))]))
     edges = np.append(sc.g_seq.fns[-1].breakpoints, np.inf)
-    times = {}
+    times, peaks = {}, {}
     with tempfile.TemporaryDirectory() as tmp:
         out = str(Path(tmp) / "gallery.json")
-        for stage in STAGES * 2:
+        for k, stage in enumerate(STAGES * 3):
             fresh = (gallery.build("dyadic_comb") if stage == "fatou_report"
                      else None)
             gc.collect()
+            traced = k >= 2 * len(STAGES)
+            if traced:
+                tracemalloc.start()
+                base = tracemalloc.get_traced_memory()[0]
             t0 = time.perf_counter()
             if stage == "build":
                 gallery.build("dyadic_comb")
@@ -86,26 +96,33 @@ def _worker(src: str) -> None:
                 dominates(sc.f_seq.fns, sc.g_seq.fns)
             elif stage == "fatou_report":
                 fatou_report(fresh)
+            elif stage == "comb_run":
+                gallery.run("dyadic_comb")
             else:
                 with contextlib.redirect_stderr(io.StringIO()):
                     cli.main(["gallery", "run", "all", "--out", out])
-            times[stage] = time.perf_counter() - t0
+            if traced:
+                peaks[stage] = (tracemalloc.get_traced_memory()[1]
+                                - base) / 2 ** 20
+                tracemalloc.stop()
+            else:
+                times[stage] = time.perf_counter() - t0
             del fresh
-    print(json.dumps(times))
+    print(json.dumps({"times": times, "peaks": peaks}))
 
 
-def _summary(a: list[float], b: list[float]) -> dict:
+def _summary(a: list[float], b: list[float], scale: float) -> dict:
     def quartiles(xs):
         q1, med, q3 = statistics.quantiles(xs, n=4, method="inclusive")
         return {"median": round(med, 2), "q1": round(q1, 2),
                 "q3": round(q3, 2)}
 
-    ms_a = [x * 1e3 for x in a]
-    ms_b = [x * 1e3 for x in b]
-    return {"a": quartiles(ms_a), "b": quartiles(ms_b),
-            "ratio": round(statistics.median(ms_b) / statistics.median(ms_a), 3),
-            "b_wins": sum(y < x for x, y in zip(ms_a, ms_b)),
-            "rounds": len(ms_a)}
+    xs_a = [x * scale for x in a]
+    xs_b = [x * scale for x in b]
+    return {"a": quartiles(xs_a), "b": quartiles(xs_b),
+            "ratio": round(statistics.median(xs_b) / statistics.median(xs_a), 3),
+            "b_wins": sum(y < x for x, y in zip(xs_a, xs_b)),
+            "rounds": len(xs_a)}
 
 
 def main() -> int:
@@ -120,18 +137,21 @@ def main() -> int:
         return 0
     if not (args.src_a and args.src_b) or args.rounds < 2:
         parser.error("give SRC_A, SRC_B and at least 2 rounds")
-    times = {s: ([], []) for s in STAGES}
+    got = {k: {s: ([], []) for s in STAGES} for k in ("times", "peaks")}
     for r in range(args.rounds):
         for side in ((0, 1) if r % 2 == 0 else (1, 0)):
             src = (args.src_a, args.src_b)[side]
-            got = json.loads(subprocess.run(
+            run = json.loads(subprocess.run(
                 [sys.executable, __file__, "--worker", src], check=True,
                 stdout=subprocess.PIPE, text=True).stdout)
-            for stage in STAGES:
-                times[stage][side].append(got[stage])
-    print(json.dumps({"a": args.src_a, "b": args.src_b,
-                      "stages_ms": {s: _summary(*times[s]) for s in STAGES}},
-                     indent=1))
+            for k, stages in got.items():
+                for stage in STAGES:
+                    stages[stage][side].append(run[k][stage])
+    print(json.dumps({
+        "a": args.src_a, "b": args.src_b,
+        "stages_ms": {s: _summary(*got["times"][s], 1e3) for s in STAGES},
+        "peaks_mib": {s: _summary(*got["peaks"][s], 1.0) for s in STAGES}},
+        indent=1))
     return 0
 
 

@@ -314,6 +314,20 @@ def test_check_rejects_a_builder_family_off_the_space(tmp_path, capsys):
     assert not out.exists()
 
 
+def test_check_rejects_a_family_built_on_demand_off_the_space(tmp_path,
+                                                              capsys):
+    # the comb's g family builds its members when read; its domain is
+    # checked on its first member before any check runs
+    doc = dict(HOLDS_DOC, g_functions={"builder": "dyadic_comb"},
+               checks=["minorant"])
+    out = tmp_path / "report.json"
+    assert main(["check", str(write(tmp_path, doc)), "--out", str(out)]) == 1
+    assert capsys.readouterr().err == (
+        "error: $.g_functions.builder: builder 'dyadic_comb' lives on "
+        "[0.0, inf], not on $.space [0.0, 1.0]\n")
+    assert not out.exists()
+
+
 @pytest.mark.parametrize("field, value", [
     ("space", {"lo": 0.0, "hi": 1.0, "typo": NAN}),
     ("convergence_certificate", {"kind": "tv", "typo": 1}),

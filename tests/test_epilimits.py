@@ -217,6 +217,24 @@ def test_certified_exception_mass_is_one_exactly_rounded_sum():
     assert rep.exception_mass == math.fsum([1.0, 1e-16, 1e-16]) > 1.0
 
 
+@pytest.mark.parametrize("m", [
+    FiniteMeasure(cells=[(0.0, 0.5, 1.0)], domain=DOM),
+    point_mass(0.25, 0.5, DOM),
+])
+def test_certified_cells_and_atoms_judge_infinities_alike(m):
+    # liminf -inf against limsup 1.0 on [0, 0.5) disagrees at every
+    # tolerance, on a cell as at an atom: an infinity is close only to
+    # itself, also at tol = inf
+    seq = FnSequence((zero_fn(DOM),) * 4,
+                     epi_liminf_cert=EpiCertificate(
+                         PiecewiseFn([0.0, 0.5], [-math.inf], 0.0, DOM)),
+                     epi_limsup_cert=EpiCertificate(
+                         PiecewiseFn([0.0, 0.5], [1.0], 0.0, DOM)))
+    for tol in (1.0, math.inf):
+        rep = epi_limit_exists(seq, [0.75], sched_for(4), tol, m)
+        assert rep.mass_exact and rep.exception_mass == 0.5
+
+
 def test_sampled_exception_mass_is_one_exactly_rounded_sum():
     # 0.25, 0.5 and 0.75 fail as a run and 3.5 alone: the run's middle
     # interval holds the cell's 1.0 and the atom at 0.5, the lone point

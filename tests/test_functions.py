@@ -12,9 +12,11 @@ from measure_limits import (
     MalformedObjectError,
     PiecewiseFn,
     Ramp,
+    constant_fn,
     dominates,
     zero_fn,
 )
+from measure_limits.functions import LazyFamily
 
 from helpers import negated, part, piecewise_oracle, range_on
 
@@ -309,3 +311,21 @@ def test_infinite_values_allowed_in_cells():
     assert f(0.5) == -math.inf
     assert not f.is_bounded()
     assert abs(f)(0.5) == math.inf
+
+
+def test_lazy_family_builds_only_what_is_read():
+    built = []
+    family = LazyFamily(lambda n: built.append(n) or constant_fn(n, DOM),
+                        range(1, 6))
+    part = family[1:4]
+    assert (len(family), len(part), built) == (5, 3, [])
+    assert [f.default for f in part] == [2.0, 3.0, 4.0]
+    assert family[-1].default == 5.0
+    # nothing read is kept: a second read builds again
+    assert [f.default for f in part[::2]] == [2.0, 4.0]
+    assert built == [2, 3, 4, 5, 2, 4]
+    with pytest.raises(IndexError):
+        family[5]
+    # an IndexError raised by the builder is an error, not the family's end
+    with pytest.raises(IndexError):
+        list(LazyFamily(lambda n: [][n], range(1, 3)))

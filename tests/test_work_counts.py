@@ -20,9 +20,14 @@ gallery run pin that every f_n is built once, also where f and g are the
 same family.  A ``check`` builds the CLI parser only on a process's first
 call, renders curve CSVs only when ``--curves-dir`` asks for them, and
 emits its report without ``json.dumps``.  A pass over the comb's f
-family takes one exp2 mass call for all its indices.  The comb's largest
-passes are held to bounds on the memory that ``tracemalloc`` traces:
-building the family, integrating g_20 and checking f_20 >= g_20.
+family takes one exp2 mass call for all its indices.  The comb's g
+family is built on demand: a ``gallery run all`` builds each g_n once,
+in the one walk that gives the g integrals and the dominance f_n >= g_n,
+plus g_3 for its cell count, and a document that cuts the family to
+``n_max`` builds no g_n past it.  The comb's largest passes are held to
+bounds on the memory that ``tracemalloc`` traces: building the scenario,
+building g_20, integrating g_20, checking f_20 >= g_20 and one whole
+comb run.
 """
 
 import argparse
@@ -30,6 +35,7 @@ import gc
 import json
 import sys
 import tracemalloc
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -39,6 +45,7 @@ from measure_limits import (
     measures, refinement, scenario, tails, uniform,
 )
 from measure_limits.cli import main
+from measure_limits.functions import LazyFamily
 from measure_limits.tails import TailCurve
 from measure_limits.uniform import UniformGapSeries
 
@@ -306,16 +313,67 @@ def traced_peak_mib(fn) -> float:
 
 
 def test_comb_passes_stay_within_their_memory_bounds():
-    # building the family holds every g_n (about 64 MiB) plus g_20's
+    # building the scenario builds no g_n: it holds the 20 f_n and the
+    # certificate; building g_20 holds its two 16 MiB arrays and its
     # depths while they are written, and keeps the builder's frozen arrays
     # without a copy; integrating g_20 holds its 2^21-cell refinement,
     # masses and the gathered kernel terms, and reads g_20's values as a
-    # slice of its own table; the bounds sit just above the 73.6, 40.0-42.0
-    # and 32.0-34.0 MiB measured when they were set
+    # slice of its own table; a whole run holds g_19 and g_20 while g_19's
+    # rows are read, then g_20 and its integral pass; the bounds sit just
+    # above the 0.1-1.2, 40.5, 40.0-42.0, 32.0-34.0 and 72.1 MiB measured
+    # when they were set
     build = traced_peak_mib(lambda: gallery.build("dyadic_comb"))
     sc = gallery.build("dyadic_comb")
+    assert build < 3
+    assert traced_peak_mib(lambda: sc.g_seq.fns[-1]) < 42
     f, g, mu = sc.f_seq.fns[-1], sc.g_seq.fns[-1], sc.measures[-1]
-    assert build < 75
     assert traced_peak_mib(
         lambda: list(integration.integral_series([g], [mu]))) < 44
     assert traced_peak_mib(lambda: dominates([f], [g])) < 36
+    del sc, f, g
+    assert traced_peak_mib(lambda: gallery.run("dyadic_comb")) <= 80
+
+
+def record_comb_g_builds(monkeypatch) -> list:
+    """The index of every g_n that the comb's g family builds, in order."""
+    built = []
+
+    def recording(build, indices):
+        return LazyFamily(lambda n: built.append(n) or build(n), indices)
+
+    monkeypatch.setattr(gallery, "LazyFamily", recording)
+    return built
+
+
+def test_gallery_run_builds_each_comb_g_once(tmp_path, monkeypatch):
+    # the g integrals and the dominance f_n >= g_n read each g_n in one
+    # walk, and the depressed-cell count reads g_3 once more
+    built = record_comb_g_builds(monkeypatch)
+    out = tmp_path / "gallery.json"
+    # exit 2: the comb's violated Fatou verdict
+    assert main(["gallery", "run", "all", "--out", str(out)]) == 2
+    assert built == [*range(1, 21), 3]
+
+
+COMB = Path(__file__).resolve().parent.parent / "scenarios" / "comb_fatou.json"
+
+
+@pytest.mark.parametrize("g_params, flags, n_max", [
+    (None, [], 14),
+    (None, ["--nmax", "8"], 8),
+    # a family of 14 cut to the document's 8 builds none of the other 6
+    ({"n_max": 14}, ["--nmax", "8"], 8),
+])
+def test_comb_document_builds_no_g_past_n_max(tmp_path, monkeypatch,
+                                              g_params, flags, n_max):
+    # the domain check reads g_1, and the two g passes of the minorant
+    # checks one g_n per index
+    doc = json.loads(COMB.read_text(encoding="utf-8"))
+    if g_params is not None:
+        doc["g_functions"]["params"] = g_params
+    src = tmp_path / "comb.json"
+    src.write_text(json.dumps(doc), encoding="utf-8")
+    built = record_comb_g_builds(monkeypatch)
+    assert main(["check", str(src), "--out", str(tmp_path / "r.json")]
+                + flags) == 2
+    assert built == [1, *range(1, n_max + 1)]
