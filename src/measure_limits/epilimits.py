@@ -36,7 +36,7 @@ from .xreal import (
     Interval,
     MalformedObjectError,
     ScheduleError,
-    close,
+    close_arrays,
     integral_of_parts,
 )
 
@@ -177,11 +177,8 @@ def epi_scan(seq: FnSequence, pts, sched: EpiSchedule, stab_tol: float):
         *balls, miss = _balls(seq.fns[n - 1].domain, pts, np.asarray([delta]))
         empty |= miss[:, 0]
         cols[:, :, j] = _ball_extrema(*envs, *balls)[..., 0]
-    a, b = cols[..., 0], cols[..., -1]
-    with np.errstate(over="ignore", invalid="ignore"):
-        stab = np.where(np.isinf(a) | np.isinf(b), a == b,
-                        np.abs(a - b) <= stab_tol) & (len(steps) == 2)
-    return pts, cols, stab, empty
+    stab = close_arrays(cols[..., 0], cols[..., -1], stab_tol)
+    return pts, cols, stab & (len(steps) == 2), empty
 
 
 def _estimates(seq: FnSequence, pts, sched: EpiSchedule, lower: bool, scan
@@ -230,8 +227,7 @@ def epi_limit_exists(seq: FnSequence, grid, sched: EpiSchedule, tol: float,
     scan = scan or (lambda: epi_scan(seq, pts, sched, stab_tol))
     lo, lo_stab, _ = _estimates(seq, pts, sched, True, scan)
     hi, hi_stab, _ = _estimates(seq, pts, sched, False, scan)
-    oks = [ok and close(a, b, tol) for a, b, ok
-           in zip(lo.tolist(), hi.tolist(), (lo_stab & hi_stab).tolist())]
+    oks = (close_arrays(lo, hi, tol) & lo_stab & hi_stab).tolist()
     lo_cert, hi_cert = seq.epi_liminf_cert, seq.epi_limsup_cert
     if lo_cert is not None and hi_cert is not None:
         mass = _cert_disagreement_mass(lo_cert, hi_cert, m, tol)
@@ -247,7 +243,7 @@ def epi_limit_exists(seq: FnSequence, grid, sched: EpiSchedule, tol: float,
         # a midpoint shared with a failing right neighbour is that
         # neighbour's: an atom there counts once
         hi_closed.append(not right_bad)
-    mass = m.mass_of_intervals(los, his, True, hi_closed)
+    mass = m.mass_of_intervals(los, his, hi_closed)
     return ExistsReport(tuple(pts), tuple(oks), mass, False)
 
 
@@ -259,11 +255,7 @@ def _cert_disagreement_mass(lo_cert: EpiCertificate, hi_cert: EpiCertificate,
     masses = p.masses[0][cells]
     la = lo_cert.values_at(m.atom_locs, True)
     ha = hi_cert.values_at(m.atom_locs, False)
-    with np.errstate(invalid="ignore", over="ignore"):
-        # xreal.close on arrays: an infinity is close only to itself
-        bad, bad_atoms = (~np.where(np.isinf(a) | np.isinf(b), a == b,
-                                    np.abs(a - b) <= tol)
-                          for a, b in ((lv, hv), (la, ha)))
+    bad, bad_atoms = ~close_arrays(lv, hv, tol), ~close_arrays(la, ha, tol)
     # one exactly rounded sum over the cells and the atoms
     return comp_sum(np.concatenate([masses[bad], m.atom_weights[bad_atoms]]))
 

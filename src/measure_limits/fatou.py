@@ -25,7 +25,7 @@ from .epilimits import (
 from .functions import FnSequence, PiecewiseFn, dominates
 from .integration import chunk_integrals, tv_series
 from .measures import FiniteMeasure
-from .refinement import blocks, reduce_family_shared, replay
+from .refinement import blocks, reduce_family, replay, row_edges
 from .tails import (
     DEFAULT_K_GRID,
     TailCurve,
@@ -119,9 +119,9 @@ class Scenario:
         return self._pass(self.abs_seq.fns, False)
 
     def _pass(self, fns, negative: bool) -> list[list]:
-        return reduce_family_shared(
+        return reduce_family(
             (((f,), (m,)) for f, m in zip(fns, self.measures)),
-            (chunk_integrals, lambda p: tail_rows(p, self.k_grid, negative)))
+            chunk_integrals, lambda p: tail_rows(p, self.k_grid, negative))
 
     @cached_property
     def f_integral_series(self) -> list[float]:
@@ -146,17 +146,17 @@ class Scenario:
         quantity's results end at its first error, which ``replay``
         raises; dominance stops at its first failing index."""
         integrals, dominance = [], [True]
-        # zip keeps a result tuple, and its g_n, while it cannot reuse it
-        items = ((g, m, f) for g, m, f in
-                 zip(self.g_seq.fns, self.measures, self.f_seq.fns))
-        for block in blocks(items, _g_row_edges):
+        # each index is its integral row and its dominance row; zip keeps
+        # a result tuple, and its g_n, while it cannot reuse it
+        rows = ((((g,), (m,)), ((f, g), ())) for g, m, f in
+                zip(self.g_seq.fns, self.measures, self.f_seq.fns))
+        for block in blocks(rows, lambda pair: max(map(row_edges, pair))):
             if not (integrals and isinstance(integrals[-1], Exception)):
-                integrals += reduce_family_shared(
-                    [((g,), (m,)) for g, m, _ in block], (chunk_integrals,))[0]
+                integrals += reduce_family([r for r, _ in block],
+                                           chunk_integrals)[0]
             if dominance == [True]:
                 try:
-                    dominance = [dominates([f for *_, f in block],
-                                           [g for g, *_ in block])]
+                    dominance = [dominates(*zip(*(fg for _, (fg, _) in block)))]
                 except Exception as exc:
                     dominance = [exc]
             del block
@@ -221,14 +221,6 @@ class Scenario:
     def uniform_report(self) -> UniformReport:
         """The set-uniform report, ``uniform.uniform_report(self)``."""
         return uniform_report(self)
-
-
-def _g_row_edges(item) -> int:
-    """The edges of the larger of an index's two ``g_pass`` rows, as
-    ``family_pairing`` counts them."""
-    g, m, f = item
-    return 2 + g.breakpoints.size + max(m.piece_edges().size,
-                                        f.breakpoints.size)
 
 
 def default_sample_grid(m: FiniteMeasure, seq: FnSequence,

@@ -22,7 +22,7 @@ import numpy as np
 from .functions import PiecewiseFn, Ramp, constant_fn
 from .kernels import pos_neg_dots, ragged_sums
 from .measures import FiniteMeasure
-from .refinement import FamilyPairing, reduce_family
+from .refinement import FamilyPairing, reduce_family, replay
 from .xreal import UnsupportedScenarioError, integral_of_parts
 
 __all__ = [
@@ -45,8 +45,8 @@ def integral_series(fns: Iterable[PiecewiseFn],
     """The integral of each f_n against its mu_n, from ragged family
     passes; read index by index, it raises at the first index that
     fails."""
-    return reduce_family((((f,), (m,)) for f, m in zip(fns, measures)),
-                         chunk_integrals)
+    return replay(reduce_family(
+        (((f,), (m,)) for f, m in zip(fns, measures)), chunk_integrals)[0])
 
 
 def integrate(f: PiecewiseFn, m: FiniteMeasure) -> float:
@@ -63,8 +63,8 @@ def tv_series(measures: Iterable[FiniteMeasure],
     family passes: the sum of |mass difference| over each index's cells
     and atoms."""
     rows = (((), (m, limit)) for m in measures)
-    return reduce_family(rows, lambda p: ragged_sums(
-        np.abs(p.masses[0] - p.masses[1]), p.offsets))
+    return replay(reduce_family(rows, lambda p: ragged_sums(
+        np.abs(p.masses[0] - p.masses[1]), p.offsets))[0])
 
 
 def _ramp_integrals(ramps: list, measures: list) -> Iterator[float]:
@@ -74,8 +74,9 @@ def _ramp_integrals(ramps: list, measures: list) -> Iterator[float]:
 
     A density cell is cut at the ramp's nodes inside it and each piece
     adds its trapezoid rho * (b - a) * (y(a) + y(b)) / 2.  Analytic
-    segments are accepted only where the ramp is constant; the CDF alone
-    does not determine first moments, and guessing is worse than refusing.
+    segments are accepted only where the ramp is constant, adding the
+    ramp's value times the segment's ``total``; a segment's masses alone
+    do not determine first moments, and guessing is worse than refusing.
     """
     if not ramps:
         return
@@ -148,7 +149,7 @@ def _bank_integrals(bank: list, measures: list) -> Iterator[float]:
                         "bank functions must be bounded")
                 yield (h,), (m,)
 
-    step_values = reduce_family(step_rows(), chunk_integrals)
+    step_values = replay(reduce_family(step_rows(), chunk_integrals)[0])
     ramp_values = _ramp_integrals([h for h in bank if isinstance(h, Ramp)],
                                   measures)
     for _ in measures:
@@ -166,7 +167,7 @@ def default_bank(limit: FiniteMeasure) -> list:
     """Constant witness plus unit-bounded bumps at the limit measure's
     structural points: 1-Lipschitz hats on atom/cell measures, indicator
     steps when analytic segments are present (ramps have no closed-form
-    first moment against a CDF)."""
+    first moment against a segment)."""
     dom = limit.domain
     bank = [constant_fn(1.0, dom)]
     for c in limit.piece_edges()[:6]:

@@ -122,22 +122,21 @@ def union_edges(pieces) -> np.ndarray:
     """Sorted distinct values of several edge arrays: bit for bit
     ``np.unique(np.concatenate(pieces))``.
 
-    When the largest piece has more than 1,024 entries and is strictly
-    increasing, as a large function's breakpoints are, the other values
-    are deduplicated on their own and written with slice copies of the
-    large piece between their ``searchsorted`` positions, so the large
-    piece is copied once and never sorted.  Every other input goes to
-    ``np.unique``, and so does one that holds both 0.0 and -0.0: which of
-    the two ``np.unique`` keeps depends on its sort and on the order of
-    the pieces.
+    A piece of more than 1,024 entries must be strictly increasing, as
+    the breakpoints, cell ends, segment ends and atom locations that
+    ``PiecewiseFn`` and ``FiniteMeasure`` validate are; this is not
+    checked.  The other values are then deduplicated on their own and
+    written with slice copies of the largest piece between their
+    ``searchsorted`` positions, so that piece is copied once and never
+    sorted.  Smaller inputs go to ``np.unique``, and so does one that
+    holds both 0.0 and -0.0: which of the two ``np.unique`` keeps depends
+    on its sort and on the order of the pieces.
     """
     if max(map(len, pieces)) <= _MERGE_MIN:
         return np.unique(np.concatenate(pieces))
     pieces = [np.asarray(p, dtype=np.float64) for p in pieces]
     i = max(range(len(pieces)), key=lambda k: pieces[k].size)
     big = pieces[i]
-    if not np.all(big[1:] > big[:-1]):
-        return np.unique(np.concatenate(pieces))
     rest = np.concatenate([np.empty(0), *pieces[:i], *pieces[i + 1:]])
     zeros = np.signbit(rest[rest == 0.0])
     j = int(np.searchsorted(big, 0.0))

@@ -1,17 +1,18 @@
 """Finite nonnegative measures on real intervals.
 
 A measure is a sum of three layers: point atoms, constant-density cells,
-and analytic segments whose sub-interval mass comes from a closed-form
-CDF.  Atoms may sit inside cells (masses add); cells and segments must
-not overlap each other.  Quadrature never enters the main path: analytic
-masses are CDF differences, which keeps the gallery's closed-form
-constants exact.
+and analytic segments whose sub-interval masses come from a closed-form
+mass function.  Atoms may sit inside cells (masses add); cells and
+segments must not overlap each other.  Quadrature never enters the main
+path: a segment's masses, its total included, are its ``mass_fn``'s
+closed form, which keeps the gallery's closed-form constants exact.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from functools import cached_property
 from typing import Callable
 
 import numpy as np
@@ -22,10 +23,6 @@ from .xreal import Interval, MalformedObjectError
 _LN2 = math.log(2.0)
 #: ``_exp2_mass`` runs its chain over blocks of this many cells (512 KiB).
 _EXP2_BLOCK = 1 << 16
-
-
-def _exp2_cdf(s):
-    return (1.0 - np.exp2(-np.asarray(s, dtype=np.float64))) / _LN2
 
 
 def _exp2_mass(a, b):
@@ -54,38 +51,36 @@ def _exp2_mass(a, b):
 
 @dataclass(frozen=True)
 class AnalyticSegment:
-    """Measure layer on [lo, hi] defined by a monotone CDF with cdf(lo) = 0.
+    """Measure layer on [lo, hi] whose masses are given by ``mass_fn``.
 
     ``mass_fn`` returns the exact masses of the [a, b) subintervals, from
     1-d end arrays that lie in [lo, hi] with a < b, without the
-    cancellation of CDF differences; the ends are not copied, and callers
-    clip them to the segment.  No mass is negative or -0.0, so none is
-    clamped: for a < b, exp2's b - a > 0, -expm1(-(b - a) ln 2) >= +0 and
-    2^-a >= +0.  The CDF remains the definition and the cross-check oracle
-    target.
+    cancellation of differences of an antiderivative; the ends are not
+    copied, and callers clip them to the segment.  No mass is negative or
+    -0.0, so none is clamped: for a < b, exp2's b - a > 0,
+    -expm1(-(b - a) ln 2) >= +0 and 2^-a >= +0.  ``total`` is the mass of
+    [lo, hi] by the same rule.
     """
 
     name: str
     lo: float
     hi: float
-    cdf: Callable[[np.ndarray], np.ndarray]
     mass_fn: Callable[[np.ndarray, np.ndarray], np.ndarray]
 
     def __post_init__(self) -> None:
         if not (math.isfinite(self.lo) and self.lo < self.hi):
             raise MalformedObjectError(f"bad segment bounds [{self.lo}, {self.hi}]")
-        total = float(np.asarray(self.cdf(self.hi)))
-        if not (math.isfinite(total) and total >= 0):
+        if not (math.isfinite(self.total) and self.total >= 0):
             raise MalformedObjectError(f"segment {self.name!r} has non-finite total mass")
 
-    @property
+    @cached_property
     def total(self) -> float:
-        return float(np.asarray(self.cdf(self.hi)))
+        return float(self.mass_fn(np.asarray([self.lo]), np.asarray([self.hi]))[0])
 
 
-#: Named CDFs resolvable from scenario files.
+#: Named segment densities resolvable from scenario files.
 CDF_REGISTRY: dict[str, Callable[[float, float], AnalyticSegment]] = {
-    "exp2": lambda lo, hi: AnalyticSegment("exp2", lo, hi, _exp2_cdf, _exp2_mass),
+    "exp2": lambda lo, hi: AnalyticSegment("exp2", lo, hi, _exp2_mass),
 }
 
 
@@ -187,18 +182,16 @@ class FiniteMeasure:
             out[i0:i1] += seg.mass_fn(edges[i0:i1], edges[i0 + 1:i1 + 1])
         return out
 
-    def mass_of_intervals(self, los, his, lo_closed: bool = True,
-                          hi_closed=False) -> float:
-        """Mass of the intervals (lo, hi) together, endpoint atoms included
-        per the closed flags, ``hi_closed`` one flag or one per interval:
-        one row of atom, cell and segment terms per interval, formed at
-        once, and one exactly rounded sum of all the rows' terms."""
+    def mass_of_intervals(self, los, his, hi_closed) -> float:
+        """Mass of the intervals [lo, hi) together, or [lo, hi] where the
+        interval's ``hi_closed`` flag is set: one row of atom, cell and
+        segment terms per interval, formed at once, and one exactly
+        rounded sum of all the rows' terms."""
         lo = np.asarray(los, dtype=np.float64)[:, None]
         hi = np.asarray(his, dtype=np.float64)[:, None]
-        hi_closed = np.asarray(hi_closed, dtype=bool)[..., None]
         locs = self.atom_locs
-        atoms = (((lo < locs) & (locs < hi)) | ((locs == lo) & lo_closed)
-                 | ((locs == hi) & hi_closed))
+        atoms = (lo <= locs) & np.where(
+            np.asarray(hi_closed, dtype=bool)[:, None], locs <= hi, locs < hi)
         clip_lo = np.maximum(self.cell_los, lo)
         clip_hi = np.minimum(self.cell_his, hi)
         # each segment's masses by one call over its clipped ends

@@ -71,7 +71,7 @@ def family_pairing(rows: Iterable) -> Iterator[FamilyPairing]:
     chunks index by index raises at the first index that fails, as a loop
     over the indices would.
     """
-    for chunk in blocks(map(_domain_row, rows), _row_edges):
+    for chunk in blocks(map(_domain_row, rows), row_edges):
         yield _pair_chunk(chunk)
 
 
@@ -86,10 +86,11 @@ def _domain_row(row) -> tuple:
     return fns, measures, domain
 
 
-def _row_edges(row) -> int:
-    """The edges of a row: the domain ends, the functions' breakpoints and
-    the measures' piece edges."""
-    fns, measures, _ = row
+def row_edges(row) -> int:
+    """The edges of a row ``(fns, measures, ...)``, by which chunks are
+    cut: the domain ends, the functions' breakpoints and the measures'
+    piece edges."""
+    fns, measures, *_ = row
     return (2 + sum(f.breakpoints.size for f in fns)
             + sum(m.piece_edges().size for m in measures))
 
@@ -268,19 +269,12 @@ def _pair_chunk(rows) -> FamilyPairing:
     return FamilyPairing(offsets, n_cells, tuple(values), tuple(masses))
 
 
-def reduce_family(rows: Iterable, reduce) -> Iterator:
-    """The per-index results of ``reduce(chunk)`` over the chunks of
-    ``family_pairing(rows)``, computed at once and read in index order; an
-    error is raised when its index is read."""
-    return replay(reduce_family_shared(rows, (reduce,))[0])
-
-
-def reduce_family_shared(rows: Iterable, reduces) -> list[list]:
-    """Several reductions of one pass, each chunk released before the next
-    one is built: per reduction, its per-index results, ended by its first
-    error if any (``replay`` reads them back).  A failing reduction does
-    not stop the others; an error of the pass itself ends every one that
-    has not failed."""
+def reduce_family(rows: Iterable, *reduces) -> list[list]:
+    """Reductions of the chunks of one ``family_pairing(rows)`` pass, each
+    chunk released before the next one is built: per reduction, its
+    per-index results, ended by its first error if any (``replay`` reads
+    them back).  A failing reduction does not stop the others; an error
+    of the pass itself ends every one that has not failed."""
     out: list[list] = [[] for _ in reduces]
     live = list(range(len(reduces)))
     try:
@@ -300,7 +294,7 @@ def reduce_family_shared(rows: Iterable, reduces) -> list[list]:
 
 
 def replay(results: list) -> Iterator:
-    """``reduce_family_shared`` results, raising an error at its index."""
+    """``reduce_family`` results, raising an error at its index."""
     for result in results:
         if isinstance(result, Exception):
             raise result

@@ -180,7 +180,10 @@ def parse_measure_spec(spec, path: str, domain: Interval) -> FiniteMeasure:
                         f"unknown CDF {name!r}; known: {sorted(CDF_REGISTRY)}")
         lo = _as_float(_get(entry, "lo", p, required=True), f"{p}.lo")
         hi = _as_float(_get(entry, "hi", p, required=True), f"{p}.hi")
-        segments.append(make_segment(name, lo, hi))
+        try:
+            segments.append(make_segment(name, lo, hi))
+        except MalformedObjectError as exc:
+            raise _fail(p, str(exc)) from None
     try:
         return FiniteMeasure(atoms, cells, segments, domain)
     except MalformedObjectError as exc:

@@ -66,15 +66,12 @@ def tail_rows(p: FamilyPairing, k_grid, negative: bool = False
     return tail_dots(v, p.masses[0], p.offsets, k_grid)
 
 
-def curve_of(rows, n_max: int, k_grid, window_start: Optional[int] = None
-             ) -> TailCurve:
+def curve_of(rows, n_max: int, k_grid, window_start: int) -> TailCurve:
     """The curve of the tail rows of indices 1..n_max, read once the grid
     and the window start are checked; a row that raises raises here."""
     k_grid = tuple(float(k) for k in k_grid)
     if not k_grid or any(k <= 0 for k in k_grid) or list(k_grid) != sorted(k_grid):
         raise ValueError("K grid must be nonempty, positive, and sorted")
-    if window_start is None:
-        window_start = default_window_start(n_max)
     if not 1 <= window_start <= n_max:
         raise ValueError(f"window start {window_start} outside 1..{n_max}")
     table = np.empty((n_max, len(k_grid)))

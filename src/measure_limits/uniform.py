@@ -77,7 +77,7 @@ def _hahn_sums(p: FamilyPairing) -> Iterator[tuple[float, float]]:
 def _gap_series(rows) -> Iterator[tuple[float, float]]:
     """Per index, (inf, sup) over measurable sets of the signed gap: the
     negative Hahn mass with its sign, and the larger Hahn mass."""
-    for pos, neg in reduce_family(rows, _hahn_sums):
+    for pos, neg in replay(reduce_family(rows, _hahn_sums)[0]):
         yield neg, max(pos, -neg + 0.0)
 
 

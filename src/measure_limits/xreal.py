@@ -11,13 +11,17 @@ relies on:
   equal infinities is undefined, reported as None (``null`` in a
   report), never as NaN.
 * two values are ``close`` within a tolerance when both are finite and
-  at most the tolerance apart, or when they are the same infinity.
+  at most the tolerance apart, or when they are the same infinity;
+  ``close_arrays`` applies the same rule elementwise.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+
+import numpy as np
+
 
 class MeasureLimitsError(Exception):
     """Base class for all package errors."""
@@ -73,6 +77,12 @@ def close(a: float, b: float, tol: float) -> bool:
     if math.isinf(a) or math.isinf(b):
         return a == b
     return abs(a - b) <= tol
+
+
+def close_arrays(a: np.ndarray, b: np.ndarray, tol: float) -> np.ndarray:
+    """``close`` elementwise over two arrays of one shape."""
+    with np.errstate(invalid="ignore", over="ignore"):
+        return np.where(np.isinf(a) | np.isinf(b), a == b, np.abs(a - b) <= tol)
 
 
 @dataclass(frozen=True)

@@ -35,7 +35,6 @@ from __future__ import annotations
 
 import contextlib
 import hashlib
-import importlib.util
 import io
 import json
 import random
@@ -44,20 +43,13 @@ import sys
 import tempfile
 from pathlib import Path
 
-ROOT = Path(__file__).resolve().parent.parent
+from reachability import ROOT, load_docs
+
 RECORD = "identity.json"
 
 
 def _sha(data: bytes) -> str:
     return hashlib.sha256(data).hexdigest()
-
-
-def _load_docs():
-    spec = importlib.util.spec_from_file_location(
-        "perfbench_docs", ROOT / "perfbench" / "docs.py")
-    module = importlib.util.module_from_spec(spec)
-    spec.loader.exec_module(module)
-    return module
 
 
 def _invoke(main, argv: list[str]) -> tuple[int | str, str]:
@@ -87,7 +79,7 @@ def _signed_zero_doc(docs, i: int) -> dict:
 
 
 def _check_runs(tmp: Path) -> list[tuple[str, list[str]]]:
-    docs = _load_docs()
+    docs = load_docs()
     runs = []
     for path in sorted((ROOT / "scenarios").glob("*.json")):
         runs.append((f"scenario/{path.name}",

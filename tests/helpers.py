@@ -331,15 +331,15 @@ def l1_series_oracle(sc: Scenario):
     return integral_series([abs(f) for f in sc.f_seq.fns], sc.measures)
 
 
-def loop_mass_of_intervals(m: FiniteMeasure, bounds, lo_closed: bool,
-                           hi_closed: bool) -> float:
-    """Reference for ``FiniteMeasure.mass_of_intervals``: one interval at
-    a time, its atoms tested one by one, its segment ends clipped in
-    Python, and one ``math.fsum`` of all the intervals' terms."""
+def loop_mass_of_intervals(m: FiniteMeasure, bounds) -> float:
+    """Reference for ``FiniteMeasure.mass_of_intervals``: one interval
+    (lo, hi, hi_closed) at a time, its atoms tested one by one, its
+    segment ends clipped in Python, and one ``math.fsum`` of all the
+    intervals' terms."""
     terms = []
-    for lo, hi in [(lo, hi) for lo, hi in bounds if lo <= hi]:
+    for lo, hi, closed in [b for b in bounds if b[0] <= b[1]]:
         for aloc, w in zip(m.atom_locs, m.atom_weights):
-            if (lo < aloc < hi) or (aloc == lo and lo_closed) or (aloc == hi and hi_closed):
+            if lo <= aloc < hi or (aloc == hi and closed):
                 terms.append(w)
         clip_lo = np.maximum(m.cell_los, lo)
         clip_hi = np.minimum(m.cell_his, hi)

@@ -66,6 +66,8 @@ def src_functions() -> list[tuple[str, int, int, str, tuple | None]]:
 
 
 def load_docs():
+    """The document generator ``perfbench/docs.py``, as a module; the byte
+    gate (``byte_identity.py``) and the CLI tests read it from here."""
     spec = importlib.util.spec_from_file_location(
         "perfbench_docs", ROOT / "perfbench" / "docs.py")
     module = importlib.util.module_from_spec(spec)

@@ -1,5 +1,4 @@
 import dataclasses
-import importlib.util
 import json
 import math
 from pathlib import Path
@@ -9,6 +8,8 @@ import pytest
 
 from measure_limits import gallery, runner
 from measure_limits.cli import main
+
+from reachability import load_docs
 
 COMB_DOC = {
     "name": "comb-cli",
@@ -203,7 +204,8 @@ NAN = float("nan")
 #: why a row's value is rejected, where it is not a NaN
 REASONS = {"$.sample_grid[1]": "5.0 is not a finite point of the space",
            "$.sample_grid": "must hold at least one point",
-           "$.checks[0]": "unknown check ['ui']; known: ['ui', 'aui', "}
+           "$.checks[0]": "unknown check ['ui']; known: ['ui', 'aui', ",
+           "$.limit_measure.segments[0]": "bad segment bounds [2.0, 1.0]"}
 
 
 @pytest.mark.parametrize("field, value, path", [
@@ -221,6 +223,8 @@ REASONS = {"$.sample_grid[1]": "5.0 is not a finite point of the space",
     ("sample_grid", [], "$.sample_grid"),
     # a check name that is not a string, which a dict lookup cannot hash
     ("checks", [["ui"]], "$.checks[0]"),
+    ("limit_measure", {"segments": [{"name": "exp2", "lo": 2, "hi": 1}]},
+     "$.limit_measure.segments[0]"),
 ])
 def test_check_rejects_nan_with_the_field_path(tmp_path, capsys, field, value,
                                                path):
@@ -328,6 +332,20 @@ def test_check_rejects_a_family_built_on_demand_off_the_space(tmp_path,
     assert not out.exists()
 
 
+def test_check_runs_on_an_exp2_segment_below_zero(tmp_path):
+    # exp2 on [-2, -1] has mass (2^2 - 2^1) / ln 2; f = -1 integrates to
+    # minus that against every measure
+    seg = {"segments": [{"name": "exp2", "lo": -2.0, "hi": -1.0}]}
+    doc = dict(HOLDS_DOC, space={"lo": -2.0, "hi": 1.0},
+               measures={"explicit": [seg] * 4}, limit_measure=seg,
+               checks=["fatou", "ui", "weak_gap"])
+    out = tmp_path / "report.json"
+    assert main(["check", str(write(tmp_path, doc)), "--out", str(out)]) == 0
+    fatou = json.loads(out.read_text())["checks"]["fatou"]
+    assert fatou["verdict"] == "holds"
+    assert fatou["lhs"] == fatou["rhs"] == pytest.approx(-2.0 / math.log(2.0))
+
+
 @pytest.mark.parametrize("field, value", [
     ("space", {"lo": 0.0, "hi": 1.0, "typo": NAN}),
     ("convergence_certificate", {"kind": "tv", "typo": 1}),
@@ -343,18 +361,10 @@ def test_check_rejects_unknown_fields_with_the_field_path(tmp_path, capsys,
     assert not out.exists()
 
 
-def load_perfbench_docs():
-    path = Path(__file__).resolve().parent.parent / "perfbench" / "docs.py"
-    spec = importlib.util.spec_from_file_location("perfbench_docs", path)
-    module = importlib.util.module_from_spec(spec)
-    spec.loader.exec_module(module)
-    return module
-
-
 def test_check_reports_a_sum_past_the_double_range_as_an_error(tmp_path,
                                                                capsys):
     # each product is finite, but their sum overflows inside math.fsum
-    doc = load_perfbench_docs().generate(1, 0)
+    doc = load_docs().generate(1, 0)
     big = {"breakpoints": [0.0, 0.5, 1.0], "values": [1.5e308, 1.5e308],
            "default": 0.0}
     doc["functions"] = {"explicit": [big] * doc["n_max"]}
@@ -458,7 +468,7 @@ def _reject_constant(name: str):
 def test_every_infinite_probe_report_is_strict_json(tmp_path, capsys):
     # the 40 probe documents with one +inf or -inf cell value of seeds
     # 1-10; an inf - inf Fatou gap is written as null, never as nan
-    docs = load_perfbench_docs()
+    docs = load_docs()
     out = tmp_path / "report.json"
     null_gaps = 0
     for seed in range(1, 11):

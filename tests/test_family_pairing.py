@@ -27,9 +27,9 @@ from measure_limits import (
 )
 from measure_limits import refinement
 from measure_limits.integration import default_bank, integral_series, tv_series
-from measure_limits.measures import AnalyticSegment, _exp2_cdf, _exp2_mass
+from measure_limits.measures import AnalyticSegment, _exp2_mass
 from measure_limits.refinement import family_pairing
-from measure_limits.refinement import reduce_family
+from measure_limits.refinement import reduce_family, replay
 from measure_limits.uniform import (
     _condition_series, _gap_rows, _hahn_sums, uniform_report,
 )
@@ -119,8 +119,7 @@ def _halved_mass(a, b):
 
 def _halved(lo: float, hi: float) -> AnalyticSegment:
     """A segment whose ``mass_fn`` is not exp2's, so that it ends a run."""
-    return AnalyticSegment("half", lo, hi, lambda s: 0.5 * _exp2_cdf(s),
-                           _halved_mass)
+    return AnalyticSegment("half", lo, hi, _halved_mass)
 
 
 @st.composite
@@ -190,8 +189,8 @@ def test_hahn_masses_match_the_per_index_loop(sc, budget):
     # masses, and inf - inf is NaN on both sides
     with mock.patch.object(refinement, "CHUNK_EDGES", budget), \
             np.errstate(invalid="ignore", over="ignore"):
-        assert (outcome(lambda: list(reduce_family(rows, _hahn_sums)))
-                == outcome(_loop_hahn, sc))
+        got = outcome(lambda: list(replay(reduce_family(rows, _hahn_sums)[0])))
+        assert got == outcome(_loop_hahn, sc)
 
 
 @settings(max_examples=100, deadline=None)

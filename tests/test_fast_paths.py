@@ -33,7 +33,7 @@ from measure_limits import (
     FiniteMeasure, Interval, PiecewiseFn, canonical_json, dominates, gallery,
     parse_scenario, refinement,
 )
-from measure_limits.measures import AnalyticSegment, _exp2_cdf, _exp2_mass
+from measure_limits.measures import AnalyticSegment, _exp2_mass
 from measure_limits.xreal import MalformedObjectError
 
 from helpers import (
@@ -360,7 +360,7 @@ ENDS = st.sampled_from([0.0, -0.0, 0.25, 0.5, 1.0, -1.0, 2.0,
                         math.nan, math.inf])
 MASSES = st.sampled_from([0.0, 1.0, 2.5, -1.0, math.nan, math.inf])
 #: segments under several names, so spans with equal ends order by name
-SEGMENTS = [AnalyticSegment(name, lo, hi, _exp2_cdf, _exp2_mass)
+SEGMENTS = [AnalyticSegment(name, lo, hi, _exp2_mass)
             for name in ("exp2", "a b", "a'b")
             for lo, hi in ((0.0, 0.5), (0.25, 1.0), (0.5, math.inf),
                            (0.0, 1.0), (-1.0, 0.5), (-0.0, 0.25))]

@@ -270,3 +270,15 @@ def test_ramp_varying_over_segment_rejected():
     flat = Ramp((0.0, 1.0), (2.0, 2.0))
     assert next(_ramp_integrals([flat], [mu])) == pytest.approx(2.0 / LN2,
                                                                 rel=1e-14)
+
+
+def test_constant_ramp_over_an_exp2_segment_off_zero():
+    # the segment term is the ramp's value times the segment's mass of
+    # [1, 2], (2^-1 - 2^-2) / ln 2, as the step-function passes read it
+    mu = FiniteMeasure(segments=[make_segment("exp2", 1.0, 2.0)],
+                       domain=Interval(0.0, 3.0))
+    one = Ramp((0.0, 3.0), (1.0, 1.0))
+    assert next(_ramp_integrals([one], [mu])) == pytest.approx(0.25 / LN2,
+                                                               rel=1e-14)
+    assert next(_ramp_integrals([one], [mu])) == integrate(
+        constant_fn(1.0, mu.domain), mu)

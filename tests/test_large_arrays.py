@@ -295,12 +295,11 @@ def edge_sets(draw):
 def test_union_edges_matches_unique(case):
     dom, big, small = case
     ends = np.asarray([dom.lo, dom.hi])
-    # a large piece that is not strictly increasing goes to np.unique;
+    # a large piece is strictly increasing, as every caller's is;
     # midpoints land in every gap of the large piece, and a linspace puts
     # three values in its first gap
     for pieces in ([ends, big, small], [big, small, ends], [small, ends, big],
-                   [big], [big, big[::7]], [big[::-1], small],
-                   [np.sort(np.append(big, big[:3])), ends],
+                   [big], [big, big[::7]],
                    [big, (big[1:] + big[:-1]) / 2, ends],
                    [np.linspace(big[0], big[1], 5), big, small]):
         assert same_array(union_edges(pieces), unique_edges(pieces))

@@ -14,7 +14,7 @@ from measure_limits import (
     make_segment,
     point_mass,
 )
-from measure_limits.measures import _exp2_cdf, _exp2_mass
+from measure_limits.measures import _exp2_mass
 
 from helpers import loop_mass_of_intervals
 from helpers import riemann_mass
@@ -39,11 +39,20 @@ def test_total_mass_empty_measure():
     assert FiniteMeasure(domain=Interval(0.0, 1.0)).total_mass() == 0.0
 
 
-def test_total_mass_exp2_segment():
-    # closed-form antiderivative oracle: -2^-s/ln 2 over [0, inf)
-    m = FiniteMeasure(segments=[make_segment("exp2", 0.0, math.inf)],
-                      domain=Interval(0.0, math.inf))
-    assert m.total_mass() == pytest.approx(1.0 / LN2, abs=1e-12)
+def exp2_closed_form(a: float, b: float) -> float:
+    """The exp2 mass of [a, b] by its antiderivative -2^-s / ln 2."""
+    return (2.0 ** -a - 2.0 ** -b) / LN2
+
+
+@pytest.mark.parametrize("lo, hi", [(0.0, math.inf), (1.0, 2.0), (-2.0, -1.0),
+                                    (-1.0, 1.0), (3.0, math.inf)])
+def test_total_mass_exp2_segment(lo, hi):
+    seg = make_segment("exp2", lo, hi)
+    m = FiniteMeasure(segments=[seg], domain=Interval(-5.0, math.inf))
+    assert seg.total == m.total_mass()
+    assert m.total_mass() == pytest.approx(exp2_closed_form(lo, hi), rel=1e-15)
+    # the total is the segment's mass of [lo, hi], the rule every pass uses
+    assert seg.total == seg_mass(seg, lo, hi)
 
 
 def test_segment_mass_matches_riemann_oracle():
@@ -54,11 +63,12 @@ def test_segment_mass_matches_riemann_oracle():
         assert abs(exact - approx) <= 1e-6 * abs(exact)
 
 
-def test_segment_mass_consistent_with_cdf_difference():
-    seg = make_segment("exp2", 0.0, math.inf)
-    for a, b in [(0.0, 0.5), (1.0, 1.0009765625), (10.0, 10.25)]:
-        by_cdf = float(np.asarray(seg.cdf(b)) - np.asarray(seg.cdf(a)))
-        assert seg_mass(seg, a, b) == pytest.approx(by_cdf, rel=1e-9)
+def test_segment_mass_consistent_with_the_closed_form():
+    seg = make_segment("exp2", -3.0, math.inf)
+    for a, b in [(0.0, 0.5), (1.0, 1.0009765625), (10.0, 10.25),
+                 (-3.0, -2.5), (-1.0, 1.0)]:
+        assert seg_mass(seg, a, b) == pytest.approx(exp2_closed_form(a, b),
+                                                    rel=1e-9)
 
 
 def assert_no_negative_mass(a, b):
@@ -122,23 +132,25 @@ def test_atoms_may_sit_inside_cells():
     m = FiniteMeasure(atoms=[(0.5, 2.0)], cells=[(0.0, 1.0, 1.0)],
                       domain=Interval(0.0, 1.0))
     assert m.total_mass() == 3.0
-    assert m.mass_of_intervals([0.25], [0.75]) == pytest.approx(2.5)
+    assert m.mass_of_intervals([0.25], [0.75], [False]) == pytest.approx(2.5)
 
 
 def test_mass_of_interval_endpoint_flags():
     m = point_mass(0.5, 1.0, Interval(0.0, 1.0))
-    assert m.mass_of_intervals([0.5], [0.7], lo_closed=True) == 1.0
-    assert m.mass_of_intervals([0.5], [0.7], lo_closed=False) == 0.0
-    assert m.mass_of_intervals([0.2], [0.5], hi_closed=True) == 1.0
-    assert m.mass_of_intervals([0.2], [0.5], hi_closed=False) == 0.0
+    assert m.mass_of_intervals([0.5], [0.7], [False]) == 1.0
+    assert m.mass_of_intervals([0.2], [0.5], [True]) == 1.0
+    assert m.mass_of_intervals([0.2], [0.5], [False]) == 0.0
+    assert m.mass_of_intervals([0.5], [0.5], [True]) == 1.0
     # one hi flag per interval; an atom counts once per interval holding it
-    assert m.mass_of_intervals([0.2, 0.5], [0.5, 0.7], True,
-                               [False, True]) == 1.0
-    assert m.mass_of_intervals([0.2, 0.5], [0.5, 0.7], True,
-                               [True, False]) == 2.0
-    assert m.mass_of_intervals([0.2, 0.5], [0.5, 0.7], False,
-                               [False, True]) == 0.0
-    assert m.mass_of_intervals([], [], True, []) == 0.0
+    assert m.mass_of_intervals([0.2, 0.5], [0.5, 0.7], [False, True]) == 1.0
+    assert m.mass_of_intervals([0.2, 0.5], [0.5, 0.7], [True, False]) == 2.0
+    assert m.mass_of_intervals([], [], []) == 0.0
+
+
+def interval_mass(m: FiniteMeasure, bounds) -> float:
+    """``mass_of_intervals`` of a list of (lo, hi, hi_closed)."""
+    los, his, closed = ([b[k] for b in bounds] for k in range(3))
+    return m.mass_of_intervals(los, his, closed)
 
 
 # dyadic ends: interval ends land on atoms, cell ends and segment ends
@@ -149,18 +161,15 @@ ENDS = [k / 8 for k in range(-2, 19)]
 @given(st.lists(st.sampled_from(ENDS[2:-2]), max_size=4, unique=True),
        st.sampled_from([(), ((0.0, 0.5, 2.0), (0.75, 1.25, 0.3))]),
        st.booleans(),
-       st.lists(st.tuples(st.sampled_from(ENDS), st.sampled_from(ENDS)),
-                max_size=6),
-       st.booleans(), st.booleans())
+       st.lists(st.tuples(st.sampled_from(ENDS), st.sampled_from(ENDS),
+                          st.booleans()), max_size=6))
 def test_mass_of_intervals_matches_one_interval_at_a_time(
-        locs, cells, segment, bounds, lo_closed, hi_closed):
+        locs, cells, segment, bounds):
     m = FiniteMeasure(atoms=[(x, 0.1 + x) for x in locs], cells=cells,
                       segments=[make_segment("exp2", 1.5, 2.0)] if segment else [],
                       domain=Interval(-0.25, 2.25))
-    got = m.mass_of_intervals([a for a, _ in bounds], [b for _, b in bounds],
-                              lo_closed, hi_closed)
-    want = loop_mass_of_intervals(m, bounds, lo_closed, hi_closed)
-    assert got.hex() == want.hex()
+    assert (interval_mass(m, bounds).hex()
+            == loop_mass_of_intervals(m, bounds).hex())
 
 
 #: interval ends on, next to, inside and far past the segments below: past
@@ -174,28 +183,24 @@ SEG_END = st.sampled_from(SEG_ENDS) | st.floats(-3.0, 10.0)
 @settings(max_examples=300, deadline=None)
 @given(st.booleans(), st.booleans(),
        st.sampled_from([None, (3.0, 8.0), (3.0, math.inf)]),
-       st.lists(st.tuples(SEG_END, SEG_END), max_size=8),
-       st.booleans(), st.booleans())
+       st.lists(st.tuples(SEG_END, SEG_END, st.booleans()), max_size=8))
 def test_segment_mass_of_intervals_matches_the_interval_loop(
-        exp2_unit, middle, last, bounds, lo_closed, hi_closed):
+        exp2_unit, middle, last, bounds):
     # [lo, hi] and [lo, inf) segments, one of them under a name of its
     # own; intervals inside, across and off them, empty and reversed
     segments = [make_segment("exp2", 0.0, 1.0)] if exp2_unit else []
     if middle:
-        segments.append(AnalyticSegment("mid", 1.5, 3.0, _exp2_cdf,
-                                        _exp2_mass))
+        segments.append(AnalyticSegment("mid", 1.5, 3.0, _exp2_mass))
     if last is not None:
         segments.append(make_segment("exp2", *last))
     m = FiniteMeasure(atoms=[(0.5, 0.25), (3.0, 0.5), (9.0, 1.0)],
                       cells=[(-1.0, 0.0, 0.5)], segments=segments,
                       domain=Interval(-5.0, math.inf))
-    los, his = [a for a, _ in bounds], [b for _, b in bounds]
-    got = m.mass_of_intervals(los, his, lo_closed, hi_closed)
-    want = loop_mass_of_intervals(m, bounds, lo_closed, hi_closed)
-    assert got.hex() == want.hex()
+    assert (interval_mass(m, bounds).hex()
+            == loop_mass_of_intervals(m, bounds).hex())
 
 
 def test_lebesgue_helper():
     m = lebesgue(-1.0, 1.0)
     assert m.total_mass() == 2.0
-    assert m.mass_of_intervals([-0.5], [0.25]) == pytest.approx(0.75)
+    assert m.mass_of_intervals([-0.5], [0.25], [False]) == pytest.approx(0.75)

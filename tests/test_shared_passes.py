@@ -14,7 +14,7 @@ from unittest import mock
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from measure_limits import (
@@ -27,9 +27,10 @@ from measure_limits import (
     uniform_report,
     zero_fn,
 )
+from measure_limits.fatou import Scenario
 from measure_limits.integration import chunk_integrals, integral_series
 from measure_limits.kernels import tail_dots
-from measure_limits.refinement import reduce_family, reduce_family_shared, replay
+from measure_limits.refinement import reduce_family, replay
 from measure_limits.runner import _CHECKS
 from measure_limits.tails import tail_rows
 from measure_limits.xreal import (
@@ -41,6 +42,8 @@ from measure_limits.xreal import (
 from helpers import (
     fatou_random_scenario,
     l1_series_oracle,
+    list_dominates,
+    loop_integrate,
     neg_tail_curve_oracle,
     part,
 )
@@ -78,8 +81,8 @@ def outcome(results) -> tuple[list, object]:
 
 def own_tail_rows(fns, ms):
     rows = (((f,), (m,)) for f, m in zip(fns, ms))
-    return reduce_family(rows, lambda p: tail_dots(
-        p.values[0], p.masses[0], p.offsets, KS))
+    return replay(reduce_family(rows, lambda p: tail_dots(
+        p.values[0], p.masses[0], p.offsets, KS))[0])
 
 
 @settings(max_examples=300, deadline=None)
@@ -89,17 +92,66 @@ def test_shared_passes_match_one_pass_per_quantity(family, chunk_edges):
     fns, ms = family
     abs_fns = [abs(f) for f in fns]
     with mock.patch.object(refinement, "CHUNK_EDGES", chunk_edges):
-        f_pass = reduce_family_shared(
+        f_pass = reduce_family(
             (((f,), (m,)) for f, m in zip(fns, ms)),
-            (chunk_integrals, lambda p: tail_rows(p, KS, True)))
-        abs_pass = reduce_family_shared(
+            chunk_integrals, lambda p: tail_rows(p, KS, True))
+        abs_pass = reduce_family(
             (((f,), (m,)) for f, m in zip(abs_fns, ms)),
-            (chunk_integrals, lambda p: tail_rows(p, KS)))
+            chunk_integrals, lambda p: tail_rows(p, KS))
         assert outcome(replay(f_pass[0])) == outcome(integral_series(fns, ms))
         neg = [part(f, "negative") for f in fns]
         assert outcome(replay(f_pass[1])) == outcome(own_tail_rows(neg, ms))
         assert outcome(replay(abs_pass[0])) == outcome(integral_series(abs_fns, ms))
         assert outcome(replay(abs_pass[1])) == outcome(own_tail_rows(abs_fns, ms))
+
+
+#: (f_n, g_n, mu_n) at 1 to 6 indices, drawn as FAMILIES draws its own
+G_FAMILIES = families(6, step_fns(DOM, GRID, VALUES, 6),
+                      step_fns(DOM, GRID, VALUES, 6),
+                      measures(DOM, GRID, (0.0, 0.5, 3.0), (0.25, 1.0, 1e10),
+                               (2, 5), 3))
+
+
+#: an index whose dominance row (f_n = g_n) is the larger, 16 edges
+#: against 11, and indices whose integral row is, 7 edges against 2
+WIDE_G = PiecewiseFn(GRID[1:-1], [1.0, 2.0] * 3, 0.0, DOM)
+FINE_M = FiniteMeasure(atoms=[(0.75, 1.0)], cells=[(0.0, 0.25, 1.0),
+                       (0.25, 0.5, 1.0), (0.5, 1.0, 1.0)], domain=DOM)
+DOM_M = FiniteMeasure(cells=[(0.0, 1.0, 1.0)], domain=DOM)
+
+
+@settings(max_examples=300, deadline=None)
+@given(G_FAMILIES, st.booleans(), st.sampled_from([refinement.CHUNK_EDGES, 8]))
+@example(([], [WIDE_G, zero_fn(DOM)], [DOM_M] * 2), True, 16)
+@example(([], [zero_fn(DOM)] * 3, [FINE_M] * 3), True, 16)
+def test_the_g_pass_matches_one_loop_per_quantity(family, f_is_g, chunk_edges):
+    # the g integrals go on past a failing dominance index, and dominance
+    # stands whatever a g integral raises; while neither has failed (f_n =
+    # g_n dominates g_n), each block of indices is one chunk of each pass,
+    # which the two examples pin: an index is as large as its larger row
+    fns, gs, ms = family
+    if f_is_g:
+        fns = gs
+    sc = Scenario("g", tuple(ms), ms[0], FnSequence(tuple(fns)),
+                  FnSequence(tuple(gs)))
+    chunks = []
+    pair_chunk = refinement._pair_chunk
+
+    def spy(rows):
+        chunks.append((bool(rows[0][1]), len(rows)))
+        return pair_chunk(rows)
+
+    with mock.patch.object(refinement, "CHUNK_EDGES", chunk_edges), \
+            mock.patch.object(refinement, "_pair_chunk", spy):
+        integrals = outcome(replay(sc.g_pass[0]))
+        dominance = sc.f_dominates_g
+    with np.errstate(over="ignore"):  # the loop's products 1e300 * 1e10
+        assert integrals == outcome(loop_integrate(g, m)
+                                    for g, m in zip(gs, ms))
+    assert dominance == all(map(list_dominates, fns, gs))
+    if integrals[1] is None and dominance:
+        assert ([n for integral, n in chunks if integral]
+                == [n for integral, n in chunks if not integral])
 
 
 def test_scenario_curves_and_norms_match_their_own_passes():
