@@ -31,7 +31,6 @@ from .epilimits import (
 from .fatou import (
     Scenario, Tolerances, GapReport, seq_liminf, seq_limsup, fatou_report,
     minorant_check, weakened_minorant_probe, majorant_check, dct_report,
-    bounded_minorant_shift_probe,
 )
 from .uniform import uniform_report, UniformGapSeries
 from .scenario import ScenarioDoc, parse_scenario, canonical_json, doc_hash

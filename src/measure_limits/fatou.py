@@ -411,7 +411,7 @@ class DctReport:
     equality_without_condition: bool
 
 
-def dct_report(sc: Scenario, equality_tol: Optional[float] = None) -> DctReport:
+def dct_report(sc: Scenario) -> DctReport:
     """Two-sided convergence of integrals to the integral of the limit.
 
     Requires the epigraphical limit to exist off a mu-null set and either
@@ -420,9 +420,8 @@ def dct_report(sc: Scenario, equality_tol: Optional[float] = None) -> DctReport:
     rather than celebrated: the condition is not necessary.
     """
     t = sc.tolerances
-    tol = t.tol if equality_tol is None else equality_tol
     exists = epi_limit_exists(sc.f_seq, sc.resolved_grid(),
-                              sc.resolved_schedule(), tol, sc.limit_measure,
+                              sc.resolved_schedule(), t.tol, sc.limit_measure,
                               t.stab_tol, lambda: sc.f_epi[2])
     exists_ok = exists.exception_mass <= t.tol
     aui_full = verdict(sc.abs_tail_curve, "aui", t.ui_tol).passes
@@ -436,8 +435,8 @@ def dct_report(sc: Scenario, equality_tol: Optional[float] = None) -> DctReport:
     lim_lo, stab_lo = seq_liminf(series, sc.window_start, t.stab_tol)
     lim_hi, stab_hi = seq_limsup(series, sc.window_start, t.stab_tol)
     limit_integral, cert = sc.f_epi_liminf
-    equal = (_le(lim_hi, limit_integral, tol) and _le(limit_integral, lim_lo, tol)
-             and _le(lim_lo, lim_hi, tol))
+    equal = (_le(lim_hi, limit_integral, t.tol)
+             and _le(limit_integral, lim_lo, t.tol) and _le(lim_lo, lim_hi, t.tol))
 
     if equal:
         conclusion = HOLDS
@@ -449,36 +448,3 @@ def dct_report(sc: Scenario, equality_tol: Optional[float] = None) -> DctReport:
                      aui_full, hyp_ok, lim_lo, lim_hi,
                      limit_integral, cert, equal, conclusion,
                      equality_without_condition=equal and not condition_ok)
-
-
-@dataclass(frozen=True)
-class ShiftProbeReport:
-    applicable: bool
-    shift: Optional[int]
-    consistent: bool
-
-
-def bounded_minorant_shift_probe(sc: Scenario) -> ShiftProbeReport:
-    """Minorants uniformly bounded above should force a shift after which
-    the negative parts are uniformly integrable; reports that shift.
-
-    Raises when the minorants are unbounded above (outside the result's
-    scope); a passing minorant condition with no shift found marks the
-    fixture as inconsistent rather than being swallowed.
-    """
-    if sc.g_seq is None:
-        raise UnsupportedScenarioError("shift probe needs a minorant family")
-    # the default and the values: the largest entry of each table
-    tops = [float(np.max(g.table)) for g in sc.g_seq.fns]
-    if max(tops) == math.inf:
-        raise UnsupportedScenarioError(
-            "minorants are not uniformly bounded from above")
-    if len(tops) >= 2:
-        half = len(tops) // 2
-        if max(tops[half:]) > max(tops[:half]) + sc.tolerances.stab_tol:
-            raise UnsupportedScenarioError(
-                "minorant envelope is still growing with the index")
-    if not minorant_check(sc).holds:
-        return ShiftProbeReport(False, None, True)
-    shift = neg_part_shift(sc)
-    return ShiftProbeReport(True, shift, shift is not None)

@@ -1,11 +1,13 @@
 """Fixture gallery: named measure/function families with closed-form
-expected values, plus a conformance runner that recomputes every quantity
-and compares it against its expectation.
+expected values, and a conformance runner that checks those values.
 
-Every expected value in a fixture table carries a note naming its
-derivation (a closed-form series, a CDF difference, a direct
-construction); no expectation is asserted that the suite does not
-exercise.
+A fixture is a builder, the checks it requests and a table of
+expectation rows.  ``run`` builds the scenario, gets the checks' results
+from ``runner.check_results``, the code that ``check`` runs, and reads
+each row off one of them: a verdict, a payload key or a curve.  The few
+quantities that no check computes are small functions of the scenario,
+each saying why.  Every row carries a note naming its derivation (a
+closed-form series, a mass difference, a direct construction).
 """
 
 from __future__ import annotations
@@ -13,22 +15,12 @@ from __future__ import annotations
 import math
 import time
 from dataclasses import dataclass, replace
-from typing import Callable, Optional
+from typing import Callable, Optional, Union
 
 import numpy as np
 
 from .epilimits import epi_limit_exists
-from .fatou import (
-    HOLDS,
-    VIOLATED,
-    Scenario,
-    bounded_minorant_shift_probe,
-    dct_report,
-    fatou_report,
-    majorant_check,
-    minorant_check,
-    weakened_minorant_probe,
-)
+from .fatou import HOLDS, VIOLATED, Scenario, Tolerances
 from .functions import (
     EpiCertificate,
     FnSequence,
@@ -37,15 +29,10 @@ from .functions import (
     constant_fn,
     zero_fn,
 )
-from .integration import default_bank, weak_gap_bank
 from .measures import FiniteMeasure, lebesgue, make_segment, point_mass
-from .tails import first_shift, verdict
-from .xreal import (
-    Interval,
-    MalformedObjectError,
-    UnsupportedScenarioError,
-    close,
-)
+from .runner import PASS, check_results
+from .tails import default_window_start
+from .xreal import Interval, MalformedObjectError, close
 
 LN2 = math.log(2.0)
 _STAIR_STEPS = 50
@@ -60,6 +47,88 @@ def _constant_seq(c: PiecewiseFn, n_max: int) -> FnSequence:
     """n_max copies of c, certified as their own epi-limits."""
     return FnSequence((c,) * n_max, epi_liminf_cert=EpiCertificate(c),
                       epi_limsup_cert=EpiCertificate(c))
+
+
+# --------------------------------------------------------------------------
+# conformance machinery
+# --------------------------------------------------------------------------
+
+@dataclass(frozen=True)
+class Quantity:
+    id: str
+    value: object
+    expected: object
+    tol: Optional[float]
+    ok: bool
+    note: str
+
+
+@dataclass(frozen=True)
+class ConformanceReport:
+    fixture: str
+    quantities: tuple[Quantity, ...]
+    elapsed_s: float
+
+    @property
+    def failures(self) -> int:
+        return sum(1 for q in self.quantities if not q.ok)
+
+    @property
+    def verdicts(self) -> dict:
+        return {q.id: q.value for q in self.quantities
+                if isinstance(q.value, str) and q.value in
+                ("holds", "violated", "inconclusive")}
+
+
+_MISSING = object()
+
+
+@dataclass(frozen=True)
+class Row:
+    """One expected value of a fixture, read off one source.
+
+    ``check`` names one of the fixture's checks, and ``key`` a field that
+    ``check`` prints for it: ``verdict``, a payload key or a curve.  With
+    ``check`` None, ``key`` names a memoized series of the scenario, which
+    the checks compute and print only a window statistic of.  A quantity
+    that no check computes names a function of the scenario instead, and
+    ``key`` an attribute of its result (None: the result itself).
+    ``read`` maps the field to the quantity, which must equal ``expected``
+    (``tol`` None) or be ``close`` to it within ``tol``; a tolerance that
+    scales with the family is a function of the scenario.  A field that
+    is not there fails the row.
+    """
+
+    id: str
+    check: Union[None, str, Callable[[Scenario], object]]
+    key: Optional[str]
+    expected: object
+    tol: Union[None, float, Callable[[Scenario], float]]
+    note: str
+    read: Optional[Callable[[object], object]] = None
+
+    def quantity(self, source, sc: Scenario) -> Quantity:
+        value = (source.get(self.key, _MISSING) if isinstance(source, dict)
+                 else source if self.key is None
+                 else getattr(source, self.key, _MISSING))
+        tol = self.tol(sc) if callable(self.tol) else self.tol
+        if value is _MISSING:
+            return Quantity(self.id, None, self.expected, tol, False, self.note)
+        value = self.read(value) if self.read else value
+        if tol is None:
+            ok = value == self.expected
+        else:
+            value, ok = float(value), close(value, self.expected, tol)
+        return Quantity(self.id, value, self.expected, tol, bool(ok), self.note)
+
+
+_passes = PASS.__eq__  # a pass/fail verdict as a flag
+_holds = HOLDS.__eq__  # a holds/violated verdict as a flag
+
+
+def _off(c: float) -> Callable:
+    """The read of a series that should be c throughout."""
+    return lambda xs: max(abs(x - c) for x in xs)
 
 
 # --------------------------------------------------------------------------
@@ -109,6 +178,51 @@ def staircase_tail_formula(k: float) -> float:
     return (c + 1.0) / 2.0 ** (c - 1.0)
 
 
+def _staircase_tail_deviation(sc: Scenario) -> float:
+    """The largest distance of the staircase's negative-part tails from
+    ``staircase_tail_formula`` at K = 0.5, 1, ..., 10.  No check compares
+    a tail curve with a closed form, and this grid is not the scenario's,
+    so the curve is computed here."""
+    ks = [0.5] + [float(k) for k in range(1, 11)]
+    table = replace(sc, k_grid=tuple(ks)).neg_tail_curve.table
+    return max(abs(table[n - 1, j] - staircase_tail_formula(k))
+               for n in range(1, sc.n_max + 1) for j, k in enumerate(ks))
+
+
+_STAIRCASE_ROWS = (
+    Row("tail_matches_closed_form", _staircase_tail_deviation, None, 0.0,
+        1e-9 + (_STAIR_STEPS + 2.0) * 2.0 ** -_STAIR_STEPS,
+        "geometric series sum_{i>=ceil(K)} i/2^i"),
+    Row("integral_is_minus_two", None, "f_integral_series", 0.0, 1e-9,
+        "series sum i/2^i = 2, residual folded into last cell", _off(-2.0)),
+    Row("ui_passes", "ui", "verdict", True, None,
+        "sup curve vanishes on the dyadic grid", _passes),
+    Row("aui_passes", "aui", "verdict", True, None,
+        "windowed curve vanishes on the dyadic grid", _passes),
+    Row("shift_is_zero", "shift", "shift", 0, None,
+        "tails are index-independent"),
+    Row("fatou_conclusion", "fatou", "verdict", HOLDS, None, "-inf <= -2"),
+    Row("fatou_lhs_is_minus_inf", "fatou", "lhs", -math.inf, None,
+        "staircase floors sink without bound at the atom"),
+    Row("fatou_rhs", "fatou", "rhs", -2.0, 1e-9, "constant integral series"),
+    Row("minorant_self_fails", "minorant", "verdict", False, None,
+        "no minorant certificate exists for this family", _holds),
+    Row("minorant_epi_side", "minorant", "epi_integral", 0.0, 1e-12,
+        "upper epi-limit vanishes at the atom"),
+    Row("minorant_chain_rhs", "minorant", "liminf_of_integrals", -2.0, 1e-9,
+        "constant integral series"),
+    Row("weakened_self_infinite", "weakened_minorant", "finite_ok", False,
+        None, "lower epi-limit integral is -inf at the atom"),
+    Row("tv_to_limit_is_two", None, "tv_series", 0.0, 1e-12,
+        "mutually singular unit masses",
+        lambda tv: _off(2.0)(tv[n - 1] for n in (1, 7, len(tv)))),
+    Row("weak_gap_window_within_lipschitz_bound", "weak_gap",
+        "max_gap_window", 0.0, lambda sc: 1.0 / (2.0 * sc.window_start) + 1e-12,
+        "mean of |s| over [0,1/n] is 1/(2n), so at most 1/(2 window_start) "
+        "in the window"),
+)
+
+
 def _staircase_late_start_scenario(n_max: int = 65) -> Scenario:
     """Staircase family with one non-integrable function prepended, so
     uniform integrability only holds after discarding the first index."""
@@ -122,6 +236,16 @@ def _staircase_late_start_scenario(n_max: int = 65) -> Scenario:
         f_seq=FnSequence((bad, *base.f_seq.fns)),
         certificate="builder",
     )
+
+
+_LATE_START_ROWS = (
+    Row("aui_passes", "aui", "verdict", True, None,
+        "trailing window never sees the bad index", _passes),
+    Row("ui_fails", "ui", "verdict", False, None,
+        "index 1 has an infinite tail at every level", _passes),
+    Row("shift_is_one", "shift", "shift", 1, None,
+        "dropping one index restores the staircase family"),
+)
 
 
 # --------------------------------------------------------------------------
@@ -160,6 +284,55 @@ def _twin_spikes_scenario(n_max: int = 100) -> Scenario:
         k_grid=grid,
         certificate="tv",
     )
+
+
+def _f50(sc: Scenario) -> PiecewiseFn:
+    """twin_spikes' f_50, whose point values are its construction: checks
+    integrate it and evaluate none of its values."""
+    return sc.f_seq.fns[49]
+
+
+_TWIN_SPIKES_ROWS = (
+    Row("f50_at_+0.01", _f50, None, 50.0, 0.0, "direct construction",
+        lambda f: f(0.01)),
+    Row("f50_at_-0.01", _f50, None, -50.0, 0.0, "direct construction",
+        lambda f: f(-0.01)),
+    Row("tail_curves_all_one", "aui", "aui_tail_curve", 0.0, 1e-12,
+        "spike mass n * (1/n) = 1 whenever n >= K",
+        lambda c: _off(1.0)([*c.sup_curve, *c.limsup_curve])),
+    Row("aui_fails", "aui", "verdict", False, None,
+        "curve is constantly 1 on the grid", _passes),
+    Row("shift_absent", "shift", "shift", None, None,
+        "every trailing family repeats the same tails"),
+    Row("integrals_zero", None, "f_integral_series", 0.0, 1e-12,
+        "antisymmetric spikes cancel exactly", _off(0.0)),
+    Row("dct_conclusion", "dct", "verdict", HOLDS, None, "0 = 0"),
+    Row("dct_limit_integral", "dct", "limit_integral", 0.0, 1e-12,
+        "epi-limit vanishes off a single point"),
+    Row("dct_exception_mass", "dct", "exception_mass", 0.0, 0.0,
+        "limit fails to exist only on a Lebesgue-null point"),
+    Row("dct_equality_without_condition", "dct", "equality_without_condition",
+        True, None, "equality holds although no shift is integrable"),
+    Row("minorant_self_holds", "minorant", "verdict", True, None,
+        "both sides vanish for the self-minorant", _holds),
+    Row("minorant_epi_side", "minorant", "epi_integral", 0.0, 1e-12,
+        "upper epi-limit is 0 off the origin"),
+    Row("uniform_sup_gap_is_one", "uniform_dct", "uniform_dct_series", 0.0,
+        1e-12, "each Hahn side carries mass 1",
+        lambda s: _off(1.0)(s.sup_gaps)),
+    Row("uniform_inf_gap_is_minus_one", "uniform_fatou",
+        "uniform_fatou_series", 0.0, 1e-12, "negative spike carries mass 1",
+        lambda s: _off(-1.0)(s.inf_gaps)),
+    Row("undershoot_mass_is_1_over_n", "uniform_fatou", "uniform_fatou_series",
+        0.0, 1e-12, "undershoot set is [-1/n, 0)",
+        lambda s: max(abs(u - 1.0 / n)
+                      for n, u in enumerate(s.cond_undershoot, 1))),
+    Row("uniform_fatou_consistent", "uniform_fatou", "consistent", True, None,
+        "stalled gaps match the failing tail condition"),
+    Row("uniform_dct_consistent", "uniform_dct", "consistent", True, None,
+        "stalled gaps match the failing tail condition"),
+    Row("fatou_conclusion", "fatou", "verdict", HOLDS, None, "0 <= 0"),
+)
 
 
 # --------------------------------------------------------------------------
@@ -259,6 +432,69 @@ def _dyadic_comb_scenario(n_max: int = 20) -> Scenario:
     )
 
 
+def _g3_depressed_cells(sc: Scenario) -> int:
+    """The comb's g_3 cells between its cliff and 0, its depressions: a
+    count of the construction that no check reads.  It builds g_3 once
+    more."""
+    g3 = sc.g_seq.fns[2]
+    return int(np.sum((g3.values < 0) & (g3.values > -4)))
+
+
+def _comb_certificate_deviation(sc: Scenario) -> float:
+    """The largest distance of the comb's g epi-liminf certificate from
+    the exponential envelope -2^(s-1)/ln 2 at 32 points of [0, 2): checks
+    integrate the certificate and evaluate it nowhere."""
+    pts = np.linspace(0.0, 1.9375, 32)
+    ests = sc.g_seq.epi_liminf_cert.values_at(pts, True).tolist()
+    # Python floats, so that the bits do not hang on numpy's power
+    return max(abs(est + 2.0 ** (s - 1.0) / LN2)
+               for s, est in zip(pts.tolist(), ests))
+
+
+def _g_limit_exists(sc: Scenario):
+    """Where the comb's g family has an epi-limit, and the mass where it
+    has none: the ``dct`` check asks this of the f family only."""
+    return epi_limit_exists(sc.g_seq, sc.resolved_grid(),
+                            sc.resolved_schedule(), sc.tolerances.tol,
+                            sc.limit_measure)
+
+
+_COMB_ROWS = (
+    Row("f_integral", None, "f_integral_series", 0.0, 1e-9,
+        "mass difference: 2^n * (2^-n - 2^-(n+1)) / ln 2",
+        _off(-1.0 / (2.0 * LN2))),
+    Row("g_integral", None, "g_integral_series", 0.0, 1e-6,
+        "comb depression adds another 1/(2 ln 2)", _off(-1.0 / LN2)),
+    Row("g3_depressed_cell_count", _g3_depressed_cells, None, 8, None,
+        "2^3 alternating dyadic cells"),
+    Row("fatou_conclusion", "fatou", "verdict", VIOLATED, None,
+        "0 > -1/(2 ln 2) with certified sides"),
+    Row("fatou_lhs", "fatou", "lhs", 0.0, 1e-12, "cliffs march off every ball"),
+    Row("fatou_rhs", "fatou", "rhs", -1.0 / (2.0 * LN2), 1e-9,
+        "constant integral series"),
+    Row("fatou_aui_diag_fails", "fatou", "aui_negative_parts", False, None,
+        "negative-part tails stick at 1/(2 ln 2)"),
+    Row("minorant_dominance", "minorant", "dominance_ok", True, None,
+        "depressions only push values down"),
+    Row("minorant_chain_fails", "minorant", "chain_ok", False, None,
+        "0 vs -1/ln 2"),
+    Row("minorant_epi_side", "minorant", "epi_integral", 0.0, 1e-12,
+        "comb gaps reach up to 0 everywhere"),
+    Row("minorant_rhs", "minorant", "liminf_of_integrals", -1.0 / LN2, 1e-6,
+        "constant comb integrals"),
+    Row("weakened_minorant_holds", "weakened_minorant", "verdict", True, None,
+        "-1/ln 2 <= -1/ln 2", _holds),
+    Row("weakened_epi_side", "weakened_minorant", "epi_integral", -1.0 / LN2,
+        1e-6, "depression envelope integrates like a constant density"),
+    Row("g_epi_liminf_pointwise", _comb_certificate_deviation, None, 0.0, 2e-3,
+        "certificate tracks the exponential envelope per cell"),
+    Row("g_limit_exception_mass", _g_limit_exists, "exception_mass",
+        0.75 / LN2, 1e-6, "mass difference over [0, 2)"),
+    Row("g_exception_mass_exact", _g_limit_exists, "mass_exact", True, None,
+        "both certificates present"),
+)
+
+
 # --------------------------------------------------------------------------
 # classic baselines
 # --------------------------------------------------------------------------
@@ -285,6 +521,18 @@ def _shrinking_plateau_scenario(n_max: int = 32) -> Scenario:
     )
 
 
+_SHRINKING_PLATEAU_ROWS = (
+    Row("fatou_conclusion", "fatou", "verdict", HOLDS, None, "0 <= 1"),
+    Row("fatou_lhs", "fatou", "lhs", 0.0, 1e-12,
+        "plateaus slide off every ball"),
+    Row("fatou_rhs", "fatou", "rhs", 1.0, 1e-12, "n * (1/n) = 1 exactly"),
+    Row("minorant_holds", "minorant", "verdict", True, None,
+        "zero minorant, chain 0 <= 0", _holds),
+    Row("shift_is_zero", "shift", "shift", 0, None,
+        "negative parts vanish identically"),
+)
+
+
 def _fading_plateau_scenario(n_max: int = 32) -> Scenario:
     """Plateaus (1 - 1/n) on [0,1] rising to 1 under a constant majorant."""
     dom = Interval(0.0, 1.0)
@@ -301,8 +549,23 @@ def _fading_plateau_scenario(n_max: int = 32) -> Scenario:
         f_seq=f_seq,
         g_seq=_constant_seq(one, n_max),
         limit_fn=one,
+        # the integral series 1 - 1/n crawls to its limit; equality can
+        # only be asserted at the window's own resolution
+        tolerances=Tolerances(tol=2.0 / default_window_start(n_max)),
         certificate="tv",
     )
+
+
+_FADING_PLATEAU_ROWS = (
+    Row("majorant_holds", "majorant", "verdict", True, None,
+        "constant majorant, chain 1 <= 1 < inf", _holds),
+    Row("limit_integral", "dct", "limit_integral", 1.0, 1e-12,
+        "constant limit function"),
+    Row("dct_conclusion", "dct", "verdict", HOLDS, None,
+        "series converges to the limit integral"),
+    Row("hypotheses_ok", "dct", "hypotheses_ok", True, None,
+        "limit exists everywhere; majorant certified"),
+)
 
 
 def _flat_negative_scenario(n_max: int = 16) -> Scenario:
@@ -321,6 +584,15 @@ def _flat_negative_scenario(n_max: int = 16) -> Scenario:
     )
 
 
+_FLAT_NEGATIVE_ROWS = (
+    Row("shift_is_zero", "shift", "shift", 0, None, "bounded constant family"),
+    Row("minorant_holds", "minorant", "verdict", True, None,
+        "self-minorant, chain -1 <= -1", _holds),
+    Row("fatou_conclusion", "fatou", "verdict", HOLDS, None, "-1 <= -1"),
+    Row("fatou_gap", "fatou", "gap", 0.0, 1e-12, "identical constant sides"),
+)
+
+
 def _vanishing_mass_scenario(n_max: int = 32) -> Scenario:
     """Measures with total mass 1/n collapsing to the zero measure."""
     dom = Interval(0.0, 1.0)
@@ -335,295 +607,25 @@ def _vanishing_mass_scenario(n_max: int = 32) -> Scenario:
     )
 
 
+_VANISHING_MASS_ROWS = (
+    Row("fatou_conclusion", "fatou", "verdict", HOLDS, None,
+        "zero limit measure edge"),
+    Row("fatou_lhs", "fatou", "lhs", 0.0, 0.0, "integral against zero measure"),
+    Row("edge_recorded", "fatou", "zero_limit_measure", True, None,
+        "degenerate scenario is flagged, not silent"),
+)
+
+
 # --------------------------------------------------------------------------
-# conformance machinery
+# the fixtures
 # --------------------------------------------------------------------------
-
-@dataclass(frozen=True)
-class Quantity:
-    id: str
-    value: object
-    expected: object
-    tol: Optional[float]
-    ok: bool
-    note: str
-
-
-@dataclass(frozen=True)
-class ConformanceReport:
-    fixture: str
-    quantities: tuple[Quantity, ...]
-    elapsed_s: float
-
-    @property
-    def failures(self) -> int:
-        return sum(1 for q in self.quantities if not q.ok)
-
-    @property
-    def verdicts(self) -> dict:
-        return {q.id: q.value for q in self.quantities
-                if isinstance(q.value, str) and q.value in
-                ("holds", "violated", "inconclusive")}
-
-
-def _num(qid: str, value: float, expected: float, tol: float, note: str) -> Quantity:
-    return Quantity(qid, float(value), float(expected), tol,
-                    bool(close(value, expected, tol)), note)
-
-
-def _flag(qid: str, value, expected, note: str) -> Quantity:
-    return Quantity(qid, value, expected, None, bool(value == expected), note)
-
-
-def _run_staircase(sc: Scenario) -> list[Quantity]:
-    residual = (_STAIR_STEPS + 2.0) * 2.0 ** -_STAIR_STEPS
-    qs = []
-
-    ks = [0.5] + [float(k) for k in range(1, 11)]
-    table = replace(sc, k_grid=tuple(ks)).neg_tail_curve.table
-    dev = max(abs(table[n - 1, j] - staircase_tail_formula(k))
-              for n in range(1, sc.n_max + 1) for j, k in enumerate(ks))
-    qs.append(_num("tail_matches_closed_form", dev, 0.0, 1e-9 + residual,
-                   "geometric series sum_{i>=ceil(K)} i/2^i"))
-
-    dev = max(abs(v + 2.0) for v in sc.f_integral_series)
-    qs.append(_num("integral_is_minus_two", dev, 0.0, 1e-9,
-                   "series sum i/2^i = 2, residual folded into last cell"))
-
-    curve = sc.neg_tail_curve
-    qs.append(_flag("ui_passes", verdict(curve, "ui").passes, True,
-                    "sup curve vanishes on the dyadic grid"))
-    qs.append(_flag("aui_passes", verdict(curve, "aui").passes, True,
-                    "windowed curve vanishes on the dyadic grid"))
-    qs.append(_flag("shift_is_zero",
-                    first_shift(curve.table[:, -1], 1e-6, sc.n_max - 1), 0,
-                    "tails are index-independent"))
-
-    rep = fatou_report(sc)
-    qs.append(_flag("fatou_conclusion", rep.conclusion, HOLDS,
-                    "-inf <= -2"))
-    qs.append(_flag("fatou_lhs_is_minus_inf", rep.lhs, -math.inf,
-                    "staircase floors sink without bound at the atom"))
-    qs.append(_num("fatou_rhs", rep.rhs, -2.0, 1e-9, "constant integral series"))
-
-    minor = minorant_check(sc)
-    qs.append(_flag("minorant_self_fails", minor.holds, False,
-                    "no minorant certificate exists for this family"))
-    qs.append(_num("minorant_epi_side", minor.epi_integral, 0.0, 1e-12,
-                   "upper epi-limit vanishes at the atom"))
-    qs.append(_num("minorant_chain_rhs", minor.liminf_of_integrals, -2.0, 1e-9,
-                   "constant integral series"))
-
-    weak = weakened_minorant_probe(sc)
-    qs.append(_flag("weakened_self_infinite", weak.finite_ok, False,
-                    "lower epi-limit integral is -inf at the atom"))
-
-    dev = max(abs(sc.tv_series[n - 1] - 2.0) for n in (1, 7, sc.n_max))
-    qs.append(_num("tv_to_limit_is_two", dev, 0.0, 1e-12,
-                   "mutually singular unit masses"))
-
-    gaps = weak_gap_bank(sc.measures, sc.limit_measure,
-                         default_bank(sc.limit_measure))
-    ok = all(g <= 1.0 / (2.0 * n) + 1e-12 for n, g in enumerate(gaps, start=1))
-    qs.append(_flag("weak_gap_within_lipschitz_bound", ok, True,
-                    "mean of |s| over [0,1/n] is 1/(2n)"))
-    return qs
-
-
-def _run_staircase_late_start(sc: Scenario) -> list[Quantity]:
-    curve = sc.neg_tail_curve
-    return [
-        _flag("aui_passes", verdict(curve, "aui").passes, True,
-              "trailing window never sees the bad index"),
-        _flag("ui_fails", verdict(curve, "ui").passes, False,
-              "index 1 has an infinite tail at every level"),
-        _flag("shift_is_one",
-              first_shift(curve.table[:, -1], 1e-6, 50), 1,
-              "dropping one index restores the staircase family"),
-    ]
-
-
-def _run_twin_spikes(sc: Scenario) -> list[Quantity]:
-    qs = []
-    f50 = sc.f_seq.fns[49]
-    qs.append(_num("f50_at_+0.01", f50(0.01), 50.0, 0.0, "direct construction"))
-    qs.append(_num("f50_at_-0.01", f50(-0.01), -50.0, 0.0, "direct construction"))
-
-    curve = sc.neg_tail_curve
-    dev = max(float(np.max(np.abs(curve.sup_curve - 1.0))),
-              float(np.max(np.abs(curve.limsup_curve - 1.0))))
-    qs.append(_num("tail_curves_all_one", dev, 0.0, 1e-12,
-                   "spike mass n * (1/n) = 1 whenever n >= K"))
-    qs.append(_flag("aui_fails", verdict(curve, "aui").passes, False,
-                    "curve is constantly 1 on the grid"))
-    qs.append(_flag("shift_absent",
-                    first_shift(curve.table[:, -1], 1e-6, 50), None,
-                    "every trailing family repeats the same tails"))
-
-    dev = max(abs(v) for v in sc.f_integral_series)
-    qs.append(_num("integrals_zero", dev, 0.0, 1e-12,
-                   "antisymmetric spikes cancel exactly"))
-
-    dct = dct_report(sc, equality_tol=1e-12)
-    qs.append(_flag("dct_conclusion", dct.conclusion, HOLDS, "0 = 0"))
-    qs.append(_num("dct_limit_integral", dct.limit_integral, 0.0, 1e-12,
-                   "epi-limit vanishes off a single point"))
-    qs.append(_num("dct_exception_mass", dct.exception_mass, 0.0, 0.0,
-                   "limit fails to exist only on a Lebesgue-null point"))
-    qs.append(_flag("dct_equality_without_condition",
-                    dct.equality_without_condition, True,
-                    "equality holds although no shift is integrable"))
-
-    minor = minorant_check(sc)
-    qs.append(_flag("minorant_self_holds", minor.holds, True,
-                    "both sides vanish for the self-minorant"))
-    qs.append(_num("minorant_epi_side", minor.epi_integral, 0.0, 1e-12,
-                   "upper epi-limit is 0 off the origin"))
-
-    rep = sc.uniform_report
-    qs.append(_num("uniform_sup_gap_is_one",
-                   max(abs(g - 1.0) for g in rep.series.sup_gaps), 0.0, 1e-12,
-                   "each Hahn side carries mass 1"))
-    qs.append(_num("uniform_inf_gap_is_minus_one",
-                   max(abs(g + 1.0) for g in rep.series.inf_gaps), 0.0, 1e-12,
-                   "negative spike carries mass 1"))
-    dev = max(abs(rep.series.cond_undershoot[n - 1] - 1.0 / n)
-              for n in range(1, sc.n_max + 1))
-    qs.append(_num("undershoot_mass_is_1_over_n", dev, 0.0, 1e-12,
-                   "undershoot set is [-1/n, 0)"))
-    qs.append(_flag("uniform_verdicts_consistent",
-                    rep.fatou.consistent and rep.dct.consistent, True,
-                    "stalled gaps match the failing tail condition"))
-
-    fat = fatou_report(sc)
-    qs.append(_flag("fatou_conclusion", fat.conclusion, HOLDS, "0 <= 0"))
-
-    try:
-        bounded_minorant_shift_probe(sc)
-        rejected = False
-    except UnsupportedScenarioError:
-        rejected = True
-    qs.append(_flag("shift_probe_rejects_unbounded_minorants", rejected, True,
-                    "self-minorants are unbounded above"))
-    return qs
-
-
-def _run_dyadic_comb(sc: Scenario) -> list[Quantity]:
-    mu = sc.limit_measure
-    qs = []
-
-    half = 1.0 / (2.0 * LN2)
-    dev = max(abs(v + half) for v in sc.f_integral_series)
-    qs.append(_num("f_integral", dev, 0.0, 1e-9,
-                   "CDF difference: 2^n * (2^-n - 2^-(n+1)) / ln 2"))
-
-    dev = max(abs(v + 1.0 / LN2) for v in sc.g_integral_series)
-    qs.append(_num("g_integral", dev, 0.0, 1e-6,
-                   "comb depression adds another 1/(2 ln 2)"))
-
-    g3 = sc.g_seq.fns[2]
-    depressed = int(np.sum((g3.values < 0) & (g3.values > -4)))
-    qs.append(_flag("g3_depressed_cell_count", depressed, 8,
-                    "2^3 alternating dyadic cells"))
-
-    rep = fatou_report(sc)
-    qs.append(_flag("fatou_conclusion", rep.conclusion, VIOLATED,
-                    "0 > -1/(2 ln 2) with certified sides"))
-    qs.append(_num("fatou_lhs", rep.lhs, 0.0, 1e-12, "cliffs march off every ball"))
-    qs.append(_num("fatou_rhs", rep.rhs, -half, 1e-9, "constant integral series"))
-    qs.append(_flag("fatou_aui_diag_fails",
-                    rep.aui_negative_parts, False,
-                    "negative-part tails stick at 1/(2 ln 2)"))
-
-    minor = minorant_check(sc)
-    qs.append(_flag("minorant_dominance", minor.dominance_ok, True,
-                    "depressions only push values down"))
-    qs.append(_flag("minorant_chain_fails", minor.chain_ok, False,
-                    "0 vs -1/ln 2"))
-    qs.append(_num("minorant_epi_side", minor.epi_integral, 0.0, 1e-12,
-                   "comb gaps reach up to 0 everywhere"))
-    qs.append(_num("minorant_rhs", minor.liminf_of_integrals, -1.0 / LN2, 1e-6,
-                   "constant comb integrals"))
-
-    weak = weakened_minorant_probe(sc)
-    qs.append(_flag("weakened_minorant_holds", weak.holds, True,
-                    "-1/ln 2 <= -1/ln 2"))
-    qs.append(_num("weakened_epi_side", weak.epi_integral, -1.0 / LN2, 1e-6,
-                   "depression envelope integrates like a constant density"))
-
-    pts = np.linspace(0.0, 1.9375, 32)
-    ests = sc.g_seq.epi_liminf_cert.values_at(pts, True).tolist()
-    # Python floats, so that the bits do not hang on numpy's power
-    env_dev = max(abs(est + 2.0 ** (s - 1.0) / LN2)
-                  for s, est in zip(pts.tolist(), ests))
-    qs.append(_num("g_epi_liminf_pointwise", env_dev, 0.0, 2e-3,
-                   "certificate tracks the exponential envelope per cell"))
-
-    exists = epi_limit_exists(sc.g_seq, sc.resolved_grid(),
-                              sc.resolved_schedule(), 1e-9, mu)
-    qs.append(_num("g_limit_exception_mass", exists.exception_mass,
-                   0.75 / LN2, 1e-6, "CDF difference over [0, 2)"))
-    qs.append(_flag("g_exception_mass_exact", exists.mass_exact, True,
-                    "both certificates present"))
-    return qs
-
-
-def _run_shrinking_plateau(sc: Scenario) -> list[Quantity]:
-    rep = fatou_report(sc)
-    probe = bounded_minorant_shift_probe(sc)
-    return [
-        _flag("fatou_conclusion", rep.conclusion, HOLDS, "0 <= 1"),
-        _num("fatou_lhs", rep.lhs, 0.0, 1e-12, "plateaus slide off every ball"),
-        _num("fatou_rhs", rep.rhs, 1.0, 1e-12, "n * (1/n) = 1 exactly"),
-        _flag("shift_probe_applicable", probe.applicable, True,
-              "zero minorant is bounded and certified"),
-        _flag("shift_probe_zero", probe.shift, 0,
-              "negative parts vanish identically"),
-    ]
-
-
-def _run_fading_plateau(sc: Scenario) -> list[Quantity]:
-    # the integral series 1 - 1/n crawls to its limit; equality can only be
-    # asserted at the window's own resolution
-    dct = dct_report(sc, equality_tol=2.0 / sc.window_start)
-    return [
-        _flag("majorant_holds", majorant_check(sc).holds, True,
-              "constant majorant, chain 1 <= 1 < inf"),
-        _num("limit_integral", dct.limit_integral, 1.0, 1e-12,
-             "constant limit function"),
-        _flag("dct_conclusion", dct.conclusion, HOLDS,
-              "series converges to the limit integral"),
-        _flag("hypotheses_ok", dct.hypotheses_ok, True,
-              "limit exists everywhere; majorant certified"),
-    ]
-
-
-def _run_flat_negative(sc: Scenario) -> list[Quantity]:
-    probe = bounded_minorant_shift_probe(sc)
-    rep = fatou_report(sc)
-    return [
-        _flag("shift_probe_zero", probe.shift, 0, "bounded constant family"),
-        _flag("fatou_conclusion", rep.conclusion, HOLDS, "-1 <= -1"),
-        _num("fatou_gap", rep.gap, 0.0, 1e-12, "identical constant sides"),
-    ]
-
-
-def _run_vanishing_mass(sc: Scenario) -> list[Quantity]:
-    rep = fatou_report(sc)
-    return [
-        _flag("fatou_conclusion", rep.conclusion, HOLDS,
-              "zero limit measure edge"),
-        _num("fatou_lhs", rep.lhs, 0.0, 0.0, "integral against zero measure"),
-        _flag("edge_recorded", rep.zero_limit_measure, True,
-              "degenerate scenario is flagged, not silent"),
-    ]
-
 
 @dataclass(frozen=True)
 class Fixture:
     summary: str
     build: Callable[..., Scenario]
-    run: Callable[[Scenario], list[Quantity]]
+    checks: tuple[str, ...]  # the checks that its rows read
+    rows: tuple[Row, ...]
     max_n: Optional[int] = None  # the largest n_max its builder accepts
 
 
@@ -631,30 +633,38 @@ FIXTURES: dict[str, Fixture] = {
     "staircase": Fixture(
         "collapsing densities vs point mass; staircase integrands with "
         "uniformly integrable negative parts and no minorant certificate",
-        _staircase_scenario, _run_staircase),
+        _staircase_scenario, ("ui", "aui", "shift", "fatou", "minorant",
+                              "weakened_minorant", "weak_gap"),
+        _STAIRCASE_ROWS),
     "staircase_late_start": Fixture(
         "staircase family with one non-integrable index prepended",
-        _staircase_late_start_scenario, _run_staircase_late_start),
+        _staircase_late_start_scenario, ("ui", "aui", "shift"),
+        _LATE_START_ROWS),
     "twin_spikes": Fixture(
         "antisymmetric +-n spikes on Lebesgue measure: integrals converge "
         "without any uniform integrability",
-        _twin_spikes_scenario, _run_twin_spikes),
+        _twin_spikes_scenario, ("aui", "shift", "dct", "minorant",
+                                "uniform_fatou", "uniform_dct", "fatou"),
+        _TWIN_SPIKES_ROWS),
     "dyadic_comb": Fixture(
         "geometric cliffs plus dyadic comb depressions on an "
         "exponentially decaying measure",
-        _dyadic_comb_scenario, _run_dyadic_comb, _COMB_MAX_N),
+        _dyadic_comb_scenario, ("fatou", "minorant", "weakened_minorant"),
+        _COMB_ROWS, _COMB_MAX_N),
     "shrinking_plateau": Fixture(
         "classic strict-inequality plateau family",
-        _shrinking_plateau_scenario, _run_shrinking_plateau),
+        _shrinking_plateau_scenario, ("fatou", "minorant", "shift"),
+        _SHRINKING_PLATEAU_ROWS),
     "fading_plateau": Fixture(
         "plateaus rising to a constant limit under a constant majorant",
-        _fading_plateau_scenario, _run_fading_plateau),
+        _fading_plateau_scenario, ("majorant", "dct"), _FADING_PLATEAU_ROWS),
     "flat_negative": Fixture(
         "constant -1 family; all diagnostics trivial",
-        _flat_negative_scenario, _run_flat_negative),
+        _flat_negative_scenario, ("shift", "minorant", "fatou"),
+        _FLAT_NEGATIVE_ROWS),
     "vanishing_mass": Fixture(
         "mass draining to the zero measure: degenerate-limit edge case",
-        _vanishing_mass_scenario, _run_vanishing_mass),
+        _vanishing_mass_scenario, ("fatou",), _VANISHING_MASS_ROWS),
 }
 
 
@@ -672,8 +682,17 @@ def build(fixture_id: str, **params) -> Scenario:
 
 
 def run(fixture_id: str, **params) -> ConformanceReport:
-    """Build a fixture's scenario and check every expected quantity."""
+    """Build a fixture's scenario, run its checks as ``check`` runs them
+    and read every row."""
     fx = _fixture(fixture_id)
     t0 = time.perf_counter()
-    qs = fx.run(fx.build(**params))
+    sc = fx.build(**params)
+    sources: dict = {None: sc}
+    for r in check_results(sc, fx.checks):
+        sources[r.name] = {"verdict": r.verdict, **r.payload, **r.curves}
+    qs = []
+    for row in fx.rows:
+        if callable(row.check) and row.check not in sources:
+            sources[row.check] = row.check(sc)
+        qs.append(row.quantity(sources.get(row.check, {}), sc))
     return ConformanceReport(fixture_id, tuple(qs), time.perf_counter() - t0)

@@ -78,19 +78,25 @@ class AnalyticSegment:
         return float(self.mass_fn(np.asarray([self.lo]), np.asarray([self.hi]))[0])
 
 
-#: Named segment densities resolvable from scenario files.
-CDF_REGISTRY: dict[str, Callable[[float, float], AnalyticSegment]] = {
+#: The mass rules that a segment may name, each as the factory of its
+#: segment on [lo, hi], which reads the rule when it runs.
+SEGMENT_MASS_RULES: dict[str, Callable[[float, float], AnalyticSegment]] = {
     "exp2": lambda lo, hi: AnalyticSegment("exp2", lo, hi, _exp2_mass),
 }
 
 
-def make_segment(name: str, lo: float, hi: float) -> AnalyticSegment:
-    try:
-        factory = CDF_REGISTRY[name]
-    except KeyError:
+def segment_factory(name) -> Callable[[float, float], AnalyticSegment]:
+    """The factory of the segments named ``name``: the one check of a
+    segment name, in code and in scenario files."""
+    factory = SEGMENT_MASS_RULES.get(name) if isinstance(name, str) else None
+    if factory is None:
         raise MalformedObjectError(
-            f"unknown analytic CDF {name!r}; known: {sorted(CDF_REGISTRY)}") from None
-    return factory(lo, hi)
+            f"unknown segment {name!r}; known: {sorted(SEGMENT_MASS_RULES)}")
+    return factory
+
+
+def make_segment(name: str, lo: float, hi: float) -> AnalyticSegment:
+    return segment_factory(name)(lo, hi)
 
 
 class FiniteMeasure:

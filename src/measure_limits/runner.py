@@ -152,15 +152,10 @@ _CHECKS = {
 }
 
 
-def run_checks(doc: ScenarioDoc, checks: Optional[tuple[str, ...]] = None
-               ) -> ReportDoc:
-    """Execute the requested checks; a check that raises reads 'error'."""
-    names = tuple(checks if checks is not None else doc.checks)
-    unknown = [n for n in names if n not in _CHECKS]
-    if unknown:
-        raise ScenarioFormatError(f"unknown checks {unknown}; "
-                                  f"known: {sorted(_CHECKS)}")
-    sc = doc.scenario
+def check_results(sc: Scenario, names) -> tuple[CheckResult, ...]:
+    """The named checks' results on one scenario, in order; a check that
+    raises reads 'error'.  ``run_checks`` and ``gallery.run`` both read
+    their verdicts here."""
 
     def one(name: str) -> CheckResult:
         # module errors, math.fsum's OverflowError (finite products whose
@@ -172,4 +167,15 @@ def run_checks(doc: ScenarioDoc, checks: Optional[tuple[str, ...]] = None
             return CheckResult(name, "error",
                                {"error": f"{type(exc).__name__}: {exc}"}, {})
 
-    return ReportDoc(doc.name, doc.hash(), tuple(one(n) for n in names))
+    return tuple(one(n) for n in names)
+
+
+def run_checks(doc: ScenarioDoc, checks: Optional[tuple[str, ...]] = None
+               ) -> ReportDoc:
+    """Execute the requested checks on the document's scenario."""
+    names = tuple(checks if checks is not None else doc.checks)
+    unknown = [n for n in names if n not in _CHECKS]
+    if unknown:
+        raise ScenarioFormatError(f"unknown checks {unknown}; "
+                                  f"known: {sorted(_CHECKS)}")
+    return ReportDoc(doc.name, doc.hash(), check_results(doc.scenario, names))

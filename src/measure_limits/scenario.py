@@ -2,7 +2,7 @@
 
 Scenario files are plain JSON (UTF-8, no comments, no expression
 language): functions are explicit piecewise lists, measures are explicit
-atom/cell/named-CDF-segment lists, and anything richer comes from a named
+atom/cell/named-segment lists, and anything richer comes from a named
 gallery builder.  Emission is canonical -- sorted keys, floats at 17
 significant digits, infinities as the strings "inf"/"-inf" -- so
 documents and reports hash stably and diff cleanly.
@@ -20,7 +20,7 @@ from . import gallery
 from .epilimits import EpiSchedule
 from .fatou import Scenario, Tolerances
 from .functions import FnSequence, LazyFamily, PiecewiseFn
-from .measures import CDF_REGISTRY, FiniteMeasure, make_segment
+from .measures import FiniteMeasure, segment_factory
 from .runner import _CHECKS
 from .xreal import Interval, MalformedObjectError, ScenarioFormatError
 
@@ -174,14 +174,14 @@ def parse_measure_spec(spec, path: str, domain: Interval) -> FiniteMeasure:
         p = f"{path}.segments[{i}]"
         if not isinstance(entry, dict):
             raise _fail(p, "expected {name, lo, hi}")
-        name = _get(entry, "name", p, required=True)
-        if name not in CDF_REGISTRY:
-            raise _fail(f"{p}.name",
-                        f"unknown CDF {name!r}; known: {sorted(CDF_REGISTRY)}")
+        try:
+            factory = segment_factory(_get(entry, "name", p, required=True))
+        except MalformedObjectError as exc:
+            raise _fail(f"{p}.name", str(exc)) from None
         lo = _as_float(_get(entry, "lo", p, required=True), f"{p}.lo")
         hi = _as_float(_get(entry, "hi", p, required=True), f"{p}.hi")
         try:
-            segments.append(make_segment(name, lo, hi))
+            segments.append(factory(lo, hi))
         except MalformedObjectError as exc:
             raise _fail(p, str(exc)) from None
     try:

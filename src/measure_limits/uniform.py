@@ -37,7 +37,7 @@ def _check_shared_segments(m_n: FiniteMeasure, m: FiniteMeasure) -> None:
     """Hahn over refinement cells is exact only when the gap integrand has
     one sign per cell.  Identical analytic segments factor out a common
     nonnegative density, which guarantees that; differing segments would
-    need sign-change root splitting the CDF cannot provide, so they are
+    need sign-change root splitting the mass rule cannot provide, so they are
     rejected rather than approximated."""
     a = tuple((s.name, s.lo, s.hi) for s in m_n.segments)
     b = tuple((s.name, s.lo, s.hi) for s in m.segments)

@@ -15,6 +15,7 @@ import pytest
 from measure_limits import (
     FnSequence,
     Scenario,
+    Tolerances,
     epi_integral,
     first_shift,
     integrate,
@@ -108,7 +109,7 @@ def test_criterion_3_twin_spikes_conformance():
     ok &= not verdict(curve, "aui").passes
     # the grid is sorted, so the last column is K = max(k_grid)
     ok &= first_shift(curve.table[:, -1], 1e-6, 50) is None
-    dct = dct_report(sc, equality_tol=1e-12)
+    dct = dct_report(replace(sc, tolerances=Tolerances(tol=1e-12)))
     ok &= dct.conclusion == "holds"
     ok &= abs(dct.lim_lo) <= 1e-12 and abs(dct.lim_hi) <= 1e-12
     ok &= abs(dct.limit_integral) <= 1e-12

@@ -11,7 +11,6 @@ from measure_limits import (
     PiecewiseFn,
     Scenario,
     UnsupportedScenarioError,
-    bounded_minorant_shift_probe,
     constant_fn,
     dct_report,
     fatou_report,
@@ -24,7 +23,7 @@ from measure_limits import (
     zero_fn,
 )
 from measure_limits import gallery
-from measure_limits.fatou import HOLDS, VIOLATED
+from measure_limits.fatou import HOLDS, VIOLATED, neg_part_shift
 
 from helpers import constant_seq, fatou_random_scenario, negated
 from helpers import with_constant_offset
@@ -171,13 +170,15 @@ def test_majorant_and_dct_on_fading_plateau():
     rep = majorant_check(sc)
     assert rep.holds
     assert rep.epi_liminf_integral == pytest.approx(1.0, abs=1e-12)
-    dct = dct_report(sc, equality_tol=2.0 / sc.window_start)
+    # the builder asserts equality at the window's own resolution
+    assert sc.tolerances.tol == 2.0 / sc.window_start
+    dct = dct_report(sc)
     assert dct.conclusion == HOLDS and dct.hypotheses_ok
 
 
 def test_dct_spikes_equality_without_condition():
     sc = gallery.build("twin_spikes", n_max=40)
-    dct = dct_report(sc, equality_tol=1e-12)
+    dct = dct_report(sc)
     assert dct.conclusion == HOLDS
     assert dct.equality_without_condition
     assert not dct.aui_full_family
@@ -194,24 +195,15 @@ def test_dct_zero_family_trivially_passes():
     assert dct.conclusion == HOLDS and not dct.equality_without_condition
 
 
-# -- bounded-minorant shift probe -----------------------------------------------
+# -- bounded minorants and the shift ----------------------------------------------
 
-def test_probe_rejects_growing_minorants():
-    sc = gallery.build("twin_spikes", n_max=40)
-    with pytest.raises(UnsupportedScenarioError):
-        bounded_minorant_shift_probe(sc)
-
-
-def test_probe_flat_family_shift_zero():
-    sc = gallery.build("flat_negative")
-    rep = bounded_minorant_shift_probe(sc)
-    assert rep.applicable and rep.shift == 0 and rep.consistent
-
-
-def test_probe_plateau_with_zero_minorant():
-    sc = gallery.build("shrinking_plateau", n_max=16)
-    rep = bounded_minorant_shift_probe(sc)
-    assert rep.applicable and rep.shift == 0
+@pytest.mark.parametrize("fixture", ["flat_negative", "shrinking_plateau"])
+def test_certified_bounded_minorants_come_with_shift_zero(fixture):
+    # minorants bounded above force a shift after which the negative parts
+    # are uniformly integrable; these families need none
+    sc = gallery.build(fixture, n_max=16)
+    assert minorant_check(sc).holds
+    assert neg_part_shift(sc) == 0
 
 
 def test_g_family_on_another_domain_fails_dominance_not_fatou():

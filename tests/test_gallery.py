@@ -1,10 +1,17 @@
-import math
+import json
+from dataclasses import replace
+from functools import cached_property
+from pathlib import Path
 
 import numpy as np
 import pytest
 
-from measure_limits import MalformedObjectError
-from measure_limits import gallery
+from measure_limits import MalformedObjectError, Scenario
+from measure_limits import gallery, runner
+from measure_limits.cli import main
+from measure_limits.scenario import canonical_json, parse_scenario
+
+SCENARIOS = Path(__file__).resolve().parent.parent / "scenarios"
 
 
 @pytest.mark.parametrize("fixture_id", sorted(gallery.FIXTURES))
@@ -14,13 +21,84 @@ def test_fixture_conformance(fixture_id):
     assert not bad, [f"{q.id}: {q.value} != {q.expected}" for q in bad]
 
 
-def test_every_expected_value_is_exercised():
-    # no dead expectations: each fixture publishes at least 3 quantities
-    for fid in gallery.FIXTURES:
-        rep = gallery.run(fid) if fid not in ("dyadic_comb", "twin_spikes") \
-            else None
-        if rep is not None:
-            assert len(rep.quantities) >= 3
+@pytest.mark.parametrize("fixture_id", sorted(gallery.FIXTURES))
+def test_every_row_reads_a_field_that_its_check_prints(fixture_id):
+    # a row names a check that its fixture requests and a field of that
+    # check's result, a memoized series of the scenario, or a function of
+    # the scenario whose docstring says why no check computes it; every
+    # requested check is read, and each fixture has at least 3 rows
+    fx = gallery.FIXTURES[fixture_id]
+    assert len(fx.rows) >= 3
+    assert len({row.id for row in fx.rows}) == len(fx.rows)
+    results = {r.name: r for r in
+               runner.check_results(fx.build(), fx.checks)}
+    assert "error" not in {r.verdict for r in results.values()}
+    for row in fx.rows:
+        if isinstance(row.check, str):
+            assert row.check in fx.checks, row.id
+            result = results[row.check]
+            assert row.key in {"verdict", *result.payload, *result.curves}, \
+                row.id
+        elif row.check is None:
+            assert isinstance(getattr(Scenario, row.key), cached_property)
+        else:
+            assert "check" in row.check.__doc__, row.id
+    assert {row.check for row in fx.rows} >= set(fx.checks)
+
+
+def test_a_row_without_its_field_fails_the_fixture(monkeypatch):
+    # a payload key that the check does not print, a check the fixture
+    # does not request and a check that reads 'error' each fail their row
+    fx = gallery.FIXTURES["vanishing_mass"]
+    rows = (gallery.Row("typo", "fatou", "no_such_key", 0.0, None, ""),
+            gallery.Row("unrequested", "dct", "verdict", "holds", None, ""),
+            gallery.Row("errored", "minorant", "verdict", "holds", None, ""))
+    monkeypatch.setitem(gallery.FIXTURES, "vanishing_mass", replace(
+        fx, checks=(*fx.checks, "minorant"), rows=fx.rows + rows))
+    rep = gallery.run("vanishing_mass")
+    assert [q.id for q in rep.quantities if not q.ok] == [
+        "typo", "unrequested", "errored"]
+    assert rep.quantities[-2].value is None
+
+
+def test_the_comb_requests_only_its_own_checks():
+    assert gallery.FIXTURES["dyadic_comb"].checks == (
+        "fatou", "minorant", "weakened_minorant")
+
+
+@pytest.mark.parametrize("fixture_id, n_max, path, checks", [
+    ("dyadic_comb", 14, "comb_fatou.json",
+     ("fatou", "minorant", "weakened_minorant")),
+    ("twin_spikes", 60, "spikes_uniform.json",
+     ("aui", "shift", "uniform_fatou", "uniform_dct")),
+])
+def test_gallery_rows_read_what_check_prints(tmp_path, fixture_id, n_max,
+                                             path, checks):
+    # the fixture and the scenario file share their builder, size and
+    # (default) tolerances, so the checks' payloads are equal field for
+    # field, and every row that reads a printed field reads the value
+    # that `check` prints
+    out = tmp_path / "report.json"
+    main(["check", str(SCENARIOS / path), "--out", str(out)])
+    printed = json.loads(out.read_text())["checks"]
+    doc = parse_scenario((SCENARIOS / path).read_text())
+    fx = gallery.FIXTURES[fixture_id]
+    sc = gallery.build(fixture_id, n_max=n_max)
+    assert sc.tolerances == doc.scenario.tolerances
+    ours = {r.name: r for r in runner.check_results(sc, fx.checks)}
+    theirs = {r.name: r for r in runner.run_checks(doc).results}
+    for name in checks:
+        entry = {"verdict": ours[name].verdict, **ours[name].payload}
+        assert json.loads(canonical_json(entry)) == printed[name]
+        assert {c: v.to_csv() for c, v in ours[name].curves.items()} == \
+            {c: v.to_csv() for c, v in theirs[name].curves.items()}
+    rep = gallery.run(fixture_id, n_max=n_max)
+    read = [(row.quantity(printed[row.check], sc), q)
+            for row, q in zip(fx.rows, rep.quantities)
+            if row.check in checks and row.key in printed[row.check]]
+    assert len(read) >= 4
+    for mine, q in read:
+        assert mine == q
 
 
 def test_staircase_builds_probability_measures():

@@ -124,7 +124,8 @@ def test_validation_errors():
         FiniteMeasure(atoms=[(2.0, 1.0)], domain=dom)
     with pytest.raises(MalformedObjectError):
         FiniteMeasure(atoms=[(0.5, 1.0), (0.5, 2.0)], domain=dom)
-    with pytest.raises(MalformedObjectError):
+    with pytest.raises(MalformedObjectError,
+                       match=r"unknown segment 'nope'; known: \['exp2'\]"):
         make_segment("nope", 0.0, 1.0)
 
 

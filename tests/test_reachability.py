@@ -22,7 +22,7 @@ import reachability
 BUDGET_LINES = 2
 BUDGET_FUNCTIONS = 1
 #: newlines in ``src/measure_limits/*.py``, as ``wc -l`` counts them
-BUDGET_SRC_LINES = 4040
+BUDGET_SRC_LINES = 4036
 #: newlines in ``tests/helpers.py``, as ``wc -l`` counts them
 BUDGET_HELPERS_LINES = 878
 

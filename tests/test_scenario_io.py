@@ -109,7 +109,8 @@ def test_overlapping_cells_rejected_with_both_named():
     assert "[0.0, 2.0)" in msg and "[1.0, 3.0)" in msg
 
 
-def test_unknown_builder_and_cdf_rejected():
+@pytest.mark.parametrize("name", ["gauss", [], {"a": 1}])
+def test_unknown_builder_and_segment_rejected(name):
     base = {
         "name": "x", "space": {"lo": 0.0, "hi": 1.0}, "n_max": 1,
         "limit_measure": {"atoms": [[0.5, 1.0]]},
@@ -119,13 +120,16 @@ def test_unknown_builder_and_cdf_rejected():
     with pytest.raises(ScenarioFormatError) as err:
         parse_scenario(json.dumps({**base, "measures": {"builder": "missing"}}))
     assert "unknown builder" in str(err.value)
+    # one check of a segment name, also for a name that is not a string
     with pytest.raises(ScenarioFormatError) as err:
         parse_scenario(json.dumps({
             **base,
             "measures": {"explicit": [{"segments": [
-                {"name": "gauss", "lo": 0.0, "hi": 1.0}]}]},
+                {"name": name, "lo": 0.0, "hi": 1.0}]}]},
         }))
-    assert "unknown CDF" in str(err.value)
+    assert str(err.value) == (
+        f"$.measures.explicit[0].segments[0].name: unknown segment "
+        f"{name!r}; known: ['exp2']")
 
 
 @pytest.mark.parametrize("n_max, params, path", [
