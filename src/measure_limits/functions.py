@@ -15,7 +15,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import Callable, Optional, Sequence
+from typing import Callable, Iterator, NamedTuple, Optional, Sequence
 
 import numpy as np
 
@@ -64,6 +64,8 @@ class PiecewiseFn:
         self.breakpoints, self.table = _canonicalize(bp, vals, self.default,
                                                      domain)
         self.values = self.table[1:-1]
+
+    n_breakpoints = property(lambda self: self.breakpoints.size)
 
     # -- evaluation ------------------------------------------------------
 
@@ -202,13 +204,41 @@ class EpiCertificate:
         return env
 
 
+class BlockedFn(NamedTuple):
+    """A step function on ``domain`` with ``n_breakpoints`` breakpoints,
+    given by its cell blocks in order (``refinement.Block``), which
+    ``cell_blocks()`` makes anew at each call."""
+
+    domain: Interval
+    n_breakpoints: int
+    cell_blocks: Callable[[], Iterator]
+
+    def build(self) -> PiecewiseFn:
+        """The function written from its blocks, block after block, whose
+        frozen arrays ``PiecewiseFn`` keeps."""
+        n, at = self.n_breakpoints, 0
+        bp, table = np.empty(n), np.empty(n + 1)
+        for b in self.cell_blocks():
+            k = b.breakpoints.size
+            bp[at:at + k], table[at:at + k + 1] = b.breakpoints, b.table
+            at += k
+        bp.flags.writeable = table.flags.writeable = False
+        return PiecewiseFn(bp, table[1:-1], table[0], self.domain)
+
+
+def _built(f):
+    return f.build() if isinstance(f, BlockedFn) else f
+
+
 @dataclass(frozen=True)
 class LazyFamily(Sequence):
-    """The step functions build(n), n in ``indices``, on one domain, built
-    on demand: ``len`` builds nothing, an index or an iteration builds its
-    members and keeps none, and a slice is again such a family."""
+    """The step functions member(n), n in ``indices``, on one domain, built
+    on demand: a member may be a ``BlockedFn``, which states its size and
+    builds nothing until it is read.  ``len`` builds nothing, an index or
+    an iteration builds its members and keeps none, and a slice is again
+    such a family."""
 
-    build: Callable[[int], PiecewiseFn]
+    member: Callable[[int], object]
     indices: range
 
     def __len__(self) -> int:
@@ -216,11 +246,11 @@ class LazyFamily(Sequence):
 
     def __getitem__(self, i):
         if isinstance(i, slice):
-            return LazyFamily(self.build, self.indices[i])
-        return self.build(self.indices[i])
+            return LazyFamily(self.member, self.indices[i])
+        return _built(self.member(self.indices[i]))
 
     def __iter__(self):  # an IndexError of build is not the family's end
-        return map(self.build, self.indices)
+        return (_built(self.member(n)) for n in self.indices)
 
 
 @dataclass(frozen=True)

@@ -15,13 +15,14 @@ from __future__ import annotations
 import math
 import time
 from dataclasses import dataclass, replace
-from typing import Callable, Optional, Union
+from typing import Callable, Iterator, Optional, Union
 
 import numpy as np
 
 from .epilimits import epi_limit_exists
 from .fatou import HOLDS, VIOLATED, Scenario, Tolerances
 from .functions import (
+    BlockedFn,
     EpiCertificate,
     FnSequence,
     LazyFamily,
@@ -30,6 +31,7 @@ from .functions import (
     zero_fn,
 )
 from .measures import FiniteMeasure, lebesgue, make_segment, point_mass
+from .refinement import CHUNK_EDGES, Block
 from .runner import PASS, check_results
 from .tails import default_window_start
 from .xreal import Interval, MalformedObjectError, close
@@ -289,6 +291,9 @@ def _twin_spikes_scenario(n_max: int = 100) -> Scenario:
 def _f50(sc: Scenario) -> PiecewiseFn:
     """twin_spikes' f_50, whose point values are its construction: checks
     integrate it and evaluate none of its values."""
+    if sc.n_max < 50:
+        raise MalformedObjectError(
+            f"twin_spikes reads f_50: n_max={sc.n_max} must be >= 50")
     return sc.f_seq.fns[49]
 
 
@@ -339,8 +344,9 @@ _TWIN_SPIKES_ROWS = (
 # fixture: dyadic_comb
 # --------------------------------------------------------------------------
 
-#: The memory budget of the comb: g_n holds two arrays of 2^(n+1) + 2
-#: doubles, 64 MiB each at n = 22, and a run holds two g_n at a time.
+#: The input bound of the comb: g_n has 2^(n+1) + 2 breakpoints, and
+#: ``fns[n]`` writes two arrays of that many doubles, 64 MiB each at
+#: n = 22; a run reads each g_n in blocks and holds none whole.
 _COMB_MAX_N = 22
 _COMB_CERT_CELLS = 4096
 
@@ -352,12 +358,30 @@ def _comb_domain() -> tuple[Interval, FiniteMeasure]:
     return dom, mu
 
 
-def _comb_depths(seg, a: np.ndarray, b: np.ndarray) -> np.ndarray:
-    """Depression depth per cell [a, b) of a dyadic grid, all b[0] - a[0]
-    long: the exponential envelope 2^(s-1)/ln 2 averaged by the measure,
-    i.e. (len/(2 ln 2)) / mass, written over the masses."""
-    depths = seg.mass_fn(a, b)
-    return np.divide((b[0] - a[0]) / (2.0 * LN2), depths, out=depths)
+def _comb_g_blocks(n: int, seg) -> Iterator[Block]:
+    """g_n's cells on [0, inf) with their exp2 masses, in blocks of
+    ``CHUNK_EDGES`` dyadic cells, the last one ending with the cells from
+    2.0 for n <= 2, or from the cliff's ends.  A depressed cell, at an even
+    k 2^-n, sinks by the envelope 2^(s-1)/ln 2 averaged by the measure,
+    (2^-n / (2 ln 2)) / mass, read off its block's masses."""
+    h, dyadic = 2.0 ** -n, 2 ** (n + 1)
+    tail = [2.0, 3.0] if n == 2 else [2.0] if n == 1 else [n, n + 1.0]
+    prev = 0.0
+    for j in range(0, dyadic, CHUNK_EDGES):
+        last = j + CHUNK_EDGES >= dyadic
+        e = np.arange(j, dyadic + len(tail) + 1 if last else j + CHUNK_EDGES + 1,
+                      dtype=np.float64)
+        e *= h
+        if last:
+            e[dyadic - j:] = [*tail, math.inf]
+        lo, masses = e[:-1], seg.mass_fn(e[:-1], e[1:])
+        table = np.zeros(e.size)
+        table[0] = prev
+        table[1 + lo.searchsorted(n):1 + lo.searchsorted(n + 1)] = -(2.0 ** n)
+        even = slice(j & 1, dyadic - j, 2)  # the cells at an even k
+        table[1:][even] -= (h / (2.0 * LN2)) / masses[even]
+        prev = table[-1]
+        yield Block(e[0], e[-1], lo, table, masses, seg.mass_fn)
 
 
 def _dyadic_comb_scenario(n_max: int = 20) -> Scenario:
@@ -370,13 +394,14 @@ def _dyadic_comb_scenario(n_max: int = 20) -> Scenario:
     while the pointwise values stay within one cell's oscillation of the
     envelope.
 
-    g_n is built as numpy arrays, never as Python lists, and canonical:
-    for n > 2 the last dyadic cell and [2, n) are one zero cell, so g_n has
-    2^(n+1) + 2 breakpoints.  The breakpoints and the value table, 16 MiB
-    each at n = 20, are written once and frozen, so ``PiecewiseFn`` keeps
-    them.  The g family is a ``LazyFamily``, which holds no g_n: a run
-    builds each one once in ``Scenario.g_pass`` (and g_3 again to count
-    its cells), and holds at most g_19 and g_20, 48 MiB, for n_max = 20.
+    g_n is canonical: for n > 2 the last dyadic cell and [2, n) are one
+    zero cell, so g_n has 2^(n+1) + 2 breakpoints.  The g family is a
+    ``LazyFamily`` of ``BlockedFn``: it states each g_n's size and holds
+    none.  ``fns[n]`` writes g_n's breakpoints and value table, 16 MiB
+    each at n = 20, from its blocks; ``Scenario.g_pass`` reads the blocks
+    of a g_n of more than ``CHUNK_EDGES`` breakpoints one at a time, each
+    block's exp2 masses serving both its depths and its integral, and
+    builds none of them whole (a run builds g_3 whole to count its cells).
     """
     if n_max > _COMB_MAX_N:
         raise MalformedObjectError(
@@ -387,29 +412,13 @@ def _dyadic_comb_scenario(n_max: int = 20) -> Scenario:
     def f_builder(n: int) -> PiecewiseFn:
         return PiecewiseFn([float(n), float(n + 1)], [-(2.0 ** n)], 0.0, dom)
 
-    def g_builder(n: int) -> PiecewiseFn:
-        h = 2.0 ** -n
-        n_cells = 2 ** (n + 1)
-        # the dyadic edges of [0, 2), 2.0 only for n <= 2, then the cliff
-        tail = [float(n), float(n + 1)] if n > 2 else [3.0] if n == 2 else []
-        n_dyadic = n_cells + (n <= 2)
-        bp = np.arange(n_dyadic + len(tail), dtype=np.float64)
-        bp[:n_dyadic] *= h
-        bp[n_dyadic:] = tail
-        # g_n's value table, the default 0.0 at both ends (no finite hi)
-        table = np.zeros(bp.size + 1)
-        vals = table[1:-1]
-        if n < 2:
-            vals[bp[:n_cells] >= n] = -(2.0 ** n)
-        else:
-            vals[-1] = -(2.0 ** n)
-        # each depressed cell ends at the next dyadic edge
-        vals[0:n_cells:2] -= _comb_depths(seg, bp[0:n_cells:2], bp[1:n_cells:2])
-        bp.flags.writeable = table.flags.writeable = False
-        return PiecewiseFn(bp, table[1:-1], 0.0, dom)
+    def g_member(n: int) -> BlockedFn:
+        return BlockedFn(dom, 2 ** (n + 1) + min(n, 2),
+                         lambda: _comb_g_blocks(n, seg))
 
     fine_bp = np.arange(_COMB_CERT_CELLS + 1) * (2.0 / _COMB_CERT_CELLS)
-    fine_vals = -_comb_depths(seg, fine_bp[:-1], fine_bp[1:])
+    fine_vals = -(((2.0 / _COMB_CERT_CELLS) / (2.0 * LN2))
+                  / seg.mass_fn(fine_bp[:-1], fine_bp[1:]))
     g_liminf_cert = EpiCertificate(PiecewiseFn(fine_bp, fine_vals, 0.0, dom))
 
     f_seq = FnSequence(
@@ -417,7 +426,7 @@ def _dyadic_comb_scenario(n_max: int = 20) -> Scenario:
         epi_liminf_cert=EpiCertificate(zero_fn(dom)),
         epi_limsup_cert=EpiCertificate(zero_fn(dom)))
     g_seq = FnSequence(
-        LazyFamily(g_builder, range(1, n_max + 1)),
+        LazyFamily(g_member, range(1, n_max + 1)),
         epi_liminf_cert=g_liminf_cert,
         epi_limsup_cert=EpiCertificate(zero_fn(dom)))
     return Scenario(

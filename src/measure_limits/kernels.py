@@ -76,25 +76,40 @@ def _tree_levels(x: np.ndarray, bufs) -> tuple[float, float, float]:
     return float(x[0]), err_sum, err_abs
 
 
-def _tree_sum(x: np.ndarray) -> float | None:
-    """The correctly rounded sum of x, or None when it is not certified.
+def _tree_part(x: np.ndarray) -> tuple:
+    """(count, largest magnitude, TwoSum levels of each block of 2**17
+    terms) of the terms x; no levels, and an infinite magnitude, when a
+    term is not finite or the terms reach the range bound alone."""
+    top = max(float(x.max()), -float(x.min())) if x.size else 0.0
+    if not top * x.size < _TREE_RANGE:  # NaN too
+        return x.size, math.inf, []
+    bufs = np.empty((4, (min(x.size, _TREE_BLOCK) + 1) // 2))
+    return x.size, top, [_tree_levels(x[i:i + _TREE_BLOCK], bufs)
+                         for i in range(0, x.size, _TREE_BLOCK)]
+
+
+def _tree_sum(parts) -> float | None:
+    """The correctly rounded sum of the terms of an array, or of all the
+    ``_tree_part`` results ``parts``, or None when it is not certified.
 
     Each level of a block of 2**17 terms (1 MiB, in cache) adds its two
     halves with TwoSum, which also yields the exact rounding error of
     every addition, so the exact sum is the sum of the blocks' last
     values s_i plus the sum E of all errors.  The errors are added to e,
-    with |E - e| <= b for b = 2 n u * sum|err| (u = 2**-53), a bound that
-    holds for any order of summation.  Rounding is monotone, so when
-    ``math.fsum`` of the s_i and e - b, and of the s_i and e + b, each
-    rounded outwards first, give the same double, that double is the
-    rounded exact sum: the value ``math.fsum`` gives.
+    with |E - e| <= b for b = 2 n u * sum|err| (u = 2**-53) over all n
+    terms, a bound that holds for any order of summation and any split
+    into parts.  Rounding is monotone, so when ``math.fsum`` of the s_i
+    and e - b, and of the s_i and e + b, each rounded outwards first,
+    give the same double, that double is the rounded exact sum: the value
+    ``math.fsum`` gives.
     """
-    n = x.size
-    if not max(float(x.max()), -float(x.min())) * n < _TREE_RANGE:  # NaN too
+    if isinstance(parts, np.ndarray):
+        parts = [_tree_part(parts)]
+    counts, tops, levels = zip((0, 0.0, ()), *parts)
+    n = sum(counts)
+    if not max(tops) * n < _TREE_RANGE:
         return None
-    bufs = np.empty((4, (min(n, _TREE_BLOCK) + 1) // 2))
-    sums, errs, abss = zip(*(_tree_levels(x[i:i + _TREE_BLOCK], bufs)
-                             for i in range(0, n, _TREE_BLOCK)))
+    sums, errs, abss = zip((0.0, 0.0, 0.0), *(x for ls in levels for x in ls))
     err_abs = math.fsum(abss)
     if err_abs == 0.0:
         return math.fsum(sums) + 0.0
@@ -201,15 +216,10 @@ def _drop_inf(v, mask, offsets) -> tuple[np.ndarray, list]:
     return idx[~inf], (np.diff(idx[inf].searchsorted(offsets)) > 0).tolist()
 
 
-def pos_neg_dots(values, masses, offsets) -> Iterator[tuple[float, float]]:
-    """Per run, (pos, neg): the positive- and negative-part integrals.
-
-    pos sums v * m over the cells with v > 0, neg sums -v * m over the
-    cells with v < 0.  Cells with zero mass contribute nothing whatever
-    their value (0 * inf = 0); an infinite value on positive mass makes
-    its part +inf.  Each run sums pos before neg.
-    """
-    v, m = _pair(values, masses)
+def _part_terms(v, m, offsets) -> tuple:
+    """Positive part, then negative: its terms v * m or -v * m, their run
+    bounds, and per run whether an infinite value on positive mass makes
+    the part +inf."""
     pos_inf = neg_inf = [False] * (len(offsets) - 1)
     # a finite value on a zero-mass cell adds a zero term, which leaves an
     # exactly rounded sum as it is; an infinite or NaN one is left out
@@ -226,12 +236,44 @@ def pos_neg_dots(values, masses, offsets) -> Iterator[tuple[float, float]]:
         pos_terms *= m.take(pos)
         neg_terms = v.take(neg)
         neg_terms *= m.take(neg)
-    pos_sums = _sums(pos_terms, pos.searchsorted(offsets).tolist())
-    neg_sums = _sums(np.negative(neg_terms, out=neg_terms),
-                     neg.searchsorted(offsets).tolist())
-    del pos, neg, pos_terms, neg_terms
-    for p_inf, n_inf, p, n in zip(pos_inf, neg_inf, pos_sums, neg_sums):
+    return ((pos_terms, pos.searchsorted(offsets).tolist(), pos_inf),
+            (np.negative(neg_terms, out=neg_terms),
+             neg.searchsorted(offsets).tolist(), neg_inf))
+
+
+def pos_neg_dots(values, masses, offsets) -> Iterator[tuple[float, float]]:
+    """Per run, (pos, neg): the positive- and negative-part integrals.
+
+    pos sums v * m over the cells with v > 0, neg sums -v * m over the
+    cells with v < 0.  Cells with zero mass contribute nothing whatever
+    their value (0 * inf = 0); an infinite value on positive mass makes
+    its part +inf.  Each run sums pos before neg.
+    """
+    (pt, pb, pos_inf), (nt, nb, neg_inf) = _part_terms(
+        *_pair(values, masses), offsets)
+    for p_inf, n_inf, p, n in zip(pos_inf, neg_inf, _sums(pt, pb),
+                                  _sums(nt, nb)):
         yield math.inf if p_inf else p, math.inf if n_inf else n
+
+
+def pos_neg_parts(parts) -> tuple[float, float]:
+    """``pos_neg_dot`` of the (values, masses) pairs that ``parts()``
+    yields, end to end: each pair's terms join one numpy tree per part
+    and are released.  A part whose tree the bound cannot certify is
+    ``math.fsum`` of all its terms, made again by a second ``parts()``."""
+    trees, inf = ([], []), [False, False]
+    for v, m in parts():
+        for k, (terms, _, flag) in enumerate(_part_terms(v, m, (0, v.size))):
+            trees[k].append(_tree_part(terms))
+            inf[k] |= flag[0]
+    out = []
+    for k in (0, 1):
+        s = _tree_sum(trees[k])
+        if s is None:
+            s = math.fsum(x for v, m in parts() for x in
+                          _part_terms(v, m, (0, v.size))[k][0].tolist())
+        out.append(math.inf if inf[k] else s + 0.0)
+    return out[0], out[1]
 
 
 def pos_neg_dot(values, masses) -> tuple[float, float]:

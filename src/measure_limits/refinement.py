@@ -15,7 +15,9 @@ index merges its edges with ``kernels.union_edges``, and a function's
 cell values are runs of its value table (``PiecewiseFn.table``), one
 search per breakpoint, or a slice of it without a copy.  Each
 index keeps its own refinement, and its values and masses are bit for bit
-those of refining that index alone (a pass over a one-row family).  The
+those of refining that index alone (a pass over a one-row family).  A
+function given as cell blocks (``Block``) is refined one block at a
+time, with the row's other objects cut to it (``cut_row``).  The
 integral, tail, TV and set-uniform series pair functions with measures;
 the dominance check (``functions.dominates``) pairs two functions and no
 measure.
@@ -24,7 +26,8 @@ measure.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Iterable, Iterator
+from types import SimpleNamespace
+from typing import Callable, Iterable, Iterator, NamedTuple, Optional
 
 import numpy as np
 
@@ -56,6 +59,52 @@ class FamilyPairing:
     n_cells: np.ndarray
     values: tuple[np.ndarray, ...]
     masses: tuple[np.ndarray, ...]
+
+
+class Block(NamedTuple):
+    """A step function's cells on [lo, hi): its breakpoints there, the
+    first at lo, and their value table, entry c after c of them; and the
+    masses of its cells by the segment rule ``mass_fn``, or None."""
+
+    lo: float
+    hi: float
+    breakpoints: np.ndarray
+    table: np.ndarray
+    masses: Optional[np.ndarray] = None
+    mass_fn: Optional[Callable] = None
+
+
+def cut_row(row, member, b: Block) -> tuple:
+    """A row (fns, measures, domain) on the cells of the block b of its
+    function ``member``: b stands for member, and the other functions and
+    the measures are cut to [b.lo, b.hi), or to [b.lo, b.hi] where b ends
+    the domain, so that a pass over the row is the blocks' passes end to
+    end, each block's atoms after its cells."""
+    fns, measures, dom = row
+    side = "right" if b.hi == dom.hi else "left"
+
+    def cut(f):
+        if f is member:
+            return b
+        bp = f.breakpoints
+        j, k = bp.searchsorted(b.lo), bp.searchsorted(b.hi, side)
+        return Block(b.lo, b.hi, bp[j:k], f.table[j:k + 1])
+
+    ms = []
+    for m in measures:
+        c = slice(m.cell_his.searchsorted(b.lo, "right"),
+                  m.cell_los.searchsorted(b.hi))
+        a = slice(m.atom_locs.searchsorted(b.lo),
+                  m.atom_locs.searchsorted(b.hi, side))
+        ms.append(SimpleNamespace(
+            cell_los=np.maximum(m.cell_los[c], b.lo),
+            cell_his=np.minimum(m.cell_his[c], b.hi),
+            cell_densities=m.cell_densities[c], atom_locs=m.atom_locs[a],
+            atom_weights=m.atom_weights[a],
+            segments=[Block(max(s.lo, b.lo), min(s.hi, b.hi), _EMPTY, _EMPTY,
+                            None, s.mass_fn)
+                      for s in m.segments if s.lo < b.hi and s.hi > b.lo]))
+    return tuple(map(cut, fns)), tuple(ms), b
 
 
 def family_pairing(rows: Iterable) -> Iterator[FamilyPairing]:
@@ -91,7 +140,7 @@ def row_edges(row) -> int:
     cut: the domain ends, the functions' breakpoints and the measures'
     piece edges."""
     fns, measures, *_ = row
-    return (2 + sum(f.breakpoints.size for f in fns)
+    return (2 + sum(f.n_breakpoints for f in fns)
             + sum(m.piece_edges().size for m in measures))
 
 
@@ -243,7 +292,13 @@ def _pair_chunk(rows) -> FamilyPairing:
             else:
                 runs.append([seg, a, b])
         if [r[1:] for r in runs] == [[0, cell_lo.size]]:
-            on_cells = runs.pop()[0].mass_fn(cell_lo, cell_hi)
+            rule = runs.pop()[0].mass_fn
+            # a block's own masses by the rule, if its cells are all cells
+            on_cells = next((f.masses for f in rows[0][0]
+                             if getattr(f, "mass_fn", None) is rule
+                             and f.masses.size == cell_lo.size), None)
+            if on_cells is None:
+                on_cells = rule(cell_lo, cell_hi)
         else:
             on_cells = np.zeros(cell_lo.size)
         los = on[5 * k + _CELL_LO]

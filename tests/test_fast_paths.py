@@ -30,7 +30,8 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from measure_limits import (
-    FiniteMeasure, Interval, PiecewiseFn, canonical_json, dominates, gallery,
+    FiniteMeasure, Interval, PiecewiseFn, canonical_json, dominates, fatou,
+    gallery, integration,
     parse_scenario, refinement,
 )
 from measure_limits.measures import AnalyticSegment, _exp2_mass
@@ -191,6 +192,32 @@ def test_comb_builder_writes_canonical_frozen_arrays(comb_g):
         assert g.values.base is g.table and g.table[[0, -1]].tolist() == [0.0, 0.0]
         assert (g.values[1:] != g.values[:-1]).all()
         assert g.values[0] != 0.0 and g.values[-1] != 0.0
+
+
+@pytest.mark.parametrize("n, block", [
+    *((n, None) for n in range(1, 21)),
+    # blocks that cut _exp2_mass's runs of equal widths, and cells of
+    # two; both start at an even dyadic cell as CHUNK_EDGES does, and odd
+    # ones shift the depressed cells' parity
+    (20, 3000), (17, 4097), (9, 2), (6, 1)])
+def test_comb_g_walk_matches_the_whole_oracle(monkeypatch, n, block):
+    # the walk over g_n's cell blocks, each with its own exp2 masses, gives
+    # the integral and the dominance of the whole oracle g_n, bit for bit
+    if block is not None:
+        monkeypatch.setattr(gallery, "CHUNK_EDGES", block)
+    sc = gallery.build("dyadic_comb")
+    f, mu, g = sc.f_seq.fns[n - 1], sc.measures[n - 1], sc.g_seq.fns.member(n)
+    ref = comb_g_oracle(n)
+    dominance = [True]
+    got = fatou._g_walk(g, mu, f, dominance)
+    assert got.hex() == integration.integrate(ref, mu).hex()
+    assert dominance == [dominates([f], [ref])] == [True]
+    # a g_n past f_n somewhere fails at that block
+    dominance = [True]
+    fatou._g_walk(g, mu, sc.f_seq.fns[n] if n < 20 else
+                  PiecewiseFn([0.0, 1.0], [-1e9], 0.0, f.domain),
+                  dominance)
+    assert dominance == [False]
 
 
 # --- one-index value lookup --------------------------------------------------

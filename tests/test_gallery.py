@@ -149,3 +149,11 @@ def test_conformance_report_verdict_surface():
     assert rep.verdicts.get("fatou_conclusion") == "violated"
     rep2 = gallery.run("flat_negative")
     assert "violated" not in rep2.verdicts.values()
+
+
+def test_twin_spikes_below_f50_names_the_needed_n_max():
+    # two rows read f_50's point values; a shorter family is an input
+    # error that says how long the family must be, not a bare IndexError
+    with pytest.raises(MalformedObjectError, match="n_max=40 must be >= 50"):
+        gallery.run("twin_spikes", n_max=40)
+    assert gallery.run("twin_spikes", n_max=50).failures == 0

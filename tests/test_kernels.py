@@ -5,7 +5,8 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from measure_limits.kernels import comp_sum, pos_neg_dot
+from measure_limits import kernels
+from measure_limits.kernels import comp_sum, pos_neg_dot, pos_neg_parts
 
 from helpers import loop_comp_sum, loop_pos_neg_dot, loop_tail_dot, tail_row
 
@@ -135,3 +136,70 @@ def test_kernels_match_the_cell_loops_bit_for_bit(case):
     else:
         assert len(got) == len(ks)
         assert all(_same(g, w) for g, w in zip(got, want))
+
+
+def splits(draw_cuts, n: int) -> list:
+    """The consecutive slices [0, c1), [c1, c2), ..., [ck, n) of n terms."""
+    cuts = sorted({c % (n + 1) for c in draw_cuts})
+    return [slice(a, b) for a, b in zip([0, *cuts], [*cuts, n])]
+
+
+@settings(max_examples=60, deadline=None)
+@given(st.lists(st.floats(allow_nan=False, allow_infinity=False,
+                          width=64), min_size=0, max_size=300),
+       st.lists(st.integers(0, 10 ** 6), max_size=8),
+       st.sampled_from([1.0, 1e300, 2.0 ** 990]))
+@example([2.0 ** 999, -(2.0 ** 999), 1.0], [1, 2], 1.0)  # near _TREE_RANGE
+@example([1e16, 1.0, -1e16, 1.0] * 50, [1], 1.0)  # one-term block
+def test_streamed_tree_sum_is_fsum_under_any_block_split(xs, cuts, scale):
+    # the blocks' TwoSum levels join one total under one bound: certified,
+    # it is fsum of all terms; otherwise it is None, never another value
+    # (whether the bound certifies depends on the split)
+    with np.errstate(over="ignore"):  # a scaled term past the range is skipped
+        x = np.asarray(xs, dtype=np.float64) * scale
+    if not np.isfinite(x).all():
+        return
+    parts = [kernels._tree_part(x[s]) for s in splits(cuts, x.size)]
+    s = kernels._tree_sum(parts)
+    assert s is None or s == loop_comp_sum(x.tolist())
+
+
+@settings(max_examples=40, deadline=None)
+@given(st.lists(st.tuples(
+    st.one_of(st.floats(-1e3, 1e3), st.sampled_from(
+        [math.inf, -math.inf, 0.0, 1e300, -1e300])),
+    st.sampled_from([0.0, 1e-300, 0.5, 2.0, 1e10])), max_size=200),
+       st.lists(st.integers(0, 10 ** 6), max_size=6))
+@example([(1e300, 1e10), (1e300, 1e10), (-1e300, 1e10)], [1])  # no bound
+@example([(-math.inf, 2.0), (1.0, 1.0)], [1])  # +-inf on positive mass
+def test_pos_neg_parts_is_pos_neg_dot_under_any_block_split(cells, cuts):
+    # each block's terms join one running total per part; a total the
+    # bound cannot certify is fsum of all terms, made again block by block
+    v = np.asarray([c[0] for c in cells], dtype=np.float64)
+    m = np.asarray([c[1] for c in cells], dtype=np.float64)
+    parts = splits(cuts, v.size)
+    try:
+        want = pos_neg_dot(v, m)
+    except OverflowError:
+        with pytest.raises(OverflowError):
+            pos_neg_parts(lambda: ((v[s], m[s]) for s in parts))
+        return
+    assert pos_neg_parts(lambda: ((v[s], m[s]) for s in parts)) == want
+    with np.errstate(over="ignore"):  # the reference's products may overflow
+        pos, neg, pos_inf, neg_inf = loop_pos_neg_dot(v, m)
+    assert want == (math.inf if pos_inf else pos, math.inf if neg_inf else neg)
+
+
+def test_uncertified_stream_falls_back_to_fsum_of_all_terms():
+    # 2 n u sum|err| cannot settle 2^-60 against 1: the tree gives None,
+    # and the fallback regenerates the blocks for math.fsum
+    x = np.asarray([1.0, 2.0 ** -53, 2.0 ** -53 + 2.0 ** -105] * 2000)
+    made = []
+
+    def parts():
+        made.append(1)
+        return ((x[i:i + 1000], np.ones(1000)) for i in range(0, x.size, 1000))
+
+    assert pos_neg_parts(parts)[0] == math.fsum(x.tolist())
+    assert len(made) == 2 - (kernels._tree_sum(
+        [kernels._tree_part(x)]) is not None)

@@ -24,8 +24,11 @@ family takes one exp2 mass call for all its indices.  The comb's g
 family is built on demand: a ``gallery run all`` builds each g_n once,
 in the one walk that gives the g integrals and the dominance f_n >= g_n,
 plus g_3 for its cell count, and a document that cuts the family to
-``n_max`` builds no g_n past it.  The comb's largest passes are held to
-bounds on the memory that ``tracemalloc`` traces: building the scenario,
+``n_max`` builds no g_n past it.  A large g_n is read in cell blocks
+whose exp2 masses serve both its depths and its integral, so each cell's
+mass is computed once per index, and its blocks start only after the
+index before it is done.  The comb's largest passes are held to bounds
+on the memory that ``tracemalloc`` traces: building the scenario,
 building g_20, integrating g_20, checking f_20 >= g_20 and one whole
 comb run.
 """
@@ -314,24 +317,71 @@ def traced_peak_mib(fn) -> float:
 
 def test_comb_passes_stay_within_their_memory_bounds():
     # building the scenario builds no g_n: it holds the 20 f_n and the
-    # certificate; building g_20 holds its two 16 MiB arrays and its
-    # depths while they are written, and keeps the builder's frozen arrays
-    # without a copy; integrating g_20 holds its 2^21-cell refinement,
-    # masses and the gathered kernel terms, and reads g_20's values as a
-    # slice of its own table; a whole run holds g_19 and g_20 while g_19's
-    # rows are read, then g_20 and its integral pass; the bounds sit just
-    # above the 0.1-1.2, 40.5, 40.0-42.0, 32.0-34.0 and 72.1 MiB measured
-    # when they were set
+    # certificate; building g_20 writes its two 16 MiB arrays block by
+    # block, and keeps them without a copy; integrating the whole g_20
+    # holds its 2^21-cell refinement, masses and the gathered kernel
+    # terms, and reads g_20's values as a slice of its own table; a whole
+    # run reads each large g_n one cell block at a time and holds no g_n
+    # whole; the bounds sit just above the 1.2, 35.5, 40.0, 32.0 and
+    # 4.4 MiB measured when they were set
     build = traced_peak_mib(lambda: gallery.build("dyadic_comb"))
     sc = gallery.build("dyadic_comb")
     assert build < 3
-    assert traced_peak_mib(lambda: sc.g_seq.fns[-1]) < 42
+    assert traced_peak_mib(lambda: sc.g_seq.fns[-1]) < 37
     f, g, mu = sc.f_seq.fns[-1], sc.g_seq.fns[-1], sc.measures[-1]
     assert traced_peak_mib(
-        lambda: list(integration.integral_series([g], [mu]))) < 44
-    assert traced_peak_mib(lambda: dominates([f], [g])) < 36
+        lambda: list(integration.integral_series([g], [mu]))) < 42
+    assert traced_peak_mib(lambda: dominates([f], [g])) < 34
     del sc, f, g
-    assert traced_peak_mib(lambda: gallery.run("dyadic_comb")) <= 80
+    assert traced_peak_mib(lambda: gallery.run("dyadic_comb")) < 6
+
+
+def test_comb_g_pass_starts_each_g_n_after_the_last_is_done(monkeypatch):
+    # each g_n is sized by its stated breakpoint count, so a block of
+    # indices closes before the next g_n's cells are made: when g_20's
+    # first cell block is made, nothing of g_19 or of its passes is held
+    original = gallery._comb_g_blocks
+    order, held = [], []
+
+    def recording(n, seg):
+        order.append(n)
+        for k, b in enumerate(original(n, seg)):
+            if (n, k) == (20, 0):
+                held.append(tracemalloc.get_traced_memory()[0])
+            yield b
+
+    monkeypatch.setattr(gallery, "_comb_g_blocks", recording)
+    sc = gallery.build("dyadic_comb")
+    gc.collect()
+    tracemalloc.start()
+    try:
+        base = tracemalloc.get_traced_memory()[0]
+        assert sc.f_dominates_g and len(sc.g_integral_series) == 20
+    finally:
+        tracemalloc.stop()
+    assert order == list(range(1, 21))
+    # g_20's first block alone: its edges, masses and table, 1.5 MiB
+    assert (held[0] - base) / 2 ** 20 < 2
+
+
+def test_comb_run_computes_each_exp2_cell_once_per_index(monkeypatch):
+    # the builder's masses of a large g_n's 2^(n+1) + min(n, 2) cells
+    # serve both its depths and its integral pass, so each is computed
+    # once; g_1 to g_14 are built whole for their ragged passes, which
+    # compute their masses once more
+    cells = []
+    original = measures._exp2_mass
+
+    def counted(a, b):
+        cells.append(np.size(a))
+        return original(a, b)
+
+    monkeypatch.setattr(measures, "_exp2_mass", counted)
+    sc = gallery.build("dyadic_comb")
+    cells.clear()
+    assert sc.g_integral_series and sc.f_dominates_g
+    assert sum(cells) == sum((2 ** (n + 1) + min(n, 2)) * (1 + (n < 15))
+                             for n in range(1, 21))
 
 
 def record_comb_g_builds(monkeypatch) -> list:
