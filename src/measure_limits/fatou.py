@@ -22,15 +22,12 @@ import numpy as np
 from .epilimits import (
     EXACT, EpiSchedule, epi_integral, epi_limit_exists, epi_window,
 )
-from .functions import (
-    BlockedFn, FnSequence, LazyFamily, PiecewiseFn, _built, dominates,
-)
+from .functions import FnSequence, PiecewiseFn, dominance_fails, dominates
 from .integration import chunk_integrals, tv_series
 from .measures import FiniteMeasure
-from .kernels import pos_neg_parts
 from .refinement import (
-    CHUNK_EDGES, _domain_row, _pair_chunk, blocks, cut_row, reduce_family,
-    replay, row_edges,
+    BlockedFn, FamilyPairing, block_pairings, blocks, reduce_family, replay,
+    row_edges,
 )
 from .tails import (
     DEFAULT_K_GRID,
@@ -42,7 +39,7 @@ from .tails import (
     verdict,
 )
 from .uniform import UniformReport, uniform_report
-from .xreal import UnsupportedScenarioError, close, integral_of_parts
+from .xreal import UnsupportedScenarioError, close
 
 HOLDS = "holds"
 VIOLATED = "violated"
@@ -55,37 +52,6 @@ class Tolerances:
     stab_tol: float = 1e-9     # window stabilization
     ui_tol: float = 1e-6       # tail-curve vanishing threshold
     eps_cond: float = 1e-3     # epsilon for the set-wise conditions
-
-
-def _g_walk(g: BlockedFn, m: FiniteMeasure, f: PiecewiseFn, dominance: list):
-    """The integral of g against m, on one domain, from one walk over g's
-    cell blocks, each refined with m and, while ``dominance`` is [True],
-    with f: a failing block sets it to False, and an error of its row, or
-    of the walk before it ends, to the error.  An error of the integral
-    is returned."""
-    rows, walked = [((g,), (m,), g.domain)], []
-    if dominance == [True]:
-        try:
-            rows.append(_domain_row(((f, g), ())))
-        except Exception as exc:
-            dominance[0] = exc
-
-    def parts():
-        for b in g.cell_blocks():
-            p, *q = [_pair_chunk([cut_row(r, g, b)]) for r in rows]
-            if q and np.any(q[0].values[0] < q[0].values[1]):
-                dominance[0] = False
-                del rows[1:]
-            yield p.values[0], p.masses[0]
-        walked.append(True)
-
-    try:
-        return integral_of_parts(*pos_neg_parts(parts),
-                                 "both positive and negative parts diverge")
-    except Exception as exc:
-        if dominance == [True] and not walked:
-            dominance[0] = exc
-        return exc
 
 
 @dataclass
@@ -176,47 +142,59 @@ class Scenario:
     @cached_property
     def g_pass(self) -> tuple[list, list]:
         """The g integrals and f_n >= g_n from one walk over the blocks of
-        indices that ``family_pairing`` cuts its chunks by, each g_n sized
-        before it is built, so that each is built once even on demand and
-        only after the block before it is done.  A block of indices builds
-        its g_n and refines the integral rows (g_n, mu_n) and the dominance
-        rows (f_n, g_n) apart; a ``BlockedFn`` g_n of more than
-        ``CHUNK_EDGES`` breakpoints is read in one walk over its cell
-        blocks (``_g_walk``) and never held whole.  Each quantity's
+        indices that ``family_pairing`` cuts its chunks by, each g_n made
+        once and sized before it is built: per block, the integral rows
+        (g_n, mu_n) and the dominance rows (f_n, g_n) are refined apart,
+        and only the block is held.  A ``BlockedFn`` g_n is a block of its
+        own, whose cell blocks both rows read in one walk, each block's
+        exp2 masses serving its depths and its integral.  Each quantity's
         results end at its first error, which ``replay`` raises; dominance
-        stops at its first failing index or block."""
+        stops at its first failing index."""
         integrals, dominance = [], [True]
-        fns = self.g_seq.fns
-        gs = map(fns.member, fns.indices) if isinstance(fns, LazyFamily) else fns
         # each index is its integral row and its dominance row
         rows = ((((g,), (m,)), ((f, g), ())) for g, m, f in
-                zip(gs, self.measures, self.f_seq.fns))
+                zip(self.g_seq.members, self.measures, self.f_seq.fns))
         for block in blocks(rows, lambda pair: max(map(row_edges, pair))):
             more = not (integrals and isinstance(integrals[-1], Exception))
-            (g,), (m,) = block[0][0]
-            if (len(block) == 1 and isinstance(g, BlockedFn)
-                    and g.n_breakpoints > CHUNK_EDGES and g.domain == m.domain):
-                if more or dominance == [True]:
-                    result = _g_walk(g, m, block[0][1][0][0], dominance)
-                    integrals += [result][:more]
+            ((g,), (m,)), ((f, _), _) = block[0]
+            if isinstance(g, BlockedFn) and f.domain == g.domain == m.domain:
+                # both rows of g_n in one walk, the dominance row until it
+                # fails: read through the integral's parts
+                ok = [dominance == [True]]
+                walk = [((g,), (m,), m.domain), ((f, g), (), m.domain)][
+                    :1 + ok[0]]
+
+                def parts(walk=walk, ok=ok, g=g):
+                    for p, *q in block_pairings(walk, g):
+                        if q and dominance_fails(q[0]):
+                            ok[0] = False
+                            del walk[1:]
+                        yield p
+                    ok.append(True)  # walked to its end
+                try:
+                    got = next(chunk_integrals(
+                        FamilyPairing(*np.empty((2, 0)), (), (), parts)))
+                except Exception as exc:
+                    got = exc
+                integrals += [got][:more]
+                if dominance == [True]:
+                    dominance = [ok[0] if ok[1:] else got]
                 continue
-            whole = [_built(g) for ((g,), _), _ in block]
             if more:
-                integrals += reduce_family(
-                    [((g,), r[0][1]) for g, r in zip(whole, block)],
-                    chunk_integrals)[0]
+                integrals += reduce_family([r for r, _ in block],
+                                           chunk_integrals)[0]
             if dominance == [True]:
                 try:
-                    dominance = [dominates([r[1][0][0] for r in block], whole)]
+                    dominance = [dominates(*zip(*(fg for _, (fg, _) in block)))]
                 except Exception as exc:
                     dominance = [exc]
-            del block, whole
+            del block
         return integrals, dominance
 
     @cached_property
     def g_dominates_abs_f(self) -> bool:
         """g_n >= |f_n| everywhere, for every index n."""
-        return dominates(self.g_seq.fns, self.abs_seq.fns)
+        return dominates(self.g_seq.members, self.abs_seq.fns)
 
     @cached_property
     def f_epi(self) -> tuple:

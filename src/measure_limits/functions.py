@@ -15,11 +15,11 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import Callable, Iterator, NamedTuple, Optional, Sequence
+from typing import Callable, Optional, Sequence
 
 import numpy as np
 
-from .refinement import family_pairing
+from .refinement import BlockedFn, family_pairing
 from .xreal import (
     DomainMismatchError,
     Interval,
@@ -141,12 +141,13 @@ def dominates(upper: Sequence[PiecewiseFn], lower: Sequence[PiecewiseFn]
     families of step functions of the same length.
 
     The pairs (u_n, l_n) are refined by one ``family_pairing`` pass and
-    compared cell by cell.  The cells cover the whole domain, ends
-    included: a closed finite ``domain.hi`` takes the last cell's value
-    in both functions.  A one-point domain has no cells; both functions
-    are their defaults there.  The pairs are read lazily and in order, so
-    a pair on two different domains raises DomainMismatchError unless an
-    earlier pair already fails.
+    compared cell by cell (``dominance_fails``), a ``BlockedFn`` up to its
+    first failing block.  The cells cover the whole domain, ends included:
+    a closed finite ``domain.hi`` takes the last cell's value in both
+    functions.  A one-point domain has no cells; both functions are their
+    defaults there.  The pairs are read lazily and in order, so a pair on
+    two different domains raises DomainMismatchError unless an earlier
+    pair already fails.
     """
     point_fails = []
 
@@ -162,12 +163,17 @@ def dominates(upper: Sequence[PiecewiseFn], lower: Sequence[PiecewiseFn]
                 return
 
     for p in family_pairing(rows()):
-        fails = bool(np.any(p.values[0] < p.values[1]))
+        fails = any(map(dominance_fails, p.parts() if p.parts else (p,)))
         # released before the next chunk is built
         del p
         if fails:
             return False
     return not point_fails
+
+
+def dominance_fails(p) -> bool:
+    """Whether l_n > u_n on a cell of the pairing p of rows (u_n, l_n)."""
+    return bool(np.any(p.values[0] < p.values[1]))
 
 
 @dataclass(frozen=True)
@@ -204,30 +210,13 @@ class EpiCertificate:
         return env
 
 
-class BlockedFn(NamedTuple):
-    """A step function on ``domain`` with ``n_breakpoints`` breakpoints,
-    given by its cell blocks in order (``refinement.Block``), which
-    ``cell_blocks()`` makes anew at each call."""
-
-    domain: Interval
-    n_breakpoints: int
-    cell_blocks: Callable[[], Iterator]
-
-    def build(self) -> PiecewiseFn:
-        """The function written from its blocks, block after block, whose
-        frozen arrays ``PiecewiseFn`` keeps."""
-        n, at = self.n_breakpoints, 0
-        bp, table = np.empty(n), np.empty(n + 1)
-        for b in self.cell_blocks():
-            k = b.breakpoints.size
-            bp[at:at + k], table[at:at + k + 1] = b.breakpoints, b.table
-            at += k
-        bp.flags.writeable = table.flags.writeable = False
-        return PiecewiseFn(bp, table[1:-1], table[0], self.domain)
-
-
-def _built(f):
-    return f.build() if isinstance(f, BlockedFn) else f
+def whole(f):
+    """f, or the ``BlockedFn`` f written whole, as its one block."""
+    if not isinstance(f, BlockedFn):
+        return f
+    b, = f.cell_blocks(False, f.n_breakpoints)
+    b.breakpoints.flags.writeable = b.table.flags.writeable = False
+    return PiecewiseFn(b.breakpoints, b.table[1:-1], b.table[0], f.domain)
 
 
 @dataclass(frozen=True)
@@ -247,10 +236,10 @@ class LazyFamily(Sequence):
     def __getitem__(self, i):
         if isinstance(i, slice):
             return LazyFamily(self.member, self.indices[i])
-        return _built(self.member(self.indices[i]))
+        return whole(self.member(self.indices[i]))
 
-    def __iter__(self):  # an IndexError of build is not the family's end
-        return (_built(self.member(n)) for n in self.indices)
+    def __iter__(self):  # an IndexError of member is not the family's end
+        return map(whole, map(self.member, self.indices))
 
 
 @dataclass(frozen=True)
@@ -265,6 +254,11 @@ class FnSequence:
     @property
     def n_max(self) -> int:
         return len(self.fns)
+
+    @property
+    def members(self):  # as made: a lazy family's BlockedFn unbuilt
+        f = self.fns
+        return map(f.member, f.indices) if isinstance(f, LazyFamily) else f
 
 
 @dataclass(frozen=True)

@@ -22,16 +22,16 @@ import numpy as np
 from .epilimits import epi_limit_exists
 from .fatou import HOLDS, VIOLATED, Scenario, Tolerances
 from .functions import (
-    BlockedFn,
     EpiCertificate,
     FnSequence,
     LazyFamily,
     PiecewiseFn,
     constant_fn,
+    whole,
     zero_fn,
 )
 from .measures import FiniteMeasure, lebesgue, make_segment, point_mass
-from .refinement import CHUNK_EDGES, Block
+from .refinement import CHUNK_EDGES, Block, BlockedFn
 from .runner import PASS, check_results
 from .tails import default_window_start
 from .xreal import Interval, MalformedObjectError, close
@@ -346,7 +346,7 @@ _TWIN_SPIKES_ROWS = (
 
 #: The input bound of the comb: g_n has 2^(n+1) + 2 breakpoints, and
 #: ``fns[n]`` writes two arrays of that many doubles, 64 MiB each at
-#: n = 22; a run reads each g_n in blocks and holds none whole.
+#: n = 22; a run reads a large g_n in cell blocks and holds none whole.
 _COMB_MAX_N = 22
 _COMB_CERT_CELLS = 4096
 
@@ -358,30 +358,36 @@ def _comb_domain() -> tuple[Interval, FiniteMeasure]:
     return dom, mu
 
 
-def _comb_g_blocks(n: int, seg) -> Iterator[Block]:
-    """g_n's cells on [0, inf) with their exp2 masses, in blocks of
-    ``CHUNK_EDGES`` dyadic cells, the last one ending with the cells from
-    2.0 for n <= 2, or from the cliff's ends.  A depressed cell, at an even
-    k 2^-n, sinks by the envelope 2^(s-1)/ln 2 averaged by the measure,
-    (2^-n / (2 ln 2)) / mass, read off its block's masses."""
+def _comb_g_blocks(n: int, seg, masses: bool, size: int) -> Iterator[Block]:
+    """g_n's cells in blocks of ``size`` dyadic cells, the last one ending
+    with the cells from 2.0 for n <= 2, or from the cliff's ends.  A
+    depressed cell, at an even k 2^-n, sinks by the envelope 2^(s-1)/ln 2
+    averaged by the measure, (2^-n / (2 ln 2)) / mass; with ``masses`` all
+    the cells' exp2 masses are made, and serve both, else only these."""
     h, dyadic = 2.0 ** -n, 2 ** (n + 1)
     tail = [2.0, 3.0] if n == 2 else [2.0] if n == 1 else [n, n + 1.0]
-    prev = 0.0
-    for j in range(0, dyadic, CHUNK_EDGES):
-        last = j + CHUNK_EDGES >= dyadic
-        e = np.arange(j, dyadic + len(tail) + 1 if last else j + CHUNK_EDGES + 1,
-                      dtype=np.float64)
-        e *= h
+    for j in range(0, dyadic, size):
+        last = j + size >= dyadic
+        lo = np.arange(j, dyadic + len(tail) if last else j + size,
+                       dtype=np.float64)
+        lo *= h
         if last:
-            e[dyadic - j:] = [*tail, math.inf]
-        lo, masses = e[:-1], seg.mass_fn(e[:-1], e[1:])
-        table = np.zeros(e.size)
-        table[0] = prev
-        table[1 + lo.searchsorted(n):1 + lo.searchsorted(n + 1)] = -(2.0 ** n)
+            lo[dyadic - j:] = tail
+        end = math.inf if last else (j + size) * h
+        # the default 0.0 before the block's cells and after g_n's last
+        table = np.zeros(lo.size + 1)
         even = slice(j & 1, dyadic - j, 2)  # the cells at an even k
-        table[1:][even] -= (h / (2.0 * LN2)) / masses[even]
-        prev = table[-1]
-        yield Block(e[0], e[-1], lo, table, masses, seg.mass_fn)
+        if masses:
+            ms = seg.mass_fn(lo, np.append(lo[1:], end))
+            depth = (h / (2.0 * LN2)) / ms[even]
+        else:  # each ends where the next cell starts
+            a, b = lo[even], lo[(j & 1) + 1:dyadic - j + 1:2]
+            depth = seg.mass_fn(a, b if b.size == a.size else np.append(b, end))
+            np.divide(h / (2.0 * LN2), depth, out=depth)
+        table[1 + lo.searchsorted(n):1 + lo.searchsorted(n + 1)] = -(2.0 ** n)
+        table[1:][even] -= depth
+        yield Block(lo[0], end, lo, table,
+                    *((ms, seg.mass_fn) if masses else ()))
 
 
 def _dyadic_comb_scenario(n_max: int = 20) -> Scenario:
@@ -394,14 +400,16 @@ def _dyadic_comb_scenario(n_max: int = 20) -> Scenario:
     while the pointwise values stay within one cell's oscillation of the
     envelope.
 
-    g_n is canonical: for n > 2 the last dyadic cell and [2, n) are one
-    zero cell, so g_n has 2^(n+1) + 2 breakpoints.  The g family is a
-    ``LazyFamily`` of ``BlockedFn``: it states each g_n's size and holds
-    none.  ``fns[n]`` writes g_n's breakpoints and value table, 16 MiB
-    each at n = 20, from its blocks; ``Scenario.g_pass`` reads the blocks
-    of a g_n of more than ``CHUNK_EDGES`` breakpoints one at a time, each
-    block's exp2 masses serving both its depths and its integral, and
-    builds none of them whole (a run builds g_3 whole to count its cells).
+    g_n is written as numpy arrays, never as Python lists, and canonical:
+    for n > 2 the last dyadic cell and [2, n) are one zero cell, so g_n has
+    2^(n+1) + 2 breakpoints.  The g family is a ``LazyFamily``, which
+    holds no g_n.  A g_n of at most ``CHUNK_EDGES`` breakpoints is built
+    whole, as one block whose frozen arrays ``PiecewiseFn`` keeps; a
+    larger one is a ``BlockedFn``, which states its size, and whose cell
+    blocks ``Scenario.g_pass`` reads in one walk for its integral and its
+    dominance, each block's exp2 masses serving its depths and its
+    integral.  ``fns[n]`` builds it whole, 16 MiB per array at n = 20 (a
+    run builds g_3 to count its cells).
     """
     if n_max > _COMB_MAX_N:
         raise MalformedObjectError(
@@ -412,9 +420,10 @@ def _dyadic_comb_scenario(n_max: int = 20) -> Scenario:
     def f_builder(n: int) -> PiecewiseFn:
         return PiecewiseFn([float(n), float(n + 1)], [-(2.0 ** n)], 0.0, dom)
 
-    def g_member(n: int) -> BlockedFn:
-        return BlockedFn(dom, 2 ** (n + 1) + min(n, 2),
-                         lambda: _comb_g_blocks(n, seg))
+    def g_member(n: int) -> PiecewiseFn | BlockedFn:
+        g = BlockedFn(dom, 2 ** (n + 1) + min(n, 2),
+                      lambda masses, size: _comb_g_blocks(n, seg, masses, size))
+        return g if g.n_breakpoints > CHUNK_EDGES else whole(g)
 
     fine_bp = np.arange(_COMB_CERT_CELLS + 1) * (2.0 / _COMB_CERT_CELLS)
     fine_vals = -(((2.0 / _COMB_CERT_CELLS) / (2.0 * LN2))

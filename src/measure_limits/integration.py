@@ -20,7 +20,7 @@ from typing import Iterable, Iterator
 import numpy as np
 
 from .functions import PiecewiseFn, Ramp, constant_fn
-from .kernels import pos_neg_dots, ragged_sums
+from .kernels import pos_neg_dots, pos_neg_parts, ragged_sums
 from .measures import FiniteMeasure
 from .refinement import FamilyPairing, reduce_family, replay
 from .xreal import UnsupportedScenarioError, integral_of_parts
@@ -34,8 +34,10 @@ __all__ = [
 def chunk_integrals(p: FamilyPairing) -> Iterator[float]:
     """Per index of a chunk, the integral of its first function against
     its first measure: the difference of the positive- and negative-part
-    integrals."""
-    for pos, neg in pos_neg_dots(p.values[0], p.masses[0], p.offsets):
+    integrals, summed over a ``BlockedFn``'s blocks end to end."""
+    for pos, neg in ([pos_neg_parts(lambda: (
+            (q.values[0], q.masses[0]) for q in p.parts()))] if p.parts
+            else pos_neg_dots(p.values[0], p.masses[0], p.offsets)):
         yield integral_of_parts(pos, neg,
                                 "both positive and negative parts diverge")
 

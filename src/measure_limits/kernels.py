@@ -21,7 +21,8 @@ for all the runs, and the per-index sums are computed as the caller asks
 for them, so a caller that reduces index by index raises at the first
 index that fails.  ``pos_neg_dot`` is the one-run call of ``pos_neg_dots``.
 Refinements can reach millions of cells; ``perfbench/`` times the kernels
-inside end-to-end runs.
+inside end-to-end runs.  ``pos_neg_parts`` levels the terms of one run
+given in parts, a step function's cell blocks, each released in turn.
 """
 
 from __future__ import annotations
@@ -77,9 +78,8 @@ def _tree_levels(x: np.ndarray, bufs) -> tuple[float, float, float]:
 
 
 def _tree_part(x: np.ndarray) -> tuple:
-    """(count, largest magnitude, TwoSum levels of each block of 2**17
-    terms) of the terms x; no levels, and an infinite magnitude, when a
-    term is not finite or the terms reach the range bound alone."""
+    """(count, largest magnitude, ``_tree_levels`` of each block) of the
+    terms x; no levels when the terms are not finite or reach the range."""
     top = max(float(x.max()), -float(x.min())) if x.size else 0.0
     if not top * x.size < _TREE_RANGE:  # NaN too
         return x.size, math.inf, []
@@ -88,23 +88,21 @@ def _tree_part(x: np.ndarray) -> tuple:
                          for i in range(0, x.size, _TREE_BLOCK)]
 
 
-def _tree_sum(parts) -> float | None:
-    """The correctly rounded sum of the terms of an array, or of all the
-    ``_tree_part`` results ``parts``, or None when it is not certified.
+def _tree_sum(parts: list) -> float | None:
+    """The correctly rounded sum of the terms of the ``_tree_part``s
+    ``parts``, or None when it is not certified.
 
     Each level of a block of 2**17 terms (1 MiB, in cache) adds its two
     halves with TwoSum, which also yields the exact rounding error of
     every addition, so the exact sum is the sum of the blocks' last
     values s_i plus the sum E of all errors.  The errors are added to e,
     with |E - e| <= b for b = 2 n u * sum|err| (u = 2**-53) over all n
-    terms, a bound that holds for any order of summation and any split
-    into parts.  Rounding is monotone, so when ``math.fsum`` of the s_i
-    and e - b, and of the s_i and e + b, each rounded outwards first,
-    give the same double, that double is the rounded exact sum: the value
-    ``math.fsum`` gives.
+    terms, a bound that holds for any order of summation and any parts.
+    Rounding is monotone, so when ``math.fsum`` of the s_i and e - b, and
+    of the s_i and e + b, each rounded outwards first, give the same
+    double, that double is the rounded exact sum: the value ``math.fsum``
+    gives.
     """
-    if isinstance(parts, np.ndarray):
-        parts = [_tree_part(parts)]
     counts, tops, levels = zip((0, 0.0, ()), *parts)
     n = sum(counts)
     if not max(tops) * n < _TREE_RANGE:
@@ -122,7 +120,7 @@ def _tree_sum(parts) -> float | None:
 
 def _fsum(terms: np.ndarray) -> float:
     if terms.size >= _TREE_MIN:
-        s = _tree_sum(terms)
+        s = _tree_sum([_tree_part(terms)])
         if s is not None:
             return s
     return math.fsum(terms.tolist()) + 0.0
@@ -257,22 +255,20 @@ def pos_neg_dots(values, masses, offsets) -> Iterator[tuple[float, float]]:
 
 
 def pos_neg_parts(parts) -> tuple[float, float]:
-    """``pos_neg_dot`` of the (values, masses) pairs that ``parts()``
-    yields, end to end: each pair's terms join one numpy tree per part
-    and are released.  A part whose tree the bound cannot certify is
-    ``math.fsum`` of all its terms, made again by a second ``parts()``."""
+    """``pos_neg_dot`` of the (values, masses) blocks that ``parts()``
+    yields: each block's terms join one tree per part and are released; a
+    part the bound cannot certify is ``math.fsum`` of its terms anew."""
     trees, inf = ([], []), [False, False]
     for v, m in parts():
         for k, (terms, _, flag) in enumerate(_part_terms(v, m, (0, v.size))):
             trees[k].append(_tree_part(terms))
             inf[k] |= flag[0]
-    out = []
+    out = [_tree_sum(t) for t in trees]
     for k in (0, 1):
-        s = _tree_sum(trees[k])
-        if s is None:
-            s = math.fsum(x for v, m in parts() for x in
-                          _part_terms(v, m, (0, v.size))[k][0].tolist())
-        out.append(math.inf if inf[k] else s + 0.0)
+        if out[k] is None:
+            out[k] = math.fsum(x for v, m in parts() for x in
+                               _part_terms(v, m, (0, v.size))[k][0].tolist())
+        out[k] = math.inf if inf[k] else out[k] + 0.0
     return out[0], out[1]
 
 

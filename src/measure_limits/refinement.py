@@ -13,11 +13,10 @@ deduplicated within each index, and each input's cell values, density
 masses and atom weights are read off running counts of the tags.  One
 index merges its edges with ``kernels.union_edges``, and a function's
 cell values are runs of its value table (``PiecewiseFn.table``), one
-search per breakpoint, or a slice of it without a copy.  Each
+search per breakpoint, or a slice of it without a copy; an index of a
+``BlockedFn`` is refined one cell block at a time.  Each
 index keeps its own refinement, and its values and masses are bit for bit
-those of refining that index alone (a pass over a one-row family).  A
-function given as cell blocks (``Block``) is refined one block at a
-time, with the row's other objects cut to it (``cut_row``).  The
+those of refining that index alone (a pass over a one-row family).  The
 integral, tail, TV and set-uniform series pair functions with measures;
 the dominance check (``functions.dominates``) pairs two functions and no
 measure.
@@ -32,7 +31,7 @@ from typing import Callable, Iterable, Iterator, NamedTuple, Optional
 import numpy as np
 
 from .kernels import union_edges
-from .xreal import DomainMismatchError
+from .xreal import DomainMismatchError, Interval
 
 #: A pass refines consecutive indices together while their inputs hold at
 #: most this many edges; an index with more is a pass of its own, so the
@@ -59,12 +58,14 @@ class FamilyPairing:
     n_cells: np.ndarray
     values: tuple[np.ndarray, ...]
     masses: tuple[np.ndarray, ...]
+    #: an index of a ``BlockedFn``: makes the pairings of its blocks anew
+    parts: Optional[Callable[[], Iterator[FamilyPairing]]] = None
 
 
 class Block(NamedTuple):
-    """A step function's cells on [lo, hi): its breakpoints there, the
-    first at lo, and their value table, entry c after c of them; and the
-    masses of its cells by the segment rule ``mass_fn``, or None."""
+    """A step function's breakpoints in [lo, hi), the first at lo, and its
+    value table, entry c after c of them; and the masses of its cells by
+    the segment rule ``mass_fn``, which the passes read and keep as is."""
 
     lo: float
     hi: float
@@ -74,12 +75,18 @@ class Block(NamedTuple):
     mass_fn: Optional[Callable] = None
 
 
+class BlockedFn(NamedTuple):
+    """A step function of more than CHUNK_EDGES breakpoints that
+    ``cell_blocks(masses, size)`` makes anew in ``Block``s of ``size``."""
+
+    domain: Interval
+    n_breakpoints: int
+    cell_blocks: Callable[[bool, int], Iterator[Block]]
+
+
 def cut_row(row, member, b: Block) -> tuple:
-    """A row (fns, measures, domain) on the cells of the block b of its
-    function ``member``: b stands for member, and the other functions and
-    the measures are cut to [b.lo, b.hi), or to [b.lo, b.hi] where b ends
-    the domain, so that a pass over the row is the blocks' passes end to
-    end, each block's atoms after its cells."""
+    """A row (fns, measures, domain) with ``member`` as its block b and the
+    rest cut to [b.lo, b.hi), or [b.lo, b.hi] where b ends the domain."""
     fns, measures, dom = row
     side = "right" if b.hi == dom.hi else "left"
 
@@ -101,8 +108,8 @@ def cut_row(row, member, b: Block) -> tuple:
             cell_his=np.minimum(m.cell_his[c], b.hi),
             cell_densities=m.cell_densities[c], atom_locs=m.atom_locs[a],
             atom_weights=m.atom_weights[a],
-            segments=[Block(max(s.lo, b.lo), min(s.hi, b.hi), _EMPTY, _EMPTY,
-                            None, s.mass_fn)
+            segments=[SimpleNamespace(lo=max(s.lo, b.lo), hi=min(s.hi, b.hi),
+                                      mass_fn=s.mass_fn)
                       for s in m.segments if s.lo < b.hi and s.hi > b.lo]))
     return tuple(map(cut, fns)), tuple(ms), b
 
@@ -118,10 +125,22 @@ def family_pairing(rows: Iterable) -> Iterator[FamilyPairing]:
     exception raised while reading a row is raised only after the chunk of
     the indices before it has been yielded, so a caller that reduces the
     chunks index by index raises at the first index that fails, as a loop
-    over the indices would.
+    over the indices would.  The index of a row with a ``BlockedFn`` is
+    a chunk of its own, whose ``parts()`` are its ``block_pairings``.
     """
     for chunk in blocks(map(_domain_row, rows), row_edges):
-        yield _pair_chunk(chunk)
+        f = next((f for f in chunk[0][0] if isinstance(f, BlockedFn)), None)
+        yield _pair_chunk(chunk) if f is None else FamilyPairing(
+            _EMPTY, _EMPTY, (), (), lambda row=chunk[0], f=f: (
+                ps[0] for ps in block_pairings([row], f)))
+
+
+def block_pairings(rows: list, f: BlockedFn) -> Iterator[list]:
+    """Per block of f, the pairings of the rows (fns, measures, domain) of
+    f's index, each cut to the block (``cut_row``) and refined apart; the
+    block's masses are made when a row has measures."""
+    for b in f.cell_blocks(any(r[1] for r in rows), CHUNK_EDGES):
+        yield [_pair_chunk([cut_row(r, f, b)], b) for r in rows]
 
 
 def _domain_row(row) -> tuple:
@@ -166,8 +185,9 @@ def blocks(items: Iterable, size) -> Iterator[list]:
         raise error
 
 
-def _pair_chunk(rows) -> FamilyPairing:
-    """One ragged pass over the rows (fns, measures, domain) of a chunk."""
+def _pair_chunk(rows, block: Optional[Block] = None) -> FamilyPairing:
+    """One ragged pass over the rows (fns, measures, domain) of a chunk,
+    or over one row cut to ``block``, whose masses it reads."""
     n = len(rows)
     n_fns, n_measures = len(rows[0][0]), len(rows[0][1])
     # every edge of every index, grouped by source: the domain ends, each
@@ -293,12 +313,11 @@ def _pair_chunk(rows) -> FamilyPairing:
                 runs.append([seg, a, b])
         if [r[1:] for r in runs] == [[0, cell_lo.size]]:
             rule = runs.pop()[0].mass_fn
-            # a block's own masses by the rule, if its cells are all cells
-            on_cells = next((f.masses for f in rows[0][0]
-                             if getattr(f, "mass_fn", None) is rule
-                             and f.masses.size == cell_lo.size), None)
-            if on_cells is None:
-                on_cells = rule(cell_lo, cell_hi)
+            # the block's own cells when they are as many; no density cell
+            # shares them with the segment, so nothing adds into its masses
+            on_cells = (block.masses if block and block.mass_fn is rule
+                        and block.masses.size == cell_lo.size
+                        else rule(cell_lo, cell_hi))
         else:
             on_cells = np.zeros(cell_lo.size)
         los = on[5 * k + _CELL_LO]

@@ -8,7 +8,10 @@ and the weak-gap bank.  The random families cover one to twenty indices,
 infinite cell values, functions without breakpoints, atoms on edges and at
 both domain ends, zero-density cells, exp2 segments on [0, inf) and edge
 sets that hold both 0.0 and -0.0; the chunk budget is drawn too, so that
-chunks of one index and chunks of many both occur.
+chunks of one index and chunks of many both occur.  A function given in
+cell blocks (``BlockedFn``, here views of a drawn function's arrays) is
+paired block by block with the rest of its row cut to each block; the
+blocks' cells and atoms are the whole row's, in order.
 """
 
 import math
@@ -22,13 +25,13 @@ from hypothesis import strategies as st
 from measure_limits import (
     FiniteMeasure, FnSequence, Interval, NotIntegrableError,
     PiecewiseFn, Ramp, Scenario, UndefinedIntegralError,
-    UnsupportedScenarioError, constant_fn, make_segment,
+    UnsupportedScenarioError, constant_fn, dominates, make_segment,
     weak_gap_bank,
 )
 from measure_limits import refinement
 from measure_limits.integration import default_bank, integral_series, tv_series
 from measure_limits.measures import AnalyticSegment, _exp2_mass
-from measure_limits.refinement import family_pairing
+from measure_limits.refinement import Block, BlockedFn, family_pairing
 from measure_limits.refinement import reduce_family, replay
 from measure_limits.uniform import (
     _condition_series, _gap_rows, _hahn_sums, uniform_report,
@@ -100,6 +103,49 @@ def same_pairing(rows, budget):
                 assert got[atoms:hi].tobytes() == want[cells:].tobytes()
             i += 1
     assert i == len(rows)
+
+
+def view_blocks(f: PiecewiseFn) -> BlockedFn:
+    """f in blocks of views of its arrays; a breakpoint at domain.hi ends
+    the last block, which alone reaches domain.hi."""
+    bp, d = f.breakpoints, f.domain
+
+    def cell_blocks(masses, size):
+        starts = range(0, bp.size - (bp[-1] == d.hi), size)
+        for i, j in zip(starts, [*starts[1:], bp.size]):
+            yield Block(bp[i] if i else d.lo, bp[j] if j < bp.size else d.hi,
+                        bp[i:j], f.table[i:j + 1])
+    return BlockedFn(d, bp.size, cell_blocks)
+
+
+@settings(max_examples=100, deadline=None)
+@given(scenarios(), st.sampled_from((1, 2, 3)))
+def test_blocked_rows_pair_as_the_whole_row(sc, size):
+    # each index's f_n in blocks of ``size`` breakpoints, with the limit
+    # function and mu_n cut to each block: the blocks' cells, then their
+    # atoms, are the whole row's pairing, and the integral and the
+    # dominance read off the blocks are the whole function's
+    for f, m in zip(sc.f_seq.fns, sc.measures):
+        if not f.breakpoints.size:
+            continue
+        want = next(family_pairing([((f, sc.limit_fn), (m,))]))
+        with mock.patch.object(refinement, "CHUNK_EDGES", size):
+            g = view_blocks(f)
+            parts = list(next(family_pairing(
+                [((g, sc.limit_fn), (m,))])).parts())
+            for k, arrays in enumerate(want.values + want.masses):
+                got = [q.values[k] if k < 2 else q.masses[k - 2]
+                       for q in parts]
+                cells = [a[:q.n_cells[0]] for a, q in zip(got, parts)]
+                atoms = [a[q.n_cells[0]:] for a, q in zip(got, parts)]
+                assert (np.concatenate(cells + atoms).tobytes()
+                        == arrays.tobytes())
+            assert (outcome(lambda: list(integral_series([g], [m])))
+                    == outcome(lambda: list(integral_series([f], [m]))))
+            assert (outcome(dominates, [g], [sc.limit_fn])
+                    == outcome(dominates, [f], [sc.limit_fn]))
+            assert (outcome(dominates, [sc.limit_fn], [g])
+                    == outcome(dominates, [sc.limit_fn], [f]))
 
 
 @settings(max_examples=100, deadline=None)

@@ -20,6 +20,8 @@ values of ``helpers.loop_pairing``: the function evaluated at every cell
 and atom.
 """
 
+import dataclasses
+import functools
 import json
 import math
 from unittest import mock
@@ -30,16 +32,17 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from measure_limits import (
-    FiniteMeasure, Interval, PiecewiseFn, canonical_json, dominates, fatou,
-    gallery, integration,
-    parse_scenario, refinement,
+    FiniteMeasure, FnSequence, Interval, PiecewiseFn, canonical_json,
+    dominates, gallery, integration, parse_scenario, refinement,
 )
+from measure_limits.refinement import BlockedFn
 from measure_limits.measures import AnalyticSegment, _exp2_mass
 from measure_limits.xreal import MalformedObjectError
 
 from helpers import (
-    canonical_json_oracle, comb_g_oracle, fatou_random_document,
-    list_dominates, loop_pairing, piecewise_oracle, validate_measure_oracle,
+    canonical_json_oracle, comb_g_oracle, exp2_mass, fatou_random_document,
+    list_dominates, loop_pairing, loop_pos_neg_dot, piecewise_oracle,
+    validate_measure_oracle,
 )
 from strategies import families, picks, step_fns
 
@@ -196,28 +199,42 @@ def test_comb_builder_writes_canonical_frozen_arrays(comb_g):
 
 @pytest.mark.parametrize("n, block", [
     *((n, None) for n in range(1, 21)),
-    # blocks that cut _exp2_mass's runs of equal widths, and cells of
-    # two; both start at an even dyadic cell as CHUNK_EDGES does, and odd
-    # ones shift the depressed cells' parity
+    # blocks that cut _exp2_mass's runs of equal widths, and cells of one
+    # and two; odd sizes shift the parity of the depressed cells
     (20, 3000), (17, 4097), (9, 2), (6, 1)])
-def test_comb_g_walk_matches_the_whole_oracle(monkeypatch, n, block):
-    # the walk over g_n's cell blocks, each with its own exp2 masses, gives
-    # the integral and the dominance of the whole oracle g_n, bit for bit
-    if block is not None:
-        monkeypatch.setattr(gallery, "CHUNK_EDGES", block)
+def test_comb_g_streamed_passes_match_the_oracle(monkeypatch, n, block):
+    # g_n as the fixture gives it (a BlockedFn past CHUNK_EDGES
+    # breakpoints), or made in blocks of ``block`` cells: its integral,
+    # read block by block with each block's own exp2 masses, is the
+    # oracle's cell sum bit for bit, and its dominance fails where f does
     sc = gallery.build("dyadic_comb")
-    f, mu, g = sc.f_seq.fns[n - 1], sc.measures[n - 1], sc.g_seq.fns.member(n)
-    ref = comb_g_oracle(n)
-    dominance = [True]
-    got = fatou._g_walk(g, mu, f, dominance)
-    assert got.hex() == integration.integrate(ref, mu).hex()
-    assert dominance == [dominates([f], [ref])] == [True]
-    # a g_n past f_n somewhere fails at that block
-    dominance = [True]
-    fatou._g_walk(g, mu, sc.f_seq.fns[n] if n < 20 else
-                  PiecewiseFn([0.0, 1.0], [-1e9], 0.0, f.domain),
-                  dominance)
-    assert dominance == [False]
+    f, mu, ref = sc.f_seq.fns[n - 1], sc.measures[n - 1], comb_g_oracle(n)
+    g = sc.g_seq.fns.member(n)
+    if block is not None:
+        monkeypatch.setattr(refinement, "CHUNK_EDGES", block)
+        g = BlockedFn(f.domain, ref.breakpoints.size, functools.partial(
+            gallery._comb_g_blocks, n, mu.segments[0]))
+    # mu's edges 0 and inf are g_n's ends: the cells are g_n's own
+    bp = ref.breakpoints
+    pos, neg, _, _ = loop_pos_neg_dot(ref.values, exp2_mass(bp[:-1], bp[1:]))
+    got = next(integration.integral_series([g], [mu]))
+    assert got.hex() == (pos - neg).hex()
+    assert dominates([f], [g])
+    # f_n fails past g_n's second half, in a late block of a large g_n
+    late = PiecewiseFn([1.5, 1.75], [-1e9], 0.0, f.domain)
+    assert not dominates([late], [g])
+    if n <= 9:
+        assert list_dominates(f, ref)
+    if block is None and n == 20:
+        # Scenario.g_pass reads both rows of a large g_n in one walk
+        assert [x.hex() for x in sc.g_integral_series[14:]] == [
+            next(integration.integral_series([sc.g_seq.fns.member(k)], [mu]))
+            .hex() for k in range(15, 21)]
+        assert sc.f_dominates_g
+        fns = (*sc.f_seq.fns[:19], late)
+        bad = dataclasses.replace(sc, f_seq=FnSequence(fns))
+        assert not bad.f_dominates_g
+        assert bad.g_integral_series == sc.g_integral_series
 
 
 # --- one-index value lookup --------------------------------------------------

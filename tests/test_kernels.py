@@ -170,11 +170,14 @@ def test_streamed_tree_sum_is_fsum_under_any_block_split(xs, cuts, scale):
         [math.inf, -math.inf, 0.0, 1e300, -1e300])),
     st.sampled_from([0.0, 1e-300, 0.5, 2.0, 1e10])), max_size=200),
        st.lists(st.integers(0, 10 ** 6), max_size=6))
-@example([(1e300, 1e10), (1e300, 1e10), (-1e300, 1e10)], [1])  # no bound
+@example([(1e300, 1e10), (1e300, 1e10), (-1e300, 1e10)], [1])  # overflow
 @example([(-math.inf, 2.0), (1.0, 1.0)], [1])  # +-inf on positive mass
+@example([(2.0 ** 987, 1.0), (-(2.0 ** 987), 1.0)] * 2100, [3, 5000])  # range
+@example([(1.0, 1.0), (2.0 ** -53, 1.0), (2.0 ** -53 + 2.0 ** -105, 1.0)]
+         * 1500, [1, 2, 700, 4000])  # a bound that cannot certify the tree
 def test_pos_neg_parts_is_pos_neg_dot_under_any_block_split(cells, cuts):
-    # each block's terms join one running total per part; a total the
-    # bound cannot certify is fsum of all terms, made again block by block
+    # each block's terms, of one cell or of thousands, join one tree per
+    # part; a tree the bound cannot certify is fsum of all the terms
     v = np.asarray([c[0] for c in cells], dtype=np.float64)
     m = np.asarray([c[1] for c in cells], dtype=np.float64)
     parts = splits(cuts, v.size)

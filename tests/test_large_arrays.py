@@ -23,8 +23,8 @@ from measure_limits import (
     FiniteMeasure, Interval, PiecewiseFn, dominates, make_segment, refinement,
 )
 from measure_limits.kernels import (
-    _TREE_BLOCK, _TREE_MIN, _TREE_RANGE, _tree_sum, comp_sum, pos_neg_dot,
-    union_edges,
+    _TREE_BLOCK, _TREE_MIN, _TREE_RANGE, _tree_part, _tree_sum, comp_sum,
+    pos_neg_dot, union_edges,
 )
 from measure_limits.measures import _EXP2_BLOCK, _exp2_mass
 
@@ -32,6 +32,12 @@ from helpers import (
     common_refinement, exp2_mass, list_dominates, loop_comp_sum,
     loop_pos_neg_dot, loop_tail_dot, tail_row, unique_edges,
 )
+
+
+def tree_sum(x: np.ndarray):
+    """The tree's sum of the terms x, taken as one part."""
+    return _tree_sum([_tree_part(x)])
+
 
 TINY = 5e-324
 HUGE = 2.0 ** 1023
@@ -152,7 +158,7 @@ def padded(head, n: int = _TREE_MIN) -> np.ndarray:
 def test_tree_sum_is_fsum_or_defers(terms):
     # the tree runs on any size; where math.fsum raises, it must defer
     want = outcome(loop_comp_sum, terms.tolist())
-    got = _tree_sum(terms)
+    got = tree_sum(terms)
     assert got is None or same(got, want)
 
 
@@ -193,20 +199,20 @@ def test_large_kernels_match_the_cell_loops_bit_for_bit(case):
 def test_tree_sum_certifies_plain_sums_and_defers_the_rest():
     rng = np.random.default_rng(7)
     plain = rng.uniform(0.0, 1.0, size=5_000) * 10.0 ** rng.integers(-6, 7, size=5_000)
-    assert _tree_sum(plain) == math.fsum(plain.tolist())
-    assert _tree_sum(-plain) == math.fsum((-plain).tolist())
+    assert tree_sum(plain) == math.fsum(plain.tolist())
+    assert tree_sum(-plain) == math.fsum((-plain).tolist())
     # error-free sums need no bound: a power of two on many exact terms
-    assert _tree_sum(np.full(4096, 0.5)) == 2048.0
+    assert tree_sum(np.full(4096, 0.5)) == 2048.0
     # a non-finite term, partial sums near the double range and an exact
     # half-ulp tie are left to math.fsum
-    assert _tree_sum(np.append(plain, math.inf)) is None
-    assert _tree_sum(np.append(plain, 1e300)) is None
-    assert _tree_sum(np.array([1.0, 2.0 ** -53] + [0.0] * 62)) is None
+    assert tree_sum(np.append(plain, math.inf)) is None
+    assert tree_sum(np.append(plain, 1e300)) is None
+    assert tree_sum(np.array([1.0, 2.0 ** -53] + [0.0] * 62)) is None
     assert comp_sum(np.array([1.0, 2.0 ** -53] + [0.0] * 62)) == 1.0
     # past the tie by 2**-200, which the rounded error sum drops: the
     # bound keeps s + e from rounding to 1.0
     above = np.array([1.0, 2.0 ** -53, 2.0 ** -200] + [0.0] * 61)
-    assert _tree_sum(above) is None
+    assert tree_sum(above) is None
     assert comp_sum(above) == 1.0 + 2.0 ** -52
 
 
@@ -241,7 +247,7 @@ def blocked_arrays(draw):
 @example(padded([1.0, 2.0 ** -54], _TREE_BLOCK + 1)[::-1].copy())
 def test_blocked_tree_sum_is_fsum_or_defers(terms):
     want = outcome(loop_comp_sum, terms.tolist())
-    got = _tree_sum(terms)
+    got = tree_sum(terms)
     assert got is None or same(got, want)
     assert same(outcome(comp_sum, terms), want)
 
@@ -250,15 +256,15 @@ def test_blocked_tree_sum_certifies_plain_sums_at_block_sizes():
     rng = np.random.default_rng(11)
     for n in BLOCK_SIZES:
         plain = rng.uniform(-1.0, 1.0, size=n) * 10.0 ** rng.integers(-6, 7, size=n)
-        assert _tree_sum(plain) == math.fsum(plain.tolist())
+        assert tree_sum(plain) == math.fsum(plain.tolist())
     # partial sums that may reach the double range go to math.fsum
     edge = np.full(2 * _TREE_BLOCK + 1, _TREE_RANGE / (2 * _TREE_BLOCK + 1))
-    assert _tree_sum(edge) is None
+    assert tree_sum(edge) is None
     # cancellation across blocks leaves a bound far wider than the result's
     # rounding: the tree does not certify it, and comp_sum is math.fsum's
     big = rng.uniform(1.0, 2.0, size=_TREE_BLOCK) * 1e12
     mixed = rng.permutation(np.concatenate([big, -big, [1e-3]]))
-    assert _tree_sum(mixed) is None
+    assert tree_sum(mixed) is None
     assert comp_sum(mixed) == math.fsum(mixed.tolist()) == 1e-3
 
 

@@ -24,13 +24,13 @@ family takes one exp2 mass call for all its indices.  The comb's g
 family is built on demand: a ``gallery run all`` builds each g_n once,
 in the one walk that gives the g integrals and the dominance f_n >= g_n,
 plus g_3 for its cell count, and a document that cuts the family to
-``n_max`` builds no g_n past it.  A large g_n is read in cell blocks
-whose exp2 masses serve both its depths and its integral, so each cell's
-mass is computed once per index, and its blocks start only after the
-index before it is done.  The comb's largest passes are held to bounds
-on the memory that ``tracemalloc`` traces: building the scenario,
-building g_20, integrating g_20, checking f_20 >= g_20 and one whole
-comb run.
+``n_max`` builds no g_n past it.  A large g_n is read in one walk over
+its cell blocks, which starts only after the index before it is done
+and whose exp2 masses serve both its depths and its integral, so each
+of its cells' masses is computed once.  The comb's largest passes are
+held to bounds on the memory that ``tracemalloc`` traces: building the
+scenario, building g_20, integrating g_20, checking f_20 >= g_20 and one
+whole comb run.
 """
 
 import argparse
@@ -317,35 +317,38 @@ def traced_peak_mib(fn) -> float:
 
 def test_comb_passes_stay_within_their_memory_bounds():
     # building the scenario builds no g_n: it holds the 20 f_n and the
-    # certificate; building g_20 writes its two 16 MiB arrays block by
-    # block, and keeps them without a copy; integrating the whole g_20
-    # holds its 2^21-cell refinement, masses and the gathered kernel
-    # terms, and reads g_20's values as a slice of its own table; a whole
-    # run reads each large g_n one cell block at a time and holds no g_n
-    # whole; the bounds sit just above the 1.2, 35.5, 40.0, 32.0 and
-    # 4.4 MiB measured when they were set
+    # certificate; building g_20 writes its two 16 MiB arrays as one
+    # block, with the exp2 masses of its depressed cells, and keeps them
+    # without a copy; integrating the whole g_20 holds its 2^21-cell
+    # refinement, masses and the gathered kernel terms, and reads g_20's
+    # values as a slice of its own table; a whole run reads each g_n past
+    # CHUNK_EDGES breakpoints one cell block at a time and holds none of
+    # them whole; the bounds sit just above the 1.2, 40.5, 40.0, 32.0 and
+    # 5.2 MiB measured when they were set
     build = traced_peak_mib(lambda: gallery.build("dyadic_comb"))
     sc = gallery.build("dyadic_comb")
     assert build < 3
-    assert traced_peak_mib(lambda: sc.g_seq.fns[-1]) < 37
+    assert traced_peak_mib(lambda: sc.g_seq.fns[-1]) < 41
     f, g, mu = sc.f_seq.fns[-1], sc.g_seq.fns[-1], sc.measures[-1]
     assert traced_peak_mib(
-        lambda: list(integration.integral_series([g], [mu]))) < 42
-    assert traced_peak_mib(lambda: dominates([f], [g])) < 34
+        lambda: list(integration.integral_series([g], [mu]))) < 41
+    assert traced_peak_mib(lambda: dominates([f], [g])) < 33
     del sc, f, g
     assert traced_peak_mib(lambda: gallery.run("dyadic_comb")) < 6
 
 
 def test_comb_g_pass_starts_each_g_n_after_the_last_is_done(monkeypatch):
     # each g_n is sized by its stated breakpoint count, so a block of
-    # indices closes before the next g_n's cells are made: when g_20's
-    # first cell block is made, nothing of g_19 or of its passes is held
+    # indices closes before the next g_n is made: g_1 to g_14 are built
+    # whole as their blocks of indices reach them, g_15 to g_20 are each
+    # read in one walk over their cell blocks, and when g_20's first cell
+    # block is made, nothing of g_19 or of its passes is held
     original = gallery._comb_g_blocks
     order, held = [], []
 
-    def recording(n, seg):
+    def recording(n, seg, masses, size):
         order.append(n)
-        for k, b in enumerate(original(n, seg)):
+        for k, b in enumerate(original(n, seg, masses, size)):
             if (n, k) == (20, 0):
                 held.append(tracemalloc.get_traced_memory()[0])
             yield b
@@ -364,11 +367,11 @@ def test_comb_g_pass_starts_each_g_n_after_the_last_is_done(monkeypatch):
     assert (held[0] - base) / 2 ** 20 < 2
 
 
-def test_comb_run_computes_each_exp2_cell_once_per_index(monkeypatch):
-    # the builder's masses of a large g_n's 2^(n+1) + min(n, 2) cells
-    # serve both its depths and its integral pass, so each is computed
-    # once; g_1 to g_14 are built whole for their ragged passes, which
-    # compute their masses once more
+def test_comb_run_computes_a_large_g_n_exp2_cells_once(monkeypatch):
+    # the one walk over a large g_n's blocks computes each cell's exp2
+    # mass once, for its depths and its integral; g_1 to g_14 are built
+    # whole with the masses of their depressed cells, and their ragged
+    # passes compute all their cells' masses again
     cells = []
     original = measures._exp2_mass
 
@@ -380,7 +383,7 @@ def test_comb_run_computes_each_exp2_cell_once_per_index(monkeypatch):
     sc = gallery.build("dyadic_comb")
     cells.clear()
     assert sc.g_integral_series and sc.f_dominates_g
-    assert sum(cells) == sum((2 ** (n + 1) + min(n, 2)) * (1 + (n < 15))
+    assert sum(cells) == sum(2 ** (n + 1) + min(n, 2) + (n < 15) * 2 ** n
                              for n in range(1, 21))
 
 
